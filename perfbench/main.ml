@@ -253,17 +253,9 @@ let print_layers (traced : W.unit_run list) =
   let n = float_of_int (List.length traced) in
   let selfs = List.map (fun (u : W.unit_run) -> H.self_times u.W.spans) traced in
   let worst =
-    List.fold_left
-      (fun acc s ->
-        let total = List.fold_left (fun a (x : H.self) -> a +. x.H.self_s) 0.0 s in
-        let root =
-          List.fold_left
-            (fun a (x : H.self) ->
-              if x.H.span.H.parent < 0 then a +. (x.H.span.H.t1 -. x.H.span.H.t0) else a)
-            0.0 s
-        in
-        Float.max acc (Float.abs (total -. root)))
-      0.0 selfs
+    List.fold_left2
+      (fun acc (u : W.unit_run) s -> Float.max acc (Float.abs (snd (H.self_sum s) -. u.W.wall)))
+      0.0 traced selfs
   in
   let wall = List.fold_left (fun a (u : W.unit_run) -> a +. u.W.wall) 0.0 traced /. n in
   let c name = W.col name in
@@ -288,7 +280,7 @@ let print_layers (traced : W.unit_run list) =
         (d (c "jitcache.hits"))
         (d (c "jitcache.misses")))
     (H.by_span (List.concat selfs));
-  Printf.printf "# unit wall %.4f s; self times sum to the root spans within %.3g s\n" wall worst
+  Printf.printf "# unit wall %.4f s; self times sum to the unit wall within %.3g s\n" wall worst
 
 (* ------------------------------------------------------------------ *)
 

@@ -572,13 +572,12 @@ let serve_tenants =
         cleanup;
       }
   in
-  (* A batch holds 16 tasks; four would give the 50 samples a p80 needs,
-     five steady the medians on a noisy host. *)
+  (* A batch holds 16 tasks; four give the 50 samples a p80 needs. *)
   {
     name = "serve_tenants";
     vm_domains = (fun _ -> 1);
     setups = 2;
-    min_units = 5;
+    min_units = 4;
     aliases = [ ("task_latency_p50_s", "latency_p50_s"); ("solves_per_s", "requests_per_s") ];
     prepare;
   }
