@@ -1,8 +1,8 @@
 (* Harness code shared by the benchmark's workloads: sample statistics,
    failure accounting, the host span recorder with its self-time and
-   counter attribution, and the metric catalogue with the JSON result
-   line.  Nothing here touches the library under test, so the tests drive
-   it with fake clocks and counters. *)
+   counter attribution, and the JSON result line.  Nothing here touches
+   the library under test, so the tests drive it with fake clocks and
+   counters. *)
 
 (* ------------------------------------------------------------------ *)
 (* Statistics *)
@@ -174,90 +174,9 @@ let by_span selfs =
   |> List.stable_sort (fun a b -> Float.compare b.row_s a.row_s)
 
 (* ------------------------------------------------------------------ *)
-(* Metric catalogue.  BENCHMARK.json lists the same names and units; the
-   tests and run.py both check that they agree. *)
-
-type spec = { name : string; unit_ : string }
-
-let spec name unit_ = { name; unit_ }
-
-let end_to_end =
-  [
-    spec "setup_s" "s";
-    spec "latency_p50_s" "s";
-    spec "requests_per_s" "1/s";
-    spec "sim_ms" "ms";
-    spec "peak_rss_mb" "MB";
-  ]
-
-let per_layer =
-  [
-    spec "solvers.iterations" "count";
-    spec "solvers.host_s" "s";
-    spec "solvers.iter_ms" "ms";
-    spec "qdpjit.eval_calls" "count";
-    spec "qdpjit.eval_s" "s";
-    spec "qdpjit.eval_us_per_call" "us";
-    spec "qdpjit.reduce_calls" "count";
-    spec "qdpjit.reduce_s" "s";
-    spec "qdpjit.sync_s" "s";
-    spec "qdpjit.flushes" "count";
-    spec "qdpjit.fused_groups" "count";
-    spec "qdpjit.launches_saved" "count";
-    spec "qdpjit.members_per_group" "ratio";
-    spec "qdpjit.fallbacks" "count";
-    spec "qdpjit.kernels_built" "count";
-    spec "qdpjit.jit_model_s" "s";
-    spec "qdpjit.cold_excess_s" "s";
-    spec "jitcache.hits" "count";
-    spec "jitcache.misses" "count";
-    spec "jitcache.stores" "count";
-    spec "jitcache.corrupt" "count";
-    spec "jitcache.evictions" "count";
-    spec "jitcache.hit_ratio" "ratio";
-    spec "memcache.hits" "count";
-    spec "memcache.uploads" "count";
-    spec "memcache.pageouts" "count";
-    spec "memcache.spills" "count";
-    spec "memcache.inflight_skips" "count";
-    spec "memcache.hit_ratio" "ratio";
-    spec "gpusim.launches" "count";
-    spec "gpusim.launches_per_iter" "ratio";
-    spec "gpusim.launch_failures" "count";
-    spec "gpusim.kernel_bytes" "B";
-    spec "gpusim.kernel_bytes_f16" "B";
-    spec "gpusim.kernel_bytes_f32" "B";
-    spec "gpusim.kernel_bytes_f64" "B";
-    spec "gpusim.kernel_sim_ms" "ms";
-    spec "gpusim.h2d_bytes" "B";
-    spec "gpusim.d2h_bytes" "B";
-    spec "gpusim.transfer_sim_ms" "ms";
-    spec "gpusim.allocs" "count";
-    spec "gpusim.frees" "count";
-    spec "streams.spans" "count";
-    spec "streams.horizon_ms" "ms";
-    spec "hmc.md_steps" "count";
-    spec "hmc.accepted" "ratio";
-    spec "hmc.host_s" "s";
-    spec "serve.queue_wait_p50_s" "s";
-    spec "serve.queue_wait_p80_s" "s";
-    spec "serve.task_latency_p80_s" "s";
-    spec "serve.run_s" "s";
-    spec "serve.close_s" "s";
-    spec "serve.host_s" "s";
-    spec "trace.overhead_frac" "ratio";
-  ]
-
-(* Pair every spec with its value; an unknown or missing name is an
-   error, so a printed result always names exactly the catalogue. *)
-let bind specs values =
-  let names = List.map (fun s -> s.name) specs in
-  match List.find_opt (fun (n, _) -> not (List.mem n names)) values with
-  | Some (n, _) -> Error (Printf.sprintf "metric %s is not in the catalogue" n)
-  | None -> (
-      match List.find_opt (fun s -> not (List.mem_assoc s.name values)) specs with
-      | Some s -> Error (Printf.sprintf "metric %s has no value" s.name)
-      | None -> Ok (List.map (fun s -> (s, List.assoc s.name values)) specs))
+(* The result line: metric names with their values.  BENCHMARK.json is
+   the only place metric units are written; run.py checks the names
+   against it and attaches the units. *)
 
 let json_number v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
@@ -268,10 +187,8 @@ let result_line ~correct ~attempted ~failed metrics =
   Printf.bprintf b "{\"correct\": %b, \"attempted\": %d, \"failed\": %d, \"metrics\": {" correct
     attempted failed;
   List.iteri
-    (fun i (s, v) ->
-      Printf.bprintf b "%s\"%s\": {\"value\": %s, \"unit\": \"%s\"}"
-        (if i > 0 then ", " else "")
-        s.name (json_number v) s.unit_)
+    (fun i (name, v) ->
+      Printf.bprintf b "%s\"%s\": %s" (if i > 0 then ", " else "") name (json_number v))
     metrics;
   Buffer.add_string b "}}";
   Buffer.contents b

@@ -4,11 +4,12 @@
               --seconds S --trace 0|1 [--out DIR]
 
    perfbench/run.py builds this executable and runs it from the root of a
-   checkout.  The last line of standard output is the JSON result: every
-   end-to-end metric with --trace 0, every per-layer metric with
-   --trace 1.  Lines before it start with '#' and record the
-   configuration, the sample counts and, when tracing, the layer table.
-   perfbench/README.md defines every metric. *)
+   checkout.  The last line of standard output is the JSON result: the
+   value of every end-to-end metric with --trace 0, of every per-layer
+   metric with --trace 1; run.py checks the names against BENCHMARK.json
+   and attaches the units.  Lines before it start with '#' and record
+   the configuration, the sample counts and, when tracing, the layer
+   table.  perfbench/README.md defines every metric. *)
 
 module W = Workloads
 module H = Perfbench.Harness
@@ -146,13 +147,12 @@ let end_to_end ~setups (units : W.unit_run list) =
 
 (* Per workload, the request-level metrics also go by the request's name
    (solve_s, traj_s, task_latency_p50_s, solves_per_s); print those names
-   beside the catalogue's.  A tail percentile is printed only
+   beside the benchmark's.  A tail percentile is printed only
    with at least [H.min_beyond] samples beyond it. *)
 let print_aliases (w : W.workload) metrics units =
   List.iter
     (fun (alias, name) ->
-      let (sp : H.spec), v = List.find (fun ((sp : H.spec), _) -> sp.H.name = name) metrics in
-      Printf.printf "# %-28s %16.6f %s (= %s)\n" alias v sp.H.unit_ name)
+      Printf.printf "# %-28s %16.6f (= %s)\n" alias (List.assoc name metrics) name)
     w.W.aliases;
   let lat = List.map snd (requests units) in
   if w.W.name = "serve_tenants" && H.percentile_ok ~p:0.8 (List.length lat) then
@@ -168,7 +168,9 @@ let per_layer (w : W.workload) ~(cold : W.unit_run) ~untraced ~traced =
   let layer l s = snd (H.self_sum ~keep:(fun n -> H.layer_of n = l) s) in
   let per_call name s = 1e6 *. ratio (secs name s) (calls name s) in
   let serving = w.W.name = "serve_tenants" in
-  let reqs = requests (untraced @ traced) in
+  (* Like every counter, the request percentiles come from untraced
+     units, so they carry no recorder overhead. *)
+  let reqs = requests untraced in
   let tail xs = if serving then H.percentile ~p:0.8 xs else 0.0 in
   let wall units = med (fun (u : W.unit_run) -> u.W.wall) units in
   [
@@ -352,9 +354,8 @@ let () =
   inst.W.cleanup ();
   let t_end = W.now () in
   let untraced = List.rev !untraced and traced = List.rev !traced in
-  let specs, values =
-    if trace then (H.per_layer, per_layer w ~cold ~untraced ~traced)
-    else (H.end_to_end, end_to_end ~setups untraced)
+  let metrics =
+    if trace then per_layer w ~cold ~untraced ~traced else end_to_end ~setups untraced
   in
   Printf.printf "# set-ups %d, steady units %d untraced + %d traced, requests %d; failed_frac %g (%d/%d)\n"
     (List.length setups) (List.length untraced) (List.length traced)
@@ -382,14 +383,8 @@ let () =
         Printf.printf "# chrome trace of the last traced unit: %s\n" path)
       !trace_json
   end;
-  List.iter (fun (n, v) -> if not (Float.is_finite v) then die "metric %s is not finite" n) values;
-  match H.bind specs values with
-  | Error e -> die "%s" e
-  | Ok metrics ->
-      List.iter
-        (fun ((sp : H.spec), v) -> Printf.printf "# %-28s %16.6f %s\n" sp.H.name v sp.H.unit_)
-        metrics;
-      if not trace then print_aliases w metrics untraced;
-      print_endline
-        (H.result_line ~correct:(tally.H.failed = 0) ~attempted:tally.H.attempted
-           ~failed:tally.H.failed metrics)
+  List.iter (fun (n, v) -> if not (Float.is_finite v) then die "metric %s is not finite" n) metrics;
+  if not trace then print_aliases w metrics untraced;
+  print_endline
+    (H.result_line ~correct:(tally.H.failed = 0) ~attempted:tally.H.attempted
+       ~failed:tally.H.failed metrics)

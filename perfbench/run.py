@@ -6,10 +6,12 @@
 Run it from anywhere inside a full checkout.  It builds
 perfbench/main.exe from source with dune (shared dune cache off), runs
 it from the checkout root with the REPRO_* overrides removed from its
-environment, and prints its output.  The last line is the JSON result.
-The exit code is 0 only when that line is well formed and names exactly
-the metrics BENCHMARK.json lists for the chosen mode; otherwise nothing
-is printed as a result.  See perfbench/README.md.
+environment, and prints its output.  main.exe ends with a JSON line of
+metric names and values.  BENCHMARK.json is the only place metric units
+are written: this script checks that the names are exactly the ones it
+lists for the chosen mode, attaches their units and prints the result
+line.  Otherwise it exits with code 1 and prints no result.  See
+perfbench/README.md.
 """
 
 import argparse
@@ -54,35 +56,39 @@ def dune():
     fail("dune is not on PATH")
 
 
-def check_result(line, spec, trace):
-    """Check the result line's shape; returns an error message or None."""
+def with_units(line, spec, trace):
+    """Turn main.exe's result line into the benchmark's result.
+
+    Returns (result, None), or (None, error message) when the line is
+    malformed or its metric names differ from BENCHMARK.json's."""
     try:
         result = json.loads(line)
     except ValueError:
-        return "last line is not JSON"
+        return None, "last line is not JSON"
     if not isinstance(result, dict) or set(result) != RESULT_KEYS:
-        return f"result keys must be {sorted(RESULT_KEYS)}"
+        return None, f"result keys must be {sorted(RESULT_KEYS)}"
     if not isinstance(result["correct"], bool):
-        return "correct is not a boolean"
+        return None, "correct is not a boolean"
     attempted, failed = result["attempted"], result["failed"]
     if not (isinstance(attempted, int) and isinstance(failed, int)):
-        return "attempted and failed must be whole numbers"
+        return None, "attempted and failed must be whole numbers"
     if attempted < 1 or not 0 <= failed <= attempted:
-        return "attempted must be >= 1 and failed within [0, attempted]"
+        return None, "attempted must be >= 1 and failed within [0, attempted]"
     expected = spec["per_layer"] if trace else spec["end_to_end"]
     units = {m["name"]: m["unit"] for m in expected}
-    metrics = result["metrics"]
-    if not isinstance(metrics, dict) or set(metrics) != set(units):
-        return "metric names differ from BENCHMARK.json"
-    for name, m in metrics.items():
-        if not isinstance(m, dict) or set(m) != {"value", "unit"}:
-            return f"metric {name} must have exactly value and unit"
-        v = m["value"]
+    values = result["metrics"]
+    if not isinstance(values, dict):
+        return None, "metrics must be an object"
+    missing, unknown = set(units) - set(values), set(values) - set(units)
+    if missing or unknown:
+        return None, ("metric names differ from BENCHMARK.json: "
+                      f"missing {sorted(missing)}, unknown {sorted(unknown)}")
+    for name, v in values.items():
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            return f"metric {name} is not a finite number"
-        if m["unit"] != units[name]:
-            return f"metric {name} has unit {m['unit']}, BENCHMARK.json says {units[name]}"
-    return None
+            return None, f"metric {name} is not a finite number"
+    result["metrics"] = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]}
+                         for m in expected}
+    return result, None
 
 
 def main():
@@ -120,11 +126,14 @@ def main():
     lines = run.stdout.splitlines()
     if run.returncode != 0 or not lines:
         fail(f"benchmark exited with code {run.returncode}")
-    error = check_result(lines[-1], spec, args.trace == 1)
+    result, error = with_units(lines[-1], spec, args.trace == 1)
     if error:
         fail(error)
-    for line in lines:
+    for line in lines[:-1]:
         print(line)
+    for name, m in result["metrics"].items():
+        print(f"# {name:<28} {m['value']:16.6f} {m['unit']}")
+    print(json.dumps(result))
     return 0
 
 
