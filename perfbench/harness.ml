@@ -36,6 +36,50 @@ let samples_beyond ~p n = n - rank ~p n
 let percentile_ok ~p n = samples_beyond ~p n >= min_beyond
 
 (* ------------------------------------------------------------------ *)
+(* Host speed.  On a shared host the same work runs up to 1.5x slower
+   for minutes at a time, and a wall-time median over one run cannot
+   average that out.  So the benchmark times a fixed piece of host work
+   — the probe — before and after every unit and scales the unit's wall
+   times to a reference speed: the probe's time on the reference host (a
+   2.1 GHz Xeon vCPU) when nothing else loads it.  The probe has the
+   profile of an interpreter such as the VM executor: a data-dependent
+   four-way dispatch over loads and stores scattered across a table the
+   size of a core's L2.  It allocates nothing, so no collection runs
+   inside it and its time does not depend on the heap of the workload
+   around it. *)
+
+let probe_table = lazy (Array.make (1 lsl 16) 0)
+let probe_work () =
+  let a = Lazy.force probe_table in
+  let mask = Array.length a - 1 in
+  let x = ref 0x2545F491 and acc = ref 0 in
+  for i = 0 to 399_999 do
+    x := ((!x * 0x5851F42D) + 0x14057B7E) land 0x3FFFFFFF;
+    let j = !x land mask in
+    match (!x lsr 26) land 3 with
+    | 0 -> acc := !acc + Array.unsafe_get a j
+    | 1 -> Array.unsafe_set a j !acc
+    | 2 -> acc := !acc lxor (Array.unsafe_get a j lsl 1)
+    | _ -> Array.unsafe_set a j (Array.unsafe_get a j + i)
+  done;
+  ignore (Sys.opaque_identity !acc)
+
+(* Median of five timed runs, so an interrupted run is ignored. *)
+let probe ?(clock = Unix.gettimeofday) ?(work = probe_work) () =
+  median
+    (List.init 5 (fun _ ->
+         let t0 = clock () in
+         work ();
+         clock () -. t0))
+
+let reference_probe_s = 0.0035
+
+(* A time taken between two probes, in seconds at the reference speed:
+   the host's speed over the interval is taken as the mean of the probes
+   on either side. *)
+let at_reference ~before ~after t = t *. reference_probe_s /. ((before +. after) /. 2.0)
+
+(* ------------------------------------------------------------------ *)
 (* Failure accounting: every unit of work is checked against the
    reference and counts as attempted; a mismatch or a solver that did not
    converge counts as failed. *)

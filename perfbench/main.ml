@@ -66,23 +66,41 @@ let peak_rss_mb () =
 (* ------------------------------------------------------------------ *)
 (* Running units *)
 
-(* Every unit starts after a full major collection: garbage left by the
-   set-up or the previous unit is not billed to it, and the heap
-   high-water mark does not drift with the number of units a run makes. *)
-let run_unit (inst : W.instance) ~trace =
+(* Between units: a full major collection, then a host probe.  Garbage
+   left by the set-up or the previous unit is not billed to the next
+   one, the heap high-water mark does not drift with the number of units
+   a run makes, and the probe runs with no collection work pending. *)
+let settle_and_probe () =
   Gc.full_major ();
+  H.probe ()
+
+let run_unit (inst : W.instance) ~trace =
   let r = if trace then Some (H.recorder inst.W.counters) else None in
   W.tracer := r;
   let u = Fun.protect ~finally:(fun () -> W.tracer := None) inst.W.run in
   match r with Some r -> { u with W.spans = H.take r } | None -> u
 
-(* Set-up: engine or server creation plus the first, cold unit. *)
+(* A unit's wall times at the reference host speed (see Harness.probe). *)
+let at_reference ~before ~after (u : W.unit_run) =
+  let f = H.at_reference ~before ~after in
+  {
+    u with
+    W.wall = f u.W.wall;
+    busy = f u.W.busy;
+    requests = List.map (fun (wait, latency) -> (f wait, f latency)) u.W.requests;
+  }
+
+(* Set-up: engine or server creation plus the first, cold unit, between
+   two host probes.  Returns its wall time and that time at the
+   reference speed. *)
 let set_up setup =
+  let before = settle_and_probe () in
   let t0 = W.now () in
   let inst = setup () in
   let created = W.now () -. t0 in
   let cold = run_unit inst ~trace:false in
-  (created +. cold.W.wall, inst, cold)
+  let wall = created +. cold.W.wall in
+  (wall, H.at_reference ~before ~after:(settle_and_probe ()) wall, inst, cold)
 
 (* Counters a traced unit must reproduce exactly: tracing reads only
    non-flushing counters inside a unit, so it cannot change them. *)
@@ -129,9 +147,12 @@ let med f xs = H.median (List.map f xs)
 let ratio a b = if b = 0.0 then 0.0 else a /. b
 let requests units = List.concat_map (fun (u : W.unit_run) -> u.W.requests) units
 
+(* [units] and [setups] are at the reference host speed.  Throughput is
+   a median of per-unit rates, so one slow unit moves it no more than it
+   moves the latency median. *)
 let end_to_end ~setups (units : W.unit_run list) =
   let reqs = requests units in
-  let busy = List.fold_left (fun a (u : W.unit_run) -> a +. u.W.busy) 0.0 units in
+  let rate (u : W.unit_run) = float_of_int (List.length u.W.requests) /. u.W.busy in
   let sim_ms (u : W.unit_run) =
     (W.get u.W.d "gpusim.kernel_ns" +. W.get u.W.d "gpusim.transfer_ns")
     /. 1e6
@@ -140,7 +161,7 @@ let end_to_end ~setups (units : W.unit_run list) =
   [
     ("setup_s", H.median setups);
     ("latency_p50_s", H.median (List.map snd reqs));
-    ("requests_per_s", float_of_int (List.length reqs) /. busy);
+    ("requests_per_s", med rate units);
     ("sim_ms", med sim_ms units);
     ("peak_rss_mb", peak_rss_mb ());
   ]
@@ -297,12 +318,12 @@ let () =
     die "superinstructions are disabled (REPRO_VM_SUPERINSN); the benchmark measures the default";
   if not (Sys.file_exists out_dir) then Unix.mkdir out_dir 0o755;
   let nproc = Gpusim.Vm_backend.available_domains () in
-  let cfg = { W.seed; seconds; trace; nproc; out_dir } in
+  let cfg = { W.seed; seconds; trace; out_dir } in
   Printf.printf
     "# perfbench %s seed=%d seconds=%g trace=%d runtime=%s nproc=%d vm_domains=%d ocaml=%s \
      superinstructions=%b cache_tag=%s\n\
      %!"
-    w.W.name seed seconds (Bool.to_int trace) Gpusim.Vm_backend.runtime nproc (w.W.vm_domains cfg)
+    w.W.name seed seconds (Bool.to_int trace) Gpusim.Vm_backend.runtime nproc W.vm_domains
     Sys.ocaml_version
     (Gpusim.Vm.superinstructions_enabled ())
     Qdpjit.Engine.cache_tag;
@@ -310,22 +331,26 @@ let () =
   let setup = w.W.prepare cfg in
   let t_prepared = W.now () in
   let tally = H.tally () in
+  (* The first probe also builds the probe's table. *)
+  ignore (H.probe ());
   (* Extra set-ups run first and are dropped, so at most one engine
      besides the measured one is alive at any time. *)
   let extra =
     List.init
       ((if trace then 1 else w.W.setups) - 1)
       (fun _ ->
-        let s, inst, cold = set_up setup in
+        let s = set_up setup in
+        let _, _, inst, cold = s in
         H.record tally cold.W.verdict;
         inst.W.cleanup ();
         s)
   in
-  let s, inst, cold = set_up setup in
+  let ((_, _, inst, cold) as s) = set_up setup in
   H.record tally cold.W.verdict;
   let setups = s :: extra in
   let t_steady = W.now () in
   let untraced = ref [] and traced = ref [] and reference = ref None and trace_json = ref None in
+  let scaled = ref [] and probes = ref [ settle_and_probe () ] in
   let deadline = W.now () +. seconds in
   let turn = ref false in
   while
@@ -336,6 +361,8 @@ let () =
     let traced_turn = trace && !turn in
     turn := not !turn;
     let u = run_unit inst ~trace:traced_turn in
+    let before = List.hd !probes and after = settle_and_probe () in
+    probes := after :: !probes;
     let u =
       match !reference with
       | None ->
@@ -349,13 +376,17 @@ let () =
       traced := u :: !traced;
       trace_json := Some (chrome_trace (inst.W.streams ()) u.W.spans)
     end
-    else untraced := u :: !untraced
+    else begin
+      untraced := u :: !untraced;
+      scaled := at_reference ~before ~after u :: !scaled
+    end
   done;
   inst.W.cleanup ();
   let t_end = W.now () in
-  let untraced = List.rev !untraced and traced = List.rev !traced in
+  let untraced = List.rev !untraced and traced = List.rev !traced and scaled = List.rev !scaled in
   let metrics =
-    if trace then per_layer w ~cold ~untraced ~traced else end_to_end ~setups untraced
+    if trace then per_layer w ~cold ~untraced ~traced
+    else end_to_end ~setups:(List.map (fun (_, s, _, _) -> s) setups) scaled
   in
   Printf.printf "# set-ups %d, steady units %d untraced + %d traced, requests %d; failed_frac %g (%d/%d)\n"
     (List.length setups) (List.length untraced) (List.length traced)
@@ -364,9 +395,16 @@ let () =
   List.iter (Printf.printf "# failure: %s\n") tally.H.reasons;
   Printf.printf "# run phases (s): inputs and reference %.1f, set-ups %.1f, steady units %.1f\n"
     (t_prepared -. t_start) (t_steady -. t_prepared) (t_end -. t_steady);
-  Printf.printf "# set-up walls (s): %s\n# unit walls (s): %s\n"
-    (String.concat " " (List.map (Printf.sprintf "%.3f") setups))
-    (String.concat " " (List.map (fun (u : W.unit_run) -> Printf.sprintf "%.3f" u.W.wall) untraced));
+  let walls f xs = String.concat " " (List.map (fun x -> Printf.sprintf "%.3f" (f x)) xs) in
+  Printf.printf
+    "# host probe: median %.2f ms, reference %.2f ms\n\
+     # set-up walls (s): %s\n# set-up walls at reference speed (s): %s\n\
+     # unit walls (s): %s\n# unit walls at reference speed (s): %s\n"
+    (1e3 *. H.median !probes) (1e3 *. H.reference_probe_s)
+    (walls (fun (s, _, _, _) -> s) setups)
+    (walls (fun (_, s, _, _) -> s) setups)
+    (walls (fun (u : W.unit_run) -> u.W.wall) untraced)
+    (walls (fun (u : W.unit_run) -> u.W.wall) scaled);
   (match !reference with
   | Some (iters, counts) ->
       Printf.printf "# structural counters of every steady unit: iterations=%d %s\n" iters
@@ -384,7 +422,7 @@ let () =
       !trace_json
   end;
   List.iter (fun (n, v) -> if not (Float.is_finite v) then die "metric %s is not finite" n) metrics;
-  if not trace then print_aliases w metrics untraced;
+  if not trace then print_aliases w metrics scaled;
   print_endline
     (H.result_line ~correct:(tally.H.failed = 0) ~attempted:tally.H.attempted
        ~failed:tally.H.failed metrics)

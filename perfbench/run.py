@@ -41,8 +41,9 @@ def load_spec():
 
 def child_env():
     # REPRO_JIT_CACHE, REPRO_VM_DOMAINS and REPRO_VM_SUPERINSN would
-    # silently change what is measured.
-    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    # silently change what is measured, and so would OCaml GC settings.
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_") and k not in ("OCAMLRUNPARAM", "CAMLRUNPARAM")}
     env["DUNE_CACHE"] = "disabled"
     return env
 

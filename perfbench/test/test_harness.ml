@@ -1,6 +1,6 @@
-(* Tests of the benchmark harness: the percentile rule, span self-time
-   arithmetic, counter attribution, failure accounting and the result
-   line.  test_run.py checks run.py's agreement with BENCHMARK.json. *)
+(* Tests of the benchmark harness: the percentile rule, the scaling to
+   reference host speed, span self-time arithmetic, counter attribution,
+   failure accounting and the result line.  test_run.py checks run.py's agreement with BENCHMARK.json. *)
 
 module H = Perfbench.Harness
 
@@ -19,6 +19,25 @@ let test_percentile_rule () =
   Alcotest.check feq "nearest-rank p80 of 1..50" 40.0 (H.percentile ~p:0.8 xs);
   Alcotest.check feq "median, odd count" 2.0 (H.median [ 3.0; 1.0; 2.0 ]);
   Alcotest.check feq "median, even count" 2.5 (H.median [ 4.0; 1.0; 3.0; 2.0 ])
+
+(* ------------------------------------------------------------------ *)
+(* Host speed: the probe's median and the scaling to reference speed *)
+
+let test_reference_speed () =
+  let t = ref 0.0 and steps = ref [ 5.0; 1.0; 30.0; 2.0; 4.0 ] in
+  let work () =
+    t := !t +. List.hd !steps;
+    steps := List.tl !steps
+  in
+  Alcotest.check feq "probe is the median of five timed runs" 4.0
+    (H.probe ~clock:(fun () -> !t) ~work ());
+  let r = H.reference_probe_s in
+  Alcotest.check feq "at reference speed, times are unchanged" 3.0
+    (H.at_reference ~before:r ~after:r 3.0);
+  Alcotest.check feq "a host half as fast halves the time" 3.0
+    (H.at_reference ~before:(2.0 *. r) ~after:(2.0 *. r) 6.0);
+  Alcotest.check feq "speed over a unit is the mean of the probes around it" 2.0
+    (H.at_reference ~before:r ~after:(3.0 *. r) 4.0)
 
 (* ------------------------------------------------------------------ *)
 (* Spans: a fake clock and one fake counter the test advances by hand *)
@@ -121,6 +140,7 @@ let () =
   Alcotest.run "perfbench"
     [
       ("harness percentiles", [ Alcotest.test_case "percentile rule" `Quick test_percentile_rule ]);
+      ("harness host speed", [ Alcotest.test_case "reference speed" `Quick test_reference_speed ]);
       ( "harness spans",
         [
           Alcotest.test_case "self times add up" `Quick test_self_times;
