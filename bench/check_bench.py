@@ -223,12 +223,11 @@ def check_vmperf(args):
         line += (
             f", worst dispatch ratio {worst['dispatch_ratio']:.3f} ({worst['name']})"
         )
-    # Timing gates only make sense when the multicore back-end was built
-    # (OCaml >= 5) and the host actually has spare cores; the sequential
-    # fallback, single-core runners and degraded sweeps (more workers
+    # Timing gates only make sense when the host actually has spare
+    # cores; single-core runners and degraded sweeps (more workers
     # requested than domains available) stay informational — the bench
     # stamps "degraded" into the artifact for exactly this decision.
-    if data["runtime"] == "multicore" and data["available_domains"] >= 2 and not degraded:
+    if data["available_domains"] >= 2 and not degraded:
         assert min(walls) <= w1, f"no multi-worker config beat 1 worker: {line}"
         # The batched-sweep scaling gate: asserted only where it can
         # physically hold — at least 4 real domains and a 4-worker column.

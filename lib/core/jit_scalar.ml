@@ -18,24 +18,15 @@ type t = Const of float | Vreg of reg
    it for the duration of one kernel build (exclusive, like the CUDA
    driver context it models).  Builds issued from concurrent domains —
    Multi's parallel rank sweep compiling each rank's kernels — serialize
-   on a tiny spinlock: binds are rare (per-engine cache misses only) and
-   short, and Mutex lives in the threads library on OCaml 4.x where
-   there are no domains to contend anyway.  Never nested: the single
-   call site builds one kernel at a time. *)
+   on [build_lock].  Never nested: the single call site builds one kernel
+   at a time. *)
 let current : Emitter.t option ref = ref None
-let build_lock = Atomic.make false
+let build_lock = Mutex.create ()
 
 let with_emitter e f =
-  let rec acquire () =
-    if not (Atomic.compare_and_set build_lock false true) then acquire ()
-  in
-  acquire ();
-  current := Some e;
-  Fun.protect
-    ~finally:(fun () ->
-      current := None;
-      Atomic.set build_lock false)
-    f
+  Mutex.protect build_lock (fun () ->
+      current := Some e;
+      Fun.protect ~finally:(fun () -> current := None) f)
 
 let emitter () =
   match !current with

@@ -49,6 +49,10 @@ type t = {
           are persistent too, and per-eval allocation would thrash memory
           at Fig. 6 volumes *)
   mutable shift_seq : int;  (** occurrence counter within one [eval] *)
+  temps : Memcache.arena array;
+      (** per rank, the fields Multi itself materializes (the shift
+          pool's temporaries), so [drop_temps] can release their device
+          allocations *)
 }
 
 and dfield = { shape : Layout.Shape.t; locals : Qdp.Field.t array }
@@ -100,6 +104,11 @@ let create ?(machine = Gpusim.Machine.k20m_ecc_on) ?(mode = Gpusim.Device.Functi
     rank_domains;
     shift_pool = Hashtbl.create 16;
     shift_seq = 0;
+    temps =
+      Array.mapi
+        (fun rank eng ->
+          Memcache.create_arena (Engine.memcache eng) ~name:(Printf.sprintf "temps:%d" rank))
+        engines;
   }
 
 let nranks t = Comms.Grid.nranks t.grid
@@ -108,38 +117,25 @@ let engine t rank = t.engines.(rank)
 let rank_domains t = t.rank_domains
 let set_overlap t flag = t.overlap <- flag
 
-(* Run rank-local compute ([f worker rank] touches only rank [rank]'s
-   engine/cache/streams) across the configured domains: ranks are dealt
-   round-robin to workers, so the assignment — and every rank's own
-   execution order — is deterministic.  Cross-rank steps (fabric
-   transfers, functional face fills, reduction sums) stay on the calling
-   thread, between sweeps.  Sequential when [rank_domains <= 1]: the
-   exact loop this replaces. *)
+(* Run rank-local compute ([f rank] touches only rank [rank]'s
+   engine/cache/streams/temporaries arena) across the configured
+   domains: ranks are dealt round-robin to workers, so the assignment —
+   and every rank's own execution order — is deterministic, and each
+   rank is owned by exactly one worker within a sweep.  Cross-rank steps
+   (fabric transfers, functional face fills, reduction sums) stay on the
+   calling thread, between sweeps. *)
 let par_ranks t f =
   let n = nranks t in
   let w = min t.rank_domains n in
-  if w <= 1 then
-    for rank = 0 to n - 1 do
-      f 0 rank
-    done
-  else
-    Gpusim.Vm_backend.run ~workers:w (fun k ->
-        let rank = ref k in
-        while !rank < n do
-          f k !rank;
-          rank := !rank + w
-        done)
-
-(* Fields Multi itself materializes (the shift pool's temporaries) are
-   bookkept in the executing domain's arena slice of the rank's cache, so
-   concurrent ranks never contend on a shared arena and [drop_temps] can
-   release every temporary's device allocation in one sweep. *)
-let register_temp t ~worker ~rank (f : Field.t) =
-  let mc = Engine.memcache t.engines.(rank) in
-  Memcache.arena_register (Memcache.domain_slice mc ~worker) f
+  Gpusim.Vm_backend.run ~workers:w (fun k ->
+      let rank = ref k in
+      while !rank < n do
+        f !rank;
+        rank := !rank + w
+      done)
 
 let drop_temps t =
-  Array.iter (fun eng -> Memcache.release_domain_slices (Engine.memcache eng)) t.engines
+  Array.iteri (fun rank eng -> Memcache.release_arena (Engine.memcache eng) t.temps.(rank)) t.engines
 
 let max_clock t =
   Array.fold_left (fun acc eng -> Float.max acc (Streams.horizon (Engine.streams eng))) 0.0
@@ -265,18 +261,18 @@ let materialize_shift t (low : lowering) (subs : Expr.t array) ~dim ~dir ~depth 
         done;
         tmp
     | _ ->
-        par_ranks t (fun k rank ->
+        par_ranks t (fun rank ->
             Engine.eval ~stream:(s0 t rank) t.engines.(rank) pooled_tmp.locals.(rank) subs.(rank);
-            register_temp t ~worker:k ~rank pooled_tmp.locals.(rank);
+            Memcache.arena_register t.temps.(rank) pooled_tmp.locals.(rank);
             Streams.record_event (ctx t rank) (s0 t rank) g_done.(rank));
         pooled_tmp
   in
   if not (split_along t dim) then begin
     (* Whole direction lives on-rank: a single local kernel suffices. *)
-    par_ranks t (fun k rank ->
+    par_ranks t (fun rank ->
         Engine.eval ~stream:(s0 t rank) t.engines.(rank) shifted.locals.(rank)
           (Expr.shift (Expr.field tmp.locals.(rank)) ~dim ~dir);
-        register_temp t ~worker:k ~rank shifted.locals.(rank));
+        Memcache.arena_register t.temps.(rank) shifted.locals.(rank));
     shifted
   end
   else begin
@@ -341,11 +337,11 @@ let materialize_shift t (low : lowering) (subs : Expr.t array) ~dim ~dir ~depth 
        compute stream — this is the work that hides the messages (with
        overlap off the compute stream just stalled on [face_ready], so
        nothing hides). *)
-    par_ranks t (fun k rank ->
+    par_ranks t (fun rank ->
         Engine.eval ~stream:(s0 t rank) ~subset:(Subset.Custom inner) t.engines.(rank)
           shifted.locals.(rank)
           (Expr.shift (Expr.field tmp.locals.(rank)) ~dim ~dir);
-        register_temp t ~worker:k ~rank shifted.locals.(rank));
+        Memcache.arena_register t.temps.(rank) shifted.locals.(rank));
     if depth = 0 then low.face_sets <- (dim, dir) :: low.face_sets else low.nested <- true;
     shifted
   end
@@ -394,7 +390,7 @@ let eval ?(subset = Subset.All) t (dest : dfield) (mk : int -> Expr.t) =
   let had_exchange = low.face_sets <> [] || low.nested in
   if not had_exchange then begin
     (* No off-node data: single launch per rank. *)
-    par_ranks t (fun _ rank ->
+    par_ranks t (fun rank ->
         Engine.eval ~subset ~stream:(s0 t rank) t.engines.(rank) dest.locals.(rank) lowered.(rank));
     { total_ns = max_clock t; comm_overlapped = false }
   end
@@ -416,7 +412,7 @@ let eval ?(subset = Subset.All) t (dest : dfield) (mk : int -> Expr.t) =
     let face_sites =
       Array.of_list (List.filter (fun s -> Hashtbl.mem face_set s) (Array.to_list requested))
     in
-    par_ranks t (fun _ rank ->
+    par_ranks t (fun rank ->
         let stream = s0 t rank in
         if Array.length inner_sites > 0 then
           Engine.eval ~subset:(Subset.Custom inner_sites) ~stream t.engines.(rank)
@@ -439,21 +435,21 @@ let norm2 t (mk : int -> Expr.t) =
   let n = nranks t in
   let es = Array.init n mk in
   let partial = Array.make n 0.0 in
-  par_ranks t (fun _ rank -> partial.(rank) <- Engine.norm2 t.engines.(rank) es.(rank));
+  par_ranks t (fun rank -> partial.(rank) <- Engine.norm2 t.engines.(rank) es.(rank));
   Array.fold_left ( +. ) 0.0 partial
 
 let sum_real t (mk : int -> Expr.t) =
   let n = nranks t in
   let es = Array.init n mk in
   let partial = Array.make n 0.0 in
-  par_ranks t (fun _ rank -> partial.(rank) <- Engine.sum_real t.engines.(rank) es.(rank));
+  par_ranks t (fun rank -> partial.(rank) <- Engine.sum_real t.engines.(rank) es.(rank));
   Array.fold_left ( +. ) 0.0 partial
 
 let inner t (mka : int -> Expr.t) (mkb : int -> Expr.t) =
   let n = nranks t in
   let eas = Array.init n mka and ebs = Array.init n mkb in
   let partial = Array.make n (0.0, 0.0) in
-  par_ranks t (fun _ rank ->
+  par_ranks t (fun rank ->
       partial.(rank) <- Engine.inner t.engines.(rank) eas.(rank) ebs.(rank));
   Array.fold_left (fun (re, im) (r, i) -> (re +. r, im +. i)) (0.0, 0.0) partial
 

@@ -37,9 +37,8 @@ val create :
     round-robin to workers, each rank's engine runs its own launches
     single-worker, and every cross-rank step (fabric transfers, face
     fills, reduction sums) stays on the calling thread — results are
-    bit-identical to the sequential rank sweep.  On the OCaml 4.x
-    back-end the workers run sequentially.  A malformed environment
-    override falls back to 1 with a note on stderr. *)
+    bit-identical to the sequential rank sweep.  A malformed
+    environment override falls back to 1 with a note on stderr. *)
 
 val nranks : t -> int
 val local_geom : t -> Layout.Geometry.t
@@ -53,11 +52,10 @@ val rank_domains : t -> int
 
 val drop_temps : t -> unit
 (** Release every shift-pool temporary's device allocation: each rank's
-    temporaries are bookkept in per-domain arena slices of its memory
-    cache ({!Memcache.domain_slice}), and this releases all of them in
-    one sweep (dirty ones page out first, so contents survive and
-    re-upload on next use).  Call between solves to return device
-    memory; must not run concurrently with {!eval}. *)
+    temporaries are bookkept in one arena of its memory cache, and this
+    releases every rank's arena (dirty ones page out first, so contents
+    survive and re-upload on next use).  Call between solves to return
+    device memory; must not run concurrently with {!eval}. *)
 
 val set_overlap : t -> bool -> unit
 (** Toggle communication/computation overlap (functional no-op). *)

@@ -25,7 +25,7 @@ type stats = {
 type t = {
   machine : Machine.t;
   mutable mode : mode;
-  mutable vm_domains : int;
+  vm_domains : int;
   mutable clock_ns : float;
   mutable used_bytes : int;
   mutable buffers : Buffer.t option array;
@@ -60,7 +60,6 @@ let create ?(mode = Functional) ?vm_domains machine =
 
 let set_mode t mode = t.mode <- mode
 let vm_domains t = t.vm_domains
-let set_vm_domains t n = t.vm_domains <- max 1 n
 let clock_ns t = t.clock_ns
 let used_bytes t = t.used_bytes
 let free_bytes t = t.machine.Machine.memory_bytes - t.used_bytes

@@ -27,7 +27,7 @@ type stats = {
 type t = {
   machine : Machine.t;
   mutable mode : mode;
-  mutable vm_domains : int;  (** worker cap for parallel kernel execution *)
+  vm_domains : int;  (** worker cap for parallel kernel execution *)
   mutable clock_ns : float;
   mutable used_bytes : int;
   mutable buffers : Buffer.t option array;
@@ -45,7 +45,6 @@ val create : ?mode:mode -> ?vm_domains:int -> Machine.t -> t
 
 val set_mode : t -> mode -> unit
 val vm_domains : t -> int
-val set_vm_domains : t -> int -> unit
 val clock_ns : t -> float
 val used_bytes : t -> int
 val free_bytes : t -> int

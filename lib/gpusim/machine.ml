@@ -73,11 +73,10 @@ let by_name = function
 
 (* Worker-count resolution for the parallel VM back-end: explicit
    argument > REPRO_VM_DOMAINS environment override > hardware count
-   reported by the back-end (1 on the sequential fallback).  A
-   malformed override (zero, negative, non-numeric) is never trusted:
-   it falls back to the hardware count with a note on stderr, so a
-   typo'd CI pin degrades loudly instead of silently serializing (or
-   crashing) every launch. *)
+   reported by the back-end.  A malformed override (zero, negative,
+   non-numeric) is never trusted: it falls back to the hardware count
+   with a note on stderr, so a typo'd CI pin degrades loudly instead of
+   silently serializing (or crashing) every launch. *)
 let host_domains ?vm_domains () =
   let avail = Vm_backend.available_domains () in
   let n =

@@ -39,7 +39,6 @@ val by_name : string -> t option
 val host_domains : ?vm_domains:int -> unit -> int
 (** Workers for the parallel VM back-end: [vm_domains] if given, else
     the [REPRO_VM_DOMAINS] environment override, else the hardware count
-    {!Vm_backend.available_domains} reports (1 on the OCaml 4.x
-    sequential fallback).  Clamped to [1, 64].  A malformed override
-    (zero, negative or non-numeric) falls back to the hardware count
-    with a note on stderr rather than being trusted. *)
+    {!Vm_backend.available_domains} reports.  Clamped to [1, 64].  A
+    malformed override (zero, negative or non-numeric) falls back to the
+    hardware count with a note on stderr rather than being trusted. *)

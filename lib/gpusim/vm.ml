@@ -2202,7 +2202,7 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
         in
         loop ()
       in
-      if w <= 1 then worker 0 else Vm_backend.run ~workers:w worker;
+      Vm_backend.run ~workers:w worker;
       (* Lowest (launch index, ctaid, tid) wins, batch-wide: the flat
          schedule is launch-major and cta-ordered, and within a span the
          sweep is sequential, so the first recorded fault in item order

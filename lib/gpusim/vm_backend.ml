@@ -1,22 +1,19 @@
-(** Multicore grid-sweep back-end (OCaml >= 5): a persistent pool of
-    domains woken once per sweep by a single generation broadcast.
+(** Grid-sweep back-end: a persistent pool of domains woken once per
+    sweep by a single generation broadcast.
 
-    The old pool fed each worker through its own mailbox, which meant
-    every launch paid one mutex/condvar handoff per worker — fatal for
-    batched sweeps whose whole point is that the schedule is drained
-    cooperatively off a shared cursor.  Here the pool shares one mutex,
-    one "new sweep" condition and a generation counter: [run] publishes
-    the worker function, bumps the generation and broadcasts once; every
-    domain wakes, claims its fixed index, runs the function and counts
-    down a completion latch.  Domains whose index is outside the
+    Batched sweeps drain their schedule cooperatively off a shared
+    cursor, so a sweep must cost one handoff, not one per worker.  The
+    pool shares one mutex, one "new sweep" condition and a generation
+    counter: [run] publishes the worker function, bumps the generation
+    and broadcasts once; every domain wakes, claims its fixed index,
+    runs the function and counts down a completion latch.  Domains whose index is outside the
     requested width simply go back to sleep until the next generation.
 
     The pool grows on demand up to the largest worker count any sweep
     requests and is torn down from [at_exit], so domains never outlive
     the runtime.  [run] hands worker [0] to the calling thread — a
     one-worker sweep never touches the pool — and blocks until every
-    worker returns, which keeps sweeps synchronous exactly like the
-    sequential interpreter.
+    worker returns, which keeps sweeps synchronous.
 
     Not reentrant: sweeps are synchronous and issued from one thread at
     a time, so at most one [run] is in flight.

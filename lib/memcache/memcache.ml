@@ -55,8 +55,6 @@ type t = {
       (** called before any host access to a cached field, ahead of the
           dirty-copy page-out — the engine flushes its deferred launch
           queue here so the device copy is current first *)
-  domain_lock : bool Atomic.t;  (** guards [domain_arenas] creation *)
-  domain_arenas : (int, arena) Hashtbl.t;
   stats : stats;
 }
 
@@ -70,8 +68,6 @@ let create ?sched device =
     entries = Hashtbl.create 64;
     tick = 0;
     pre_access = None;
-    domain_lock = Atomic.make false;
-    domain_arenas = Hashtbl.create 8;
     stats = { hits = 0; uploads = 0; pageouts = 0; spills = 0; inflight_skips = 0 };
   }
 
@@ -377,47 +373,3 @@ let release_arena t a =
     (List.rev a.arena_rev);
   a.arena_rev <- [];
   Hashtbl.reset a.arena_ids
-
-(* ------------------------------------------------------------------ *)
-(* Per-domain arena slices.  When rank work executes concurrently on
-   OCaml 5 domains (Multi's parallel rank sweep), each domain tracks
-   the fields it materializes in its own slice: slice lookup/creation
-   is the only shared-table touch and is guarded by a tiny spinlock
-   (Mutex lives in the threads library on OCaml 4.x, where there are
-   no domains to contend anyway), while registration into a slice
-   stays lock-free because exactly one domain owns it.  Teardown
-   ([release_domain_slices]) is single-threaded — it evicts through
-   the cache like any arena release. *)
-
-let with_domain_lock t f =
-  let rec acquire () =
-    if not (Atomic.compare_and_set t.domain_lock false true) then acquire ()
-  in
-  acquire ();
-  Fun.protect ~finally:(fun () -> Atomic.set t.domain_lock false) f
-
-let domain_slice t ~worker =
-  with_domain_lock t (fun () ->
-      match Hashtbl.find_opt t.domain_arenas worker with
-      | Some a -> a
-      | None ->
-          let a =
-            {
-              arena_name = Printf.sprintf "domain:%d" worker;
-              arena_rev = [];
-              arena_ids = Hashtbl.create 16;
-            }
-          in
-          Hashtbl.replace t.domain_arenas worker a;
-          a)
-
-let domain_slices t = with_domain_lock t (fun () -> Hashtbl.length t.domain_arenas)
-
-let release_domain_slices t =
-  let slices =
-    with_domain_lock t (fun () ->
-        let acc = Hashtbl.fold (fun _ a acc -> a :: acc) t.domain_arenas [] in
-        Hashtbl.reset t.domain_arenas;
-        acc)
-  in
-  List.iter (release_arena t) slices

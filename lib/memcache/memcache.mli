@@ -112,24 +112,3 @@ val release_arena : t -> arena -> unit
 (** Teardown: for every registered field, clear its pin and retain
     count, page out dirty data (the owner may still read results) and
     free the device allocation.  The arena is empty afterwards. *)
-
-(** {2 Per-domain arena slices}
-
-    When rank work executes concurrently on OCaml 5 domains (Multi's
-    parallel rank sweep), each domain bookkeeps the fields it
-    materializes in its own slice of the cache's arena table, so
-    registration never contends across domains. *)
-
-val domain_slice : t -> worker:int -> arena
-(** The arena slice owned by worker/domain [worker] (named
-    ["domain:<worker>"]), created on first use.  Safe to call from
-    concurrent domains; the returned slice must only be registered
-    into by its owning domain. *)
-
-val domain_slices : t -> int
-(** Number of domain slices created so far. *)
-
-val release_domain_slices : t -> unit
-(** {!release_arena} every domain slice and forget them.  Must be
-    called after all domain work has joined (single-threaded
-    teardown). *)

@@ -84,7 +84,26 @@ let test_rank_domains_bit_identical () =
     in
     ignore (Multi.eval m dout mk);
     let n2 = Multi.norm2 m (fun rank -> Expr.field dout.Multi.locals.(rank)) in
+    (* The release itself: afterwards each rank's cache holds only the
+       test's own fields (4 links, psi, out), no shift-pool temporary. *)
+    let mc rank = Qdpjit.Engine.memcache (Multi.engine m rank) in
+    let resident rank = Memcache.resident_count (mc rank) in
+    let own_resident rank =
+      let own = dpsi :: dout :: Array.to_list du in
+      List.length
+        (List.filter (fun (df : Multi.dfield) -> Memcache.is_resident (mc rank) df.Multi.locals.(rank)) own)
+    in
+    for rank = 0 to Multi.nranks m - 1 do
+      if resident rank <= own_resident rank then
+        Alcotest.failf "rank %d (rank_domains %d): no temporary resident before drop_temps" rank
+          rank_domains
+    done;
     Multi.drop_temps m;
+    for rank = 0 to Multi.nranks m - 1 do
+      Alcotest.(check int)
+        (Printf.sprintf "rank %d resident after drop_temps (rank_domains %d)" rank rank_domains)
+        (own_resident rank) (resident rank)
+    done;
     ignore (Multi.eval m dout mk);
     let n2' = Multi.norm2 m (fun rank -> Expr.field dout.Multi.locals.(rank)) in
     let got = Field.create fm (Geometry.create global_dims) in

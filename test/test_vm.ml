@@ -1,8 +1,8 @@
 (* The parallel pre-decoded VM must be invisible to results: any worker
-   count (including the sequential w=1 sweep and the OCaml 4.x fallback
-   back-end) has to produce bit-identical fields and reductions, and
-   faults raised inside worker domains must surface deterministically on
-   the launching thread, enriched with kernel name, ctaid and tid.
+   count (including the sequential w=1 sweep) has to produce
+   bit-identical fields and reductions, and faults raised inside worker
+   domains must surface deterministically on the launching thread,
+   enriched with kernel name, ctaid and tid.
 
    The lattice here is 8x8x4x4 = 1024 sites, on purpose: launches reach
    the VM's small-launch threshold (1024 threads), so multi-worker
