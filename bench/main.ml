@@ -978,7 +978,7 @@ let vmperf () =
   List.iter (fun (_, _, (_, _, wall)) -> Printf.printf " %7.0f" (wall *. 1e3)) results;
   Printf.printf "  %b\n" cg_identical;
   Printf.printf "\n  superinstructions %s (w=1 A/B vs scalar interpreter)\n"
-    (if soa_enabled then "ON" else "OFF (REPRO_VM_SUPERINSN)");
+    (if soa_enabled then "ON" else "OFF");
   Printf.printf "  %-10s %9s %9s %8s %7s %7s %10s  identical\n" "kernel" "soa ms"
     "scalar ms" "speedup" "spans" "units" "disp.ratio";
   List.iter

@@ -347,9 +347,6 @@ let compile_entry t ~key ~reduction ~dest_shape ~expr ~nsites ~use_sitelist =
         Codegen.build ~optimize:t.optimize ~reduction ~kname ~dest_shape ~expr ~nsites
           ~use_sitelist ()
       in
-      (* Definite-assignment check on the real CFG — the middle-end moves
-         code, so the textual rule alone is no longer the whole story. *)
-      Ptx.Validate.dataflow built.Codegen.kernel;
       record_stats t built;
       let compiled = Jit.compile built.Codegen.text in
       t.kernels_built <- t.kernels_built + 1;
@@ -756,7 +753,6 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
                 end
                 else (fused_raw, [])
               in
-              Ptx.Validate.dataflow kernel;
               let text = Ptx.Print.kernel kernel in
               let built =
                 {
@@ -913,10 +909,7 @@ let flush t =
            stays eager; only functional execution defers.  Spills and
            page-outs inside the batch window drain the queue first, so
            host-visible contents are always as-of-program-point. *)
-        Device.begin_batch t.device;
-        Fun.protect
-          ~finally:(fun () -> Device.end_batch t.device)
-          (fun () ->
+        Device.with_batch t.device (fun () ->
             List.iter
               (fun g ->
                 let head = evs.(g.(0)) in
@@ -1205,7 +1198,6 @@ let reduce_entry t =
         end
         else (raw, [])
       in
-      Ptx.Validate.dataflow kernel;
       let compiled = Jit.compile (Ptx.Print.kernel kernel) in
       t.kernels_built <- t.kernels_built + 1;
       t.jit_seconds <- t.jit_seconds +. compiled.Jit.compile_time;

@@ -93,14 +93,14 @@ let lookup t id =
     | Some b -> b.Buffer.data
     | None -> raise (Vm.Fault "use of freed device buffer")
 
-(* Batched launch sweeps: between [begin_batch] and [end_batch],
-   functional execution is deferred — [execute] queues the decoded
-   launch and [flush_batch] hands the whole run to [Vm.run_batch] as
-   one sweep.  The clock model, stats and launch-fit checks stay eager
-   (they don't depend on buffer contents), so only the VM interpreter
-   work moves.  [free] and host-side blits (memcache spills/uploads)
-   call [flush_batch] first: deferred launches must observe buffer
-   contents as of their program point. *)
+(* Batched launch sweeps: inside [with_batch], functional execution is
+   deferred — [execute] queues the decoded launch and [flush_batch]
+   hands the whole run to [Vm.run_batch] as one sweep.  The clock
+   model, stats and launch-fit checks stay eager (they don't depend on
+   buffer contents), so only the VM interpreter work moves.  [free]
+   and host-side blits (memcache spills/uploads) call [flush_batch]
+   first: deferred launches must observe buffer contents as of their
+   program point. *)
 
 let flush_batch t =
   match t.batch with
@@ -111,14 +111,21 @@ let flush_batch t =
       Vm.run_batch ~workers:t.vm_domains ~lookup:(lookup t)
         (Array.of_list (List.rev rev))
 
-let begin_batch t =
-  if t.batch <> None then invalid_arg "Device.begin_batch: batch already open";
-  t.batch <- Some []
-
-let end_batch t =
-  Fun.protect ~finally:(fun () -> t.batch <- None) (fun () -> flush_batch t)
-
-let batching t = t.batch <> None
+(* The launches [f] queued before it raised still run: unbatched, they
+   would have executed before [f] got that far, so a fault among them
+   wins over [f]'s exception. *)
+let with_batch t f =
+  if t.batch <> None then invalid_arg "Device.with_batch: batch already open";
+  t.batch <- Some [];
+  let close () = Fun.protect ~finally:(fun () -> t.batch <- None) (fun () -> flush_batch t) in
+  match f () with
+  | v ->
+      close ();
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      close ();
+      Printexc.raise_with_backtrace e bt
 
 let free t (buf : Buffer.t) =
   flush_batch t;

@@ -65,11 +65,17 @@ val free : t -> Buffer.t -> unit
     any open batch first so deferred launches never observe a freed
     buffer. *)
 
-val begin_batch : t -> unit
-(** Open a batched launch sweep: until {!end_batch}, functional
-    execution in {!execute} is deferred and queued; modeled timing,
-    stats and launch-fit checks stay eager.  Raises [Invalid_argument]
-    if a batch is already open. *)
+val with_batch : t -> (unit -> 'a) -> 'a
+(** [with_batch t f] runs [f] inside a batched launch sweep: functional
+    execution in {!execute} is deferred and queued, while modeled
+    timing, stats and launch-fit checks stay eager.  When [f] returns,
+    the queue runs as one {!flush_batch} sweep and the batch closes.
+    When [f] raises, the launches it queued still run, the batch closes,
+    and [f]'s exception is re-raised — unless one of those launches
+    faults, since unbatched execution would have raised that fault
+    first.  The batch is closed however this returns, so the device
+    accepts a new one.  Raises [Invalid_argument] if a batch is already
+    open. *)
 
 val flush_batch : t -> unit
 (** Run every queued launch as one {!Vm.run_batch} sweep (workers pull
@@ -80,13 +86,6 @@ val flush_batch : t -> unit
     first.  A VM fault propagates from here — deterministically the
     lowest (launch index, ctaid, tid) across the batch, with the same
     message a sequential sweep would raise. *)
-
-val end_batch : t -> unit
-(** {!flush_batch}, then close the batch (closes it even if the flush
-    faults). *)
-
-val batching : t -> bool
-(** Whether a batch is currently open (introspection for tests). *)
 
 val lookup : t -> int -> Buffer.data
 (** Buffer id -> storage, for the VM; faults on freed buffers. *)

@@ -81,7 +81,6 @@ let of_portable p =
 
 let compile text =
   let kernel = Ptx.Parse.kernel text in
-  Ptx.Validate.kernel kernel;
   let program = Vm.compile kernel in
   let analysis = Ptx.Analysis.kernel kernel in
   let instructions = List.length kernel.body in

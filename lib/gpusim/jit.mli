@@ -24,7 +24,7 @@ val dominant_prec : Ptx.Types.instr list -> prec
 
 val compile : string -> compiled
 (** Parse, validate and compile PTX text; raises [Ptx.Parse.Error] or
-    [Ptx.Validate.Invalid] on malformed input. *)
+    {!Vm.Fault} on malformed input (see {!Vm.compile}). *)
 
 type portable
 (** A {!compiled} stripped to plain [Marshal]-safe data (the pre-decoded

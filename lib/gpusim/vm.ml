@@ -27,6 +27,15 @@
     launching thread, enriched with kernel name and thread coordinates,
     so error reporting stays deterministic.
 
+    Each launch picks one of two executors for all of its spans.  Every
+    launch the same analysis admits runs on the superinstruction (SoA)
+    executor, a cta at a time in 64-lane tiles, lock-step over register
+    rows, with branches handled by parking lanes at their targets
+    ([exec_cta_soa]).  The scalar interpreter ([exec_thread], one
+    thread at a time) runs the launches the analysis rejects, and every
+    launch when superinstructions are switched off — the reference the
+    SoA executor is tested against.
+
     Modeling note: f32 register arithmetic is performed in double and
     rounded only when stored through an f32 buffer — the same convention
     the CPU reference evaluator uses — which makes CPU-vs-JIT
@@ -59,16 +68,28 @@ open Ptx.Types
    16 cvt.f32  f[a] <- round32 f[b]       17 cvt.i2f  18 cvt.f2i
    19..24 setp.f  p[a] <- f[b] cmp f[c]   (eq ne lt le gt ge)
    25..30 setp.i  p[a] <- i[b] cmp i[c]
-   31 bra pc<-a   32 bra.pred  if p[a] then pc<-b
+   31 bra pc<-a   32 bra.pred  if p[a] then pc<-b   (forward only)
    33 tid  34 ntid  35 ctaid  36 nctaid   (i[a] <- sreg)
    37 ld.param.ptr  38 ld.param.int  39 ld.param.f   (param slot b)
-   40 ld.g.f32  41 ld.g.f64  42 ld.g.i32  (addr i[b]+c)
-   43 st.g.f32  44 st.g.f64  45 st.g.i32  (addr i[a]+b, src reg c)
+   40 ld.g.f32  41 ld.g.f64  42 ld.g.i32  (reg a <- mem[i[b]+c])
+   43 st.g.f32  44 st.g.f64  45 st.g.i32  (mem[i[b]+c] <- reg a)
    46 call.f64  f[a] <- fns[c] f[b]       47 call.f32 (rounds result)
-   48 ld.g.f16  f[a] <- decode16 mem      49 st.g.f16  mem <- encode16 f[c]
+   48 ld.g.f16  f[a] <- decode16 mem      49 st.g.f16  mem <- encode16 f[a]
       (binary16 payloads decode exactly on load; stores round to nearest,
       ties to even — the same convention [Field.raw_set] uses, so CPU and
-      VM runs of an f16 kernel stay bit-identical) *)
+      VM runs of an f16 kernel stay bit-identical)
+
+   Loads and stores share one operand layout — value register in [a],
+   address register in [b], byte offset in [c] — so both executors
+   drive them through the one per-lane routine [mem_lane].  The opcode
+   classes the planner and the SoA control loop test: *)
+
+let is_ret o = o = 0
+let is_div_i o = o = 10
+let is_bra o = o = 31
+let is_branch o = o = 31 || o = 32
+let is_ctrl o = o = 0 || is_branch o
+let is_mem o = (o >= 40 && o <= 45) || o = 48 || o = 49
 
 (* ------------------------------------------------------------------ *)
 (* Static provenance of global accesses, used to decide whether a launch
@@ -96,14 +117,15 @@ type wctx = { wf : float array; wi : int array; wp : bool array }
 (* ------------------------------------------------------------------ *)
 (* Superinstruction plan: decode-time structure for the SoA executor.
 
-   A program is *eligible* when its control flow is the canonical
-   pointwise shape the generators emit: straight-line code whose only
-   branches are forward [bra.pred] guards that jump directly to a [ret]
-   (the "lane exit" idiom — bounds guards, subset guards).  For such a
-   program textual order is execution order on every lane's path, so
-   the maximal runs of non-control opcodes ("spans") can be executed as
-   superinstructions over flat unboxed register rows (register [r]'s
-   value for lane [l] lives at [r * cap + l]).
+   Every program has one.  Control flow is restricted to forward
+   branches ([compile] rejects the rest), so textual order is a
+   topological order of every lane's path, and the maximal runs of
+   non-control opcodes that no branch lands inside ("spans") can be
+   executed as superinstructions over flat unboxed register rows
+   (register [r]'s value for lane [l] lives at [r * tile + l]).
+   Branches split the active lanes (see [exec_cta_soa]); spans end at
+   control instructions and at branch targets, where parked lanes
+   rejoin.
 
    Each span is further partitioned into fused dispatch *units*:
 
@@ -118,20 +140,20 @@ type wctx = { wf : float array; wi : int array; wp : bool array }
    - a *memory-terminated chain* (kind 1): a chain whose last
      instruction is a global load/store.  The terminator executes
      column-resident: lane addresses are snapshotted into a scratch
-     column, the buffer is resolved *once* for the whole cta, and the
+     column, the buffer is resolved *once* for the whole tile, and the
      gather/scatter runs as a tight per-lane loop, falling back to the
      per-lane slow path (bit-identical fault reporting) on any
      cross-buffer divergence.
    - an *island* (kind 2): a single per-lane-faultable non-memory op
      (integer division), kept under its own per-lane fault handler.
 
-   [span_end.(k)] is the index of the next control instruction at or
-   after [k] ([ret]/[bra]/[bra.pred]); a span starting at a non-control
-   [k] covers [k, span_end.(k)).  [u_end.(s)]/[u_kind.(s)] are valid at
-   unit-start indices [s] and give the unit's end (exclusive) and kind.
-   The counters summarize the plan for the dispatch-rate metric:
-   [s_spans] spans containing [s_covered] instructions in [s_units]
-   fused dispatch units. *)
+   [span_end.(k)] is the index of the next control instruction or
+   branch target after [k]; a span starting at a non-control [k] covers
+   [k, span_end.(k)).  [u_end.(s)]/[u_kind.(s)] are valid at unit-start
+   indices [s] and give the unit's end (exclusive) and kind.  The
+   counters summarize the plan for the dispatch-rate metric: [s_spans]
+   spans containing [s_covered] instructions in [s_units] fused
+   dispatch units. *)
 
 type soa_plan = {
   span_end : int array;
@@ -142,22 +164,27 @@ type soa_plan = {
   s_covered : int;
 }
 
-(* Per-worker SoA register files: one row of [cap] lanes per register,
+(* Lanes per SoA tile: a cta runs as consecutive tiles of this many
+   lanes, so register rows cost [tile] slots whatever the block size. *)
+let tile = 64
+
+(* Per-worker SoA register files: one row of [tile] lanes per register,
    constant pools broadcast across their rows once at allocation.
-   [act] holds the ids of the lanes still running (faulted lanes and
-   lanes that took an exit branch are removed).  [sa] is the address
-   scratch column for memory-terminated units: lane addresses are
-   snapshotted there before the gather/scatter runs, which makes the
-   column pass restartable (the slow fallback re-reads the same
-   addresses even when a load's destination aliases its address
-   register). *)
+   [act] holds the ids of the lanes still running, in lane order
+   (faulted lanes, lanes that reached [ret] and parked lanes are
+   removed).  [park.(l)] is the branch target lane [l] waits at, or -1.
+   [sa] is the address scratch column for memory-terminated units:
+   lane addresses are snapshotted there before the gather/scatter runs,
+   which makes the column pass restartable (the slow fallback re-reads
+   the same addresses even when a load's destination aliases its
+   address register). *)
 type soa_ctx = {
-  mutable sf : float array;
-  mutable si : int array;
-  mutable sp : bool array;
-  mutable act : int array;
-  mutable sa : int array;
-  mutable cap : int;
+  sf : float array;
+  si : int array;
+  sp : bool array;
+  act : int array;
+  park : int array;
+  sa : int array;
 }
 
 type program = {
@@ -174,26 +201,15 @@ type program = {
   ipool : int array;  (** int constants, installed at [nireg..] *)
   fns : (float -> float) array;  (** call targets *)
   accesses : access array;
-  soa : soa_plan option;  (** superinstruction plan; [None] = scalar only *)
+  soa : soa_plan;  (** superinstruction plan *)
   mutable slots : wctx array;  (** per-worker register files, reused *)
   mutable soa_slots : soa_ctx array;  (** per-worker SoA register rows *)
 }
 
-(* Runtime escape hatch: REPRO_VM_SUPERINSN=off forces every launch
-   back onto the scalar interpreter.  The recognized off-spellings are
-   exactly the ones the REPRO_JIT_CACHE override accepts —
-   off/0/none/disabled, case-insensitive, whitespace-trimmed — and
-   anything else (including unset) leaves the executor on.  The
-   programmatic setter lets the bench time both strategies in one
-   process. *)
-let superinsn_of_env = function
-  | None -> true
-  | Some v -> (
-      match String.lowercase_ascii (String.trim v) with
-      | "off" | "0" | "none" | "disabled" -> false
-      | _ -> true)
-
-let superinsn_on = ref (superinsn_of_env (Sys.getenv_opt "REPRO_VM_SUPERINSN"))
+(* Process-wide executor switch: off sends every launch to the scalar
+   interpreter, the reference the tests and the bench A/B compare the
+   SoA executor against. *)
+let superinsn_on = ref true
 
 let set_superinstructions b = superinsn_on := b
 let superinstructions_enabled () = !superinsn_on
@@ -201,10 +217,8 @@ let superinstructions_enabled () = !superinsn_on
 type soa_stats = { spans : int; units : int; covered : int; total : int }
 
 let superinsn_stats p =
-  let total = Array.length p.co in
-  match p.soa with
-  | None -> { spans = 0; units = 0; covered = 0; total }
-  | Some s -> { spans = s.s_spans; units = s.s_units; covered = s.s_covered; total }
+  let s = p.soa in
+  { spans = s.s_spans; units = s.s_units; covered = s.s_covered; total = Array.length p.co }
 
 let max_reg_ids body =
   let tbl = Hashtbl.create 8 in
@@ -353,88 +367,80 @@ let analyze (k : kernel) =
   Array.of_list (List.rev !accs)
 
 (* ------------------------------------------------------------------ *)
-(* Superinstruction eligibility.  Accepts exactly the straight-line +
-   exit-guard shape: the program ends in [ret], contains no
-   unconditional branches, and every [bra.pred] jumps forward to a
-   [ret].  That shape makes textual order the execution order of every
-   lane, which is what (a) lets spans run lock-step across lanes and
-   (b) upgrades the validator's textual def-before-use check into a
-   path-exact one, so SoA register rows never need zeroing between
-   ctas.  Reduction tails (their guarded-load diamonds and aggregate
-   joins) are rejected and keep the scalar interpreter. *)
+(* Superinstruction plan.  Spans end at every control instruction and
+   at every branch target, so a lane parked at a target rejoins before
+   the span that starts there; a kernel whose only branches exit to
+   [ret] therefore has exactly the spans of its straight-line pieces. *)
 
-let plan_soa co cb ninstr =
-  if ninstr = 0 || co.(ninstr - 1) <> 0 then None
-  else begin
-    let ok = ref true in
-    for k = 0 to ninstr - 1 do
-      match co.(k) with
-      | 31 -> ok := false
-      | 32 -> if cb.(k) <= k || co.(cb.(k)) <> 0 then ok := false
-      | _ -> ()
-    done;
-    if not !ok then None
+let plan_soa co ca cb ninstr =
+  let target = Array.make ninstr false in
+  for k = 0 to ninstr - 1 do
+    if is_bra co.(k) then target.(ca.(k)) <- true
+    else if is_branch co.(k) then target.(cb.(k)) <- true
+  done;
+  let span_end = Array.make ninstr 0 in
+  let next_stop = ref ninstr in
+  for k = ninstr - 1 downto 0 do
+    span_end.(k) <- !next_stop;
+    if is_ctrl co.(k) || target.(k) then next_stop := k
+  done;
+  (* Unit partition.  Within a span, everything except integer
+     division fuses into mixed chains; a global load/store terminates
+     the chain it feeds (absorbing its address arithmetic) as a
+     memory-terminated unit, and div.i sits in a one-instruction island
+     under its own per-lane fault handler. *)
+  let u_end = Array.make ninstr 0 and u_kind = Array.make ninstr 0 in
+  let spans = ref 0 and units = ref 0 and covered = ref 0 in
+  let k = ref 0 in
+  while !k < ninstr do
+    if is_ctrl co.(!k) then incr k
     else begin
-      let span_end = Array.make ninstr 0 in
-      let next_ctrl = ref ninstr in
-      for k = ninstr - 1 downto 0 do
-        span_end.(k) <- !next_ctrl;
-        match co.(k) with 0 | 31 | 32 -> next_ctrl := k | _ -> ()
+      let e = span_end.(!k) in
+      incr spans;
+      covered := !covered + (e - !k);
+      let j = ref !k in
+      while !j < e do
+        let s = !j in
+        if is_div_i co.(s) then begin
+          u_end.(s) <- s + 1;
+          u_kind.(s) <- 2;
+          j := s + 1
+        end
+        else begin
+          let q = ref s and stop = ref false and kind = ref 0 in
+          while (not !stop) && !q < e do
+            let o = co.(!q) in
+            if is_div_i o then stop := true
+            else if is_mem o then begin
+              incr q;
+              kind := 1;
+              stop := true
+            end
+            else incr q
+          done;
+          u_end.(s) <- !q;
+          u_kind.(s) <- !kind;
+          j := !q
+        end;
+        incr units
       done;
-      (* Unit partition.  Within a span, everything except integer
-         division fuses into mixed chains; a global load/store
-         terminates the chain it feeds (absorbing its address
-         arithmetic) as a memory-terminated unit, and div.i sits in a
-         one-instruction island under its own per-lane fault
-         handler. *)
-      let is_mem o = (o >= 40 && o <= 45) || o = 48 || o = 49 in
-      let u_end = Array.make ninstr 0 and u_kind = Array.make ninstr 0 in
-      let spans = ref 0 and units = ref 0 and covered = ref 0 in
-      let k = ref 0 in
-      while !k < ninstr do
-        match co.(!k) with
-        | 0 | 31 | 32 -> incr k
-        | _ ->
-            let e = span_end.(!k) in
-            incr spans;
-            covered := !covered + (e - !k);
-            let j = ref !k in
-            while !j < e do
-              let s = !j in
-              if co.(s) = 10 then begin
-                u_end.(s) <- s + 1;
-                u_kind.(s) <- 2;
-                j := s + 1
-              end
-              else begin
-                let q = ref s and stop = ref false and kind = ref 0 in
-                while (not !stop) && !q < e do
-                  let o = co.(!q) in
-                  if o = 10 then stop := true
-                  else if is_mem o then begin
-                    incr q;
-                    kind := 1;
-                    stop := true
-                  end
-                  else incr q
-                done;
-                u_end.(s) <- !q;
-                u_kind.(s) <- !kind;
-                j := !q
-              end;
-              incr units
-            done;
-            k := e
-      done;
-      Some { span_end; u_end; u_kind; s_spans = !spans; s_units = !units; s_covered = !covered }
+      k := e
     end
-  end
+  done;
+  { span_end; u_end; u_kind; s_spans = !spans; s_units = !units; s_covered = !covered }
 
 (* ------------------------------------------------------------------ *)
 (* Decode. *)
 
+(* [compile] checks the executors' preconditions once, here: the
+   validator's typing and textual def-before-use rules, branches that
+   only jump forward to an instruction, a final [ret], and definite
+   assignment on the real control-flow graph.  The last is what lets
+   SoA register rows go unzeroed between lanes, tiles and ctas — no
+   lane ever reads a register it did not write on its own path. *)
 let compile (kernel : kernel) =
-  Ptx.Validate.kernel kernel;
+  let invalid f = try f kernel with Ptx.Validate.Invalid m -> fault "invalid kernel: %s" m in
+  invalid Ptx.Validate.kernel;
   let tbl = max_reg_ids kernel.body in
   let cnt dt = match Hashtbl.find_opt tbl dt with Some m -> m + 1 | None -> 0 in
   let nf32 = cnt F32 and nf64 = cnt F64 in
@@ -572,6 +578,9 @@ let compile (kernel : kernel) =
           else emit (25 + off) dst.id (iop a) (iop b) 0
       | Bra { label; pred } -> (
           let target = label_pos label in
+          if target <= !j || target >= ninstr then
+            fault "branch to %S at instruction %d is not forward within %s" label !j
+              kernel.kname;
           match pred with
           | None -> emit 31 target 0 0 0
           | Some p -> emit 32 p.id target 0 0)
@@ -592,17 +601,20 @@ let compile (kernel : kernel) =
           | S64 | U64 | Pred -> fault "unsupported ld.global class")
       | St_global { dtype; addr; offset; src } -> (
           match dtype with
-          | F32 -> emit 43 (ireg addr) offset (fop src) 0
-          | F64 -> emit 44 (ireg addr) offset (fop src) 0
-          | S32 | U32 -> emit 45 (ireg addr) offset (iop src) 0
+          | F32 -> emit 43 (fop src) (ireg addr) offset 0
+          | F64 -> emit 44 (fop src) (ireg addr) offset 0
+          | S32 | U32 -> emit 45 (iop src) (ireg addr) offset 0
           | S64 | U64 | Pred -> fault "unsupported st.global class")
       | Ld_global_f16 { dst; addr; offset } -> emit 48 (freg dst) (ireg addr) offset 0
-      | St_global_f16 { addr; offset; src } -> emit 49 (ireg addr) offset (fop src) 0
+      | St_global_f16 { addr; offset; src } -> emit 49 (fop src) (ireg addr) offset 0
       | Call { func; ret; arg } ->
           let fi = addfn (lookup_math func) in
           if ret.rtype = F32 then emit 47 (freg ret) (freg arg) fi 0
           else emit 46 (freg ret) (freg arg) fi 0)
     body;
+  if ninstr > 0 && not (is_ret co.(ninstr - 1)) then
+    fault "kernel %s does not end in ret" kernel.kname;
+  invalid Ptx.Validate.dataflow;
   {
     kernel;
     co;
@@ -617,7 +629,7 @@ let compile (kernel : kernel) =
     ipool = Array.of_list (List.rev !ipool);
     fns = Array.of_list (List.rev !fns);
     accesses = analyze kernel;
-    soa = plan_soa co cb ninstr;
+    soa = plan_soa co ca cb ninstr;
     slots = [||];
     soa_slots = [||];
   }
@@ -631,12 +643,11 @@ let compile (kernel : kernel) =
    rebuilds [fns] by replaying the same walk.  A rehydrated program is
    therefore indistinguishable from a fresh [compile] of the kernel. *)
 
-(* Version 4: the superinstruction plan gained the unit partition
-   ([u_end]/[u_kind]) for mixed-chain fusion and column-resident
-   memory units; cached version-3 entries decode to a record missing
-   those arrays, so the bump makes stale jitcache entries miss instead
-   of loading an unpartitioned plan. *)
-let decoder_version = 4
+(* Version 5: the plan is no longer optional (branchy programs decode
+   to spans cut at branch targets) and stores moved their value
+   register to operand [a], the load layout; a cached version-4 entry
+   would misdecode both, so the bump makes stale jitcache entries miss. *)
+let decoder_version = 5
 
 type portable = program
 
@@ -666,48 +677,34 @@ let ensure_slots p n =
   if n > have then
     p.slots <- Array.init n (fun i -> if i < have then p.slots.(i) else make_wctx p)
 
-(* SoA register rows: [cap] lanes per register, constant pools
+(* SoA register rows: [tile] lanes per register, constant pools
    broadcast across their rows at allocation.  No zeroing is ever
-   needed afterwards: eligible programs define every register before
-   reading it on each executed path (see [plan_soa]), mirroring how the
-   scalar path reuses one [wctx] across all threads of a span. *)
-let make_soa_ctx p cap =
+   needed afterwards: [compile] proved every register is written before
+   it is read on each path, mirroring how the scalar path reuses one
+   [wctx] across all threads of a span. *)
+let make_soa_ctx p =
   let nf = max 1 (p.nfreg + Array.length p.fpool) in
   let ni = max 1 (p.nireg + Array.length p.ipool) in
   let s =
     {
-      sf = Array.make (nf * cap) 0.0;
-      si = Array.make (ni * cap) 0;
-      sp = Array.make (p.npred * cap) false;
-      act = Array.make cap 0;
-      sa = Array.make cap 0;
-      cap;
+      sf = Array.make (nf * tile) 0.0;
+      si = Array.make (ni * tile) 0;
+      sp = Array.make (p.npred * tile) false;
+      act = Array.make tile 0;
+      park = Array.make tile (-1);
+      sa = Array.make tile 0;
     }
   in
-  Array.iteri (fun pi v -> Array.fill s.sf ((p.nfreg + pi) * cap) cap v) p.fpool;
-  Array.iteri (fun pi v -> Array.fill s.si ((p.nireg + pi) * cap) cap v) p.ipool;
+  Array.iteri (fun pi v -> Array.fill s.sf ((p.nfreg + pi) * tile) tile v) p.fpool;
+  Array.iteri (fun pi v -> Array.fill s.si ((p.nireg + pi) * tile) tile v) p.ipool;
   s
 
 (* Sized before workers start (growing is not thread-safe), like
-   [ensure_slots]; [cap] must cover the largest block the program is
-   launched with in the batch. *)
-let ensure_soa_slots p n cap =
+   [ensure_slots]. *)
+let ensure_soa_slots p n =
   let have = Array.length p.soa_slots in
   if n > have then
-    p.soa_slots <-
-      Array.init n (fun i -> if i < have then p.soa_slots.(i) else make_soa_ctx p cap);
-  Array.iter
-    (fun s ->
-      if s.cap < cap then begin
-        let fresh = make_soa_ctx p cap in
-        s.sf <- fresh.sf;
-        s.si <- fresh.si;
-        s.sp <- fresh.sp;
-        s.act <- fresh.act;
-        s.sa <- fresh.sa;
-        s.cap <- cap
-      end)
-    p.soa_slots
+    p.soa_slots <- Array.init n (fun i -> if i < have then p.soa_slots.(i) else make_soa_ctx p)
 
 (* Fresh launch state: registers zeroed (matching the old per-launch
    context), constant pools installed past the architectural
@@ -723,6 +720,37 @@ let bind_slot p (w : wctx) =
 (* The interpreter. *)
 
 let round32 v = Int32.float_of_bits (Int32.bits_of_float v)
+
+(* One global load or store for one lane, shared by both executors:
+   [o] is the memory opcode, [addr] the effective byte address and [r]
+   the value register's index into [f] (float classes) or [i] (i32).
+   Buffer lookup, kind check and alignment check run in that order, so
+   a lane faults with the same message whichever executor runs it. *)
+let mem_lane lookup o addr (f : float array) (i : int array) r =
+  let off = addr land Buffer.offset_mask in
+  match (o, lookup (addr lsr Buffer.offset_bits)) with
+  | 40, Buffer.F32 a ->
+      if off land 3 <> 0 then fault "misaligned f32 load";
+      f.(r) <- Bigarray.Array1.get a (off lsr 2)
+  | 41, Buffer.F64 a ->
+      if off land 7 <> 0 then fault "misaligned f64 load";
+      f.(r) <- Bigarray.Array1.get a (off lsr 3)
+  | 42, Buffer.I32 a ->
+      if off land 3 <> 0 then fault "misaligned i32 load";
+      i.(r) <- Int32.to_int (Bigarray.Array1.get a (off lsr 2))
+  | 43, Buffer.F32 a -> Bigarray.Array1.set a (off lsr 2) f.(r)
+  | 44, Buffer.F64 a -> Bigarray.Array1.set a (off lsr 3) f.(r)
+  | 45, Buffer.I32 a -> Bigarray.Array1.set a (off lsr 2) (Int32.of_int i.(r))
+  | 48, Buffer.F16 a ->
+      if off land 1 <> 0 then fault "misaligned f16 load";
+      f.(r) <- Half.float_of_bits (Bigarray.Array1.get a (off lsr 1))
+  | 49, Buffer.F16 a ->
+      if off land 1 <> 0 then fault "misaligned f16 store";
+      Bigarray.Array1.set a (off lsr 1) (Half.bits_of_float f.(r))
+  | 42, _ -> fault "typed integer load does not match buffer kind"
+  | 45, _ -> fault "typed integer store does not match buffer kind"
+  | (40 | 41 | 48), _ -> fault "typed load does not match buffer kind"
+  | _ -> fault "typed store does not match buffer kind"
 
 let exec_thread p (lookup : int -> Buffer.data) (args : param_value array) (w : wctx) ~tid
     ~ctaid ~ntid ~nctaid =
@@ -856,53 +884,8 @@ let exec_thread p (lookup : int -> Buffer.data) (args : param_value array) (w : 
         | Float v -> f.(ca.(k)) <- v
         | Ptr _ | Int _ -> fault "ld.param float on non-float parameter");
         pc := next
-    | 40 ->
-        let addr = i.(cb.(k)) + cc.(k) in
-        let off = addr land Buffer.offset_mask in
-        (match lookup (addr lsr Buffer.offset_bits) with
-        | Buffer.F32 a ->
-            if off land 3 <> 0 then fault "misaligned f32 load";
-            f.(ca.(k)) <- Bigarray.Array1.get a (off lsr 2)
-        | _ -> fault "typed load does not match buffer kind");
-        pc := next
-    | 41 ->
-        let addr = i.(cb.(k)) + cc.(k) in
-        let off = addr land Buffer.offset_mask in
-        (match lookup (addr lsr Buffer.offset_bits) with
-        | Buffer.F64 a ->
-            if off land 7 <> 0 then fault "misaligned f64 load";
-            f.(ca.(k)) <- Bigarray.Array1.get a (off lsr 3)
-        | _ -> fault "typed load does not match buffer kind");
-        pc := next
-    | 42 ->
-        let addr = i.(cb.(k)) + cc.(k) in
-        let off = addr land Buffer.offset_mask in
-        (match lookup (addr lsr Buffer.offset_bits) with
-        | Buffer.I32 a ->
-            if off land 3 <> 0 then fault "misaligned i32 load";
-            i.(ca.(k)) <- Int32.to_int (Bigarray.Array1.get a (off lsr 2))
-        | _ -> fault "typed integer load does not match buffer kind");
-        pc := next
-    | 43 ->
-        let addr = i.(ca.(k)) + cb.(k) in
-        let off = addr land Buffer.offset_mask in
-        (match lookup (addr lsr Buffer.offset_bits) with
-        | Buffer.F32 a -> Bigarray.Array1.set a (off lsr 2) f.(cc.(k))
-        | _ -> fault "typed store does not match buffer kind");
-        pc := next
-    | 44 ->
-        let addr = i.(ca.(k)) + cb.(k) in
-        let off = addr land Buffer.offset_mask in
-        (match lookup (addr lsr Buffer.offset_bits) with
-        | Buffer.F64 a -> Bigarray.Array1.set a (off lsr 3) f.(cc.(k))
-        | _ -> fault "typed store does not match buffer kind");
-        pc := next
-    | 45 ->
-        let addr = i.(ca.(k)) + cb.(k) in
-        let off = addr land Buffer.offset_mask in
-        (match lookup (addr lsr Buffer.offset_bits) with
-        | Buffer.I32 a -> Bigarray.Array1.set a (off lsr 2) (Int32.of_int i.(cc.(k)))
-        | _ -> fault "typed integer store does not match buffer kind");
+    | 40 | 41 | 42 | 43 | 44 | 45 | 48 | 49 ->
+        mem_lane lookup co.(k) (i.(cb.(k)) + cc.(k)) f i ca.(k);
         pc := next
     | 46 ->
         f.(ca.(k)) <- fns.(cc.(k)) f.(cb.(k));
@@ -910,64 +893,61 @@ let exec_thread p (lookup : int -> Buffer.data) (args : param_value array) (w : 
     | 47 ->
         f.(ca.(k)) <- round32 (fns.(cc.(k)) f.(cb.(k)));
         pc := next
-    | 48 ->
-        let addr = i.(cb.(k)) + cc.(k) in
-        let off = addr land Buffer.offset_mask in
-        (match lookup (addr lsr Buffer.offset_bits) with
-        | Buffer.F16 a ->
-            if off land 1 <> 0 then fault "misaligned f16 load";
-            f.(ca.(k)) <- Half.float_of_bits (Bigarray.Array1.get a (off lsr 1))
-        | _ -> fault "typed load does not match buffer kind");
-        pc := next
-    | 49 ->
-        let addr = i.(ca.(k)) + cb.(k) in
-        let off = addr land Buffer.offset_mask in
-        (match lookup (addr lsr Buffer.offset_bits) with
-        | Buffer.F16 a ->
-            if off land 1 <> 0 then fault "misaligned f16 store";
-            Bigarray.Array1.set a (off lsr 1) (Half.bits_of_float f.(cc.(k)))
-        | _ -> fault "typed store does not match buffer kind");
-        pc := next
     | _ -> fault "corrupt opcode"
   done
 
 (* ------------------------------------------------------------------ *)
 (* Superinstruction (structure-of-arrays) execution of one cta.
 
-   Every lane of the cta advances through the program lock-step, one
-   fused dispatch per plan unit (see [soa_plan]): mixed ALU chains run
-   their instructions back-to-back over the flat register rows, with
-   the dense fast path walking lanes in [lane_block]-wide unrolled
-   blocks; memory-terminated chains snapshot lane addresses into the
-   [sa] scratch column and resolve the target buffer once per cta; and
-   integer-division islands keep their per-lane fault handler.  For
-   launches admitted by [parallel_ok] this is bit-identical to the
+   A cta runs as consecutive tiles of [tile] lanes, in lane order, lane
+   [l] of the tile at base [b] being thread [b + l].  Inside a tile
+   every active lane advances through the program lock-step, one fused
+   dispatch per plan unit (see [soa_plan]): mixed ALU chains run their
+   instructions back-to-back over the flat register rows, with the
+   dense fast path walking lanes in [lane_block]-wide unrolled blocks;
+   memory-terminated chains snapshot lane addresses into the [sa]
+   scratch column and resolve the target buffer once per tile; and
+   integer-division islands keep their per-lane fault handler.
+
+   Branches work by lane parking, the way predicated SIMT lanes idle
+   until their branch target.  A [bra.pred] removes the lanes whose
+   predicate holds from the active set and parks them at its target;
+   an unconditional [bra] parks every active lane.  When the walk
+   reaches a target, the lanes parked there merge back into the active
+   set in lane order.  When no lane is active the walk jumps to the
+   nearest target that has parked lanes.  [ret] retires the active
+   lanes, and a branch to a [ret] retires its lanes at once: parked
+   lanes that would never come back.  Since branches only go forward,
+   the walk visits every instruction at most once per tile and each
+   lane executes exactly its own path, in its order.
+
+   For launches admitted by [parallel_ok] this is bit-identical to the
    scalar (lane-major) sweep: lanes are independent except for the
    radix-8 reduction-tail contract, whose only cross-lane
    reads-after-writes flow from lower lanes at earlier program points
-   to a later lane at a later program point — an order both schedules
-   preserve (and reduction tails are branchy, so they are rejected by
-   [plan_soa] anyway and never reach this path; the argument covers
-   any future straight-line shape).
+   to a later lane at a later program point — an order lock-step
+   preserves within a tile, and lower tiles finish before higher ones
+   start.
 
    Fault determinism: lanes that fault are recorded and deactivated,
-   the rest of the cta runs on, and the *lowest* faulted lane is
-   reported.  Lanes below the lowest lock-step fault complete and
-   behave exactly as in the scalar sweep (they read nothing from
-   higher lanes), so the lowest lock-step fault is the fault the
-   scalar sweep would hit first — same lane, same message.  Memory
-   past that fault is unspecified, as in the scalar contract.  Faults
-   raised outside a per-lane handler (parameter-class mismatches,
-   corrupt opcodes — conditions uniform across lanes) are charged to
-   the lowest active lane, which is the lane the scalar sweep would
-   fault on.  The column-resident fast pass of a memory unit may
-   partially execute before bailing to the per-lane slow pass; that is
-   safe because the unit is idempotent once [sa] is snapshotted —
+   the rest of the tile (parked lanes included) runs on, and the
+   *lowest* faulted lane is reported; the cta stops after the first
+   tile that faults.  Lanes below the lowest fault complete and behave
+   exactly as in the scalar sweep (they read nothing from higher
+   lanes), so the lowest fault is the fault the scalar sweep would hit
+   first — same lane, same message.  Memory past that fault is
+   unspecified, as in the scalar contract.  Faults raised outside a
+   per-lane handler (parameter-class mismatches, corrupt opcodes —
+   conditions uniform across lanes) retire every active lane and are
+   charged to the lowest, which is the lane the scalar sweep would
+   fault on among them.  The column-resident fast pass of a memory unit
+   may partially execute before bailing to the per-lane slow pass; that
+   is safe because the unit is idempotent once [sa] is snapshotted —
    re-running a lane's load or store reads the same address and the
    same unchanged source column, so the slow pass reproduces the exact
    per-lane outcomes (values and fault messages) of the scalar sweep.
 
-   Returns the lowest faulted [(lane, exn)], or [None]. *)
+   Returns the lowest faulted [(tid, exn)], or [None]. *)
 
 let lane_block = 8
 
@@ -976,7 +956,7 @@ let lane_block = 8
    contiguous column segments in [lane_block]-wide unrolled blocks of
    unsafe accesses — no per-lane indirection or branching, the bounds
    reasoning amortized across the block.  Callers pass row origins
-   ([reg * cap]) and guarantee [n <= cap], so every touched index is in
+   ([reg * tile]) and guarantee [n <= tile], so every touched index is in
    bounds.  Lanes are independent columns, so a block is safe even when
    the destination row aliases a source row. *)
 
@@ -1103,22 +1083,26 @@ let fma_dense sf ba bb bc bd n =
 
 let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s : soa_ctx)
     ~ctaid ~block ~grid =
-  let plan = match p.soa with Some pl -> pl | None -> assert false in
+  let plan = p.soa in
+  let ninstr = Array.length plan.span_end in
   let co = p.co and ca = p.ca and cb = p.cb and cc = p.cc and cd = p.cd in
-  let sf = s.sf and si = s.si and sp = s.sp and act = s.act and sa = s.sa in
-  let nl = s.cap in
+  let sf = s.sf and si = s.si and sp = s.sp and act = s.act and park = s.park and sa = s.sa in
+  let nl = tile in
   let fns = p.fns in
   let obits = Buffer.offset_bits and omask = Buffer.offset_mask in
-  for l = 0 to block - 1 do
-    Array.unsafe_set act l l
-  done;
-  let nact = ref block in
-  (* [act] stays sorted (it starts as the identity and compaction
-     preserves order), so it is the identity prefix — and the hot arms
-     can skip the indirection — exactly when its last entry equals its
-     index.  That is the common case: a full cta whose bounds guard
-     retires no lane stays dense for the whole program. *)
+  (* The current tile is threads [base, base + width). *)
+  let base = ref 0 and width = ref 0 in
+  let nact = ref 0 in
+  (* [act] stays sorted (it starts as the identity, and compaction and
+     merging preserve lane order), so it is the identity prefix — and
+     the hot arms can skip the indirection — exactly when its last
+     entry equals its index.  That is the common case: a full tile
+     whose bounds guard retires no lane stays dense for the whole
+     program. *)
   let dense = ref true in
+  let set_dense () = dense := !nact = 0 || act.(!nact - 1) = !nact - 1 in
+  (* The nearest branch target some lane is parked at; max_int if none. *)
+  let next_merge = ref max_int in
   let fmin = ref max_int and fexn = ref None in
   let faulted = ref false in
   let record l e =
@@ -1139,7 +1123,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
       end
     done;
     nact := !keep;
-    dense := !keep = 0 || act.(!keep - 1) = !keep - 1;
+    set_dense ();
     faulted := false
   in
   (* One mixed ALU chain: instructions [k0, k1) executed back-to-back.
@@ -1503,15 +1487,15 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
                 (Array.unsafe_get si (bb + l) >= Array.unsafe_get si (bc + l))
             done
       | 33 ->
-          let ba = ca.(k) * nl in
+          let ba = ca.(k) * nl and b = !base in
           if d then
             for l = 0 to n - 1 do
-              Array.unsafe_set si (ba + l) l
+              Array.unsafe_set si (ba + l) (b + l)
             done
           else
             for ai = 0 to n - 1 do
               let l = Array.unsafe_get act ai in
-              Array.unsafe_set si (ba + l) l
+              Array.unsafe_set si (ba + l) (b + l)
             done
       | 34 ->
           let ba = ca.(k) * nl in
@@ -1609,10 +1593,10 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
      scratch column — after that the unit is idempotent, so the fast
      pass may bail at any point and the slow pass restart from
      scratch.  Pass 2 resolves the *first* active lane's buffer once
-     for the whole cta and runs the gather/scatter as a tight per-lane
+     for the whole tile and runs the gather/scatter as a tight per-lane
      loop; any lane addressing a different buffer, misaligning, or
-     indexing out of bounds aborts to [mem_slow], the per-lane generic
-     loop with exactly the scalar sweep's fault messages. *)
+     indexing out of bounds aborts to [mem_slow], which runs
+     [mem_lane] per lane under its own fault handler. *)
   let snap ab off0 n =
     if !dense then
       for l = 0 to n - 1 do
@@ -1625,142 +1609,19 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
       done
   in
   let mem_slow k n =
-    match co.(k) with
-    | 40 ->
-        let ba = ca.(k) * nl in
-        for ai = 0 to n - 1 do
-          let l = Array.unsafe_get act ai in
-          try
-            let addr = Array.unsafe_get sa l in
-            let off = addr land omask in
-            match lookup (addr lsr obits) with
-            | Buffer.F32 a ->
-                if off land 3 <> 0 then fault "misaligned f32 load";
-                Array.unsafe_set sf (ba + l) (Bigarray.Array1.get a (off lsr 2))
-            | _ -> fault "typed load does not match buffer kind"
-          with e ->
-            record l e;
-            act.(ai) <- -1
-        done
-    | 41 ->
-        let ba = ca.(k) * nl in
-        for ai = 0 to n - 1 do
-          let l = Array.unsafe_get act ai in
-          try
-            let addr = Array.unsafe_get sa l in
-            let off = addr land omask in
-            match lookup (addr lsr obits) with
-            | Buffer.F64 a ->
-                if off land 7 <> 0 then fault "misaligned f64 load";
-                Array.unsafe_set sf (ba + l) (Bigarray.Array1.get a (off lsr 3))
-            | _ -> fault "typed load does not match buffer kind"
-          with e ->
-            record l e;
-            act.(ai) <- -1
-        done
-    | 42 ->
-        let ba = ca.(k) * nl in
-        for ai = 0 to n - 1 do
-          let l = Array.unsafe_get act ai in
-          try
-            let addr = Array.unsafe_get sa l in
-            let off = addr land omask in
-            match lookup (addr lsr obits) with
-            | Buffer.I32 a ->
-                if off land 3 <> 0 then fault "misaligned i32 load";
-                Array.unsafe_set si (ba + l)
-                  (Int32.to_int (Bigarray.Array1.get a (off lsr 2)))
-            | _ -> fault "typed integer load does not match buffer kind"
-          with e ->
-            record l e;
-            act.(ai) <- -1
-        done
-    | 43 ->
-        let bc = cc.(k) * nl in
-        for ai = 0 to n - 1 do
-          let l = Array.unsafe_get act ai in
-          try
-            let addr = Array.unsafe_get sa l in
-            let off = addr land omask in
-            match lookup (addr lsr obits) with
-            | Buffer.F32 a -> Bigarray.Array1.set a (off lsr 2) (Array.unsafe_get sf (bc + l))
-            | _ -> fault "typed store does not match buffer kind"
-          with e ->
-            record l e;
-            act.(ai) <- -1
-        done
-    | 44 ->
-        let bc = cc.(k) * nl in
-        for ai = 0 to n - 1 do
-          let l = Array.unsafe_get act ai in
-          try
-            let addr = Array.unsafe_get sa l in
-            let off = addr land omask in
-            match lookup (addr lsr obits) with
-            | Buffer.F64 a -> Bigarray.Array1.set a (off lsr 3) (Array.unsafe_get sf (bc + l))
-            | _ -> fault "typed store does not match buffer kind"
-          with e ->
-            record l e;
-            act.(ai) <- -1
-        done
-    | 45 ->
-        let bc = cc.(k) * nl in
-        for ai = 0 to n - 1 do
-          let l = Array.unsafe_get act ai in
-          try
-            let addr = Array.unsafe_get sa l in
-            let off = addr land omask in
-            match lookup (addr lsr obits) with
-            | Buffer.I32 a ->
-                Bigarray.Array1.set a (off lsr 2) (Int32.of_int (Array.unsafe_get si (bc + l)))
-            | _ -> fault "typed integer store does not match buffer kind"
-          with e ->
-            record l e;
-            act.(ai) <- -1
-        done
-    | 48 ->
-        let ba = ca.(k) * nl in
-        for ai = 0 to n - 1 do
-          let l = Array.unsafe_get act ai in
-          try
-            let addr = Array.unsafe_get sa l in
-            let off = addr land omask in
-            match lookup (addr lsr obits) with
-            | Buffer.F16 a ->
-                if off land 1 <> 0 then fault "misaligned f16 load";
-                Array.unsafe_set sf (ba + l)
-                  (Half.float_of_bits (Bigarray.Array1.get a (off lsr 1)))
-            | _ -> fault "typed load does not match buffer kind"
-          with e ->
-            record l e;
-            act.(ai) <- -1
-        done
-    | 49 ->
-        let bc = cc.(k) * nl in
-        for ai = 0 to n - 1 do
-          let l = Array.unsafe_get act ai in
-          try
-            let addr = Array.unsafe_get sa l in
-            let off = addr land omask in
-            match lookup (addr lsr obits) with
-            | Buffer.F16 a ->
-                if off land 1 <> 0 then fault "misaligned f16 store";
-                Bigarray.Array1.set a (off lsr 1)
-                  (Half.bits_of_float (Array.unsafe_get sf (bc + l)))
-            | _ -> fault "typed store does not match buffer kind"
-          with e ->
-            record l e;
-            act.(ai) <- -1
-        done
-    | _ -> fault "corrupt opcode"
+    let o = co.(k) and r = ca.(k) * nl in
+    for ai = 0 to n - 1 do
+      let l = Array.unsafe_get act ai in
+      try mem_lane lookup o (Array.unsafe_get sa l) sf si (r + l)
+      with e ->
+        record l e;
+        act.(ai) <- -1
+    done
   in
   let exec_mem k =
     let n = !nact in
-    let o = co.(k) in
-    let store = (o >= 43 && o <= 45) || o = 49 in
-    let ab = (if store then ca.(k) else cb.(k)) * nl
-    and off0 = if store then cb.(k) else cc.(k) in
-    snap ab off0 n;
+    let o = co.(k) and r = ca.(k) * nl in
+    snap (cb.(k) * nl) cc.(k) n;
     let bid0 = Array.unsafe_get sa (Array.unsafe_get act 0) lsr obits in
     let fast =
       match lookup bid0 with
@@ -1769,81 +1630,71 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
           try
             match (o, data) with
             | 40, Buffer.F32 a ->
-                let ba = ca.(k) * nl in
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
                   let addr = Array.unsafe_get sa l in
                   if addr lsr obits <> bid0 || addr land 3 <> 0 then raise Exit;
-                  Array.unsafe_set sf (ba + l)
-                    (Bigarray.Array1.get a ((addr land omask) lsr 2))
+                  Array.unsafe_set sf (r + l) (Bigarray.Array1.get a ((addr land omask) lsr 2))
                 done;
                 true
             | 41, Buffer.F64 a ->
-                let ba = ca.(k) * nl in
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
                   let addr = Array.unsafe_get sa l in
                   if addr lsr obits <> bid0 || addr land 7 <> 0 then raise Exit;
-                  Array.unsafe_set sf (ba + l)
-                    (Bigarray.Array1.get a ((addr land omask) lsr 3))
+                  Array.unsafe_set sf (r + l) (Bigarray.Array1.get a ((addr land omask) lsr 3))
                 done;
                 true
             | 42, Buffer.I32 a ->
-                let ba = ca.(k) * nl in
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
                   let addr = Array.unsafe_get sa l in
                   if addr lsr obits <> bid0 || addr land 3 <> 0 then raise Exit;
-                  Array.unsafe_set si (ba + l)
+                  Array.unsafe_set si (r + l)
                     (Int32.to_int (Bigarray.Array1.get a ((addr land omask) lsr 2)))
                 done;
                 true
             | 43, Buffer.F32 a ->
-                let bc = cc.(k) * nl in
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
                   let addr = Array.unsafe_get sa l in
                   if addr lsr obits <> bid0 then raise Exit;
-                  Bigarray.Array1.set a ((addr land omask) lsr 2) (Array.unsafe_get sf (bc + l))
+                  Bigarray.Array1.set a ((addr land omask) lsr 2) (Array.unsafe_get sf (r + l))
                 done;
                 true
             | 44, Buffer.F64 a ->
-                let bc = cc.(k) * nl in
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
                   let addr = Array.unsafe_get sa l in
                   if addr lsr obits <> bid0 then raise Exit;
-                  Bigarray.Array1.set a ((addr land omask) lsr 3) (Array.unsafe_get sf (bc + l))
+                  Bigarray.Array1.set a ((addr land omask) lsr 3) (Array.unsafe_get sf (r + l))
                 done;
                 true
             | 45, Buffer.I32 a ->
-                let bc = cc.(k) * nl in
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
                   let addr = Array.unsafe_get sa l in
                   if addr lsr obits <> bid0 then raise Exit;
                   Bigarray.Array1.set a ((addr land omask) lsr 2)
-                    (Int32.of_int (Array.unsafe_get si (bc + l)))
+                    (Int32.of_int (Array.unsafe_get si (r + l)))
                 done;
                 true
             | 48, Buffer.F16 a ->
-                let ba = ca.(k) * nl in
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
                   let addr = Array.unsafe_get sa l in
                   if addr lsr obits <> bid0 || addr land 1 <> 0 then raise Exit;
-                  Array.unsafe_set sf (ba + l)
+                  Array.unsafe_set sf (r + l)
                     (Half.float_of_bits (Bigarray.Array1.get a ((addr land omask) lsr 1)))
                 done;
                 true
             | 49, Buffer.F16 a ->
-                let bc = cc.(k) * nl in
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
                   let addr = Array.unsafe_get sa l in
                   if addr lsr obits <> bid0 || addr land 1 <> 0 then raise Exit;
                   Bigarray.Array1.set a ((addr land omask) lsr 1)
-                    (Half.bits_of_float (Array.unsafe_get sf (bc + l)))
+                    (Half.bits_of_float (Array.unsafe_get sf (r + l)))
                 done;
                 true
             | _ -> false
@@ -1881,33 +1732,86 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
       u := ue
     done
   in
-  let pc = ref 0 in
-  while !pc >= 0 && !nact > 0 do
-    let k = !pc in
-    match co.(k) with
-    | 0 -> pc := -1
-    | 32 ->
-        (* exit branch: lanes whose predicate holds retire *)
-        let pb = ca.(k) * nl in
-        let n = !nact in
-        let keep = ref 0 in
-        for ai = 0 to n - 1 do
-          let l = Array.unsafe_get act ai in
-          if not (Array.unsafe_get sp (pb + l)) then begin
-            Array.unsafe_set act !keep l;
-            incr keep
-          end
-        done;
-        nact := !keep;
-        dense := !keep = 0 || act.(!keep - 1) = !keep - 1;
-        pc := k + 1
-    | 31 -> pc := ca.(k) (* unreachable: [plan_soa] rejects bra *)
-    | _ ->
-        let e = plan.span_end.(k) in
-        exec_span k e;
-        pc := e
-  done;
-  match !fexn with None -> None | Some e -> Some (!fmin, e)
+  (* Lanes parked at [k] rejoin: the active lanes are marked as parked
+     there too, and one scan in lane order rebuilds [act] and finds the
+     next target that still has lanes waiting. *)
+  let merge k =
+    for ai = 0 to !nact - 1 do
+      park.(act.(ai)) <- k
+    done;
+    let n = ref 0 and nm = ref max_int in
+    for l = 0 to !width - 1 do
+      let t = park.(l) in
+      if t = k then begin
+        park.(l) <- -1;
+        act.(!n) <- l;
+        incr n
+      end
+      else if t >= 0 && t < !nm then nm := t
+    done;
+    nact := !n;
+    next_merge := !nm;
+    set_dense ()
+  in
+  (* A branch to [t]: the active lanes [leaves] picks park at [t], or
+     retire at once when [t] is a [ret]. *)
+  let branch t leaves =
+    let parks = not (is_ret co.(t)) in
+    let keep = ref 0 in
+    for ai = 0 to !nact - 1 do
+      let l = act.(ai) in
+      if leaves l then (if parks then park.(l) <- t)
+      else begin
+        act.(!keep) <- l;
+        incr keep
+      end
+    done;
+    if parks && !keep < !nact then next_merge := min !next_merge t;
+    nact := !keep;
+    set_dense ()
+  in
+  (* Spans end at every branch target, so the walk lands on each target
+     where lanes wait; every parked lane has rejoined by the end. *)
+  let run_tile () =
+    let pc = ref 0 in
+    while !pc < ninstr do
+      let k = !pc in
+      if k = !next_merge then merge k;
+      if !nact = 0 then pc := !next_merge
+      else begin
+        let o = co.(k) in
+        if is_ctrl o then begin
+          if is_ret o then nact := 0
+          else if is_bra o then branch ca.(k) (fun _ -> true)
+          else begin
+            let pb = ca.(k) * nl in
+            branch cb.(k) (fun l -> sp.(pb + l))
+          end;
+          pc := k + 1
+        end
+        else begin
+          let e = plan.span_end.(k) in
+          exec_span k e;
+          pc := e
+        end
+      end
+    done
+  in
+  let rec tiles b =
+    if b >= block then None
+    else begin
+      base := b;
+      width := min tile (block - b);
+      for l = 0 to !width - 1 do
+        act.(l) <- l
+      done;
+      nact := !width;
+      dense := true;
+      run_tile ();
+      match !fexn with Some e -> Some (b + !fmin, e) | None -> tiles (b + tile)
+    end
+  in
+  tiles 0
 
 (* ------------------------------------------------------------------ *)
 (* Parallel-safety decision for one launch: every access's param slot is
@@ -1963,44 +1867,43 @@ let enrich p e ~ctaid ~tid =
       Fault (Printf.sprintf "%s [kernel %s, ctaid %d, tid %d]" msg p.kernel.kname ctaid tid)
   | e -> e
 
-(* One cta span, executed in (cta, tid) order.  [key] is the span's
+(* One cta on the scalar interpreter, threads in order; returns the
+   first faulting [(tid, exn)], like [exec_cta_soa]. *)
+let exec_cta_scalar p lookup args w ~ctaid ~block ~grid =
+  let rec go t =
+    if t >= block then None
+    else
+      match exec_thread p lookup args w ~tid:t ~ctaid ~ntid:block ~nctaid:grid with
+      | () -> go (t + 1)
+      | exception e -> Some (t, e)
+  in
+  go 0
+
+(* One cta span, executed in (cta, tid) order on worker [slot]'s
+   register files: the SoA executor's when [soa], else the scalar
+   interpreter's, bound fresh for the span.  [key] is the span's
    position in the flat batch schedule (launch-major, cta-ordered), so
    the first fault recorded at the lowest key is exactly the fault a
    sequential sweep of the whole batch would hit first.  Recording a
    fault lowers [stop] so spans with higher keys (later ctas / later
    launches) bail out; lower-keyed spans run to completion. *)
-let run_span p lookup args w ~block ~grid ~c0 ~c1 ~key ~(stop : int Atomic.t)
+let run_span p lookup args ~soa ~slot ~block ~grid ~c0 ~c1 ~key ~(stop : int Atomic.t)
     (faults : (int * int * exn) option array) =
+  let exec_cta =
+    if soa then exec_cta_soa p lookup args p.soa_slots.(slot)
+    else begin
+      let w = p.slots.(slot) in
+      bind_slot p w;
+      exec_cta_scalar p lookup args w
+    end
+  in
   try
     for cta = c0 to c1 - 1 do
       if Atomic.get stop < key then raise Exit;
-      for t = 0 to block - 1 do
-        try exec_thread p lookup args w ~tid:t ~ctaid:cta ~ntid:block ~nctaid:grid
-        with e ->
-          faults.(key) <- Some (cta, t, e);
-          let rec lower () =
-            let cur = Atomic.get stop in
-            if key < cur && not (Atomic.compare_and_set stop cur key) then lower ()
-          in
-          lower ();
-          raise Exit
-      done
-    done
-  with Exit -> ()
-
-(* Same span contract, superinstruction execution: whole ctas in
-   order, each run lock-step across its lanes by [exec_cta_soa].  The
-   fault protocol is identical — lowest (cta, lane) recorded under the
-   span's key, [stop] lowered so higher-keyed spans bail. *)
-let run_span_soa p lookup args s ~block ~grid ~c0 ~c1 ~key ~(stop : int Atomic.t)
-    (faults : (int * int * exn) option array) =
-  try
-    for cta = c0 to c1 - 1 do
-      if Atomic.get stop < key then raise Exit;
-      match exec_cta_soa p lookup args s ~ctaid:cta ~block ~grid with
+      match exec_cta ~ctaid:cta ~block ~grid with
       | None -> ()
-      | Some (lane, e) ->
-          faults.(key) <- Some (cta, lane, e);
+      | Some (tid, e) ->
+          faults.(key) <- Some (cta, tid, e);
           let rec lower () =
             let cur = Atomic.get stop in
             if key < cur && not (Atomic.compare_and_set stop cur key) then lower ()
@@ -2078,16 +1981,13 @@ let conflicts i j =
    store-disjointness gate as the old per-launch path, so a launch that
    must run as one sequential sweep still overlaps *other* independent
    launches in the batch. *)
-let spans_of workers l =
+let spans_of workers l ~safe =
   if l.l_grid <= 0 || l.l_block <= 0 then [||]
   else begin
     let align = 8 / gcd l.l_block 8 in
     let units = l.l_grid / align in
     let w =
-      if
-        workers <= 1 || units < 2
-        || l.l_grid * l.l_block < min_parallel_threads
-        || not (parallel_ok l.l_prog l.l_params)
+      if workers <= 1 || units < 2 || l.l_grid * l.l_block < min_parallel_threads || not safe
       then 1
       else min workers units
     in
@@ -2098,7 +1998,8 @@ let spans_of workers l =
 let run_batch ?(workers = 1) ~lookup (launches : launch array) =
   let nl = Array.length launches in
   if nl > 0 then begin
-    let spans = Array.map (spans_of workers) launches in
+    let safe = Array.map (fun l -> parallel_ok l.l_prog l.l_params) launches in
+    let spans = Array.mapi (fun li l -> spans_of workers l ~safe:safe.(li)) launches in
     (* Flat schedule: launch-major, cta-ordered — item index IS the
        deterministic fault priority. *)
     let items =
@@ -2107,19 +2008,12 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
            (Array.mapi (fun li s -> Array.map (fun (c0, c1) -> (li, c0, c1)) s) spans))
     in
     let nitems = Array.length items in
-    (* Per-launch execution strategy: superinstructions when the flag
-       is on, the program decoded to an eligible plan, and the launch
-       passes the same store-disjointness gate that admits worker
-       splitting — [parallel_ok] is exactly the cross-lane independence
-       the lock-step sweep relies on.  Tiny blocks stay scalar: there
-       is nothing to amortize the per-cta dispatch over. *)
-    let use_soa =
-      Array.map
-        (fun l ->
-          superinstructions_enabled () && l.l_block >= 8 && l.l_prog.soa <> None
-          && parallel_ok l.l_prog l.l_params)
-        launches
-    in
+    (* Per-launch executor: superinstructions unless switched off, for
+       every launch that passes [parallel_ok] — the same
+       store-disjointness gate that admits worker splitting is exactly
+       the cross-lane independence the lock-step sweep relies on. *)
+    let soa = superinstructions_enabled () in
+    let use_soa = Array.map (fun ok -> soa && ok) safe in
     if nitems > 0 then begin
       (* Dependency edges; skipped for singleton batches (the common
          [run_grid] path pays nothing for the generalization). *)
@@ -2168,8 +2062,7 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
          launch state (zeroed registers + constant pools) per span. *)
       Array.iteri
         (fun li l ->
-          if use_soa.(li) then ensure_soa_slots l.l_prog w l.l_block
-          else ensure_slots l.l_prog w)
+          if use_soa.(li) then ensure_soa_slots l.l_prog w else ensure_slots l.l_prog w)
         launches;
       let stop = Atomic.make max_int in
       let faults = Array.make nitems None in
@@ -2186,16 +2079,8 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
                done.  Bailed-out spans (fault upstream) still count
                down [remaining], so waiters always wake. *)
             wait_deps li;
-            let p = l.l_prog in
-            if use_soa.(li) then
-              run_span_soa p lookup l.l_params p.soa_slots.(k) ~block:l.l_block
-                ~grid:l.l_grid ~c0 ~c1 ~key:idx ~stop faults
-            else begin
-              let wctx = p.slots.(k) in
-              bind_slot p wctx;
-              run_span p lookup l.l_params wctx ~block:l.l_block ~grid:l.l_grid
-                ~c0 ~c1 ~key:idx ~stop faults
-            end;
+            run_span l.l_prog lookup l.l_params ~soa:use_soa.(li) ~slot:k ~block:l.l_block
+              ~grid:l.l_grid ~c0 ~c1 ~key:idx ~stop faults;
             complete li;
             loop ()
           end

@@ -10,20 +10,21 @@
     bit-identical to the sequential sweep.  See DESIGN.md "Parallel VM
     back-end".
 
-    Straight-line pointwise programs additionally decode to a
-    *superinstruction plan*: maximal non-control spans are partitioned
-    into fused dispatch units — mixed ALU chains (float and integer
-    arithmetic, address mad/shl/add chains, cvt, setp, parameter and
-    sreg reads), memory-terminated chains whose global load/store runs
-    column-resident (lane addresses snapshotted, the buffer resolved
-    once per cta), and per-lane-faultable islands (integer division).
-    The SoA executor walks a unit's lanes in fixed-width blocks over
-    flat unboxed register rows on the dense fast path.  Launches
-    admitted by the same parallel-safety analysis run lock-step
-    bit-identically to the scalar interpreter at every worker count;
-    everything else (reduction tails, gathers that force sequential
-    sweeps) stays on the scalar path.  See DESIGN.md "SIMD-blocked
-    superinstructions". *)
+    Every program also decodes to a *superinstruction plan*: the
+    non-control spans between branches and branch targets are
+    partitioned into fused dispatch units — mixed ALU chains (float and
+    integer arithmetic, address mad/shl/add chains, cvt, setp,
+    parameter and sreg reads), memory-terminated chains whose global
+    load/store runs column-resident (lane addresses snapshotted, the
+    buffer resolved once per tile), and per-lane-faultable islands
+    (integer division).  The SoA executor runs a cta in tiles of 64
+    lanes over flat unboxed register rows; branches park the lanes
+    that take them until the walk reaches the target.  Every launch
+    admitted by the parallel-safety analysis runs on it, bit-identically
+    to the scalar interpreter at every worker count; the scalar
+    interpreter runs the launches that analysis rejects and serves as
+    the reference when superinstructions are switched off.  See
+    DESIGN.md "SIMD-blocked superinstructions". *)
 
 type param_value = Ptr of Buffer.t | Int of int | Float of float
 
@@ -37,8 +38,11 @@ exception Fault of string
 type program
 
 val compile : Ptx.Types.kernel -> program
-(** Validate and pre-decode.  Raises {!Fault} on malformed kernels
-    (undefined labels, unsupported operand classes). *)
+(** Validate and pre-decode.  Raises {!Fault} on malformed kernels:
+    failed {!Ptx.Validate.kernel} or {!Ptx.Validate.dataflow} checks,
+    undefined labels, unsupported operand classes, a branch that does
+    not jump forward to an instruction, or a body that does not end in
+    [ret]. *)
 
 val decoder_version : int
 (** Bumped whenever the pre-decoded representation changes; persistent
@@ -101,26 +105,18 @@ val decoded_instructions : program -> int
 (** Flat instruction count after label compaction (introspection). *)
 
 val set_superinstructions : bool -> unit
-(** Toggle superinstruction (SoA) execution process-wide.  The initial
-    value honours [REPRO_VM_SUPERINSN] via {!superinsn_of_env}; results
-    are bit-identical either way, so this is a perf escape hatch and an
-    A/B lever for benches. *)
+(** Switch superinstruction (SoA) execution process-wide (default on).
+    Off sends every launch to the scalar interpreter; results are
+    bit-identical either way, so this is the reference lever for tests
+    and the bench A/B. *)
 
 val superinstructions_enabled : unit -> bool
-
-val superinsn_of_env : string option -> bool
-(** Pure parser behind the [REPRO_VM_SUPERINSN] initial value: [false]
-    (executor off) exactly for the off/0/none/disabled spellings,
-    case-insensitive and whitespace-trimmed — the same set the
-    [REPRO_JIT_CACHE] override accepts.  Anything else, including
-    [None] (unset) and the empty string, leaves the executor on. *)
 
 type soa_stats = { spans : int; units : int; covered : int; total : int }
 (** Superinstruction plan summary: [spans] fused regions covering
     [covered] of the [total] decoded instructions, executed as [units]
-    dispatch units per cta (a mixed ALU chain, a memory-terminated
-    chain, or a division island each count once).  All zeros except
-    [total] when the program is ineligible. *)
+    dispatch units per tile (a mixed ALU chain, a memory-terminated
+    chain, or a division island each count once). *)
 
 val superinsn_stats : program -> soa_stats
 

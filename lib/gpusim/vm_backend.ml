@@ -22,10 +22,10 @@
     cta-span) items off the VM's shared cursor exactly the same whether
     a span then runs through the scalar interpreter or the lane-blocked
     superinstruction (SoA) executor — fused units, column-resident
-    memory ops and division islands all retire inside one cta before
-    the worker claims its next span, so the schedule, the dependency
-    edges and the lowest-(launch, ctaid, tid)-wins fault protocol are
-    unchanged by the dispatch strategy. *)
+    memory ops, division islands and parked lanes all retire inside one
+    cta before the worker claims its next span, so the schedule, the
+    dependency edges and the lowest-(launch, ctaid, tid)-wins fault
+    protocol are unchanged by the dispatch strategy. *)
 
 let runtime = "multicore"
 let available_domains () = Domain.recommended_domain_count ()

@@ -43,8 +43,7 @@ let from_env ?default () =
   | None -> default
   | Some v -> (
       (* Off-spellings are matched case-insensitively on the trimmed
-         value — the same normalization REPRO_VM_SUPERINSN uses — but a
-         directory override keeps the raw string. *)
+         value, but a directory override keeps the raw string. *)
       match String.lowercase_ascii (String.trim v) with
       | "" -> default
       | "off" | "0" | "none" | "disabled" -> None

@@ -282,22 +282,6 @@ let test_host_domains_env () =
         (Unix.putenv "REPRO_VM_DOMAINS" "7";
          Machine.host_domains ~vm_domains:2 ()))
 
-(* REPRO_VM_SUPERINSN parsing: the executor switches off for exactly
-   the off/0/none/disabled spellings REPRO_JIT_CACHE accepts, case- and
-   whitespace-insensitively; everything else — unset, empty, and
-   notably the no-longer-special "false" — leaves it on.  The pure
-   parser is tested directly because the ref it feeds is initialized
-   once at module load. *)
-let test_superinsn_env () =
-  let parse v = Gpusim.Vm.superinsn_of_env (Some v) in
-  List.iter
-    (fun v -> Alcotest.(check bool) (Printf.sprintf "%S disables" v) false (parse v))
-    [ "off"; "OFF"; " Off\t"; "0"; " 0 "; "none"; "NoNe"; "disabled"; "  DISABLED" ];
-  List.iter
-    (fun v -> Alcotest.(check bool) (Printf.sprintf "%S stays on" v) true (parse v))
-    [ "on"; "1"; ""; "   "; "yes"; "offf"; "false" ];
-  Alcotest.(check bool) "unset stays on" true (Gpusim.Vm.superinsn_of_env None)
-
 let () =
   Alcotest.run "gpusim"
     [
@@ -306,7 +290,6 @@ let () =
           Alcotest.test_case "daxpy executes" `Quick test_daxpy_executes;
           Alcotest.test_case "thread guard" `Quick test_guard_respected;
           Alcotest.test_case "math subroutine" `Quick test_math_subroutine;
-          Alcotest.test_case "REPRO_VM_SUPERINSN parse" `Quick test_superinsn_env;
         ] );
       ( "device",
         [

@@ -350,6 +350,34 @@ let test_validate_dataflow_accepts_dominating_def () =
   Ptx.Validate.kernel k;
   Ptx.Validate.dataflow k
 
+(* The VM refuses what its executors cannot run: a maybe-unassigned
+   read (SoA register rows are never zeroed) and a backward branch. *)
+let test_vm_compile_checks () =
+  let rejects what ~says k =
+    match Gpusim.Vm.compile k with
+    | exception Gpusim.Vm.Fault m ->
+        let n = String.length m and l = String.length says in
+        let rec has i = i + l <= n && (String.sub m i l = says || has (i + 1)) in
+        if not (has 0) then Alcotest.failf "%s: fault %S does not say %S" what m says
+    | _ -> Alcotest.failf "Vm.compile accepted %s" what
+  in
+  rejects "a branch-path undef" ~says:"may be read before written"
+    (diamond ~def_before_branch:false);
+  ignore (Gpusim.Vm.compile (diamond ~def_before_branch:true));
+  let addr = r U64 0 and x = r F64 0 and p = r Pred 0 in
+  rejects "a backward branch" ~says:"not forward"
+    (kern
+       [
+         Ld_param { dst = addr; param_index = 0 };
+         Mov { dst = x; src = Imm_float 1.0 };
+         Label "L";
+         Add { dtype = F64; dst = x; a = Reg x; b = Imm_float 1.0 };
+         Setp { cmp = Lt; dtype = F64; dst = p; a = Reg x; b = Imm_float 4.0 };
+         Bra { label = "L"; pred = Some p };
+         St_global { dtype = F64; addr; offset = 0; src = Reg x };
+         Ret;
+       ])
+
 (* ------------------------------------------------------------------ *)
 (* Acceptance on the real Table II kernels *)
 
@@ -515,6 +543,8 @@ let () =
             test_validate_dataflow_catches_branch_undef;
           Alcotest.test_case "dominating def accepted" `Quick
             test_validate_dataflow_accepts_dominating_def;
+          Alcotest.test_case "Vm.compile rejects undef and backward branch" `Quick
+            test_vm_compile_checks;
         ] );
       ( "acceptance",
         [

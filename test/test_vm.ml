@@ -273,7 +273,7 @@ let test_fault_names_first_thread () =
 
 (* ------------------------------------------------------------------ *)
 (* Batched launch sweeps: random chains of dependent and independent
-   launches queued through Device.begin_batch/end_batch must match the
+   launches queued through Device.with_batch must match the
    unbatched sequential schedule bit-for-bit at every worker count, and
    a faulting batch must report the lowest (launch index, ctaid, tid)
    with the exact message the sequential sweep raises. *)
@@ -359,11 +359,7 @@ let run_batch_prog ~vm_domains ~batched prog =
             ~params:[| x; y; Gpusim.Vm.Int n_threads |])
   in
   match
-    if batched then begin
-      Device.begin_batch dev;
-      List.iter go prog;
-      Device.end_batch dev
-    end
+    if batched then Device.with_batch dev (fun () -> List.iter go prog)
     else List.iter go prog
   with
   | () -> (None, Some (Array.map snapshot bufs))
@@ -451,12 +447,10 @@ let run_two_faults ~vm_domains ~batched =
          ~params:[| Gpusim.Vm.Ptr x; Gpusim.Vm.Ptr y; Gpusim.Vm.Int n_threads |])
   in
   match
-    if batched then begin
-      Device.begin_batch dev;
-      go x0 y0;
-      go x1 y1;
-      Device.end_batch dev
-    end
+    if batched then
+      Device.with_batch dev (fun () ->
+          go x0 y0;
+          go x1 y1)
     else begin
       go x0 y0;
       go x1 y1
@@ -603,6 +597,200 @@ let test_mixk_plan_shape () =
      by the data-dependent exit branch | add/mul/add chain + st.g.f64 *)
   Alcotest.(check int) "units" 4 s.Gpusim.Vm.units
 
+(* ------------------------------------------------------------------ *)
+(* Batch failure: a faulting deferred sweep must surface as the plain
+   [Vm.Fault] an unbatched launch raises, and leave the device ready for
+   the next batch. *)
+
+let divk_launch dev x y =
+  ignore
+    (Device.execute dev (Lazy.force divk_compiled) ~nthreads:n_threads ~block
+       ~params:[| Gpusim.Vm.Ptr x; Gpusim.Vm.Ptr y; Gpusim.Vm.Int n_threads |])
+
+let test_with_batch_fault_then_reuse () =
+  let unbatched =
+    match launch_divk ~vm_domains:1 ~zero_sites:[ 600 ] with
+    | Some m -> m
+    | None -> Alcotest.fail "unbatched reference did not fault"
+  in
+  let dev = Device.create ~vm_domains:2 Machine.k20x_ecc_off in
+  let x = Device.alloc_i32 dev n_threads and y = Device.alloc_i32 dev n_threads in
+  let xa, ya =
+    match (x.Buffer_.data, y.Buffer_.data) with
+    | Buffer_.I32 xa, Buffer_.I32 ya -> (xa, ya)
+    | _ -> assert false
+  in
+  Bigarray.Array1.fill xa 1l;
+  xa.{600} <- 0l;
+  (match Device.with_batch dev (fun () -> divk_launch dev x y) with
+  | () -> Alcotest.fail "batched divk did not fault"
+  | exception Gpusim.Vm.Fault m -> Alcotest.(check string) "unbatched message" unbatched m
+  | exception e -> Alcotest.failf "batched fault surfaced as %s" (Printexc.to_string e));
+  (* A body that raises after queueing: its launch still runs, the
+     batch closes, and the body's own exception comes back. *)
+  xa.{600} <- 1l;
+  Bigarray.Array1.fill ya 0l;
+  (match
+     Device.with_batch dev (fun () ->
+         divk_launch dev x y;
+         failwith "assembly failed")
+   with
+  | () -> Alcotest.fail "body exception swallowed"
+  | exception Failure m -> Alcotest.(check string) "body exception" "assembly failed" m);
+  Alcotest.(check int32) "queued launch ran" (Int32.of_int n_threads) ya.{600};
+  Bigarray.Array1.fill ya 0l;
+  Device.with_batch dev (fun () -> divk_launch dev x y);
+  Alcotest.(check int32) "device accepts a new batch" (Int32.of_int n_threads) ya.{n_threads - 1}
+
+(* ------------------------------------------------------------------ *)
+(* Branch shapes on the SoA executor.  Two hand-written kernels cover
+   the forward-branch forms lane parking handles, each with a per-lane
+   division by zero on one arm:
+
+     skipk:  q = -1; if d >= 0 then (w = z[i]; q = w / d);  y[i] = q
+     diamk:  if d >= 0 then q = z[i] / d else q = d / z[i];  y[i] = q
+
+   with d = x[i].  Blocks of 72 and 200 lanes end in a partial tile, and
+   diamk's arms fault at different program points, so a lower lane
+   parked on the later arm must still win over a higher lane that
+   faulted first in lock-step. *)
+
+let branch_kernel name body =
+  Printf.sprintf
+    {|
+.version 3.1
+.target sm_35
+.address_size 64
+
+.visible .entry %s(
+	.param .u64 %s_param_0,
+	.param .u64 %s_param_1,
+	.param .u64 %s_param_2,
+	.param .s32 %s_param_3
+)
+{
+	ld.param.u64 	%%rd1, [%s_param_0];
+	ld.param.u64 	%%rd2, [%s_param_1];
+	ld.param.u64 	%%rd6, [%s_param_2];
+	ld.param.s32 	%%r1, [%s_param_3];
+	mov.u32 	%%r2, %%tid.x;
+	mov.u32 	%%r3, %%ntid.x;
+	mov.u32 	%%r4, %%ctaid.x;
+	mad.lo.s32 	%%r5, %%r4, %%r3, %%r2;
+	setp.ge.s32 	%%p1, %%r5, %%r1;
+	@%%p1 bra 	EXIT;
+	mul.lo.s32 	%%r6, %%r5, 4;
+	cvt.s64.s32 	%%rs1, %%r6;
+	cvt.u64.s64 	%%rd3, %%rs1;
+	add.u64 	%%rd4, %%rd1, %%rd3;
+	add.u64 	%%rd5, %%rd2, %%rd3;
+	add.u64 	%%rd7, %%rd6, %%rd3;
+	ld.global.s32 	%%r7, [%%rd4+0];
+	setp.lt.s32 	%%p2, %%r7, 0;
+%s
+	st.global.s32 	[%%rd5+0], %%r8;
+EXIT:
+	ret;
+}
+|}
+    name name name name name name name name name body
+
+let skipk_compiled =
+  lazy
+    (Jit.compile
+       (branch_kernel "skipk"
+          {|	mov.s32 	%r8, -1;
+	@%p2 bra 	SKIP;
+	ld.global.s32 	%r9, [%rd7+0];
+	div.s32 	%r8, %r9, %r7;
+SKIP:|}))
+
+let diamk_compiled =
+  lazy
+    (Jit.compile
+       (branch_kernel "diamk"
+          {|	ld.global.s32 	%r9, [%rd7+0];
+	@%p2 bra 	ELSE;
+	div.s32 	%r8, %r9, %r7;
+	bra.uni 	JOIN;
+ELSE:
+	div.s32 	%r8, %r7, %r9;
+JOIN:|}))
+
+(* x: negative at multiples of 3, positive elsewhere; z: positive.
+   [x_zeros] fault the d >= 0 arm, [z_zeros] diamk's other arm. *)
+let run_branch_kernel compiled ~vm_domains ~superinsn ~block ~x_zeros ~z_zeros =
+  with_superinsn superinsn (fun () ->
+      let dev = Device.create ~vm_domains Machine.k20x_ecc_off in
+      let buf () = Device.alloc_i32 dev n_threads in
+      let x = buf () and y = buf () and z = buf () in
+      (match (x.Buffer_.data, y.Buffer_.data, z.Buffer_.data) with
+      | Buffer_.I32 xa, Buffer_.I32 ya, Buffer_.I32 za ->
+          for i = 0 to n_threads - 1 do
+            xa.{i} <- Int32.of_int (if i mod 3 = 0 then -1 - (i mod 7) else 1 + (i mod 5));
+            za.{i} <- Int32.of_int (1 + (i mod 11));
+            ya.{i} <- 0l
+          done;
+          List.iter (fun i -> xa.{i} <- 0l) x_zeros;
+          List.iter (fun i -> za.{i} <- 0l) z_zeros
+      | _ -> assert false);
+      let params = [| Gpusim.Vm.Ptr x; Gpusim.Vm.Ptr y; Gpusim.Vm.Ptr z; Gpusim.Vm.Int n_threads |] in
+      match Device.launch dev compiled ~nthreads:n_threads ~block ~params with
+      | _ -> Ok (snapshot y)
+      | exception Gpusim.Vm.Fault m -> Error m)
+
+let arb_branch_case =
+  let site = QCheck.Gen.int_range 0 (n_threads - 1) in
+  QCheck.make
+    ~print:(fun (diamond, block, xz, zz) ->
+      Printf.sprintf "%s block %d x_zeros [%s] z_zeros [%s]"
+        (if diamond then "diamk" else "skipk")
+        block
+        (String.concat "; " (List.map string_of_int xz))
+        (String.concat "; " (List.map string_of_int zz)))
+    QCheck.Gen.(
+      quad bool (oneofl [ 72; 200 ])
+        (list_size (int_range 0 2) site)
+        (list_size (int_range 0 2) site))
+
+let qcheck_branch_shapes =
+  QCheck.Test.make ~count:12
+    ~name:"skip/diamond kernels: executor on/off x 1/2/4/8 workers identical" arb_branch_case
+    (fun (diamond, block, x_zeros, z_zeros) ->
+      let compiled = Lazy.force (if diamond then diamk_compiled else skipk_compiled) in
+      let run ~vm_domains ~superinsn =
+        run_branch_kernel compiled ~vm_domains ~superinsn ~block ~x_zeros ~z_zeros
+      in
+      let reference = run ~vm_domains:1 ~superinsn:false in
+      List.for_all
+        (fun w -> run ~vm_domains:w ~superinsn:true = reference && run ~vm_domains:w ~superinsn:false = reference)
+        [ 1; 2; 4; 8 ])
+
+let test_parked_lane_fault_wins () =
+  (* Lane 129 (x < 0) parks at ELSE and faults there on z = 0; lane 131
+     faults earlier in lock-step on the other arm (x = 0).  The scalar
+     sweep reaches 129 first, so 129 must be reported. *)
+  let compiled = Lazy.force diamk_compiled in
+  Alcotest.(check bool) "diamk runs on the SoA executor" true
+    (let dev = Device.create Machine.k20x_ecc_off in
+     let b () = Gpusim.Vm.Ptr (Device.alloc_i32 dev 8) in
+     Gpusim.Vm.parallelizable compiled.Jit.program
+       ~params:[| b (); b (); b (); Gpusim.Vm.Int 8 |]);
+  List.iter
+    (fun (block, where) ->
+      List.iter
+        (fun superinsn ->
+          match
+            run_branch_kernel compiled ~vm_domains:2 ~superinsn ~block ~x_zeros:[ 131 ]
+              ~z_zeros:[ 129 ]
+          with
+          | Ok _ -> Alcotest.fail "diamk did not fault"
+          | Error m ->
+              if not (contains m where) then
+                Alcotest.failf "block %d: fault %S does not name %S" block m where)
+        [ false; true ])
+    [ (72, "ctaid 1, tid 57"); (200, "ctaid 0, tid 129") ]
+
 let () =
   Alcotest.run "vm"
     [
@@ -616,6 +804,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_batched_sweeps;
           Alcotest.test_case "independent faults: lowest launch index wins" `Quick
             test_batched_two_faults;
+          Alcotest.test_case "faulting batch: plain fault, device reusable" `Quick
+            test_with_batch_fault_then_reuse;
         ] );
       ( "superinstructions",
         [
@@ -623,6 +813,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_superinsn_faults;
           QCheck_alcotest.to_alcotest qcheck_mixk_bit_identity;
           Alcotest.test_case "mixed-chain kernel: plan shape" `Quick test_mixk_plan_shape;
+          QCheck_alcotest.to_alcotest qcheck_branch_shapes;
+          Alcotest.test_case "parked lower lane's fault wins" `Quick test_parked_lane_fault_wins;
         ] );
       ( "faults",
         [
