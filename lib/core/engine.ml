@@ -981,6 +981,12 @@ let jit_seconds t =
   flush t;
   t.jit_seconds
 
+let built_kernels t =
+  flush t;
+  let singles = Hashtbl.fold (fun _ e acc -> e.built :: acc) t.kernels [] in
+  let fused = Hashtbl.fold (fun _ f acc -> f.f_entry.built :: acc) t.fused_kernels singles in
+  match t.reduce_kernel with Some e -> e.built :: fused | None -> fused
+
 let kernel_bytes_moved t =
   flush t;
   t.kernel_bytes
@@ -1198,14 +1204,15 @@ let reduce_entry t =
         end
         else (raw, [])
       in
-      let compiled = Jit.compile (Ptx.Print.kernel kernel) in
+      let text = Ptx.Print.kernel kernel in
+      let compiled = Jit.compile text in
       t.kernels_built <- t.kernels_built + 1;
       t.jit_seconds <- t.jit_seconds +. compiled.Jit.compile_time;
       let built =
         {
           Codegen.kernel;
           raw;
-          text = Ptx.Print.kernel kernel;
+          text;
           plan = [];
           dest_shape = Shape.real_scalar Shape.F64;
           passes;

@@ -168,6 +168,11 @@ val jit_seconds : t -> float
 (** Accumulated modeled driver-JIT time (Sec. III-D: 0.05–0.22 s/kernel).
     Flushes the queue first. *)
 
+val built_kernels : t -> Codegen.built list
+(** Every kernel this engine launches from — singleton evals, fused
+    groups and the fold kernel, compiled here or loaded from the JIT
+    cache — in no particular order.  Flushes the queue first. *)
+
 val kernel_bytes_moved : t -> int
 (** Modeled global-memory bytes moved by every kernel launched so far
     (per-thread load+store bytes × threads, summed over launches).

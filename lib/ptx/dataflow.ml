@@ -243,17 +243,31 @@ let register_demand_body body =
     let peak = ref 0 in
     Array.iteri
       (fun bi blk ->
+        (* Invariant: [!w = set_weight !live]. *)
         let live = ref live_out.(bi) in
+        let w = ref (set_weight !live) in
         for i = blk.last downto blk.first do
           let instr = body.(i) in
           (* The destination occupies a register at the def point even if it
              is never read afterwards. *)
-          let at_point =
-            match def_of instr with Some r -> KSet.add (key r) !live | None -> !live
-          in
-          peak := max !peak (set_weight at_point);
-          (match def_of instr with Some r -> live := KSet.remove (key r) !live | None -> ());
-          List.iter (fun r -> live := KSet.add (key r) !live) (uses_of instr)
+          (match def_of instr with
+          | Some r ->
+              let k = key r in
+              if KSet.mem k !live then begin
+                peak := max !peak !w;
+                live := KSet.remove k !live;
+                w := !w - weight r.rtype
+              end
+              else peak := max !peak (!w + weight r.rtype)
+          | None -> peak := max !peak !w);
+          List.iter
+            (fun r ->
+              let k = key r in
+              if not (KSet.mem k !live) then begin
+                live := KSet.add k !live;
+                w := !w + weight r.rtype
+              end)
+            (uses_of instr)
         done)
       blks;
     !peak

@@ -332,6 +332,18 @@ let dce (k : kernel) =
 (* ------------------------------------------------------------------ *)
 (* Code sinking (register-pressure reduction)                          *)
 
+(* Register keys hashed without the polymorphic hash: the pass looks up
+   every operand of bodies tens of thousands of instructions long. *)
+module Keys = Hashtbl.Make (struct
+  type t = D.key
+
+  let equal (a : t) b = a = b
+
+  let hash ((t, id) : t) =
+    (id * 8)
+    + match t with F32 -> 0 | F64 -> 1 | S32 -> 2 | U32 -> 3 | S64 -> 4 | U64 -> 5 | Pred -> 6
+end)
+
 (* The generators front-load work — every component of a leaf is loaded
    when the node is first visited — and CSE stretches ranges further by
    making one early value serve late uses.  Sinking moves a pure,
@@ -355,105 +367,161 @@ let dce (k : kernel) =
 let sink (k : kernel) =
   let body = Array.of_list k.body in
   let n = Array.length body in
-  let counts = D.def_counts body in
-  let sd = D.single_def counts in
+  (* One backward sweep over original indices, moving each definition at
+     most once: when the sweep reaches index [i], everything at or above
+     it is still in original order, so [i] is the instruction to decide
+     on.  The body is a doubly linked list over original indices; a move
+     is an unlink plus an insert before the first use.  Order queries
+     compare integer labels ([gap] apart, halved by each insert, and
+     reassigned along the whole list only when a gap runs out), so no
+     move renumbers the instructions it hops over.
+
+     Registers get dense ids, with their definition counts and static
+     use lists naming instructions by original index.  Per id the pass
+     keeps the current first and last use.  A move changes the position
+     of the moved instruction only, and always downwards: it can become
+     the last use of what it reads, and it stops being the first use of
+     those it was the first use of — a rescan of that use list, which
+     happens at most once per register because every other use lies
+     below and has already been decided.  Every decision is a constant
+     number of label comparisons plus the settled scan below, so the
+     pass is linear in the body apart from the rare relabelling. *)
+  let ids = Keys.create 256 and weights = ref [] in
+  let id_of (r : reg) =
+    let kk = D.key r in
+    match Keys.find_opt ids kk with
+    | Some id -> id
+    | None ->
+        let id = Keys.length ids in
+        Keys.add ids kk id;
+        weights := D.weight r.rtype :: !weights;
+        id
+  in
+  let def_id = Array.map (fun i -> match D.def_of i with Some d -> id_of d | None -> -1) body in
+  let reads = Array.map (fun i -> List.sort_uniq compare (List.map id_of (D.uses_of i))) body in
+  let kweight = Array.of_list (List.rev !weights) in
+  let nkeys = Array.length kweight in
+  let ndefs = Array.make nkeys 0 and uses = Array.make nkeys [] in
+  Array.iter (fun d -> if d >= 0 then ndefs.(d) <- ndefs.(d) + 1) def_id;
+  for i = n - 1 downto 0 do
+    List.iter (fun id -> uses.(id) <- i :: uses.(id)) reads.(i)
+  done;
+  let sites = Array.map Array.of_list uses in
+  let single id = ndefs.(id) = 1 in
   let movable i =
-    (not (D.is_side_effecting i))
-    && (match i with Call _ -> false | _ -> true)
-    &&
-    match D.def_of i with
-    | Some d -> sd d && List.for_all sd (D.uses_of i)
-    | None -> false
+    let d = def_id.(i) in
+    (not (D.is_side_effecting body.(i)))
+    && (match body.(i) with Call _ -> false | _ -> true)
+    && d >= 0 && single d && sites.(d) <> [||]
+    && List.for_all single reads.(i)
   in
-  (* One backward sweep, moving each definition at most once.  The chains
-     are maintained incrementally: a move only renumbers the window
-     between the definition and its first use, so only the window
-     instructions' recorded positions change — rebuilding the chains (and
-     rescanning the body) after every move made this pass quadratic on
-     the several-thousand-instruction Dslash kernels. *)
-  let ch = D.chains body in
-  let remap tbl key ~from ~to_ =
-    match Hashtbl.find_opt tbl key with
-    | None -> ()
-    | Some l ->
-        let rec go = function
-          | [] -> []
-          | x :: tl -> if x = from then to_ :: tl else x :: go tl
-        in
-        Hashtbl.replace tbl key (List.sort compare (go l))
+  let gap = 1 lsl 32 in
+  let label = Array.init n (fun i -> i * gap) in
+  let next = Array.init n (fun i -> i + 1) and prev = Array.init n (fun i -> i - 1) in
+  let head = ref 0 in
+  let relabel () =
+    let rec go j l =
+      if j < n then begin
+        label.(j) <- l;
+        go next.(j) (l + gap)
+      end
+    in
+    go !head 0
   in
-  let reposition instr ~from ~to_ =
-    (match D.def_of instr with
-    | Some d -> remap ch.D.def_sites (D.key d) ~from ~to_
-    | None -> ());
-    List.iter (fun r -> remap ch.D.use_sites (D.key r) ~from ~to_) (D.uses_of instr)
+  let first = Array.map (fun s -> if s = [||] then -1 else s.(0)) sites in
+  let last = Array.map (fun s -> if s = [||] then -1 else s.(Array.length s - 1)) sites in
+  let rescan_first id =
+    first.(id) <-
+      Array.fold_left (fun b u -> if label.(u) < label.(b) then u else b) sites.(id).(0) sites.(id)
   in
-  let do_move p f =
-    let instr = body.(p) in
-    for q = p + 1 to f - 1 do
-      reposition body.(q) ~from:q ~to_:(q - 1)
-    done;
-    reposition instr ~from:p ~to_:(f - 1);
-    for j = p to f - 2 do
-      body.(j) <- body.(j + 1)
-    done;
-    body.(f - 1) <- instr
+  (* Barriers never move and no move crosses one, so the first barrier
+     below [i] in the current order is the first one below it in the
+     original body.  Stores stop loads only (the destination may alias a
+     source field, as in an in-place axpy); labels, branches, calls and
+     the exit stop everything. *)
+  let next_ctrl = Array.make n n and next_ctrl_or_store = Array.make n n in
+  for i = n - 2 downto 0 do
+    let c = i + 1 in
+    let ctrl, store =
+      match body.(c) with
+      | Label _ | Bra _ | Call _ | Ret -> (true, true)
+      | St_global _ | St_global_f16 _ -> (false, true)
+      | _ -> (false, false)
+    in
+    next_ctrl.(i) <- (if ctrl then c else next_ctrl.(c));
+    next_ctrl_or_store.(i) <- (if store then c else next_ctrl_or_store.(c))
+  done;
+  let move i f =
+    let p = prev.(i) and nx = next.(i) in
+    if p >= 0 then next.(p) <- nx else head := nx;
+    prev.(nx) <- p;
+    let pf = prev.(f) in
+    if label.(f) - label.(pf) < 2 then relabel ();
+    label.(i) <- (label.(pf) + label.(f)) / 2;
+    next.(pf) <- i;
+    prev.(i) <- pf;
+    next.(i) <- f;
+    prev.(f) <- i;
+    List.iter
+      (fun id ->
+        if label.(i) > label.(last.(id)) then last.(id) <- i;
+        if first.(id) = i then rescan_first id)
+      reads.(i)
   in
   let changed = ref false in
   for i = n - 2 downto 0 do
-    if movable body.(i) then
-      let d = Option.get (D.def_of body.(i)) in
-      match D.uses_of_reg ch d with
-      | first :: _ when first > i + 1 ->
-          let barrier = ref false in
-          let is_load =
-            match body.(i) with Ld_global _ | Ld_global_f16 _ -> true | _ -> false
-          in
-          for j = i + 1 to first - 1 do
-            match body.(j) with
-            | Label _ | Bra _ | Call _ | Ret -> barrier := true
-            | (St_global _ | St_global_f16 _) when is_load -> barrier := true
-            | _ -> ()
-          done;
-          (* Weight of operands the move would stretch: any input whose
-             last use apart from this instruction lies above the target
-             now has to stay live down to it.  Requiring the stretched
-             weight to stay within the sunk definition's weight makes
-             the move pointwise non-increasing in pressure: over the
-             vacated span the definition's units are gone, and the
-             stretched units never exceed them. *)
-          let cost =
-            let rec drop_one = function
-              | [] -> []
-              | x :: tl -> if x = i then tl else x :: drop_one tl
-            in
-            List.fold_left
-              (fun acc kk ->
-                let uses = Option.value ~default:[] (Hashtbl.find_opt ch.D.use_sites kk) in
-                let last_other = List.fold_left max (-1) (drop_one uses) in
-                if last_other < first - 1 then acc + D.weight (fst kk) else acc)
-              0
-              (List.sort_uniq compare (List.map D.key (D.uses_of body.(i))))
-          in
-          (* If everything in the gap already feeds the same consumer,
-             the cluster is packed: hopping over those neighbours would
-             gain nothing and two such values could swap forever. *)
-          let settled = ref true in
-          for j = i + 1 to first - 1 do
-            match D.def_of body.(j) with
-            | Some dj when not (D.is_side_effecting body.(j)) -> (
-                match D.uses_of_reg ch dj with
-                | f :: _ when f = first -> ()
-                | _ -> settled := false)
-            | _ -> settled := false
-          done;
-          if (not !barrier) && (not !settled) && cost <= D.weight d.rtype then begin
-            do_move i first;
-            changed := true
-          end
-      | _ -> ()
+    if movable i && label.(first.(def_id.(i))) > label.(i) then begin
+      let f = first.(def_id.(i)) in
+      let barrier =
+        let b =
+          match body.(i) with
+          | Ld_global _ | Ld_global_f16 _ -> next_ctrl_or_store.(i)
+          | _ -> next_ctrl.(i)
+        in
+        b < n && label.(b) < label.(f)
+      in
+      (* Weight of operands the move would stretch: any input whose last
+         use lies above the target (this instruction's own use does) now
+         has to stay live down to it.  Requiring the stretched weight to
+         stay within the sunk definition's weight makes the move
+         pointwise non-increasing in pressure: over the vacated span the
+         definition's units are gone, and the stretched units never
+         exceed them. *)
+      let cost () =
+        let target = label.(prev.(f)) in
+        List.fold_left
+          (fun acc id -> if label.(last.(id)) < target then acc + kweight.(id) else acc)
+          0 reads.(i)
+      in
+      (* If everything in the gap already feeds the same consumer, the
+         cluster is packed: hopping over those neighbours would gain
+         nothing and two such values could swap forever.  An empty gap
+         (the use is already next) is packed too. *)
+      let rec settled j =
+        j = f
+        || (not (D.is_side_effecting body.(j)))
+           && def_id.(j) >= 0
+           && first.(def_id.(j)) = f
+           && settled next.(j)
+      in
+      if (not barrier) && (not (settled next.(i))) && cost () <= kweight.(def_id.(i)) then begin
+        move i f;
+        changed := true
+      end
+    end
   done;
-  if !changed then { k with body = Array.to_list body } else k
+  if !changed then begin
+    let out = ref [] in
+    let rec walk j =
+      if j < n then begin
+        out := body.(j) :: !out;
+        walk next.(j)
+      end
+    in
+    walk !head;
+    { k with body = List.rev !out }
+  end
+  else k
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline                                                            *)

@@ -47,7 +47,7 @@ val dce : Types.kernel -> Types.kernel
 (** Move pure single-def instructions down to just before their first
     use, shrinking live ranges (and so allocator register demand) without
     changing any computed value.  Loads never cross stores; nothing
-    crosses control flow. *)
+    crosses control flow.  Near-linear in the body length. *)
 val sink : Types.kernel -> Types.kernel
 
 val default_pipeline :

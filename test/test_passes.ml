@@ -458,6 +458,408 @@ let test_engine_records_jit_stats () =
       Alcotest.(check bool) "passes recorded" true (s.Engine.passes <> [])
   | l -> Alcotest.failf "expected one scorecard, got %d" (List.length l)
 
+(* The pass as it was before it kept the body as a linked list: it
+   renumbers every instruction a move hops over, so it is quadratic on
+   fused kernels.  Kept as the oracle the linear pass must match. *)
+let reference_sink (k : kernel) =
+  let body = Array.of_list k.body in
+  let n = Array.length body in
+  let counts = D.def_counts body in
+  let sd = D.single_def counts in
+  let movable i =
+    (not (D.is_side_effecting i))
+    && (match i with Call _ -> false | _ -> true)
+    &&
+    match D.def_of i with
+    | Some d -> sd d && List.for_all sd (D.uses_of i)
+    | None -> false
+  in
+  (* One backward sweep, moving each definition at most once.  The chains
+     are maintained incrementally: a move only renumbers the window
+     between the definition and its first use, so only the window
+     instructions' recorded positions change — rebuilding the chains (and
+     rescanning the body) after every move made this pass quadratic on
+     the several-thousand-instruction Dslash kernels. *)
+  let ch = D.chains body in
+  let remap tbl key ~from ~to_ =
+    match Hashtbl.find_opt tbl key with
+    | None -> ()
+    | Some l ->
+        let rec go = function
+          | [] -> []
+          | x :: tl -> if x = from then to_ :: tl else x :: go tl
+        in
+        Hashtbl.replace tbl key (List.sort compare (go l))
+  in
+  let reposition instr ~from ~to_ =
+    (match D.def_of instr with
+    | Some d -> remap ch.D.def_sites (D.key d) ~from ~to_
+    | None -> ());
+    List.iter (fun r -> remap ch.D.use_sites (D.key r) ~from ~to_) (D.uses_of instr)
+  in
+  let do_move p f =
+    let instr = body.(p) in
+    for q = p + 1 to f - 1 do
+      reposition body.(q) ~from:q ~to_:(q - 1)
+    done;
+    reposition instr ~from:p ~to_:(f - 1);
+    for j = p to f - 2 do
+      body.(j) <- body.(j + 1)
+    done;
+    body.(f - 1) <- instr
+  in
+  let changed = ref false in
+  for i = n - 2 downto 0 do
+    if movable body.(i) then
+      let d = Option.get (D.def_of body.(i)) in
+      match D.uses_of_reg ch d with
+      | first :: _ when first > i + 1 ->
+          let barrier = ref false in
+          let is_load =
+            match body.(i) with Ld_global _ | Ld_global_f16 _ -> true | _ -> false
+          in
+          for j = i + 1 to first - 1 do
+            match body.(j) with
+            | Label _ | Bra _ | Call _ | Ret -> barrier := true
+            | (St_global _ | St_global_f16 _) when is_load -> barrier := true
+            | _ -> ()
+          done;
+          (* Weight of operands the move would stretch: any input whose
+             last use apart from this instruction lies above the target
+             now has to stay live down to it.  Requiring the stretched
+             weight to stay within the sunk definition's weight makes
+             the move pointwise non-increasing in pressure: over the
+             vacated span the definition's units are gone, and the
+             stretched units never exceed them. *)
+          let cost =
+            let rec drop_one = function
+              | [] -> []
+              | x :: tl -> if x = i then tl else x :: drop_one tl
+            in
+            List.fold_left
+              (fun acc kk ->
+                let uses = Option.value ~default:[] (Hashtbl.find_opt ch.D.use_sites kk) in
+                let last_other = List.fold_left max (-1) (drop_one uses) in
+                if last_other < first - 1 then acc + D.weight (fst kk) else acc)
+              0
+              (List.sort_uniq compare (List.map D.key (D.uses_of body.(i))))
+          in
+          (* If everything in the gap already feeds the same consumer,
+             the cluster is packed: hopping over those neighbours would
+             gain nothing and two such values could swap forever. *)
+          let settled = ref true in
+          for j = i + 1 to first - 1 do
+            match D.def_of body.(j) with
+            | Some dj when not (D.is_side_effecting body.(j)) -> (
+                match D.uses_of_reg ch dj with
+                | f :: _ when f = first -> ()
+                | _ -> settled := false)
+            | _ -> settled := false
+          done;
+          if (not !barrier) && (not !settled) && cost <= D.weight d.rtype then begin
+            do_move i first;
+            changed := true
+          end
+      | _ -> ()
+  done;
+  if !changed then { k with body = Array.to_list body } else k
+
+(* Random forward-branching kernels: duplicate operands, multi-def
+   registers, loads and stores through a few aliased addresses, address
+   arithmetic, labels, predicated and plain branches, calls. *)
+let random_kernel seed =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let pick l = List.nth l (int (List.length l)) in
+  let serial = ref 0 in
+  let pools = Hashtbl.create 8 in
+  let pool t = Option.value ~default:[] (Hashtbl.find_opt pools t) in
+  let fresh t =
+    incr serial;
+    let x = r t !serial in
+    Hashtbl.replace pools t (x :: pool t);
+    x
+  in
+  (* One definition in five rewrites an existing register. *)
+  let dst t = if pool t <> [] && int 5 = 0 then pick (pool t) else fresh t in
+  let src t = pick (pool t) in
+  let opnd t = if int 8 = 0 then Imm_float (float_of_int (int 4)) else Reg (src t) in
+  let offset () = 8 * int 3 in
+  let body = ref [] and labels = ref 0 and pending = ref false in
+  let emit i = body := i :: !body in
+  let place_label () =
+    emit (Label (Printf.sprintf "L%d" !labels));
+    incr labels;
+    pending := false
+  in
+  emit (Ld_param { dst = fresh U64; param_index = 0 });
+  emit (Ld_param { dst = fresh U64; param_index = 1 });
+  emit (Ld_param { dst = fresh S32; param_index = 2 });
+  emit (Mov { dst = fresh F64; src = Imm_float 1.0 });
+  emit (Mov { dst = fresh F32; src = Imm_float 2.0 });
+  for _ = 1 to 10 + int 70 do
+    match int 20 with
+    | 0 | 1 | 2 | 3 ->
+        emit (Ld_global { dtype = F64; dst = dst F64; addr = src U64; offset = offset () })
+    | 4 -> emit (St_global { dtype = F64; addr = src U64; offset = offset (); src = opnd F64 })
+    | 5 -> emit (Ld_global_f16 { dst = dst F32; addr = src U64; offset = offset () })
+    | 6 -> emit (St_global_f16 { addr = src U64; offset = offset (); src = opnd F32 })
+    | 7 | 8 | 9 ->
+        let a = opnd F64 in
+        let b = if int 3 = 0 then a else opnd F64 in
+        let dtype = F64 and dst = dst F64 in
+        emit
+          (match int 3 with
+          | 0 -> Add { dtype; dst; a; b }
+          | 1 -> Mul { dtype; dst; a; b }
+          | _ -> Sub { dtype; dst; a; b })
+    | 10 -> emit (Fma { dtype = F64; dst = dst F64; a = opnd F64; b = opnd F64; c = opnd F64 })
+    | 11 -> emit (Add { dtype = U64; dst = dst U64; a = Reg (src U64); b = Imm_int (8 * int 4) })
+    | 12 -> emit (Cvt { dst = dst F32; src = src F64 })
+    | 13 -> emit (Mul { dtype = F32; dst = dst F32; a = opnd F32; b = opnd F32 })
+    | 14 ->
+        let p = fresh Pred in
+        emit (Setp { cmp = Lt; dtype = S32; dst = p; a = Reg (src S32); b = Imm_int (int 9) });
+        emit (Bra { label = Printf.sprintf "L%d" !labels; pred = Some p });
+        pending := true
+    | 15 ->
+        emit (Bra { label = Printf.sprintf "L%d" !labels; pred = None });
+        pending := true
+    | 16 -> place_label ()
+    | 17 -> emit (Call { func = "sin"; ret = dst F64; arg = src F64 })
+    | 18 -> emit (Neg { dtype = F64; dst = dst F64; a = opnd F64 })
+    | _ -> emit (Mov { dst = dst F64; src = Reg (src F64) })
+  done;
+  if !pending then place_label ();
+  List.iter
+    (fun x ->
+      if int 2 = 0 then emit (St_global { dtype = F64; addr = src U64; offset = 0; src = Reg x }))
+    (pool F64);
+  emit Ret;
+  kern
+    ~params:
+      [
+        { pname = "a"; ptype = U64 }; { pname = "b"; ptype = U64 }; { pname = "n"; ptype = S32 };
+      ]
+    (List.rev !body)
+
+let qcheck_sink_matches_reference =
+  QCheck.Test.make ~name:"random kernels: sink = reference sink" ~count:1000
+    QCheck.(make ~print:(fun s -> Ptx.Print.kernel (random_kernel s)) Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let k = random_kernel seed in
+      compare (P.sink k) (reference_sink k) = 0)
+
+(* The property is only as strong as the moves its kernels make. *)
+let test_random_kernels_sink () =
+  let moved = ref 0 in
+  for seed = 0 to 199 do
+    let k = random_kernel seed in
+    if compare (reference_sink k) k <> 0 then incr moved
+  done;
+  if !moved < 100 then Alcotest.failf "only %d of 200 random kernels sink anything" !moved
+
+(* Every sink call the middle-end makes on the kernels a fused Wilson CG
+   and a 2^4 HMC trajectory compile, checked against the reference. *)
+let test_sink_matches_reference_on_workloads () =
+  let wilson =
+    let eng = Engine.create () in
+    let links = Lqcd.Gauge.create_links geom in
+    Lqcd.Gauge.random_gauge ~epsilon:0.3 links (Prng.create ~seed:11L);
+    let ops = Solvers.Ops.jit eng fm geom in
+    let nop = Solvers.Ops.normal_op ops ~apply_m:(Lqcd.Wilson.wilson_expr ~kappa:0.115 links) in
+    let x = ops.Solvers.Ops.fresh () in
+    ignore (Solvers.Cg.solve ops nop ~b:psi ~x ~max_iter:3 ());
+    Engine.built_kernels eng
+  in
+  let hmc =
+    let eng = Engine.create () in
+    let g = Geometry.create [| 2; 2; 2; 2 |] in
+    let ctx = Hmc.Context.create ~backend:(Hmc.Context.jit_backend eng) ~seed:7L g in
+    Lqcd.Gauge.random_gauge ~epsilon:0.25 ctx.Hmc.Context.u (Prng.create ~seed:17L);
+    let monomials =
+      [
+        Hmc.Gauge_monomial.create ctx ~beta:5.6 ~aniso:1.0 ();
+        Hmc.Two_flavor.create ctx ~kappa:0.10 ();
+      ]
+    in
+    ignore
+      (Hmc.Driver.run_trajectory ctx monomials
+         { Hmc.Driver.steps = 1; dt = 0.05; scheme = Hmc.Integrator.Omelyan });
+    Engine.built_kernels eng
+  in
+  let calls = ref 0 and moved = ref 0 in
+  let checked k =
+    let k' = P.sink k in
+    incr calls;
+    if compare k' (reference_sink k) <> 0 then
+      Alcotest.failf "sink differs from the reference on %s (%d instructions)" k.kname (len k);
+    if compare k' k <> 0 then incr moved;
+    k'
+  in
+  let pipeline =
+    List.map (fun (name, pass) -> if name = "sink" then (name, checked) else (name, pass))
+      (P.default_pipeline ())
+  in
+  let rec fixpoint rounds k =
+    let k' = List.fold_left (fun k (_, pass) -> pass k) k pipeline in
+    if compare k k' = 0 || rounds >= 4 then k' else fixpoint (rounds + 1) k'
+  in
+  List.iter
+    (fun (b : Qdpjit.Codegen.built) ->
+      ignore (fixpoint 1 b.Qdpjit.Codegen.raw);
+      ignore (checked b.Qdpjit.Codegen.kernel))
+    (wilson @ hmc);
+  if !moved = 0 then Alcotest.failf "no sink call moved anything (%d calls)" !calls
+
+(* The neg sinks past the store of [a], until then [a]'s last reader,
+   and becomes the last reader itself.  When the cvt then goes to the
+   same consumer it does not stretch [a], so the f32 [t] may move
+   although [a] weighs more. *)
+let test_sink_moved_use_becomes_last () =
+  let addr = r U64 0 and a = r F64 0 and s = r F64 1 and u = r F64 2 and t = r F32 0 in
+  let k =
+    kern
+      [
+        Ld_param { dst = addr; param_index = 0 };
+        Ld_global { dtype = F64; dst = a; addr; offset = 0 };
+        Cvt { dst = t; src = a };
+        Neg { dtype = F64; dst = s; a = Reg a };
+        St_global { dtype = F64; addr; offset = 8; src = Reg a };
+        St_global { dtype = F64; addr; offset = 16; src = Imm_float 0.0 };
+        Add { dtype = F64; dst = u; a = Reg s; b = Reg t };
+        St_global { dtype = F64; addr; offset = 24; src = Reg u };
+        Ret;
+      ]
+  in
+  let k' = P.sink k in
+  Alcotest.(check bool) "= reference" true (compare k' (reference_sink k) = 0);
+  Alcotest.(check int) "neg sank past both stores" 4
+    (index_of (function Neg _ -> true | _ -> false) k');
+  Alcotest.(check int) "cvt sank to the add" 5 (index_of (function Cvt _ -> true | _ -> false) k')
+
+(* A 64-long chain sinks below [st0] one link at a time, each insert
+   halving the same label gap, so the labels run out and are reassigned
+   mid-pass.  After that the loads of [v0] and [w] must still see [st0]
+   between them and their first uses, deep inside the chain. *)
+let test_sink_chain_outlasts_label_gap () =
+  let m = 64 and kw = 8 in
+  let addr = r U64 0 and w = r F64 (m + 1) and v j = r F64 j in
+  let chain =
+    List.init m (fun j ->
+        let j = j + 1 in
+        if j = kw then Add { dtype = F64; dst = v j; a = Reg (v (j - 1)); b = Reg w }
+        else Neg { dtype = F64; dst = v j; a = Reg (v (j - 1)) })
+  in
+  let dead = List.init 4 (fun q -> Mov_sreg { dst = r U32 q; src = Tid_x }) in
+  let k =
+    kern
+      ([
+         Ld_param { dst = addr; param_index = 0 };
+         Ld_global { dtype = F64; dst = w; addr; offset = 16 };
+         Ld_global { dtype = F64; dst = v 0; addr; offset = 0 };
+       ]
+      @ chain @ dead
+      @ [
+          St_global { dtype = F64; addr; offset = 8; src = Imm_float 0.0 };
+          St_global { dtype = F64; addr; offset = 0; src = Reg (v m) };
+          St_global { dtype = F64; addr; offset = 24; src = Reg (v (kw - 1)) };
+          Ret;
+        ])
+  in
+  let k' = P.sink k in
+  Alcotest.(check bool) "= reference" true (compare k' (reference_sink k) = 0);
+  let st0 = index_of (function St_global { offset = 8; _ } -> true | _ -> false) k' in
+  Alcotest.(check int) "loads stay above the store" 2
+    (index_of (function Ld_global { dst; _ } -> dst = v 0 | _ -> false) k');
+  List.iteri
+    (fun j _ ->
+      Alcotest.(check int) (Printf.sprintf "link %d in order below the store" (j + 1)) (st0 + 1 + j)
+        (index_of (fun i -> D.def_of i = Some (v (j + 1))) k'))
+    chain
+
+(* A straight-line kernel of [n] instructions: loads [x0 .. x(m-1)],
+   then the ladder [add0 = x0 + 1], [addj = add(j-1) + xj], then a
+   store.  Each load sinks past all the adds above its own. *)
+let sink_ladder n =
+  let addr = r U64 0 and m = (n - 3) / 2 in
+  let x j = r F64 j and s j = r F64 (m + j) in
+  let loads = List.init m (fun j -> Ld_global { dtype = F64; dst = x j; addr; offset = 8 * j }) in
+  let adds =
+    List.init m (fun j ->
+        if j = 0 then Add { dtype = F64; dst = s 0; a = Reg (x 0); b = Imm_float 1.0 }
+        else Add { dtype = F64; dst = s j; a = Reg (s (j - 1)); b = Reg (x j) })
+  in
+  kern
+    ((Ld_param { dst = addr; param_index = 0 } :: loads)
+    @ adds
+    @ [ St_global { dtype = F64; addr; offset = 0; src = Reg (s (m - 1)) }; Ret ])
+
+(* No wall-clock bound, only a ratio: quadrupling the body costs a
+   linear pass 4x and a quadratic one 16x. *)
+let test_sink_scales_linearly () =
+  let time n =
+    let k = sink_ladder n in
+    (* Every load ends just above its first use, except [x1]: [add0],
+       the only instruction between, already feeds [add1]. *)
+    let rec sunk = function
+      | Ld_global { dst; _ } :: (i :: _ as tl) when List.mem dst (D.uses_of i) -> 1 + sunk tl
+      | _ :: tl -> sunk tl
+      | [] -> 0
+    in
+    if sunk (P.sink k).body <> ((n - 3) / 2) - 1 then
+      Alcotest.failf "ladder %d: not every load sank" n;
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      Gc.full_major ();
+      let t0 = Unix.gettimeofday () in
+      ignore (Sys.opaque_identity (P.sink k));
+      best := Float.min !best (Unix.gettimeofday () -. t0)
+    done;
+    !best
+  in
+  let t8 = time 8_192 and t32 = time 32_768 in
+  if t32 > 8.0 *. t8 then
+    Alcotest.failf "sink time 32k/8k = %.1f (8k %.4f s, 32k %.4f s): not near-linear" (t32 /. t8) t8
+      t32
+
+(* Register demand as it was computed before the running weight: the
+   whole live set re-folded at every instruction. *)
+let reference_register_demand body =
+  let blks, _ = D.blocks body in
+  if Array.length blks = 0 then 0
+  else begin
+    let _, live_out = D.liveness body blks in
+    let set_weight s = D.KSet.fold (fun (dt, _) acc -> acc + D.weight dt) s 0 in
+    let peak = ref 0 in
+    Array.iteri
+      (fun bi (blk : D.block) ->
+        let live = ref live_out.(bi) in
+        for i = blk.D.last downto blk.D.first do
+          let instr = body.(i) in
+          let at_point =
+            match D.def_of instr with Some r -> D.KSet.add (D.key r) !live | None -> !live
+          in
+          peak := max !peak (set_weight at_point);
+          (match D.def_of instr with Some r -> live := D.KSet.remove (D.key r) !live | None -> ());
+          List.iter (fun r -> live := D.KSet.add (D.key r) !live) (D.uses_of instr)
+        done)
+      blks;
+    !peak
+  end
+
+let qcheck_register_demand_matches_fold =
+  QCheck.Test.make ~name:"random kernels: register demand = re-folded live sets" ~count:500
+    QCheck.(make ~print:(fun s -> Ptx.Print.kernel (random_kernel s)) Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let k = random_kernel seed in
+      let k' = (P.run k).P.kernel in
+      List.for_all
+        (fun k ->
+          let body = Array.of_list k.body in
+          D.register_demand_body body = reference_register_demand body)
+        [ k; k' ])
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: optimized JIT = raw JIT = CPU, bit-exact *)
 
@@ -536,7 +938,18 @@ let () =
           Alcotest.test_case "load sinks to first use" `Quick test_sink_moves_load_to_first_use;
           Alcotest.test_case "load never crosses store" `Quick test_sink_load_never_crosses_store;
           Alcotest.test_case "pressure-aware" `Quick test_sink_is_pressure_aware;
+          Alcotest.test_case "moved use becomes the last use" `Quick
+            test_sink_moved_use_becomes_last;
+          Alcotest.test_case "chain outlasts the label gap" `Quick
+            test_sink_chain_outlasts_label_gap;
+          Alcotest.test_case "random kernels move" `Quick test_random_kernels_sink;
+          QCheck_alcotest.to_alcotest qcheck_sink_matches_reference;
+          Alcotest.test_case "workload kernels = reference" `Quick
+            test_sink_matches_reference_on_workloads;
+          Alcotest.test_case "near-linear in body length" `Quick test_sink_scales_linearly;
         ] );
+      ( "register demand",
+        [ QCheck_alcotest.to_alcotest qcheck_register_demand_matches_fold ] );
       ( "validate",
         [
           Alcotest.test_case "branch-path undef caught" `Quick
