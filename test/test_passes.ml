@@ -948,7 +948,7 @@ let () =
             test_sink_matches_reference_on_workloads;
           Alcotest.test_case "near-linear in body length" `Quick test_sink_scales_linearly;
         ] );
-      ( "register demand",
+      ( "reg-demand",
         [ QCheck_alcotest.to_alcotest qcheck_register_demand_matches_fold ] );
       ( "validate",
         [
