@@ -133,6 +133,15 @@ def check_fusion(args):
     mf = cg["fused"]["sim_ms"]
     mr = cg["fused_reduction"]["sim_ms"]
     assert mr <= mf < mu, f"simulated time not improved by fusion: {mu} / {mf} / {mr} ms"
+    # Every global sum reads its result back in exactly one copy and
+    # leaves nothing on the device to page out.
+    for config in ("unfused", "fused", "fused_reduction"):
+        c = cg[config]
+        assert c["readbacks"] == c["reductions"], (
+            f"{config}: {c['readbacks']} reduction readbacks for "
+            f"{c['reductions']} reductions (want one each)"
+        )
+        assert c["pageouts"] == 0, f"{config}: {c['pageouts']} page-outs in a steady solve"
     assert cg["fused"]["wall_s"] <= cg["unfused"]["wall_s"] * 1.25, (
         f"fused steady-state wall {cg['fused']['wall_s']}s far exceeds "
         f"unfused {cg['unfused']['wall_s']}s"
@@ -377,6 +386,8 @@ def check_precision(args):
 
 EXACT_KEYS = {
     "launches",
+    "readbacks",
+    "pageouts",
     "iterations",
     "aux_iterations",
     "max_iter",

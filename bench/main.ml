@@ -496,7 +496,30 @@ let fusion_bench () =
   let run config =
     let eng = engine_config config in
     let st = Gpusim.Device.stats (Qdpjit.Engine.device eng) in
-    let ops = Solvers.Ops.jit eng shape geom in
+    let mc = Memcache.stats (Qdpjit.Engine.memcache eng) in
+    (* Count the solver's global sums, and the reduction readbacks on the
+       device timeline: each reduction must cost exactly one. *)
+    let reductions = ref 0 in
+    let readbacks () =
+      List.length
+        (List.filter
+           (fun (s : Streams.span) -> s.Streams.span_name = "reduce readback")
+           (Streams.spans (Qdpjit.Engine.streams eng)))
+    in
+    let ops =
+      let o = Solvers.Ops.jit eng shape geom in
+      {
+        o with
+        Solvers.Ops.norm2 =
+          (fun ?subset e ->
+            incr reductions;
+            o.Solvers.Ops.norm2 ?subset e);
+        inner =
+          (fun ?subset a b ->
+            incr reductions;
+            o.Solvers.Ops.inner ?subset a b);
+      }
+    in
     let u = Lqcd.Gauge.create_links geom in
     Lqcd.Gauge.random_gauge ~epsilon:0.3 u (Prng.create ~seed:31L);
     let nop = Solvers.Ops.normal_op ops ~apply_m:(Lqcd.Wilson.wilson_expr ~kappa u) in
@@ -520,16 +543,18 @@ let fusion_bench () =
     Qdpjit.Engine.reset_stats eng;
     let l0 = st.Gpusim.Device.launches and ns0 = st.Gpusim.Device.kernel_ns in
     let b0 = Qdpjit.Engine.kernel_bytes_moved eng in
+    let red0 = !reductions and rb0 = readbacks () and po0 = mc.Memcache.pageouts in
     let r, x, w1 = solve () in
     let launches = st.Gpusim.Device.launches - l0 in
     let bytes = Qdpjit.Engine.kernel_bytes_moved eng - b0 in
     let sim_ms = (st.Gpusim.Device.kernel_ns -. ns0) /. 1e6 in
+    let reds = (!reductions - red0, readbacks () - rb0, mc.Memcache.pageouts - po0) in
     let _, _, w2 = solve () in
-    (r, x, launches, bytes, min w1 w2, cold, sim_ms, Qdpjit.Engine.fusion_stats eng)
+    (r, x, launches, bytes, min w1 w2, cold, sim_ms, Qdpjit.Engine.fusion_stats eng, reds)
   in
-  let rr, xr, lr, br, wr, cr, mr, sr = run `Fused_reduction in
-  let rf, xf, lf, bf, wf, cf, mf, _ = run `Fused in
-  let ru, xu, lu, bu, wu, cu, mu, _ = run `Unfused in
+  let rr, xr, lr, br, wr, cr, mr, sr, (nr, rbr, por) = run `Fused_reduction in
+  let rf, xf, lf, bf, wf, cf, mf, _, (nf, rbf, pof) = run `Fused in
+  let ru, xu, lu, bu, wu, cu, mu, _, (nu, rbu, pou) = run `Unfused in
   if not (rr.Solvers.Cg.converged && rf.Solvers.Cg.converged && ru.Solvers.Cg.converged) then
     failwith "fusion: CG diverged";
   if rr.Solvers.Cg.iterations <> ru.Solvers.Cg.iterations
@@ -545,14 +570,15 @@ let fusion_bench () =
   Printf.printf "  Wilson CG %s, %d iterations, solutions bit-identical across all 3 configs\n"
     (String.concat "x" (Array.to_list (Array.map string_of_int (Geometry.dims geom))))
     rr.Solvers.Cg.iterations;
-  Printf.printf "  %-16s %10s %12s %16s %10s %10s %10s\n" "" "launches" "launch/iter"
-    "kernel bytes" "sim ms" "wall s" "cold s";
-  Printf.printf "  %-16s %10d %12.1f %16d %10.3f %10.2f %10.2f\n" "eval-at-a-time" lu
-    (float_of_int lu /. iters) bu mu wu cu;
-  Printf.printf "  %-16s %10d %12.1f %16d %10.3f %10.2f %10.2f\n" "fused" lf
-    (float_of_int lf /. iters) bf mf wf cf;
-  Printf.printf "  %-16s %10d %12.1f %16d %10.3f %10.2f %10.2f\n" "fused+reduction" lr
-    (float_of_int lr /. iters) br mr wr cr;
+  Printf.printf "  %-16s %10s %12s %16s %10s %10s %10s %11s %10s\n" "" "launches"
+    "launch/iter" "kernel bytes" "sim ms" "wall s" "cold s" "reductions" "readbacks";
+  Printf.printf "  %-16s %10d %12.1f %16d %10.3f %10.2f %10.2f %11d %10d\n" "eval-at-a-time" lu
+    (float_of_int lu /. iters) bu mu wu cu nu rbu;
+  Printf.printf "  %-16s %10d %12.1f %16d %10.3f %10.2f %10.2f %11d %10d\n" "fused" lf
+    (float_of_int lf /. iters) bf mf wf cf nf rbf;
+  Printf.printf "  %-16s %10d %12.1f %16d %10.3f %10.2f %10.2f %11d %10d\n" "fused+reduction" lr
+    (float_of_int lr /. iters) br mr wr cr nr rbr;
+  Printf.printf "  page-outs per steady solve: %d / %d / %d\n" pou pof por;
   Printf.printf
     "  planner: %d groups fused, %d launches saved, %d load B + %d store B eliminated, %d fallbacks\n"
     sr.Qdpjit.Engine.fused_groups sr.Qdpjit.Engine.launches_saved
@@ -648,16 +674,18 @@ let fusion_bench () =
     "{\n\
     \  \"cg\": {\"iterations\": %d, \"bit_identical\": true,\n\
     \    \"unfused\": {\"launches\": %d, \"kernel_bytes\": %d, \"sim_ms\": %.6f, \"wall_s\": \
-     %.3f, \"cold_s\": %.3f},\n\
+     %.3f, \"cold_s\": %.3f, \"reductions\": %d, \"readbacks\": %d, \"pageouts\": %d},\n\
     \    \"fused\": {\"launches\": %d, \"kernel_bytes\": %d, \"sim_ms\": %.6f, \"wall_s\": \
-     %.3f, \"cold_s\": %.3f},\n\
+     %.3f, \"cold_s\": %.3f, \"reductions\": %d, \"readbacks\": %d, \"pageouts\": %d},\n\
     \    \"fused_reduction\": {\"launches\": %d, \"kernel_bytes\": %d, \"sim_ms\": %.6f, \
-     \"wall_s\": %.3f, \"cold_s\": %.3f}},\n\
+     \"wall_s\": %.3f, \"cold_s\": %.3f, \"reductions\": %d, \"readbacks\": %d, \
+     \"pageouts\": %d}},\n\
     \  \"planner\": {\"fused_groups\": %d, \"launches_saved\": %d,\n\
     \    \"eliminated_load_bytes\": %d, \"eliminated_store_bytes\": %d, \"fallbacks\": %d},\n\
     \  \"jit_cache\": %s\n\
      }\n"
-    rr.Solvers.Cg.iterations lu bu mu wu cu lf bf mf wf cf lr br mr wr cr
+    rr.Solvers.Cg.iterations lu bu mu wu cu nu rbu pou lf bf mf wf cf nf rbf pof lr br mr wr cr
+    nr rbr por
     sr.Qdpjit.Engine.fused_groups
     sr.Qdpjit.Engine.launches_saved sr.Qdpjit.Engine.eliminated_load_bytes
     sr.Qdpjit.Engine.eliminated_store_bytes sr.Qdpjit.Engine.fallbacks cache_json;

@@ -103,6 +103,18 @@ def main():
     assert "MALFORMED INPUT" in r.stderr, f"no MALFORMED INPUT banner: {r.stderr}"
     expect(2, ["vmperf", fx("no_such_artifact.json")], "missing artifact file")
 
+    # Fusion: every reduction reads back once and pages nothing out.
+    expect(0, ["fusion", fx("fusion_good.json")], "good fusion artifact")
+    r = expect(
+        1,
+        ["fusion", fx("fusion_readback_per_plane.json")],
+        "one readback per component plane",
+    )
+    assert "readbacks" in r.stderr, f"violation not attributed to readbacks: {r.stderr}"
+    r = expect(1, ["fusion", fx("fusion_pageouts.json")], "page-outs in a steady solve")
+    assert "page-outs" in r.stderr, f"violation not attributed to page-outs: {r.stderr}"
+    expect(2, ["fusion", fx("fusion_no_readbacks.json")], "fusion artifact without readbacks")
+
     # Baseline comparison: matching baseline passes, drifted deterministic
     # counters fail with exit 1, a missing baseline dir is malformed input.
     with tempfile.TemporaryDirectory() as td:
@@ -125,15 +137,26 @@ def main():
             env_extra={"GITHUB_STEP_SUMMARY": summary},
         )
         assert "superinsns" in r.stderr, f"drift not attributed to superinsns: {r.stderr}"
+        expect(
+            0,
+            ["fusion", fx("fusion_good.json"), "--baseline", fx("baseline_ok")],
+            "fusion artifact matching its committed baseline",
+        )
+        r = expect(
+            1,
+            ["fusion", fx("fusion_good.json"), "--baseline", fx("baseline_drift")],
+            "drifted readback counters vs baseline",
+        )
+        assert "readbacks" in r.stderr, f"drift not attributed to readbacks: {r.stderr}"
     expect(
         2,
         ["vmperf", fx("vmperf_good.json"), "--baseline", fx("no_such_dir")],
         "missing baseline dir",
     )
 
-    print("check_bench selftest OK: 14 cases (exit codes 0/1/2, degraded "
-          "normalization, dslash + dispatch-ratio gates, baseline compare "
-          "+ step summary)")
+    print("check_bench selftest OK: 20 cases (exit codes 0/1/2, degraded "
+          "normalization, dslash + dispatch-ratio gates, fusion readback and "
+          "page-out gates, baseline compare + step summary)")
 
 
 if __name__ == "__main__":

@@ -19,10 +19,13 @@ module Field = Qdp.Field
 module JSite = Linalg.Site.Make (Jit_scalar)
 open Ptx.Types
 
-let version = 2
+let version = 3
 
 type param_plan =
   | Dest  (** destination field pointer *)
+  | Red_partial
+      (** partial-plane scratch of a reduction kernel, in place of [Dest]:
+          one plane of nsites doubles per component, indexed by work item *)
   | Leaf_ptr of int  (** nth distinct field of the expression *)
   | Ntable of int * int  (** neighbour table for (dim, dir) *)
   | Sitelist  (** site-list buffer (subset kernels) *)
@@ -75,7 +78,7 @@ let build ?(optimize = true) ?(reduction = false) ~kname ~dest_shape ~(expr : Ex
   let scalar_params = Expr.params expr in
   (* Parameter plan; order here defines the launch-time binding order. *)
   let plan =
-    (Dest :: List.mapi (fun i _ -> Leaf_ptr i) leaves)
+    ((if reduction then Red_partial else Dest) :: List.mapi (fun i _ -> Leaf_ptr i) leaves)
     @ List.map (fun (dim, dir) -> Ntable (dim, dir)) shift_dirs
     @ (if use_sitelist then [ Sitelist ] else [])
     @ [ N_work ]
@@ -92,6 +95,7 @@ let build ?(optimize = true) ?(reduction = false) ~kname ~dest_shape ~(expr : Ex
         let dtype, name =
           match p with
           | Dest -> (U64, "dest")
+          | Red_partial -> (U64, "redpart")
           | Leaf_ptr i -> (U64, Printf.sprintf "leaf%d" i)
           | Ntable (dim, dir) -> (U64, Printf.sprintf "ntab%d%s" dim (if dir > 0 then "p" else "m"))
           | Sitelist -> (U64, "sitelist")
@@ -226,11 +230,12 @@ let build ?(optimize = true) ?(reduction = false) ~kname ~dest_shape ~(expr : Ex
         (* Store to the destination (rounding across precision at the store,
            Sec. III-D). *)
         let prec = dest_shape.Shape.prec in
-        let base = preg Dest in
-        (* Reduction kernels write compact work-item-indexed planes: partial
-           [idx] rather than partial[site].  The in-kernel aggregation tail
-           and the fold chain then never depend on the subset's site
-           numbering, only on the work-item count. *)
+        let base = preg (if reduction then Red_partial else Dest) in
+        (* Reduction kernels write compact work-item-indexed planes into the
+           engine's partial scratch: partial[idx] rather than
+           partial[site].  The in-kernel aggregation tail and the fold
+           chain then never depend on the subset's site numbering, only on
+           the work-item count. *)
         let dest_site = if reduction then idx else site0 in
         let addr = field_address ~base ~prec dest_site in
         let ic = Shape.color_extent dest_shape.Shape.color in

@@ -21,6 +21,10 @@ val version : int
 (** Launch-time parameter binding order. *)
 type param_plan =
   | Dest  (** destination field pointer *)
+  | Red_partial
+      (** partial-plane scratch of a reduction kernel, bound in place of
+          [Dest]: one plane of nsites doubles per component, indexed by
+          work item *)
   | Leaf_ptr of int  (** nth distinct field of the expression *)
   | Ntable of int * int  (** neighbour table for (dim, dir) *)
   | Sitelist  (** site-list buffer (subset kernels) *)
@@ -57,8 +61,9 @@ val build :
     holds the unoptimized kernel for comparison.
 
     [reduction] (default off) builds the payload kernel of a reduction:
-    destination stores are addressed by the compact work-item index
-    instead of the site index, and the kernel grows a {!Block_partial}
+    there is no destination field — the per-work-item partials go to a
+    {!Red_partial} scratch buffer, addressed by the compact work-item
+    index instead of the site index — and the kernel grows a {!Block_partial}
     parameter plus an aggregation tail — the last thread of each group of
     8 work items re-reads the group's partials and stores their
     balanced-tree sum, cutting the host-side fold chain to radix 8.

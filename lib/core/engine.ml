@@ -5,9 +5,9 @@
     structure up in the kernel cache (generate + driver-JIT-compile PTX on
     a miss), make every referenced field device-resident through the
     memory cache, bind parameters, and launch through the per-kernel
-    auto-tuner.  Reductions evaluate a per-site kernel into a temporary
-    and fold it with cached pairwise-reduction kernels, keeping results
-    deterministic.
+    auto-tuner.  Reductions evaluate a per-site kernel into engine-owned
+    scratch and fold it with a cached radix-8 kernel, finishing the last
+    level on the host, keeping results deterministic.
 
     On top of that sits the deferred-launch queue: a default-stream
     [eval] only records the request, and a flush point (reduction,
@@ -77,17 +77,24 @@ type fusion_stats = {
 type read_info = { mutable r_unshifted : bool; mutable r_shifted : bool }
 
 type pending = {
-  p_dest : Field.t;
+  p_dest : Field.t option;
+      (** [None] for a reduction payload: the kernel is built in reduction
+          mode and writes the engine's partial-plane and block scratch,
+          never a field, so nothing is made resident, marked dirty or
+          dropped on its behalf *)
+  p_shape : Shape.t;  (** destination shape (f64 for a reduction payload) *)
   p_expr : Expr.t;
   p_subset : Subset.t;
   p_geom : Geometry.t;
   p_reads : (int, read_info) Hashtbl.t;
   p_retained : Field.t list;  (** memcache references taken at enqueue *)
-  p_red : bool;
-      (** reduction payload: the kernel is built in reduction mode
-          (compact destination planes + block-partial aggregation) and
-          binds the engine's block scratch buffer *)
 }
+
+let is_red (ev : pending) = ev.p_dest = None
+
+(* Does [ev] write field [fid]? *)
+let writes (ev : pending) fid =
+  match ev.p_dest with Some d -> d.Field.id = fid | None -> false
 
 (* Launch-time binding of one fused parameter slot; field identities are
    erased (canonical index into the group's distinct-field walk) so the
@@ -98,6 +105,7 @@ type fused_binding =
   | FB_sitelist
   | FB_nwork
   | FB_scalar of int * int * int  (** member, scalar slot, component *)
+  | FB_red_partial  (** the engine's partial-plane scratch buffer *)
   | FB_red_block  (** the engine's block-partial scratch buffer *)
 
 type fused_entry = {
@@ -138,13 +146,12 @@ type t = {
   mutable kernel_bytes_f64 : int;
       (** the float portion of [kernel_bytes] split by storage precision *)
   mutable reduce_kernel : kernel_entry option;
-  mutable reduce_scratch : (Buffer_.t * Buffer_.t) option;
-      (** cached ping/pong buffers for {!reduce_plane} *)
-  mutable reduce_scratch_cap : int;
-  mutable red_block : Buffer_.t option;
-      (** block-partial scratch the reduction-mode payload kernels write:
-          one plane of ceil(nsites/8) doubles per destination component *)
-  mutable red_block_cap : int;
+  red_partial : Buffer_.t option ref;
+      (** partial planes the reduction-mode payload kernels write: one
+          plane of nsites doubles per component *)
+  red_block : Buffer_.t option ref;
+      (** block partials the payload kernels aggregate into: one plane of
+          ceil(nsites/8) doubles per component *)
   mutable stats_rev : jit_stats list;
   mutable fs_deferred : int;
   mutable fs_flushes : int;
@@ -416,33 +423,34 @@ let tuned_launch t entry ~stream ~nthreads ~params =
     attempt ()
   end
 
-(* The block-partial scratch buffer, grown on demand.  Reductions are
-   synchronous (payload launch, then folds, then readback), so one engine
-   buffer serves every reduction and is never live across two. *)
-let red_block_scratch t ~cap =
-  match t.red_block with
-  | Some b when t.red_block_cap >= cap -> b
+(* The reduction scratch buffers, grown on demand (through the memcache's
+   spill loop) and never shrunk.  Reductions are synchronous (payload
+   launch, then folds, then readback), so one engine buffer of each kind
+   serves every reduction and is never live across two. *)
+let grow_scratch t s ~words =
+  match !s with
+  | Some b when b.Buffer_.bytes >= 8 * words -> b
   | prev ->
-      (match prev with Some b -> Device.free t.device b | None -> ());
-      t.red_block <- None;
-      t.red_block_cap <- 0;
-      let b = Device.alloc_f64 t.device cap in
-      t.red_block <- Some b;
-      t.red_block_cap <- cap;
+      Option.iter (Device.free t.device) prev;
+      s := None;
+      let b = Memcache.alloc_f64_spilling t.cache words in
+      s := Some b;
       b
 
-let red_block_buf t =
-  match t.red_block with
+let scratch_buf s =
+  match !s with
   | Some b -> b
-  | None -> invalid_arg "Engine: reduction kernel launched with no block scratch"
+  | None -> invalid_arg "Engine: reduction kernel launched with no scratch"
 
 (* One eval, launched immediately (the pre-queue semantics): make every
-   referenced field resident, bind the parameter plan, launch. *)
-let launch_eval ?(subset = Subset.All) ?(reduction = false) ~stream ~sync t dest expr =
-  let geom = dest.Field.geom in
+   referenced field resident, bind the parameter plan, launch.  [dest] is
+   [None] for a reduction payload, which writes the engine's scratch. *)
+let launch_eval ?(subset = Subset.All) ~stream ~sync t ~geom ~dest_shape dest expr =
   let nsites = Geometry.volume geom in
   let use_sitelist = not (Subset.is_all subset) in
-  let entry = lookup_kernel t ~reduction ~dest_shape:dest.Field.shape ~expr ~nsites ~use_sitelist in
+  let entry =
+    lookup_kernel t ~reduction:(dest = None) ~dest_shape ~expr ~nsites ~use_sitelist
+  in
   let leaves = Expr.leaves expr in
   (* Make everything resident before binding addresses (Sec. IV); the
      launch stream waits on any upload still in flight on the transfer
@@ -451,11 +459,14 @@ let launch_eval ?(subset = Subset.All) ?(reduction = false) ~stream ~sync t dest
     List.map (fun f -> Memcache.ensure_resident ~pin:true ~wait_stream:stream t.cache f) leaves
     |> Array.of_list
   in
-  let dest_is_leaf = List.exists (fun (f : Field.t) -> f.Field.id = dest.Field.id) leaves in
   let dest_buf =
-    Memcache.ensure_resident ~pin:true
-      ~for_write:(Subset.is_all subset && not dest_is_leaf)
-      ~wait_stream:stream t.cache dest
+    Option.map
+      (fun (d : Field.t) ->
+        let dest_is_leaf = List.exists (fun (f : Field.t) -> f.Field.id = d.Field.id) leaves in
+        Memcache.ensure_resident ~pin:true
+          ~for_write:(Subset.is_all subset && not dest_is_leaf)
+          ~wait_stream:stream t.cache d)
+      dest
   in
   let n_work = if use_sitelist then Subset.count geom subset else nsites in
   let scalar_values = Expr.params expr |> List.map snd |> Array.of_list in
@@ -463,20 +474,25 @@ let launch_eval ?(subset = Subset.All) ?(reduction = false) ~stream ~sync t dest
     List.map
       (fun plan ->
         match plan with
-        | Codegen.Dest -> Gpusim.Vm.Ptr dest_buf
+        | Codegen.Dest -> Gpusim.Vm.Ptr (Option.get dest_buf)
+        | Codegen.Red_partial -> Gpusim.Vm.Ptr (scratch_buf t.red_partial)
         | Codegen.Leaf_ptr i -> Gpusim.Vm.Ptr leaf_bufs.(i)
         | Codegen.Ntable (dim, dir) -> Gpusim.Vm.Ptr (ntable t geom ~dim ~dir)
         | Codegen.Sitelist -> Gpusim.Vm.Ptr (sitelist t geom subset)
         | Codegen.N_work -> Gpusim.Vm.Int n_work
-        | Codegen.Block_partial -> Gpusim.Vm.Ptr (red_block_buf t)
+        | Codegen.Block_partial -> Gpusim.Vm.Ptr (scratch_buf t.red_block)
         | Codegen.Scalar_param (slot, comp) -> Gpusim.Vm.Float scalar_values.(slot).(comp))
       entry.built.Codegen.plan
     |> Array.of_list
   in
   tuned_launch t entry ~stream ~nthreads:n_work ~params;
-  Memcache.mark_device_dirty t.cache dest;
+  Option.iter (Memcache.mark_device_dirty t.cache) dest;
   Memcache.unpin_all t.cache;
   if sync then ignore (Streams.stream_synchronize t.streams stream)
+
+let launch_pending ~stream ~sync t (ev : pending) =
+  launch_eval ~subset:ev.p_subset ~stream ~sync t ~geom:ev.p_geom ~dest_shape:ev.p_shape
+    ev.p_dest ev.p_expr
 
 (* ------------------------------------------------------------------ *)
 (* The fusion planner                                                  *)
@@ -561,11 +577,15 @@ let plan_groups (evs : pending array) =
       || (match !cur with [] -> false | j :: _ -> not (same_run evs.(j) ev))
       || List.exists
            (fun j ->
-             let w = evs.(j).p_dest.Field.id in
-             evs.(j).p_red
-             || w = ev.p_dest.Field.id
-             || reads_shifted ev w
-             || reads_shifted evs.(j) ev.p_dest.Field.id)
+             match evs.(j).p_dest with
+             | None -> true
+             | Some w ->
+                 let w = w.Field.id in
+                 writes ev w
+                 || reads_shifted ev w
+                 || (match ev.p_dest with
+                    | Some d -> reads_shifted evs.(j) d.Field.id
+                    | None -> false))
            !cur
     in
     if hazard then close ();
@@ -596,26 +616,29 @@ let plan_drops (evs : pending array) group_of =
   let n = Array.length evs in
   let drop = Array.make n false in
   for i = 0 to n - 1 do
-    let dest_id = evs.(i).p_dest.Field.id in
-    let f64 = evs.(i).p_dest.Field.shape.Shape.prec = Shape.F64 in
-    let j = ref (-1) in
-    let self_shift = reads_shifted evs.(i) dest_id in
-    (try
-       for k = i + 1 to n - 1 do
-         if evs.(k).p_dest.Field.id = dest_id then begin
-           j := k;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    if !j >= 0 && not self_shift && (not evs.(i).p_red) && same_run evs.(i) evs.(!j) then begin
-      let ok = ref true in
-      for k = i + 1 to !j do
-        if Hashtbl.mem evs.(k).p_reads dest_id then
-          if group_of.(k) <> group_of.(i) || not f64 then ok := false
-      done;
-      drop.(i) <- !ok
-    end
+    match evs.(i).p_dest with
+    | None -> ()
+    | Some dest ->
+        let dest_id = dest.Field.id in
+        let f64 = evs.(i).p_shape.Shape.prec = Shape.F64 in
+        let j = ref (-1) in
+        let self_shift = reads_shifted evs.(i) dest_id in
+        (try
+           for k = i + 1 to n - 1 do
+             if writes evs.(k) dest_id then begin
+               j := k;
+               raise Exit
+             end
+           done
+         with Exit -> ());
+        if !j >= 0 && (not self_shift) && same_run evs.(i) evs.(!j) then begin
+          let ok = ref true in
+          for k = i + 1 to !j do
+            if Hashtbl.mem evs.(k).p_reads dest_id then
+              if group_of.(k) <> group_of.(i) || not f64 then ok := false
+          done;
+          drop.(i) <- !ok
+        end
   done;
   drop
 
@@ -628,13 +651,14 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
   let builts =
     Array.map
       (fun m ->
-        raw_built t ~reduction:m.p_red ~dest_shape:m.p_dest.Field.shape ~expr:m.p_expr ~nsites
+        raw_built t ~reduction:(is_red m) ~dest_shape:m.p_shape ~expr:m.p_expr ~nsites
           ~use_sitelist)
       members
   in
-  (* Canonical distinct-field walk: members' [dest; leaves...] in order.
-     The index is the launch-time binding identity, so the fused kernel is
-     shared by any group with the same structure and alias pattern. *)
+  (* Canonical distinct-field walk: members' [dest; leaves...] in order (a
+     reduction payload has no destination field).  The index is the
+     launch-time binding identity, so the fused kernel is shared by any
+     group with the same structure and alias pattern. *)
   let field_index = Hashtbl.create 16 in
   let fields_rev = ref [] and nfields = ref 0 in
   let canon (f : Field.t) =
@@ -666,7 +690,8 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
         builts.(mi).Codegen.plan
         |> List.map (fun p ->
                match p with
-               | Codegen.Dest -> slot_of (FB_field (canon m.p_dest))
+               | Codegen.Dest -> slot_of (FB_field (canon (Option.get m.p_dest)))
+               | Codegen.Red_partial -> slot_of FB_red_partial
                | Codegen.Leaf_ptr li -> slot_of (FB_field (canon member_leaves.(mi).(li)))
                | Codegen.Ntable (dim, dir) -> slot_of (FB_ntable (dim, dir))
                | Codegen.Sitelist -> slot_of FB_sitelist
@@ -688,14 +713,13 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
               if not r.r_unshifted then acc
               else
                 match Hashtbl.find_opt writer fid with
-                | Some pj
-                  when members.(pj).p_dest.Field.shape.Shape.prec = Shape.F64 ->
-                    (slot_of (FB_field (canon members.(pj).p_dest)), pj) :: acc
+                | Some (pj, d) when members.(pj).p_shape.Shape.prec = Shape.F64 ->
+                    (slot_of (FB_field (canon d)), pj) :: acc
                 | Some _ | None -> acc)
             m.p_reads []
           |> List.sort compare
         in
-        Hashtbl.replace writer m.p_dest.Field.id mi;
+        Option.iter (fun (d : Field.t) -> Hashtbl.replace writer d.Field.id (mi, d)) m.p_dest;
         l)
       members
   in
@@ -706,9 +730,9 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
     Array.iteri
       (fun mi m ->
         Buffer.add_char b '|';
-        Buffer.add_string b (Expr.structure_key ~dest_shape:m.p_dest.Field.shape m.p_expr);
+        Buffer.add_string b (Expr.structure_key ~dest_shape:m.p_shape m.p_expr);
         Buffer.add_string b "#f";
-        Buffer.add_string b (string_of_int (canon m.p_dest));
+        Option.iter (fun d -> Buffer.add_string b (string_of_int (canon d))) m.p_dest;
         Array.iter
           (fun f -> Buffer.add_string b ("," ^ string_of_int (canon f)))
           member_leaves.(mi);
@@ -717,7 +741,7 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
           (fun (s, p) -> Buffer.add_string b (Printf.sprintf "%d:%d," s p))
           subst.(mi);
         Buffer.add_string b (if dropm.(mi) then "#d1" else "#d0");
-        if m.p_red then Buffer.add_string b "#R")
+        if is_red m then Buffer.add_string b "#R")
       members;
     Buffer.contents b
   in
@@ -733,7 +757,7 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
                 use_sitelist;
                 subst_from = subst.(mi);
                 drop_stores = dropm.(mi);
-                reduction = members.(mi).p_red;
+                reduction = is_red members.(mi);
               })
         in
         let skey = Ptx.Fuse.structural_key ~nsites sources in
@@ -760,7 +784,7 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
                   raw = fused_raw;
                   text;
                   plan = [];
-                  dest_shape = members.(0).p_dest.Field.shape;
+                  dest_shape = members.(0).p_shape;
                   passes;
                 }
               in
@@ -794,7 +818,7 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
         &&
         let rec first_writer mi =
           if mi >= k then None
-          else if members.(mi).p_dest.Field.id = f.Field.id then Some mi
+          else if writes members.(mi) f.Field.id then Some mi
           else first_writer (mi + 1)
         in
         match first_writer 0 with
@@ -826,13 +850,14 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
         | FB_ntable (dim, dir) -> Gpusim.Vm.Ptr (ntable t geom ~dim ~dir)
         | FB_sitelist -> Gpusim.Vm.Ptr (sitelist t geom subset)
         | FB_nwork -> Gpusim.Vm.Int n_work
-        | FB_red_block -> Gpusim.Vm.Ptr (red_block_buf t)
+        | FB_red_partial -> Gpusim.Vm.Ptr (scratch_buf t.red_partial)
+        | FB_red_block -> Gpusim.Vm.Ptr (scratch_buf t.red_block)
         | FB_scalar (mi, slot, comp) -> Gpusim.Vm.Float scalars.(mi).(slot).(comp))
       fe.f_plan
   in
   tuned_launch t fe.f_entry ~stream ~nthreads:n_work ~params;
   Array.iteri
-    (fun mi m -> if not dropm.(mi) then Memcache.mark_device_dirty t.cache m.p_dest)
+    (fun mi m -> if not dropm.(mi) then Option.iter (Memcache.mark_device_dirty t.cache) m.p_dest)
     members;
   Memcache.unpin_all t.cache;
   t.fs_groups <- t.fs_groups + 1;
@@ -843,21 +868,15 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
 let launch_group t ~geom ~subset ~nsites ~use_sitelist (evs : pending array)
     (drop : bool array) (g : int array) =
   let s0 = Streams.default_stream t.streams in
-  let serial () =
-    Array.iter
-      (fun i ->
-        launch_eval ~subset ~reduction:evs.(i).p_red ~stream:s0 ~sync:false t evs.(i).p_dest
-          evs.(i).p_expr)
-      g
-  in
+  let serial () = Array.iter (fun i -> launch_pending ~stream:s0 ~sync:false t evs.(i)) g in
   if Array.length g = 1 then begin
     let i = g.(0) in
     if drop.(i) then begin
       (* The whole launch is dead: a later eval of this flush rewrites the
          destination before anything reads it. *)
       let b =
-        raw_built t ~reduction:false ~dest_shape:evs.(i).p_dest.Field.shape
-          ~expr:evs.(i).p_expr ~nsites ~use_sitelist
+        raw_built t ~reduction:false ~dest_shape:evs.(i).p_shape ~expr:evs.(i).p_expr ~nsites
+          ~use_sitelist
       in
       let a = Ptx.Analysis.kernel b.Codegen.raw in
       let n_work = if use_sitelist then Subset.count geom subset else nsites in
@@ -865,9 +884,7 @@ let launch_group t ~geom ~subset ~nsites ~use_sitelist (evs : pending array)
       t.fs_elim_load <- t.fs_elim_load + (a.Ptx.Analysis.load_bytes * n_work);
       t.fs_elim_store <- t.fs_elim_store + (a.Ptx.Analysis.store_bytes * n_work)
     end
-    else
-      launch_eval ~subset ~reduction:evs.(i).p_red ~stream:s0 ~sync:false t evs.(i).p_dest
-        evs.(i).p_expr
+    else launch_pending ~stream:s0 ~sync:false t evs.(i)
   end
   else
     let dropm = Array.map (fun i -> drop.(i)) g in
@@ -950,10 +967,8 @@ let create ?(machine = Gpusim.Machine.k20x_ecc_off) ?(mode = Device.Functional)
       kernel_bytes_f32 = 0;
       kernel_bytes_f64 = 0;
       reduce_kernel = None;
-      reduce_scratch = None;
-      reduce_scratch_cap = 0;
-      red_block = None;
-      red_block_cap = 0;
+      red_partial = ref None;
+      red_block = ref None;
       stats_rev = [];
       fs_deferred = 0;
       fs_flushes = 0;
@@ -1034,11 +1049,10 @@ let synchronize t =
 (* Park one eval on the deferred queue.  A subset or geometry change is
    no longer a flush point — the planner groups the queue into
    (subset, geometry) runs at flush time, which is what lets interleaved
-   even/odd evals fuse within their own runs.  [red] marks a reduction
-   payload (kernel in reduction mode, block scratch bound at launch). *)
-let enqueue t ~subset ~red dest expr =
+   even/odd evals fuse within their own runs.  [dest] is [None] for a
+   reduction payload (kernel in reduction mode, scratch bound at launch). *)
+let enqueue t ~subset ~geom ~dest_shape dest expr =
   let leaves = Expr.leaves expr in
-  let dest_is_leaf = List.exists (fun (f : Field.t) -> f.Field.id = dest.Field.id) leaves in
   let retained = ref [] in
   match
     (* Residency at enqueue time snapshots the host content the eval
@@ -1050,23 +1064,25 @@ let enqueue t ~subset ~red dest expr =
         Memcache.retain t.cache f;
         retained := f :: !retained)
       leaves;
-    ignore
-      (Memcache.ensure_resident
-         ~for_write:(Subset.is_all subset && not dest_is_leaf)
-         t.cache dest);
-    Memcache.retain t.cache dest;
-    retained := dest :: !retained
+    Option.iter
+      (fun (d : Field.t) ->
+        let dest_is_leaf = List.exists (fun (f : Field.t) -> f.Field.id = d.Field.id) leaves in
+        let for_write = Subset.is_all subset && not dest_is_leaf in
+        ignore (Memcache.ensure_resident ~for_write t.cache d);
+        Memcache.retain t.cache d;
+        retained := d :: !retained)
+      dest
   with
   | () ->
       t.pending_rev <-
         {
           p_dest = dest;
+          p_shape = dest_shape;
           p_expr = expr;
           p_subset = subset;
-          p_geom = dest.Field.geom;
+          p_geom = geom;
           p_reads = reads_of expr;
           p_retained = !retained;
-          p_red = red;
         }
         :: t.pending_rev;
       t.pending_n <- t.pending_n + 1;
@@ -1077,45 +1093,54 @@ let enqueue t ~subset ~red dest expr =
          queue (freeing its references) and run this eval alone. *)
       List.iter (Memcache.release t.cache) !retained;
       flush t;
-      launch_eval ~subset ~reduction:red ~stream:(Streams.default_stream t.streams) ~sync:true
-        t dest expr
+      launch_eval ~subset ~stream:(Streams.default_stream t.streams) ~sync:true t ~geom
+        ~dest_shape dest expr
 
 let eval ?(subset = Subset.All) ?stream t dest expr =
   Qdp.Eval_cpu.check_dest dest expr;
+  let geom = dest.Field.geom and dest_shape = dest.Field.shape in
   match stream with
   | Some s ->
       (* Explicit-stream evals bypass the queue but must not overtake it. *)
       flush t;
-      launch_eval ~subset ~stream:s ~sync:false t dest expr
+      launch_eval ~subset ~stream:s ~sync:false t ~geom ~dest_shape (Some dest) expr
   | None ->
       if not t.fuse then
-        launch_eval ~subset ~stream:(Streams.default_stream t.streams) ~sync:true t dest expr
-      else enqueue t ~subset ~red:false dest expr
+        launch_eval ~subset ~stream:(Streams.default_stream t.streams) ~sync:true t ~geom
+          ~dest_shape (Some dest) expr
+      else enqueue t ~subset ~geom ~dest_shape (Some dest) expr
 
 (* ------------------------------------------------------------------ *)
 (* Reductions                                                          *)
 
-(* Hand-assembled radix-8 fold kernel:
-     out[i] = ((x0+x1)+(x2+x3)) + ((x4+x5)+(x6+x7)),  xj = in[8i+j] or 0
-   — the same balanced tree (and the same padding) the reduction-mode
-   payload kernels apply in their in-kernel block aggregation, so the
-   final value is independent of how many fold passes run.  Operating on
-   raw f64 buffers with a dynamic byte offset, one compiled kernel serves
-   every reduction pass. *)
+(* Hand-assembled radix-8 fold kernel over every plane of a reduction
+   at once.  Thread [idx] of [n_total] = planes * n_out folds group [i]
+   of plane [p], (p, i) = (idx / n_out, idx mod n_out):
+     out[idx] = ((x0+x1)+(x2+x3)) + ((x4+x5)+(x6+x7)),
+     xj = in[p*stride + 8i + j] if 8i+j < n_in, else +0.0
+   — per plane the same balanced tree (and the same padding) the
+   reduction-mode payload kernels apply in their in-kernel block
+   aggregation, so the final value is independent of how many fold passes
+   run.  The output is compact (plane p's n_out values start at word
+   p*n_out), so the next pass reads it with stride n_out; one compiled
+   kernel serves every pass of every reduction. *)
 let build_reduce_kernel () =
   let e = Emitter.create ~kname:"qdpjit_reduce8_f64" in
   let p_src = Emitter.add_param e U64 "src" in
   let p_dst = Emitter.add_param e U64 "dst" in
-  let p_srcoff = Emitter.add_param e S32 "src_byte_off" in
+  let p_stride = Emitter.add_param e S32 "src_stride" in
   let p_nin = Emitter.add_param e S32 "n_in" in
   let p_nout = Emitter.add_param e S32 "n_out" in
+  let p_ntotal = Emitter.add_param e S32 "n_total" in
   let src = Emitter.fresh e U64 and dst = Emitter.fresh e U64 in
-  let srcoff = Emitter.fresh e S32 and nin = Emitter.fresh e S32 and nout = Emitter.fresh e S32 in
+  let stride = Emitter.fresh e S32 and nin = Emitter.fresh e S32 in
+  let nout = Emitter.fresh e S32 and ntotal = Emitter.fresh e S32 in
   Emitter.emit e (Ld_param { dst = src; param_index = p_src });
   Emitter.emit e (Ld_param { dst; param_index = p_dst });
-  Emitter.emit e (Ld_param { dst = srcoff; param_index = p_srcoff });
+  Emitter.emit e (Ld_param { dst = stride; param_index = p_stride });
   Emitter.emit e (Ld_param { dst = nin; param_index = p_nin });
   Emitter.emit e (Ld_param { dst = nout; param_index = p_nout });
+  Emitter.emit e (Ld_param { dst = ntotal; param_index = p_ntotal });
   let tid = Emitter.fresh e S32 and ntid = Emitter.fresh e S32 and ctaid = Emitter.fresh e S32 in
   Emitter.emit e (Mov_sreg { dst = tid; src = Tid_x });
   Emitter.emit e (Mov_sreg { dst = ntid; src = Ntid_x });
@@ -1123,27 +1148,36 @@ let build_reduce_kernel () =
   let idx = Emitter.fresh e S32 in
   Emitter.emit e (Fma { dtype = S32; dst = idx; a = Reg ctaid; b = Reg ntid; c = Reg tid });
   let guard = Emitter.fresh e Pred in
-  Emitter.emit e (Setp { cmp = Ge; dtype = S32; dst = guard; a = Reg idx; b = Reg nout });
+  Emitter.emit e (Setp { cmp = Ge; dtype = S32; dst = guard; a = Reg idx; b = Reg ntotal });
   Emitter.emit e (Bra { label = "EXIT"; pred = Some guard });
-  (* j = 8*idx; base address = src + srcoff + j*8; element l at offset l*8 *)
+  (* plane = idx / n_out; i = idx - plane*n_out; j = 8*i *)
+  let plane = Emitter.fresh e S32 in
+  Emitter.emit e (Div { dtype = S32; dst = plane; a = Reg idx; b = Reg nout });
+  let pbase = Emitter.fresh e S32 in
+  Emitter.emit e (Mul { dtype = S32; dst = pbase; a = Reg plane; b = Reg nout });
+  let i = Emitter.fresh e S32 in
+  Emitter.emit e (Sub { dtype = S32; dst = i; a = Reg idx; b = Reg pbase });
   let j = Emitter.fresh e S32 in
-  Emitter.emit e (Mul { dtype = S32; dst = j; a = Reg idx; b = Imm_int 8 });
-  let joff = Emitter.fresh e S32 in
-  Emitter.emit e (Fma { dtype = S32; dst = joff; a = Reg j; b = Imm_int 8; c = Reg srcoff });
-  let joff64 = Emitter.fresh e S64 in
-  Emitter.emit e (Cvt { dst = joff64; src = joff });
-  let joffu = Emitter.fresh e U64 in
-  Emitter.emit e (Cvt { dst = joffu; src = joff64 });
+  Emitter.emit e (Mul { dtype = S32; dst = j; a = Reg i; b = Imm_int 8 });
+  (* base address = src + (plane*stride + j)*8; element l at offset l*8 *)
+  let w = Emitter.fresh e S32 in
+  Emitter.emit e (Fma { dtype = S32; dst = w; a = Reg plane; b = Reg stride; c = Reg j });
+  let woff = Emitter.fresh e S32 in
+  Emitter.emit e (Mul { dtype = S32; dst = woff; a = Reg w; b = Imm_int 8 });
+  let woff64 = Emitter.fresh e S64 in
+  Emitter.emit e (Cvt { dst = woff64; src = woff });
+  let woffu = Emitter.fresh e U64 in
+  Emitter.emit e (Cvt { dst = woffu; src = woff64 });
   let a_addr = Emitter.fresh e U64 in
-  Emitter.emit e (Add { dtype = U64; dst = a_addr; a = Reg src; b = Reg joffu });
+  Emitter.emit e (Add { dtype = U64; dst = a_addr; a = Reg src; b = Reg woffu });
   let xs =
     Array.init 8 (fun l ->
         let x = Emitter.fresh e F64 in
         if l = 0 then
-          (* 8*idx < n_in holds for every guarded thread. *)
+          (* 8*i < n_in holds for every guarded thread. *)
           Emitter.emit e (Ld_global { dtype = F64; dst = x; addr = a_addr; offset = 0 })
         else begin
-          (* x = (8*idx+l < n_in) ? in[8*idx+l] : 0 *)
+          (* x = (8*i+l < n_in) ? in[...+l] : 0 *)
           Emitter.emit e (Mov { dst = x; src = Imm_float 0.0 });
           let jl = Emitter.fresh e S32 in
           Emitter.emit e (Add { dtype = S32; dst = jl; a = Reg j; b = Imm_int l });
@@ -1180,11 +1214,15 @@ let build_reduce_kernel () =
   Emitter.emit e Ret;
   (Emitter.finish e, e)
 
+(* The fold kernel's disk-cache key; renamed whenever its parameters change,
+   so a stale entry misses instead of binding the wrong ones. *)
+let reduce_key = "reduce8_planes_f64"
+
 let reduce_entry t =
   match t.reduce_kernel with
   | Some entry -> entry
   | None -> (
-    match cache_find t ~opt:t.optimize ~kind:"reduce" "reduce8_f64" with
+    match cache_find t ~opt:t.optimize ~kind:"reduce" reduce_key with
     | Some (built, compiled, _) ->
         let entry = entry_of_built t built compiled in
         t.reduce_kernel <- Some entry;
@@ -1219,80 +1257,40 @@ let reduce_entry t =
         }
       in
       record_stats t built;
-      cache_store t ~opt:t.optimize ~kind:"reduce" "reduce8_f64" built compiled None;
+      cache_store t ~opt:t.optimize ~kind:"reduce" reduce_key built compiled None;
       let entry = entry_of_built t built compiled in
       t.reduce_kernel <- Some entry;
       entry)
 
-(* The host is about to read [bytes] of a reduction result: a blocking
+(* The host is about to read [bytes] of reduction results: one blocking
    D2H copy on the default stream. *)
 let sync_readback t ~bytes =
   let s0 = Streams.default_stream t.streams in
   ignore (Streams.memcpy_d2h ~name:"reduce readback" t.streams s0 ~bytes);
   ignore (Streams.stream_synchronize t.streams s0)
 
-(* Ping/pong scratch for the fold chain, cached on the engine: a
-   spin-color reduction folds one plane per component, and allocating per
-   plane churned two dozen allocations per call. *)
-let reduce_scratch t ~nsites =
-  let cap = (nsites + 1) / 2 in
-  match t.reduce_scratch with
-  | Some pair when t.reduce_scratch_cap >= cap -> pair
-  | _ ->
-      (match t.reduce_scratch with
-      | Some (ping, pong) ->
-          Device.free t.device ping;
-          Device.free t.device pong
-      | None -> ());
-      let ping = Device.alloc_f64 t.device cap in
-      let pong = Device.alloc_f64 t.device ((cap + 1) / 2) in
-      t.reduce_scratch <- Some (ping, pong);
-      t.reduce_scratch_cap <- cap;
-      (ping, pong)
-
-(* Fold [n] f64 values starting at word [plane_word] of a device buffer
-   down to one, radix 8 per pass. *)
-let reduce_plane t ~(buf : Buffer_.t) ~plane_word ~n =
-  if n = 1 then begin
-    sync_readback t ~bytes:8;
-    match buf.Buffer_.data with
-    | Buffer_.F64 a -> a.{plane_word}
-    | _ -> invalid_arg "Engine.reduce_plane: f64 buffer expected"
-  end
-  else begin
-    let entry = reduce_entry t in
-    let stream = Streams.default_stream t.streams in
-    let ping, pong = reduce_scratch t ~nsites:n in
-    let rec go ~src ~src_off ~n_in ~dst ~other =
-      let n_out = (n_in + 7) / 8 in
-      let params =
-        [| Gpusim.Vm.Ptr src; Gpusim.Vm.Ptr dst; Gpusim.Vm.Int src_off; Gpusim.Vm.Int n_in;
-           Gpusim.Vm.Int n_out |]
-      in
-      tuned_launch t entry ~stream ~nthreads:n_out ~params;
-      if n_out = 1 then dst else go ~src:dst ~src_off:0 ~n_in:n_out ~dst:other ~other:dst
-    in
-    let final = go ~src:buf ~src_off:(plane_word * 8) ~n_in:n ~dst:ping ~other:pong in
-    sync_readback t ~bytes:8;
-    match final.Buffer_.data with
-    | Buffer_.F64 a -> a.{0}
-    | _ -> assert false
-  end
-
-(* Evaluate [expr] (any shape, promoted to f64 storage) into a temporary
-   and sum each component over the subset.  Returns the canonical
-   component array, like {!Qdp.Eval_cpu.sum_components}.
+(* Evaluate [expr] (any shape, promoted to f64) and sum each component
+   over the subset.  Returns the canonical component array, like
+   {!Qdp.Eval_cpu.sum_components}.
 
    The payload kernel runs in reduction mode: it writes compact
-   work-item-indexed partial planes into the temporary {e and}
-   aggregates each group of 8 partials into the engine's block scratch
-   in the same launch, so the fold chain starts at ceil(n/8) values.
-   With [fuse_reductions] the payload is enqueued like any eval and the
-   planner splices it into the trailing fused group — an axpy+norm2
-   step becomes one launch; otherwise it launches standalone.  Both
-   paths run the identical kernel body, and the balanced radix-8 tree
-   matches {!Qdp.Eval_cpu.tree_sum}, so every configuration produces
-   bit-identical values. *)
+   work-item-indexed partial planes into the engine's partial scratch
+   {e and} aggregates each group of 8 partials into the block scratch in
+   the same launch, so the fold chain starts at ceil(n/8) values per
+   plane.  No field is created, so nothing is made resident, dirtied or
+   paged out.  With [fuse_reductions] the payload is enqueued like any
+   eval and the planner splices it into the trailing fused group — an
+   axpy+norm2 step becomes one launch; otherwise it launches standalone.
+
+   Each fold pass is one launch over every plane, and the device chain
+   stops as soon as each plane has m <= 8 values left.  One D2H copy
+   reads every plane back and the host finishes: m = 1 is the sum
+   already (one more +0.0-padded fold would turn a -0.0 sum into +0.0);
+   otherwise {!Qdp.Eval_cpu.tree_sum} applies the last radix-8 level.
+   The partials are dead once the payload has run, so the partial and
+   block scratch double as the chain's ping/pong buffers.  Every
+   configuration runs the identical tree, so fused, standalone, unfused
+   and CPU reductions agree bit for bit. *)
 let sum_components ?(subset = Subset.All) t expr =
   let shape = { (Expr.shape expr) with Shape.prec = Shape.F64 } in
   let geom =
@@ -1306,31 +1304,47 @@ let sum_components ?(subset = Subset.All) t expr =
   if n_work = 0 then Array.make dof 0.0
   else begin
     let bstride = (nsites + 7) / 8 in
-    let block = red_block_scratch t ~cap:(dof * bstride) in
-    let tmp = Field.create ~name:"reduce_tmp" shape geom in
-    if t.fuse && t.fuse_reductions then enqueue t ~subset ~red:true tmp expr
+    let partial = grow_scratch t t.red_partial ~words:(dof * nsites) in
+    let block = grow_scratch t t.red_block ~words:(dof * bstride) in
+    let stream = Streams.default_stream t.streams in
+    if t.fuse && t.fuse_reductions then enqueue t ~subset ~geom ~dest_shape:shape None expr
     else begin
       (* Reduction fusion off: drain the queue first so the payload
          always launches standalone (same kernel, separate launch). *)
       flush t;
-      launch_eval ~subset ~reduction:true ~stream:(Streams.default_stream t.streams)
-        ~sync:false t tmp expr
+      launch_eval ~subset ~stream ~sync:false t ~geom ~dest_shape:shape None expr
     end;
-    (* The readback is a flush point: the payload (and everything queued
-       before it) must land before the folds read the block scratch. *)
+    (* The folds are a flush point: the payload (and everything queued
+       before it) must land before they read the block scratch. *)
     flush t;
-    let nblocks = (n_work + 7) / 8 in
-    let is_ = Shape.spin_extent shape.Shape.spin in
-    let ic = Shape.color_extent shape.Shape.color in
-    ignore is_;
-    let out =
-      Array.init dof (fun lin ->
-          let s, c, r = Layout.Index.component_of_linear shape lin in
-          let plane = (((r * ic) + c) * Shape.spin_extent shape.Shape.spin) + s in
-          reduce_plane t ~buf:block ~plane_word:(plane * bstride) ~n:nblocks)
+    let rec fold ~src ~stride ~m ~dst ~other =
+      if m <= 8 then (src, stride, m)
+      else begin
+        let n_out = (m + 7) / 8 in
+        let nthreads = dof * n_out in
+        let params =
+          Gpusim.Vm.[| Ptr src; Ptr dst; Int stride; Int m; Int n_out; Int nthreads |]
+        in
+        tuned_launch t (reduce_entry t) ~stream ~nthreads ~params;
+        fold ~src:dst ~stride:n_out ~m:n_out ~dst:other ~other:dst
+      end
     in
-    Memcache.drop t.cache tmp;
-    out
+    let buf, stride, m =
+      fold ~src:block ~stride:bstride ~m:((n_work + 7) / 8) ~dst:partial ~other:block
+    in
+    sync_readback t ~bytes:(8 * dof * m);
+    let sums =
+      match buf.Buffer_.data with
+      | Buffer_.F64 a ->
+          Array.init dof (fun p ->
+              let x j = a.{(p * stride) + j} in
+              if m = 1 then x 0 else Qdp.Eval_cpu.tree_sum (Array.init m x))
+      | _ -> assert false
+    in
+    let ic = Shape.color_extent shape.Shape.color in
+    Array.init dof (fun lin ->
+        let s, c, r = Layout.Index.component_of_linear shape lin in
+        sums.((((r * ic) + c) * Shape.spin_extent shape.Shape.spin) + s))
   end
 
 let norm2 ?(subset = Subset.All) t expr = (sum_components ~subset t (Expr.norm2_local expr)).(0)

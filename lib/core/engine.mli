@@ -7,10 +7,13 @@
     memory cache (Sec. IV), bind parameters, and launch through the
     per-kernel block-size auto-tuner (Sec. VII).  Reductions run a
     reduction-mode payload kernel that writes compact per-work-item
-    partials {e and} aggregates every group of 8 into a block-partial
-    buffer in the same launch; a cached radix-8 fold kernel then collapses
-    the blocks.  The balanced tree matches {!Qdp.Eval_cpu} bit for bit,
-    keeping results deterministic across every engine configuration.
+    partials into engine scratch {e and} aggregates every group of 8 into
+    a block-partial buffer in the same launch; a cached radix-8 fold
+    kernel then collapses every component plane at once, one launch per
+    pass, until at most 8 values per plane are left, and the host folds
+    that last level after a single readback.  The balanced tree matches
+    {!Qdp.Eval_cpu} bit for bit, keeping results deterministic across
+    every engine configuration.
 
     Default-stream evals are {e deferred}: they enter a pending queue,
     and a flush point — a reduction or readback, host access to any

@@ -210,14 +210,9 @@ let spill_one t =
       true
   | None -> false
 
-let alloc_with_spilling t f =
-  let words = Field.volume f * Shape.dof f.Field.shape in
-  let alloc () =
-    match f.Field.shape.Shape.prec with
-    | Shape.F16 -> Device.alloc_f16 t.device words
-    | Shape.F32 -> Device.alloc_f32 t.device words
-    | Shape.F64 -> Device.alloc_f64 t.device words
-  in
+(* Retry [alloc] after spilling LRU entries until it fits or nothing is
+   left to spill. *)
+let with_spilling t alloc =
   let rec go () =
     match alloc () with
     | buf -> buf
@@ -226,6 +221,16 @@ let alloc_with_spilling t f =
         else raise Device.Out_of_device_memory
   in
   go ()
+
+let alloc_f64_spilling t words = with_spilling t (fun () -> Device.alloc_f64 t.device words)
+
+let alloc_with_spilling t f =
+  let words = Field.volume f * Shape.dof f.Field.shape in
+  with_spilling t (fun () ->
+      match f.Field.shape.Shape.prec with
+      | Shape.F16 -> Device.alloc_f16 t.device words
+      | Shape.F32 -> Device.alloc_f32 t.device words
+      | Shape.F64 -> Device.alloc_f64 t.device words)
 
 let install_hooks t f =
   (* Chain below any hook another cache installed: a field can migrate

@@ -45,6 +45,13 @@ val ensure_resident :
     engine delivers it.  Raises [Gpusim.Device.Out_of_device_memory] if
     nothing can be spilled. *)
 
+val alloc_f64_spilling : t -> int -> Gpusim.Buffer.t
+(** Allocate [words] doubles of device memory that the cache does not
+    manage (engine scratch), spilling LRU unpinned entries until the
+    allocation fits, exactly as {!ensure_resident} does for fields.
+    Raises [Gpusim.Device.Out_of_device_memory] if nothing can be
+    spilled. *)
+
 val mark_device_dirty : t -> Qdp.Field.t -> unit
 (** The kernel just wrote the field: device copy is newer than host. *)
 

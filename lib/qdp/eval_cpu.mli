@@ -19,6 +19,12 @@ val eval : ?subset:Subset.t -> Field.t -> Expr.t -> unit
 (** [eval dest expr]: dest = expr on the subset; cross-precision
     assignment rounds at the store (Sec. III-D semantics). *)
 
+val tree_sum : float array -> float
+(** The balanced radix-8 tree every reduction applies: fold groups of 8
+    as [((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7))], padding short groups with
+    +0.0, until one value is left.  Non-empty input is folded at least
+    once. *)
+
 val norm2 : ?subset:Subset.t -> Expr.t -> float
 (** Sum of |components|^2 over the subset, in deterministic site order. *)
 

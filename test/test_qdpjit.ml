@@ -384,6 +384,180 @@ let qcheck_reductions =
       let n_jit = Engine.norm2 qcheck_engine expr in
       abs_float (n_cpu -. n_jit) <= 1e-11 *. (n_cpu +. 1.0))
 
+(* ------------------------------------------------------------------ *)
+(* The reduction fold chain at its boundaries: the payload leaves
+   ceil(n/8) block partials per plane, the device folds while a plane has
+   more than 8 values, and the host finishes.  Block counts of 1, 2-8,
+   9-64 and 65-512 take zero, zero, one and two fold launches. *)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+
+let red_engines =
+  List.concat_map
+    (fun fuse_reductions ->
+      List.map (fun vm_domains -> Engine.create ~fuse_reductions ~vm_domains ()) [ 1; 4 ])
+    [ true; false ]
+
+let red_shapes =
+  [| Shape.real_scalar Shape.F64; Shape.complex_scalar Shape.F64; fm |]
+
+(* (block-count range, lattices, custom-subset size range) per bucket. *)
+let red_buckets =
+  [|
+    ((1, 1), [| [| 2; 2; 2; 1 |]; [| 2; 2; 2; 2 |] |], (1, 8));
+    ((2, 8), [| [| 2; 2; 2; 2 |]; [| 4; 4; 2; 2 |]; [| 4; 4; 4; 2 |] |], (9, 64));
+    ((9, 64), [| [| 4; 4; 4; 2 |]; [| 8; 4; 4; 4 |] |], (65, 512));
+    ((65, 512), [| [| 8; 8; 4; 4 |]; [| 8; 8; 8; 8 |] |], (513, 4096));
+  |]
+
+let qcheck_reduction_boundaries =
+  QCheck.Test.make ~name:"fold boundaries: engine sums = CPU sums (bits)" ~count:40
+    QCheck.(pair (int_bound 3) (int_bound 1_000_000))
+    (fun (bucket, seed) ->
+      let rng = Prng.create ~seed:(Int64.of_int seed) in
+      let (lo, hi), lattices, (clo, chi) = red_buckets.(bucket) in
+      let g = Geometry.create lattices.(Prng.int_below rng (Array.length lattices)) in
+      let n = Geometry.volume g in
+      let custom () =
+        let k = min n (clo + Prng.int_below rng (chi - clo + 1)) in
+        let perm = Array.init n Fun.id in
+        for i = n - 1 downto 1 do
+          let j = Prng.int_below rng (i + 1) in
+          let x = perm.(i) in
+          perm.(i) <- perm.(j);
+          perm.(j) <- x
+        done;
+        Subset.Custom (Array.sub perm 0 k)
+      in
+      let subset =
+        match Prng.int_below rng 4 with
+        | 0 -> Subset.All
+        | 1 -> Subset.Even
+        | 2 -> Subset.Odd
+        | _ -> custom ()
+      in
+      let nblocks = (Subset.count g subset + 7) / 8 in
+      (* Keep the case inside its bucket: a checkerboard or a short
+         custom list can fall below it. *)
+      let subset, nblocks =
+        if nblocks >= lo && nblocks <= hi then (subset, nblocks)
+        else
+          let s = custom () in
+          (s, (Subset.count g s + 7) / 8)
+      in
+      let shape = red_shapes.(Prng.int_below rng (Array.length red_shapes)) in
+      let f = Field.create shape g in
+      Field.fill_gaussian f rng;
+      let expr = Expr.mul (Expr.const_real 0.75) (Expr.field f) in
+      let cpu = Qdp.Eval_cpu.sum_components ~subset expr in
+      let ok =
+        List.for_all
+          (fun eng ->
+            let jit = Engine.sum_components ~subset eng expr in
+            Memcache.drop (Engine.memcache eng) f;
+            bits_equal cpu jit)
+          red_engines
+      in
+      if nblocks < lo || nblocks > hi then
+        QCheck.Test.fail_reportf "bucket %d: %d blocks outside [%d, %d]" bucket nblocks lo hi;
+      ok)
+
+let test_negative_zero_sum () =
+  (* Eight work items of -0.0 leave one block partial of -0.0; it is the
+     sum.  Folding it once more against the +0.0 padding would give +0.0. *)
+  let check name g subset =
+    let z = Field.create (Shape.real_scalar Shape.F64) g in
+    let expr = Expr.neg (Expr.field z) in
+    let cpu = (Qdp.Eval_cpu.sum_components ~subset expr).(0) in
+    Alcotest.(check int64) (name ^ " cpu") (Int64.bits_of_float (-0.0)) (Int64.bits_of_float cpu);
+    List.iter
+      (fun eng ->
+        let jit = Engine.sum_real ~subset eng expr in
+        Alcotest.(check int64) name (Int64.bits_of_float (-0.0)) (Int64.bits_of_float jit))
+      red_engines
+  in
+  check "8 sites" (Geometry.create [| 2; 2; 2; 1 |]) Subset.All;
+  check "8-site list" geom (Subset.Custom [| 5; 0; 77; 3; 100; 42; 9; 127 |])
+
+let fold_name = "qdpjit_reduce8_f64"
+
+(* Per-call deltas of the counters a reduction may move. *)
+let reduction_deltas eng f =
+  let dev = Gpusim.Device.stats (Engine.device eng) in
+  let cache = Engine.memcache eng in
+  let spans name =
+    List.length
+      (List.filter
+         (fun (s : Streams.span) -> s.Streams.span_name = name)
+         (Streams.spans (Engine.streams eng)))
+  in
+  let snap () =
+    ( dev.Gpusim.Device.launches,
+      spans fold_name,
+      dev.Gpusim.Device.transfers,
+      spans "reduce readback",
+      (Memcache.stats cache).Memcache.pageouts,
+      dev.Gpusim.Device.allocs,
+      Memcache.resident_count cache )
+  in
+  let l0, f0, t0, r0, p0, a0, c0 = snap () in
+  f ();
+  let l1, f1, t1, r1, p1, a1, c1 = snap () in
+  (l1 - l0, f1 - f0, t1 - t0, r1 - r0, p1 - p0, a1 - a0, c1 - c0)
+
+let test_reduction_counters () =
+  let check ~dims ~folds =
+    let g = Geometry.create dims in
+    let eng = Engine.create () in
+    let a = Field.create fm g and b = Field.create fm g in
+    Field.fill_gaussian a rng;
+    Field.fill_gaussian b rng;
+    let norm () = ignore (Engine.norm2 eng (Expr.field a)) in
+    let inner () = ignore (Engine.inner eng (Expr.field a) (Expr.field b)) in
+    norm ();
+    inner ();
+    List.iter
+      (fun (what, f) ->
+        let launches, fold_launches, transfers, readbacks, pageouts, allocs, resident =
+          reduction_deltas eng f
+        in
+        let dims = String.concat "x" (Array.to_list (Array.map string_of_int dims)) in
+        let tag s = Printf.sprintf "%s %s %s" dims what s in
+        Alcotest.(check int) (tag "launches") (1 + folds) launches;
+        Alcotest.(check int) (tag "fold launches") folds fold_launches;
+        Alcotest.(check int) (tag "transfers") 1 transfers;
+        Alcotest.(check int) (tag "readbacks") 1 readbacks;
+        Alcotest.(check int) (tag "page-outs") 0 pageouts;
+        Alcotest.(check int) (tag "device allocs") 0 allocs;
+        Alcotest.(check int) (tag "resident") 0 resident)
+      [ ("norm2", norm); ("inner", inner) ]
+  in
+  check ~dims:[| 8; 4; 4; 4 |] ~folds:1;
+  check ~dims:[| 2; 2; 2; 2 |] ~folds:0
+
+let test_reduction_scratch_spills () =
+  (* Fill a small device with unpinned cached fields: the first reduction
+     on a larger lattice must grow its scratch by spilling them. *)
+  let machine = { Gpusim.Machine.k20x_ecc_off with Gpusim.Machine.memory_bytes = 300_000 } in
+  let eng = Engine.create ~machine () in
+  let dev = Engine.device eng and cache = Engine.memcache eng in
+  let filler_bytes = Geometry.volume geom * Shape.dof fm * 8 in
+  while Gpusim.Device.free_bytes dev >= filler_bytes do
+    ignore (Memcache.ensure_resident cache (fresh fm))
+  done;
+  (* Uploads still in flight cannot be spilled. *)
+  ignore (Engine.synchronize eng);
+  Alcotest.(check int) "no spills while filling" 0 (Memcache.stats cache).Memcache.spills;
+  let big = Geometry.create [| 8; 4; 4; 4 |] in
+  let f = Field.create fm big in
+  Field.fill_gaussian f rng;
+  let cpu = Qdp.Eval_cpu.sum_components (Expr.field f) in
+  let jit = Engine.sum_components eng (Expr.field f) in
+  Alcotest.(check bool) "spilled for the scratch" true ((Memcache.stats cache).Memcache.spills > 0);
+  Alcotest.(check bool) "sums match the CPU bits" true (bits_equal cpu jit)
+
 let () =
   Alcotest.run "qdpjit"
     [
@@ -407,6 +581,8 @@ let () =
         [
           Alcotest.test_case "norm2/inner/sum" `Quick test_reductions_match_cpu;
           Alcotest.test_case "subset reductions" `Quick test_subset_reductions;
+          Alcotest.test_case "negative zero sum" `Quick test_negative_zero_sum;
+          Alcotest.test_case "one fold launch, one readback" `Quick test_reduction_counters;
         ] );
       ( "kernel-cache",
         [
@@ -417,7 +593,10 @@ let () =
           Alcotest.test_case "ntable shared" `Quick test_ntable_shared;
         ] );
       ( "memory",
-        [ Alcotest.test_case "spilling mid-computation" `Quick test_spilling_preserves_results ] );
+        [
+          Alcotest.test_case "spilling mid-computation" `Quick test_spilling_preserves_results;
+          Alcotest.test_case "reduction scratch spills" `Quick test_reduction_scratch_spills;
+        ] );
       ( "autotune",
         [
           Alcotest.test_case "state machine" `Quick test_autotuner_state;
@@ -427,5 +606,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_equivalence;
           QCheck_alcotest.to_alcotest qcheck_reductions;
+          QCheck_alcotest.to_alcotest qcheck_reduction_boundaries;
         ] );
     ]
