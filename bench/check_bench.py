@@ -200,13 +200,26 @@ def check_vmperf(args):
         f"{data['runtime']}, {data['available_domains']} domains"
         + (" [DEGRADED]" if degraded else "")
     )
+    # Register allocation is decode-time, so it is asserted on every
+    # run: no program may carry more register rows than its virtual
+    # registers, and dslash must actually shrink.
+    for k in data["kernels"] + data.get("plans", []):
+        assert k["rows"] <= k["virtual_rows"], (
+            f"kernel {k['name']} allocates {k['rows']} register rows, more than "
+            f"its {k['virtual_rows']} virtual registers"
+        )
+    kd = {k["name"]: k for k in data["kernels"]}
+    assert "dslash" in kd, "no dslash kernel in the vmperf sweep"
+    d = kd["dslash"]
+    assert d["rows"] < d["virtual_rows"], (
+        f"dslash register rows not allocated: {d['rows']} rows for "
+        f"{d['virtual_rows']} virtual registers"
+    )
+    line += f", dslash rows {d['rows']}/{d['virtual_rows']}"
     # The superinstruction dispatch gate: the A/B is single-worker and
     # interleaved on one engine (host noise hits both strategies), so
     # it holds even on degraded multicore sweeps.
     if args.min_dslash_speedup is not None:
-        kd = {k["name"]: k for k in data["kernels"]}
-        assert "dslash" in kd, "no dslash kernel in the vmperf sweep"
-        d = kd["dslash"]
         assert d["superinsns"] >= 1, "dslash decoded to no superinstruction spans"
         assert d["dispatch_ratio"] < 1.0, (
             f"dslash dispatch ratio {d['dispatch_ratio']} not below 1 "
@@ -405,6 +418,8 @@ EXACT_KEYS = {
     "fused_units",
     "covered_instrs",
     "decoded_instrs",
+    "rows",
+    "virtual_rows",
     "fused_groups",
     "launches_saved",
     "fallbacks",

@@ -957,6 +957,51 @@ let vmperf () =
         (name, Gpusim.Vm.superinsn_stats c.Gpusim.Jit.program))
       cases
   in
+  (* The reduction path's plans: a standalone norm2 payload, the largest
+     fused reduction group a short CG solve builds, and the fold kernel
+     that solve launches. *)
+  let red_stats =
+    let stats_of text = Gpusim.Vm.superinsn_stats (Gpusim.Jit.compile text).Gpusim.Jit.program in
+    let payload =
+      let expr = Expr.norm2_local (f p1) in
+      Qdpjit.Codegen.build ~reduction:true ~kname:"vp_red_payload"
+        ~dest_shape:{ (Expr.shape expr) with Shape.prec = Shape.F64 }
+        ~expr ~nsites:(Geometry.volume geom) ~use_sitelist:false ()
+    in
+    let eng = Qdpjit.Engine.create ~vm_domains:1 () in
+    let ops = Solvers.Ops.jit eng fm geom in
+    let nop = Solvers.Ops.normal_op ops ~apply_m:(Lqcd.Wilson.wilson_expr ~kappa:0.115 u) in
+    ignore (Solvers.Cg.solve ops nop ~b:(mk fm 61L) ~x:(Field.create fm geom) ~max_iter:2 ());
+    let built = Qdpjit.Engine.built_kernels eng in
+    let named prefix (b : Qdpjit.Codegen.built) =
+      String.starts_with ~prefix b.Qdpjit.Codegen.kernel.Ptx.Types.kname
+    in
+    (* A fused group with a spliced reduction payload binds the
+       payload's block-partial parameter. *)
+    let groups =
+      List.filter
+        (fun (b : Qdpjit.Codegen.built) ->
+          named "qdpjit_fused_" b
+          && List.exists
+               (fun (p : Ptx.Types.param) ->
+                 String.starts_with ~prefix:"blockpart" p.Ptx.Types.pname)
+               b.Qdpjit.Codegen.kernel.Ptx.Types.params)
+        built
+      |> List.map (fun (b : Qdpjit.Codegen.built) -> stats_of b.Qdpjit.Codegen.text)
+    in
+    let group =
+      List.fold_left
+        (fun best (s : Gpusim.Vm.soa_stats) ->
+          if s.Gpusim.Vm.total > best.Gpusim.Vm.total then s else best)
+        (List.hd groups) groups
+    in
+    let fold = List.find (named "qdpjit_reduce8_f64") built in
+    [
+      ("red_payload", stats_of payload.Qdpjit.Codegen.text);
+      ("red_group", group);
+      ("reduce8", stats_of fold.Qdpjit.Codegen.text);
+    ]
+  in
   let dispatch_ratio (s : Gpusim.Vm.soa_stats) =
     if s.Gpusim.Vm.total = 0 then 1.0
     else
@@ -1007,17 +1052,25 @@ let vmperf () =
   Printf.printf "  %b\n" cg_identical;
   Printf.printf "\n  superinstructions %s (w=1 A/B vs scalar interpreter)\n"
     (if soa_enabled then "ON" else "OFF");
-  Printf.printf "  %-10s %9s %9s %8s %7s %7s %10s  identical\n" "kernel" "soa ms"
-    "scalar ms" "speedup" "spans" "units" "disp.ratio";
+  Printf.printf "  %-11s %9s %9s %8s %7s %7s %10s %13s  identical\n" "kernel" "soa ms"
+    "scalar ms" "speedup" "spans" "units" "disp.ratio" "rows/virtual";
+  let rows (st : Gpusim.Vm.soa_stats) =
+    Printf.sprintf "%d/%d" st.Gpusim.Vm.rows st.Gpusim.Vm.virtual_rows
+  in
   List.iter
     (fun (name, _, _) ->
       let _, soa_ms, _ = List.find (fun (n, _, _) -> n = name) soa_k in
       let _, sc_ms, _ = List.find (fun (n, _, _) -> n = name) scalar_k in
       let st = List.assoc name soa_stats in
-      Printf.printf "  %-10s %9.2f %9.2f %7.2fx %7d %7d %10.4f  %b\n" name soa_ms sc_ms
-        (sc_ms /. soa_ms) st.Gpusim.Vm.spans st.Gpusim.Vm.units (dispatch_ratio st)
+      Printf.printf "  %-11s %9.2f %9.2f %7.2fx %7d %7d %10.4f %13s  %b\n" name soa_ms sc_ms
+        (sc_ms /. soa_ms) st.Gpusim.Vm.spans st.Gpusim.Vm.units (dispatch_ratio st) (rows st)
         (List.assoc name scalar_identical))
     base_k;
+  List.iter
+    (fun (name, st) ->
+      Printf.printf "  %-11s %9s %9s %8s %7d %7d %10.4f %13s\n" name "-" "-" "-"
+        st.Gpusim.Vm.spans st.Gpusim.Vm.units (dispatch_ratio st) (rows st))
+    red_stats;
   Printf.printf "  %-10s %9.0f %9.0f %7.2fx %36b\n"
     (Printf.sprintf "cg(%d it)" base_it)
     (let _, _, (_, _, wall) = List.hd results in
@@ -1058,15 +1111,26 @@ let vmperf () =
         "    {\"name\": \"%s\", \"wall_ms\": [%s], \"bit_identical\": %b, \"soa_ms\": %.4f, \
          \"scalar_ms\": %.4f, \"scalar_bit_identical\": %b, \"superinsns\": %d, \
          \"fused_units\": %d, \"covered_instrs\": %d, \"decoded_instrs\": %d, \
-         \"dispatch_ratio\": %.4f}%s\n"
+         \"dispatch_ratio\": %.4f, \"rows\": %d, \"virtual_rows\": %d}%s\n"
         name (flist "%.4f" walls)
         (List.assoc name kernels_identical)
         soa_ms scalar_ms
         (List.assoc name scalar_identical)
         st.Gpusim.Vm.spans st.Gpusim.Vm.units st.Gpusim.Vm.covered st.Gpusim.Vm.total
-        (dispatch_ratio st)
+        (dispatch_ratio st) st.Gpusim.Vm.rows st.Gpusim.Vm.virtual_rows
         (if i = List.length base_k - 1 then "" else ","))
     base_k;
+  Printf.fprintf oc "  ],\n  \"plans\": [\n";
+  List.iteri
+    (fun i (name, st) ->
+      Printf.fprintf oc
+        "    {\"name\": \"%s\", \"superinsns\": %d, \"fused_units\": %d, \
+         \"covered_instrs\": %d, \"decoded_instrs\": %d, \"dispatch_ratio\": %.4f, \
+         \"rows\": %d, \"virtual_rows\": %d}%s\n"
+        name st.Gpusim.Vm.spans st.Gpusim.Vm.units st.Gpusim.Vm.covered st.Gpusim.Vm.total
+        (dispatch_ratio st) st.Gpusim.Vm.rows st.Gpusim.Vm.virtual_rows
+        (if i = List.length red_stats - 1 then "" else ","))
+    red_stats;
   Printf.fprintf oc
     "  ],\n\
     \  \"cg\": {\"iterations\": %d, \"max_iter\": %d, \"wall_s\": [%s], \"bit_identical\": \

@@ -98,6 +98,23 @@ def main():
     )
     assert "lcm" in r.stderr, f"violation not attributed to the worst kernel: {r.stderr}"
 
+    # Register rows are decode-time counts, gated on every run: a plan
+    # row may not allocate more rows than it has virtual registers, and
+    # dslash must decode to fewer.
+    r = expect(
+        1,
+        ["vmperf", fx("vmperf_rows_grow.json")],
+        "a plan allocating more rows than its virtual registers",
+    )
+    assert "reduce8" in r.stderr, f"violation not attributed to reduce8: {r.stderr}"
+    r = expect(
+        1,
+        ["vmperf", fx("vmperf_dslash_unallocated.json")],
+        "dslash decoded without register allocation",
+    )
+    assert "dslash register rows" in r.stderr, f"violation not attributed to dslash: {r.stderr}"
+    expect(2, ["vmperf", fx("vmperf_no_rows.json")], "artifact without register rows")
+
     # 2: malformed input is never reported as a gate failure.
     r = expect(2, ["vmperf", fx("vmperf_truncated.json")], "truncated JSON")
     assert "MALFORMED INPUT" in r.stderr, f"no MALFORMED INPUT banner: {r.stderr}"
@@ -154,9 +171,9 @@ def main():
         "missing baseline dir",
     )
 
-    print("check_bench selftest OK: 20 cases (exit codes 0/1/2, degraded "
-          "normalization, dslash + dispatch-ratio gates, fusion readback and "
-          "page-out gates, baseline compare + step summary)")
+    print("check_bench selftest OK: 23 cases (exit codes 0/1/2, degraded "
+          "normalization, dslash + dispatch-ratio + register-row gates, fusion "
+          "readback and page-out gates, baseline compare + step summary)")
 
 
 if __name__ == "__main__":

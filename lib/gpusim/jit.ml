@@ -27,6 +27,7 @@ open Ptx.Types
    compiler also reuses registers far more aggressively than a max-live
    bound over unscheduled code suggests, spilling beyond ~64; cap there
    (Kepler's sweet spot) rather than model spill traffic. *)
+(* Not [Vm.allocate_registers]: that packs host SoA rows, not hardware registers. *)
 let estimate_registers body =
   let demand = Ptx.Dataflow.register_demand_body (Array.of_list body) in
   min 64 (max 16 (demand + 6))

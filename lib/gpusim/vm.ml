@@ -8,8 +8,10 @@
     constant-pool slots appended to the register files — so the hot loop
     is a jump table over plain array reads, with no closures and no
     per-operand dispatch.  Registers live in three flat files per worker
-    (floats: f32 then f64; ints: s32/u32/s64/u64 concatenated;
-    predicates), allocated once per worker slot on the program and
+    (floats: f32 and f64; ints: s32/u32/s64/u64; predicates), each sized
+    by the physical slots a linear-scan allocator assigns at decode
+    ([allocate_registers]) — a few hundred rows where virtual ids run to
+    thousands — allocated once per worker slot on the program and
     reused across threads and launches.
 
     [run_grid] executes the grid either sequentially or split across
@@ -194,9 +196,10 @@ type program = {
   cb : int array;
   cc : int array;
   cd : int array;  (** operand indices / literals *)
-  nfreg : int;
+  nfreg : int;  (** allocated register slots per file (see [allocate_registers]) *)
   nireg : int;
   npred : int;
+  virtual_rows : int;  (** register rows the three files would need sized by virtual id *)
   fpool : float array;  (** float constants, installed at [nfreg..] *)
   ipool : int array;  (** int constants, installed at [nireg..] *)
   fns : (float -> float) array;  (** call targets *)
@@ -214,24 +217,25 @@ let superinsn_on = ref true
 let set_superinstructions b = superinsn_on := b
 let superinstructions_enabled () = !superinsn_on
 
-type soa_stats = { spans : int; units : int; covered : int; total : int }
+type soa_stats = {
+  spans : int;
+  units : int;
+  covered : int;
+  total : int;
+  rows : int;
+  virtual_rows : int;
+}
 
-let superinsn_stats p =
+let superinsn_stats (p : program) =
   let s = p.soa in
-  { spans = s.s_spans; units = s.s_units; covered = s.s_covered; total = Array.length p.co }
-
-let max_reg_ids body =
-  let tbl = Hashtbl.create 8 in
-  let see r =
-    let cur = try Hashtbl.find tbl r.rtype with Not_found -> -1 in
-    if r.id > cur then Hashtbl.replace tbl r.rtype r.id
-  in
-  List.iter
-    (fun i ->
-      Option.iter see (Ptx.Dataflow.def_of i);
-      List.iter see (Ptx.Dataflow.uses_of i))
-    body;
-  tbl
+  {
+    spans = s.s_spans;
+    units = s.s_units;
+    covered = s.s_covered;
+    total = Array.length p.co;
+    rows = p.nfreg + p.nireg + p.npred;
+    virtual_rows = p.virtual_rows;
+  }
 
 let math_functions : (string * (float -> float)) list =
   [
@@ -430,6 +434,129 @@ let plan_soa co ca cb ninstr =
   { span_end; u_end; u_kind; s_spans = !spans; s_units = !units; s_covered = !covered }
 
 (* ------------------------------------------------------------------ *)
+(* Register allocation.  The generators hand out about one virtual
+   register per instruction, so files sized by virtual id would carry
+   rows that are almost never live together.  [compile] instead packs
+   each register file — floats (f32 and f64 share one), integers
+   (s32/u32/s64/u64 share one) and predicates — by linear scan over
+   live intervals.
+
+   A virtual register's interval is [first occurrence, last occurrence]
+   in instruction order, defs and uses alike (a dead redefinition past
+   the last read still needs a slot nobody live is using).  No CFG is
+   needed for soundness: branches only jump forward and every read is
+   definitely assigned ([compile] checks both), so if [r] is live at
+   [p] — some path continues from [p] to a read of [r] without a
+   redefinition — then a definition of [r] precedes [p] on the path
+   that reached it, and textual order is path order, so [p] lies inside
+   [r]'s interval.  Two registers whose intervals are disjoint are
+   therefore never live together, on any lane, parked or not; and
+   since a lane's path is a textually increasing walk, the slot a lane
+   reads holds the value its own path last wrote to that register, so
+   rows still need no zeroing.
+
+   A slot freed by a register's last read at instruction [k] may be
+   taken by [k]'s own destination.  That is sound because every
+   executor arm is elementwise: it reads lane [l]'s sources before it
+   writes lane [l]'s destination and touches no other lane of the
+   destination row — the unrolled dense ladders go lane by lane, a
+   dense mov is an [Array.blit] (a no-op on identical rows), and a load
+   whose destination is its own address register reads the address from
+   the [sa] snapshot, so its fast-pass-then-replay path never sees the
+   overwritten row.  A register that is only written (first = last =
+   [k]) is freed after [k]'s allocation, never shared with a value
+   [k] reads.
+
+   Free slots are kept in a LIFO per file, so the slot just released is
+   the next one handed out and the hot rows stay few.  The whole pass is
+   linear in the body and builds no per-instruction lists: intervals in
+   one walk, then one sweep that at each instruction frees the
+   intervals ending there, assigns the one starting there, and frees it
+   again at once if it is never read. *)
+
+let class_index = function
+  | F32 -> 0
+  | F64 -> 1
+  | S32 -> 2
+  | U32 -> 3
+  | S64 -> 4
+  | U64 -> 5
+  | Pred -> 6
+
+(* Register file of each class: 0 floats, 1 integers, 2 predicates. *)
+let file_of_class = [| 0; 0; 1; 1; 1; 1; 2 |]
+
+type allocation = {
+  phys : int array array;  (** per class, virtual id -> slot in its file; -1 unused *)
+  files : int array;  (** allocated slots per file: floats, integers, predicates *)
+  virtual_files : int array;  (** the same files sized by virtual id *)
+}
+
+let allocate_registers (k : kernel) =
+  let body = Array.of_list k.body in
+  let maxid = Array.make 7 (-1) in
+  Array.iter
+    (Ptx.Dataflow.iter_regs (fun r ->
+         let c = class_index r.rtype in
+         if r.id > maxid.(c) then maxid.(c) <- r.id))
+    body;
+  let per_class () = Array.map (fun m -> Array.make (m + 1) (-1)) maxid in
+  let first = per_class () and last = per_class () and phys = per_class () in
+  let at = ref 0 in
+  let touch r =
+    let c = class_index r.rtype in
+    if first.(c).(r.id) < 0 then first.(c).(r.id) <- !at;
+    last.(c).(r.id) <- !at
+  in
+  Array.iteri
+    (fun i instr ->
+      at := i;
+      Ptx.Dataflow.iter_regs touch instr)
+    body;
+  let free = Array.make 3 [] and files = Array.make 3 0 in
+  (* A released register's [last] becomes -1, so a register read twice
+     by one instruction is freed once. *)
+  let release ~starts_here r =
+    let c = class_index r.rtype in
+    if last.(c).(r.id) = !at && (first.(c).(r.id) = !at) = starts_here then begin
+      let f = file_of_class.(c) in
+      free.(f) <- phys.(c).(r.id) :: free.(f);
+      last.(c).(r.id) <- -1
+    end
+  in
+  let assign r =
+    let c = class_index r.rtype in
+    if first.(c).(r.id) = !at && phys.(c).(r.id) < 0 then begin
+      let f = file_of_class.(c) in
+      match free.(f) with
+      | s :: rest ->
+          free.(f) <- rest;
+          phys.(c).(r.id) <- s
+      | [] ->
+          phys.(c).(r.id) <- files.(f);
+          files.(f) <- files.(f) + 1
+    end
+  in
+  let release_ending = release ~starts_here:false
+  and release_unread = release ~starts_here:true in
+  Array.iteri
+    (fun i instr ->
+      at := i;
+      Ptx.Dataflow.iter_regs release_ending instr;
+      Ptx.Dataflow.iter_regs assign instr;
+      Ptx.Dataflow.iter_regs release_unread instr)
+    body;
+  let virtual_files = Array.make 3 0 in
+  Array.iteri
+    (fun c m ->
+      let f = file_of_class.(c) in
+      virtual_files.(f) <- virtual_files.(f) + m + 1)
+    maxid;
+  { phys; files; virtual_files }
+
+let slot a r = a.phys.(class_index r.rtype).(r.id)
+
+(* ------------------------------------------------------------------ *)
 (* Decode. *)
 
 (* [compile] checks the executors' preconditions once, here: the
@@ -441,25 +568,14 @@ let plan_soa co ca cb ninstr =
 let compile (kernel : kernel) =
   let invalid f = try f kernel with Ptx.Validate.Invalid m -> fault "invalid kernel: %s" m in
   invalid Ptx.Validate.kernel;
-  let tbl = max_reg_ids kernel.body in
-  let cnt dt = match Hashtbl.find_opt tbl dt with Some m -> m + 1 | None -> 0 in
-  let nf32 = cnt F32 and nf64 = cnt F64 in
-  let ns32 = cnt S32 and nu32 = cnt U32 and ns64 = cnt S64 and nu64 = cnt U64 in
-  let npred = max 1 (cnt Pred) in
-  let nfreg = nf32 + nf64 and nireg = ns32 + nu32 + ns64 + nu64 in
+  let alloc = allocate_registers kernel in
+  let nfreg = alloc.files.(0) and nireg = alloc.files.(1) in
+  let npred = max 1 alloc.files.(2) in
   let freg r =
-    match r.rtype with
-    | F32 -> r.id
-    | F64 -> nf32 + r.id
-    | _ -> invalid_arg "Vm: float access to integer class"
+    if is_float r.rtype then slot alloc r else invalid_arg "Vm: float access to integer class"
   in
   let ireg r =
-    match r.rtype with
-    | S32 -> r.id
-    | U32 -> ns32 + r.id
-    | S64 -> ns32 + nu32 + r.id
-    | U64 -> ns32 + nu32 + ns64 + r.id
-    | _ -> invalid_arg "Vm: integer access to float class"
+    if is_int r.rtype then slot alloc r else invalid_arg "Vm: integer access to float class"
   in
   (* Immediates become constant-pool slots past the register files, so
      every operand is a plain index into the same flat file. *)
@@ -574,8 +690,8 @@ let compile (kernel : kernel) =
           | false, false -> emit 15 (ireg dst) (ireg src) 0 0)
       | Setp { cmp; dtype; dst; a; b } ->
           let off = match cmp with Eq -> 0 | Ne -> 1 | Lt -> 2 | Le -> 3 | Gt -> 4 | Ge -> 5 in
-          if is_float dtype then emit (19 + off) dst.id (fop a) (fop b) 0
-          else emit (25 + off) dst.id (iop a) (iop b) 0
+          if is_float dtype then emit (19 + off) (slot alloc dst) (fop a) (fop b) 0
+          else emit (25 + off) (slot alloc dst) (iop a) (iop b) 0
       | Bra { label; pred } -> (
           let target = label_pos label in
           if target <= !j || target >= ninstr then
@@ -583,7 +699,7 @@ let compile (kernel : kernel) =
               kernel.kname;
           match pred with
           | None -> emit 31 target 0 0 0
-          | Some p -> emit 32 p.id target 0 0)
+          | Some p -> emit 32 (slot alloc p) target 0 0)
       | Mov_sreg { dst; src } ->
           let code = match src with Tid_x -> 33 | Ntid_x -> 34 | Ctaid_x -> 35 | Nctaid_x -> 36 in
           emit code (ireg dst) 0 0 0
@@ -625,6 +741,8 @@ let compile (kernel : kernel) =
     nfreg;
     nireg;
     npred;
+    virtual_rows =
+      alloc.virtual_files.(0) + alloc.virtual_files.(1) + max 1 alloc.virtual_files.(2);
     fpool = Array.of_list (List.rev !fpool);
     ipool = Array.of_list (List.rev !ipool);
     fns = Array.of_list (List.rev !fns);
@@ -643,11 +761,12 @@ let compile (kernel : kernel) =
    rebuilds [fns] by replaying the same walk.  A rehydrated program is
    therefore indistinguishable from a fresh [compile] of the kernel. *)
 
-(* Version 5: the plan is no longer optional (branchy programs decode
-   to spans cut at branch targets) and stores moved their value
-   register to operand [a], the load layout; a cached version-4 entry
-   would misdecode both, so the bump makes stale jitcache entries miss. *)
-let decoder_version = 5
+(* Version 6: operand indices are physical slots from
+   [allocate_registers], and the register files and constant pools are
+   sized by allocated slots instead of virtual ids.  A cached version-5
+   program carries virtual indices that would run past the smaller
+   files, so the bump makes stale jitcache entries miss. *)
+let decoder_version = 6
 
 type portable = program
 
@@ -677,11 +796,13 @@ let ensure_slots p n =
   if n > have then
     p.slots <- Array.init n (fun i -> if i < have then p.slots.(i) else make_wctx p)
 
-(* SoA register rows: [tile] lanes per register, constant pools
-   broadcast across their rows at allocation.  No zeroing is ever
-   needed afterwards: [compile] proved every register is written before
-   it is read on each path, mirroring how the scalar path reuses one
-   [wctx] across all threads of a span. *)
+(* SoA register rows: [tile] lanes per physical slot, constant pools
+   broadcast across their rows (past the allocated slots) at
+   allocation.  No zeroing is ever needed afterwards: [compile] proved
+   every register is written before it is read on each path, and the
+   allocator never lets another register write a slot between a
+   register's definition and its reads on any path, mirroring how the
+   scalar path reuses one [wctx] across all threads of a span. *)
 let make_soa_ctx p =
   let nf = max 1 (p.nfreg + Array.length p.fpool) in
   let ni = max 1 (p.nireg + Array.length p.ipool) in
@@ -706,9 +827,8 @@ let ensure_soa_slots p n =
   if n > have then
     p.soa_slots <- Array.init n (fun i -> if i < have then p.soa_slots.(i) else make_soa_ctx p)
 
-(* Fresh launch state: registers zeroed (matching the old per-launch
-   context), constant pools installed past the architectural
-   registers. *)
+(* Fresh launch state: the allocated register slots zeroed (matching
+   the old per-launch context), constant pools installed past them. *)
 let bind_slot p (w : wctx) =
   Array.fill w.wf 0 p.nfreg 0.0;
   Array.fill w.wi 0 p.nireg 0;

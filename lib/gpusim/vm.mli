@@ -44,6 +44,23 @@ val compile : Ptx.Types.kernel -> program
     not jump forward to an instruction, or a body that does not end in
     [ret]. *)
 
+type allocation
+(** A register allocation of one kernel: every virtual register mapped
+    to a physical slot of its file.  Floats (f32, f64) share one file,
+    integers (s32, u32, s64, u64) another, predicates a third. *)
+
+val allocate_registers : Ptx.Types.kernel -> allocation
+(** Linear scan over live intervals in instruction order — a register's
+    interval runs from its first definition to its last occurrence —
+    with a LIFO free list per file; linear in the body.  Sound for kernels {!compile} accepts (forward-only branches,
+    definitely assigned reads): two registers of one file that are live
+    at the same point of the control-flow graph never share a slot.  A
+    destination may reuse a slot freed by its own instruction's last
+    read.  {!compile} applies exactly this allocation. *)
+
+val slot : allocation -> Ptx.Types.reg -> int
+(** The physical slot of a register that occurs in the allocated kernel. *)
+
 val decoder_version : int
 (** Bumped whenever the pre-decoded representation changes; persistent
     caches fold it into their keys so stale entries miss instead of
@@ -112,11 +129,22 @@ val set_superinstructions : bool -> unit
 
 val superinstructions_enabled : unit -> bool
 
-type soa_stats = { spans : int; units : int; covered : int; total : int }
+type soa_stats = {
+  spans : int;
+  units : int;
+  covered : int;
+  total : int;
+  rows : int;
+  virtual_rows : int;
+}
 (** Superinstruction plan summary: [spans] fused regions covering
     [covered] of the [total] decoded instructions, executed as [units]
     dispatch units per tile (a mixed ALU chain, a memory-terminated
-    chain, or a division island each count once). *)
+    chain, or a division island each count once).  [rows] is the
+    number of register rows (float + integer + predicate slots, constant
+    pools excluded) the allocated program carries per lane — each costs
+    one 64-lane SoA row per worker — and [virtual_rows] the count the
+    same files would need sized by virtual register id. *)
 
 val superinsn_stats : program -> soa_stats
 

@@ -61,6 +61,45 @@ let uses_of i =
   in
   List.filter_map op_reg ops
 
+let iter_op f = function Reg r -> f r | Imm_float _ | Imm_int _ -> ()
+
+(** [def_of] then [uses_of], one register at a time, building no list. *)
+let iter_regs f = function
+  | Ld_param { dst; _ } | Mov_sreg { dst; _ } -> f dst
+  | Ld_global { dst; addr; _ } | Ld_global_f16 { dst; addr; _ } ->
+      f dst;
+      f addr
+  | St_global { addr; src; _ } | St_global_f16 { addr; src; _ } ->
+      f addr;
+      iter_op f src
+  | Mov { dst; src } ->
+      f dst;
+      iter_op f src
+  | Add { dst; a; b; _ }
+  | Sub { dst; a; b; _ }
+  | Mul { dst; a; b; _ }
+  | Div { dst; a; b; _ }
+  | Setp { dst; a; b; _ } ->
+      f dst;
+      iter_op f a;
+      iter_op f b
+  | Fma { dst; a; b; c; _ } ->
+      f dst;
+      iter_op f a;
+      iter_op f b;
+      iter_op f c
+  | Shl { dst; a; _ } | Neg { dst; a; _ } ->
+      f dst;
+      iter_op f a
+  | Cvt { dst; src } ->
+      f dst;
+      f src
+  | Bra { pred; _ } -> Option.iter f pred
+  | Call { ret; arg; _ } ->
+      f ret;
+      f arg
+  | Label _ | Ret -> ()
+
 (** Instructions whose effect is not captured by their destination
     register: memory writes, control flow, the exit. *)
 let is_side_effecting = function

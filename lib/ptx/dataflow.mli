@@ -19,6 +19,10 @@ val def_of : Types.instr -> Types.reg option
     call arguments. *)
 val uses_of : Types.instr -> Types.reg list
 
+(** [def_of] then [uses_of] in order, one register at a time, without
+    building a list (a register read twice is visited twice). *)
+val iter_regs : (Types.reg -> unit) -> Types.instr -> unit
+
 (** Memory writes, control flow and the exit — instructions whose effect
     is not captured by a destination register and which DCE must keep. *)
 val is_side_effecting : Types.instr -> bool

@@ -791,6 +791,295 @@ let test_parked_lane_fault_wins () =
         [ false; true ])
     [ (72, "ctaid 1, tid 57"); (200, "ctaid 0, tid 129") ]
 
+(* ------------------------------------------------------------------ *)
+(* Register allocation.  [Vm.allocate_registers] is the map [Vm.compile]
+   applies.  The check here does not lean on the allocator's interval
+   argument: it runs [Ptx.Dataflow] liveness on the real control-flow
+   graph and requires that no two registers of one file live at the
+   same point share a slot, and that no definition writes a slot held
+   by another register live past it. *)
+
+let reg_file t = if Ptx.Types.is_float t then 0 else if Ptx.Types.is_int t then 1 else 2
+
+(* The first clash in [k]'s allocation, as a message; [None] if sound. *)
+let allocation_clash (k : Ptx.Types.kernel) =
+  let a = Gpusim.Vm.allocate_registers k in
+  let slot_of ((t, id) : Ptx.Dataflow.key) =
+    (reg_file t, Gpusim.Vm.slot a { Ptx.Types.rtype = t; id })
+  in
+  let name (t, id) = Ptx.Types.reg_name { Ptx.Types.rtype = t; id } in
+  let body = Array.of_list k.Ptx.Types.body in
+  let blocks, _ = Ptx.Dataflow.blocks body in
+  let _, live_out = Ptx.Dataflow.liveness body blocks in
+  let clash = ref None in
+  let report i x y =
+    if !clash = None then
+      clash :=
+        Some
+          (Printf.sprintf "%s: %s and %s share a slot at instruction %d" k.Ptx.Types.kname
+             (name x) (name y) i)
+  in
+  let check_point i live =
+    let seen = Hashtbl.create 64 in
+    Ptx.Dataflow.KSet.iter
+      (fun x ->
+        let s = slot_of x in
+        match Hashtbl.find_opt seen s with Some y -> report i x y | None -> Hashtbl.add seen s x)
+      live
+  in
+  Array.iteri
+    (fun b (blk : Ptx.Dataflow.block) ->
+      let live = ref live_out.(b) in
+      check_point (blk.last + 1) !live;
+      for i = blk.last downto blk.first do
+        (match Ptx.Dataflow.def_of body.(i) with
+        | Some d ->
+            let kd = Ptx.Dataflow.key d in
+            Ptx.Dataflow.KSet.iter
+              (fun x -> if x <> kd && slot_of x = slot_of kd then report i kd x)
+              !live;
+            live := Ptx.Dataflow.KSet.remove kd !live
+        | None -> ());
+        List.iter
+          (fun u -> live := Ptx.Dataflow.KSet.add (Ptx.Dataflow.key u) !live)
+          (Ptx.Dataflow.uses_of body.(i));
+        check_point i !live
+      done)
+    blocks;
+  !clash
+
+(* Random kernels in the skip and diamond shapes of skipk/diamk, nested
+   up to three deep, over float, integer, address and predicate
+   registers.  Every read is definitely assigned: a register defined
+   inside an arm stays there unless both arms of a diamond define it,
+   and a skip may redefine a register set before it.  Integer loads
+   write the file their address lives in, so a load can take its own
+   address register's slot. *)
+let random_branchy_kernel seed =
+  let open Ptx.Types in
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let pick l = List.nth l (int (List.length l)) in
+  let serial = ref 0 in
+  let fresh t =
+    incr serial;
+    { rtype = t; id = !serial }
+  in
+  let body = ref [] and labels = ref 0 in
+  let emit i = body := i :: !body in
+  let label () =
+    incr labels;
+    Printf.sprintf "L%d" !labels
+  in
+  let base = fresh U64 and n = fresh S32 and tid = fresh S32 and one = fresh F64 in
+  emit (Ld_param { dst = base; param_index = 0 });
+  emit (Ld_param { dst = n; param_index = 1 });
+  emit (Mov_sreg { dst = tid; src = Tid_x });
+  emit (Mov { dst = one; src = Imm_float 1.0 });
+  let fop fl = if int 6 = 0 then Imm_float (float_of_int (int 5)) else Reg (pick fl) in
+  (* One float definition in five rewrites a register already in scope. *)
+  let fdst fl = if int 5 = 0 then pick fl else fresh F64 in
+  let straight (fl, il, al) =
+    let fl = ref fl and il = ref il and al = ref al in
+    for _ = 1 to 1 + int 8 do
+      match int 10 with
+      | 0 | 1 ->
+          let dtype = F64 and dst = fdst !fl and a = fop !fl and b = fop !fl in
+          emit
+            (match int 3 with
+            | 0 -> Add { dtype; dst; a; b }
+            | 1 -> Mul { dtype; dst; a; b }
+            | _ -> Sub { dtype; dst; a; b });
+          fl := dst :: !fl
+      | 2 ->
+          let dst = fdst !fl in
+          emit (Fma { dtype = F64; dst; a = fop !fl; b = fop !fl; c = fop !fl });
+          fl := dst :: !fl
+      | 3 ->
+          let dst = fresh S32 in
+          emit (Add { dtype = S32; dst; a = Reg (pick !il); b = Imm_int (int 7) });
+          il := dst :: !il
+      | 4 ->
+          let dst = fresh U64 in
+          emit (Add { dtype = U64; dst; a = Reg (pick !al); b = Imm_int (8 * int 4) });
+          al := dst :: !al
+      | 5 ->
+          let dst = fresh S32 in
+          emit (Ld_global { dtype = S32; dst; addr = pick !al; offset = 4 * int 3 });
+          il := dst :: !il
+      | 6 ->
+          let dst = fdst !fl in
+          emit (Ld_global { dtype = F64; dst; addr = pick !al; offset = 8 * int 3 });
+          fl := dst :: !fl
+      | 7 ->
+          let dst = fresh F64 in
+          emit (Cvt { dst; src = pick !il });
+          fl := dst :: !fl
+      | 8 ->
+          let dst = fresh S32 in
+          emit (Div { dtype = S32; dst; a = Reg (pick !il); b = Reg (pick !il) });
+          il := dst :: !il
+      | _ -> emit (St_global { dtype = F64; addr = pick !al; offset = 0; src = fop !fl })
+    done;
+    (!fl, !il, !al)
+  in
+  let guard (_, il, _) =
+    let p = fresh Pred in
+    emit (Setp { cmp = Lt; dtype = S32; dst = p; a = Reg (pick il); b = Imm_int (int 9) });
+    p
+  in
+  let rec block depth ((fl, il, al) as scope) =
+    match if depth = 0 then 0 else int 3 with
+    | 0 -> straight scope
+    | 1 ->
+        (* skip: x = c; if p then (...; x = v); *)
+        let x = fresh F64 in
+        emit (Mov { dst = x; src = Imm_float (float_of_int (int 9)) });
+        let p = guard scope in
+        let l = label () in
+        emit (Bra { label = l; pred = Some p });
+        let fl', _, _ = block (depth - 1) (x :: fl, il, al) in
+        emit (Mov { dst = x; src = Reg (pick fl') });
+        emit (Label l);
+        (x :: fl, il, al)
+    | _ ->
+        (* diamond: if p then y = (...) else y = (...) *)
+        let y = fresh F64 in
+        let p = guard scope in
+        let l_else = label () and l_join = label () in
+        emit (Bra { label = l_else; pred = Some p });
+        let fl1, _, _ = block (depth - 1) scope in
+        emit (Mov { dst = y; src = Reg (pick fl1) });
+        emit (Bra { label = l_join; pred = None });
+        emit (Label l_else);
+        let fl2, _, _ = block (depth - 1) scope in
+        emit (Mov { dst = y; src = Reg (pick fl2) });
+        emit (Label l_join);
+        (y :: fl, il, al)
+  in
+  let scope = ref ([ one ], [ n; tid ], [ base ]) in
+  for _ = 1 to 2 + int 4 do
+    scope := block 3 !scope
+  done;
+  let fl, _, _ = !scope in
+  List.iter
+    (fun x ->
+      if int 2 = 0 then emit (St_global { dtype = F64; addr = base; offset = 0; src = Reg x }))
+    fl;
+  emit Ret;
+  {
+    kname = Printf.sprintf "branchy_%d" seed;
+    params = [ { pname = "a"; ptype = U64 }; { pname = "n"; ptype = S32 } ];
+    body = List.rev !body;
+  }
+
+(* The kernels an engine compiled for a random op chain plus a norm2
+   and an inner product: singletons, fused groups, reduction payloads
+   and the fold kernel, parsed back from their PTX text as [Jit.compile]
+   reads it. *)
+let chain_kernels prog =
+  let eng = Engine.create ~vm_domains:1 () in
+  let pool = run_jit eng 31L prog in
+  ignore (Engine.norm2 eng (Expr.sub (Expr.field pool.(0)) (Expr.field pool.(1))));
+  ignore (Engine.inner eng (Expr.field pool.(2)) (Expr.field pool.(3)));
+  List.map (fun (b : Qdpjit.Codegen.built) -> Ptx.Parse.kernel b.text) (Engine.built_kernels eng)
+
+(* The allocator walks registers with [Ptx.Dataflow.iter_regs]; it
+   must visit exactly [def_of] then [uses_of]. *)
+let sound (k : Ptx.Types.kernel) =
+  List.iter
+    (fun i ->
+      let seen = ref [] in
+      Ptx.Dataflow.iter_regs (fun r -> seen := r :: !seen) i;
+      let expected = Option.to_list (Ptx.Dataflow.def_of i) @ Ptx.Dataflow.uses_of i in
+      if List.rev !seen <> expected then
+        QCheck.Test.fail_reportf "%s: iter_regs disagrees with def_of/uses_of on %s" k.kname
+          (Ptx.Print.kernel { k with body = [ i ] }))
+    k.body;
+  match allocation_clash k with
+  | None -> true
+  | Some m -> QCheck.Test.fail_report m
+
+let qcheck_allocation_sound =
+  QCheck.Test.make ~count:20
+    ~name:"random branchy kernels and op chains: no live pair shares a slot"
+    (QCheck.pair (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000)) arb_prog)
+    (fun (seed, prog) ->
+      let k = random_branchy_kernel seed in
+      (match Gpusim.Vm.compile k with
+      | _ -> ()
+      | exception Gpusim.Vm.Fault m -> QCheck.Test.fail_reportf "%s rejected: %s" k.kname m);
+      sound k && List.for_all sound (chain_kernels prog))
+
+(* Every kernel a fused Wilson CG solve and a 2^4 HMC trajectory build;
+   the allocation must also shrink the register files somewhere. *)
+let test_allocation_on_workloads () =
+  let wilson =
+    let eng = Engine.create ~vm_domains:1 () in
+    let links = Lqcd.Gauge.create_links geom in
+    Lqcd.Gauge.random_gauge ~epsilon:0.3 links (Prng.create ~seed:11L);
+    let ops = Solvers.Ops.jit eng fm geom in
+    let nop = Solvers.Ops.normal_op ops ~apply_m:(Lqcd.Wilson.wilson_expr ~kappa:0.115 links) in
+    let b = (fresh_pool 5L 1).(0) in
+    let x = ops.Solvers.Ops.fresh () in
+    ignore (Solvers.Cg.solve ops nop ~b ~x ~max_iter:3 ());
+    Engine.built_kernels eng
+  in
+  let hmc =
+    let eng = Engine.create ~vm_domains:1 () in
+    let g = Geometry.create [| 2; 2; 2; 2 |] in
+    let ctx = Hmc.Context.create ~backend:(Hmc.Context.jit_backend eng) ~seed:7L g in
+    Lqcd.Gauge.random_gauge ~epsilon:0.25 ctx.Hmc.Context.u (Prng.create ~seed:17L);
+    let monomials =
+      [
+        Hmc.Gauge_monomial.create ctx ~beta:5.6 ~aniso:1.0 ();
+        Hmc.Two_flavor.create ctx ~kappa:0.10 ();
+      ]
+    in
+    ignore
+      (Hmc.Driver.run_trajectory ctx monomials
+         { Hmc.Driver.steps = 1; dt = 0.05; scheme = Hmc.Integrator.Omelyan });
+    Engine.built_kernels eng
+  in
+  let shrunk = ref 0 in
+  List.iter
+    (fun (b : Qdpjit.Codegen.built) ->
+      let k = Ptx.Parse.kernel b.text in
+      (match allocation_clash k with Some m -> Alcotest.fail m | None -> ());
+      let s = Gpusim.Vm.superinsn_stats (Gpusim.Vm.compile k) in
+      if s.Gpusim.Vm.rows > s.Gpusim.Vm.virtual_rows then
+        Alcotest.failf "%s: %d rows allocated, more than its %d virtual rows" k.kname
+          s.Gpusim.Vm.rows s.Gpusim.Vm.virtual_rows;
+      if s.Gpusim.Vm.rows < s.Gpusim.Vm.virtual_rows then incr shrunk)
+    (wilson @ hmc);
+  if !shrunk = 0 then Alcotest.fail "no workload kernel's register files shrank"
+
+(* divk's divisor load takes the slot of its dead address register, and
+   the faulting division writes that slot again as its destination: the
+   fault must still name the same lane, with the same message, under
+   both executors at every worker count. *)
+let test_fault_in_reused_slot () =
+  let a = Gpusim.Vm.allocate_registers (Ptx.Parse.kernel divk_text) in
+  let slot t id = Gpusim.Vm.slot a { Ptx.Types.rtype = t; id } in
+  Alcotest.(check int) "ld.global %r7 reuses %rd4's slot" (slot Ptx.Types.U64 4)
+    (slot Ptx.Types.S32 7);
+  Alcotest.(check int) "div %r8 reuses %r7's slot" (slot Ptx.Types.S32 7) (slot Ptx.Types.S32 8);
+  let run ~superinsn ~vm_domains =
+    with_superinsn superinsn (fun () -> launch_divk ~vm_domains ~zero_sites:[ 1600; 600 ])
+  in
+  let reference = run ~superinsn:false ~vm_domains:1 in
+  check_fault "reference" reference;
+  List.iter
+    (fun superinsn ->
+      List.iter
+        (fun w ->
+          match (reference, run ~superinsn ~vm_domains:w) with
+          | Some r, Some m ->
+              Alcotest.(check string) (Printf.sprintf "superinsn %b, w=%d" superinsn w) r m
+          | _ -> Alcotest.failf "superinsn %b, w=%d: no fault" superinsn w)
+        [ 1; 2; 4; 8 ])
+    [ false; true ]
+
 let () =
   Alcotest.run "vm"
     [
@@ -824,5 +1113,13 @@ let () =
           Alcotest.test_case "all-threads fault reports (0,0)" `Quick
             test_fault_names_first_thread;
           Alcotest.test_case "divk passes safety analysis" `Quick test_divk_parallelizable;
+        ] );
+      ( "regalloc",
+        [
+          QCheck_alcotest.to_alcotest qcheck_allocation_sound;
+          Alcotest.test_case "wilson CG + HMC kernels: no live pair shares a slot" `Quick
+            test_allocation_on_workloads;
+          Alcotest.test_case "fault in a reused slot: same lane and message" `Quick
+            test_fault_in_reused_slot;
         ] );
     ]
