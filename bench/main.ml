@@ -309,28 +309,26 @@ let jit_overhead () =
   Printf.printf "  (paper: 0.05-0.22 s per kernel; ~200 kernels/trajectory => 10-30 s total)\n";
   Printf.printf "  modeled total for 200 kernels of this mix: %.0f s\n"
     (!total /. float_of_int (List.length all) *. 200.0);
-  (* Middle-end scorecards, as recorded by the engine at compile time. *)
-  let eng = Qdpjit.Engine.create ~mode:Gpusim.Device.Model_only ~fuse:false () in
-  List.iter
-    (fun (_, expr, dest) -> Qdpjit.Engine.eval eng dest expr)
-    (test_functions geom Shape.F64);
-  let out = Field.create (Shape.lattice_fermion Shape.F64) geom in
-  Qdpjit.Engine.eval eng out (Lqcd.Wilson.hopping_expr u psi);
-  Printf.printf "\n  middle-end per-kernel stats (Engine.jit_stats, raw -> optimized):\n";
+  (* Middle-end scorecards of the same builds.  Register counts are the
+     uncapped allocator demand: the occupancy model's estimate saturates
+     at 64 on large kernels, which would hide the savings. *)
+  Printf.printf "\n  middle-end per-kernel stats (raw -> optimized):\n";
   Printf.printf "  %-10s %13s %13s %15s  passes\n" "kernel" "instrs" "regs(demand)" "load B/thread";
   List.iter
-    (fun (s : Qdpjit.Engine.jit_stats) ->
-      Printf.printf "  %-10s %5d ->%5d %5d ->%5d %6d ->%6d  %s\n" s.Qdpjit.Engine.kname
-        s.Qdpjit.Engine.raw_instructions s.Qdpjit.Engine.opt_instructions
-        s.Qdpjit.Engine.raw_registers s.Qdpjit.Engine.opt_registers
-        s.Qdpjit.Engine.raw_load_bytes s.Qdpjit.Engine.opt_load_bytes
+    (fun (name, (b : Qdpjit.Codegen.built)) ->
+      let raw = b.Qdpjit.Codegen.raw and opt = b.Qdpjit.Codegen.kernel in
+      let loads k = (Ptx.Analysis.kernel k).Ptx.Analysis.load_bytes in
+      Printf.printf "  %-10s %5d ->%5d %5d ->%5d %6d ->%6d  %s\n" name
+        (List.length raw.Ptx.Types.body) (List.length opt.Ptx.Types.body)
+        (Ptx.Dataflow.register_demand raw) (Ptx.Dataflow.register_demand opt) (loads raw)
+        (loads opt)
         (String.concat ","
            (List.map
               (fun (r : Ptx.Passes.report) ->
                 Printf.sprintf "%s(%d->%d)" r.Ptx.Passes.pass r.Ptx.Passes.before
                   r.Ptx.Passes.after)
-              s.Qdpjit.Engine.passes)))
-    (Qdpjit.Engine.jit_stats eng)
+              b.Qdpjit.Codegen.passes)))
+    all
 
 (* ------------------------------------------------------------------ *)
 (* Middle-end: raw vs optimized Table II kernels, with a JSON artifact *)
@@ -961,7 +959,7 @@ let vmperf () =
      fused reduction group a short CG solve builds, and the fold kernel
      that solve launches. *)
   let red_stats =
-    let stats_of text = Gpusim.Vm.superinsn_stats (Gpusim.Jit.compile text).Gpusim.Jit.program in
+    let stats_of k = Gpusim.Vm.superinsn_stats (Gpusim.Vm.compile k) in
     let payload =
       let expr = Expr.norm2_local (f p1) in
       Qdpjit.Codegen.build ~reduction:true ~kname:"vp_red_payload"
@@ -972,22 +970,20 @@ let vmperf () =
     let ops = Solvers.Ops.jit eng fm geom in
     let nop = Solvers.Ops.normal_op ops ~apply_m:(Lqcd.Wilson.wilson_expr ~kappa:0.115 u) in
     ignore (Solvers.Cg.solve ops nop ~b:(mk fm 61L) ~x:(Field.create fm geom) ~max_iter:2 ());
-    let built = Qdpjit.Engine.built_kernels eng in
-    let named prefix (b : Qdpjit.Codegen.built) =
-      String.starts_with ~prefix b.Qdpjit.Codegen.kernel.Ptx.Types.kname
-    in
+    let kernels = List.map Ptx.Parse.kernel (Qdpjit.Engine.kernel_texts eng) in
+    let named prefix (k : Ptx.Types.kernel) = String.starts_with ~prefix k.Ptx.Types.kname in
     (* A fused group with a spliced reduction payload binds the
        payload's block-partial parameter. *)
     let groups =
       List.filter
-        (fun (b : Qdpjit.Codegen.built) ->
-          named "qdpjit_fused_" b
+        (fun (k : Ptx.Types.kernel) ->
+          named "qdpjit_fused_" k
           && List.exists
                (fun (p : Ptx.Types.param) ->
                  String.starts_with ~prefix:"blockpart" p.Ptx.Types.pname)
-               b.Qdpjit.Codegen.kernel.Ptx.Types.params)
-        built
-      |> List.map (fun (b : Qdpjit.Codegen.built) -> stats_of b.Qdpjit.Codegen.text)
+               k.Ptx.Types.params)
+        kernels
+      |> List.map stats_of
     in
     let group =
       List.fold_left
@@ -995,11 +991,11 @@ let vmperf () =
           if s.Gpusim.Vm.total > best.Gpusim.Vm.total then s else best)
         (List.hd groups) groups
     in
-    let fold = List.find (named "qdpjit_reduce8_f64") built in
+    let fold = List.find (named "qdpjit_reduce8_f64") kernels in
     [
-      ("red_payload", stats_of payload.Qdpjit.Codegen.text);
+      ("red_payload", stats_of payload.Qdpjit.Codegen.kernel);
       ("red_group", group);
-      ("reduce8", stats_of fold.Qdpjit.Codegen.text);
+      ("reduce8", stats_of fold);
     ]
   in
   let dispatch_ratio (s : Gpusim.Vm.soa_stats) =

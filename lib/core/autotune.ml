@@ -52,4 +52,3 @@ let report t ~block ~ns =
   | Trying _ | Probing _ | Settled _ -> ()
 
 let settled t = match t.phase with Settled _ -> true | Trying _ | Probing _ -> false
-let chosen_block t = match t.phase with Settled b -> Some b | _ -> None

@@ -22,8 +22,5 @@ val report : t -> block:int -> ns:float -> unit
 (** A payload launch at [block] took [ns]; drives the probe sequence. *)
 
 val settled : t -> bool
-val chosen_block : t -> int option
-(** The settled block size, if tuning has finished. *)
-
 val degradation_threshold : float
 (** The 33 % probe-stop rule (1.33). *)

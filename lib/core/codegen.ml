@@ -19,7 +19,7 @@ module Field = Qdp.Field
 module JSite = Linalg.Site.Make (Jit_scalar)
 open Ptx.Types
 
-let version = 3
+let version = 4
 
 type param_plan =
   | Dest  (** destination field pointer *)
@@ -42,7 +42,6 @@ type built = {
   raw : kernel;
   text : string;
   plan : param_plan list;
-  dest_shape : Shape.t;
   passes : Ptx.Passes.report list;
 }
 
@@ -64,6 +63,18 @@ let byte_address e base site_reg ~scale =
   let addr = Emitter.fresh e U64 in
   Emitter.emit e (Add { dtype = U64; dst = addr; a = Reg base; b = Reg u64 });
   addr
+
+let lower ?(optimize = true) ?provenance ~plan raw =
+  Ptx.Validate.kernel raw;
+  let kernel, passes =
+    if optimize then begin
+      let r = Ptx.Passes.run ?provenance raw in
+      Ptx.Validate.kernel r.Ptx.Passes.kernel;
+      (r.Ptx.Passes.kernel, r.Ptx.Passes.applied)
+    end
+    else (raw, [])
+  in
+  { kernel; raw; text = Ptx.Print.kernel kernel; plan; passes }
 
 let build ?(optimize = true) ?(reduction = false) ~kname ~dest_shape ~(expr : Expr.t) ~nsites
     ~use_sitelist () =
@@ -356,14 +367,4 @@ let build ?(optimize = true) ?(reduction = false) ~kname ~dest_shape ~(expr : Ex
      dead-component loads stripped (that has always happened at emission),
      everything else naive.  The middle-end then runs on top, with the
      emitter's provenance as the CSE soundness certificate. *)
-  let raw = Emitter.eliminate_dead_code kernel in
-  Ptx.Validate.kernel raw;
-  let kernel, passes =
-    if optimize then begin
-      let r = Ptx.Passes.run ~provenance:(Emitter.provenance e) raw in
-      Ptx.Validate.kernel r.Ptx.Passes.kernel;
-      (r.Ptx.Passes.kernel, r.Ptx.Passes.applied)
-    end
-    else (raw, [])
-  in
-  { kernel; raw; text = Ptx.Print.kernel kernel; plan; dest_shape; passes }
+  lower ~optimize ~provenance:(Emitter.provenance e) ~plan (Emitter.eliminate_dead_code kernel)

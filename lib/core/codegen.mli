@@ -40,9 +40,19 @@ type built = {
   raw : Ptx.Types.kernel;  (** the pre-middle-end stream (equal to [kernel] when raw) *)
   text : string;  (** the PTX text of [kernel], handed to the driver JIT *)
   plan : param_plan list;
-  dest_shape : Shape.t;
   passes : Ptx.Passes.report list;  (** middle-end applications, in order *)
 }
+
+val lower :
+  ?optimize:bool ->
+  ?provenance:Ptx.Passes.provenance ->
+  plan:param_plan list ->
+  Ptx.Types.kernel ->
+  built
+(** The compile tail every kernel takes, generated or not: validate the
+    raw stream, run the {!Ptx.Passes} middle-end when [optimize] (default
+    on; [provenance] is the emitting builder's CSE certificate), validate
+    again and print the text the driver JIT reads. *)
 
 val build :
   ?optimize:bool ->
@@ -58,7 +68,8 @@ val build :
     sites.  [use_sitelist] selects the subset variant (site index loaded
     from a buffer instead of the thread index).  [optimize] (default on)
     runs the {!Ptx.Passes} middle-end on the emitted stream; [raw] always
-    holds the unoptimized kernel for comparison.
+    holds the unoptimized kernel for comparison.  The emitted stream
+    goes through {!lower}.
 
     [reduction] (default off) builds the payload kernel of a reduction:
     there is no destination field — the per-work-item partials go to a

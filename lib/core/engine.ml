@@ -9,14 +9,21 @@
     scratch and fold it with a cached radix-8 kernel, finishing the last
     level on the host, keeping results deterministic.
 
+    Every kernel the engine launches — singleton eval, fused group, fold
+    kernel — comes out of one compile path ({!compile}): persistent-cache
+    lookup, naming, {!Codegen.lower}, driver JIT, publish.  A cache entry
+    keeps only what a launch reads: the compiled function, its parameter
+    plan and its tuner.
+
     On top of that sits the deferred-launch queue: a default-stream
     [eval] only records the request, and a flush point (reduction,
-    host access through the memory cache, subset/geometry change, queue
-    depth, or an explicit {!flush}) runs the fusion planner over the
-    pending evals.  Field-id dependence analysis groups evals that may
-    execute as one kernel — {!Ptx.Fuse} splices their bodies, replacing
-    same-site producer→consumer loads with register moves — and anything
-    hazardous launches separately, in order, on the default stream. *)
+    host access through the memory cache, queue depth, or an explicit
+    {!flush}) runs the fusion planner over the pending evals, one
+    (subset, geometry) run at a time.  Field-id dependence analysis
+    groups evals that may execute as one kernel — {!Ptx.Fuse} splices
+    their bodies, replacing same-site producer→consumer loads with
+    register moves — and anything hazardous launches separately, in
+    order, on the default stream. *)
 
 module Shape = Layout.Shape
 module Geometry = Layout.Geometry
@@ -28,37 +35,12 @@ module Jit = Gpusim.Jit
 module Buffer_ = Gpusim.Buffer
 open Ptx.Types
 
+(* What a launch reads: the driver's function (its analysis drives the
+   byte counters), the parameter binding order and the block-size tuner. *)
 type kernel_entry = {
-  built : Codegen.built;
   compiled : Jit.compiled;
+  plan : Codegen.param_plan list;  (** [] for fused groups and the fold kernel *)
   tuner : Autotune.t;
-  bytes_per_thread : int;
-      (** modeled global load+store bytes one thread moves (drives the
-          engine-wide traffic counter) *)
-  tier_bytes_per_thread : int * int * int;
-      (** the float portion of [bytes_per_thread] split by storage
-          precision (f16, f32, f64); integer index traffic is counted in
-          the total only *)
-}
-
-(** Per-kernel middle-end scorecard, recorded at compile time.  Register
-    counts are the {e uncapped} allocator demand from
-    {!Ptx.Dataflow.register_demand} (32-bit units): the occupancy model's
-    [regs_per_thread] saturates at 64 on large kernels, which would hide
-    exactly the savings these numbers exist to show. *)
-type jit_stats = {
-  kname : string;
-  raw_instructions : int;
-  opt_instructions : int;
-  raw_registers : int;
-  opt_registers : int;
-  raw_load_bytes : int;
-  opt_load_bytes : int;
-  passes : Ptx.Passes.report list;  (** pass applications that changed the kernel *)
-  fused_members : int;  (** evals spliced into this kernel (1 = unfused) *)
-  fused_subst_load_bytes : int;
-      (** per-thread consumer load bytes replaced by register moves *)
-  fused_dropped_store_bytes : int;  (** per-thread producer store bytes dropped *)
 }
 
 (** Lifetime counters of the deferred-eval queue and fusion planner. *)
@@ -123,9 +105,11 @@ type t = {
       (** persistent store of compiled kernels, shared across engines and
           processes; looked up before every compile *)
   kernels : (string, kernel_entry) Hashtbl.t;
+      (** singleton evals by {!eval_key}, and the fold kernel by {!reduce_key} *)
   fused_kernels : (string, fused_entry) Hashtbl.t;
-  raw_builts : (string, Codegen.built) Hashtbl.t;
-      (** unoptimized per-eval kernels kept as fusion source material *)
+  members : (string, kernel * Codegen.param_plan list) Hashtbl.t;
+      (** unoptimized per-eval kernels and their plans, kept as fusion
+          source material *)
   ntables : (string, Buffer_.t) Hashtbl.t;
   sitelists : (string, Buffer_.t) Hashtbl.t;
   optimize : bool;  (** run the {!Ptx.Passes} middle-end before the driver JIT *)
@@ -145,14 +129,12 @@ type t = {
   mutable kernel_bytes_f32 : int;
   mutable kernel_bytes_f64 : int;
       (** the float portion of [kernel_bytes] split by storage precision *)
-  mutable reduce_kernel : kernel_entry option;
   red_partial : Buffer_.t option ref;
       (** partial planes the reduction-mode payload kernels write: one
           plane of nsites doubles per component *)
   red_block : Buffer_.t option ref;
       (** block partials the payload kernels aggregate into: one plane of
           ceil(nsites/8) doubles per component *)
-  mutable stats_rev : jit_stats list;
   mutable fs_deferred : int;
   mutable fs_flushes : int;
   mutable fs_groups : int;
@@ -164,34 +146,6 @@ type t = {
 
 let max_pending = 16
 let max_group = 6
-
-(* The middle-end scorecard for one compiled kernel.  Kernels the driver
-   ultimately executes are [kernel]; [raw] is what the paper-faithful
-   unparser produced (for fused kernels: the splice before re-running the
-   passes). *)
-let record_stats ?(fused_members = 1) ?(fused_subst_load_bytes = 0)
-    ?(fused_dropped_store_bytes = 0) t (built : Codegen.built) =
-  let measure (k : kernel) =
-    let a = Ptx.Analysis.kernel k in
-    (List.length k.body, Ptx.Dataflow.register_demand k, a.Ptx.Analysis.load_bytes)
-  in
-  let raw_instructions, raw_registers, raw_load_bytes = measure built.Codegen.raw in
-  let opt_instructions, opt_registers, opt_load_bytes = measure built.Codegen.kernel in
-  t.stats_rev <-
-    {
-      kname = built.Codegen.kernel.kname;
-      raw_instructions;
-      opt_instructions;
-      raw_registers;
-      opt_registers;
-      raw_load_bytes;
-      opt_load_bytes;
-      passes = built.Codegen.passes;
-      fused_members;
-      fused_subst_load_bytes;
-      fused_dropped_store_bytes;
-    }
-    :: t.stats_rev
 
 let device t = t.device
 let streams t = t.streams
@@ -262,26 +216,6 @@ let sitelist t geom subset =
           Hashtbl.replace t.sitelists key buf;
           buf)
 
-let entry_of_built t built compiled =
-  let a = Ptx.Analysis.kernel built.Codegen.kernel in
-  let b16 = ref 0 and b32 = ref 0 and b64 = ref 0 in
-  List.iter
-    (fun i ->
-      match i with
-      | Ld_global_f16 _ | St_global_f16 _ -> b16 := !b16 + 2
-      | Ld_global { dtype = F32; _ } | St_global { dtype = F32; _ } -> b32 := !b32 + 4
-      | Ld_global { dtype = F64; _ } | St_global { dtype = F64; _ } -> b64 := !b64 + 8
-      | _ -> ())
-    built.Codegen.kernel.body;
-  {
-    built;
-    compiled;
-    tuner =
-      Autotune.create ~max_block:t.device.Device.machine.Gpusim.Machine.max_threads_per_block ();
-    bytes_per_thread = a.Ptx.Analysis.load_bytes + a.Ptx.Analysis.store_bytes;
-    tier_bytes_per_thread = (!b16, !b32, !b64);
-  }
-
 (* ------------------------------------------------------------------ *)
 (* The persistent JIT cache.
 
@@ -291,15 +225,17 @@ let entry_of_built t built compiled =
    kernel), the optimize flag, and the versions of every stage that
    shapes the bytes — code generator, middle-end, splicer, pre-decoder —
    plus the OCaml version, since entries travel as [Marshal] images.
-   A hit restores the built kernel and the pre-decoded program without
-   running the emitter, the passes, the validator or the driver JIT;
-   [kernels_built] and [jit_seconds] count only real compiles, so a
-   fully warm engine reports zero kernels built. *)
+   A hit restores the driver's output (pre-decoded program, analysis,
+   text), the parameter plan and the fuse report without running the
+   emitter, the passes, the validator or the driver JIT; [kernels_built]
+   and [jit_seconds] count only real compiles, so a fully warm engine
+   reports zero kernels built.  A payload type change must come with a
+   version bump: [Marshal] cannot tell an old payload from a new one. *)
 
 type cache_payload = {
-  cp_built : Codegen.built;
   cp_prog : Jit.portable;
-  cp_report : Ptx.Fuse.report option;  (** fused kernels carry their savings report *)
+  cp_plan : Codegen.param_plan list;
+  cp_report : Ptx.Fuse.report;  (** fused kernels' savings; zero otherwise *)
 }
 
 let cache_tag =
@@ -308,58 +244,57 @@ let cache_tag =
 
 let disk_key ~opt ~kind skey = Printf.sprintf "%s|opt%b|%s|%s" cache_tag opt kind skey
 
-let cache_find t ~opt ~kind skey =
+let cache_find (type a) t ~opt ~kind skey : a option =
   match t.jit_cache with
   | None -> None
   | Some c -> (
       match Jitcache.find c ~key:(disk_key ~opt ~kind skey) with
       | None -> None
-      | Some data -> (
-          try
-            let (p : cache_payload) = Marshal.from_string data 0 in
-            Some (p.cp_built, Jit.of_portable p.cp_prog, p.cp_report)
-          with _ -> None))
+      | Some data -> ( try Some (Marshal.from_string data 0 : a) with _ -> None))
 
-let cache_store t ~opt ~kind skey (built : Codegen.built) (compiled : Jit.compiled) report =
+let cache_store t ~opt ~kind skey payload =
   match t.jit_cache with
   | None -> ()
-  | Some c ->
-      let payload = { cp_built = built; cp_prog = Jit.to_portable compiled; cp_report = report } in
-      Jitcache.store c ~key:(disk_key ~opt ~kind skey) ~data:(Marshal.to_string payload [])
+  | Some c -> Jitcache.store c ~key:(disk_key ~opt ~kind skey) ~data:(Marshal.to_string payload [])
 
-(* Raw (pre-middle-end) fusion source material travels as a bare
-   [Codegen.built]: it never reaches the driver JIT directly, but a warm
-   start must still skip the emitter to stay near steady-state cost. *)
-let cache_find_built t ~kind skey =
-  match t.jit_cache with
-  | None -> None
-  | Some c -> (
-      match Jitcache.find c ~key:(disk_key ~opt:false ~kind skey) with
-      | None -> None
-      | Some data -> ( try Some (Marshal.from_string data 0 : Codegen.built) with _ -> None))
+let no_report = { Ptx.Fuse.subst_load_bytes = 0; dropped_store_bytes = 0 }
 
-let cache_store_built t ~kind skey (built : Codegen.built) =
-  match t.jit_cache with
-  | None -> ()
-  | Some c ->
-      Jitcache.store c ~key:(disk_key ~opt:false ~kind skey) ~data:(Marshal.to_string built [])
+(* The one compile path.  [lower kname] produces the kernel through
+   {!Codegen.lower} (plus a fused group's savings report); it runs only
+   on a persistent-cache miss, after the kernel is named: [`Serial p]
+   numbers it [p_<n>] in compile order, [`Fixed n] is a constant name. *)
+let compile t ~kind ~skey ~name lower =
+  let opt = t.optimize in
+  let compiled, plan, report =
+    match (cache_find t ~opt ~kind skey : cache_payload option) with
+    | Some p -> (Jit.of_portable p.cp_prog, p.cp_plan, p.cp_report)
+    | None ->
+        let kname =
+          match name with
+          | `Fixed n -> n
+          | `Serial prefix ->
+              t.kernel_serial <- t.kernel_serial + 1;
+              Printf.sprintf "%s_%d" prefix t.kernel_serial
+        in
+        let built, report = lower kname in
+        let compiled = Jit.compile built.Codegen.text in
+        t.kernels_built <- t.kernels_built + 1;
+        t.jit_seconds <- t.jit_seconds +. compiled.Jit.compile_time;
+        cache_store t ~opt ~kind skey
+          { cp_prog = Jit.to_portable compiled; cp_plan = built.Codegen.plan; cp_report = report };
+        (compiled, built.Codegen.plan, report)
+  in
+  let max_block = t.device.Device.machine.Gpusim.Machine.max_threads_per_block in
+  ({ compiled; plan; tuner = Autotune.create ~max_block () }, report)
 
-let compile_entry t ~key ~reduction ~dest_shape ~expr ~nsites ~use_sitelist =
-  match cache_find t ~opt:t.optimize ~kind:"eval" key with
-  | Some (built, compiled, _) -> entry_of_built t built compiled
+(* A [kernels] entry, compiled on first use. *)
+let cached_kernel t ~kind ~key ~name lower =
+  match Hashtbl.find_opt t.kernels key with
+  | Some e -> e
   | None ->
-      t.kernel_serial <- t.kernel_serial + 1;
-      let kname = Printf.sprintf "qdpjit_kernel_%d" t.kernel_serial in
-      let built =
-        Codegen.build ~optimize:t.optimize ~reduction ~kname ~dest_shape ~expr ~nsites
-          ~use_sitelist ()
-      in
-      record_stats t built;
-      let compiled = Jit.compile built.Codegen.text in
-      t.kernels_built <- t.kernels_built + 1;
-      t.jit_seconds <- t.jit_seconds +. compiled.Jit.compile_time;
-      cache_store t ~opt:t.optimize ~kind:"eval" key built compiled None;
-      entry_of_built t built compiled
+      let e, _ = compile t ~kind ~skey:key ~name lower in
+      Hashtbl.replace t.kernels key e;
+      e
 
 let eval_key ~reduction ~dest_shape ~expr ~nsites ~use_sitelist =
   Printf.sprintf "%s|v%d|%s%s"
@@ -369,43 +304,43 @@ let eval_key ~reduction ~dest_shape ~expr ~nsites ~use_sitelist =
     (if reduction then "|red" else "")
 
 let lookup_kernel t ~reduction ~dest_shape ~expr ~nsites ~use_sitelist =
-  let key = eval_key ~reduction ~dest_shape ~expr ~nsites ~use_sitelist in
-  match Hashtbl.find_opt t.kernels key with
-  | Some e -> e
-  | None ->
-      let entry = compile_entry t ~key ~reduction ~dest_shape ~expr ~nsites ~use_sitelist in
-      Hashtbl.replace t.kernels key entry;
-      entry
+  cached_kernel t ~kind:"eval" ~name:(`Serial "qdpjit_kernel")
+    ~key:(eval_key ~reduction ~dest_shape ~expr ~nsites ~use_sitelist) (fun kname ->
+      ( Codegen.build ~optimize:t.optimize ~reduction ~kname ~dest_shape ~expr ~nsites
+          ~use_sitelist (),
+        no_report ))
 
-(* The unoptimized per-eval kernel, kept as fusion source material: the
-   splicer needs the emitter's canonical instruction order, which the
-   middle-end (sink in particular) does not preserve.  The kernel name is
-   a constant, so the built text is engine-independent and disk-cacheable
-   under the same structural key. *)
-let raw_built t ~reduction ~dest_shape ~expr ~nsites ~use_sitelist =
+(* The unoptimized per-eval kernel and its plan, kept as fusion source
+   material: the splicer needs the emitter's canonical instruction order,
+   which the middle-end (sink in particular) does not preserve.  The
+   kernel name is a constant, so the kernel is engine-independent and
+   disk-cacheable under the same structural key; a warm start skips the
+   emitter. *)
+let member t ~reduction ~dest_shape ~expr ~nsites ~use_sitelist =
   let key = eval_key ~reduction ~dest_shape ~expr ~nsites ~use_sitelist in
-  match Hashtbl.find_opt t.raw_builts key with
-  | Some b -> b
+  match Hashtbl.find_opt t.members key with
+  | Some m -> m
   | None ->
-      let b =
-        match cache_find_built t ~kind:"raw" key with
-        | Some b -> b
+      let m =
+        match cache_find t ~opt:false ~kind:"raw" key with
+        | Some m -> m
         | None ->
             let b =
               Codegen.build ~optimize:false ~reduction ~kname:"qdpjit_member" ~dest_shape
                 ~expr ~nsites ~use_sitelist ()
             in
-            cache_store_built t ~kind:"raw" key b;
-            b
+            let m = (b.Codegen.raw, b.Codegen.plan) in
+            cache_store t ~opt:false ~kind:"raw" key m;
+            m
       in
-      Hashtbl.replace t.raw_builts key b;
-      b
+      Hashtbl.replace t.members key m;
+      m
 
 (* Launch through the auto-tuner onto [stream]: resource failures shrink
    the block; the modeled time of successful payload launches drives the
    probe (the stream's queueing delay is excluded from the signal). *)
 let tuned_launch t entry ~stream ~nthreads ~params =
-  let name = entry.built.Codegen.kernel.kname in
+  let name = Gpusim.Vm.kname entry.compiled.Jit.program in
   let rec attempt () =
     let block = Autotune.next_block entry.tuner in
     match Streams.launch ~name t.streams stream entry.compiled ~nthreads ~block ~params with
@@ -415,11 +350,11 @@ let tuned_launch t entry ~stream ~nthreads ~params =
         attempt ()
   in
   if nthreads > 0 then begin
-    t.kernel_bytes <- t.kernel_bytes + (entry.bytes_per_thread * nthreads);
-    let b16, b32, b64 = entry.tier_bytes_per_thread in
-    t.kernel_bytes_f16 <- t.kernel_bytes_f16 + (b16 * nthreads);
-    t.kernel_bytes_f32 <- t.kernel_bytes_f32 + (b32 * nthreads);
-    t.kernel_bytes_f64 <- t.kernel_bytes_f64 + (b64 * nthreads);
+    let a = entry.compiled.Jit.analysis in
+    t.kernel_bytes <- t.kernel_bytes + ((a.Ptx.Analysis.load_bytes + a.store_bytes) * nthreads);
+    t.kernel_bytes_f16 <- t.kernel_bytes_f16 + (a.f16_bytes * nthreads);
+    t.kernel_bytes_f32 <- t.kernel_bytes_f32 + (a.f32_bytes * nthreads);
+    t.kernel_bytes_f64 <- t.kernel_bytes_f64 + (a.f64_bytes * nthreads);
     attempt ()
   end
 
@@ -482,7 +417,7 @@ let launch_eval ?(subset = Subset.All) ~stream ~sync t ~geom ~dest_shape dest ex
         | Codegen.N_work -> Gpusim.Vm.Int n_work
         | Codegen.Block_partial -> Gpusim.Vm.Ptr (scratch_buf t.red_block)
         | Codegen.Scalar_param (slot, comp) -> Gpusim.Vm.Float scalar_values.(slot).(comp))
-      entry.built.Codegen.plan
+      entry.plan
     |> Array.of_list
   in
   tuned_launch t entry ~stream ~nthreads:n_work ~params;
@@ -648,10 +583,10 @@ let plan_drops (evs : pending array) group_of =
 let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
     (dropm : bool array) =
   let k = Array.length members in
-  let builts =
+  let raws =
     Array.map
       (fun m ->
-        raw_built t ~reduction:(is_red m) ~dest_shape:m.p_shape ~expr:m.p_expr ~nsites
+        member t ~reduction:(is_red m) ~dest_shape:m.p_shape ~expr:m.p_expr ~nsites
           ~use_sitelist)
       members
   in
@@ -687,7 +622,7 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
   let slots =
     Array.mapi
       (fun mi m ->
-        builts.(mi).Codegen.plan
+        snd raws.(mi)
         |> List.map (fun p ->
                match p with
                | Codegen.Dest -> slot_of (FB_field (canon (Option.get m.p_dest)))
@@ -752,7 +687,7 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
         let sources =
           List.init k (fun mi ->
               {
-                Ptx.Fuse.kernel = builts.(mi).Codegen.raw;
+                Ptx.Fuse.kernel = fst raws.(mi);
                 slots = slots.(mi);
                 use_sitelist;
                 subst_from = subst.(mi);
@@ -760,50 +695,13 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
                 reduction = is_red members.(mi);
               })
         in
-        let skey = Ptx.Fuse.structural_key ~nsites sources in
-        let built, compiled, report =
-          match cache_find t ~opt:t.optimize ~kind:"fused" skey with
-          | Some (built, compiled, Some report) -> (built, compiled, report)
-          | Some (_, _, None) | None ->
-              t.kernel_serial <- t.kernel_serial + 1;
-              let kname = Printf.sprintf "qdpjit_fused_%d" t.kernel_serial in
+        let f_entry, f_report =
+          compile t ~kind:"fused" ~skey:(Ptx.Fuse.structural_key ~nsites sources)
+            ~name:(`Serial "qdpjit_fused") (fun kname ->
               let fused_raw, report = Ptx.Fuse.fuse ~kname sources in
-              Ptx.Validate.kernel fused_raw;
-              let kernel, passes =
-                if t.optimize then begin
-                  let r = Ptx.Passes.run fused_raw in
-                  Ptx.Validate.kernel r.Ptx.Passes.kernel;
-                  (r.Ptx.Passes.kernel, r.Ptx.Passes.applied)
-                end
-                else (fused_raw, [])
-              in
-              let text = Ptx.Print.kernel kernel in
-              let built =
-                {
-                  Codegen.kernel;
-                  raw = fused_raw;
-                  text;
-                  plan = [];
-                  dest_shape = members.(0).p_shape;
-                  passes;
-                }
-              in
-              record_stats ~fused_members:k
-                ~fused_subst_load_bytes:report.Ptx.Fuse.subst_load_bytes
-                ~fused_dropped_store_bytes:report.Ptx.Fuse.dropped_store_bytes t built;
-              let compiled = Jit.compile text in
-              t.kernels_built <- t.kernels_built + 1;
-              t.jit_seconds <- t.jit_seconds +. compiled.Jit.compile_time;
-              cache_store t ~opt:t.optimize ~kind:"fused" skey built compiled (Some report);
-              (built, compiled, report)
+              (Codegen.lower ~optimize:t.optimize ~plan:[] fused_raw, report))
         in
-        let fe =
-          {
-            f_entry = entry_of_built t built compiled;
-            f_plan = Array.of_list (List.rev !plan_rev);
-            f_report = report;
-          }
-        in
+        let fe = { f_entry; f_plan = Array.of_list (List.rev !plan_rev); f_report } in
         Hashtbl.replace t.fused_kernels key fe;
         fe
   in
@@ -874,11 +772,11 @@ let launch_group t ~geom ~subset ~nsites ~use_sitelist (evs : pending array)
     if drop.(i) then begin
       (* The whole launch is dead: a later eval of this flush rewrites the
          destination before anything reads it. *)
-      let b =
-        raw_built t ~reduction:false ~dest_shape:evs.(i).p_shape ~expr:evs.(i).p_expr ~nsites
+      let raw, _ =
+        member t ~reduction:false ~dest_shape:evs.(i).p_shape ~expr:evs.(i).p_expr ~nsites
           ~use_sitelist
       in
-      let a = Ptx.Analysis.kernel b.Codegen.raw in
+      let a = Ptx.Analysis.kernel raw in
       let n_work = if use_sitelist then Subset.count geom subset else nsites in
       t.fs_saved <- t.fs_saved + 1;
       t.fs_elim_load <- t.fs_elim_load + (a.Ptx.Analysis.load_bytes * n_work);
@@ -950,7 +848,7 @@ let create ?(machine = Gpusim.Machine.k20x_ecc_off) ?(mode = Device.Functional)
       jit_cache = Jitcache.from_env ?default:jit_cache ();
       kernels = Hashtbl.create 64;
       fused_kernels = Hashtbl.create 16;
-      raw_builts = Hashtbl.create 16;
+      members = Hashtbl.create 16;
       ntables = Hashtbl.create 16;
       sitelists = Hashtbl.create 8;
       optimize;
@@ -966,10 +864,8 @@ let create ?(machine = Gpusim.Machine.k20x_ecc_off) ?(mode = Device.Functional)
       kernel_bytes_f16 = 0;
       kernel_bytes_f32 = 0;
       kernel_bytes_f64 = 0;
-      reduce_kernel = None;
       red_partial = ref None;
       red_block = ref None;
-      stats_rev = [];
       fs_deferred = 0;
       fs_flushes = 0;
       fs_groups = 0;
@@ -984,10 +880,6 @@ let create ?(machine = Gpusim.Machine.k20x_ecc_off) ?(mode = Device.Functional)
   Memcache.set_pre_access_hook t.cache (fun _ -> flush t);
   t
 
-let jit_stats t =
-  flush t;
-  List.rev t.stats_rev
-
 let kernels_built t =
   flush t;
   t.kernels_built
@@ -996,11 +888,11 @@ let jit_seconds t =
   flush t;
   t.jit_seconds
 
-let built_kernels t =
+let kernel_texts t =
   flush t;
-  let singles = Hashtbl.fold (fun _ e acc -> e.built :: acc) t.kernels [] in
-  let fused = Hashtbl.fold (fun _ f acc -> f.f_entry.built :: acc) t.fused_kernels singles in
-  match t.reduce_kernel with Some e -> e.built :: fused | None -> fused
+  let text e = e.compiled.Jit.text in
+  let singles = Hashtbl.fold (fun _ e acc -> text e :: acc) t.kernels [] in
+  Hashtbl.fold (fun _ f acc -> text f.f_entry :: acc) t.fused_kernels singles
 
 let kernel_bytes_moved t =
   flush t;
@@ -1025,15 +917,13 @@ let fusion_stats t =
 let jit_cache t = t.jit_cache
 let jit_cache_stats t = Option.map Jitcache.stats t.jit_cache
 
-(* Rewind the per-interval reporting state (the compile scorecards and
-   the planner counters) without touching the kernel caches: benchmarks
-   call this between warm-up and measurement so per-solve deltas are
-   exact instead of accumulating across the warm-up pass.  Lifetime
+(* Rewind the planner counters without touching the kernel caches:
+   benchmarks call this between warm-up and measurement so per-solve
+   deltas are exact instead of accumulating across the warm-up pass.  Lifetime
    counters ([kernels_built], [jit_seconds], [kernel_bytes_moved]) keep
    counting — callers difference those explicitly. *)
 let reset_stats t =
   flush t;
-  t.stats_rev <- [];
   t.fs_deferred <- 0;
   t.fs_flushes <- 0;
   t.fs_groups <- 0;
@@ -1124,8 +1014,8 @@ let eval ?(subset = Subset.All) ?stream t dest expr =
    run.  The output is compact (plane p's n_out values start at word
    p*n_out), so the next pass reads it with stride n_out; one compiled
    kernel serves every pass of every reduction. *)
-let build_reduce_kernel () =
-  let e = Emitter.create ~kname:"qdpjit_reduce8_f64" in
+let build_reduce_kernel kname =
+  let e = Emitter.create ~kname in
   let p_src = Emitter.add_param e U64 "src" in
   let p_dst = Emitter.add_param e U64 "dst" in
   let p_stride = Emitter.add_param e S32 "src_stride" in
@@ -1218,49 +1108,15 @@ let build_reduce_kernel () =
    so a stale entry misses instead of binding the wrong ones. *)
 let reduce_key = "reduce8_planes_f64"
 
+(* The hand-built kernel takes the same road as generated ones,
+   including the emitter's SSA provenance: the padded accumulators are
+   deliberately multi-defined (zero, then a conditional load), which
+   provenance reports so CSE leaves them alone. *)
 let reduce_entry t =
-  match t.reduce_kernel with
-  | Some entry -> entry
-  | None -> (
-    match cache_find t ~opt:t.optimize ~kind:"reduce" reduce_key with
-    | Some (built, compiled, _) ->
-        let entry = entry_of_built t built compiled in
-        t.reduce_kernel <- Some entry;
-        entry
-    | None ->
-      let raw, emitter = build_reduce_kernel () in
-      Ptx.Validate.kernel raw;
-      (* The hand-built kernel takes the same road as generated ones,
-         including the emitter's SSA provenance: the padded accumulators
-         are deliberately multi-defined (zero, then a conditional load),
-         which provenance reports so CSE leaves them alone. *)
-      let kernel, passes =
-        if t.optimize then begin
-          let r = Ptx.Passes.run ~provenance:(Emitter.provenance emitter) raw in
-          Ptx.Validate.kernel r.Ptx.Passes.kernel;
-          (r.Ptx.Passes.kernel, r.Ptx.Passes.applied)
-        end
-        else (raw, [])
-      in
-      let text = Ptx.Print.kernel kernel in
-      let compiled = Jit.compile text in
-      t.kernels_built <- t.kernels_built + 1;
-      t.jit_seconds <- t.jit_seconds +. compiled.Jit.compile_time;
-      let built =
-        {
-          Codegen.kernel;
-          raw;
-          text;
-          plan = [];
-          dest_shape = Shape.real_scalar Shape.F64;
-          passes;
-        }
-      in
-      record_stats t built;
-      cache_store t ~opt:t.optimize ~kind:"reduce" reduce_key built compiled None;
-      let entry = entry_of_built t built compiled in
-      t.reduce_kernel <- Some entry;
-      entry)
+  cached_kernel t ~kind:"reduce" ~key:reduce_key ~name:(`Fixed "qdpjit_reduce8_f64") (fun kname ->
+      let raw, emitter = build_reduce_kernel kname in
+      let provenance = Emitter.provenance emitter in
+      (Codegen.lower ~optimize:t.optimize ~provenance ~plan:[] raw, no_report))
 
 (* The host is about to read [bytes] of reduction results: one blocking
    D2H copy on the default stream. *)
@@ -1335,6 +1191,9 @@ let sum_components ?(subset = Subset.All) t expr =
     sync_readback t ~bytes:(8 * dof * m);
     let sums =
       match buf.Buffer_.data with
+      | Buffer_.F64 _ when t.device.Device.mode = Device.Model_only ->
+          (* No kernel ran and the scratch has no storage. *)
+          Array.make dof 0.0
       | Buffer_.F64 a ->
           Array.init dof (fun p ->
               let x j = a.{(p * stride) + j} in

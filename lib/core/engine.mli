@@ -32,39 +32,6 @@
     bit-exact against the eager schedule; [?fuse:false] restores
     eval-at-a-time launching outright. *)
 
-type kernel_entry = {
-  built : Codegen.built;
-  compiled : Gpusim.Jit.compiled;
-  tuner : Autotune.t;
-  bytes_per_thread : int;
-      (** modeled global load+store bytes one thread moves (drives
-          {!kernel_bytes_moved}) *)
-  tier_bytes_per_thread : int * int * int;
-      (** the float portion of [bytes_per_thread] split by storage
-          precision (f16, f32, f64); integer index traffic is counted in
-          the total only *)
-}
-
-(** Per-kernel middle-end scorecard, recorded when a kernel is compiled.
-    Register counts are the {e uncapped} allocator demand from
-    {!Ptx.Dataflow.register_demand} in 32-bit units (the occupancy model's
-    own estimate saturates at 64 on large kernels, which would hide the
-    savings); [load_bytes] are per-thread global-memory reads. *)
-type jit_stats = {
-  kname : string;
-  raw_instructions : int;
-  opt_instructions : int;
-  raw_registers : int;
-  opt_registers : int;
-  raw_load_bytes : int;
-  opt_load_bytes : int;
-  passes : Ptx.Passes.report list;  (** pass applications that changed the kernel *)
-  fused_members : int;  (** evals spliced into this kernel (1 = unfused) *)
-  fused_subst_load_bytes : int;
-      (** per-thread consumer load bytes replaced by register moves *)
-  fused_dropped_store_bytes : int;  (** per-thread producer store bytes dropped *)
-}
-
 (** Lifetime counters of the deferred-eval queue and fusion planner.
     Byte counts are whole-launch (per-thread savings × threads). *)
 type fusion_stats = {
@@ -103,24 +70,19 @@ val create :
     trailing fused group; [~fuse_reductions:false] launches every
     reduction payload standalone (identical kernel body and identical
     results, one extra launch per reduction).  [jit_cache] attaches a
-    persistent on-disk kernel cache: every compile site (singleton,
-    fusion source material, fused group, fold kernel) checks the cache
-    before compiling and publishes what it compiles, so a second engine
+    persistent on-disk kernel cache: every compiled kernel (singleton,
+    fused group, fold kernel) and the fusion source material are looked
+    up there before compiling and published after, so a second engine
     — in this process or another — replays the kernels without running
     the emitter, middle-end or driver JIT.  The [REPRO_JIT_CACHE]
     environment variable overrides the argument: a path caches there,
     [off]/[0]/[none]/[disabled] disables caching entirely. *)
 
-val jit_stats : t -> jit_stats list
-(** Scorecards of every kernel compiled so far, in compile order
-    (flushes the queue first). *)
-
 val fusion_stats : t -> fusion_stats
 (** Deferred-queue counters so far (flushes the queue first). *)
 
 val reset_stats : t -> unit
-(** Rewind the per-interval reporting state — the {!jit_stats}
-    scorecards and every {!fusion_stats} counter — without touching the
+(** Rewind every {!fusion_stats} counter without touching the
     kernel caches (flushes the queue first so pending work is attributed
     to the old interval).  Benchmarks call this between warm-up and
     measurement so per-solve deltas are exact.  Lifetime counters
@@ -171,10 +133,11 @@ val jit_seconds : t -> float
 (** Accumulated modeled driver-JIT time (Sec. III-D: 0.05–0.22 s/kernel).
     Flushes the queue first. *)
 
-val built_kernels : t -> Codegen.built list
-(** Every kernel this engine launches from — singleton evals, fused
-    groups and the fold kernel, compiled here or loaded from the JIT
-    cache — in no particular order.  Flushes the queue first. *)
+val kernel_texts : t -> string list
+(** The PTX text of every kernel this engine launches from — singleton
+    evals, fused groups and the fold kernel, compiled here or loaded
+    from the JIT cache — in no particular order.  Flushes the queue
+    first. *)
 
 val kernel_bytes_moved : t -> int
 (** Modeled global-memory bytes moved by every kernel launched so far

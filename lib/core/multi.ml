@@ -57,34 +57,11 @@ type t = {
 
 and dfield = { shape : Layout.Shape.t; locals : Qdp.Field.t array }
 
-(* Rank-parallelism resolution: explicit argument > REPRO_MULTI_DOMAINS
-   environment override > 1 (sequential, the deterministic default).
-   Like REPRO_VM_DOMAINS, a malformed override is never trusted. *)
-let resolve_rank_domains ?rank_domains () =
-  let n =
-    match rank_domains with
-    | Some n -> n
-    | None -> (
-        match Sys.getenv_opt "REPRO_MULTI_DOMAINS" with
-        | Some s -> (
-            match int_of_string_opt (String.trim s) with
-            | Some v when v >= 1 -> v
-            | Some _ | None ->
-                Printf.eprintf
-                  "multi: REPRO_MULTI_DOMAINS=%S is not a positive integer; running ranks \
-                   sequentially\n\
-                   %!"
-                  s;
-                1)
-        | None -> 1)
-  in
-  max 1 (min n 64)
-
 let create ?(machine = Gpusim.Machine.k20m_ecc_on) ?(mode = Gpusim.Device.Functional)
-    ?(network = Comms.Network.infiniband_qdr) ?rank_domains ~global_dims ~rank_dims () =
+    ?(network = Comms.Network.infiniband_qdr) ?(rank_domains = 1) ~global_dims ~rank_dims () =
   let grid = Comms.Grid.create ~global_dims ~rank_dims in
   let nranks = Comms.Grid.nranks grid in
-  let rank_domains = resolve_rank_domains ?rank_domains () in
+  let rank_domains = max 1 (min rank_domains 64) in
   (* With parallel ranks the domain *is* the unit of parallelism: each
      rank's launches run single-worker so a rank's engine never re-enters
      the shared VM pool from inside a pool worker. *)

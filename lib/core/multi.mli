@@ -31,14 +31,12 @@ val create :
   unit ->
   t
 (** A rank grid of [rank_dims] (must divide [global_dims]) with one
-    simulated device per rank.  [rank_domains] (default via
-    [REPRO_MULTI_DOMAINS], else 1) > 1 executes rank-local compute
+    simulated device per rank.  [rank_domains] (default 1, capped at 64) > 1 executes rank-local compute
     concurrently on that many OCaml 5 domains: ranks are dealt
     round-robin to workers, each rank's engine runs its own launches
     single-worker, and every cross-rank step (fabric transfers, face
     fills, reduction sums) stays on the calling thread — results are
-    bit-identical to the sequential rank sweep.  A malformed
-    environment override falls back to 1 with a note on stderr. *)
+    bit-identical to the sequential rank sweep. *)
 
 val nranks : t -> int
 val local_geom : t -> Layout.Geometry.t

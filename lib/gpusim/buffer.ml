@@ -21,7 +21,6 @@ let offset_bits = 40
 let offset_mask = (1 lsl offset_bits) - 1
 
 let address buf = buf.id lsl offset_bits
-let decode_address addr = (addr lsr offset_bits, addr land offset_mask)
 
 let elem_bytes = function F16 _ -> 2 | F32 _ -> 4 | F64 _ -> 8 | I32 _ -> 4
 

@@ -23,9 +23,6 @@ val offset_mask : int
 val address : t -> int
 (** The base "device pointer" handed to kernels. *)
 
-val decode_address : int -> int * int
-(** [(buffer id, byte offset)]. *)
-
 val elem_bytes : data -> int
 val length : t -> int
 

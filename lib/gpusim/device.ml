@@ -24,7 +24,7 @@ type stats = {
 
 type t = {
   machine : Machine.t;
-  mutable mode : mode;
+  mode : mode;
   vm_domains : int;
   mutable clock_ns : float;
   mutable used_bytes : int;
@@ -58,7 +58,6 @@ let create ?(mode = Functional) ?vm_domains machine =
       };
   }
 
-let set_mode t mode = t.mode <- mode
 let vm_domains t = t.vm_domains
 let clock_ns t = t.clock_ns
 let used_bytes t = t.used_bytes
@@ -81,9 +80,17 @@ let register t make bytes =
   t.stats.allocs <- t.stats.allocs + 1;
   buf
 
-let alloc_f16 t n = register t (fun id -> Buffer.create_f16 id n) (2 * n)
-let alloc_f32 t n = register t (fun id -> Buffer.create_f32 id n) (4 * n)
-let alloc_f64 t n = register t (fun id -> Buffer.create_f64 id n) (8 * n)
+(* A model-only device never executes a kernel and the memory cache never
+   copies into its buffers, so its float buffers carry their byte count
+   but no storage.  Integer tables keep theirs: the engine fills them on
+   the host in either mode. *)
+let alloc_float t create width n =
+  let len = match t.mode with Functional -> n | Model_only -> 0 in
+  register t (fun id -> { (create id len) with Buffer.bytes = width * n }) (width * n)
+
+let alloc_f16 t n = alloc_float t Buffer.create_f16 2 n
+let alloc_f32 t n = alloc_float t Buffer.create_f32 4 n
+let alloc_f64 t n = alloc_float t Buffer.create_f64 8 n
 let alloc_i32 t n = register t (fun id -> Buffer.create_i32 id n) (4 * n)
 
 let lookup t id =
@@ -154,7 +161,6 @@ let account_transfer t ~bytes ~to_device =
   let ns = transfer_cost t ~bytes ~to_device in
   t.clock_ns <- t.clock_ns +. ns
 
-let advance_clock t ns = t.clock_ns <- t.clock_ns +. ns
 let set_clock_ns t ns = t.clock_ns <- ns
 
 (* Execute a compiled kernel over [nthreads] logical threads and return its

@@ -26,7 +26,7 @@ type stats = {
 
 type t = {
   machine : Machine.t;
-  mutable mode : mode;
+  mode : mode;
   vm_domains : int;  (** worker cap for parallel kernel execution *)
   mutable clock_ns : float;
   mutable used_bytes : int;
@@ -43,7 +43,6 @@ val create : ?mode:mode -> ?vm_domains:int -> Machine.t -> t
     with [REPRO_VM_DOMAINS]).  Results are bit-identical for any
     worker count. *)
 
-val set_mode : t -> mode -> unit
 val vm_domains : t -> int
 val clock_ns : t -> float
 val used_bytes : t -> int
@@ -58,6 +57,10 @@ val alloc_f32 : t -> int -> Buffer.t
     when the capacity is exhausted (the memory cache spills and retries). *)
 
 val alloc_f64 : t -> int -> Buffer.t
+(** On a [Model_only] device the float allocations count their bytes
+    (in [bytes] and {!used_bytes}) but hold no storage:
+    [Buffer.length] is 0. *)
+
 val alloc_i32 : t -> int -> Buffer.t
 
 val free : t -> Buffer.t -> unit
@@ -99,7 +102,6 @@ val account_transfer : t -> bytes:int -> to_device:bool -> unit
 (** Advance the clock by the PCIe model for a synchronous host<->device
     copy ([transfer_cost] + clock advance). *)
 
-val advance_clock : t -> float -> unit
 val set_clock_ns : t -> float -> unit
 
 val execute : t -> Jit.compiled -> nthreads:int -> block:int -> params:Vm.param_value array -> float

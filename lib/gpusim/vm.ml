@@ -2235,4 +2235,5 @@ let run_grid ?(workers = 1) p ~grid ~block ~params ~lookup =
     [| { l_prog = p; l_grid = grid; l_block = block; l_params = params } |]
 
 let decoded_instructions p = Array.length p.co
+let kname p = p.kernel.kname
 let parallelizable p ~params = parallel_ok p params

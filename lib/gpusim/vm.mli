@@ -121,6 +121,9 @@ val run_batch :
 val decoded_instructions : program -> int
 (** Flat instruction count after label compaction (introspection). *)
 
+val kname : program -> string
+(** The kernel's entry name. *)
+
 val set_superinstructions : bool -> unit
 (** Switch superinstruction (SoA) execution process-wide (default on).
     Off sends every launch to the scalar interpreter; results are

@@ -75,7 +75,6 @@ let set_pre_access_hook t f = t.pre_access <- Some f
 
 let stats t = t.stats
 let resident_count t = Hashtbl.length t.entries
-let transfer_stream t = Option.map snd t.sched
 
 let touch t entry =
   t.tick <- t.tick + 1;
@@ -319,13 +318,6 @@ let release t (f : Field.t) =
   | Some e -> if e.retained > 0 then e.retained <- e.retained - 1
   | None -> ()
 
-let flush_field t (f : Field.t) =
-  match Hashtbl.find_opt t.entries f.Field.id with
-  | Some e when e.device_dirty -> page_out t e
-  | Some _ | None -> ()
-
-let flush_all t = Hashtbl.iter (fun _ e -> if e.device_dirty then page_out t e) t.entries
-
 let drop t (f : Field.t) =
   match Hashtbl.find_opt t.entries f.Field.id with
   | Some e -> evict t e
@@ -356,11 +348,6 @@ let arena_register a (f : Field.t) =
     Hashtbl.replace a.arena_ids f.Field.id ();
     a.arena_rev <- f :: a.arena_rev
   end
-
-let arena_size a = List.length a.arena_rev
-
-let arena_resident t a =
-  List.fold_left (fun acc f -> if is_resident t f then acc + 1 else acc) 0 a.arena_rev
 
 (* Graceful teardown: clear every protection the session's entries hold
    (pins, retain counts) and evict them — a dirty entry pages out first,

@@ -29,9 +29,6 @@ val create : ?sched:Streams.t -> Gpusim.Device.t -> t
 val stats : t -> stats
 val resident_count : t -> int
 
-val transfer_stream : t -> Streams.stream option
-(** The dedicated transfer stream, when a context is attached. *)
-
 val ensure_resident :
   ?pin:bool -> ?for_write:bool -> ?wait_stream:Streams.stream -> t -> Qdp.Field.t -> Gpusim.Buffer.t
 (** Make the field's data available in device memory, uploading (with
@@ -73,11 +70,6 @@ val set_pre_access_hook : t -> (Qdp.Field.t -> unit) -> unit
     launch queue here, so a pending write to the field lands on the
     device before the page-out makes the host copy current. *)
 
-val flush_field : t -> Qdp.Field.t -> unit
-(** Page out if device-dirty (host access hooks call this). *)
-
-val flush_all : t -> unit
-
 val drop : t -> Qdp.Field.t -> unit
 (** Page out if dirty, then free the device allocation. *)
 
@@ -108,12 +100,6 @@ val arena_name : arena -> string
 val arena_register : arena -> Qdp.Field.t -> unit
 (** Remember the field as session-owned (idempotent; does not touch
     residency). *)
-
-val arena_size : arena -> int
-(** Fields registered so far. *)
-
-val arena_resident : t -> arena -> int
-(** How many of the arena's fields currently hold device allocations. *)
 
 val release_arena : t -> arena -> unit
 (** Teardown: for every registered field, clear its pin and retain

@@ -186,12 +186,7 @@ let exchange_single ~sigma fr p q lo hi old_pts =
          pts.(count - 1) <- x_star
        end
      else if same_sign e_star e_at.(!idx - 1) then pts.(!idx - 1) <- x_star
-     else if same_sign e_star e_at.(!idx) then pts.(!idx) <- x_star
-     else if Sys.getenv_opt "REMEZ_DEBUG" <> None then begin
-       Printf.eprintf "no-swap: x*=%.4g e*=%.3e idx=%d e_at=" x_star e_star !idx;
-       Array.iteri (fun i x -> Printf.eprintf " [%d]%.4g:%.2e" i x e_at.(i)) old_pts;
-       Printf.eprintf "\n%!"
-     end);
+     else if same_sign e_star e_at.(!idx) then pts.(!idx) <- x_star);
     pts
   end
 
@@ -299,8 +294,6 @@ let run_exchange ~sigma ~degree ~q_start fr lo hi =
         (fun acc x -> max acc (abs_float (rel_error ~sigma fr p q x)))
         0.0 grid
     in
-    if Sys.getenv_opt "REMEZ_DEBUG" <> None then
-      Printf.eprintf "deg=%d iter=%d level=%.4e global=%.4e\n%!" degree !iter level global_max;
     (* Record only iterates whose partial fractions are valid (all poles
        real): the caller always receives a usable expansion or a Failure. *)
     (if global_max < !best_global then

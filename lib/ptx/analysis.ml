@@ -13,19 +13,44 @@ type t = {
   int_ops : int;
   instructions : int;
   calls : int;  (** math subroutine calls *)
+  f16_bytes : int;
+  f32_bytes : int;
+  f64_bytes : int;
+      (** the float portion of [load_bytes + store_bytes] split by storage
+          precision; integer index traffic is counted in the totals only *)
 }
 
-let zero = { load_bytes = 0; store_bytes = 0; flops = 0; int_ops = 0; instructions = 0; calls = 0 }
+let zero =
+  {
+    load_bytes = 0;
+    store_bytes = 0;
+    flops = 0;
+    int_ops = 0;
+    instructions = 0;
+    calls = 0;
+    f16_bytes = 0;
+    f32_bytes = 0;
+    f64_bytes = 0;
+  }
+
+let float_bytes acc = function
+  | F32 -> { acc with f32_bytes = acc.f32_bytes + 4 }
+  | F64 -> { acc with f64_bytes = acc.f64_bytes + 8 }
+  | S32 | U32 | S64 | U64 | Pred -> acc
 
 let kernel (k : kernel) =
   List.fold_left
     (fun acc i ->
       let acc = { acc with instructions = acc.instructions + 1 } in
       match i with
-      | Ld_global { dtype; _ } -> { acc with load_bytes = acc.load_bytes + dtype_bytes dtype }
-      | St_global { dtype; _ } -> { acc with store_bytes = acc.store_bytes + dtype_bytes dtype }
-      | Ld_global_f16 _ -> { acc with load_bytes = acc.load_bytes + 2 }
-      | St_global_f16 _ -> { acc with store_bytes = acc.store_bytes + 2 }
+      | Ld_global { dtype; _ } ->
+          float_bytes { acc with load_bytes = acc.load_bytes + dtype_bytes dtype } dtype
+      | St_global { dtype; _ } ->
+          float_bytes { acc with store_bytes = acc.store_bytes + dtype_bytes dtype } dtype
+      | Ld_global_f16 _ ->
+          { acc with load_bytes = acc.load_bytes + 2; f16_bytes = acc.f16_bytes + 2 }
+      | St_global_f16 _ ->
+          { acc with store_bytes = acc.store_bytes + 2; f16_bytes = acc.f16_bytes + 2 }
       | Add { dtype; _ } | Sub { dtype; _ } | Mul { dtype; _ } ->
           if is_float dtype then { acc with flops = acc.flops + 1 }
           else { acc with int_ops = acc.int_ops + 1 }

@@ -13,6 +13,11 @@ type t = {
   int_ops : int;
   instructions : int;
   calls : int;  (** math subroutine calls *)
+  f16_bytes : int;
+  f32_bytes : int;
+  f64_bytes : int;
+      (** the float portion of [load_bytes + store_bytes] split by storage
+          precision; integer index traffic is counted in the totals only *)
 }
 
 val zero : t

@@ -80,8 +80,6 @@ let create device =
 
 let device t = t.device
 let default_stream t = t.default
-let stream_id s = s.sid
-let stream_name s = s.sname
 let cursor_ns s = s.cursor_ns
 let spans t = List.rev t.spans
 let span_count t = List.length t.spans

@@ -38,8 +38,6 @@ val create : Gpusim.Device.t -> t
 val create_stream : ?name:string -> t -> stream
 val device : t -> Gpusim.Device.t
 val default_stream : t -> stream
-val stream_id : stream -> int
-val stream_name : stream -> string
 
 val cursor_ns : stream -> float
 (** The time by which all work issued to the stream so far completes. *)

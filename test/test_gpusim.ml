@@ -120,6 +120,20 @@ let test_buffer_accounting () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "double free accepted")
 
+(* Model-only float buffers count their bytes but hold no storage;
+   functional ones are unchanged. *)
+let test_model_only_buffers_unbacked () =
+  let dev = Device.create ~mode:Device.Model_only Machine.k20x_ecc_off in
+  let b = Device.alloc_f64 dev 1000 in
+  Alcotest.(check int) "no storage" 0 (Buffer_.length b);
+  Alcotest.(check int) "bytes" 8000 b.Buffer_.bytes;
+  Alcotest.(check int) "used bytes" 8000 (Device.used_bytes dev);
+  Alcotest.(check int) "i32 tables keep storage" 10 (Buffer_.length (Device.alloc_i32 dev 10));
+  with_device (fun dev ->
+      let b = Device.alloc_f64 dev 1000 in
+      Alcotest.(check int) "functional storage" 1000 (Buffer_.length b);
+      Alcotest.(check int) "functional bytes" 8000 b.Buffer_.bytes)
+
 let test_freed_buffer_faults () =
   with_device (fun dev ->
       let x = Device.alloc_f64 dev 8 in
@@ -296,6 +310,8 @@ let () =
           Alcotest.test_case "launch failure" `Quick test_launch_failure_block_too_big;
           Alcotest.test_case "out of memory" `Quick test_out_of_memory;
           Alcotest.test_case "buffer accounting" `Quick test_buffer_accounting;
+          Alcotest.test_case "model-only buffers unbacked" `Quick
+            test_model_only_buffers_unbacked;
           Alcotest.test_case "use after free" `Quick test_freed_buffer_faults;
           Alcotest.test_case "typed buffers" `Quick test_type_mismatch_faults;
           Alcotest.test_case "clock and stats" `Quick test_clock_and_stats;

@@ -159,10 +159,13 @@ let qcheck_warm_engine_bit_exact =
       let warm = Engine.create ~jit_cache:(Jitcache.create dir) () in
       let pw, nw = run_program warm prog in
       let stats = Option.get (Engine.jit_cache_stats warm) in
+      (* Byte counters come from the driver analysis restored from disk. *)
       Array.for_all2 fields_bit_equal pc pw
       && Int64.bits_of_float nc = Int64.bits_of_float nw
       && Engine.kernels_built warm = 0
-      && stats.Jitcache.hits > 0)
+      && stats.Jitcache.hits > 0
+      && Engine.kernel_bytes_moved warm = Engine.kernel_bytes_moved cold
+      && Engine.kernel_bytes_by_prec warm = Engine.kernel_bytes_by_prec cold)
 
 let test_corrupt_entries_recompile () =
   let dir = fresh_dir "damage" in

@@ -982,7 +982,7 @@ let chain_kernels prog =
   let pool = run_jit eng 31L prog in
   ignore (Engine.norm2 eng (Expr.sub (Expr.field pool.(0)) (Expr.field pool.(1))));
   ignore (Engine.inner eng (Expr.field pool.(2)) (Expr.field pool.(3)));
-  List.map (fun (b : Qdpjit.Codegen.built) -> Ptx.Parse.kernel b.text) (Engine.built_kernels eng)
+  List.map Ptx.Parse.kernel (Engine.kernel_texts eng)
 
 (* The allocator walks registers with [Ptx.Dataflow.iter_regs]; it
    must visit exactly [def_of] then [uses_of]. *)
@@ -1023,7 +1023,7 @@ let test_allocation_on_workloads () =
     let b = (fresh_pool 5L 1).(0) in
     let x = ops.Solvers.Ops.fresh () in
     ignore (Solvers.Cg.solve ops nop ~b ~x ~max_iter:3 ());
-    Engine.built_kernels eng
+    Engine.kernel_texts eng
   in
   let hmc =
     let eng = Engine.create ~vm_domains:1 () in
@@ -1039,12 +1039,12 @@ let test_allocation_on_workloads () =
     ignore
       (Hmc.Driver.run_trajectory ctx monomials
          { Hmc.Driver.steps = 1; dt = 0.05; scheme = Hmc.Integrator.Omelyan });
-    Engine.built_kernels eng
+    Engine.kernel_texts eng
   in
   let shrunk = ref 0 in
   List.iter
-    (fun (b : Qdpjit.Codegen.built) ->
-      let k = Ptx.Parse.kernel b.text in
+    (fun text ->
+      let k = Ptx.Parse.kernel text in
       (match allocation_clash k with Some m -> Alcotest.fail m | None -> ());
       let s = Gpusim.Vm.superinsn_stats (Gpusim.Vm.compile k) in
       if s.Gpusim.Vm.rows > s.Gpusim.Vm.virtual_rows then
