@@ -303,8 +303,9 @@ let jit_overhead () =
       let compiled = Gpusim.Jit.compile built.Qdpjit.Codegen.text in
       let wall = Unix.gettimeofday () -. t0 in
       total := !total +. compiled.Gpusim.Jit.compile_time;
-      Printf.printf "  %-8s %8d %12.3f s %14.6f s\n" name compiled.Gpusim.Jit.instructions
-        compiled.Gpusim.Jit.compile_time wall)
+      Printf.printf "  %-8s %8d %12.3f s %14.6f s\n" name
+        compiled.Gpusim.Jit.analysis.Ptx.Analysis.instructions compiled.Gpusim.Jit.compile_time
+        wall)
     all;
   Printf.printf "  (paper: 0.05-0.22 s per kernel; ~200 kernels/trajectory => 10-30 s total)\n";
   Printf.printf "  modeled total for 200 kernels of this mix: %.0f s\n"

@@ -229,11 +229,12 @@ let sitelist t geom subset =
    text), the parameter plan and the fuse report without running the
    emitter, the passes, the validator or the driver JIT; [kernels_built]
    and [jit_seconds] count only real compiles, so a fully warm engine
-   reports zero kernels built.  A payload type change must come with a
-   version bump: [Marshal] cannot tell an old payload from a new one. *)
+   reports zero kernels built.  A payload type change must bump one of
+   the versions in [cache_tag]: [Marshal] cannot tell an old payload
+   from a new one. *)
 
 type cache_payload = {
-  cp_prog : Jit.portable;
+  cp_prog : Jit.compiled;
   cp_plan : Codegen.param_plan list;
   cp_report : Ptx.Fuse.report;  (** fused kernels' savings; zero otherwise *)
 }
@@ -267,7 +268,7 @@ let compile t ~kind ~skey ~name lower =
   let opt = t.optimize in
   let compiled, plan, report =
     match (cache_find t ~opt ~kind skey : cache_payload option) with
-    | Some p -> (Jit.of_portable p.cp_prog, p.cp_plan, p.cp_report)
+    | Some p -> (p.cp_prog, p.cp_plan, p.cp_report)
     | None ->
         let kname =
           match name with
@@ -281,7 +282,7 @@ let compile t ~kind ~skey ~name lower =
         t.kernels_built <- t.kernels_built + 1;
         t.jit_seconds <- t.jit_seconds +. compiled.Jit.compile_time;
         cache_store t ~opt ~kind skey
-          { cp_prog = Jit.to_portable compiled; cp_plan = built.Codegen.plan; cp_report = report };
+          { cp_prog = compiled; cp_plan = built.Codegen.plan; cp_report = report };
         (compiled, built.Codegen.plan, report)
   in
   let max_block = t.device.Device.machine.Gpusim.Machine.max_threads_per_block in

@@ -14,7 +14,6 @@ type compiled = {
   regs_per_thread : int;
   prec : prec;
   compile_time : float;  (** modeled driver JIT time, seconds *)
-  instructions : int;
   text : string;  (** the source PTX, kept for inspection *)
 }
 
@@ -46,51 +45,15 @@ let dominant_prec analysis_body =
   in
   if has_f64 then Dp else Sp
 
-(* Marshal-safe image of a compiled kernel: everything is plain data
-   except the pre-decoded program, which delegates to {!Vm.portable}. *)
-type portable = {
-  p_program : Vm.portable;
-  p_analysis : Ptx.Analysis.t;
-  p_regs : int;
-  p_prec : prec;
-  p_compile_time : float;
-  p_instructions : int;
-  p_text : string;
-}
-
-let to_portable c =
-  {
-    p_program = Vm.to_portable c.program;
-    p_analysis = c.analysis;
-    p_regs = c.regs_per_thread;
-    p_prec = c.prec;
-    p_compile_time = c.compile_time;
-    p_instructions = c.instructions;
-    p_text = c.text;
-  }
-
-let of_portable p =
-  {
-    program = Vm.of_portable p.p_program;
-    analysis = p.p_analysis;
-    regs_per_thread = p.p_regs;
-    prec = p.p_prec;
-    compile_time = p.p_compile_time;
-    instructions = p.p_instructions;
-    text = p.p_text;
-  }
-
 let compile text =
   let kernel = Ptx.Parse.kernel text in
   let program = Vm.compile kernel in
   let analysis = Ptx.Analysis.kernel kernel in
-  let instructions = List.length kernel.body in
   {
     program;
     analysis;
     regs_per_thread = estimate_registers kernel.body;
     prec = dominant_prec kernel.body;
-    compile_time = 0.045 +. (7.5e-5 *. float_of_int instructions);
-    instructions;
+    compile_time = 0.045 +. (7.5e-5 *. float_of_int analysis.Ptx.Analysis.instructions);
     text;
   }

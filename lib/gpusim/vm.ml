@@ -7,12 +7,15 @@
     targets are instruction indices), and immediates promoted into
     constant-pool slots appended to the register files — so the hot loop
     is a jump table over plain array reads, with no closures and no
-    per-operand dispatch.  Registers live in three flat files per worker
-    (floats: f32 and f64; ints: s32/u32/s64/u64; predicates), each sized
-    by the physical slots a linear-scan allocator assigns at decode
-    ([allocate_registers]) — a few hundred rows where virtual ids run to
-    thousands — allocated once per worker slot on the program and
-    reused across threads and launches.
+    per-operand dispatch.  A program is immutable plain data: no parsed
+    IR (only the kernel's name survives decode), no closures (math
+    calls index one static table) and no scratch.  Registers live in
+    three flat files (floats: f32 and f64; ints: s32/u32/s64/u64;
+    predicates), each program needing the physical slots a linear-scan
+    allocator assigns at decode ([allocate_registers]) — a few hundred
+    rows where virtual ids run to thousands.  The files belong to the
+    executing domain: one arena per domain, grown to the largest program
+    it has run and reused across threads, launches and programs.
 
     [run_grid] executes the grid either sequentially or split across
     {!Vm_backend} workers in whole-cta chunks.  A decode-time provenance
@@ -75,7 +78,7 @@ open Ptx.Types
    37 ld.param.ptr  38 ld.param.int  39 ld.param.f   (param slot b)
    40 ld.g.f32  41 ld.g.f64  42 ld.g.i32  (reg a <- mem[i[b]+c])
    43 st.g.f32  44 st.g.f64  45 st.g.i32  (mem[i[b]+c] <- reg a)
-   46 call.f64  f[a] <- fns[c] f[b]       47 call.f32 (rounds result)
+   46 call.f64  f[a] <- math_table[c] f[b]  47 call.f32 (rounds result)
    48 ld.g.f16  f[a] <- decode16 mem      49 st.g.f16  mem <- encode16 f[a]
       (binary16 payloads decode exactly on load; stores round to nearest,
       ties to even — the same convention [Field.raw_set] uses, so CPU and
@@ -170,8 +173,8 @@ type soa_plan = {
    lanes, so register rows cost [tile] slots whatever the block size. *)
 let tile = 64
 
-(* Per-worker SoA register files: one row of [tile] lanes per register,
-   constant pools broadcast across their rows once at allocation.
+(* SoA register files: one row of [tile] lanes per register, constant
+   pools broadcast across their rows before each span.
    [act] holds the ids of the lanes still running, in lane order
    (faulted lanes, lanes that reached [ret] and parked lanes are
    removed).  [park.(l)] is the branch target lane [l] waits at, or -1.
@@ -190,7 +193,7 @@ type soa_ctx = {
 }
 
 type program = {
-  kernel : kernel;
+  kname : string;  (** the kernel's entry name, for fault messages *)
   co : int array;  (** opcodes *)
   ca : int array;
   cb : int array;
@@ -202,11 +205,8 @@ type program = {
   virtual_rows : int;  (** register rows the three files would need sized by virtual id *)
   fpool : float array;  (** float constants, installed at [nfreg..] *)
   ipool : int array;  (** int constants, installed at [nireg..] *)
-  fns : (float -> float) array;  (** call targets *)
   accesses : access array;
   soa : soa_plan;  (** superinstruction plan *)
-  mutable slots : wctx array;  (** per-worker register files, reused *)
-  mutable soa_slots : soa_ctx array;  (** per-worker SoA register rows *)
 }
 
 (* Process-wide executor switch: off sends every launch to the scalar
@@ -252,14 +252,20 @@ let math_functions : (string * (float -> float)) list =
     ("atan", atan);
   ]
 
+(* Call targets.  A [Call] operand holds its function's index in this
+   table, so the table's order is part of the decoded format: reorder or
+   insert entries only together with a [decoder_version] bump. *)
+let math_table = Array.of_list (List.map snd math_functions)
+
 let lookup_math func =
   (* Subroutine names: qdpjit_<fn>_<f32|f64>. *)
-  let known =
-    List.find_opt
-      (fun (n, _) -> "qdpjit_" ^ n ^ "_f32" = func || "qdpjit_" ^ n ^ "_f64" = func)
-      math_functions
+  let rec find i = function
+    | [] -> fault "unknown math subroutine %S" func
+    | (n, _) :: rest ->
+        if "qdpjit_" ^ n ^ "_f32" = func || "qdpjit_" ^ n ^ "_f64" = func then i
+        else find (i + 1) rest
   in
-  match known with Some (_, f) -> f | None -> fault "unknown math subroutine %S" func
+  find 0 math_functions
 
 (* ------------------------------------------------------------------ *)
 (* Provenance analysis: a forward fixpoint over the body (generated
@@ -634,13 +640,6 @@ let compile (kernel : kernel) =
   and cb = Array.make sz 0
   and cc = Array.make sz 0
   and cd = Array.make sz 0 in
-  let fns = ref [] and fns_n = ref 0 in
-  let addfn f =
-    let i = !fns_n in
-    incr fns_n;
-    fns := f :: !fns;
-    i
-  in
   let j = ref 0 in
   let emit o a b c d =
     co.(!j) <- o;
@@ -724,7 +723,7 @@ let compile (kernel : kernel) =
       | Ld_global_f16 { dst; addr; offset } -> emit 48 (freg dst) (ireg addr) offset 0
       | St_global_f16 { addr; offset; src } -> emit 49 (fop src) (ireg addr) offset 0
       | Call { func; ret; arg } ->
-          let fi = addfn (lookup_math func) in
+          let fi = lookup_math func in
           if ret.rtype = F32 then emit 47 (freg ret) (freg arg) fi 0
           else emit 46 (freg ret) (freg arg) fi 0)
     body;
@@ -732,7 +731,7 @@ let compile (kernel : kernel) =
     fault "kernel %s does not end in ret" kernel.kname;
   invalid Ptx.Validate.dataflow;
   {
-    kernel;
+    kname = kernel.kname;
     co;
     ca;
     cb;
@@ -745,96 +744,86 @@ let compile (kernel : kernel) =
       alloc.virtual_files.(0) + alloc.virtual_files.(1) + max 1 alloc.virtual_files.(2);
     fpool = Array.of_list (List.rev !fpool);
     ipool = Array.of_list (List.rev !ipool);
-    fns = Array.of_list (List.rev !fns);
     accesses = analyze kernel;
     soa = plan_soa co ca cb ninstr;
-    slots = [||];
-    soa_slots = [||];
   }
 
 (* ------------------------------------------------------------------ *)
-(* Serialization.  A program is plain data except for two fields: [fns]
-   holds math-subroutine closures and [slots] holds worker scratch.
-   Both are deterministic functions of the rest — [compile] fills [fns]
-   with one [lookup_math] per [Call] in body order, and [slots] grows on
-   demand — so the portable form simply strips them and rehydration
-   rebuilds [fns] by replaying the same walk.  A rehydrated program is
-   therefore indistinguishable from a fresh [compile] of the kernel. *)
-
-(* Version 6: operand indices are physical slots from
-   [allocate_registers], and the register files and constant pools are
-   sized by allocated slots instead of virtual ids.  A cached version-5
-   program carries virtual indices that would run past the smaller
-   files, so the bump makes stale jitcache entries miss. *)
-let decoder_version = 6
-
-type portable = program
-
-let to_portable p = { p with fns = [||]; slots = [||]; soa_slots = [||] }
-
-let of_portable (p : portable) =
-  let fns =
-    List.filter_map
-      (function Call { func; _ } -> Some (lookup_math func) | _ -> None)
-      p.kernel.body
-    |> Array.of_list
-  in
-  { p with fns; slots = [||]; soa_slots = [||] }
+(* Version 7: a program keeps the kernel's name instead of its parsed
+   IR, [Call] operands index [math_table] instead of a per-program
+   closure table, and no scratch rides on the program.  Version 6:
+   operand indices are physical slots from [allocate_registers], and the
+   register files and constant pools are sized by allocated slots
+   instead of virtual ids.  Either change alters the marshalled shape,
+   so the bump makes stale jitcache entries miss. *)
+let decoder_version = 7
 
 (* ------------------------------------------------------------------ *)
-(* Worker register files. *)
+(* Register files.  Each domain owns one arena — a scalar [wctx] and a
+   SoA [soa_ctx] — that only it grows, to the largest program it has
+   run, so nothing needs sizing before workers start.  Programs share
+   the rows, so every span installs its program's constant pools before
+   it runs.  The arena is per domain, not per worker index, because
+   [Multi.par_ranks] runs several ranks' sweeps at once, each inline as
+   worker 0 on its own domain. *)
 
-let make_wctx p =
+type arena = { w : wctx; s : soa_ctx }
+
+let new_arena ~nf ~ni ~np =
   {
-    wf = Array.make (max 1 (p.nfreg + Array.length p.fpool)) 0.0;
-    wi = Array.make (max 1 (p.nireg + Array.length p.ipool)) 0;
-    wp = Array.make p.npred false;
+    w = { wf = Array.make nf 0.0; wi = Array.make ni 0; wp = Array.make np false };
+    s =
+      {
+        sf = Array.make (nf * tile) 0.0;
+        si = Array.make (ni * tile) 0;
+        sp = Array.make (np * tile) false;
+        act = Array.make tile 0;
+        park = Array.make tile (-1);
+        sa = Array.make tile 0;
+      };
   }
 
-let ensure_slots p n =
-  let have = Array.length p.slots in
-  if n > have then
-    p.slots <- Array.init n (fun i -> if i < have then p.slots.(i) else make_wctx p)
+let arena_key = Domain.DLS.new_key (fun () -> new_arena ~nf:0 ~ni:0 ~np:0)
 
-(* SoA register rows: [tile] lanes per physical slot, constant pools
-   broadcast across their rows (past the allocated slots) at
-   allocation.  No zeroing is ever needed afterwards: [compile] proved
-   every register is written before it is read on each path, and the
-   allocator never lets another register write a slot between a
-   register's definition and its reads on any path, mirroring how the
-   scalar path reuses one [wctx] across all threads of a span. *)
-let make_soa_ctx p =
-  let nf = max 1 (p.nfreg + Array.length p.fpool) in
-  let ni = max 1 (p.nireg + Array.length p.ipool) in
-  let s =
-    {
-      sf = Array.make (nf * tile) 0.0;
-      si = Array.make (ni * tile) 0;
-      sp = Array.make (p.npred * tile) false;
-      act = Array.make tile 0;
-      park = Array.make tile (-1);
-      sa = Array.make tile 0;
-    }
-  in
-  Array.iteri (fun pi v -> Array.fill s.sf ((p.nfreg + pi) * tile) tile v) p.fpool;
-  Array.iteri (fun pi v -> Array.fill s.si ((p.nireg + pi) * tile) tile v) p.ipool;
-  s
+(* The calling domain's arena, grown to fit [p]'s rows per file:
+   registers, then constant pools. *)
+let arena p =
+  let a = Domain.DLS.get arena_key in
+  let nf = p.nfreg + Array.length p.fpool and ni = p.nireg + Array.length p.ipool in
+  let have v = Array.length v in
+  if nf <= have a.w.wf && ni <= have a.w.wi && p.npred <= have a.w.wp then a
+  else begin
+    let a =
+      new_arena ~nf:(max nf (have a.w.wf)) ~ni:(max ni (have a.w.wi))
+        ~np:(max p.npred (have a.w.wp))
+    in
+    Domain.DLS.set arena_key a;
+    a
+  end
 
-(* Sized before workers start (growing is not thread-safe), like
-   [ensure_slots]. *)
-let ensure_soa_slots p n =
-  let have = Array.length p.soa_slots in
-  if n > have then
-    p.soa_slots <- Array.init n (fun i -> if i < have then p.soa_slots.(i) else make_soa_ctx p)
-
-(* Fresh launch state: the allocated register slots zeroed (matching
-   the old per-launch context), constant pools installed past them. *)
-let bind_slot p (w : wctx) =
+(* Scalar files for a span of [p]: the allocated register slots zeroed,
+   as in a fresh context, and constant pools installed past them. *)
+let bind_wctx p =
+  let w = (arena p).w in
   Array.fill w.wf 0 p.nfreg 0.0;
   Array.fill w.wi 0 p.nireg 0;
   Array.fill w.wp 0 p.npred false;
   Array.blit p.fpool 0 w.wf p.nfreg (Array.length p.fpool);
-  Array.blit p.ipool 0 w.wi p.nireg (Array.length p.ipool)
+  Array.blit p.ipool 0 w.wi p.nireg (Array.length p.ipool);
+  w
+
+(* SoA rows for a span of [p]: [tile] lanes per physical slot, constant
+   pools broadcast across their rows past the allocated slots.  No
+   zeroing is ever needed, not even between programs: [compile] proved every register is written
+   before it is read on each path, and the allocator never lets another
+   register write a slot between a register's definition and its reads
+   on any path, mirroring how the scalar path reuses one [wctx] across
+   all threads of a span. *)
+let bind_soa p =
+  let s = (arena p).s in
+  Array.iteri (fun pi v -> Array.fill s.sf ((p.nfreg + pi) * tile) tile v) p.fpool;
+  Array.iteri (fun pi v -> Array.fill s.si ((p.nireg + pi) * tile) tile v) p.ipool;
+  s
 
 (* ------------------------------------------------------------------ *)
 (* The interpreter. *)
@@ -876,7 +865,6 @@ let exec_thread p (lookup : int -> Buffer.data) (args : param_value array) (w : 
     ~ctaid ~ntid ~nctaid =
   let co = p.co and ca = p.ca and cb = p.cb and cc = p.cc and cd = p.cd in
   let f = w.wf and i = w.wi and pr = w.wp in
-  let fns = p.fns in
   let pc = ref 0 in
   while !pc >= 0 do
     let k = !pc in
@@ -1008,10 +996,10 @@ let exec_thread p (lookup : int -> Buffer.data) (args : param_value array) (w : 
         mem_lane lookup co.(k) (i.(cb.(k)) + cc.(k)) f i ca.(k);
         pc := next
     | 46 ->
-        f.(ca.(k)) <- fns.(cc.(k)) f.(cb.(k));
+        f.(ca.(k)) <- math_table.(cc.(k)) f.(cb.(k));
         pc := next
     | 47 ->
-        f.(ca.(k)) <- round32 (fns.(cc.(k)) f.(cb.(k)));
+        f.(ca.(k)) <- round32 (math_table.(cc.(k)) f.(cb.(k)));
         pc := next
     | _ -> fault "corrupt opcode"
   done
@@ -1208,7 +1196,6 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
   let co = p.co and ca = p.ca and cb = p.cb and cc = p.cc and cd = p.cd in
   let sf = s.sf and si = s.si and sp = s.sp and act = s.act and park = s.park and sa = s.sa in
   let nl = tile in
-  let fns = p.fns in
   let obits = Buffer.offset_bits and omask = Buffer.offset_mask in
   (* The current tile is threads [base, base + width). *)
   let base = ref 0 and width = ref 0 in
@@ -1676,14 +1663,14 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
           | Ptr _ | Int _ -> fault "ld.param float on non-float parameter")
       | 46 ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl in
-          let fn = fns.(cc.(k)) in
+          let fn = math_table.(cc.(k)) in
           for ai = 0 to n - 1 do
             let l = Array.unsafe_get act ai in
             Array.unsafe_set sf (ba + l) (fn (Array.unsafe_get sf (bb + l)))
           done
       | 47 ->
           let ba = ca.(k) * nl and bb = cb.(k) * nl in
-          let fn = fns.(cc.(k)) in
+          let fn = math_table.(cc.(k)) in
           for ai = 0 to n - 1 do
             let l = Array.unsafe_get act ai in
             Array.unsafe_set sf (ba + l) (round32 (fn (Array.unsafe_get sf (bb + l))))
@@ -1984,7 +1971,7 @@ let parallel_ok p (params : param_value array) =
 let enrich p e ~ctaid ~tid =
   match e with
   | Fault msg ->
-      Fault (Printf.sprintf "%s [kernel %s, ctaid %d, tid %d]" msg p.kernel.kname ctaid tid)
+      Fault (Printf.sprintf "%s [kernel %s, ctaid %d, tid %d]" msg p.kname ctaid tid)
   | e -> e
 
 (* One cta on the scalar interpreter, threads in order; returns the
@@ -1999,23 +1986,19 @@ let exec_cta_scalar p lookup args w ~ctaid ~block ~grid =
   in
   go 0
 
-(* One cta span, executed in (cta, tid) order on worker [slot]'s
-   register files: the SoA executor's when [soa], else the scalar
-   interpreter's, bound fresh for the span.  [key] is the span's
-   position in the flat batch schedule (launch-major, cta-ordered), so
-   the first fault recorded at the lowest key is exactly the fault a
-   sequential sweep of the whole batch would hit first.  Recording a
-   fault lowers [stop] so spans with higher keys (later ctas / later
-   launches) bail out; lower-keyed spans run to completion. *)
-let run_span p lookup args ~soa ~slot ~block ~grid ~c0 ~c1 ~key ~(stop : int Atomic.t)
+(* One cta span, executed in (cta, tid) order on the domain's register
+   files: the SoA executor's when [soa], else the scalar interpreter's,
+   bound fresh for the span.  [key] is the span's position in the flat
+   batch schedule (launch-major, cta-ordered), so the first fault
+   recorded at the lowest key is exactly the fault a sequential sweep of
+   the whole batch would hit first.  Recording a fault lowers [stop] so
+   spans with higher keys (later ctas / later launches) bail out;
+   lower-keyed spans run to completion. *)
+let run_span p lookup args ~soa ~block ~grid ~c0 ~c1 ~key ~(stop : int Atomic.t)
     (faults : (int * int * exn) option array) =
   let exec_cta =
-    if soa then exec_cta_soa p lookup args p.soa_slots.(slot)
-    else begin
-      let w = p.slots.(slot) in
-      bind_slot p w;
-      exec_cta_scalar p lookup args w
-    end
+    if soa then exec_cta_soa p lookup args (bind_soa p)
+    else exec_cta_scalar p lookup args (bind_wctx p)
   in
   try
     for cta = c0 to c1 - 1 do
@@ -2175,19 +2158,10 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
         end
       in
       let w = min workers nitems in
-      (* Register files are per (program, worker); growing the slot
-         table isn't thread-safe, so size it up front.  A program that
-         appears in several concurrent launches is fine: distinct
-         workers use distinct slots and [bind_slot] re-installs the
-         launch state (zeroed registers + constant pools) per span. *)
-      Array.iteri
-        (fun li l ->
-          if use_soa.(li) then ensure_soa_slots l.l_prog w else ensure_slots l.l_prog w)
-        launches;
       let stop = Atomic.make max_int in
       let faults = Array.make nitems None in
       let cursor = Atomic.make 0 in
-      let worker k =
+      let worker _ =
         let rec loop () =
           let idx = Atomic.fetch_and_add cursor 1 in
           if idx < nitems then begin
@@ -2199,7 +2173,7 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
                done.  Bailed-out spans (fault upstream) still count
                down [remaining], so waiters always wake. *)
             wait_deps li;
-            run_span l.l_prog lookup l.l_params ~soa:use_soa.(li) ~slot:k ~block:l.l_block
+            run_span l.l_prog lookup l.l_params ~soa:use_soa.(li) ~block:l.l_block
               ~grid:l.l_grid ~c0 ~c1 ~key:idx ~stop faults;
             complete li;
             loop ()
@@ -2235,5 +2209,5 @@ let run_grid ?(workers = 1) p ~grid ~block ~params ~lookup =
     [| { l_prog = p; l_grid = grid; l_block = block; l_params = params } |]
 
 let decoded_instructions p = Array.length p.co
-let kname p = p.kernel.kname
+let kname p = p.kname
 let parallelizable p ~params = parallel_ok p params

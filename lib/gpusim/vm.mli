@@ -4,6 +4,12 @@
     [compile] lowers a validated kernel into a flat program: int-coded
     opcodes with operand indices in parallel arrays, branch targets
     pre-resolved, immediates promoted into constant-pool register slots.
+    A program is immutable plain data — the kernel's name but not its
+    IR, math calls as indices into one static table, no scratch — so
+    it marshals as it is.  Register files belong to the executing
+    domain, not the program: one arena per domain, grown to the largest
+    program it has run, with each span installing its own constant
+    pools.
     [run_grid] sweeps the grid, splitting whole-cta chunks across
     {!Vm_backend} workers when a decode-time provenance analysis proves
     the launch's stores are disjoint per work item — results are then
@@ -41,8 +47,8 @@ val compile : Ptx.Types.kernel -> program
 (** Validate and pre-decode.  Raises {!Fault} on malformed kernels:
     failed {!Ptx.Validate.kernel} or {!Ptx.Validate.dataflow} checks,
     undefined labels, unsupported operand classes, a branch that does
-    not jump forward to an instruction, or a body that does not end in
-    [ret]. *)
+    not jump forward to an instruction, a body that does not end in
+    [ret], or a call to an unknown math subroutine. *)
 
 type allocation
 (** A register allocation of one kernel: every virtual register mapped
@@ -65,18 +71,6 @@ val decoder_version : int
 (** Bumped whenever the pre-decoded representation changes; persistent
     caches fold it into their keys so stale entries miss instead of
     misexecuting. *)
-
-type portable
-(** A {!program} with its closure-valued fields stripped: plain data,
-    safe for [Marshal]. *)
-
-val to_portable : program -> portable
-
-val of_portable : portable -> program
-(** Rehydrate: the math-subroutine table is rebuilt deterministically
-    from the kernel body (the same walk {!compile} performs), so a
-    round-tripped program executes bit-identically to a fresh compile.
-    Raises {!Fault} if the body names an unknown subroutine. *)
 
 val run_grid :
   ?workers:int ->
@@ -145,9 +139,11 @@ type soa_stats = {
     dispatch units per tile (a mixed ALU chain, a memory-terminated
     chain, or a division island each count once).  [rows] is the
     number of register rows (float + integer + predicate slots, constant
-    pools excluded) the allocated program carries per lane — each costs
-    one 64-lane SoA row per worker — and [virtual_rows] the count the
-    same files would need sized by virtual register id. *)
+    pools excluded) the allocated program carries per lane — each is one
+    64-lane row of the executing domain's SoA arena, which is shared by
+    all programs and sized to the largest the domain has run — and
+    [virtual_rows] the count the same files would need sized by virtual
+    register id. *)
 
 val superinsn_stats : program -> soa_stats
 

@@ -25,7 +25,10 @@
     memory ops, division islands and parked lanes all retire inside one
     cta before the worker claims its next span, so the schedule, the
     dependency edges and the lowest-(launch, ctaid, tid)-wins fault
-    protocol are unchanged by the dispatch strategy. *)
+    protocol are unchanged by the dispatch strategy.  Nothing is keyed
+    by worker index: the VM's register files live in one arena per
+    domain, so a sweep's workers and the inline one-worker sweeps that
+    concurrent ranks run on their own domains never share scratch. *)
 
 let runtime = "multicore"
 let available_domains () = Domain.recommended_domain_count ()

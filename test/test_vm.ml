@@ -317,10 +317,57 @@ EXIT:
 }
 |}
 
+(* y[i] = 16 x[i] + 136, as sixteen terms x[i] + k that are all live
+   at once before a sum chain consumes them: its integer registers run
+   well past the handful addk and divk allocate, over the rows where
+   those two keep their constant pools.  Register files are shared by
+   every program a domain runs, so alternating bigk with addk/divk only
+   stays exact if each span re-installs its own pools. *)
+let bigk_text =
+  let terms =
+    List.init 16 (fun k -> Printf.sprintf "\tadd.s32 \t%%r%d, %%r7, %d;" (10 + k) (k + 1))
+  in
+  let sums =
+    List.init 15 (fun k ->
+        Printf.sprintf "\tadd.s32 \t%%r%d, %%r%d, %%r%d;" (30 + k)
+          (if k = 0 then 10 else 29 + k)
+          (11 + k))
+  in
+  String.concat "\n"
+    ([
+       ".version 3.1";
+       ".target sm_35";
+       ".address_size 64";
+       ".visible .entry bigk(";
+       "\t.param .u64 bigk_param_0,";
+       "\t.param .u64 bigk_param_1,";
+       "\t.param .s32 bigk_param_2";
+       ")";
+       "{";
+       "\tld.param.u64 \t%rd1, [bigk_param_0];";
+       "\tld.param.u64 \t%rd2, [bigk_param_1];";
+       "\tld.param.s32 \t%r1, [bigk_param_2];";
+       "\tmov.u32 \t%r2, %tid.x;";
+       "\tmov.u32 \t%r3, %ntid.x;";
+       "\tmov.u32 \t%r4, %ctaid.x;";
+       "\tmad.lo.s32 \t%r5, %r4, %r3, %r2;";
+       "\tsetp.ge.s32 \t%p1, %r5, %r1;";
+       "\t@%p1 bra \tEXIT;";
+       "\tmul.lo.s32 \t%r6, %r5, 4;";
+       "\tcvt.s64.s32 \t%rs1, %r6;";
+       "\tcvt.u64.s64 \t%rd3, %rs1;";
+       "\tadd.u64 \t%rd4, %rd1, %rd3;";
+       "\tadd.u64 \t%rd5, %rd2, %rd3;";
+       "\tld.global.s32 \t%r7, [%rd4+0];";
+     ]
+    @ terms @ sums
+    @ [ "\tst.global.s32 \t[%rd5+0], %r44;"; "EXIT:"; "\tret;"; "}" ])
+
 let addk_compiled = lazy (Jit.compile addk_text)
 let divk_compiled = lazy (Jit.compile divk_text)
+let bigk_compiled = lazy (Jit.compile bigk_text)
 
-type bkind = Badd of int | Bdiv
+type bkind = Badd of int | Bdiv | Bbig
 type blaunch = { bl_dst : int; bl_src : int; bl_kind : bkind }
 
 let npool = 4
@@ -356,6 +403,9 @@ let run_batch_prog ~vm_domains ~batched prog =
             ~params:[| x; y; Gpusim.Vm.Int n_threads; Gpusim.Vm.Int c |]
       | Bdiv ->
           Device.execute dev (Lazy.force divk_compiled) ~nthreads:n_threads ~block
+            ~params:[| x; y; Gpusim.Vm.Int n_threads |]
+      | Bbig ->
+          Device.execute dev (Lazy.force bigk_compiled) ~nthreads:n_threads ~block
             ~params:[| x; y; Gpusim.Vm.Int n_threads |])
   in
   match
@@ -372,16 +422,34 @@ let show_blaunch l =
   match l.bl_kind with
   | Badd c -> Printf.sprintf "b%d = b%d + %d" l.bl_dst l.bl_src c
   | Bdiv -> Printf.sprintf "b%d = n / b%d" l.bl_dst l.bl_src
+  | Bbig -> Printf.sprintf "b%d = 16 b%d + 136" l.bl_dst l.bl_src
+
+(* A fault-free chain where every launch reads the previous one's
+   output, alternating bigk with the small kernels, so at one worker
+   the domain's register rows pass from program to program on every
+   launch.  The batch generator draws it one time in four. *)
+let alternating =
+  List.map
+    (fun (d, s, k) -> { bl_dst = d; bl_src = s; bl_kind = k })
+    [
+      (1, 0, Badd 3); (2, 1, Bbig); (3, 2, Badd 5); (0, 3, Bbig);
+      (1, 0, Bdiv); (2, 1, Bbig); (3, 2, Badd (-4)); (0, 3, Bbig);
+    ]
 
 let arb_batch_prog =
   let gen =
     QCheck.Gen.(
       let idx = int_range 0 (npool - 1) in
       let kind =
-        oneof [ map (fun c -> Badd c) (oneofl [ 3; 5; -4; 11; 0 ]); return Bdiv ]
+        oneof [ map (fun c -> Badd c) (oneofl [ 3; 5; -4; 11; 0 ]); return Bdiv; return Bbig ]
       in
-      list_size (int_range 2 10)
-        (map3 (fun d s k -> { bl_dst = d; bl_src = s; bl_kind = k }) idx idx kind))
+      frequency
+        [
+          (1, return alternating);
+          ( 3,
+            list_size (int_range 2 10)
+              (map3 (fun d s k -> { bl_dst = d; bl_src = s; bl_kind = k }) idx idx kind) );
+        ])
   in
   QCheck.make ~print:(fun p -> String.concat "; " (List.map show_blaunch p)) gen
 
@@ -400,28 +468,58 @@ let qcheck_batched_sweeps =
           | _ -> false)
         [ 1; 2; 4; 8 ])
 
-(* The same random launch chains, scalar interpreter vs superinstruction
-   executor: buffer contents must match bit-for-bit and a faulting chain
-   must report the exact same message — kernel name, ctaid and tid — at
-   every worker count.  divk/addk are SoA-eligible (straight-line bodies
-   with one forward exit branch), so the SoA executor really runs here. *)
+(* The same random launch chains, batched on either executor, against
+   the unbatched scalar interpreter: buffer contents must match
+   bit-for-bit and a faulting chain must report the exact same message —
+   kernel name, ctaid and tid — at every worker count.  divk/addk/bigk
+   are SoA-eligible (straight-line bodies with one forward exit branch),
+   so the SoA executor really runs here. *)
+let superinsn_agrees prog =
+  let ref_fault, ref_bufs =
+    with_superinsn false (fun () -> run_batch_prog ~vm_domains:1 ~batched:false prog)
+  in
+  List.for_all
+    (fun (superinsn, w) ->
+      let fault, bufs =
+        with_superinsn superinsn (fun () -> run_batch_prog ~vm_domains:w ~batched:true prog)
+      in
+      match ((ref_fault, ref_bufs), (fault, bufs)) with
+      | (None, Some rb), (None, Some b) -> Array.for_all2 (fun ra a -> ra = a) rb b
+      | (Some rm, None), (Some m, None) -> rm = m
+      | _ -> false)
+    (List.concat_map (fun s -> List.map (fun w -> (s, w)) [ 1; 2; 4; 8 ]) [ false; true ])
+
 let qcheck_superinsn_faults =
   QCheck.Test.make ~count:20
     ~name:"superinstructions on/off: identical contents and fault reports at 1/2/4/8 workers"
-    arb_batch_prog (fun prog ->
-      let ref_fault, ref_bufs =
-        with_superinsn false (fun () -> run_batch_prog ~vm_domains:1 ~batched:false prog)
-      in
-      List.for_all
-        (fun w ->
-          let fault, bufs =
-            with_superinsn true (fun () -> run_batch_prog ~vm_domains:w ~batched:true prog)
-          in
-          match ((ref_fault, ref_bufs), (fault, bufs)) with
-          | (None, Some rb), (None, Some b) -> Array.for_all2 (fun ra a -> ra = a) rb b
-          | (Some rm, None), (Some m, None) -> rm = m
-          | _ -> false)
-        [ 1; 2; 4; 8 ])
+    arb_batch_prog superinsn_agrees
+
+(* Two domains sweeping at once, each inline as its own worker 0 (the
+   shape [Multi.par_ranks] gives concurrent ranks), both running addk
+   between different partners: each must reproduce its sequential
+   result every round.  Register files indexed by worker instead of by
+   domain would have both domains writing one set of rows. *)
+let test_concurrent_domains () =
+  let adds = List.map (fun l -> { l with bl_kind = Badd 7 }) alternating in
+  let progs = [| alternating; adds @ [ { bl_dst = 2; bl_src = 1; bl_kind = Bdiv } ] |] in
+  ignore (Lazy.force addk_compiled, Lazy.force divk_compiled, Lazy.force bigk_compiled);
+  let sequential = Array.map (run_batch_prog ~vm_domains:1 ~batched:true) progs in
+  let rounds = 25 in
+  let domains =
+    Array.map
+      (fun prog ->
+        Domain.spawn (fun () ->
+            List.init rounds (fun _ -> run_batch_prog ~vm_domains:1 ~batched:true prog)))
+      progs
+  in
+  Array.iteri
+    (fun i d ->
+      List.iteri
+        (fun r got ->
+          if got <> sequential.(i) then
+            Alcotest.failf "domain %d, round %d: differs from its sequential run" i r)
+        (Domain.join d))
+    domains
 
 (* Two independent faulting launches (disjoint buffer pairs, so the
    sweep may genuinely overlap them): the batch must report launch 0's
@@ -1100,6 +1198,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_superinsn_onoff;
           QCheck_alcotest.to_alcotest qcheck_superinsn_faults;
+          Alcotest.test_case "two domains at once match their sequential runs" `Quick
+            test_concurrent_domains;
           QCheck_alcotest.to_alcotest qcheck_mixk_bit_identity;
           Alcotest.test_case "mixed-chain kernel: plan shape" `Quick test_mixk_plan_shape;
           QCheck_alcotest.to_alcotest qcheck_branch_shapes;
