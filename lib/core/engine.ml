@@ -378,8 +378,9 @@ let scratch_buf s =
   | Some b -> b
   | None -> invalid_arg "Engine: reduction kernel launched with no scratch"
 
-(* One eval, launched immediately (the pre-queue semantics): make every
-   referenced field resident, bind the parameter plan, launch.  [dest] is
+(* One eval issued now, bypassing the deferred-eval queue: make every
+   referenced field resident, bind the parameter plan, launch (the
+   device runs it at the next synchronization).  [dest] is
    [None] for a reduction payload, which writes the engine's scratch. *)
 let launch_eval ?(subset = Subset.All) ~stream ~sync t ~geom ~dest_shape dest expr =
   let nsites = Geometry.volume geom in
@@ -819,21 +820,20 @@ let flush t =
         let group_of = Array.make (Array.length evs) (-1) in
         List.iteri (fun gi g -> Array.iter (fun i -> group_of.(i) <- gi) g) groups;
         let drop = plan_drops evs group_of in
-        (* Batched launch sweep: the whole flushed run is handed to the
-           VM work pool as one schedule instead of one blocking handoff
-           per launch.  Group assembly (residency, pins, fused JIT)
-           stays eager; only functional execution defers.  Spills and
-           page-outs inside the batch window drain the queue first, so
-           host-visible contents are always as-of-program-point. *)
-        Device.with_batch t.device (fun () ->
-            List.iter
-              (fun g ->
-                let head = evs.(g.(0)) in
-                let geom = head.p_geom and subset = head.p_subset in
-                let nsites = Geometry.volume geom in
-                let use_sitelist = not (Subset.is_all subset) in
-                launch_group t ~geom ~subset ~nsites ~use_sitelist evs drop g)
-              groups);
+        (* Group assembly (residency, pins, fused JIT) happens here;
+           functional execution waits on the device's queue, and the
+           closing synchronize runs the whole flushed run as one VM
+           sweep.  Spills and page-outs in between drain the queue
+           first, so host-visible contents are always
+           as-of-program-point. *)
+        List.iter
+          (fun g ->
+            let head = evs.(g.(0)) in
+            let geom = head.p_geom and subset = head.p_subset in
+            let nsites = Geometry.volume geom in
+            let use_sitelist = not (Subset.is_all subset) in
+            launch_group t ~geom ~subset ~nsites ~use_sitelist evs drop g)
+          groups;
         ignore (Streams.stream_synchronize t.streams (Streams.default_stream t.streams)))
   end
 
@@ -845,7 +845,7 @@ let create ?(machine = Gpusim.Machine.k20x_ecc_off) ?(mode = Device.Functional)
     {
       device;
       streams;
-      cache = Memcache.create ~sched:streams device;
+      cache = Memcache.create streams;
       jit_cache = Jitcache.from_env ?default:jit_cache ();
       kernels = Hashtbl.create 64;
       fused_kernels = Hashtbl.create 16;

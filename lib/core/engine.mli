@@ -157,7 +157,9 @@ val eval : ?subset:Qdp.Subset.t -> ?stream:Streams.stream -> t -> Qdp.Field.t ->
     into the fusion queue (or, with [~fuse:false], launched and
     synchronized immediately — the legacy blocking semantics).  With
     [stream] the queue is flushed and the launch is asynchronous on that
-    stream; the caller owns synchronization (events or {!synchronize}). *)
+    stream; the caller owns synchronization (events or {!synchronize}),
+    and the device runs the kernel when the host next synchronizes or
+    touches device memory. *)
 
 val norm2 : ?subset:Qdp.Subset.t -> t -> Qdp.Expr.t -> float
 (** Deterministic balanced radix-8 tree reduction of the per-site |.|^2

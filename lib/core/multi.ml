@@ -100,7 +100,9 @@ let set_overlap t flag = t.overlap <- flag
    and every rank's own execution order — is deterministic, and each
    rank is owned by exactly one worker within a sweep.  Cross-rank steps
    (fabric transfers, functional face fills, reduction sums) stay on the
-   calling thread, between sweeps. *)
+   calling thread, between sweeps.  Each rank drains its device's launch
+   queue at the end of its work, so its kernels run in its own domain
+   and the face fills that follow read their results. *)
 let par_ranks t f =
   let n = nranks t in
   let w = min t.rank_domains n in
@@ -108,6 +110,7 @@ let par_ranks t f =
       let rank = ref k in
       while !rank < n do
         f !rank;
+        Gpusim.Device.flush_batch (Engine.device t.engines.(!rank));
         rank := !rank + w
       done)
 

@@ -34,7 +34,8 @@ val create :
     simulated device per rank.  [rank_domains] (default 1, capped at 64) > 1 executes rank-local compute
     concurrently on that many OCaml 5 domains: ranks are dealt
     round-robin to workers, each rank's engine runs its own launches
-    single-worker, and every cross-rank step (fabric transfers, face
+    single-worker (every rank drains its launch queue before its worker
+    moves on), and every cross-rank step (fabric transfers, face
     fills, reduction sums) stays on the calling thread — results are
     bit-identical to the sequential rank sweep. *)
 

@@ -1,9 +1,11 @@
 (** The simulated CUDA device: memory, launches, and a simulated clock.
 
-    Functional mode executes every kernel on real buffers through the VM
-    while also advancing the simulated clock by the modeled time;
-    model-only mode skips execution (used by the paper-scale benchmark
-    sweeps, where only the clock matters). *)
+    Functional mode queues every launch and runs the queue on real
+    buffers through the VM when the host next synchronizes or touches
+    device memory; model-only mode skips execution (used by the
+    paper-scale benchmark sweeps, where only the clock matters).  The
+    modeled time of a launch or copy is returned to the caller: the
+    stream scheduler owns the clock. *)
 
 type mode = Functional | Model_only
 
@@ -30,7 +32,7 @@ type t = {
   mutable used_bytes : int;
   mutable buffers : Buffer.t option array;
   mutable next_id : int;
-  mutable batch : Vm.launch list option; (* open batch, launches reversed *)
+  mutable batch : Vm.launch list; (* queued launches, most recent first *)
   stats : stats;
 }
 
@@ -43,7 +45,7 @@ let create ?(mode = Functional) ?vm_domains machine =
     used_bytes = 0;
     buffers = Array.make 64 None;
     next_id = 0;
-    batch = None;
+    batch = [];
     stats =
       {
         launches = 0;
@@ -100,39 +102,21 @@ let lookup t id =
     | Some b -> b.Buffer.data
     | None -> raise (Vm.Fault "use of freed device buffer")
 
-(* Batched launch sweeps: inside [with_batch], functional execution is
-   deferred — [execute] queues the decoded launch and [flush_batch]
-   hands the whole run to [Vm.run_batch] as one sweep.  The clock
-   model, stats and launch-fit checks stay eager (they don't depend on
-   buffer contents), so only the VM interpreter work moves.  [free]
-   and host-side blits (memcache spills/uploads) call [flush_batch]
-   first: deferred launches must observe buffer contents as of their
-   program point. *)
-
+(* Deferred execution: [execute] queues the decoded launch and
+   [flush_batch] hands the whole queue to [Vm.run_batch] as one sweep.
+   The clock model, stats and launch-fit checks stay at issue (they
+   don't depend on buffer contents), so only the VM interpreter work
+   moves.  Host synchronization, [free] and host-side blits (memcache
+   uploads and page-outs) drain the queue first: queued launches must
+   observe buffer contents as of their program point.  The queue is
+   emptied before the sweep runs, so a faulting sweep leaves the device
+   ready for new launches. *)
 let flush_batch t =
   match t.batch with
-  | None -> ()
-  | Some [] -> ()
-  | Some rev ->
-      t.batch <- Some [];
-      Vm.run_batch ~workers:t.vm_domains ~lookup:(lookup t)
-        (Array.of_list (List.rev rev))
-
-(* The launches [f] queued before it raised still run: unbatched, they
-   would have executed before [f] got that far, so a fault among them
-   wins over [f]'s exception. *)
-let with_batch t f =
-  if t.batch <> None then invalid_arg "Device.with_batch: batch already open";
-  t.batch <- Some [];
-  let close () = Fun.protect ~finally:(fun () -> t.batch <- None) (fun () -> flush_batch t) in
-  match f () with
-  | v ->
-      close ();
-      v
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      close ();
-      Printexc.raise_with_backtrace e bt
+  | [] -> ()
+  | rev ->
+      t.batch <- [];
+      Vm.run_batch ~workers:t.vm_domains ~lookup:(lookup t) (Array.of_list (List.rev rev))
 
 let free t (buf : Buffer.t) =
   flush_batch t;
@@ -146,9 +130,8 @@ let free t (buf : Buffer.t) =
 (* Host<->device transfers: account PCIe time; the data movement itself is a
    host-side blit performed by the caller (host and device memory are both
    process memory here).  [transfer_cost] records the traffic and returns
-   the modeled duration without touching the clock — asynchronous copies
-   live on a stream timeline owned by the stream scheduler, not on the
-   device's synchronous clock. *)
+   the modeled duration without touching the clock — copies live on a
+   stream timeline owned by the stream scheduler. *)
 let transfer_cost t ~bytes ~to_device =
   let ns = Timing.transfer_time_ns t.machine ~bytes in
   t.stats.transfers <- t.stats.transfers + 1;
@@ -157,13 +140,9 @@ let transfer_cost t ~bytes ~to_device =
   else t.stats.d2h_bytes <- t.stats.d2h_bytes + bytes;
   ns
 
-let account_transfer t ~bytes ~to_device =
-  let ns = transfer_cost t ~bytes ~to_device in
-  t.clock_ns <- t.clock_ns +. ns
-
 let set_clock_ns t ns = t.clock_ns <- ns
 
-(* Execute a compiled kernel over [nthreads] logical threads and return its
+(* Queue a compiled kernel over [nthreads] logical threads and return its
    modeled duration without advancing the clock (stream timelines decide
    *when* it runs).  Raises [Launch_failure] when the block geometry or
    register pressure does not fit the machine — the condition the
@@ -178,18 +157,12 @@ let execute t (c : Jit.compiled) ~nthreads ~block ~params =
   end;
   let grid = (nthreads + block - 1) / block in
   (match t.mode with
-  | Functional -> (
-      match t.batch with
-      | Some rev ->
-          (* Callers hand over [params] freshly allocated per launch;
-             the deferred sweep captures the array as-is. *)
-          t.batch <-
-            Some
-              ({ Vm.l_prog = c.Jit.program; l_grid = grid; l_block = block; l_params = params }
-              :: rev)
-      | None ->
-          Vm.run_grid ~workers:t.vm_domains c.Jit.program ~grid ~block ~params
-            ~lookup:(lookup t))
+  | Functional ->
+      (* Callers hand over [params] freshly allocated per launch; the
+         deferred sweep captures the array as-is. *)
+      t.batch <-
+        { Vm.l_prog = c.Jit.program; l_grid = grid; l_block = block; l_params = params }
+        :: t.batch
   | Model_only -> ());
   let ns =
     Timing.kernel_time_ns t.machine ~analysis:c.Jit.analysis
@@ -197,9 +170,4 @@ let execute t (c : Jit.compiled) ~nthreads ~block ~params =
   in
   t.stats.launches <- t.stats.launches + 1;
   t.stats.kernel_ns <- t.stats.kernel_ns +. ns;
-  ns
-
-let launch t (c : Jit.compiled) ~nthreads ~block ~params =
-  let ns = execute t c ~nthreads ~block ~params in
-  t.clock_ns <- t.clock_ns +. ns;
   ns

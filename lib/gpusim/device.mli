@@ -1,9 +1,12 @@
 (** The simulated CUDA device: memory, launches, and a simulated clock.
 
-    Functional mode executes every kernel on real buffers through the VM
-    while also advancing the simulated clock by the modeled time;
-    model-only mode skips execution (used by paper-scale benchmark sweeps,
-    where only the clock matters). *)
+    A launch is only ever queued.  In functional mode the queue runs on
+    real buffers through the VM, as one {!flush_batch} sweep, when the
+    host next synchronizes a stream or touches device memory; model-only
+    mode queues nothing (used by paper-scale benchmark sweeps, where
+    only the clock matters).  {!execute} and {!transfer_cost} return
+    modeled durations without moving the clock: the stream scheduler
+    ([Streams]) owns it and advances it on host synchronization. *)
 
 type mode = Functional | Model_only
 
@@ -32,8 +35,9 @@ type t = {
   mutable used_bytes : int;
   mutable buffers : Buffer.t option array;
   mutable next_id : int;
-  mutable batch : Vm.launch list option;
-      (** open batched sweep: deferred launches, most recent first *)
+  mutable batch : Vm.launch list;
+      (** launches queued since the last {!flush_batch}, most recent
+          first *)
   stats : stats;
 }
 
@@ -64,31 +68,21 @@ val alloc_f64 : t -> int -> Buffer.t
 val alloc_i32 : t -> int -> Buffer.t
 
 val free : t -> Buffer.t -> unit
-(** Raises [Invalid_argument] on double free / stale buffers.  Flushes
-    any open batch first so deferred launches never observe a freed
+(** Raises [Invalid_argument] on double free / stale buffers.  Drains
+    the launch queue first so queued launches never observe a freed
     buffer. *)
-
-val with_batch : t -> (unit -> 'a) -> 'a
-(** [with_batch t f] runs [f] inside a batched launch sweep: functional
-    execution in {!execute} is deferred and queued, while modeled
-    timing, stats and launch-fit checks stay eager.  When [f] returns,
-    the queue runs as one {!flush_batch} sweep and the batch closes.
-    When [f] raises, the launches it queued still run, the batch closes,
-    and [f]'s exception is re-raised — unless one of those launches
-    faults, since unbatched execution would have raised that fault
-    first.  The batch is closed however this returns, so the device
-    accepts a new one.  Raises [Invalid_argument] if a batch is already
-    open. *)
 
 val flush_batch : t -> unit
 (** Run every queued launch as one {!Vm.run_batch} sweep (workers pull
     (launch, cta-span) items cooperatively; independent launches
-    overlap).  The batch stays open.  No-op when the queue is empty or
-    no batch is open.  Host-side readers/writers of device buffer
-    contents (memcache spills, page-outs, re-uploads) must call this
-    first.  A VM fault propagates from here — deterministically the
-    lowest (launch index, ctaid, tid) across the batch, with the same
-    message a sequential sweep would raise. *)
+    overlap) and empty the queue.  No-op when the queue is empty.
+    Stream synchronization calls this, and so must every host-side
+    reader or writer of device buffer contents (memcache uploads,
+    page-outs, frees).  The queue is emptied before the sweep runs, so
+    after a fault the device accepts new launches.  A VM fault
+    propagates from here — deterministically the lowest (launch index,
+    ctaid, tid) across the queue, with the message a sweep that drained
+    after every launch would raise. *)
 
 val lookup : t -> int -> Buffer.data
 (** Buffer id -> storage, for the VM; faults on freed buffers. *)
@@ -98,20 +92,13 @@ val transfer_cost : t -> bytes:int -> to_device:bool -> float
     modeled PCIe time in ns {e without} advancing the clock — asynchronous
     copies live on stream timelines owned by the stream scheduler. *)
 
-val account_transfer : t -> bytes:int -> to_device:bool -> unit
-(** Advance the clock by the PCIe model for a synchronous host<->device
-    copy ([transfer_cost] + clock advance). *)
-
 val set_clock_ns : t -> float -> unit
+(** The stream scheduler's clock setter (synchronize, reset). *)
 
 val execute : t -> Jit.compiled -> nthreads:int -> block:int -> params:Vm.param_value array -> float
-(** Execute over [nthreads] logical threads in blocks of [block]:
-    functionally runs the kernel (unless model-only) and returns its
-    modeled duration in ns {e without} advancing the clock — stream
-    timelines decide when it runs.  Raises {!Launch_failure} if the
+(** Launch over [nthreads] logical threads in blocks of [block]: queues
+    the kernel for the next {!flush_batch} (unless model-only) and
+    returns its modeled duration in ns {e without} advancing the clock —
+    stream timelines decide when it runs.  Stats and the fit check
+    happen here, at issue.  Raises {!Launch_failure} if the
     configuration does not fit. *)
-
-val launch : t -> Jit.compiled -> nthreads:int -> block:int -> params:Vm.param_value array -> float
-(** Synchronous launch: {!execute}, then advance the clock by the returned
-    kernel time.  Raises {!Launch_failure} if the configuration does not
-    fit. *)

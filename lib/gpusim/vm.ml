@@ -17,14 +17,15 @@
     executing domain: one arena per domain, grown to the largest program
     it has run and reused across threads, launches and programs.
 
-    [run_grid] executes the grid either sequentially or split across
-    {!Vm_backend} workers in whole-cta chunks.  A decode-time provenance
-    analysis classifies every global access (uniform / affine-in-thread-
-    index / via-sitelist / gathered); launches whose stores all target
-    the issuing work item's own slot — and whose same-buffer read-backs
-    stay within the radix-8 reduction-tail contract — may split, because
-    chunks then touch disjoint output ranges and the result is
-    bit-identical to the sequential sweep.  Anything else (e.g. the
+    [run_batch] executes an ordered run of launches, each launch either
+    sequentially or split across {!Vm_backend} workers in whole-cta
+    chunks.  A decode-time provenance analysis classifies every global
+    access (uniform / affine-in-thread-index / via-sitelist /
+    gathered); launches whose stores all target the issuing work item's
+    own slot — and whose same-buffer read-backs stay within the radix-8
+    reduction-tail contract — may split, because chunks then touch
+    disjoint output ranges and the result is bit-identical to the
+    sequential sweep.  Anything else (e.g. the
     in-place [p = shift p] gather) runs sequentially.  Chunk boundaries
     are aligned to multiples of 8 work items so a reduction tail always
     aggregates partials its own chunk wrote.  Faults are recorded per
@@ -1921,25 +1922,24 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
   tiles 0
 
 (* ------------------------------------------------------------------ *)
-(* Parallel-safety decision for one launch: every access's param slot is
-   resolved to the bound buffer, then per stored buffer (a) all stores
-   must use own-slot indexing (Affine or Slist — never Gather/Uniform),
-   and (b) any read-back of a stored buffer must use the *same*
-   per-work-item indexing on both sides, which the 8-aligned chunk
-   boundaries then keep chunk-local (the reduction-tail contract).  A
-   load whose target buffer is unknown could alias any store, so it
-   forces sequential execution whenever the kernel stores at all — this
-   is what keeps the in-place [p = shift p] gather on the sequential
-   path its wrap-around semantics depend on. *)
+(* Access resolution, once per launch: every access's param slot is
+   resolved to the bound buffer, and the launch's loads and stores are
+   gathered per buffer id with the union of their provenance classes.
+   Both the split verdict and the batch's dependency edges read these
+   tables. *)
 
 let class_bit = function Uniform -> 1 | Affine -> 2 | Slist -> 4 | Gather -> 8
 
-let parallel_ok p (params : param_value array) =
-  Array.length p.accesses = 0
-  ||
-  let stores = Hashtbl.create 8 and loads = Hashtbl.create 8 in
-  let any_store = Array.exists (fun a -> a.a_store) p.accesses in
-  let ok = ref true in
+type access_sets = {
+  loads : (int, int) Hashtbl.t;  (** buffer id -> class bits of its loads *)
+  stores : (int, int) Hashtbl.t;  (** buffer id -> class bits of its stores *)
+  unknown : bool;  (** some access's base buffer is unresolvable *)
+  any_store : bool;
+}
+
+let access_sets p (params : param_value array) =
+  let loads = Hashtbl.create 8 and stores = Hashtbl.create 8 in
+  let unknown = ref false in
   Array.iter
     (fun a ->
       let bid =
@@ -1947,23 +1947,36 @@ let parallel_ok p (params : param_value array) =
         else match params.(a.a_param) with Ptr b -> Some b.Buffer.id | Int _ | Float _ -> None
       in
       match bid with
-      | None -> if a.a_store || any_store then ok := false
+      | None -> unknown := true
       | Some bid ->
           let tbl = if a.a_store then stores else loads in
           let cur = match Hashtbl.find_opt tbl bid with Some m -> m | None -> 0 in
           Hashtbl.replace tbl bid (cur lor class_bit a.a_class))
     p.accesses;
-  if !ok then
-    Hashtbl.iter
-      (fun bid smask ->
-        if smask land (class_bit Uniform lor class_bit Gather) <> 0 then ok := false;
-        match Hashtbl.find_opt loads bid with
-        | None -> ()
-        | Some lmask ->
-            let union = smask lor lmask in
-            if not (union = class_bit Affine || union = class_bit Slist) then ok := false)
-      stores;
-  !ok
+  { loads; stores; unknown = !unknown; any_store = Array.exists (fun a -> a.a_store) p.accesses }
+
+(* Parallel-safety decision for one launch: per stored buffer (a) all
+   stores must use own-slot indexing (Affine or Slist — never
+   Gather/Uniform), and (b) any read-back of a stored buffer must use
+   the *same* per-work-item indexing on both sides, which the 8-aligned
+   chunk boundaries then keep chunk-local (the reduction-tail
+   contract).  An access whose target buffer is unknown could alias any
+   store, so it forces sequential execution whenever the kernel stores
+   at all — this is what keeps the in-place [p = shift p] gather on the
+   sequential path its wrap-around semantics depend on. *)
+let parallel_ok s =
+  not (s.unknown && s.any_store)
+  && Hashtbl.fold
+       (fun bid smask ok ->
+         ok
+         && smask land (class_bit Uniform lor class_bit Gather) = 0
+         &&
+         match Hashtbl.find_opt s.loads bid with
+         | None -> true
+         | Some lmask ->
+             let union = smask lor lmask in
+             union = class_bit Affine || union = class_bit Slist)
+       s.stores true
 
 (* ------------------------------------------------------------------ *)
 (* Grid execution. *)
@@ -2027,19 +2040,18 @@ let gcd a b =
 
 (* ------------------------------------------------------------------ *)
 (* Batched launch sweeps.  A batch is an ordered run of launches (the
-   engine's flushed queue).  Each launch is pre-partitioned into cta
-   spans — whole ctas, multiples of 8 work items, exactly the chunks
-   [run_grid] used — and the flattened (launch, span) schedule is
-   drained by workers pulling items off a single atomic cursor, so the
-   pool is woken once per batch instead of once per launch.
+   device's queue at a drain point).  Each launch is pre-partitioned
+   into cta spans — whole ctas, multiples of 8 work items — and the
+   flattened (launch, span) schedule is drained by workers pulling
+   items off a single atomic cursor, so the pool is woken once per
+   batch instead of once per launch.
 
    A launch may start before its predecessors complete iff its loads
    don't alias any predecessor's pending stores.  The per-launch
-   read/write buffer sets come from the same decode-time provenance
-   the per-launch analysis uses ([p.accesses], each access's param slot
-   resolved against the bound parameters); edges are conservative
-   per-buffer RAW, WAW and WAR — WAR included because a later writer
-   overtaking an in-flight reader is just as racy.  Accesses whose base
+   read/write buffer sets are the [access_sets] the split verdict
+   reads; edges are conservative per-buffer RAW, WAW and WAR — WAR
+   included because a later writer overtaking an in-flight reader is
+   just as racy.  Accesses whose base
    buffer can't be resolved make the launch a full barrier in both
    directions. *)
 
@@ -2050,40 +2062,19 @@ type launch = {
   l_params : param_value array;
 }
 
-type rw_set = {
-  rs_reads : (int, unit) Hashtbl.t;
-  rs_writes : (int, unit) Hashtbl.t;
-  rs_unknown : bool; (* some access's base buffer is unresolvable *)
-}
-
-let rw_set p (params : param_value array) =
-  let reads = Hashtbl.create 8 and writes = Hashtbl.create 8 in
-  let unknown = ref false in
-  Array.iter
-    (fun a ->
-      let bid =
-        if a.a_param < 0 || a.a_param >= Array.length params then None
-        else match params.(a.a_param) with Ptr b -> Some b.Buffer.id | Int _ | Float _ -> None
-      in
-      match bid with
-      | None -> unknown := true
-      | Some bid -> Hashtbl.replace (if a.a_store then writes else reads) bid ())
-    p.accesses;
-  { rs_reads = reads; rs_writes = writes; rs_unknown = !unknown }
-
 (* Must launch [j] wait for earlier launch [i]?  RAW / WAW / WAR on any
    shared buffer, or either side touching memory it can't account for. *)
 let conflicts i j =
-  i.rs_unknown || j.rs_unknown
+  i.unknown || j.unknown
   || Hashtbl.fold
-       (fun b () acc -> acc || Hashtbl.mem j.rs_reads b || Hashtbl.mem j.rs_writes b)
-       i.rs_writes false
-  || Hashtbl.fold (fun b () acc -> acc || Hashtbl.mem i.rs_reads b) j.rs_writes false
+       (fun b _ acc -> acc || Hashtbl.mem j.loads b || Hashtbl.mem j.stores b)
+       i.stores false
+  || Hashtbl.fold (fun b _ acc -> acc || Hashtbl.mem i.loads b) j.stores false
 
-(* Spans for one launch: the same alignment, small-launch threshold and
-   store-disjointness gate as the old per-launch path, so a launch that
-   must run as one sequential sweep still overlaps *other* independent
-   launches in the batch. *)
+(* Spans for one launch: 8-aligned whole-cta chunks, gated by a
+   small-launch threshold and the store-disjointness verdict, so a
+   launch that must run as one sequential sweep still overlaps *other*
+   independent launches in the batch. *)
 let spans_of workers l ~safe =
   if l.l_grid <= 0 || l.l_block <= 0 then [||]
   else begin
@@ -2101,7 +2092,8 @@ let spans_of workers l ~safe =
 let run_batch ?(workers = 1) ~lookup (launches : launch array) =
   let nl = Array.length launches in
   if nl > 0 then begin
-    let safe = Array.map (fun l -> parallel_ok l.l_prog l.l_params) launches in
+    let sets = Array.map (fun l -> access_sets l.l_prog l.l_params) launches in
+    let safe = Array.map parallel_ok sets in
     let spans = Array.mapi (fun li l -> spans_of workers l ~safe:safe.(li)) launches in
     (* Flat schedule: launch-major, cta-ordered — item index IS the
        deterministic fault priority. *)
@@ -2118,21 +2110,13 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
     let soa = superinstructions_enabled () in
     let use_soa = Array.map (fun ok -> soa && ok) safe in
     if nitems > 0 then begin
-      (* Dependency edges; skipped for singleton batches (the common
-         [run_grid] path pays nothing for the generalization). *)
       let preds =
-        if nl = 1 then [| [||] |]
-        else begin
-          let sets =
-            Array.map (fun l -> rw_set l.l_prog l.l_params) launches
-          in
-          Array.init nl (fun j ->
-              let acc = ref [] in
-              for i = j - 1 downto 0 do
-                if conflicts sets.(i) sets.(j) then acc := i :: !acc
-              done;
-              Array.of_list !acc)
-        end
+        Array.init nl (fun j ->
+            let acc = ref [] in
+            for i = j - 1 downto 0 do
+              if conflicts sets.(i) sets.(j) then acc := i :: !acc
+            done;
+            Array.of_list !acc)
       in
       (* remaining.(l) counts l's unfinished spans; <= 0 means done.
          Atomic reads double as the release/acquire edge that makes a
@@ -2204,10 +2188,6 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
     end
   end
 
-let run_grid ?(workers = 1) p ~grid ~block ~params ~lookup =
-  run_batch ~workers ~lookup
-    [| { l_prog = p; l_grid = grid; l_block = block; l_params = params } |]
-
 let decoded_instructions p = Array.length p.co
 let kname p = p.kname
-let parallelizable p ~params = parallel_ok p params
+let parallelizable p ~params = parallel_ok (access_sets p params)

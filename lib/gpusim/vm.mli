@@ -10,11 +10,11 @@
     domain, not the program: one arena per domain, grown to the largest
     program it has run, with each span installing its own constant
     pools.
-    [run_grid] sweeps the grid, splitting whole-cta chunks across
-    {!Vm_backend} workers when a decode-time provenance analysis proves
-    the launch's stores are disjoint per work item — results are then
-    bit-identical to the sequential sweep.  See DESIGN.md "Parallel VM
-    back-end".
+    [run_batch] sweeps an ordered run of launches, splitting a launch's
+    grid into whole-cta chunks across {!Vm_backend} workers when a
+    decode-time provenance analysis proves its stores are disjoint per
+    work item — results are then bit-identical to the sequential
+    sweep.  See DESIGN.md "Parallel VM back-end".
 
     Every program also decodes to a *superinstruction plan*: the
     non-control spans between branches and branch targets are
@@ -72,20 +72,6 @@ val decoder_version : int
     caches fold it into their keys so stale entries miss instead of
     misexecuting. *)
 
-val run_grid :
-  ?workers:int ->
-  program ->
-  grid:int ->
-  block:int ->
-  params:param_value array ->
-  lookup:(int -> Buffer.data) ->
-  unit
-(** Execute the full grid.  [workers] (default 1) caps the number of
-    {!Vm_backend} workers; the effective count also respects the
-    parallel-safety analysis, chunk granularity (whole ctas, multiples
-    of 8 work items) and a small-launch threshold.  Equivalent to
-    {!run_batch} with a single launch. *)
-
 type launch = {
   l_prog : program;
   l_grid : int;
@@ -110,7 +96,11 @@ val run_batch :
     batch-wide and is raised with the same message the sequential
     sweep would produce.  On a fault, launches/spans scheduled after
     the winning fault may or may not have executed — exactly the
-    contract a faulting device leaves memory in. *)
+    contract a faulting device leaves memory in.  [workers] (default 1)
+    caps the number of {!Vm_backend} workers; the effective count per
+    launch also respects the parallel-safety analysis, chunk
+    granularity (whole ctas, multiples of 8 work items) and a
+    small-launch threshold. *)
 
 val decoded_instructions : program -> int
 (** Flat instruction count after label compaction (introspection). *)
@@ -122,7 +112,9 @@ val set_superinstructions : bool -> unit
 (** Switch superinstruction (SoA) execution process-wide (default on).
     Off sends every launch to the scalar interpreter; results are
     bit-identical either way, so this is the reference lever for tests
-    and the bench A/B. *)
+    and the bench A/B.  {!run_batch} reads the switch when it runs, so
+    it applies to launches a device has queued when its queue drains:
+    switch it around a synchronize. *)
 
 val superinstructions_enabled : unit -> bool
 

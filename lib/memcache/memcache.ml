@@ -47,8 +47,8 @@ type arena = {
 
 type t = {
   device : Device.t;
-  sched : (Streams.t * Streams.stream) option;
-      (** stream context + dedicated transfer stream for async copies *)
+  ctx : Streams.t;
+  xfer : Streams.stream;  (** dedicated stream for the asynchronous copies *)
   entries : (int, entry) Hashtbl.t;
   mutable tick : int;
   mutable pre_access : (Field.t -> unit) option;
@@ -58,13 +58,11 @@ type t = {
   stats : stats;
 }
 
-let create ?sched device =
-  let sched =
-    Option.map (fun ctx -> (ctx, Streams.create_stream ~name:"memcache xfer" ctx)) sched
-  in
+let create ctx =
   {
-    device;
-    sched;
+    device = Streams.device ctx;
+    ctx;
+    xfer = Streams.create_stream ~name:"memcache xfer" ctx;
     entries = Hashtbl.create 64;
     tick = 0;
     pre_access = None;
@@ -83,10 +81,10 @@ let touch t entry =
 (* Has the entry's last asynchronous transfer completed (or was there
    none)?  Clears the marker once the completion event has fired. *)
 let inflight_done t entry =
-  match (entry.inflight, t.sched) with
-  | None, _ | _, None -> true
-  | Some ev, Some (ctx, _) ->
-      if Streams.event_query ctx ev then begin
+  match entry.inflight with
+  | None -> true
+  | Some ev ->
+      if Streams.event_query t.ctx ev then begin
         entry.inflight <- None;
         true
       end
@@ -98,36 +96,31 @@ let inflight_done t entry =
    post-reset work chain-wait on times from the discarded timeline. *)
 let settle t = Hashtbl.iter (fun _ e -> e.inflight <- None) t.entries
 
-(* Issue the model side of a transfer: asynchronously on the dedicated
-   stream when a context is attached (recording a completion event on the
-   entry), synchronously on the device clock otherwise. *)
+(* Issue the model side of a transfer asynchronously on the dedicated
+   stream, recording a completion event on the entry. *)
 let issue_transfer t entry ~to_device ~sync =
   let bytes = entry.buf.Buffer_.bytes in
   let what = if to_device then "upload" else "pageout" in
-  let fname = entry.field.Field.name in
-  match t.sched with
-  | None -> Device.account_transfer t.device ~bytes ~to_device
-  | Some (ctx, xfer) ->
-      let name = Printf.sprintf "%s %s" what fname in
-      (if to_device then ignore (Streams.memcpy_h2d ~name ctx xfer ~bytes)
-       else ignore (Streams.memcpy_d2h ~name ctx xfer ~bytes));
-      let ev = Streams.Event.create ~name:(name ^ " done") () in
-      Streams.record_event ctx xfer ev;
-      entry.inflight <- Some ev;
-      (* A synchronous caller (host-access hook, flush) blocks until the
-         copy lands. *)
-      if sync then begin
-        ignore (Streams.stream_synchronize ctx xfer);
-        entry.inflight <- None
-      end
+  let name = Printf.sprintf "%s %s" what entry.field.Field.name in
+  (if to_device then ignore (Streams.memcpy_h2d ~name t.ctx t.xfer ~bytes)
+   else ignore (Streams.memcpy_d2h ~name t.ctx t.xfer ~bytes));
+  let ev = Streams.Event.create ~name:(name ^ " done") () in
+  Streams.record_event t.ctx t.xfer ev;
+  entry.inflight <- Some ev;
+  (* A synchronous caller (host-access hook, flush) blocks until the
+     copy lands. *)
+  if sync then begin
+    ignore (Streams.stream_synchronize t.ctx t.xfer);
+    entry.inflight <- None
+  end
 
 (* Copy host AoS -> device SoA.  Host and device storage have the same
    element kind, so the layout converter works directly on both arrays. *)
 let upload t entry =
   let f = entry.field in
   let nsites = Field.volume f in
-  (* A deferred batched sweep may still be reading this entry's current
-     device contents; drain it before the blit overwrites them. *)
+  (* A queued launch may still read this entry's current device
+     contents; drain the queue before the blit overwrites them. *)
   Device.flush_batch t.device;
   (* Model-only devices account the transfer but skip the data movement:
      the paper-scale sweeps only need the clock. *)
@@ -158,7 +151,7 @@ let page_out ?(sync = true) t entry =
   let f = entry.field in
   let nsites = Field.volume f in
   (* The device copy being read back may be the output of launches still
-     deferred in an open batched sweep; run them first. *)
+     queued on the device; run them first. *)
   Device.flush_batch t.device;
   (if t.device.Device.mode = Device.Functional then
      match (Field.unsafe_storage f, entry.buf.Buffer_.data) with
@@ -253,8 +246,8 @@ let install_hooks t f =
 (* Make the consuming stream wait for the entry's in-flight transfer (the
    kernel must not read the buffer before the copy engine delivers it). *)
 let chain_wait t entry ~wait_stream =
-  match (entry.inflight, t.sched, wait_stream) with
-  | Some ev, Some (ctx, _), Some s -> Streams.wait_event ctx s ev
+  match (entry.inflight, wait_stream) with
+  | Some ev, Some s -> Streams.wait_event t.ctx s ev
   | _ -> ()
 
 let ensure_resident ?(pin = false) ?(for_write = false) ?wait_stream t (f : Field.t) =

@@ -20,11 +20,12 @@ type stats = {
 
 type t
 
-val create : ?sched:Streams.t -> Gpusim.Device.t -> t
-(** With [sched], transfers are issued asynchronously on a dedicated
-    stream of that context ("memcache xfer"), each entry carrying a
-    completion event; without it, transfers advance the device clock
-    synchronously as before. *)
+val create : Streams.t -> t
+(** A cache over the context's device.  Transfers are issued
+    asynchronously on a dedicated stream of that context ("memcache
+    xfer"), each entry carrying a completion event; the cache never
+    moves the clock itself.  Uploads and page-outs run the device's
+    queued launches before their blits. *)
 
 val stats : t -> stats
 val resident_count : t -> int

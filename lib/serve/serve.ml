@@ -64,8 +64,8 @@ type session_stats = {
   s_run_s : float;
 }
 
-let create ?machine ?mode ?vm_domains ?optimize ?fuse ?fuse_reductions ?jit_cache () =
-  let eng = Engine.create ?machine ?mode ?vm_domains ?optimize ?fuse ?fuse_reductions ?jit_cache () in
+let create ?machine ?vm_domains ?jit_cache () =
+  let eng = Engine.create ?machine ?vm_domains ?jit_cache () in
   { eng; sessions_rev = []; next_session = 0; running = false }
 
 let engine t = t.eng

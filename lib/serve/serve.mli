@@ -43,17 +43,9 @@ type session_stats = {
   s_run_s : float;  (** wall time spent executing its tasks *)
 }
 
-val create :
-  ?machine:Gpusim.Machine.t ->
-  ?mode:Gpusim.Device.mode ->
-  ?vm_domains:int ->
-  ?optimize:bool ->
-  ?fuse:bool ->
-  ?fuse_reductions:bool ->
-  ?jit_cache:Jitcache.t ->
-  unit ->
-  t
-(** A fresh server over its own engine; the options forward to
+val create : ?machine:Gpusim.Machine.t -> ?vm_domains:int -> ?jit_cache:Jitcache.t -> unit -> t
+(** A fresh server over its own engine, with the engine's defaults
+    (functional mode, optimizing, fusing); the options forward to
     {!Qdpjit.Engine.create} (in particular [jit_cache], the shared
     persistent kernel cache). *)
 

@@ -8,9 +8,11 @@
     engine it occupies — kernels share the SMs (one compute engine, as on
     Kepler where bandwidth-bound kernels serialize), while H2D and D2H
     copies each have their own copy engine, which is what lets a face
-    export overlap an inner kernel.  Functional execution stays eager and
-    in host-issue order, so results are bit-exact regardless of how the
-    modeled timelines interleave.
+    export overlap an inner kernel.  Functional execution is deferred to
+    the host's next synchronization: a launch joins the device's queue,
+    and every synchronize runs that queue in host-issue order, so
+    results are bit-exact regardless of how the modeled timelines
+    interleave.
 
     Events capture a stream's cursor when recorded ([Event.record]) or an
     externally computed completion time ([Event.record_at], used for
@@ -18,11 +20,12 @@
     stream's next operation start no earlier than the event.  Waiting on a
     never-recorded event is a no-op, as in CUDA.
 
-    The device's [clock_ns] remains the {e host-visible} synchronized
-    time: it only advances when a synchronize runs, and it never delays
-    stream work (asynchronous issue is free).  Every operation records a
-    span (name, stream, start/end, bytes or grid) into the context's
-    timeline, exportable as Chrome [trace_event] JSON via {!Trace}. *)
+    The device's [clock_ns] is the {e host-visible} synchronized time:
+    only this module moves it, when a synchronize runs, and it never
+    delays stream work (asynchronous issue is free).  Every operation
+    records a span (name, stream, start/end, bytes or grid) into the
+    context's timeline, exportable as Chrome [trace_event] JSON via
+    {!Trace}. *)
 
 module Device = Gpusim.Device
 module Machine = Gpusim.Machine
@@ -109,8 +112,9 @@ let note ?(cat = "marker") t s ~name ~args =
       args }
     :: t.spans
 
-(* Asynchronous kernel launch: functional execution is immediate (issue
-   order = program order, so results are exact); the modeled duration is
+(* Asynchronous kernel launch: the device queues the functional
+   execution until the host synchronizes (the queue keeps issue order =
+   program order, so results are exact); the modeled duration is
    scheduled on the compute engine.  Returns the kernel duration (what the
    auto-tuner probes — queueing delay is not the kernel's fault). *)
 let launch ?(name = "kernel") t s (c : Gpusim.Jit.compiled) ~nthreads ~block ~params =
@@ -178,8 +182,12 @@ let wait_event _t s (e : Event.t) =
 let event_query t (e : Event.t) =
   match e.Event.at_ns with None -> false | Some ns -> ns <= Device.clock_ns t.device
 
+(* Every synchronize below is a host drain point: the device's queued
+   launches run before the host observes anything. *)
+
 (* cudaEventSynchronize: block the host until the event's work completes. *)
 let event_synchronize t (e : Event.t) =
+  Device.flush_batch t.device;
   match e.Event.at_ns with
   | None -> ()
   | Some ns -> if ns > Device.clock_ns t.device then Device.set_clock_ns t.device ns
@@ -187,6 +195,7 @@ let event_synchronize t (e : Event.t) =
 (* cudaStreamSynchronize: the host blocks until the stream drains, which
    advances the host-visible clock to the stream's cursor. *)
 let stream_synchronize t s =
+  Device.flush_batch t.device;
   if s.cursor_ns > Device.clock_ns t.device then Device.set_clock_ns t.device s.cursor_ns;
   Device.clock_ns t.device
 
@@ -197,6 +206,7 @@ let horizon t =
 
 (* cudaDeviceSynchronize: drain every stream. *)
 let synchronize t =
+  Device.flush_batch t.device;
   Device.set_clock_ns t.device (horizon t);
   Device.clock_ns t.device
 

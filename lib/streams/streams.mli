@@ -7,11 +7,15 @@
     the free time of the device engine it occupies — one compute engine
     shared by kernels, plus independent H2D and D2H copy engines, so
     copies overlap kernels but kernels serialize with each other.
-    Functional execution stays eager and in host-issue order, keeping
-    results bit-exact regardless of how the modeled timelines interleave.
+    Functional execution is deferred to the host's next synchronization:
+    {!launch} queues the kernel on the device, and {!stream_synchronize},
+    {!synchronize} and {!event_synchronize} run the queue in host-issue
+    order first, keeping results bit-exact regardless of how the modeled
+    timelines interleave.
 
-    The device's [clock_ns] remains the {e host-visible} synchronized
-    time: it advances only on a synchronize and never delays stream work.
+    The device's [clock_ns] is the {e host-visible} synchronized time:
+    only this module moves it, on a synchronize, and it never delays
+    stream work.
     Every operation records a span into a per-device timeline exportable
     as Chrome [trace_event] JSON via {!Trace}. *)
 
@@ -56,11 +60,13 @@ val launch :
   block:int ->
   params:Gpusim.Vm.param_value array ->
   float
-(** Asynchronous kernel launch on a stream: executes functionally at issue
-    (results are exact), schedules the modeled duration on the compute
-    engine, and returns that duration in ns (the auto-tuner's probe
-    signal; queueing delay excluded).  Raises
-    {!Gpusim.Device.Launch_failure} if the configuration does not fit. *)
+(** Asynchronous kernel launch on a stream: queues the functional
+    execution on the device until the host's next synchronization,
+    schedules the modeled duration on the compute engine, and returns
+    that duration in ns (the auto-tuner's probe signal; queueing delay
+    excluded).  Raises {!Gpusim.Device.Launch_failure} at issue if the
+    configuration does not fit; a VM fault surfaces from the
+    synchronize that runs the launch. *)
 
 val memcpy_h2d : ?name:string -> t -> stream -> bytes:int -> float
 (** Asynchronous host-to-device copy on the H2D copy engine; returns the
@@ -111,19 +117,23 @@ val event_query : t -> Event.t -> bool
     host-visible synchronized clock?  Unrecorded events are incomplete. *)
 
 val event_synchronize : t -> Event.t -> unit
-(** Block the host (advance the clock) until the event completes. *)
+(** Block the host (advance the clock) until the event completes.  Like
+    every synchronize, runs the device's queued launches first
+    ({!Gpusim.Device.flush_batch}); their faults raise here. *)
 
 val stream_synchronize : t -> stream -> float
-(** cudaStreamSynchronize: advance the host-visible clock to the stream's
-    cursor; returns the clock. *)
+(** cudaStreamSynchronize: run the device's queued launches, then
+    advance the host-visible clock to the stream's cursor; returns the
+    clock. *)
 
 val horizon : t -> float
 (** Latest completion time across all timelines — a pure observation that
     does not advance the clock. *)
 
 val synchronize : t -> float
-(** cudaDeviceSynchronize: drain every stream, advancing the clock to
-    {!horizon}; returns the clock. *)
+(** cudaDeviceSynchronize: run the device's queued launches and drain
+    every stream, advancing the clock to {!horizon}; returns the
+    clock. *)
 
 val reset : t -> unit
 (** Rewind all timelines to zero and clear recorded spans (benchmarks call

@@ -10,9 +10,20 @@ let small_device () =
   let machine = { Gpusim.Machine.k20x_ecc_off with Gpusim.Machine.memory_bytes = 160_000 } in
   Device.create machine
 
-let fresh_cache ?(small = false) () =
+let fresh_ctx_cache ?(small = false) () =
   let dev = if small then small_device () else Device.create Gpusim.Machine.k20x_ecc_off in
-  Memcache.create dev
+  let ctx = Streams.create dev in
+  (ctx, Memcache.create ctx)
+
+let fresh_cache ?small () = snd (fresh_ctx_cache ?small ())
+
+(* Residency followed by a host synchronize, as the engine does at every
+   flush: the upload's completion event has fired, so the entry is an
+   ordinary spill candidate again. *)
+let resident_synced ctx cache f =
+  let buf = Memcache.ensure_resident cache f in
+  ignore (Streams.synchronize ctx);
+  buf
 
 let test_upload_and_hit () =
   let cache = fresh_cache () in
@@ -67,7 +78,7 @@ let test_device_dirty_pages_out_on_read () =
   Alcotest.(check bool) "no longer dirty" false (Memcache.is_device_dirty cache f)
 
 let test_lru_spill () =
-  let cache = fresh_cache ~small:true () in
+  let ctx, cache = fresh_ctx_cache ~small:true () in
   let make i =
     let f = Field.create ~name:(Printf.sprintf "f%d" i) (Shape.lattice_fermion Shape.F64) geom in
     Field.fill_constant f (float_of_int i);
@@ -75,7 +86,7 @@ let test_lru_spill () =
   in
   (* Each fermion field: 256 sites * 192 B = 49 KB; device capacity 160 KB. *)
   let fields = Array.init 5 make in
-  Array.iter (fun f -> ignore (Memcache.ensure_resident cache f)) fields;
+  Array.iter (fun f -> ignore (resident_synced ctx cache f)) fields;
   Alcotest.(check bool) "spills happened" true ((Memcache.stats cache).Memcache.spills > 0);
   Alcotest.(check bool) "early field evicted" false (Memcache.is_resident cache fields.(0));
   Alcotest.(check bool) "recent field resident" true (Memcache.is_resident cache fields.(4));
@@ -84,9 +95,9 @@ let test_lru_spill () =
   Alcotest.(check (float 0.0)) "content intact" 0.0 (Field.get f0 ~site:3 ~spin:1 ~color:2 ~reality:1)
 
 let test_spill_preserves_dirty_data () =
-  let cache = fresh_cache ~small:true () in
+  let ctx, cache = fresh_ctx_cache ~small:true () in
   let a = Field.create (Shape.lattice_fermion Shape.F64) geom in
-  let buf = Memcache.ensure_resident cache a in
+  let buf = resident_synced ctx cache a in
   (* Write device-side, mark dirty, then force its eviction. *)
   (match buf.Gpusim.Buffer.data with
   | Gpusim.Buffer.F64 dev -> dev.{5} <- 123.0
@@ -95,7 +106,7 @@ let test_spill_preserves_dirty_data () =
   for i = 0 to 4 do
     let f = Field.create (Shape.lattice_fermion Shape.F64) geom in
     Field.fill_constant f (float_of_int i);
-    ignore (Memcache.ensure_resident cache f)
+    ignore (resident_synced ctx cache f)
   done;
   Alcotest.(check bool) "a evicted" false (Memcache.is_resident cache a);
   (* SoA word 5 = site 5, component (0,0,0). *)
@@ -166,9 +177,7 @@ let test_inflight_not_spilled () =
   (* Allocation pressure arriving while an async upload is still in flight
      must not evict the entry under the copy engine: the transfer stream's
      completion event pins it until the host can observe the copy done. *)
-  let dev = small_device () in
-  let ctx = Streams.create dev in
-  let cache = Memcache.create ~sched:ctx dev in
+  let ctx, cache = fresh_ctx_cache ~small:true () in
   let mk i =
     let f = Field.create ~name:(Printf.sprintf "g%d" i) (Shape.lattice_fermion Shape.F64) geom in
     f

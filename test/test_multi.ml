@@ -231,6 +231,36 @@ let test_scatter_gather_roundtrip () =
   let d = Qdp.Eval_cpu.norm2 (Expr.sub (Expr.field f) (Expr.field back)) in
   Alcotest.(check (float 0.0)) "roundtrip" 0.0 d
 
+(* Concurrent ranks run their kernels in their own domains: each rank
+   drains its device's launch queue before its worker moves on, so no
+   launch is left for the calling thread after an eval or a reduction. *)
+let test_rank_queues_drained () =
+  let global_dims = [| 8; 4; 4; 4 |] in
+  let u, psi, _ = global_reference global_dims dslash in
+  let m = Multi.create ~rank_domains:2 ~global_dims ~rank_dims:[| 2; 1; 1; 1 |] () in
+  let distribute shape (f : Field.t) =
+    let df = Multi.create_field m shape in
+    Multi.scatter m ~global:f df;
+    df
+  in
+  let du = Array.map (distribute (Shape.lattice_color_matrix Shape.F64)) u in
+  let dpsi = distribute (Shape.lattice_fermion Shape.F64) psi in
+  let dout = Multi.create_field m (Shape.lattice_fermion Shape.F64) in
+  let check what =
+    for rank = 0 to Multi.nranks m - 1 do
+      let dev = Qdpjit.Engine.device (Multi.engine m rank) in
+      Alcotest.(check int) (Printf.sprintf "rank %d queue after %s" rank what) 0
+        (List.length dev.Gpusim.Device.batch)
+    done
+  in
+  ignore
+    (Multi.eval m dout (fun rank ->
+         dslash (Array.map (fun (df : Multi.dfield) -> df.Multi.locals.(rank)) du)
+           dpsi.Multi.locals.(rank)));
+  check "eval";
+  ignore (Multi.norm2 m (fun rank -> Expr.field dout.Multi.locals.(rank)));
+  check "norm2"
+
 let test_reductions_across_ranks () =
   let global_dims = [| 8; 4; 4; 4 |] in
   let geom = Geometry.create global_dims in
@@ -268,6 +298,7 @@ let () =
           Alcotest.test_case "reductions" `Quick test_reductions_across_ranks;
           Alcotest.test_case "rank domains bit-identical" `Quick
             test_rank_domains_bit_identical;
+          Alcotest.test_case "rank queues drained" `Quick test_rank_queues_drained;
         ] );
       ( "overlap",
         [

@@ -210,6 +210,13 @@ EXIT:
 let n_threads = 2048
 let block = 128
 
+(* Issue a launch and drain the device's queue, so the kernel has run
+   (or raised its fault) when this returns. *)
+let launch dev compiled ~nthreads ~block ~params =
+  let ns = Device.execute dev compiled ~nthreads ~block ~params in
+  Device.flush_batch dev;
+  ns
+
 (* Fill x with 1 except zeros at [sites]; launch and return the fault. *)
 let launch_divk ~vm_domains ~zero_sites =
   let dev = Device.create ~vm_domains Machine.k20x_ecc_off in
@@ -221,7 +228,7 @@ let launch_divk ~vm_domains ~zero_sites =
   | _ -> assert false);
   let compiled = Jit.compile divk_text in
   match
-    Device.launch dev compiled ~nthreads:n_threads ~block
+    launch dev compiled ~nthreads:n_threads ~block
       ~params:[| Gpusim.Vm.Ptr x; Gpusim.Vm.Ptr y; Gpusim.Vm.Int n_threads |]
   with
   | exception Gpusim.Vm.Fault msg -> Some msg
@@ -273,8 +280,8 @@ let test_fault_names_first_thread () =
 
 (* ------------------------------------------------------------------ *)
 (* Batched launch sweeps: random chains of dependent and independent
-   launches queued through Device.with_batch must match the
-   unbatched sequential schedule bit-for-bit at every worker count, and
+   launches drained as one queue must match the sequential schedule
+   that drains after every launch bit-for-bit at every worker count, and
    a faulting batch must report the lowest (launch index, ctaid, tid)
    with the exact message the sequential sweep raises. *)
 
@@ -409,8 +416,16 @@ let run_batch_prog ~vm_domains ~batched prog =
             ~params:[| x; y; Gpusim.Vm.Int n_threads |])
   in
   match
-    if batched then Device.with_batch dev (fun () -> List.iter go prog)
-    else List.iter go prog
+    if batched then begin
+      List.iter go prog;
+      Device.flush_batch dev
+    end
+    else
+      List.iter
+        (fun l ->
+          go l;
+          Device.flush_batch dev)
+        prog
   with
   | () -> (None, Some (Array.map snapshot bufs))
   | exception Gpusim.Vm.Fault m ->
@@ -545,13 +560,16 @@ let run_two_faults ~vm_domains ~batched =
          ~params:[| Gpusim.Vm.Ptr x; Gpusim.Vm.Ptr y; Gpusim.Vm.Int n_threads |])
   in
   match
-    if batched then
-      Device.with_batch dev (fun () ->
-          go x0 y0;
-          go x1 y1)
+    if batched then begin
+      go x0 y0;
+      go x1 y1;
+      Device.flush_batch dev
+    end
     else begin
       go x0 y0;
-      go x1 y1
+      Device.flush_batch dev;
+      go x1 y1;
+      Device.flush_batch dev
     end
   with
   | () -> None
@@ -652,7 +670,7 @@ let run_mixk ~vm_domains ~superinsn ~c ~thr =
           done
       | _ -> assert false);
       ignore
-        (Device.launch dev (Lazy.force mixk_compiled) ~nthreads:n_threads ~block
+        (launch dev (Lazy.force mixk_compiled) ~nthreads:n_threads ~block
            ~params:
              [|
                Gpusim.Vm.Ptr x;
@@ -696,49 +714,50 @@ let test_mixk_plan_shape () =
   Alcotest.(check int) "units" 4 s.Gpusim.Vm.units
 
 (* ------------------------------------------------------------------ *)
-(* Batch failure: a faulting deferred sweep must surface as the plain
-   [Vm.Fault] an unbatched launch raises, and leave the device ready for
-   the next batch. *)
+(* Deferred failure: a faulting launch issued on a stream raises nothing
+   at issue; the host's next synchronize runs it and raises the plain
+   [Vm.Fault] a launch drained on its own raises, and the device then
+   runs a fresh launch correctly. *)
 
-let divk_launch dev x y =
-  ignore
-    (Device.execute dev (Lazy.force divk_compiled) ~nthreads:n_threads ~block
-       ~params:[| Gpusim.Vm.Ptr x; Gpusim.Vm.Ptr y; Gpusim.Vm.Int n_threads |])
-
-let test_with_batch_fault_then_reuse () =
-  let unbatched =
+let test_fault_at_synchronize_then_reuse () =
+  let sequential =
     match launch_divk ~vm_domains:1 ~zero_sites:[ 600 ] with
     | Some m -> m
-    | None -> Alcotest.fail "unbatched reference did not fault"
+    | None -> Alcotest.fail "sequential reference did not fault"
   in
   let dev = Device.create ~vm_domains:2 Machine.k20x_ecc_off in
+  let ctx = Streams.create dev in
+  let s = Streams.default_stream ctx in
   let x = Device.alloc_i32 dev n_threads and y = Device.alloc_i32 dev n_threads in
   let xa, ya =
     match (x.Buffer_.data, y.Buffer_.data) with
     | Buffer_.I32 xa, Buffer_.I32 ya -> (xa, ya)
     | _ -> assert false
   in
+  let divk () =
+    ignore
+      (Streams.launch ctx s (Lazy.force divk_compiled) ~nthreads:n_threads ~block
+         ~params:[| Gpusim.Vm.Ptr x; Gpusim.Vm.Ptr y; Gpusim.Vm.Int n_threads |])
+  in
   Bigarray.Array1.fill xa 1l;
   xa.{600} <- 0l;
-  (match Device.with_batch dev (fun () -> divk_launch dev x y) with
-  | () -> Alcotest.fail "batched divk did not fault"
-  | exception Gpusim.Vm.Fault m -> Alcotest.(check string) "unbatched message" unbatched m
-  | exception e -> Alcotest.failf "batched fault surfaced as %s" (Printexc.to_string e));
-  (* A body that raises after queueing: its launch still runs, the
-     batch closes, and the body's own exception comes back. *)
+  (match divk () with
+  | () -> ()
+  | exception e -> Alcotest.failf "issue raised %s" (Printexc.to_string e));
+  Alcotest.(check int32) "nothing ran at issue" 0l ya.{0};
+  (match Streams.stream_synchronize ctx s with
+  | _ -> Alcotest.fail "synchronize did not raise the queued fault"
+  | exception Gpusim.Vm.Fault m -> Alcotest.(check string) "sequential message" sequential m
+  | exception e -> Alcotest.failf "fault surfaced as %s" (Printexc.to_string e));
+  Alcotest.(check int) "queue emptied" 0 (List.length dev.Device.batch);
   xa.{600} <- 1l;
   Bigarray.Array1.fill ya 0l;
-  (match
-     Device.with_batch dev (fun () ->
-         divk_launch dev x y;
-         failwith "assembly failed")
-   with
-  | () -> Alcotest.fail "body exception swallowed"
-  | exception Failure m -> Alcotest.(check string) "body exception" "assembly failed" m);
-  Alcotest.(check int32) "queued launch ran" (Int32.of_int n_threads) ya.{600};
-  Bigarray.Array1.fill ya 0l;
-  Device.with_batch dev (fun () -> divk_launch dev x y);
-  Alcotest.(check int32) "device accepts a new batch" (Int32.of_int n_threads) ya.{n_threads - 1}
+  divk ();
+  ignore (Streams.stream_synchronize ctx s);
+  for i = 0 to n_threads - 1 do
+    if ya.{i} <> Int32.of_int n_threads then
+      Alcotest.failf "fresh launch: y[%d] = %ld after the fault" i ya.{i}
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Branch shapes on the SoA executor.  Two hand-written kernels cover
@@ -833,7 +852,7 @@ let run_branch_kernel compiled ~vm_domains ~superinsn ~block ~x_zeros ~z_zeros =
           List.iter (fun i -> za.{i} <- 0l) z_zeros
       | _ -> assert false);
       let params = [| Gpusim.Vm.Ptr x; Gpusim.Vm.Ptr y; Gpusim.Vm.Ptr z; Gpusim.Vm.Int n_threads |] in
-      match Device.launch dev compiled ~nthreads:n_threads ~block ~params with
+      match launch dev compiled ~nthreads:n_threads ~block ~params with
       | _ -> Ok (snapshot y)
       | exception Gpusim.Vm.Fault m -> Error m)
 
@@ -1192,7 +1211,7 @@ let () =
           Alcotest.test_case "independent faults: lowest launch index wins" `Quick
             test_batched_two_faults;
           Alcotest.test_case "faulting batch: plain fault, device reusable" `Quick
-            test_with_batch_fault_then_reuse;
+            test_fault_at_synchronize_then_reuse;
         ] );
       ( "superinstructions",
         [
