@@ -54,6 +54,26 @@ type fusion_stats = {
   fallbacks : int;  (** groups relaunched separately after a fusion failure *)
 }
 
+(* A kernel-cache key: an eval's is interned per engine by {!eval_key},
+   the fold kernel's is fixed.  [id] keys the in-memory tables; [skey] is
+   the full structural string, read only to form a persistent-cache key
+   on an in-memory miss (ids are engine-local, so they never reach the
+   disk). *)
+type ekey = { id : int; skey : string }
+
+(* The unoptimized per-eval kernel and its plan (fusion source
+   material), plus what is derived from it once instead of per use: its
+   per-work-item global load/store bytes, which a dead singleton launch
+   reports as eliminated, and its {!Ptx.Fuse.kernel_digest}, which every
+   fused group it joins puts in its persistent-cache key. *)
+type member = {
+  m_raw : kernel;
+  m_plan : Codegen.param_plan list;
+  m_load_bytes : int;
+  m_store_bytes : int;
+  m_digest : string;
+}
+
 (* Which fields a pending expression reads, and how: a shifted read
    samples neighbour sites, so it must not observe a same-flush write. *)
 type read_info = { mutable r_unshifted : bool; mutable r_shifted : bool }
@@ -66,6 +86,8 @@ type pending = {
           dropped on its behalf *)
   p_shape : Shape.t;  (** destination shape (f64 for a reduction payload) *)
   p_expr : Expr.t;
+  p_key : ekey;  (** computed once, at enqueue *)
+  p_leaves : Field.t list;  (** [Expr.leaves p_expr], from the same walk *)
   p_subset : Subset.t;
   p_geom : Geometry.t;
   p_reads : (int, read_info) Hashtbl.t;
@@ -104,14 +126,20 @@ type t = {
   jit_cache : Jitcache.t option;
       (** persistent store of compiled kernels, shared across engines and
           processes; looked up before every compile *)
-  kernels : (string, kernel_entry) Hashtbl.t;
-      (** singleton evals by {!eval_key}, and the fold kernel by {!reduce_key} *)
+  keys : (string * int * bool * bool, ekey) Hashtbl.t;
+      (** interned eval keys by (binary {!Expr.structure_key}, nsites,
+          site-list flag, reduction flag); ids count up from 0 *)
+  kernels : (int, kernel_entry) Hashtbl.t;
+      (** singleton evals by key id, and the fold kernel by {!reduce_key} *)
   fused_kernels : (string, fused_entry) Hashtbl.t;
-  members : (string, kernel * Codegen.param_plan list) Hashtbl.t;
-      (** unoptimized per-eval kernels and their plans, kept as fusion
-          source material *)
-  ntables : (string, Buffer_.t) Hashtbl.t;
-  sitelists : (string, Buffer_.t) Hashtbl.t;
+      (** fused groups by a packed int sequence (see {!launch_fused}) *)
+  members : (int, member) Hashtbl.t;
+      (** unoptimized per-eval kernels by key id, kept as fusion source
+          material and for dead-launch byte counts *)
+  fused_key : Buffer.t;  (** scratch for building fused-group keys *)
+  ntables : (int array * int * int, Buffer_.t) Hashtbl.t;  (** by (dims, dim, dir) *)
+  sitelists : (int array * string, Buffer_.t) Hashtbl.t;
+      (** by (dims, "even" | "odd" | content digest) *)
   optimize : bool;  (** run the {!Ptx.Passes} middle-end before the driver JIT *)
   fuse : bool;  (** defer default-stream evals and fuse at flush points *)
   fuse_reductions : bool;
@@ -158,7 +186,7 @@ let geom_tag geom =
 (* Neighbour tables (Sec. V's stencil machinery): table[x] = index of the
    site shift(.,dim,dir) reads at x, i.e. the periodic neighbour. *)
 let ntable t geom ~dim ~dir =
-  let key = Printf.sprintf "%s:%d:%+d" (geom_tag geom) dim dir in
+  let key = (geom.Geometry.dims, dim, dir) in
   match Hashtbl.find_opt t.ntables key with
   | Some buf -> buf
   | None ->
@@ -171,7 +199,9 @@ let ntable t geom ~dim ~dir =
           done
       | _ -> assert false);
       ignore
-        (Streams.memcpy_h2d ~name:("ntable " ^ key) t.streams
+        (Streams.memcpy_h2d
+           ~name:(Printf.sprintf "ntable %s:%d:%+d" (geom_tag geom) dim dir)
+           t.streams
            (Streams.default_stream t.streams) ~bytes:buf.Buffer_.bytes);
       Hashtbl.replace t.ntables key buf;
       buf
@@ -190,10 +220,7 @@ let sitelist t geom subset =
   match subset with
   | Subset.All -> invalid_arg "Engine.sitelist: All has no site list"
   | Subset.Even | Subset.Odd ->
-      let key =
-        Printf.sprintf "%s:%s" (geom_tag geom)
-          (match subset with Subset.Even -> "even" | _ -> "odd")
-      in
+      let key = (geom.Geometry.dims, if subset = Subset.Even then "even" else "odd") in
       (match Hashtbl.find_opt t.sitelists key with
       | Some buf -> buf
       | None ->
@@ -208,7 +235,7 @@ let sitelist t geom subset =
         Array.iteri (fun i s -> Bytes.set_int64_le buf (8 * i) (Int64.of_int s)) sites;
         Digest.to_hex (Digest.bytes buf)
       in
-      let key = Printf.sprintf "%s:custom:%s" (geom_tag geom) digest in
+      let key = (geom.Geometry.dims, digest) in
       (match Hashtbl.find_opt t.sitelists key with
       | Some buf -> buf
       | None ->
@@ -240,8 +267,8 @@ type cache_payload = {
 }
 
 let cache_tag =
-  Printf.sprintf "qdpjit|ml%s|cg%d|ps%d|fu%d|vm%d" Sys.ocaml_version Codegen.version
-    Ptx.Passes.version Ptx.Fuse.version Gpusim.Vm.decoder_version
+  Printf.sprintf "qdpjit|ml%s|cg%d|ps%d|fu%d|vm%d|ek%d" Sys.ocaml_version Codegen.version
+    Ptx.Passes.version Ptx.Fuse.version Gpusim.Vm.decoder_version Expr.key_version
 
 let disk_key ~opt ~kind skey = Printf.sprintf "%s|opt%b|%s|%s" cache_tag opt kind skey
 
@@ -288,25 +315,41 @@ let compile t ~kind ~skey ~name lower =
   let max_block = t.device.Device.machine.Gpusim.Machine.max_threads_per_block in
   ({ compiled; plan; tuner = Autotune.create ~max_block () }, report)
 
+(* Intern an eval's kernel-cache key and collect its leaves, in one walk
+   of the expression.  The persistent-cache string is formed only when a
+   key is first seen. *)
+let eval_key t ~reduction ~dest_shape ~nsites ~use_sitelist expr =
+  let skey, leaves = Expr.key_and_leaves ~dest_shape expr in
+  let k = (skey, nsites, use_sitelist, reduction) in
+  let key =
+    match Hashtbl.find_opt t.keys k with
+    | Some key -> key
+    | None ->
+        let key =
+          {
+            id = Hashtbl.length t.keys;
+            skey =
+              Printf.sprintf "%s|v%d|%s%s" skey nsites
+                (if use_sitelist then "list" else "all")
+                (if reduction then "|red" else "");
+          }
+        in
+        Hashtbl.replace t.keys k key;
+        key
+  in
+  (key, leaves)
+
 (* A [kernels] entry, compiled on first use. *)
-let cached_kernel t ~kind ~key ~name lower =
-  match Hashtbl.find_opt t.kernels key with
+let cached_kernel t ~kind ~(key : ekey) ~name lower =
+  match Hashtbl.find_opt t.kernels key.id with
   | Some e -> e
   | None ->
-      let e, _ = compile t ~kind ~skey:key ~name lower in
-      Hashtbl.replace t.kernels key e;
+      let e, _ = compile t ~kind ~skey:key.skey ~name lower in
+      Hashtbl.replace t.kernels key.id e;
       e
 
-let eval_key ~reduction ~dest_shape ~expr ~nsites ~use_sitelist =
-  Printf.sprintf "%s|v%d|%s%s"
-    (Expr.structure_key ~dest_shape expr)
-    nsites
-    (if use_sitelist then "list" else "all")
-    (if reduction then "|red" else "")
-
-let lookup_kernel t ~reduction ~dest_shape ~expr ~nsites ~use_sitelist =
-  cached_kernel t ~kind:"eval" ~name:(`Serial "qdpjit_kernel")
-    ~key:(eval_key ~reduction ~dest_shape ~expr ~nsites ~use_sitelist) (fun kname ->
+let lookup_kernel t key ~reduction ~dest_shape ~expr ~nsites ~use_sitelist =
+  cached_kernel t ~kind:"eval" ~key ~name:(`Serial "qdpjit_kernel") (fun kname ->
       ( Codegen.build ~optimize:t.optimize ~reduction ~kname ~dest_shape ~expr ~nsites
           ~use_sitelist (),
         no_report ))
@@ -316,25 +359,33 @@ let lookup_kernel t ~reduction ~dest_shape ~expr ~nsites ~use_sitelist =
    which the middle-end (sink in particular) does not preserve.  The
    kernel name is a constant, so the kernel is engine-independent and
    disk-cacheable under the same structural key; a warm start skips the
-   emitter. *)
-let member t ~reduction ~dest_shape ~expr ~nsites ~use_sitelist =
-  let key = eval_key ~reduction ~dest_shape ~expr ~nsites ~use_sitelist in
-  match Hashtbl.find_opt t.members key with
+   emitter and the byte analysis. *)
+let member t (ev : pending) ~nsites ~use_sitelist =
+  match Hashtbl.find_opt t.members ev.p_key.id with
   | Some m -> m
   | None ->
       let m =
-        match cache_find t ~opt:false ~kind:"raw" key with
+        match cache_find t ~opt:false ~kind:"raw" ev.p_key.skey with
         | Some m -> m
         | None ->
             let b =
-              Codegen.build ~optimize:false ~reduction ~kname:"qdpjit_member" ~dest_shape
-                ~expr ~nsites ~use_sitelist ()
+              Codegen.build ~optimize:false ~reduction:(is_red ev) ~kname:"qdpjit_member"
+                ~dest_shape:ev.p_shape ~expr:ev.p_expr ~nsites ~use_sitelist ()
             in
-            let m = (b.Codegen.raw, b.Codegen.plan) in
-            cache_store t ~opt:false ~kind:"raw" key m;
+            let a = Ptx.Analysis.kernel b.Codegen.raw in
+            let m =
+              {
+                m_raw = b.Codegen.raw;
+                m_plan = b.Codegen.plan;
+                m_load_bytes = a.Ptx.Analysis.load_bytes;
+                m_store_bytes = a.Ptx.Analysis.store_bytes;
+                m_digest = Ptx.Fuse.kernel_digest b.Codegen.raw;
+              }
+            in
+            cache_store t ~opt:false ~kind:"raw" ev.p_key.skey m;
             m
       in
-      Hashtbl.replace t.members key m;
+      Hashtbl.replace t.members ev.p_key.id m;
       m
 
 (* Launch through the auto-tuner onto [stream]: resource failures shrink
@@ -381,14 +432,14 @@ let scratch_buf s =
 (* One eval issued now, bypassing the deferred-eval queue: make every
    referenced field resident, bind the parameter plan, launch (the
    device runs it at the next synchronization).  [dest] is
-   [None] for a reduction payload, which writes the engine's scratch. *)
-let launch_eval ?(subset = Subset.All) ~stream ~sync t ~geom ~dest_shape dest expr =
+   [None] for a reduction payload, which writes the engine's scratch.
+   [key] and [leaves] come from {!eval_key}. *)
+let launch_eval ~subset ~stream ~sync t ~geom ~dest_shape ~key ~leaves dest expr =
   let nsites = Geometry.volume geom in
   let use_sitelist = not (Subset.is_all subset) in
   let entry =
-    lookup_kernel t ~reduction:(dest = None) ~dest_shape ~expr ~nsites ~use_sitelist
+    lookup_kernel t key ~reduction:(dest = None) ~dest_shape ~expr ~nsites ~use_sitelist
   in
-  let leaves = Expr.leaves expr in
   (* Make everything resident before binding addresses (Sec. IV); the
      launch stream waits on any upload still in flight on the transfer
      stream. *)
@@ -429,7 +480,15 @@ let launch_eval ?(subset = Subset.All) ~stream ~sync t ~geom ~dest_shape dest ex
 
 let launch_pending ~stream ~sync t (ev : pending) =
   launch_eval ~subset:ev.p_subset ~stream ~sync t ~geom:ev.p_geom ~dest_shape:ev.p_shape
-    ev.p_dest ev.p_expr
+    ~key:ev.p_key ~leaves:ev.p_leaves ev.p_dest ev.p_expr
+
+(* One eval outside the queue, keyed here. *)
+let launch_now ?(subset = Subset.All) ~stream ~sync t ~geom ~dest_shape dest expr =
+  let key, leaves =
+    eval_key t ~reduction:(dest = None) ~dest_shape ~nsites:(Geometry.volume geom)
+      ~use_sitelist:(not (Subset.is_all subset)) expr
+  in
+  launch_eval ~subset ~stream ~sync t ~geom ~dest_shape ~key ~leaves dest expr
 
 (* ------------------------------------------------------------------ *)
 (* The fusion planner                                                  *)
@@ -473,7 +532,8 @@ let reads_shifted (ev : pending) fid =
    lattice geometry and the subset: one fused kernel has one site space.
    Subsets compare structurally (Even/Odd tags; Custom by site array). *)
 let same_run (a : pending) (b : pending) =
-  geom_tag a.p_geom = geom_tag b.p_geom && a.p_subset = b.p_subset
+  (a.p_geom == b.p_geom || a.p_geom.Geometry.dims = b.p_geom.Geometry.dims)
+  && a.p_subset = b.p_subset
 
 (* Greedy in-order grouping.  A group is a run of consecutive evals on
    one (subset, geometry) that one fused kernel executes; a candidate
@@ -581,21 +641,21 @@ let plan_drops (evs : pending array) group_of =
 
 (* Fuse and launch one multi-eval group.  Raises [Ptx.Fuse.Fusion_failure]
    or [Device.Out_of_device_memory]; the caller falls back to launching
-   the members separately. *)
+   the members separately.
+
+   The group's in-memory key is a packed int sequence, per member: its
+   key id, the canonical indices of its destination and leaves (how many
+   follows from the id), its substitution pairs and its drop/reduction
+   flags.  A hit needs nothing else: member kernels, parameter slots and
+   the splice are built only on a miss. *)
 let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
     (dropm : bool array) =
   let k = Array.length members in
-  let raws =
-    Array.map
-      (fun m ->
-        member t ~reduction:(is_red m) ~dest_shape:m.p_shape ~expr:m.p_expr ~nsites
-          ~use_sitelist)
-      members
-  in
   (* Canonical distinct-field walk: members' [dest; leaves...] in order (a
-     reduction payload has no destination field).  The index is the
-     launch-time binding identity, so the fused kernel is shared by any
-     group with the same structure and alias pattern. *)
+     reduction payload has no destination field), which is also the
+     order their parameter plans bind them.  The index is the launch-time
+     binding identity, so the fused kernel is shared by any group with the
+     same structure and alias pattern. *)
   let field_index = Hashtbl.create 16 in
   let fields_rev = ref [] and nfields = ref 0 in
   let canon (f : Field.t) =
@@ -608,38 +668,15 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
         fields_rev := f :: !fields_rev;
         ci
   in
-  let member_leaves = Array.map (fun m -> Array.of_list (Expr.leaves m.p_expr)) members in
-  let slot_tbl : (fused_binding, int) Hashtbl.t = Hashtbl.create 32 in
-  let plan_rev = ref [] and nslots = ref 0 in
-  let slot_of b =
-    match Hashtbl.find_opt slot_tbl b with
-    | Some s -> s
-    | None ->
-        let s = !nslots in
-        incr nslots;
-        Hashtbl.replace slot_tbl b s;
-        plan_rev := b :: !plan_rev;
-        s
-  in
-  let slots =
-    Array.mapi
-      (fun mi m ->
-        snd raws.(mi)
-        |> List.map (fun p ->
-               match p with
-               | Codegen.Dest -> slot_of (FB_field (canon (Option.get m.p_dest)))
-               | Codegen.Red_partial -> slot_of FB_red_partial
-               | Codegen.Leaf_ptr li -> slot_of (FB_field (canon member_leaves.(mi).(li)))
-               | Codegen.Ntable (dim, dir) -> slot_of (FB_ntable (dim, dir))
-               | Codegen.Sitelist -> slot_of FB_sitelist
-               | Codegen.N_work -> slot_of FB_nwork
-               | Codegen.Block_partial -> slot_of FB_red_block
-               | Codegen.Scalar_param (slot, comp) -> slot_of (FB_scalar (mi, slot, comp)))
-        |> Array.of_list)
-      members
-  in
-  (* Same-site producer→consumer substitutions: an unshifted f64 read of
-     an earlier member's destination is served from registers. *)
+  let canon_dest = Array.make k None and canon_leaves = Array.make k [] in
+  Array.iteri
+    (fun mi m ->
+      canon_dest.(mi) <- Option.map canon m.p_dest;
+      canon_leaves.(mi) <- List.map canon m.p_leaves)
+    members;
+  (* Same-site producer→consumer substitutions, as (canonical field,
+     producer member): an unshifted f64 read of an earlier member's
+     destination is served from registers. *)
   let writer = Hashtbl.create 8 in
   let subst =
     Array.mapi
@@ -650,35 +687,33 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
               if not r.r_unshifted then acc
               else
                 match Hashtbl.find_opt writer fid with
-                | Some (pj, d) when members.(pj).p_shape.Shape.prec = Shape.F64 ->
-                    (slot_of (FB_field (canon d)), pj) :: acc
+                | Some (pj, ci) when members.(pj).p_shape.Shape.prec = Shape.F64 -> (ci, pj) :: acc
                 | Some _ | None -> acc)
             m.p_reads []
           |> List.sort compare
         in
-        Option.iter (fun (d : Field.t) -> Hashtbl.replace writer d.Field.id (mi, d)) m.p_dest;
+        Option.iter
+          (fun (d : Field.t) -> Hashtbl.replace writer d.Field.id (mi, Option.get canon_dest.(mi)))
+          m.p_dest;
         l)
       members
   in
   let key =
-    let b = Buffer.create 256 in
-    Buffer.add_string b
-      (Printf.sprintf "FUSE|%s|v%d" (if use_sitelist then "list" else "all") nsites);
+    let b = t.fused_key in
+    let add = Expr.add_key_int b in
+    Buffer.clear b;
     Array.iteri
       (fun mi m ->
-        Buffer.add_char b '|';
-        Buffer.add_string b (Expr.structure_key ~dest_shape:m.p_shape m.p_expr);
-        Buffer.add_string b "#f";
-        Option.iter (fun d -> Buffer.add_string b (string_of_int (canon d))) m.p_dest;
-        Array.iter
-          (fun f -> Buffer.add_string b ("," ^ string_of_int (canon f)))
-          member_leaves.(mi);
-        Buffer.add_string b "#s";
+        add m.p_key.id;
+        Option.iter add canon_dest.(mi);
+        List.iter add canon_leaves.(mi);
+        add (List.length subst.(mi));
         List.iter
-          (fun (s, p) -> Buffer.add_string b (Printf.sprintf "%d:%d," s p))
+          (fun (ci, pj) ->
+            add ci;
+            add pj)
           subst.(mi);
-        Buffer.add_string b (if dropm.(mi) then "#d1" else "#d0");
-        if is_red m then Buffer.add_string b "#R")
+        add ((if dropm.(mi) then 1 else 0) + if is_red m then 2 else 0))
       members;
     Buffer.contents b
   in
@@ -686,19 +721,55 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
     match Hashtbl.find_opt t.fused_kernels key with
     | Some fe -> fe
     | None ->
+        let raws = Array.map (fun m -> member t m ~nsites ~use_sitelist) members in
+        let slot_tbl : (fused_binding, int) Hashtbl.t = Hashtbl.create 32 in
+        let plan_rev = ref [] and nslots = ref 0 in
+        let slot_of b =
+          match Hashtbl.find_opt slot_tbl b with
+          | Some s -> s
+          | None ->
+              let s = !nslots in
+              incr nslots;
+              Hashtbl.replace slot_tbl b s;
+              plan_rev := b :: !plan_rev;
+              s
+        in
+        let slots =
+          Array.mapi
+            (fun mi (raw : member) ->
+              let leaves = Array.of_list canon_leaves.(mi) in
+              raw.m_plan
+              |> List.map (fun p ->
+                     match p with
+                     | Codegen.Dest -> slot_of (FB_field (Option.get canon_dest.(mi)))
+                     | Codegen.Red_partial -> slot_of FB_red_partial
+                     | Codegen.Leaf_ptr li -> slot_of (FB_field leaves.(li))
+                     | Codegen.Ntable (dim, dir) -> slot_of (FB_ntable (dim, dir))
+                     | Codegen.Sitelist -> slot_of FB_sitelist
+                     | Codegen.N_work -> slot_of FB_nwork
+                     | Codegen.Block_partial -> slot_of FB_red_block
+                     | Codegen.Scalar_param (slot, comp) -> slot_of (FB_scalar (mi, slot, comp)))
+              |> Array.of_list)
+            raws
+        in
         let sources =
           List.init k (fun mi ->
               {
-                Ptx.Fuse.kernel = fst raws.(mi);
+                Ptx.Fuse.kernel = raws.(mi).m_raw;
                 slots = slots.(mi);
                 use_sitelist;
-                subst_from = subst.(mi);
+                subst_from =
+                  List.map (fun (ci, pj) -> (slot_of (FB_field ci), pj)) subst.(mi)
+                  |> List.sort compare;
                 drop_stores = dropm.(mi);
                 reduction = is_red members.(mi);
               })
         in
         let f_entry, f_report =
-          compile t ~kind:"fused" ~skey:(Ptx.Fuse.structural_key ~nsites sources)
+          compile t ~kind:"fused"
+            ~skey:
+              (Ptx.Fuse.structural_key ~nsites
+                 (List.mapi (fun mi s -> (raws.(mi).m_digest, s)) sources))
             ~name:(`Serial "qdpjit_fused") (fun kname ->
               let fused_raw, report = Ptx.Fuse.fuse ~kname sources in
               (Codegen.lower ~optimize:t.optimize ~plan:[] fused_raw, report))
@@ -774,15 +845,11 @@ let launch_group t ~geom ~subset ~nsites ~use_sitelist (evs : pending array)
     if drop.(i) then begin
       (* The whole launch is dead: a later eval of this flush rewrites the
          destination before anything reads it. *)
-      let raw, _ =
-        member t ~reduction:false ~dest_shape:evs.(i).p_shape ~expr:evs.(i).p_expr ~nsites
-          ~use_sitelist
-      in
-      let a = Ptx.Analysis.kernel raw in
+      let m = member t evs.(i) ~nsites ~use_sitelist in
       let n_work = if use_sitelist then Subset.count geom subset else nsites in
       t.fs_saved <- t.fs_saved + 1;
-      t.fs_elim_load <- t.fs_elim_load + (a.Ptx.Analysis.load_bytes * n_work);
-      t.fs_elim_store <- t.fs_elim_store + (a.Ptx.Analysis.store_bytes * n_work)
+      t.fs_elim_load <- t.fs_elim_load + (m.m_load_bytes * n_work);
+      t.fs_elim_store <- t.fs_elim_store + (m.m_store_bytes * n_work)
     end
     else launch_pending ~stream:s0 ~sync:false t evs.(i)
   end
@@ -847,9 +914,11 @@ let create ?(machine = Gpusim.Machine.k20x_ecc_off) ?(mode = Device.Functional)
       streams;
       cache = Memcache.create streams;
       jit_cache = Jitcache.from_env ?default:jit_cache ();
+      keys = Hashtbl.create 64;
       kernels = Hashtbl.create 64;
       fused_kernels = Hashtbl.create 16;
       members = Hashtbl.create 16;
+      fused_key = Buffer.create 64;
       ntables = Hashtbl.create 16;
       sitelists = Hashtbl.create 8;
       optimize;
@@ -943,7 +1012,10 @@ let synchronize t =
    even/odd evals fuse within their own runs.  [dest] is [None] for a
    reduction payload (kernel in reduction mode, scratch bound at launch). *)
 let enqueue t ~subset ~geom ~dest_shape dest expr =
-  let leaves = Expr.leaves expr in
+  let key, leaves =
+    eval_key t ~reduction:(dest = None) ~dest_shape ~nsites:(Geometry.volume geom)
+      ~use_sitelist:(not (Subset.is_all subset)) expr
+  in
   let retained = ref [] in
   match
     (* Residency at enqueue time snapshots the host content the eval
@@ -970,6 +1042,8 @@ let enqueue t ~subset ~geom ~dest_shape dest expr =
           p_dest = dest;
           p_shape = dest_shape;
           p_expr = expr;
+          p_key = key;
+          p_leaves = leaves;
           p_subset = subset;
           p_geom = geom;
           p_reads = reads_of expr;
@@ -985,7 +1059,7 @@ let enqueue t ~subset ~geom ~dest_shape dest expr =
       List.iter (Memcache.release t.cache) !retained;
       flush t;
       launch_eval ~subset ~stream:(Streams.default_stream t.streams) ~sync:true t ~geom
-        ~dest_shape dest expr
+        ~dest_shape ~key ~leaves dest expr
 
 let eval ?(subset = Subset.All) ?stream t dest expr =
   Qdp.Eval_cpu.check_dest dest expr;
@@ -994,10 +1068,10 @@ let eval ?(subset = Subset.All) ?stream t dest expr =
   | Some s ->
       (* Explicit-stream evals bypass the queue but must not overtake it. *)
       flush t;
-      launch_eval ~subset ~stream:s ~sync:false t ~geom ~dest_shape (Some dest) expr
+      launch_now ~subset ~stream:s ~sync:false t ~geom ~dest_shape (Some dest) expr
   | None ->
       if not t.fuse then
-        launch_eval ~subset ~stream:(Streams.default_stream t.streams) ~sync:true t ~geom
+        launch_now ~subset ~stream:(Streams.default_stream t.streams) ~sync:true t ~geom
           ~dest_shape (Some dest) expr
       else enqueue t ~subset ~geom ~dest_shape (Some dest) expr
 
@@ -1105,9 +1179,10 @@ let build_reduce_kernel kname =
   Emitter.emit e Ret;
   (Emitter.finish e, e)
 
-(* The fold kernel's disk-cache key; renamed whenever its parameters change,
-   so a stale entry misses instead of binding the wrong ones. *)
-let reduce_key = "reduce8_planes_f64"
+(* The fold kernel's key: an id below every interned one, and a disk key
+   renamed whenever its parameters change, so a stale entry misses
+   instead of binding the wrong ones. *)
+let reduce_key = { id = -1; skey = "reduce8_planes_f64" }
 
 (* The hand-built kernel takes the same road as generated ones,
    including the emitter's SSA provenance: the padded accumulators are
@@ -1169,7 +1244,7 @@ let sum_components ?(subset = Subset.All) t expr =
       (* Reduction fusion off: drain the queue first so the payload
          always launches standalone (same kernel, separate launch). *)
       flush t;
-      launch_eval ~subset ~stream ~sync:false t ~geom ~dest_shape:shape None expr
+      launch_now ~subset ~stream ~sync:false t ~geom ~dest_shape:shape None expr
     end;
     (* The folds are a flush point: the payload (and everything queued
        before it) must land before they read the block scratch. *)

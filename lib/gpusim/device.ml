@@ -161,7 +161,13 @@ let execute t (c : Jit.compiled) ~nthreads ~block ~params =
       (* Callers hand over [params] freshly allocated per launch; the
          deferred sweep captures the array as-is. *)
       t.batch <-
-        { Vm.l_prog = c.Jit.program; l_grid = grid; l_block = block; l_params = params }
+        {
+          Vm.l_prog = c.Jit.program;
+          l_grid = grid;
+          l_block = block;
+          l_threads = nthreads;
+          l_params = params;
+        }
         :: t.batch
   | Model_only -> ());
   let ns =

@@ -2059,6 +2059,7 @@ type launch = {
   l_prog : program;
   l_grid : int;
   l_block : int;
+  l_threads : int;
   l_params : param_value array;
 }
 
@@ -2081,7 +2082,7 @@ let spans_of workers l ~safe =
     let align = 8 / gcd l.l_block 8 in
     let units = l.l_grid / align in
     let w =
-      if workers <= 1 || units < 2 || l.l_grid * l.l_block < min_parallel_threads || not safe
+      if workers <= 1 || units < 2 || l.l_threads < min_parallel_threads || not safe
       then 1
       else min workers units
     in
@@ -2141,7 +2142,10 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
           Mutex.unlock m
         end
       in
-      let w = min workers nitems in
+      (* A batch too small in total to pay for the pool handoff runs
+         inline, as a single small launch does in [spans_of]. *)
+      let threads = Array.fold_left (fun acc l -> acc + l.l_threads) 0 launches in
+      let w = if threads < min_parallel_threads then 1 else min workers nitems in
       let stop = Atomic.make max_int in
       let faults = Array.make nitems None in
       let cursor = Atomic.make 0 in

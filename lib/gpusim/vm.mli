@@ -76,6 +76,10 @@ type launch = {
   l_prog : program;
   l_grid : int;
   l_block : int;
+  l_threads : int;
+      (** the work items asked for; the [l_grid * l_block - l_threads]
+          padding threads exit at the kernel's guard.  Sizes the
+          inline-or-pool choice only. *)
   l_params : param_value array;
 }
 (** One deferred launch of a batched sweep. *)
@@ -100,7 +104,8 @@ val run_batch :
     caps the number of {!Vm_backend} workers; the effective count per
     launch also respects the parallel-safety analysis, chunk
     granularity (whole ctas, multiples of 8 work items) and a
-    small-launch threshold. *)
+    small-launch threshold, and a batch under that threshold in total
+    work items runs inline on the calling thread. *)
 
 val decoded_instructions : program -> int
 (** Flat instruction count after label compaction (introspection). *)

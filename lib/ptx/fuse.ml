@@ -394,13 +394,15 @@ let fuse ~kname sources =
 
 let version = 2
 
+let kernel_digest k = Digest.to_hex (Digest.string (Print.kernel k))
+
 let structural_key ~nsites sources =
   let b = Buffer.create 512 in
   Buffer.add_string b (Printf.sprintf "fuse|v%d" nsites);
   List.iter
-    (fun s ->
+    (fun (digest, s) ->
       Buffer.add_string b "|k";
-      Buffer.add_string b (Digest.to_hex (Digest.string (Print.kernel s.kernel)));
+      Buffer.add_string b digest;
       Buffer.add_string b "#t";
       Array.iter (fun slot -> Buffer.add_string b (string_of_int slot ^ ",")) s.slots;
       Buffer.add_string b (if s.use_sitelist then "#l1" else "#l0");

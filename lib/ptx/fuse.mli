@@ -59,12 +59,17 @@ val version : int
 (** Bumped whenever the splice's output could change for the same
     sources; persistent caches fold it into their keys. *)
 
-val structural_key : nsites:int -> source list -> string
-(** A content hash naming the fused artifact: digests of each member's
-    printed PTX plus its slot map, substitution edges and drop/reduction
-    flags.  Two groups with equal keys fuse to byte-identical kernels,
-    so the key is safe as a persistent-cache identity (the engine
-    prepends version tags). *)
+val kernel_digest : Types.kernel -> string
+(** Digest of a kernel's printed PTX: a member's identity in
+    {!structural_key}.  Printing is the expensive part of the key, so
+    callers compute it once per member kernel. *)
+
+val structural_key : nsites:int -> (string * source) list -> string
+(** A content hash naming the fused artifact: each source comes paired
+    with the {!kernel_digest} of its kernel, and its slot map,
+    substitution edges and drop/reduction flags are added.  Two groups
+    with equal keys fuse to byte-identical kernels, so the key is safe
+    as a persistent-cache identity (the engine prepends version tags). *)
 
 val fuse : kname:string -> source list -> Types.kernel * report
 (** Splice the sources, in order, into one kernel named [kname].  All

@@ -211,50 +211,122 @@ let binop_name = function
    leaf list), so the same kernel is reused for any fields of matching
    structure.  The slot matters: the generated kernel binds one pointer per
    *distinct* field, so `b + D b` and `b + D x` need different kernels even
-   though their trees look alike. *)
-let structure_key ~dest_shape e =
-  let slot_of =
-    let tbl = Hashtbl.create 8 in
-    List.iteri (fun i (f : Field.t) -> Hashtbl.replace tbl f.Field.id i) (leaves e);
-    fun (f : Field.t) -> Hashtbl.find tbl f.Field.id
+   though their trees look alike.
+
+   The key is a prefix-free byte string built without any printing: every
+   node starts with a tag byte, integers are zigzag varints, shapes and
+   operators are fixed codes, and a constant is its length followed by
+   each component's IEEE bits.  NaNs collapse to one pattern per sign,
+   the distinction the earlier printed ("%h") keys drew; every other value
+   keeps its exact bits, so -0.0 and 0.0 stay apart. *)
+let key_version = 1
+
+(* Integers as zigzag varints: prefix-free, one byte for |n| < 64, and
+   the 7-bit groups are taken unsigned so every int has one encoding. *)
+let add_key_int buf n =
+  let rec go u =
+    if u land lnot 0x7f = 0 then Buffer.add_uint8 buf u
+    else begin
+      Buffer.add_uint8 buf (0x80 lor (u land 0x7f));
+      go (u lsr 7)
+    end
   in
-  let buf = Buffer.create 128 in
-  let add = Buffer.add_string buf in
+  go ((n lsl 1) lxor (n asr 62))
+
+let add_shape buf (s : Shape.t) =
+  (match s.spin with
+  | Spin_scalar -> Buffer.add_uint8 buf 0
+  | Spin_vector n -> Buffer.add_uint8 buf 1; add_key_int buf n
+  | Spin_matrix n -> Buffer.add_uint8 buf 2; add_key_int buf n
+  | Spin_block n -> Buffer.add_uint8 buf 3; add_key_int buf n);
+  (match s.color with
+  | Color_scalar -> Buffer.add_uint8 buf 0
+  | Color_vector n -> Buffer.add_uint8 buf 1; add_key_int buf n
+  | Color_matrix n -> Buffer.add_uint8 buf 2; add_key_int buf n
+  | Color_diag n -> Buffer.add_uint8 buf 3; add_key_int buf n
+  | Color_tri n -> Buffer.add_uint8 buf 4; add_key_int buf n
+  | Color_rows n -> Buffer.add_uint8 buf 5; add_key_int buf n);
+  Buffer.add_uint8 buf
+    ((match s.reality with Real -> 0 | Cplx -> 3)
+    + match s.prec with F16 -> 0 | F32 -> 1 | F64 -> 2)
+
+let unop_code = function
+  | Neg -> 0
+  | Conj -> 1
+  | Adj -> 2
+  | Transpose -> 3
+  | Times_i -> 4
+  | Trace_color -> 5
+  | Trace_spin -> 6
+  | Real -> 7
+  | Imag -> 8
+  | Norm2_local -> 9
+  | Compress -> 10
+  | Reconstruct -> 11
+
+let binop_code = function Add -> 0 | Sub -> 1 | Mul -> 2 | Outer_color -> 3 | Inner_local -> 4
+
+let nan_bits = Int64.bits_of_float Float.nan
+let neg_nan_bits = Int64.bits_of_float (-.Float.nan)
+
+let key_and_leaves ~dest_shape e =
+  let buf = Buffer.create 64 in
+  (* Distinct leaves in first-visit order, the order {!leaves} returns:
+     the walk below visits children left to right, as [leaves] does. *)
+  let slots = ref [] and rev_leaves = ref [] and nleaves = ref 0 in
+  let slot_of (f : Field.t) =
+    match List.assq_opt f.Field.id !slots with
+    | Some s -> s
+    | None ->
+        let s = !nleaves in
+        incr nleaves;
+        slots := (f.Field.id, s) :: !slots;
+        rev_leaves := f :: !rev_leaves;
+        s
+  in
   let rec go = function
-    | Leaf f -> add (Printf.sprintf "L%d[%s]" (slot_of f) (Shape.to_string f.Field.shape))
+    | Leaf f ->
+        Buffer.add_char buf 'L';
+        add_key_int buf (slot_of f);
+        add_shape buf f.Field.shape
     | Const (s, v) ->
-        add (Printf.sprintf "K[%s;" (Shape.to_string s));
-        Array.iter (fun x -> add (Printf.sprintf "%h," x)) v;
-        add "]"
-    | Param (s, _) -> add (Printf.sprintf "P[%s]" (Shape.to_string s))
+        Buffer.add_char buf 'K';
+        add_shape buf s;
+        add_key_int buf (Array.length v);
+        Array.iter
+          (fun x ->
+            Buffer.add_int64_le buf
+              (if Float.is_nan x then if Float.sign_bit x then neg_nan_bits else nan_bits
+               else Int64.bits_of_float x))
+          v
+    | Param (s, _) ->
+        Buffer.add_char buf 'P';
+        add_shape buf s
     | Unary (op, e) ->
-        add (unop_name op);
-        add "(";
-        go e;
-        add ")"
+        Buffer.add_char buf 'U';
+        Buffer.add_uint8 buf (unop_code op);
+        go e
     | Binary (op, a, b) ->
-        add "(";
+        Buffer.add_char buf 'B';
+        Buffer.add_uint8 buf (binop_code op);
         go a;
-        add (binop_name op);
-        go b;
-        add ")"
+        go b
     | Shift (e, dim, dir) ->
-        add (Printf.sprintf "shift%d%+d(" dim dir);
-        go e;
-        add ")"
+        Buffer.add_char buf 'S';
+        add_key_int buf dim;
+        add_key_int buf dir;
+        go e
     | Clover (a, b, c) ->
-        add "clover(";
+        Buffer.add_char buf 'C';
         go a;
-        add ",";
         go b;
-        add ",";
-        go c;
-        add ")"
+        go c
   in
-  add (Shape.to_string dest_shape);
-  add "=";
+  add_shape buf dest_shape;
   go e;
-  Buffer.contents buf
+  (Buffer.contents buf, List.rev !rev_leaves)
+
+let structure_key ~dest_shape e = fst (key_and_leaves ~dest_shape e)
 
 (* Human-readable AST rendering (the Fig. 3 tree), for the quickstart
    example and debugging. *)

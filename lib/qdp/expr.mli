@@ -109,7 +109,20 @@ val structure_key : dest_shape:Shape.t -> t -> string
     shape and its slot in the deduplicated leaf list — the slot matters,
     since the kernel binds one pointer per distinct field), and runtime
     scalar values are erased; embedded constants and the whole tree shape
-    are included. *)
+    are included.  The key is a prefix-free binary string (tag bytes,
+    varints, fixed shape and operator codes, constants as raw IEEE bits
+    with NaNs canonicalised per sign), built without any printing. *)
+
+val key_and_leaves : dest_shape:Shape.t -> t -> string * Field.t list
+(** [structure_key] and {!leaves} from one walk of the tree. *)
+
+val add_key_int : Buffer.t -> int -> unit
+(** The keys' integer writer (a zigzag varint, so prefix-free), for
+    callers that build composite keys in the same style. *)
+
+val key_version : int
+(** Version of the {!structure_key} encoding; persistent cache keys embed
+    it, so a format change re-keys every stored kernel. *)
 
 val render : ?indent:int -> t -> string
 (** Human-readable AST (the Fig. 3 tree). *)

@@ -28,12 +28,6 @@ let count geom = function
 
 let is_all = function All -> true | Even | Odd | Custom _ -> false
 
-let cache_tag = function
-  | All -> "all"
-  | Even | Odd | Custom _ ->
-      (* One kernel serves every site-list subset: the list is a parameter. *)
-      "list"
-
 let other = function
   | Even -> Odd
   | Odd -> Even

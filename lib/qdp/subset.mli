@@ -15,9 +15,5 @@ val sites : Geometry.t -> t -> int array
 val count : Geometry.t -> t -> int
 val is_all : t -> bool
 
-val cache_tag : t -> string
-(** Kernel-cache discriminator: [All] kernels index by thread id, any
-    other subset by a site-list parameter (one shared kernel). *)
-
 val other : t -> t
 (** The opposite checkerboard; raises on [All]/[Custom]. *)

@@ -208,8 +208,9 @@ let test_version_bump_misses () =
   (* The cache tag is the version fence: it must spell out the current
      component versions, and every key must carry it as a prefix. *)
   Alcotest.(check string) "tag embeds every component version"
-    (Printf.sprintf "qdpjit|ml%s|cg%d|ps%d|fu%d|vm%d" Sys.ocaml_version Qdpjit.Codegen.version
-       Ptx.Passes.version Ptx.Fuse.version Gpusim.Vm.decoder_version)
+    (Printf.sprintf "qdpjit|ml%s|cg%d|ps%d|fu%d|vm%d|ek%d" Sys.ocaml_version
+       Qdpjit.Codegen.version Ptx.Passes.version Ptx.Fuse.version Gpusim.Vm.decoder_version
+       Expr.key_version)
     Engine.cache_tag;
   let dir = fresh_dir "stale" in
   let prog = [ Axpy (2, 1.25, 0, 1); Shift (3, 2, 1, 1); Sub (0, 3, 2) ] in
@@ -226,9 +227,9 @@ let test_version_bump_misses () =
      engine never even opens them — they must be plain misses, not
      corruption fallbacks or crashes. *)
   let old_tag =
-    Printf.sprintf "qdpjit|ml%s|cg%d|ps%d|fu%d|vm%d" Sys.ocaml_version
+    Printf.sprintf "qdpjit|ml%s|cg%d|ps%d|fu%d|vm%d|ek%d" Sys.ocaml_version
       (Qdpjit.Codegen.version - 1) (Ptx.Passes.version - 1) (Ptx.Fuse.version - 1)
-      (Gpusim.Vm.decoder_version - 1)
+      (Gpusim.Vm.decoder_version - 1) (Expr.key_version - 1)
   in
   let stale_key k =
     old_tag ^ String.sub k (String.length Engine.cache_tag) (String.length k - String.length Engine.cache_tag)

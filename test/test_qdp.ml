@@ -93,6 +93,232 @@ let test_param_key_value_independent () =
   let k v = Expr.structure_key ~dest_shape:sh (Expr.mul (Expr.const_real v) (Expr.field psi)) in
   Alcotest.(check string) "scalar params erased from key" (k 1.5) (k 2.5)
 
+(* ------------------ structure key against its oracle ------------------ *)
+
+(* The printed key the binary encoding replaced, kept verbatim as the
+   oracle: the binary key must separate exactly the expressions this one
+   separates. *)
+let printed_structure_key ~dest_shape e =
+  let slot_of =
+    let tbl = Hashtbl.create 8 in
+    List.iteri (fun i (f : Field.t) -> Hashtbl.replace tbl f.Field.id i) (Expr.leaves e);
+    fun (f : Field.t) -> Hashtbl.find tbl f.Field.id
+  in
+  let buf = Buffer.create 128 in
+  let add = Buffer.add_string buf in
+  let rec go = function
+    | Expr.Leaf f -> add (Printf.sprintf "L%d[%s]" (slot_of f) (Shape.to_string f.Field.shape))
+    | Expr.Const (s, v) ->
+        add (Printf.sprintf "K[%s;" (Shape.to_string s));
+        Array.iter (fun x -> add (Printf.sprintf "%h," x)) v;
+        add "]"
+    | Expr.Param (s, _) -> add (Printf.sprintf "P[%s]" (Shape.to_string s))
+    | Expr.Unary (op, e) ->
+        add (Expr.unop_name op);
+        add "(";
+        go e;
+        add ")"
+    | Expr.Binary (op, a, b) ->
+        add "(";
+        go a;
+        add (Expr.binop_name op);
+        go b;
+        add ")"
+    | Expr.Shift (e, dim, dir) ->
+        add (Printf.sprintf "shift%d%+d(" dim dir);
+        go e;
+        add ")"
+    | Expr.Clover (a, b, c) ->
+        add "clover(";
+        go a;
+        add ",";
+        go b;
+        add ",";
+        go c;
+        add ")"
+  in
+  add (Shape.to_string dest_shape);
+  add "=";
+  go e;
+  Buffer.contents buf
+
+(* Raw trees (no shape checking: keys never type-check), drawn from small
+   pools so that pairs often coincide. *)
+let key_fields =
+  [|
+    fermion ();
+    fermion ();
+    cmatrix ();
+    Field.create (Shape.lattice_fermion Shape.F32) geom;
+    Field.create (Shape.clover_tri Shape.F64) geom;
+  |]
+
+let key_shapes =
+  Shape.
+    [|
+      real_scalar F64;
+      real_scalar F32;
+      complex_scalar F64;
+      complex_scalar F16;
+      lattice_spin_matrix F64;
+      clover_diag F64;
+      compressed_color_matrix F32;
+      { spin = Spin_vector 3; color = Color_vector 4; reality = Cplx; prec = F64 };
+      { spin = Spin_block 200; color = Color_rows 1; reality = Real; prec = F64 };
+    |]
+
+let key_floats =
+  [|
+    0.0;
+    -0.0;
+    1.0;
+    -1.5;
+    Float.nan;
+    -.Float.nan;
+    Int64.float_of_bits 0x7ff0000000000001L (* signalling NaN *);
+    Int64.float_of_bits 0xfff4000000000000L;
+    Int64.float_of_bits 1L (* smallest subnormal *);
+    Int64.float_of_bits 0x800fffffffffffffL (* largest negative subnormal *);
+    Float.infinity;
+    Float.neg_infinity;
+    Float.min_float;
+  |]
+
+let key_unops =
+  Expr.
+    [|
+      Neg; Conj; Adj; Transpose; Times_i; Trace_color; Trace_spin; Real; Imag; Norm2_local;
+      Compress; Reconstruct;
+    |]
+
+let key_binops = Expr.[| Add; Sub; Mul; Outer_color; Inner_local |]
+
+let gen_key_expr =
+  let open QCheck.Gen in
+  let pick a = map (Array.get a) (int_bound (Array.length a - 1)) in
+  let values = array_size (int_bound 3) (pick key_floats) in
+  let leaf =
+    frequency
+      [
+        (4, map (fun f -> Expr.Leaf f) (pick key_fields));
+        (2, map2 (fun s v -> Expr.Const (s, v)) (pick key_shapes) values);
+        (1, map2 (fun s v -> Expr.Param (s, v)) (pick key_shapes) values);
+      ]
+  in
+  sized_size (int_bound 12)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (2, map2 (fun op e -> Expr.Unary (op, e)) (pick key_unops) (self (n - 1)));
+               ( 3,
+                 map3
+                   (fun op a b -> Expr.Binary (op, a, b))
+                   (pick key_binops) (self (n / 2)) (self (n / 2)) );
+               ( 2,
+                 map3
+                   (fun e dim dir -> Expr.Shift (e, dim, dir))
+                   (self (n - 1)) (int_bound 3) (oneofl [ 1; -1 ]) );
+               ( 1,
+                 map3
+                   (fun a b c -> Expr.Clover (a, b, c))
+                   (self (n / 3)) (self (n / 3)) (self (n / 3)) );
+             ])
+
+(* A near copy: each node is perturbed with small probability — a leaf
+   re-aliased, a constant component or length changed, a parameter's
+   values changed (erased from both keys), an operator or shift swapped. *)
+let rec perturb e =
+  let open QCheck.Gen in
+  let pick a = map (Array.get a) (int_bound (Array.length a - 1)) in
+  let* p = float_bound_exclusive 1.0 in
+  let hit = p < 0.15 in
+  match e with
+  | Expr.Leaf _ when hit -> map (fun f -> Expr.Leaf f) (pick key_fields)
+  | Expr.Const (s, v) when hit ->
+      if Array.length v > 0 && p < 0.1 then
+        let* i = int_bound (Array.length v - 1) in
+        let* x = pick key_floats in
+        let v = Array.copy v in
+        v.(i) <- x;
+        return (Expr.Const (s, v))
+      else map (fun v -> Expr.Const (s, v)) (array_size (int_bound 3) (pick key_floats))
+  | Expr.Param (s, v) when hit ->
+      map (fun x -> Expr.Param (s, Array.map (fun _ -> x) v)) (pick key_floats)
+  | Expr.Leaf _ | Expr.Const _ | Expr.Param _ -> return e
+  | Expr.Unary (op, a) ->
+      map2 (fun op a -> Expr.Unary (op, a)) (if hit then pick key_unops else return op) (perturb a)
+  | Expr.Binary (op, a, b) ->
+      map3
+        (fun op a b -> Expr.Binary (op, a, b))
+        (if hit then pick key_binops else return op)
+        (perturb a) (perturb b)
+  | Expr.Shift (a, dim, dir) ->
+      let* a = perturb a in
+      if hit then map2 (fun dim dir -> Expr.Shift (a, dim, dir)) (int_bound 3) (oneofl [ 1; -1 ])
+      else return (Expr.Shift (a, dim, dir))
+  | Expr.Clover (a, b, c) -> map3 (fun a b c -> Expr.Clover (a, b, c)) (perturb a) (perturb b) (perturb c)
+
+let key_oracle_property =
+  let gen =
+    let open QCheck.Gen in
+    let pick a = map (Array.get a) (int_bound (Array.length a - 1)) in
+    let* e1 = gen_key_expr in
+    let* e2 = frequency [ (4, perturb e1); (1, gen_key_expr) ] in
+    let* d1 = pick key_shapes in
+    let* d2 = frequency [ (4, return d1); (1, pick key_shapes) ] in
+    return (d1, e1, d2, e2)
+  in
+  let print (d1, e1, d2, e2) =
+    Printf.sprintf "%s\n%s\n---\n%s\n%s" (printed_structure_key ~dest_shape:d1 e1) (Expr.render e1)
+      (printed_structure_key ~dest_shape:d2 e2) (Expr.render e2)
+  in
+  QCheck.Test.make ~name:"binary key equal iff printed key equal" ~count:3000
+    (QCheck.make ~print gen) (fun (d1, e1, d2, e2) ->
+      let k1, leaves1 = Expr.key_and_leaves ~dest_shape:d1 e1 in
+      let k2 = Expr.structure_key ~dest_shape:d2 e2 in
+      List.map (fun (f : Field.t) -> f.Field.id) leaves1
+      = List.map (fun (f : Field.t) -> f.Field.id) (Expr.leaves e1)
+      && String.equal k1 k2
+         = String.equal (printed_structure_key ~dest_shape:d1 e1)
+             (printed_structure_key ~dest_shape:d2 e2))
+
+(* The edge cases the property draws, pinned by hand, and the integer
+   encoding's prefix-freedom at the extremes of the int range. *)
+let test_key_edges () =
+  let sh = Shape.real_scalar Shape.F64 in
+  let psi = Expr.Leaf key_fields.(0) in
+  let k v = Expr.structure_key ~dest_shape:sh (Expr.Binary (Expr.Mul, Expr.Const (sh, v), psi)) in
+  let same name a b = Alcotest.(check bool) name true (String.equal (k a) (k b)) in
+  let differ name a b = Alcotest.(check bool) name false (String.equal (k a) (k b)) in
+  differ "-0.0 vs 0.0" [| -0.0 |] [| 0.0 |];
+  same "quiet vs signalling NaN" [| Float.nan |] [| Int64.float_of_bits 0x7ff0000000000001L |];
+  differ "NaN sign" [| Float.nan |] [| -.Float.nan |];
+  differ "subnormals" [| Int64.float_of_bits 1L |] [| Int64.float_of_bits 2L |];
+  differ "length" [| 1.0 |] [| 1.0; 1.0 |];
+  let alias = Expr.Binary (Expr.Add, psi, psi)
+  and distinct = Expr.Binary (Expr.Add, psi, Expr.Leaf key_fields.(1)) in
+  Alcotest.(check bool) "leaf aliasing" false
+    (String.equal (Expr.structure_key ~dest_shape:sh alias) (Expr.structure_key ~dest_shape:sh distinct));
+  let ints = [ 0; 1; -1; 63; 64; -64; -65; -128; 1 lsl 40; max_int; min_int; min_int + 1 ] in
+  let enc n =
+    let b = Buffer.create 10 in
+    Expr.add_key_int b n;
+    Buffer.contents b
+  in
+  let prefix a b = String.length a <= String.length b && String.sub b 0 (String.length a) = a in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun n ->
+          if m <> n then
+            Alcotest.(check bool) (Printf.sprintf "key int %d not a prefix of %d" m n) false
+              (prefix (enc m) (enc n)))
+        ints)
+    ints
+
 let test_shift_dirs () =
   let psi = fermion () in
   let e =
@@ -218,6 +444,8 @@ let () =
           Alcotest.test_case "leaf dedup" `Quick test_leaves_dedup;
           Alcotest.test_case "structure key" `Quick test_structure_key_field_independent;
           Alcotest.test_case "param values erased" `Quick test_param_key_value_independent;
+          Alcotest.test_case "key edge cases" `Quick test_key_edges;
+          QCheck_alcotest.to_alcotest key_oracle_property;
           Alcotest.test_case "shift dirs" `Quick test_shift_dirs;
         ] );
       ( "eval",
