@@ -180,13 +180,13 @@ def check_vmperf(args):
     for k in data["kernels"]:
         assert k["bit_identical"], f"kernel {k['name']} diverged across worker counts"
         assert k["scalar_bit_identical"], (
-            f"kernel {k['name']}: superinstruction checksum diverged from the "
-            "scalar interpreter"
+            f"kernel {k['name']}: runtime checksum diverged from the Reference "
+            "engine (scalar interpreter)"
         )
     cg = data["cg"]
     assert cg["bit_identical"], "CG solution diverged across worker counts"
     assert cg["scalar_bit_identical"], (
-        "CG: superinstruction solution diverged from the scalar interpreter"
+        "CG: runtime solution diverged from the Reference engine (scalar interpreter)"
     )
     ws = data["workers"]
     walls = cg["wall_s"]
@@ -232,6 +232,18 @@ def check_vmperf(args):
             f"{args.min_dslash_speedup:.2f}x gate"
         )
         line += f", dslash superinsn {sp:.2f}x"
+    # The CG reference gate: a whole single-worker solve on the runtime
+    # against the same solve on the Reference engine (the scalar
+    # interpreter).  Like the dslash A/B it is single-worker, so it holds
+    # on degraded runs too.
+    if args.min_cg_reference_speedup is not None:
+        sp = cg["scalar_wall_s"] / w1
+        assert sp >= args.min_cg_reference_speedup, (
+            f"CG at 1 worker is only {sp:.2f}x faster than the Reference engine "
+            f"({cg['scalar_wall_s']:.2f}s -> {w1:.2f}s), below the "
+            f"{args.min_cg_reference_speedup:.2f}x gate"
+        )
+        line += f", cg vs reference {sp:.2f}x"
     # The fusion-coverage gate: dispatch_ratio is a pure decode-time
     # metric ((units + uncovered instrs) / decoded instrs), so like the
     # A/B above it is asserted on every run, degraded or not.
@@ -567,8 +579,16 @@ def main():
         "--min-dslash-speedup",
         type=float,
         default=None,
-        help="vmperf: require at least this single-worker dslash speedup with "
-        "superinstructions on vs off (the interleaved A/B timings)",
+        help="vmperf: require at least this single-worker dslash speedup of the "
+        "runtime over the Reference engine (the interleaved A/B timings)",
+    )
+    parser.add_argument(
+        "--min-cg-reference-speedup",
+        type=float,
+        default=None,
+        help="vmperf: require the single-worker CG solve to run at least this much "
+        "faster than on the Reference engine (cg.scalar_wall_s / cg.wall_s at w=1); "
+        "valid on degraded runs",
     )
     parser.add_argument(
         "--max-dispatch-ratio",

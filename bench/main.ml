@@ -913,8 +913,8 @@ let vmperf () =
       cases
   in
   let max_iter = 20 in
-  let run_cg w =
-    let eng = Qdpjit.Engine.create ~vm_domains:w () in
+  let run_cg ?(mode = Gpusim.Device.Functional) w =
+    let eng = Qdpjit.Engine.create ~mode ~vm_domains:w () in
     let ops = Solvers.Ops.jit eng fm geom in
     let nop = Solvers.Ops.normal_op ops ~apply_m:(Lqcd.Wilson.wilson_expr ~kappa:0.115 u) in
     let b = mk fm 61L in
@@ -930,26 +930,29 @@ let vmperf () =
     (r.Solvers.Cg.iterations, field_checksum x, wall)
   in
   let results = List.map (fun w -> (w, run_kernels w, run_cg w)) workers in
-  (* Superinstruction A/B: re-time each kernel single-worker with the
-     SoA executor forced on and forced off, interleaved on one engine
-     (best of three timed blocks per strategy) so host noise hits both
-     strategies alike — these are the numbers the --min-dslash-speedup
-     CI gate holds, independent of the sweep timings above.  The two
-     strategies' checksums must bit-match each other and the sweep. *)
-  let soa_enabled = Gpusim.Vm.superinstructions_enabled () in
+  (* Reference A/B: re-time each kernel single-worker on a runtime
+     engine and on a [Reference] engine (the scalar interpreter), both
+     warmed alike, in interleaved best-of-three timed blocks so host
+     noise hits both sides alike — these are the numbers the
+     --min-dslash-speedup CI gate holds, independent of the sweep
+     timings above.  The two engines' checksums must bit-match each
+     other and the sweep. *)
   let ab_blocks = 3 in
   let scalar_k, soa_k =
     let both =
       List.map
         (fun (name, expr, shape) ->
-          let eng = Qdpjit.Engine.create ~vm_domains:1 ~fuse:false () in
-          let dest = Field.create shape geom in
-          for _ = 1 to 6 do
-            Qdpjit.Engine.eval eng dest expr
-          done;
-          ignore (Qdpjit.Engine.synchronize eng);
-          let time_block on =
-            Gpusim.Vm.set_superinstructions on;
+          let warmed mode =
+            let eng = Qdpjit.Engine.create ~mode ~vm_domains:1 ~fuse:false () in
+            let dest = Field.create shape geom in
+            for _ = 1 to 6 do
+              Qdpjit.Engine.eval eng dest expr
+            done;
+            ignore (Qdpjit.Engine.synchronize eng);
+            (eng, dest)
+          in
+          let soa = warmed Gpusim.Device.Functional and sc = warmed Gpusim.Device.Reference in
+          let time_block (eng, dest) =
             let t0 = Unix.gettimeofday () in
             for _ = 1 to reps do
               Qdpjit.Engine.eval eng dest expr
@@ -959,29 +962,15 @@ let vmperf () =
           in
           let soa_ms = ref infinity and sc_ms = ref infinity in
           for _ = 1 to ab_blocks do
-            soa_ms := min !soa_ms (time_block true);
-            sc_ms := min !sc_ms (time_block false)
+            soa_ms := min !soa_ms (time_block soa);
+            sc_ms := min !sc_ms (time_block sc)
           done;
-          Gpusim.Vm.set_superinstructions true;
-          Qdpjit.Engine.eval eng dest expr;
-          ignore (Qdpjit.Engine.synchronize eng);
-          let ck_soa = field_checksum dest in
-          Gpusim.Vm.set_superinstructions false;
-          Qdpjit.Engine.eval eng dest expr;
-          ignore (Qdpjit.Engine.synchronize eng);
-          let ck_sc = field_checksum dest in
-          Gpusim.Vm.set_superinstructions soa_enabled;
-          ((name, !sc_ms, ck_sc), (name, !soa_ms, ck_soa)))
+          ((name, !sc_ms, field_checksum (snd sc)), (name, !soa_ms, field_checksum (snd soa))))
         cases
     in
     (List.map fst both, List.map snd both)
   in
-  let scalar_it, scalar_ck, scalar_cg_wall =
-    Gpusim.Vm.set_superinstructions false;
-    let r = run_cg 1 in
-    Gpusim.Vm.set_superinstructions soa_enabled;
-    r
-  in
+  let scalar_it, scalar_ck, scalar_cg_wall = run_cg ~mode:Gpusim.Device.Reference 1 in
   (* Decode-time superinstruction plans for the same six kernels: how
      much of each body lives in fused spans, and the per-cta dispatch
      units per scalar per-item dispatch. *)
@@ -1088,8 +1077,7 @@ let vmperf () =
   Printf.printf "  %-10s" (Printf.sprintf "cg(%d it)" base_it);
   List.iter (fun (_, _, (_, _, wall)) -> Printf.printf " %7.0f" (wall *. 1e3)) results;
   Printf.printf "  %b\n" cg_identical;
-  Printf.printf "\n  superinstructions %s (w=1 A/B vs scalar interpreter)\n"
-    (if soa_enabled then "ON" else "OFF");
+  Printf.printf "\n  w=1 A/B: runtime (SoA executor) vs Reference engine (scalar interpreter)\n";
   Printf.printf "  %-11s %9s %9s %8s %7s %7s %10s %13s  identical\n" "kernel" "soa ms"
     "scalar ms" "speedup" "spans" "units" "disp.ratio" "rows/virtual";
   let rows (st : Gpusim.Vm.soa_stats) =
@@ -1120,18 +1108,16 @@ let vmperf () =
   if not (cg_identical && List.for_all snd kernels_identical) then
     failwith "vmperf: results not bit-identical across worker counts";
   if not (cg_scalar_identical && List.for_all snd scalar_identical) then
-    failwith "vmperf: superinstruction results not bit-identical to scalar interpreter";
+    failwith "vmperf: runtime results not bit-identical to the Reference engine";
   let oc = open_out "BENCH_vmperf.json" in
   let flist fmt xs = String.concat ", " (List.map (Printf.sprintf fmt) xs) in
   Printf.fprintf oc
     "{\n\
     \  \"runtime\": \"%s\", \"available_domains\": %d, \"degraded\": %b, \"geometry\": \"%s\",\n\
-    \  \"superinsn_enabled\": %b,\n\
     \  \"workers\": [%s],\n\
     \  \"kernels\": [\n"
     Gpusim.Vm_backend.runtime avail degraded
     (String.concat "x" (Array.to_list (Array.map string_of_int (Geometry.dims geom))))
-    soa_enabled
     (flist "%d" (List.map (fun (w, _, _) -> w) results));
   List.iteri
     (fun i (name, _, _) ->

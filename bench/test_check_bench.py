@@ -48,8 +48,9 @@ def main():
     expect(
         0,
         ["vmperf", fx("vmperf_good.json"),
-         "--min-cg-speedup", "1.5", "--min-dslash-speedup", "2.0"],
-        "good artifact with both perf gates",
+         "--min-cg-speedup", "1.5", "--min-dslash-speedup", "2.0",
+         "--min-cg-reference-speedup", "2.0"],
+        "good artifact with every perf gate",
     )
 
     # Normalized degraded semantics: a missing "degraded" key means not
@@ -76,6 +77,19 @@ def main():
         1,
         ["vmperf", fx("vmperf_slow_dslash.json"), "--min-dslash-speedup", "2.0"],
         "dslash superinstruction speedup below the gate",
+    )
+    # The single-worker CG solve against the Reference engine: same
+    # artifact shape, a reference solve only 1.55x slower than w=1.
+    r = expect(
+        1,
+        ["vmperf", fx("vmperf_slow_cg_reference.json"), "--min-cg-reference-speedup", "2.0"],
+        "single-worker CG speedup over the Reference engine below the gate",
+    )
+    assert "Reference engine" in r.stderr, f"violation not attributed to CG: {r.stderr}"
+    expect(
+        0,
+        ["vmperf", fx("vmperf_slow_cg_reference.json")],
+        "the CG reference gate is opt-in",
     )
 
     # The dispatch-ratio gate is decode-time, so it holds (and fails)
@@ -171,9 +185,10 @@ def main():
         "missing baseline dir",
     )
 
-    print("check_bench selftest OK: 23 cases (exit codes 0/1/2, degraded "
-          "normalization, dslash + dispatch-ratio + register-row gates, fusion "
-          "readback and page-out gates, baseline compare + step summary)")
+    print("check_bench selftest OK: 25 cases (exit codes 0/1/2, degraded "
+          "normalization, dslash + CG-reference + dispatch-ratio + register-row "
+          "gates, fusion readback and page-out gates, baseline compare + step "
+          "summary)")
 
 
 if __name__ == "__main__":

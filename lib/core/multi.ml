@@ -296,8 +296,10 @@ let materialize_shift t (low : lowering) (subs : Expr.t array) ~dim ~dir ~depth 
        hardware (running it between kernels) does not do. *)
     for rank = 0 to n - 1 do
       let partner = Comms.Grid.neighbor_rank t.grid rank ~dim ~dir in
-      if (Engine.device t.engines.(rank)).Gpusim.Device.mode = Gpusim.Device.Functional then
-        fill_face_functional t ~rank ~partner ~face ~dim ~dir tmp shifted;
+      (match (Engine.device t.engines.(rank)).Gpusim.Device.mode with
+      | Gpusim.Device.Functional | Gpusim.Device.Reference ->
+          fill_face_functional t ~rank ~partner ~face ~dim ~dir tmp shifted
+      | Gpusim.Device.Model_only -> ());
       let c = ctx t rank and sc = t.comm_streams.(rank) in
       Streams.wait_event c sc arrived.(rank);
       if not cuda_aware then

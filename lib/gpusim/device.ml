@@ -2,12 +2,13 @@
 
     Functional mode queues every launch and runs the queue on real
     buffers through the VM when the host next synchronizes or touches
-    device memory; model-only mode skips execution (used by the
-    paper-scale benchmark sweeps, where only the clock matters).  The
-    modeled time of a launch or copy is returned to the caller: the
+    device memory; reference mode does the same on the VM's scalar
+    oracle ([Vm.run_reference]); model-only mode skips execution (used
+    by the paper-scale benchmark sweeps, where only the clock matters).
+    The modeled time of a launch or copy is returned to the caller: the
     stream scheduler owns the clock. *)
 
-type mode = Functional | Model_only
+type mode = Functional | Reference | Model_only
 
 exception Out_of_device_memory
 exception Launch_failure of string
@@ -87,7 +88,7 @@ let register t make bytes =
    but no storage.  Integer tables keep theirs: the engine fills them on
    the host in either mode. *)
 let alloc_float t create width n =
-  let len = match t.mode with Functional -> n | Model_only -> 0 in
+  let len = match t.mode with Functional | Reference -> n | Model_only -> 0 in
   register t (fun id -> { (create id len) with Buffer.bytes = width * n }) (width * n)
 
 let alloc_f16 t n = alloc_float t Buffer.create_f16 2 n
@@ -103,7 +104,8 @@ let lookup t id =
     | None -> raise (Vm.Fault "use of freed device buffer")
 
 (* Deferred execution: [execute] queues the decoded launch and
-   [flush_batch] hands the whole queue to [Vm.run_batch] as one sweep.
+   [flush_batch] hands the whole queue to [Vm.run_batch] as one sweep
+   ([Vm.run_reference] on a reference device).
    The clock model, stats and launch-fit checks stay at issue (they
    don't depend on buffer contents), so only the VM interpreter work
    moves.  Host synchronization, [free] and host-side blits (memcache
@@ -114,9 +116,13 @@ let lookup t id =
 let flush_batch t =
   match t.batch with
   | [] -> ()
-  | rev ->
+  | rev -> (
       t.batch <- [];
-      Vm.run_batch ~workers:t.vm_domains ~lookup:(lookup t) (Array.of_list (List.rev rev))
+      let launches = Array.of_list (List.rev rev) in
+      match t.mode with
+      | Functional -> Vm.run_batch ~workers:t.vm_domains ~lookup:(lookup t) launches
+      | Reference -> Vm.run_reference ~lookup:(lookup t) launches
+      | Model_only -> ())
 
 let free t (buf : Buffer.t) =
   flush_batch t;
@@ -157,7 +163,7 @@ let execute t (c : Jit.compiled) ~nthreads ~block ~params =
   end;
   let grid = (nthreads + block - 1) / block in
   (match t.mode with
-  | Functional ->
+  | Functional | Reference ->
       (* Callers hand over [params] freshly allocated per launch; the
          deferred sweep captures the array as-is. *)
       t.batch <-

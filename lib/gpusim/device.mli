@@ -2,13 +2,19 @@
 
     A launch is only ever queued.  In functional mode the queue runs on
     real buffers through the VM, as one {!flush_batch} sweep, when the
-    host next synchronizes a stream or touches device memory; model-only
-    mode queues nothing (used by paper-scale benchmark sweeps, where
-    only the clock matters).  {!execute} and {!transfer_cost} return
+    host next synchronizes a stream or touches device memory; reference
+    mode drains the same queue on the VM's scalar oracle instead;
+    model-only mode queues nothing (used by paper-scale benchmark
+    sweeps, where only the clock matters).  {!execute} and {!transfer_cost} return
     modeled durations without moving the clock: the stream scheduler
     ([Streams]) owns it and advances it on host synchronization. *)
 
-type mode = Functional | Model_only
+type mode =
+  | Functional  (** launches run on the VM's SoA executor ({!Vm.run_batch}) *)
+  | Reference
+      (** launches run on the scalar oracle ({!Vm.run_reference}), which
+          tests and the bench A/B hold [Functional] to, bit for bit *)
+  | Model_only  (** no launch runs; only the clock and the stats move *)
 
 exception Out_of_device_memory
 exception Launch_failure of string
@@ -75,7 +81,8 @@ val free : t -> Buffer.t -> unit
 val flush_batch : t -> unit
 (** Run every queued launch as one {!Vm.run_batch} sweep (workers pull
     (launch, cta-span) items cooperatively; independent launches
-    overlap) and empty the queue.  No-op when the queue is empty.
+    overlap) — or, on a [Reference] device, one {!Vm.run_reference}
+    sweep — and empty the queue.  No-op when the queue is empty.
     Stream synchronization calls this, and so must every host-side
     reader or writer of device buffer contents (memcache uploads,
     page-outs, frees).  The queue is emptied before the sweep runs, so

@@ -25,22 +25,23 @@
     own slot — and whose same-buffer read-backs stay within the radix-8
     reduction-tail contract — may split, because chunks then touch
     disjoint output ranges and the result is bit-identical to the
-    sequential sweep.  Anything else (e.g. the
-    in-place [p = shift p] gather) runs sequentially.  Chunk boundaries
-    are aligned to multiples of 8 work items so a reduction tail always
+    sequential sweep.  Anything else (e.g. the in-place [p = shift p]
+    gather) runs sequentially, in one-lane tiles.  Chunk boundaries are
+    aligned to multiples of 8 work items so a reduction tail always
     aggregates partials its own chunk wrote.  Faults are recorded per
     worker and the lowest (ctaid, tid) fault is re-raised on the
     launching thread, enriched with kernel name and thread coordinates,
     so error reporting stays deterministic.
 
-    Each launch picks one of two executors for all of its spans.  Every
-    launch the same analysis admits runs on the superinstruction (SoA)
-    executor, a cta at a time in 64-lane tiles, lock-step over register
-    rows, with branches handled by parking lanes at their targets
-    ([exec_cta_soa]).  The scalar interpreter ([exec_thread], one
-    thread at a time) runs the launches the analysis rejects, and every
-    launch when superinstructions are switched off — the reference the
-    SoA executor is tested against.
+    Every launch runs on the superinstruction (SoA) executor, a cta at a
+    time in tiles of lanes, lock-step over register rows, with branches
+    handled by parking lanes at their targets ([exec_cta_soa]).  The
+    same analysis picks the tile width: a launch it admits runs 64-lane
+    tiles, and a launch it rejects runs one-lane tiles, which is the
+    sequential (cta, tid) sweep by construction.  The scalar interpreter
+    ([exec_thread], one thread at a time) is not a runtime path: it is
+    the reference the SoA executor is tested against, reached only
+    through [run_reference] (a [Device.Reference] device).
 
     Modeling note: f32 register arithmetic is performed in double and
     rounded only when stored through an f32 buffer — the same convention
@@ -86,9 +87,10 @@ open Ptx.Types
       VM runs of an f16 kernel stay bit-identical)
 
    Loads and stores share one operand layout — value register in [a],
-   address register in [b], byte offset in [c] — so both executors
-   drive them through the one per-lane routine [mem_lane].  The opcode
-   classes the planner and the SoA control loop test: *)
+   address register in [b], byte offset in [c] — so the SoA executor
+   and the reference interpreter drive them through the one per-lane
+   routine [mem_lane].  The opcode classes the planner and the SoA
+   control loop test: *)
 
 let is_ret o = o = 0
 let is_div_i o = o = 10
@@ -117,8 +119,6 @@ type access = {
   a_class : access_class;
   a_store : bool;
 }
-
-type wctx = { wf : float array; wi : int array; wp : bool array }
 
 (* ------------------------------------------------------------------ *)
 (* Superinstruction plan: decode-time structure for the SoA executor.
@@ -210,13 +210,9 @@ type program = {
   soa : soa_plan;  (** superinstruction plan *)
 }
 
-(* Process-wide executor switch: off sends every launch to the scalar
-   interpreter, the reference the tests and the bench A/B compare the
-   SoA executor against. *)
-let superinsn_on = ref true
-
-let set_superinstructions b = superinsn_on := b
-let superinstructions_enabled () = !superinsn_on
+(* The SoA executor is the only runtime path; the interface says why
+   this constant stays. *)
+let superinstructions_enabled () = true
 
 type soa_stats = {
   spans : int;
@@ -760,28 +756,21 @@ let compile (kernel : kernel) =
 let decoder_version = 7
 
 (* ------------------------------------------------------------------ *)
-(* Register files.  Each domain owns one arena — a scalar [wctx] and a
-   SoA [soa_ctx] — that only it grows, to the largest program it has
-   run, so nothing needs sizing before workers start.  Programs share
-   the rows, so every span installs its program's constant pools before
-   it runs.  The arena is per domain, not per worker index, because
-   [Multi.par_ranks] runs several ranks' sweeps at once, each inline as
-   worker 0 on its own domain. *)
-
-type arena = { w : wctx; s : soa_ctx }
+(* Register files.  Each domain owns one SoA arena that only it grows,
+   to the largest program it has run, so nothing needs sizing before
+   workers start.  Programs share the rows, so every span installs its
+   program's constant pools before it runs.  The arena is per domain,
+   not per worker index, because [Multi.par_ranks] runs several ranks'
+   sweeps at once, each inline as worker 0 on its own domain. *)
 
 let new_arena ~nf ~ni ~np =
   {
-    w = { wf = Array.make nf 0.0; wi = Array.make ni 0; wp = Array.make np false };
-    s =
-      {
-        sf = Array.make (nf * tile) 0.0;
-        si = Array.make (ni * tile) 0;
-        sp = Array.make (np * tile) false;
-        act = Array.make tile 0;
-        park = Array.make tile (-1);
-        sa = Array.make tile 0;
-      };
+    sf = Array.make (nf * tile) 0.0;
+    si = Array.make (ni * tile) 0;
+    sp = Array.make (np * tile) false;
+    act = Array.make tile 0;
+    park = Array.make tile (-1);
+    sa = Array.make tile 0;
   }
 
 let arena_key = Domain.DLS.new_key (fun () -> new_arena ~nf:0 ~ni:0 ~np:0)
@@ -791,51 +780,41 @@ let arena_key = Domain.DLS.new_key (fun () -> new_arena ~nf:0 ~ni:0 ~np:0)
 let arena p =
   let a = Domain.DLS.get arena_key in
   let nf = p.nfreg + Array.length p.fpool and ni = p.nireg + Array.length p.ipool in
-  let have v = Array.length v in
-  if nf <= have a.w.wf && ni <= have a.w.wi && p.npred <= have a.w.wp then a
+  let rows v = Array.length v / tile in
+  if nf <= rows a.sf && ni <= rows a.si && p.npred <= rows a.sp then a
   else begin
     let a =
-      new_arena ~nf:(max nf (have a.w.wf)) ~ni:(max ni (have a.w.wi))
-        ~np:(max p.npred (have a.w.wp))
+      new_arena ~nf:(max nf (rows a.sf)) ~ni:(max ni (rows a.si)) ~np:(max p.npred (rows a.sp))
     in
     Domain.DLS.set arena_key a;
     a
   end
 
-(* Scalar files for a span of [p]: the allocated register slots zeroed,
-   as in a fresh context, and constant pools installed past them. *)
-let bind_wctx p =
-  let w = (arena p).w in
-  Array.fill w.wf 0 p.nfreg 0.0;
-  Array.fill w.wi 0 p.nireg 0;
-  Array.fill w.wp 0 p.npred false;
-  Array.blit p.fpool 0 w.wf p.nfreg (Array.length p.fpool);
-  Array.blit p.ipool 0 w.wi p.nireg (Array.length p.ipool);
-  w
-
 (* SoA rows for a span of [p]: [tile] lanes per physical slot, constant
    pools broadcast across their rows past the allocated slots.  No
-   zeroing is ever needed, not even between programs: [compile] proved every register is written
-   before it is read on each path, and the allocator never lets another
-   register write a slot between a register's definition and its reads
-   on any path, mirroring how the scalar path reuses one [wctx] across
-   all threads of a span. *)
+   zeroing is ever needed, not even between programs: [compile] proved
+   every register is written before it is read on each path, and the
+   allocator never lets another register write a slot between a
+   register's definition and its reads on any path — which is also why
+   the one-lane tiles of a rejected launch can reuse lane 0's rows for
+   every thread of the span. *)
 let bind_soa p =
-  let s = (arena p).s in
+  let s = arena p in
   Array.iteri (fun pi v -> Array.fill s.sf ((p.nfreg + pi) * tile) tile v) p.fpool;
   Array.iteri (fun pi v -> Array.fill s.si ((p.nireg + pi) * tile) tile v) p.ipool;
   s
 
 (* ------------------------------------------------------------------ *)
-(* The interpreter. *)
+(* Per-lane memory access and the reference interpreter. *)
 
 let round32 v = Int32.float_of_bits (Int32.bits_of_float v)
 
-(* One global load or store for one lane, shared by both executors:
-   [o] is the memory opcode, [addr] the effective byte address and [r]
-   the value register's index into [f] (float classes) or [i] (i32).
-   Buffer lookup, kind check and alignment check run in that order, so
-   a lane faults with the same message whichever executor runs it. *)
+(* One global load or store for one lane, shared by the SoA executor
+   and the reference interpreter: [o] is the memory opcode, [addr] the
+   effective byte address and [r] the value register's index into [f]
+   (float classes) or [i] (i32).  Buffer lookup, kind check and
+   alignment check run in that order, so a lane faults with the same
+   message whichever of the two runs it. *)
 let mem_lane lookup o addr (f : float array) (i : int array) r =
   let off = addr land Buffer.offset_mask in
   match (o, lookup (addr lsr Buffer.offset_bits)) with
@@ -848,9 +827,15 @@ let mem_lane lookup o addr (f : float array) (i : int array) r =
   | 42, Buffer.I32 a ->
       if off land 3 <> 0 then fault "misaligned i32 load";
       i.(r) <- Int32.to_int (Bigarray.Array1.get a (off lsr 2))
-  | 43, Buffer.F32 a -> Bigarray.Array1.set a (off lsr 2) f.(r)
-  | 44, Buffer.F64 a -> Bigarray.Array1.set a (off lsr 3) f.(r)
-  | 45, Buffer.I32 a -> Bigarray.Array1.set a (off lsr 2) (Int32.of_int i.(r))
+  | 43, Buffer.F32 a ->
+      if off land 3 <> 0 then fault "misaligned f32 store";
+      Bigarray.Array1.set a (off lsr 2) f.(r)
+  | 44, Buffer.F64 a ->
+      if off land 7 <> 0 then fault "misaligned f64 store";
+      Bigarray.Array1.set a (off lsr 3) f.(r)
+  | 45, Buffer.I32 a ->
+      if off land 3 <> 0 then fault "misaligned i32 store";
+      Bigarray.Array1.set a (off lsr 2) (Int32.of_int i.(r))
   | 48, Buffer.F16 a ->
       if off land 1 <> 0 then fault "misaligned f16 load";
       f.(r) <- Half.float_of_bits (Bigarray.Array1.get a (off lsr 1))
@@ -861,6 +846,12 @@ let mem_lane lookup o addr (f : float array) (i : int array) r =
   | 45, _ -> fault "typed integer store does not match buffer kind"
   | (40 | 41 | 48), _ -> fault "typed load does not match buffer kind"
   | _ -> fault "typed store does not match buffer kind"
+
+(* The reference interpreter: one thread at a time over scalar register
+   files, a plain reading of the decoded program.  No runtime path
+   reaches it; [run_reference] drives it for the tests and the bench
+   A/B that hold the SoA executor to it. *)
+type wctx = { wf : float array; wi : int array; wp : bool array }
 
 let exec_thread p (lookup : int -> Buffer.data) (args : param_value array) (w : wctx) ~tid
     ~ctaid ~ntid ~nctaid =
@@ -1008,8 +999,10 @@ let exec_thread p (lookup : int -> Buffer.data) (args : param_value array) (w : 
 (* ------------------------------------------------------------------ *)
 (* Superinstruction (structure-of-arrays) execution of one cta.
 
-   A cta runs as consecutive tiles of [tile] lanes, in lane order, lane
-   [l] of the tile at base [b] being thread [b + l].  Inside a tile
+   A cta runs as consecutive tiles of [lanes] lanes ([tile] or 1), in
+   lane order, lane [l] of the tile at base [b] being thread [b + l].
+   Register rows keep their [tile] stride whatever the width, so a
+   one-lane tile simply uses lane 0 of every row.  Inside a tile
    every active lane advances through the program lock-step, one fused
    dispatch per plan unit (see [soa_plan]): mixed ALU chains run their
    instructions back-to-back over the flat register rows, with the
@@ -1030,9 +1023,13 @@ let exec_thread p (lookup : int -> Buffer.data) (args : param_value array) (w : 
    the walk visits every instruction at most once per tile and each
    lane executes exactly its own path, in its order.
 
-   For launches admitted by [parallel_ok] this is bit-identical to the
-   scalar (lane-major) sweep: lanes are independent except for the
-   radix-8 reduction-tail contract, whose only cross-lane
+   One-lane tiles run each thread's whole path before the next thread
+   starts, which is the scalar (lane-major) sweep by construction; the
+   launches [parallel_ok] rejects run that way, so cross-thread
+   dependences such as the in-place [p = shift p] gather see exactly the
+   sequential order.  For launches [parallel_ok] admits, 64-lane tiles
+   are bit-identical to the same sweep: lanes are independent except
+   for the radix-8 reduction-tail contract, whose only cross-lane
    reads-after-writes flow from lower lanes at earlier program points
    to a later lane at a later program point — an order lock-step
    preserves within a tile, and lower tiles finish before higher ones
@@ -1191,7 +1188,7 @@ let fma_dense sf ba bb bc bd n =
   done
 
 let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s : soa_ctx)
-    ~ctaid ~block ~grid =
+    ~lanes ~ctaid ~block ~grid =
   let plan = p.soa in
   let ninstr = Array.length plan.span_end in
   let co = p.co and ca = p.ca and cb = p.cb and cc = p.cc and cd = p.cd in
@@ -1766,7 +1763,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
                   let addr = Array.unsafe_get sa l in
-                  if addr lsr obits <> bid0 then raise Exit;
+                  if addr lsr obits <> bid0 || addr land 3 <> 0 then raise Exit;
                   Bigarray.Array1.set a ((addr land omask) lsr 2) (Array.unsafe_get sf (r + l))
                 done;
                 true
@@ -1774,7 +1771,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
                   let addr = Array.unsafe_get sa l in
-                  if addr lsr obits <> bid0 then raise Exit;
+                  if addr lsr obits <> bid0 || addr land 7 <> 0 then raise Exit;
                   Bigarray.Array1.set a ((addr land omask) lsr 3) (Array.unsafe_get sf (r + l))
                 done;
                 true
@@ -1782,7 +1779,7 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
                 for ai = 0 to n - 1 do
                   let l = Array.unsafe_get act ai in
                   let addr = Array.unsafe_get sa l in
-                  if addr lsr obits <> bid0 then raise Exit;
+                  if addr lsr obits <> bid0 || addr land 3 <> 0 then raise Exit;
                   Bigarray.Array1.set a ((addr land omask) lsr 2)
                     (Int32.of_int (Array.unsafe_get si (r + l)))
                 done;
@@ -1909,14 +1906,14 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
     if b >= block then None
     else begin
       base := b;
-      width := min tile (block - b);
+      width := min lanes (block - b);
       for l = 0 to !width - 1 do
         act.(l) <- l
       done;
       nact := !width;
       dense := true;
       run_tile ();
-      match !fexn with Some e -> Some (b + !fmin, e) | None -> tiles (b + tile)
+      match !fexn with Some e -> Some (b + !fmin, e) | None -> tiles (b + lanes)
     end
   in
   tiles 0
@@ -1962,8 +1959,9 @@ let access_sets p (params : param_value array) =
    chunk boundaries then keep chunk-local (the reduction-tail
    contract).  An access whose target buffer is unknown could alias any
    store, so it forces sequential execution whenever the kernel stores
-   at all — this is what keeps the in-place [p = shift p] gather on the
-   sequential path its wrap-around semantics depend on. *)
+   at all — this is what keeps the in-place [p = shift p] gather in the
+   one-lane tiles whose sequential order its wrap-around semantics
+   depend on. *)
 let parallel_ok s =
   not (s.unknown && s.any_store)
   && Hashtbl.fold
@@ -1987,36 +1985,20 @@ let enrich p e ~ctaid ~tid =
       Fault (Printf.sprintf "%s [kernel %s, ctaid %d, tid %d]" msg p.kname ctaid tid)
   | e -> e
 
-(* One cta on the scalar interpreter, threads in order; returns the
-   first faulting [(tid, exn)], like [exec_cta_soa]. *)
-let exec_cta_scalar p lookup args w ~ctaid ~block ~grid =
-  let rec go t =
-    if t >= block then None
-    else
-      match exec_thread p lookup args w ~tid:t ~ctaid ~ntid:block ~nctaid:grid with
-      | () -> go (t + 1)
-      | exception e -> Some (t, e)
-  in
-  go 0
-
-(* One cta span, executed in (cta, tid) order on the domain's register
-   files: the SoA executor's when [soa], else the scalar interpreter's,
-   bound fresh for the span.  [key] is the span's position in the flat
+(* One cta span, executed in (cta, tid) order on the domain's SoA
+   rows, in tiles of [lanes].  [key] is the span's position in the flat
    batch schedule (launch-major, cta-ordered), so the first fault
    recorded at the lowest key is exactly the fault a sequential sweep of
    the whole batch would hit first.  Recording a fault lowers [stop] so
    spans with higher keys (later ctas / later launches) bail out;
    lower-keyed spans run to completion. *)
-let run_span p lookup args ~soa ~block ~grid ~c0 ~c1 ~key ~(stop : int Atomic.t)
+let run_span p lookup args ~lanes ~block ~grid ~c0 ~c1 ~key ~(stop : int Atomic.t)
     (faults : (int * int * exn) option array) =
-  let exec_cta =
-    if soa then exec_cta_soa p lookup args (bind_soa p)
-    else exec_cta_scalar p lookup args (bind_wctx p)
-  in
+  let s = bind_soa p in
   try
     for cta = c0 to c1 - 1 do
       if Atomic.get stop < key then raise Exit;
-      match exec_cta ~ctaid:cta ~block ~grid with
+      match exec_cta_soa p lookup args s ~lanes ~ctaid:cta ~block ~grid with
       | None -> ()
       | Some (tid, e) ->
           faults.(key) <- Some (cta, tid, e);
@@ -2104,12 +2086,11 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
            (Array.mapi (fun li s -> Array.map (fun (c0, c1) -> (li, c0, c1)) s) spans))
     in
     let nitems = Array.length items in
-    (* Per-launch executor: superinstructions unless switched off, for
-       every launch that passes [parallel_ok] — the same
-       store-disjointness gate that admits worker splitting is exactly
-       the cross-lane independence the lock-step sweep relies on. *)
-    let soa = superinstructions_enabled () in
-    let use_soa = Array.map (fun ok -> soa && ok) safe in
+    (* Per-launch tile width: the store-disjointness gate that admits
+       worker splitting is exactly the cross-lane independence 64-lane
+       lock-step relies on; a launch it rejects runs one-lane tiles,
+       the sequential sweep. *)
+    let lanes = Array.map (fun ok -> if ok then tile else 1) safe in
     if nitems > 0 then begin
       let preds =
         Array.init nl (fun j ->
@@ -2161,7 +2142,7 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
                done.  Bailed-out spans (fault upstream) still count
                down [remaining], so waiters always wake. *)
             wait_deps li;
-            run_span l.l_prog lookup l.l_params ~soa:use_soa.(li) ~block:l.l_block
+            run_span l.l_prog lookup l.l_params ~lanes:lanes.(li) ~block:l.l_block
               ~grid:l.l_grid ~c0 ~c1 ~key:idx ~stop faults;
             complete li;
             loop ()
@@ -2191,6 +2172,31 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
       | None -> ()
     end
   end
+
+(* The oracle: every launch, cta and thread in order on the reference
+   interpreter, with fresh register files per launch (allocated slots
+   zeroed, constant pools past them).  No pool, no atomics and no
+   dependency edges, so it shares nothing with the runtime's scheduler;
+   the first fault is raised at once, enriched as [run_batch] enriches
+   it. *)
+let run_reference ~lookup (launches : launch array) =
+  Array.iter
+    (fun l ->
+      let p = l.l_prog in
+      let w =
+        {
+          wf = Array.append (Array.make p.nfreg 0.0) p.fpool;
+          wi = Array.append (Array.make p.nireg 0) p.ipool;
+          wp = Array.make p.npred false;
+        }
+      in
+      for ctaid = 0 to l.l_grid - 1 do
+        for tid = 0 to l.l_block - 1 do
+          try exec_thread p lookup l.l_params w ~tid ~ctaid ~ntid:l.l_block ~nctaid:l.l_grid
+          with e -> raise (enrich p e ~ctaid ~tid)
+        done
+      done)
+    launches
 
 let decoded_instructions p = Array.length p.co
 let kname p = p.kname

@@ -25,12 +25,13 @@
     buffer resolved once per tile), and per-lane-faultable islands
     (integer division).  The SoA executor runs a cta in tiles of 64
     lanes over flat unboxed register rows; branches park the lanes
-    that take them until the walk reaches the target.  Every launch
-    admitted by the parallel-safety analysis runs on it, bit-identically
-    to the scalar interpreter at every worker count; the scalar
-    interpreter runs the launches that analysis rejects and serves as
-    the reference when superinstructions are switched off.  See
-    DESIGN.md "SIMD-blocked superinstructions". *)
+    that take them until the walk reaches the target.  It is the only
+    runtime executor: a launch the parallel-safety analysis admits runs
+    64-lane tiles, and a launch it rejects runs one-lane tiles, which
+    is the sequential (cta, tid) sweep by construction.  The scalar
+    interpreter is kept purely as the oracle, reached through
+    {!run_reference}; the SoA executor is bit-identical to it at every
+    worker count.  See DESIGN.md "SIMD-blocked superinstructions". *)
 
 type param_value = Ptr of Buffer.t | Int of int | Float of float
 
@@ -94,18 +95,28 @@ val run_batch :
     provenance proves its loads can't alias any predecessor's pending
     stores (conservative per-buffer RAW/WAW/WAR edges; an access with
     an unresolvable base buffer makes its launch a full barrier).
-    Results are bit-identical to running the launches one by one on the
-    sequential interpreter at every worker count, and faults are
+    Every launch runs on the SoA executor; the split verdict also sets
+    its tile width (64 lanes when admitted, one lane — the sequential
+    sweep — when rejected).  Results are bit-identical to
+    {!run_reference} at every worker count, and faults are
     deterministic: the lowest (launch index, ctaid, tid) fault wins
-    batch-wide and is raised with the same message the sequential
-    sweep would produce.  On a fault, launches/spans scheduled after
-    the winning fault may or may not have executed — exactly the
-    contract a faulting device leaves memory in.  [workers] (default 1)
+    batch-wide and is raised with the same message {!run_reference}
+    raises.  On a fault, launches/spans scheduled after the winning
+    fault may or may not have executed — exactly the contract a
+    faulting device leaves memory in.  [workers] (default 1)
     caps the number of {!Vm_backend} workers; the effective count per
     launch also respects the parallel-safety analysis, chunk
     granularity (whole ctas, multiples of 8 work items) and a
     small-launch threshold, and a batch under that threshold in total
     work items runs inline on the calling thread. *)
+
+val run_reference : lookup:(int -> Buffer.data) -> launch array -> unit
+(** The oracle the runtime is held to: each launch, then each cta, then
+    each thread in order, on the scalar reference interpreter with a
+    fresh register file per launch.  No worker pool, atomics or
+    dependency edges; the first fault stops the sweep and is raised
+    enriched with kernel name, ctaid and tid, exactly as {!run_batch}
+    reports it.  A [Device.Reference] device drains its queue here. *)
 
 val decoded_instructions : program -> int
 (** Flat instruction count after label compaction (introspection). *)
@@ -113,15 +124,11 @@ val decoded_instructions : program -> int
 val kname : program -> string
 (** The kernel's entry name. *)
 
-val set_superinstructions : bool -> unit
-(** Switch superinstruction (SoA) execution process-wide (default on).
-    Off sends every launch to the scalar interpreter; results are
-    bit-identical either way, so this is the reference lever for tests
-    and the bench A/B.  {!run_batch} reads the switch when it runs, so
-    it applies to launches a device has queued when its queue drains:
-    switch it around a synchronize. *)
-
 val superinstructions_enabled : unit -> bool
+(** Always [true]: the SoA executor is the only runtime path, and the
+    scalar interpreter is reached only through {!run_reference}.  Kept
+    as a constant because the end-to-end benchmark ([perfbench/main.ml])
+    still reads it; it goes with that program's next change. *)
 
 type soa_stats = {
   spans : int;

@@ -124,20 +124,22 @@ let upload t entry =
   Device.flush_batch t.device;
   (* Model-only devices account the transfer but skip the data movement:
      the paper-scale sweeps only need the clock. *)
-  (if t.device.Device.mode = Device.Functional then
-     match (Field.unsafe_storage f, entry.buf.Buffer_.data) with
-     | Field.S16 host, Buffer_.F16 dev ->
-         (* binary16 payloads travel as-is: both sides hold the same 16-bit
-            encodings, only the site ordering changes. *)
-         Index.convert ~src:host ~dst:dev ~from_scheme:Index.Aos ~to_scheme:Index.Soa
-           f.Field.shape ~nsites
-     | Field.S32 host, Buffer_.F32 dev ->
-         Index.convert ~src:host ~dst:dev ~from_scheme:Index.Aos ~to_scheme:Index.Soa
-           f.Field.shape ~nsites
-     | Field.S64 host, Buffer_.F64 dev ->
-         Index.convert ~src:host ~dst:dev ~from_scheme:Index.Aos ~to_scheme:Index.Soa
-           f.Field.shape ~nsites
-     | _ -> assert false);
+  (match t.device.Device.mode with
+  | Device.Model_only -> ()
+  | Device.Functional | Device.Reference -> (
+      match (Field.unsafe_storage f, entry.buf.Buffer_.data) with
+      | Field.S16 host, Buffer_.F16 dev ->
+          (* binary16 payloads travel as-is: both sides hold the same 16-bit
+             encodings, only the site ordering changes. *)
+          Index.convert ~src:host ~dst:dev ~from_scheme:Index.Aos ~to_scheme:Index.Soa
+            f.Field.shape ~nsites
+      | Field.S32 host, Buffer_.F32 dev ->
+          Index.convert ~src:host ~dst:dev ~from_scheme:Index.Aos ~to_scheme:Index.Soa
+            f.Field.shape ~nsites
+      | Field.S64 host, Buffer_.F64 dev ->
+          Index.convert ~src:host ~dst:dev ~from_scheme:Index.Aos ~to_scheme:Index.Soa
+            f.Field.shape ~nsites
+      | _ -> assert false));
   issue_transfer t entry ~to_device:true ~sync:false;
   entry.host_version <- f.Field.version;
   entry.device_dirty <- false;
@@ -153,18 +155,20 @@ let page_out ?(sync = true) t entry =
   (* The device copy being read back may be the output of launches still
      queued on the device; run them first. *)
   Device.flush_batch t.device;
-  (if t.device.Device.mode = Device.Functional then
-     match (Field.unsafe_storage f, entry.buf.Buffer_.data) with
-     | Field.S16 host, Buffer_.F16 dev ->
-         Index.convert ~src:dev ~dst:host ~from_scheme:Index.Soa ~to_scheme:Index.Aos
-           f.Field.shape ~nsites
-     | Field.S32 host, Buffer_.F32 dev ->
-         Index.convert ~src:dev ~dst:host ~from_scheme:Index.Soa ~to_scheme:Index.Aos
-           f.Field.shape ~nsites
-     | Field.S64 host, Buffer_.F64 dev ->
-         Index.convert ~src:dev ~dst:host ~from_scheme:Index.Soa ~to_scheme:Index.Aos
-           f.Field.shape ~nsites
-     | _ -> assert false);
+  (match t.device.Device.mode with
+  | Device.Model_only -> ()
+  | Device.Functional | Device.Reference -> (
+      match (Field.unsafe_storage f, entry.buf.Buffer_.data) with
+      | Field.S16 host, Buffer_.F16 dev ->
+          Index.convert ~src:dev ~dst:host ~from_scheme:Index.Soa ~to_scheme:Index.Aos
+            f.Field.shape ~nsites
+      | Field.S32 host, Buffer_.F32 dev ->
+          Index.convert ~src:dev ~dst:host ~from_scheme:Index.Soa ~to_scheme:Index.Aos
+            f.Field.shape ~nsites
+      | Field.S64 host, Buffer_.F64 dev ->
+          Index.convert ~src:dev ~dst:host ~from_scheme:Index.Soa ~to_scheme:Index.Aos
+            f.Field.shape ~nsites
+      | _ -> assert false));
   issue_transfer t entry ~to_device:false ~sync;
   entry.device_dirty <- false;
   (* The page-out changed the host content: bump the version so that any

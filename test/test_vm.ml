@@ -59,6 +59,10 @@ let engines =
     (8, Engine.create ~vm_domains:8 ());
   ]
 
+(* The oracle engine: its device drains every queue on the scalar
+   reference interpreter ([Vm.run_reference]). *)
+let reference_engine = Engine.create ~mode:Device.Reference ~vm_domains:1 ()
+
 let run_jit eng seed prog =
   let pool = fresh_pool seed 4 in
   List.iter (fun op -> Engine.eval eng pool.(op_dest op) (op_expr pool op)) prog;
@@ -138,18 +142,14 @@ let qcheck_reductions =
       && ceq r1 rc && ceq i1 ic)
 
 (* ------------------------------------------------------------------ *)
-(* Superinstruction (SoA) dispatch: toggling the executor must be
-   invisible — same bits, same faults — at every worker count. *)
-
-let with_superinsn b f =
-  let prev = Gpusim.Vm.superinstructions_enabled () in
-  Gpusim.Vm.set_superinstructions b;
-  Fun.protect ~finally:(fun () -> Gpusim.Vm.set_superinstructions prev) f
+(* Superinstruction (SoA) executor against the scalar reference: a
+   [Reference] device must be indistinguishable from the runtime — same
+   bits, same faults — at every worker count. *)
 
 let qcheck_superinsn_onoff =
   QCheck.Test.make ~count:15
     ~name:"superinstructions on/off: bit-identical at 1/2/4/8 workers" arb_prog (fun prog ->
-      let off = with_superinsn false (fun () -> run_jit (List.assoc 1 engines) 29L prog) in
+      let off = run_jit reference_engine 29L prog in
       let equal a b =
         let ok = ref true in
         for site = 0 to Field.volume a - 1 do
@@ -163,7 +163,7 @@ let qcheck_superinsn_onoff =
       in
       List.for_all
         (fun w ->
-          let on = with_superinsn true (fun () -> run_jit (List.assoc w engines) 29L prog) in
+          let on = run_jit (List.assoc w engines) 29L prog in
           Array.for_all2 equal off on)
         [ 1; 2; 4; 8 ])
 
@@ -218,8 +218,8 @@ let launch dev compiled ~nthreads ~block ~params =
   ns
 
 (* Fill x with 1 except zeros at [sites]; launch and return the fault. *)
-let launch_divk ~vm_domains ~zero_sites =
-  let dev = Device.create ~vm_domains Machine.k20x_ecc_off in
+let launch_divk ?(mode = Device.Functional) ~vm_domains ~zero_sites () =
+  let dev = Device.create ~mode ~vm_domains Machine.k20x_ecc_off in
   let x = Device.alloc_i32 dev n_threads and y = Device.alloc_i32 dev n_threads in
   (match x.Buffer_.data with
   | Buffer_.I32 xa ->
@@ -256,11 +256,11 @@ let check_fault what msg_opt =
    (ctaid, tid) — site 600 = (4, 88) — must win, exactly as the
    sequential sweep reports it. *)
 let test_fault_from_worker_domain () =
-  check_fault "parallel" (launch_divk ~vm_domains:4 ~zero_sites:[ 1600; 600 ])
+  check_fault "parallel" (launch_divk ~vm_domains:4 ~zero_sites:[ 1600; 600 ] ())
 
 let test_fault_deterministic_across_workers () =
-  let seq = launch_divk ~vm_domains:1 ~zero_sites:[ 1600; 600 ] in
-  let par = launch_divk ~vm_domains:4 ~zero_sites:[ 1600; 600 ] in
+  let seq = launch_divk ~vm_domains:1 ~zero_sites:[ 1600; 600 ] () in
+  let par = launch_divk ~vm_domains:4 ~zero_sites:[ 1600; 600 ] () in
   check_fault "sequential" seq;
   match (seq, par) with
   | Some a, Some b -> Alcotest.(check string) "same fault either way" a b
@@ -269,7 +269,7 @@ let test_fault_deterministic_across_workers () =
 let test_fault_names_first_thread () =
   (* Every thread faults: the report must still be the deterministic
      (ctaid 0, tid 0), kernel name included. *)
-  match launch_divk ~vm_domains:4 ~zero_sites:(List.init n_threads Fun.id) with
+  match launch_divk ~vm_domains:4 ~zero_sites:(List.init n_threads Fun.id) () with
   | None -> Alcotest.fail "all-zero divisors did not fault"
   | Some msg ->
       List.iter
@@ -370,11 +370,59 @@ let bigk_text =
     @ terms @ sums
     @ [ "\tst.global.s32 \t[%rd5+0], %r44;"; "EXIT:"; "\tret;"; "}" ])
 
+(* y[i] = n / x[idx[i]], the source loaded through an index table: the
+   address derives from loaded data, so the load has Gather class.  Run
+   in place (x = y) the safety analysis rejects it — a stored buffer is
+   also gathered — and its result depends on the (cta, tid) order: with
+   idx[i] = i xor 1, an odd site divides by its even partner's *new*
+   value, which the sequential sweep has already written. *)
+let gatk_text =
+  {|
+.version 3.1
+.target sm_35
+.address_size 64
+
+.visible .entry gatk(
+	.param .u64 gatk_param_0,
+	.param .u64 gatk_param_1,
+	.param .u64 gatk_param_2,
+	.param .s32 gatk_param_3
+)
+{
+	ld.param.u64 	%rd1, [gatk_param_0];
+	ld.param.u64 	%rd2, [gatk_param_1];
+	ld.param.u64 	%rd6, [gatk_param_2];
+	ld.param.s32 	%r1, [gatk_param_3];
+	mov.u32 	%r2, %tid.x;
+	mov.u32 	%r3, %ntid.x;
+	mov.u32 	%r4, %ctaid.x;
+	mad.lo.s32 	%r5, %r4, %r3, %r2;
+	setp.ge.s32 	%p1, %r5, %r1;
+	@%p1 bra 	EXIT;
+	mul.lo.s32 	%r6, %r5, 4;
+	cvt.s64.s32 	%rs1, %r6;
+	cvt.u64.s64 	%rd3, %rs1;
+	add.u64 	%rd7, %rd6, %rd3;
+	ld.global.s32 	%r7, [%rd7+0];
+	mul.lo.s32 	%r8, %r7, 4;
+	cvt.s64.s32 	%rs2, %r8;
+	cvt.u64.s64 	%rd8, %rs2;
+	add.u64 	%rd4, %rd1, %rd8;
+	ld.global.s32 	%r9, [%rd4+0];
+	div.s32 	%r10, %r1, %r9;
+	add.u64 	%rd5, %rd2, %rd3;
+	st.global.s32 	[%rd5+0], %r10;
+EXIT:
+	ret;
+}
+|}
+
 let addk_compiled = lazy (Jit.compile addk_text)
 let divk_compiled = lazy (Jit.compile divk_text)
 let bigk_compiled = lazy (Jit.compile bigk_text)
+let gatk_compiled = lazy (Jit.compile gatk_text)
 
-type bkind = Badd of int | Bdiv | Bbig
+type bkind = Badd of int | Bdiv | Bbig | Bgat
 type blaunch = { bl_dst : int; bl_src : int; bl_kind : bkind }
 
 let npool = 4
@@ -397,10 +445,17 @@ let snapshot buf =
   | Buffer_.I32 a -> Array.init n_threads (fun i -> a.{i})
   | _ -> assert false
 
-let run_batch_prog ~vm_domains ~batched prog =
-  let dev = Device.create ~vm_domains Machine.k20x_ecc_off in
+let run_batch_prog ?(mode = Device.Functional) ~vm_domains ~batched prog =
+  let dev = Device.create ~mode ~vm_domains Machine.k20x_ecc_off in
   let bufs = Array.init npool (fun _ -> Device.alloc_i32 dev n_threads) in
   fill_pool bufs;
+  let idx = Device.alloc_i32 dev n_threads in
+  (match idx.Buffer_.data with
+  | Buffer_.I32 a ->
+      for i = 0 to n_threads - 1 do
+        a.{i} <- Int32.of_int (i lxor 1)
+      done
+  | _ -> assert false);
   let go l =
     let x = Gpusim.Vm.Ptr bufs.(l.bl_src) and y = Gpusim.Vm.Ptr bufs.(l.bl_dst) in
     ignore
@@ -413,7 +468,16 @@ let run_batch_prog ~vm_domains ~batched prog =
             ~params:[| x; y; Gpusim.Vm.Int n_threads |]
       | Bbig ->
           Device.execute dev (Lazy.force bigk_compiled) ~nthreads:n_threads ~block
-            ~params:[| x; y; Gpusim.Vm.Int n_threads |])
+            ~params:[| x; y; Gpusim.Vm.Int n_threads |]
+      | Bgat ->
+          let c = Lazy.force gatk_compiled in
+          let params = [| x; y; Gpusim.Vm.Ptr idx; Gpusim.Vm.Int n_threads |] in
+          (* In place, the launch must take the one-lane path; otherwise
+             it splits and runs 64-lane like the streaming kernels. *)
+          let par = Gpusim.Vm.parallelizable c.Jit.program ~params in
+          if par = (l.bl_dst = l.bl_src) then
+            failwith (Printf.sprintf "gatk b%d <- b%d: parallelizable = %b" l.bl_dst l.bl_src par);
+          Device.execute dev c ~nthreads:n_threads ~block ~params)
   in
   match
     if batched then begin
@@ -438,6 +502,7 @@ let show_blaunch l =
   | Badd c -> Printf.sprintf "b%d = b%d + %d" l.bl_dst l.bl_src c
   | Bdiv -> Printf.sprintf "b%d = n / b%d" l.bl_dst l.bl_src
   | Bbig -> Printf.sprintf "b%d = 16 b%d + 136" l.bl_dst l.bl_src
+  | Bgat -> Printf.sprintf "b%d = n / b%d[i xor 1]" l.bl_dst l.bl_src
 
 (* A fault-free chain where every launch reads the previous one's
    output, alternating bigk with the small kernels, so at one worker
@@ -451,17 +516,32 @@ let alternating =
       (1, 0, Bdiv); (2, 1, Bbig); (3, 2, Badd (-4)); (0, 3, Bbig);
     ]
 
+(* An in-place gather that faults inside its rejected launch: b1 + 3
+   is zero exactly at sites 9k + 2, so the sequential sweep first
+   divides by zero at tid 10 (reading site 11), where 64-lane lock-step
+   would already fault at tid 3 (reading site 2 before tid 2 rewrites
+   it).  The batch generator draws it one time in eight. *)
+let in_place_gather_fault =
+  [ { bl_dst = 1; bl_src = 1; bl_kind = Badd 3 }; { bl_dst = 1; bl_src = 1; bl_kind = Bgat } ]
+
 let arb_batch_prog =
   let gen =
     QCheck.Gen.(
       let idx = int_range 0 (npool - 1) in
       let kind =
-        oneof [ map (fun c -> Badd c) (oneofl [ 3; 5; -4; 11; 0 ]); return Bdiv; return Bbig ]
+        oneof
+          [
+            map (fun c -> Badd c) (oneofl [ 3; 5; -4; 11; 0 ]);
+            return Bdiv;
+            return Bbig;
+            return Bgat;
+          ]
       in
       frequency
         [
-          (1, return alternating);
-          ( 3,
+          (2, return alternating);
+          (1, return in_place_gather_fault);
+          ( 5,
             list_size (int_range 2 10)
               (map3 (fun d s k -> { bl_dst = d; bl_src = s; bl_kind = k }) idx idx kind) );
         ])
@@ -483,30 +563,30 @@ let qcheck_batched_sweeps =
           | _ -> false)
         [ 1; 2; 4; 8 ])
 
-(* The same random launch chains, batched on either executor, against
-   the unbatched scalar interpreter: buffer contents must match
-   bit-for-bit and a faulting chain must report the exact same message —
-   kernel name, ctaid and tid — at every worker count.  divk/addk/bigk
-   are SoA-eligible (straight-line bodies with one forward exit branch),
-   so the SoA executor really runs here. *)
+(* The same random launch chains, batched on the runtime and on a
+   [Reference] device, against the unbatched [Reference] device: buffer
+   contents must match bit-for-bit and a faulting chain must report the
+   exact same message — kernel name, ctaid and tid — at every worker
+   count.  divk/addk/bigk and gatk between distinct buffers run 64-lane
+   SoA tiles; gatk in place runs one-lane tiles. *)
 let superinsn_agrees prog =
   let ref_fault, ref_bufs =
-    with_superinsn false (fun () -> run_batch_prog ~vm_domains:1 ~batched:false prog)
+    run_batch_prog ~mode:Device.Reference ~vm_domains:1 ~batched:false prog
   in
   List.for_all
-    (fun (superinsn, w) ->
-      let fault, bufs =
-        with_superinsn superinsn (fun () -> run_batch_prog ~vm_domains:w ~batched:true prog)
-      in
+    (fun (mode, w) ->
+      let fault, bufs = run_batch_prog ~mode ~vm_domains:w ~batched:true prog in
       match ((ref_fault, ref_bufs), (fault, bufs)) with
       | (None, Some rb), (None, Some b) -> Array.for_all2 (fun ra a -> ra = a) rb b
       | (Some rm, None), (Some m, None) -> rm = m
       | _ -> false)
-    (List.concat_map (fun s -> List.map (fun w -> (s, w)) [ 1; 2; 4; 8 ]) [ false; true ])
+    ((Device.Reference, 1) :: List.map (fun w -> (Device.Functional, w)) [ 1; 2; 4; 8 ])
 
 let qcheck_superinsn_faults =
   QCheck.Test.make ~count:20
-    ~name:"superinstructions on/off: identical contents and fault reports at 1/2/4/8 workers"
+    ~name:
+      "superinstructions on/off: identical contents and fault reports, Reference vs 1/2/4/8 \
+       workers"
     arb_batch_prog superinsn_agrees
 
 (* Two domains sweeping at once, each inline as its own worker 0 (the
@@ -658,30 +738,29 @@ EXIT:
 
 let mixk_compiled = lazy (Jit.compile mixk_text)
 
-let run_mixk ~vm_domains ~superinsn ~c ~thr =
-  with_superinsn superinsn (fun () ->
-      let dev = Device.create ~vm_domains Machine.k20x_ecc_off in
-      let x = Device.alloc_f64 dev n_threads and y = Device.alloc_f64 dev n_threads in
-      (match (x.Buffer_.data, y.Buffer_.data) with
-      | Buffer_.F64 xa, Buffer_.F64 ya ->
-          for i = 0 to n_threads - 1 do
-            xa.{i} <- float_of_int ((i * 7 mod 23) - 11) *. 0.5;
-            ya.{i} <- -1.0
-          done
-      | _ -> assert false);
-      ignore
-        (launch dev (Lazy.force mixk_compiled) ~nthreads:n_threads ~block
-           ~params:
-             [|
-               Gpusim.Vm.Ptr x;
-               Gpusim.Vm.Ptr y;
-               Gpusim.Vm.Int n_threads;
-               Gpusim.Vm.Float c;
-               Gpusim.Vm.Float thr;
-             |]);
-      match y.Buffer_.data with
-      | Buffer_.F64 ya -> Array.init n_threads (fun i -> Int64.bits_of_float ya.{i})
-      | _ -> assert false)
+let run_mixk ~mode ~vm_domains ~c ~thr =
+  let dev = Device.create ~mode ~vm_domains Machine.k20x_ecc_off in
+  let x = Device.alloc_f64 dev n_threads and y = Device.alloc_f64 dev n_threads in
+  (match (x.Buffer_.data, y.Buffer_.data) with
+  | Buffer_.F64 xa, Buffer_.F64 ya ->
+      for i = 0 to n_threads - 1 do
+        xa.{i} <- float_of_int ((i * 7 mod 23) - 11) *. 0.5;
+        ya.{i} <- -1.0
+      done
+  | _ -> assert false);
+  ignore
+    (launch dev (Lazy.force mixk_compiled) ~nthreads:n_threads ~block
+       ~params:
+         [|
+           Gpusim.Vm.Ptr x;
+           Gpusim.Vm.Ptr y;
+           Gpusim.Vm.Int n_threads;
+           Gpusim.Vm.Float c;
+           Gpusim.Vm.Float thr;
+         |]);
+  match y.Buffer_.data with
+  | Buffer_.F64 ya -> Array.init n_threads (fun i -> Int64.bits_of_float ya.{i})
+  | _ -> assert false
 
 let arb_mixk =
   QCheck.make
@@ -695,13 +774,11 @@ let arb_mixk =
 
 let qcheck_mixk_bit_identity =
   QCheck.Test.make ~count:12
-    ~name:"mixed-chain kernel: 1/2/4/8 workers x executor on/off bit-identical" arb_mixk
+    ~name:"mixed-chain kernel: 1/2/4/8 workers = Reference, bit-identical" arb_mixk
     (fun (c, thr) ->
-      let reference = run_mixk ~vm_domains:1 ~superinsn:false ~c ~thr in
+      let reference = run_mixk ~mode:Device.Reference ~vm_domains:1 ~c ~thr in
       List.for_all
-        (fun w ->
-          run_mixk ~vm_domains:w ~superinsn:false ~c ~thr = reference
-          && run_mixk ~vm_domains:w ~superinsn:true ~c ~thr = reference)
+        (fun w -> run_mixk ~mode:Device.Functional ~vm_domains:w ~c ~thr = reference)
         [ 1; 2; 4; 8 ])
 
 let test_mixk_plan_shape () =
@@ -721,7 +798,7 @@ let test_mixk_plan_shape () =
 
 let test_fault_at_synchronize_then_reuse () =
   let sequential =
-    match launch_divk ~vm_domains:1 ~zero_sites:[ 600 ] with
+    match launch_divk ~vm_domains:1 ~zero_sites:[ 600 ] () with
     | Some m -> m
     | None -> Alcotest.fail "sequential reference did not fault"
   in
@@ -836,25 +913,24 @@ JOIN:|}))
 
 (* x: negative at multiples of 3, positive elsewhere; z: positive.
    [x_zeros] fault the d >= 0 arm, [z_zeros] diamk's other arm. *)
-let run_branch_kernel compiled ~vm_domains ~superinsn ~block ~x_zeros ~z_zeros =
-  with_superinsn superinsn (fun () ->
-      let dev = Device.create ~vm_domains Machine.k20x_ecc_off in
-      let buf () = Device.alloc_i32 dev n_threads in
-      let x = buf () and y = buf () and z = buf () in
-      (match (x.Buffer_.data, y.Buffer_.data, z.Buffer_.data) with
-      | Buffer_.I32 xa, Buffer_.I32 ya, Buffer_.I32 za ->
-          for i = 0 to n_threads - 1 do
-            xa.{i} <- Int32.of_int (if i mod 3 = 0 then -1 - (i mod 7) else 1 + (i mod 5));
-            za.{i} <- Int32.of_int (1 + (i mod 11));
-            ya.{i} <- 0l
-          done;
-          List.iter (fun i -> xa.{i} <- 0l) x_zeros;
-          List.iter (fun i -> za.{i} <- 0l) z_zeros
-      | _ -> assert false);
-      let params = [| Gpusim.Vm.Ptr x; Gpusim.Vm.Ptr y; Gpusim.Vm.Ptr z; Gpusim.Vm.Int n_threads |] in
-      match launch dev compiled ~nthreads:n_threads ~block ~params with
-      | _ -> Ok (snapshot y)
-      | exception Gpusim.Vm.Fault m -> Error m)
+let run_branch_kernel compiled ~mode ~vm_domains ~block ~x_zeros ~z_zeros =
+  let dev = Device.create ~mode ~vm_domains Machine.k20x_ecc_off in
+  let buf () = Device.alloc_i32 dev n_threads in
+  let x = buf () and y = buf () and z = buf () in
+  (match (x.Buffer_.data, y.Buffer_.data, z.Buffer_.data) with
+  | Buffer_.I32 xa, Buffer_.I32 ya, Buffer_.I32 za ->
+      for i = 0 to n_threads - 1 do
+        xa.{i} <- Int32.of_int (if i mod 3 = 0 then -1 - (i mod 7) else 1 + (i mod 5));
+        za.{i} <- Int32.of_int (1 + (i mod 11));
+        ya.{i} <- 0l
+      done;
+      List.iter (fun i -> xa.{i} <- 0l) x_zeros;
+      List.iter (fun i -> za.{i} <- 0l) z_zeros
+  | _ -> assert false);
+  let params = [| Gpusim.Vm.Ptr x; Gpusim.Vm.Ptr y; Gpusim.Vm.Ptr z; Gpusim.Vm.Int n_threads |] in
+  match launch dev compiled ~nthreads:n_threads ~block ~params with
+  | _ -> Ok (snapshot y)
+  | exception Gpusim.Vm.Fault m -> Error m
 
 let arb_branch_case =
   let site = QCheck.Gen.int_range 0 (n_threads - 1) in
@@ -872,16 +948,14 @@ let arb_branch_case =
 
 let qcheck_branch_shapes =
   QCheck.Test.make ~count:12
-    ~name:"skip/diamond kernels: executor on/off x 1/2/4/8 workers identical" arb_branch_case
+    ~name:"skip/diamond kernels: executor = Reference at 1/2/4/8 workers" arb_branch_case
     (fun (diamond, block, x_zeros, z_zeros) ->
       let compiled = Lazy.force (if diamond then diamk_compiled else skipk_compiled) in
-      let run ~vm_domains ~superinsn =
-        run_branch_kernel compiled ~vm_domains ~superinsn ~block ~x_zeros ~z_zeros
+      let run ~mode ~vm_domains =
+        run_branch_kernel compiled ~mode ~vm_domains ~block ~x_zeros ~z_zeros
       in
-      let reference = run ~vm_domains:1 ~superinsn:false in
-      List.for_all
-        (fun w -> run ~vm_domains:w ~superinsn:true = reference && run ~vm_domains:w ~superinsn:false = reference)
-        [ 1; 2; 4; 8 ])
+      let reference = run ~mode:Device.Reference ~vm_domains:1 in
+      List.for_all (fun w -> run ~mode:Device.Functional ~vm_domains:w = reference) [ 1; 2; 4; 8 ])
 
 let test_parked_lane_fault_wins () =
   (* Lane 129 (x < 0) parks at ELSE and faults there on z = 0; lane 131
@@ -896,16 +970,16 @@ let test_parked_lane_fault_wins () =
   List.iter
     (fun (block, where) ->
       List.iter
-        (fun superinsn ->
+        (fun mode ->
           match
-            run_branch_kernel compiled ~vm_domains:2 ~superinsn ~block ~x_zeros:[ 131 ]
+            run_branch_kernel compiled ~mode ~vm_domains:2 ~block ~x_zeros:[ 131 ]
               ~z_zeros:[ 129 ]
           with
           | Ok _ -> Alcotest.fail "diamk did not fault"
           | Error m ->
               if not (contains m where) then
                 Alcotest.failf "block %d: fault %S does not name %S" block m where)
-        [ false; true ])
+        [ Device.Reference; Device.Functional ])
     [ (72, "ctaid 1, tid 57"); (200, "ctaid 0, tid 129") ]
 
 (* ------------------------------------------------------------------ *)
@@ -1173,29 +1247,147 @@ let test_allocation_on_workloads () =
 
 (* divk's divisor load takes the slot of its dead address register, and
    the faulting division writes that slot again as its destination: the
-   fault must still name the same lane, with the same message, under
-   both executors at every worker count. *)
+   fault must still name the same lane, with the same message, on the
+   runtime at every worker count as on the [Reference] device. *)
 let test_fault_in_reused_slot () =
   let a = Gpusim.Vm.allocate_registers (Ptx.Parse.kernel divk_text) in
   let slot t id = Gpusim.Vm.slot a { Ptx.Types.rtype = t; id } in
   Alcotest.(check int) "ld.global %r7 reuses %rd4's slot" (slot Ptx.Types.U64 4)
     (slot Ptx.Types.S32 7);
   Alcotest.(check int) "div %r8 reuses %r7's slot" (slot Ptx.Types.S32 7) (slot Ptx.Types.S32 8);
-  let run ~superinsn ~vm_domains =
-    with_superinsn superinsn (fun () -> launch_divk ~vm_domains ~zero_sites:[ 1600; 600 ])
-  in
-  let reference = run ~superinsn:false ~vm_domains:1 in
+  let reference = launch_divk ~mode:Device.Reference ~vm_domains:1 ~zero_sites:[ 1600; 600 ] () in
   check_fault "reference" reference;
   List.iter
-    (fun superinsn ->
+    (fun w ->
+      match (reference, launch_divk ~vm_domains:w ~zero_sites:[ 1600; 600 ] ()) with
+      | Some r, Some m -> Alcotest.(check string) (Printf.sprintf "w=%d" w) r m
+      | _ -> Alcotest.failf "w=%d: no fault" w)
+    [ 1; 2; 4; 8 ]
+
+(* ------------------------------------------------------------------ *)
+(* Alignment.  One hand-written kernel per global memory opcode: thread
+   i moves element i, but the load's source (or the store's
+   destination) is shifted by q * off bytes, q = i / 600.  Sites below
+   600 stay on their own element.  With [off] a multiple of the element
+   width the shift is injective and the kernel runs clean; otherwise
+   site 600 — (ctaid 4, tid 88), lane 24 of a 64-lane tile whose lower
+   lanes are aligned — is the first misaligned access, and every device
+   must fault there with the same message. *)
+
+let mem_kernel ~ty ~width ~store ~off =
+  let name = Printf.sprintf "%s_%s_%d" (if store then "stk" else "ldk") ty off in
+  let v = match ty with "f64" -> "%fd1" | "s32" -> "%r7" | _ -> "%f1" in
+  let src, dst = if store then ("%rd3", "%rd6") else ("%rd6", "%rd3") in
+  Printf.sprintf
+    {|
+.version 3.1
+.target sm_35
+.address_size 64
+
+.visible .entry %s(
+	.param .u64 %s_param_0,
+	.param .u64 %s_param_1,
+	.param .s32 %s_param_2,
+	.param .s32 %s_param_3
+)
+{
+	ld.param.u64 	%%rd1, [%s_param_0];
+	ld.param.u64 	%%rd2, [%s_param_1];
+	ld.param.s32 	%%r1, [%s_param_2];
+	ld.param.s32 	%%r9, [%s_param_3];
+	mov.u32 	%%r2, %%tid.x;
+	mov.u32 	%%r3, %%ntid.x;
+	mov.u32 	%%r4, %%ctaid.x;
+	mad.lo.s32 	%%r5, %%r4, %%r3, %%r2;
+	setp.ge.s32 	%%p1, %%r5, %%r1;
+	@%%p1 bra 	EXIT;
+	div.s32 	%%r10, %%r5, %%r9;
+	mul.lo.s32 	%%r6, %%r5, %d;
+	mul.lo.s32 	%%r11, %%r10, %d;
+	add.s32 	%%r12, %%r6, %%r11;
+	cvt.s64.s32 	%%rs1, %%r6;
+	cvt.u64.s64 	%%rd3, %%rs1;
+	cvt.s64.s32 	%%rs2, %%r12;
+	cvt.u64.s64 	%%rd6, %%rs2;
+	add.u64 	%%rd4, %%rd1, %s;
+	add.u64 	%%rd5, %%rd2, %s;
+	ld.global.%s 	%s, [%%rd4+0];
+	st.global.%s 	[%%rd5+0], %s;
+EXIT:
+	ret;
+}
+|}
+    name name name name name name name name name width off src dst ty v ty v
+
+(* Buffer contents as 64-bit words, whatever the element kind. *)
+let words (b : Buffer_.t) =
+  let n = Buffer_.length b in
+  match b.Buffer_.data with
+  | Buffer_.F16 a -> Array.init n (fun i -> Int64.of_int a.{i})
+  | Buffer_.F32 a -> Array.init n (fun i -> Int64.bits_of_float a.{i})
+  | Buffer_.F64 a -> Array.init n (fun i -> Int64.bits_of_float a.{i})
+  | Buffer_.I32 a -> Array.init n (fun i -> Int64.of_int32 a.{i})
+
+let run_mem_kernel compiled ~ty ~mode ~vm_domains =
+  let dev = Device.create ~mode ~vm_domains Machine.k20x_ecc_off in
+  (* Room for the largest aligned shift: q <= 3 elements. *)
+  let alloc () =
+    let n = n_threads + 8 in
+    match ty with
+    | "f16" -> Device.alloc_f16 dev n
+    | "f32" -> Device.alloc_f32 dev n
+    | "f64" -> Device.alloc_f64 dev n
+    | _ -> Device.alloc_i32 dev n
+  in
+  let x = alloc () and y = alloc () in
+  for i = 0 to Buffer_.length x - 1 do
+    match x.Buffer_.data with
+    | Buffer_.F16 a -> a.{i} <- Half.bits_of_float (float_of_int (i mod 97) *. 0.25)
+    | Buffer_.F32 a -> a.{i} <- float_of_int (i mod 97) *. 0.25
+    | Buffer_.F64 a -> a.{i} <- (float_of_int i *. 0.125) -. 3.0
+    | Buffer_.I32 a -> a.{i} <- Int32.of_int ((7 * i) - 5)
+  done;
+  let params = [| Gpusim.Vm.Ptr x; Gpusim.Vm.Ptr y; Gpusim.Vm.Int n_threads; Gpusim.Vm.Int 600 |] in
+  if not (Gpusim.Vm.parallelizable compiled.Jit.program ~params) then
+    Alcotest.fail "alignment kernel does not run 64-lane tiles";
+  match launch dev compiled ~nthreads:n_threads ~block ~params with
+  | _ -> Ok (words y)
+  | exception Gpusim.Vm.Fault m -> Error m
+
+let test_misaligned_accesses () =
+  List.iter
+    (fun (ty, width, kind) ->
       List.iter
-        (fun w ->
-          match (reference, run ~superinsn ~vm_domains:w) with
-          | Some r, Some m ->
-              Alcotest.(check string) (Printf.sprintf "superinsn %b, w=%d" superinsn w) r m
-          | _ -> Alcotest.failf "superinsn %b, w=%d: no fault" superinsn w)
-        [ 1; 2; 4; 8 ])
-    [ false; true ]
+        (fun store ->
+          List.iter
+            (fun off ->
+              let text = mem_kernel ~ty ~width ~store ~off in
+              let compiled = Jit.compile text in
+              let what = Printf.sprintf "%s %s, offset %d" (if store then "st" else "ld") ty off in
+              let run = run_mem_kernel compiled ~ty in
+              let reference = run ~mode:Device.Reference ~vm_domains:1 in
+              (match reference with
+              | Ok _ when off mod width = 0 -> ()
+              | Error m when off mod width <> 0 ->
+                  List.iter
+                    (fun sub ->
+                      if not (contains m sub) then
+                        Alcotest.failf "%s: fault %S does not mention %S" what m sub)
+                    [
+                      Printf.sprintf "misaligned %s %s" kind (if store then "store" else "load");
+                      (Ptx.Parse.kernel text).Ptx.Types.kname;
+                      "ctaid 4, tid 88";
+                    ]
+              | Ok _ -> Alcotest.failf "%s: the reference did not fault" what
+              | Error m -> Alcotest.failf "%s: aligned access faulted: %s" what m);
+              List.iter
+                (fun w ->
+                  if run ~mode:Device.Functional ~vm_domains:w <> reference then
+                    Alcotest.failf "%s: %d workers differ from the reference" what w)
+                [ 1; 2; 4; 8 ])
+            (width :: List.filter (fun o -> o < width) [ 1; 2; 4 ]))
+        [ false; true ])
+    [ ("f16", 2, "f16"); ("f32", 4, "f32"); ("s32", 4, "i32"); ("f64", 8, "f64") ]
 
 let () =
   Alcotest.run "vm"
@@ -1232,6 +1424,8 @@ let () =
           Alcotest.test_case "all-threads fault reports (0,0)" `Quick
             test_fault_names_first_thread;
           Alcotest.test_case "divk passes safety analysis" `Quick test_divk_parallelizable;
+          Alcotest.test_case "misaligned loads and stores fault alike everywhere" `Quick
+            test_misaligned_accesses;
         ] );
       ( "regalloc",
         [
