@@ -244,6 +244,24 @@ def check_vmperf(args):
             f"{args.min_cg_reference_speedup:.2f}x gate"
         )
         line += f", cg vs reference {sp:.2f}x"
+    # The padded-launch row: a 16-site kernel at block 1024 against the
+    # same kernel at block 32.  Its bit-identity is asserted whenever the
+    # row is present; the ratio gate is opt-in and, single-worker and
+    # interleaved like the A/Bs above, holds on degraded runs too.  A
+    # ratio near 1 means the wide cta ran only its live tile.
+    if "padded" in data:
+        assert data["padded"]["bit_identical"], (
+            "padded launch diverged from the tight launch or the Reference device"
+        )
+    if args.max_padded_ratio is not None:
+        pd = data["padded"]
+        ratio = pd["padded_us"] / pd["tight_us"]
+        assert ratio <= args.max_padded_ratio, (
+            f"padded launch ({pd['sites']} sites at block {pd['block']}) is {ratio:.2f}x "
+            f"the block-{pd['tight_block']} launch ({pd['tight_us']:.2f} -> "
+            f"{pd['padded_us']:.2f} us), above the {args.max_padded_ratio:.2f}x gate"
+        )
+        line += f", padded launch {ratio:.2f}x"
     # The fusion-coverage gate: dispatch_ratio is a pure decode-time
     # metric ((units + uncovered instrs) / decoded instrs), so like the
     # A/B above it is asserted on every run, degraded or not.
@@ -589,6 +607,14 @@ def main():
         help="vmperf: require the single-worker CG solve to run at least this much "
         "faster than on the Reference engine (cg.scalar_wall_s / cg.wall_s at w=1); "
         "valid on degraded runs",
+    )
+    parser.add_argument(
+        "--max-padded-ratio",
+        type=float,
+        default=None,
+        help="vmperf: require the 16-site kernel launched at block 1024 to take at "
+        "most this multiple of its block-32 launch (padded.padded_us / "
+        "padded.tight_us); valid on degraded runs",
     )
     parser.add_argument(
         "--max-dispatch-ratio",

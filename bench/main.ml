@@ -971,6 +971,84 @@ let vmperf () =
     (List.map fst both, List.map snd both)
   in
   let scalar_it, scalar_ck, scalar_cg_wall = run_cg ~mode:Gpusim.Device.Reference 1 in
+  (* Padded launch: a 16-site generated kernel (the matvec above) over
+     one cta of 1024 threads — the block the auto-tuner settles on for
+     every small launch — against the same kernel at block 32.  With
+     its bounds guard proven both run a single tile of 16 live threads;
+     without it the wide cta sweeps 16 tiles, 15 of which only run the
+     prologue.  Single worker, interleaved best-of-three blocks; the
+     destination must bit-match across the two blocks and a [Reference]
+     device (which runs all 1024 threads). *)
+  let padded_sites, padded_block, tight_block = (16, 1024, 32) in
+  let padded_us, tight_us, padded_identical =
+    let g16 = Geometry.create [| 2; 2; 2; 2 |] in
+    let expr =
+      let leaf shape = Expr.field (Field.create shape g16) in
+      Expr.add (Expr.mul (leaf cm) (leaf fm)) (Expr.mul (leaf cm) (leaf fm))
+    in
+    let b =
+      Qdpjit.Codegen.build ~kname:"vp_padded" ~dest_shape:fm ~expr ~nsites:padded_sites
+        ~use_sitelist:false ()
+    in
+    let compiled = Gpusim.Jit.compile b.Qdpjit.Codegen.text in
+    let leaves = Array.of_list (Expr.leaves expr) in
+    let words shape = padded_sites * Shape.dof shape in
+    let device mode =
+      let dev = Gpusim.Device.create ~mode ~vm_domains:1 Gpusim.Machine.k20x_ecc_off in
+      let buf shape k =
+        let bf = Gpusim.Device.alloc_f64 dev (words shape) in
+        (match bf.Gpusim.Buffer.data with
+        | Gpusim.Buffer.F64 a ->
+            for i = 0 to words shape - 1 do
+              a.{i} <- sin (float_of_int ((k * 7919) + i))
+            done
+        | _ -> assert false);
+        bf
+      in
+      let dest = buf fm 0 in
+      let params =
+        List.map
+          (function
+            | Qdpjit.Codegen.Dest -> Gpusim.Vm.Ptr dest
+            | Qdpjit.Codegen.Leaf_ptr i -> Gpusim.Vm.Ptr (buf leaves.(i).Field.shape (i + 1))
+            | Qdpjit.Codegen.N_work -> Gpusim.Vm.Int padded_sites
+            | _ -> failwith "vmperf: unexpected parameter in the padded kernel")
+          b.Qdpjit.Codegen.plan
+        |> Array.of_list
+      in
+      let launch block =
+        ignore (Gpusim.Device.execute dev compiled ~nthreads:padded_sites ~block ~params);
+        Gpusim.Device.flush_batch dev
+      in
+      let contents () =
+        match dest.Gpusim.Buffer.data with
+        | Gpusim.Buffer.F64 a -> Array.init (words fm) (fun i -> Int64.bits_of_float a.{i})
+        | _ -> assert false
+      in
+      (launch, contents)
+    in
+    let launch, contents = device Gpusim.Device.Functional in
+    let reference_launch, reference_contents = device Gpusim.Device.Reference in
+    reference_launch padded_block;
+    launch padded_block;
+    let wide = contents () in
+    launch tight_block;
+    let identical = wide = contents () && wide = reference_contents () in
+    let reps = 2000 in
+    let time_block block =
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to reps do
+        launch block
+      done;
+      (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int reps
+    in
+    let padded = ref infinity and tight = ref infinity in
+    for _ = 1 to ab_blocks do
+      padded := min !padded (time_block padded_block);
+      tight := min !tight (time_block tight_block)
+    done;
+    (!padded, !tight, identical)
+  in
   (* Decode-time superinstruction plans for the same six kernels: how
      much of each body lives in fused spans, and the per-cta dispatch
      units per scalar per-item dispatch. *)
@@ -1107,8 +1185,13 @@ let vmperf () =
     cg_scalar_identical;
   if not (cg_identical && List.for_all snd kernels_identical) then
     failwith "vmperf: results not bit-identical across worker counts";
+  Printf.printf "\n  padded launch, %d sites: block %d %.2f us, block %d %.2f us (%.2fx)  %b\n"
+    padded_sites padded_block padded_us tight_block tight_us (padded_us /. tight_us)
+    padded_identical;
   if not (cg_scalar_identical && List.for_all snd scalar_identical) then
     failwith "vmperf: runtime results not bit-identical to the Reference engine";
+  if not padded_identical then
+    failwith "vmperf: padded launch not bit-identical to the tight launch and the Reference device";
   let oc = open_out "BENCH_vmperf.json" in
   let flist fmt xs = String.concat ", " (List.map (Printf.sprintf fmt) xs) in
   Printf.fprintf oc
@@ -1157,10 +1240,13 @@ let vmperf () =
     red_stats;
   Printf.fprintf oc
     "  ],\n\
+    \  \"padded\": {\"sites\": %d, \"block\": %d, \"tight_block\": %d, \"padded_us\": %.4f, \
+     \"tight_us\": %.4f, \"ratio\": %.4f, \"bit_identical\": %b},\n\
     \  \"cg\": {\"iterations\": %d, \"max_iter\": %d, \"wall_s\": [%s], \"bit_identical\": \
      %b, \"scalar_wall_s\": %.4f, \"scalar_bit_identical\": %b}\n\
      }\n"
-    base_it max_iter
+    padded_sites padded_block tight_block padded_us tight_us (padded_us /. tight_us)
+    padded_identical base_it max_iter
     (flist "%.4f" (List.map (fun (_, _, (_, _, w)) -> w) results))
     cg_identical scalar_cg_wall cg_scalar_identical;
   close_out oc;

@@ -49,7 +49,7 @@ def main():
         0,
         ["vmperf", fx("vmperf_good.json"),
          "--min-cg-speedup", "1.5", "--min-dslash-speedup", "2.0",
-         "--min-cg-reference-speedup", "2.0"],
+         "--min-cg-reference-speedup", "2.0", "--max-padded-ratio", "1.3"],
         "good artifact with every perf gate",
     )
 
@@ -90,6 +90,25 @@ def main():
         0,
         ["vmperf", fx("vmperf_slow_cg_reference.json")],
         "the CG reference gate is opt-in",
+    )
+
+    # The padded-launch gate: the same kernel at block 1024 against
+    # block 32, here 2.40x slower (every tile of the wide cta swept).
+    r = expect(
+        1,
+        ["vmperf", fx("vmperf_slow_padded.json"), "--max-padded-ratio", "1.3"],
+        "padded launch ratio above the gate",
+    )
+    assert "padded launch" in r.stderr, f"violation not attributed to the padded row: {r.stderr}"
+    expect(
+        0,
+        ["vmperf", fx("vmperf_slow_padded.json")],
+        "the padded-launch gate is opt-in",
+    )
+    expect(
+        2,
+        ["vmperf", fx("vmperf_degraded.json"), "--max-padded-ratio", "1.3"],
+        "padded-launch gate on an artifact without the padded row",
     )
 
     # The dispatch-ratio gate is decode-time, so it holds (and fails)
@@ -185,8 +204,8 @@ def main():
         "missing baseline dir",
     )
 
-    print("check_bench selftest OK: 25 cases (exit codes 0/1/2, degraded "
-          "normalization, dslash + CG-reference + dispatch-ratio + register-row "
+    print("check_bench selftest OK: 28 cases (exit codes 0/1/2, degraded "
+          "normalization, dslash + CG-reference + padded-launch + dispatch-ratio + register-row "
           "gates, fusion readback and page-out gates, baseline compare + step "
           "summary)")
 

@@ -868,6 +868,12 @@ let launch_group t ~geom ~subset ~nsites ~use_sitelist (evs : pending array)
 
 let flush t =
   if (not t.in_flush) && t.pending_n > 0 then begin
+    (* Free the device copies of collected fields before this flush
+       allocates: the device queue was drained by the last
+       synchronization (if an explicit-stream launch still waits there,
+       [reclaim] leaves the work for later).  Only flushes with work
+       reclaim, so a counter read never frees memory. *)
+    Memcache.reclaim t.cache;
     t.in_flush <- true;
     Fun.protect
       ~finally:(fun () -> t.in_flush <- false)
@@ -1012,6 +1018,9 @@ let synchronize t =
    even/odd evals fuse within their own runs.  [dest] is [None] for a
    reduction payload (kernel in reduction mode, scratch bound at launch). *)
 let enqueue t ~subset ~geom ~dest_shape dest expr =
+  (* As at a flush: free collected fields' copies before this eval's
+     operands allocate. *)
+  Memcache.reclaim t.cache;
   let key, leaves =
     eval_key t ~reduction:(dest = None) ~dest_shape ~nsites:(Geometry.volume geom)
       ~use_sitelist:(not (Subset.is_all subset)) expr

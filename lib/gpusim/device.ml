@@ -124,6 +124,8 @@ let flush_batch t =
       | Reference -> Vm.run_reference ~lookup:(lookup t) launches
       | Model_only -> ())
 
+let idle t = t.batch = []
+
 let free t (buf : Buffer.t) =
   flush_batch t;
   match t.buffers.(buf.Buffer.id) with

@@ -91,6 +91,10 @@ val flush_batch : t -> unit
     ctaid, tid) across the queue, with the message a sweep that drained
     after every launch would raise. *)
 
+val idle : t -> bool
+(** No launch is queued: {!flush_batch} would run nothing, so a {!free}
+    now drains no batch early. *)
+
 val lookup : t -> int -> Buffer.data
 (** Buffer id -> storage, for the VM; faults on freed buffers. *)
 

@@ -114,11 +114,18 @@ let is_mem o = (o >= 40 && o <= 45) || o = 48 || o = 49
 
 type access_class = Uniform | Affine | Slist | Gather
 
+(* The decode-time access summary: one row per parameter slot the
+   kernel's global addresses derive from ([-1] for an unresolvable
+   base), with the union of the provenance classes (as [class_bit]s) of
+   its loads and of its stores.  Launch set-up resolves each row once
+   instead of walking every memory instruction. *)
 type access = {
-  a_param : int;  (** param slot the address derives from; -1 unknown *)
-  a_class : access_class;
-  a_store : bool;
+  a_param : int;  (** param slot the addresses derive from; -1 unknown *)
+  a_loads : int;  (** class bits of the loads through [a_param]; 0 if none *)
+  a_stores : int;  (** class bits of the stores through [a_param] *)
 }
+
+let class_bit = function Uniform -> 1 | Affine -> 2 | Slist -> 4 | Gather -> 8
 
 (* ------------------------------------------------------------------ *)
 (* Superinstruction plan: decode-time structure for the SoA executor.
@@ -206,7 +213,10 @@ type program = {
   virtual_rows : int;  (** register rows the three files would need sized by virtual id *)
   fpool : float array;  (** float constants, installed at [nfreg..] *)
   ipool : int array;  (** int constants, installed at [nireg..] *)
-  accesses : access array;
+  accesses : access array;  (** the access summary, one row per param slot *)
+  guard : int;
+      (** param slot of the proven bounds guard's work count (see
+          [prove_guard]), or -1 when no guard is proven *)
   soa : soa_plan;  (** superinstruction plan *)
 }
 
@@ -349,29 +359,22 @@ let analyze (k : kernel) =
     changed := false;
     List.iter step k.body
   done;
-  let accs = ref [] in
+  (* Fold every global access into its param's summary row. *)
+  let rows = Hashtbl.create 8 in
+  let note addr ~store =
+    let param = match getb addr with Some p -> p | None -> -1 in
+    let bit = class_bit (getp addr) in
+    let l, s = Option.value (Hashtbl.find_opt rows param) ~default:(0, 0) in
+    Hashtbl.replace rows param (if store then (l, s lor bit) else (l lor bit, s))
+  in
   List.iter
-    (fun instr ->
-      match instr with
-      | Ld_global { addr; _ } | Ld_global_f16 { addr; _ } ->
-          accs :=
-            {
-              a_param = (match getb addr with Some p -> p | None -> -1);
-              a_class = getp addr;
-              a_store = false;
-            }
-            :: !accs
-      | St_global { addr; _ } | St_global_f16 { addr; _ } ->
-          accs :=
-            {
-              a_param = (match getb addr with Some p -> p | None -> -1);
-              a_class = getp addr;
-              a_store = true;
-            }
-            :: !accs
+    (function
+      | Ld_global { addr; _ } | Ld_global_f16 { addr; _ } -> note addr ~store:false
+      | St_global { addr; _ } | St_global_f16 { addr; _ } -> note addr ~store:true
       | _ -> ())
     k.body;
-  Array.of_list (List.rev !accs)
+  Hashtbl.fold (fun a_param (a_loads, a_stores) acc -> { a_param; a_loads; a_stores } :: acc) rows []
+  |> List.sort compare |> Array.of_list
 
 (* ------------------------------------------------------------------ *)
 (* Superinstruction plan.  Spans end at every control instruction and
@@ -435,6 +438,75 @@ let plan_soa co ca cb ninstr =
     end
   done;
   { span_end; u_end; u_kind; s_spans = !spans; s_units = !units; s_covered = !covered }
+
+(* ------------------------------------------------------------------ *)
+(* Bounds-guard proof.  Generated kernels open with
+
+     idx = ctaid * ntid + tid;  if (idx >= n) goto EXIT;  ...  EXIT: ret
+
+   and the auto-tuner may settle on a block far wider than the work, so
+   most threads of a small launch do nothing but that prologue.  When
+   the proof below holds, a thread with idx >= n executes only the
+   straight-line prefix before the first branch and then retires: the
+   prefix holds no memory op and no per-lane-faultable op (integer
+   division), so the only things such a thread can do are register
+   writes nobody reads and lane-uniform faults (parameter-class
+   mismatches), which thread (0, 0) raises first anyway.  The executor
+   may then skip every thread at or past [max 1 n].
+
+   The proof walks the decoded prefix symbolically over physical slots
+   (so slot reuse and redefinitions are tracked exactly): integer
+   slots hold [s_tid], [s_ntid], [s_ctaid], [s_idx] (a mad of ctaid and
+   ntid, either order, plus tid), [s_param + k] (an [ld.param] of
+   integer parameter [k], declared s32) or [s_other]; predicate slots
+   hold the work-count parameter of [idx >= n] or -1.  It holds when
+   the first control instruction is [@p bra L] with [p] of that form
+   and [L] a [ret].  Integer registers are host ints, so [idx] is
+   exact (no wrap-around) and the guard compares it to exactly the
+   bound [Int] value. *)
+
+let s_other = 0
+let s_tid = 1
+let s_ntid = 2
+let s_ctaid = 3
+let s_idx = 4
+let s_param = 5
+
+let prove_guard (params : param array) co ca cb cc cd ~nireg ~npred =
+  let sym = Array.make nireg s_other and psym = Array.make npred (-1) in
+  (* Constant-pool slots lie past [nireg] and read as [s_other]. *)
+  let get r = if r < nireg then sym.(r) else s_other in
+  let set r v = if r < nireg then sym.(r) <- v in
+  let rec walk k =
+    if k >= Array.length co then -1
+    else
+      let o = co.(k) and a = ca.(k) and b = cb.(k) in
+      match o with
+      | 32 -> if psym.(a) >= 0 && is_ret co.(b) then psym.(a) else -1
+      | _ when is_ctrl o || is_mem o || is_div_i o -> -1
+      | 33 -> set a s_tid; walk (k + 1)
+      | 34 -> set a s_ntid; walk (k + 1)
+      | 35 -> set a s_ctaid; walk (k + 1)
+      | 38 ->
+          set a (if b < Array.length params && params.(b).ptype = S32 then s_param + b else s_other);
+          walk (k + 1)
+      | 11 ->
+          let x = get b and y = get cc.(k) in
+          set a
+            (if ((x = s_ctaid && y = s_ntid) || (x = s_ntid && y = s_ctaid)) && get cd.(k) = s_tid
+             then s_idx
+             else s_other);
+          walk (k + 1)
+      | 15 -> set a (get b); walk (k + 1)
+      | 30 ->
+          let n = get cc.(k) in
+          psym.(a) <- (if get b = s_idx && n >= s_param then n - s_param else -1);
+          walk (k + 1)
+      | _ when o >= 19 && o <= 29 -> psym.(a) <- -1; walk (k + 1)
+      | 7 | 8 | 9 | 12 | 13 | 18 | 36 | 37 -> set a s_other; walk (k + 1)
+      | _ -> walk (k + 1)
+  in
+  walk 0
 
 (* ------------------------------------------------------------------ *)
 (* Register allocation.  The generators hand out about one virtual
@@ -742,18 +814,21 @@ let compile (kernel : kernel) =
     fpool = Array.of_list (List.rev !fpool);
     ipool = Array.of_list (List.rev !ipool);
     accesses = analyze kernel;
+    guard = prove_guard (Array.of_list kernel.params) co ca cb cc cd ~nireg ~npred;
     soa = plan_soa co ca cb ninstr;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Version 7: a program keeps the kernel's name instead of its parsed
+(* Version 8: a program carries the folded access summary (one row per
+   param slot instead of one per memory instruction) and the proven
+   bounds-guard slot.  Version 7: a program keeps the kernel's name instead of its parsed
    IR, [Call] operands index [math_table] instead of a per-program
    closure table, and no scratch rides on the program.  Version 6:
    operand indices are physical slots from [allocate_registers], and the
    register files and constant pools are sized by allocated slots
    instead of virtual ids.  Either change alters the marshalled shape,
    so the bump makes stale jitcache entries miss. *)
-let decoder_version = 7
+let decoder_version = 8
 
 (* ------------------------------------------------------------------ *)
 (* Register files.  Each domain owns one SoA arena that only it grows,
@@ -1000,7 +1075,9 @@ let exec_thread p (lookup : int -> Buffer.data) (args : param_value array) (w : 
 (* Superinstruction (structure-of-arrays) execution of one cta.
 
    A cta runs as consecutive tiles of [lanes] lanes ([tile] or 1), in
-   lane order, lane [l] of the tile at base [b] being thread [b + l].
+   lane order, lane [l] of the tile at base [b] being thread [b + l],
+   over its first [limit] threads: the whole block, or only the threads
+   below a proven bounds guard's work count (see [live_threads]).
    Register rows keep their [tile] stride whatever the width, so a
    one-lane tile simply uses lane 0 of every row.  Inside a tile
    every active lane advances through the program lock-step, one fused
@@ -1188,7 +1265,7 @@ let fma_dense sf ba bb bc bd n =
   done
 
 let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s : soa_ctx)
-    ~lanes ~ctaid ~block ~grid =
+    ~lanes ~ctaid ~block ~grid ~limit =
   let plan = p.soa in
   let ninstr = Array.length plan.span_end in
   let co = p.co and ca = p.ca and cb = p.cb and cc = p.cc and cd = p.cd in
@@ -1903,10 +1980,10 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
     done
   in
   let rec tiles b =
-    if b >= block then None
+    if b >= limit then None
     else begin
       base := b;
-      width := min lanes (block - b);
+      width := min lanes (limit - b);
       for l = 0 to !width - 1 do
         act.(l) <- l
       done;
@@ -1919,38 +1996,61 @@ let exec_cta_soa p (lookup : int -> Buffer.data) (args : param_value array) (s :
   tiles 0
 
 (* ------------------------------------------------------------------ *)
-(* Access resolution, once per launch: every access's param slot is
-   resolved to the bound buffer, and the launch's loads and stores are
-   gathered per buffer id with the union of their provenance classes.
+(* Access resolution, once per launch: each row of the program's
+   access summary has its param slot resolved to the bound buffer, and
+   rows that land on the same buffer (two params bound alike) merge.
    Both the split verdict and the batch's dependency edges read these
-   tables. *)
-
-let class_bit = function Uniform -> 1 | Affine -> 2 | Slist -> 4 | Gather -> 8
+   per-buffer masks. *)
 
 type access_sets = {
-  loads : (int, int) Hashtbl.t;  (** buffer id -> class bits of its loads *)
-  stores : (int, int) Hashtbl.t;  (** buffer id -> class bits of its stores *)
+  bids : int array;  (** distinct buffer ids the launch touches *)
+  lmask : int array;  (** class bits of the loads from [bids.(i)]; 0 if none *)
+  smask : int array;  (** class bits of the stores to [bids.(i)] *)
   unknown : bool;  (** some access's base buffer is unresolvable *)
   any_store : bool;
 }
 
 let access_sets p (params : param_value array) =
-  let loads = Hashtbl.create 8 and stores = Hashtbl.create 8 in
-  let unknown = ref false in
+  let rows = p.accesses in
+  let n = Array.length rows in
+  let bids = Array.make n 0 and lmask = Array.make n 0 and smask = Array.make n 0 in
+  let m = ref 0 and unknown = ref false and any_store = ref false in
+  let buffer_of slot =
+    if slot < 0 || slot >= Array.length params then None
+    else match params.(slot) with Ptr b -> Some b.Buffer.id | Int _ | Float _ -> None
+  in
   Array.iter
     (fun a ->
-      let bid =
-        if a.a_param < 0 || a.a_param >= Array.length params then None
-        else match params.(a.a_param) with Ptr b -> Some b.Buffer.id | Int _ | Float _ -> None
-      in
-      match bid with
+      if a.a_stores <> 0 then any_store := true;
+      match buffer_of a.a_param with
       | None -> unknown := true
       | Some bid ->
-          let tbl = if a.a_store then stores else loads in
-          let cur = match Hashtbl.find_opt tbl bid with Some m -> m | None -> 0 in
-          Hashtbl.replace tbl bid (cur lor class_bit a.a_class))
-    p.accesses;
-  { loads; stores; unknown = !unknown; any_store = Array.exists (fun a -> a.a_store) p.accesses }
+          let rec slot i = if i = !m || bids.(i) = bid then i else slot (i + 1) in
+          let i = slot 0 in
+          if i = !m then begin
+            bids.(i) <- bid;
+            incr m
+          end;
+          lmask.(i) <- lmask.(i) lor a.a_loads;
+          smask.(i) <- smask.(i) lor a.a_stores)
+    rows;
+  let m = !m in
+  {
+    bids = Array.sub bids 0 m;
+    lmask = Array.sub lmask 0 m;
+    smask = Array.sub smask 0 m;
+    unknown = !unknown;
+    any_store = !any_store;
+  }
+
+(* The load and store masks [s] holds for buffer [bid] (0 if none). *)
+let masks_of s bid =
+  let rec go i =
+    if i = Array.length s.bids then (0, 0)
+    else if s.bids.(i) = bid then (s.lmask.(i), s.smask.(i))
+    else go (i + 1)
+  in
+  go 0
 
 (* Parallel-safety decision for one launch: per stored buffer (a) all
    stores must use own-slot indexing (Affine or Slist — never
@@ -1963,18 +2063,18 @@ let access_sets p (params : param_value array) =
    one-lane tiles whose sequential order its wrap-around semantics
    depend on. *)
 let parallel_ok s =
-  not (s.unknown && s.any_store)
-  && Hashtbl.fold
-       (fun bid smask ok ->
-         ok
-         && smask land (class_bit Uniform lor class_bit Gather) = 0
-         &&
-         match Hashtbl.find_opt s.loads bid with
-         | None -> true
-         | Some lmask ->
-             let union = smask lor lmask in
-             union = class_bit Affine || union = class_bit Slist)
-       s.stores true
+  let ok = ref (not (s.unknown && s.any_store)) in
+  Array.iteri
+    (fun i sm ->
+      if sm <> 0 then begin
+        let union = sm lor s.lmask.(i) in
+        if
+          sm land (class_bit Uniform lor class_bit Gather) <> 0
+          || (s.lmask.(i) <> 0 && union <> class_bit Affine && union <> class_bit Slist)
+        then ok := false
+      end)
+    s.smask;
+  !ok
 
 (* ------------------------------------------------------------------ *)
 (* Grid execution. *)
@@ -1991,14 +2091,17 @@ let enrich p e ~ctaid ~tid =
    recorded at the lowest key is exactly the fault a sequential sweep of
    the whole batch would hit first.  Recording a fault lowers [stop] so
    spans with higher keys (later ctas / later launches) bail out;
-   lower-keyed spans run to completion. *)
-let run_span p lookup args ~lanes ~block ~grid ~c0 ~c1 ~key ~(stop : int Atomic.t)
+   lower-keyed spans run to completion.  Only the threads below [live]
+   (see [live_threads]) run; the rest would retire at the proven bounds
+   guard having done nothing observable. *)
+let run_span p lookup args ~lanes ~block ~grid ~live ~c0 ~c1 ~key ~(stop : int Atomic.t)
     (faults : (int * int * exn) option array) =
   let s = bind_soa p in
   try
     for cta = c0 to c1 - 1 do
       if Atomic.get stop < key then raise Exit;
-      match exec_cta_soa p lookup args s ~lanes ~ctaid:cta ~block ~grid with
+      let limit = min block (live - (cta * block)) in
+      match exec_cta_soa p lookup args s ~lanes ~ctaid:cta ~block ~grid ~limit with
       | None -> ()
       | Some (tid, e) ->
           faults.(key) <- Some (cta, tid, e);
@@ -2048,27 +2151,48 @@ type launch = {
 (* Must launch [j] wait for earlier launch [i]?  RAW / WAW / WAR on any
    shared buffer, or either side touching memory it can't account for. *)
 let conflicts i j =
-  i.unknown || j.unknown
-  || Hashtbl.fold
-       (fun b _ acc -> acc || Hashtbl.mem j.loads b || Hashtbl.mem j.stores b)
-       i.stores false
-  || Hashtbl.fold (fun b _ acc -> acc || Hashtbl.mem i.loads b) j.stores false
+  (* Does some store of [w] hit a buffer [r] loads (or, with [waw],
+     stores)? *)
+  let overlaps w r ~waw =
+    let hit = ref false in
+    Array.iteri
+      (fun k sm ->
+        if sm <> 0 then begin
+          let l, s = masks_of r w.bids.(k) in
+          if l <> 0 || (waw && s <> 0) then hit := true
+        end)
+      w.smask;
+    !hit
+  in
+  i.unknown || j.unknown || overlaps i j ~waw:true || overlaps j i ~waw:false
 
-(* Spans for one launch: 8-aligned whole-cta chunks, gated by a
-   small-launch threshold and the store-disjointness verdict, so a
-   launch that must run as one sequential sweep still overlaps *other*
-   independent launches in the batch. *)
-let spans_of workers l ~safe =
+(* How many leading threads (in flat ctaid * block + tid order) of a
+   launch must run: all of them, unless [compile] proved the bounds
+   guard and the launch binds its work count to an [Int n], in which
+   case [max 1 n] — thread (0, 0) always runs, so a lane-uniform
+   prologue fault is still raised there. *)
+let live_threads l =
+  let all = l.l_grid * l.l_block and g = l.l_prog.guard in
+  if g < 0 || g >= Array.length l.l_params then all
+  else match l.l_params.(g) with Int n -> min all (max 1 n) | Ptr _ | Float _ -> all
+
+(* Spans for one launch: 8-aligned whole-cta chunks of the ctas that
+   hold live threads, gated by a small-launch threshold and the
+   store-disjointness verdict, so a launch that must run as one
+   sequential sweep still overlaps *other* independent launches in the
+   batch. *)
+let spans_of workers l ~live ~safe =
   if l.l_grid <= 0 || l.l_block <= 0 then [||]
   else begin
+    let grid = (live + l.l_block - 1) / l.l_block in
     let align = 8 / gcd l.l_block 8 in
-    let units = l.l_grid / align in
+    let units = grid / align in
     let w =
       if workers <= 1 || units < 2 || l.l_threads < min_parallel_threads || not safe
       then 1
       else min workers units
     in
-    let bound k = if k >= w then l.l_grid else units * k / w * align in
+    let bound k = if k >= w then grid else units * k / w * align in
     Array.init w (fun k -> (bound k, bound (k + 1)))
   end
 
@@ -2077,7 +2201,10 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
   if nl > 0 then begin
     let sets = Array.map (fun l -> access_sets l.l_prog l.l_params) launches in
     let safe = Array.map parallel_ok sets in
-    let spans = Array.mapi (fun li l -> spans_of workers l ~safe:safe.(li)) launches in
+    let live = Array.map live_threads launches in
+    let spans =
+      Array.mapi (fun li l -> spans_of workers l ~live:live.(li) ~safe:safe.(li)) launches
+    in
     (* Flat schedule: launch-major, cta-ordered — item index IS the
        deterministic fault priority. *)
     let items =
@@ -2143,7 +2270,7 @@ let run_batch ?(workers = 1) ~lookup (launches : launch array) =
                down [remaining], so waiters always wake. *)
             wait_deps li;
             run_span l.l_prog lookup l.l_params ~lanes:lanes.(li) ~block:l.l_block
-              ~grid:l.l_grid ~c0 ~c1 ~key:idx ~stop faults;
+              ~grid:l.l_grid ~live:live.(li) ~c0 ~c1 ~key:idx ~stop faults;
             complete li;
             loop ()
           end
@@ -2201,3 +2328,4 @@ let run_reference ~lookup (launches : launch array) =
 let decoded_instructions p = Array.length p.co
 let kname p = p.kname
 let parallelizable p ~params = parallel_ok (access_sets p params)
+let bounds_guard p = if p.guard < 0 then None else Some p.guard

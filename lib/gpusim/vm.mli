@@ -14,7 +14,13 @@
     grid into whole-cta chunks across {!Vm_backend} workers when a
     decode-time provenance analysis proves its stores are disjoint per
     work item — results are then bit-identical to the sequential
-    sweep.  See DESIGN.md "Parallel VM back-end".
+    sweep.  [compile] also folds the kernel's global accesses into one
+    summary row per parameter slot (the provenance classes of its loads
+    and of its stores), which is all the split verdict and the batch's
+    dependency edges read per launch, and tries to prove the kernel's
+    bounds guard ({!bounds_guard}): when it holds, a launch runs only
+    the threads below its work count, however wide the block the
+    auto-tuner settled on.  See DESIGN.md "Parallel VM back-end".
 
     Every program also decodes to a *superinstruction plan*: the
     non-control spans between branches and branch targets are
@@ -80,7 +86,8 @@ type launch = {
   l_threads : int;
       (** the work items asked for; the [l_grid * l_block - l_threads]
           padding threads exit at the kernel's guard.  Sizes the
-          inline-or-pool choice only. *)
+          inline-or-pool choice only; which threads run is decided by
+          the proven guard (see {!bounds_guard}). *)
   l_params : param_value array;
 }
 (** One deferred launch of a batched sweep. *)
@@ -97,7 +104,9 @@ val run_batch :
     an unresolvable base buffer makes its launch a full barrier).
     Every launch runs on the SoA executor; the split verdict also sets
     its tile width (64 lanes when admitted, one lane — the sequential
-    sweep — when rejected).  Results are bit-identical to
+    sweep — when rejected), and a launch whose bounds guard is proven
+    runs only the ctas and tiles holding threads below its work count
+    (at least thread (0, 0)).  Results are bit-identical to
     {!run_reference} at every worker count, and faults are
     deterministic: the lowest (launch index, ctaid, tid) fault wins
     batch-wide and is raised with the same message {!run_reference}
@@ -112,7 +121,8 @@ val run_batch :
 
 val run_reference : lookup:(int -> Buffer.data) -> launch array -> unit
 (** The oracle the runtime is held to: each launch, then each cta, then
-    each thread in order, on the scalar reference interpreter with a
+    each thread in order — every thread, guard or no guard — on the
+    scalar reference interpreter with a
     fresh register file per launch.  No worker pool, atomics or
     dependency edges; the first fault stops the sweep and is raised
     enriched with kernel name, ctaid and tid, exactly as {!run_batch}
@@ -153,4 +163,19 @@ val superinsn_stats : program -> soa_stats
 
 val parallelizable : program -> params:param_value array -> bool
 (** Whether the safety analysis lets a launch with these parameter
-    bindings split across workers (exposed for tests and benches). *)
+    bindings split across workers (exposed for tests and benches).
+    Reads the program's decode-time access summary: one row per
+    parameter slot with the provenance classes of its loads and of its
+    stores. *)
+
+val bounds_guard : program -> int option
+(** The parameter slot of the work count [n] when {!compile} proved the
+    kernel's bounds guard, [None] otherwise (exposed for tests).  The
+    proof holds when the straight-line prefix before the first branch
+    has no memory op and no integer division, and that branch is
+    [@p bra L] with [p = setp.ge.s32 idx, n], [idx = ctaid * ntid + tid]
+    and [n] an [ld.param] of an s32 parameter, and [L] lands on [ret].
+    {!run_batch} then runs only the threads below [max 1 n] when the
+    launch binds that slot to [Int n] (thread (0, 0) always runs, so a
+    lane-uniform prologue fault is reported as before), and every
+    thread otherwise.  {!run_reference} always runs every thread. *)

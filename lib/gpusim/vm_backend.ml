@@ -18,14 +18,15 @@
     Not reentrant: sweeps are synchronous and issued from one thread at
     a time, so at most one [run] is in flight.
 
-    The pool is execution-strategy agnostic: workers claim (launch,
-    cta-span) items off the VM's shared cursor exactly the same whether
-    a span then runs through the scalar interpreter or the lane-blocked
-    superinstruction (SoA) executor — fused units, column-resident
-    memory ops, division islands and parked lanes all retire inside one
-    cta before the worker claims its next span, so the schedule, the
+    The pool knows nothing of how a span executes: workers claim
+    (launch, cta-span) items off the VM's shared cursor, and each span
+    runs on the lane-blocked superinstruction (SoA) executor, in
+    64-lane or one-lane tiles and only over the threads below the
+    launch's proven bounds guard.  Fused units, column-resident memory
+    ops, division islands and parked lanes all retire inside one cta
+    before the worker claims its next span, so the schedule, the
     dependency edges and the lowest-(launch, ctaid, tid)-wins fault
-    protocol are unchanged by the dispatch strategy.  Nothing is keyed
+    protocol do not depend on the tile width.  Nothing is keyed
     by worker index: the VM's register files live in one arena per
     domain, so a sweep's workers and the inline one-worker sweeps that
     concurrent ranks run on their own domains never share scratch. *)

@@ -7,7 +7,14 @@
     touches them (hooks installed on the field) or when an allocation
     cannot be serviced — then the least-recently-used unpinned entry is
     spilled, "least recently" meaning the timestamp of the last reference
-    from a compute kernel. *)
+    from a compute kernel.
+
+    The paper's cache frees a field's device copy in the field's C++
+    destructor.  OCaml has none, so entries hold their field weakly and a
+    finaliser, registered when the field first becomes resident here,
+    queues the field's id once the field is unreachable; {!reclaim}
+    frees the queued entries' buffers (no page-out: nobody can read the
+    host copy any more). *)
 
 module Shape = Layout.Shape
 module Index = Layout.Index
@@ -16,7 +23,10 @@ module Device = Gpusim.Device
 module Buffer_ = Gpusim.Buffer
 
 type entry = {
-  field : Field.t;
+  id : int;  (** [Field.id] of the cached field *)
+  name : string;  (** [Field.name], for transfer spans *)
+  field : Field.t Weak.t;
+      (** the field, held weakly (one slot): empty once it was collected *)
   buf : Buffer_.t;
   mutable last_use : int;
   mutable device_dirty : bool;  (** device copy newer than host *)
@@ -50,6 +60,13 @@ type t = {
   ctx : Streams.t;
   xfer : Streams.stream;  (** dedicated stream for the asynchronous copies *)
   entries : (int, entry) Hashtbl.t;
+  watched : (int, unit) Hashtbl.t;
+      (** ids of the live fields this cache has hooked and registered a
+          finaliser on (once per field, at its first residency) *)
+  dead : int list Atomic.t;
+      (** ids of watched fields found unreachable, pushed by their
+          finalisers; drained by {!reclaim} *)
+  mutable pinned_rev : entry list;  (** entries pinned since the last {!unpin_all} *)
   mutable tick : int;
   mutable pre_access : (Field.t -> unit) option;
       (** called before any host access to a cached field, ahead of the
@@ -64,6 +81,9 @@ let create ctx =
     ctx;
     xfer = Streams.create_stream ~name:"memcache xfer" ctx;
     entries = Hashtbl.create 64;
+    watched = Hashtbl.create 64;
+    dead = Atomic.make [];
+    pinned_rev = [];
     tick = 0;
     pre_access = None;
     stats = { hits = 0; uploads = 0; pageouts = 0; spills = 0; inflight_skips = 0 };
@@ -101,7 +121,7 @@ let settle t = Hashtbl.iter (fun _ e -> e.inflight <- None) t.entries
 let issue_transfer t entry ~to_device ~sync =
   let bytes = entry.buf.Buffer_.bytes in
   let what = if to_device then "upload" else "pageout" in
-  let name = Printf.sprintf "%s %s" what entry.field.Field.name in
+  let name = Printf.sprintf "%s %s" what entry.name in
   (if to_device then ignore (Streams.memcpy_h2d ~name t.ctx t.xfer ~bytes)
    else ignore (Streams.memcpy_d2h ~name t.ctx t.xfer ~bytes));
   let ev = Streams.Event.create ~name:(name ^ " done") () in
@@ -116,8 +136,7 @@ let issue_transfer t entry ~to_device ~sync =
 
 (* Copy host AoS -> device SoA.  Host and device storage have the same
    element kind, so the layout converter works directly on both arrays. *)
-let upload t entry =
-  let f = entry.field in
+let upload t entry (f : Field.t) =
   let nsites = Field.volume f in
   (* A queued launch may still read this entry's current device
      contents; drain the queue before the blit overwrites them. *)
@@ -149,8 +168,7 @@ let upload t entry =
    [sync] (the default) models a blocking copy — host code is about to
    read the data; spills pass [sync:false] and let the copy drain on the
    transfer stream. *)
-let page_out ?(sync = true) t entry =
-  let f = entry.field in
+let page_out ?(sync = true) t entry (f : Field.t) =
   let nsites = Field.volume f in
   (* The device copy being read back may be the output of launches still
      queued on the device; run them first. *)
@@ -178,10 +196,32 @@ let page_out ?(sync = true) t entry =
   entry.host_version <- f.Field.version;
   t.stats.pageouts <- t.stats.pageouts + 1
 
+(* Free the entry's buffer, paging a dirty copy out first — unless the
+   field is gone, when nobody can read the host copy any more. *)
 let evict ?(sync = true) t entry =
-  if entry.device_dirty then page_out ~sync t entry;
+  (match Weak.get entry.field 0 with
+  | Some f when entry.device_dirty -> page_out ~sync t entry f
+  | Some _ | None -> ());
   Device.free t.device entry.buf;
-  Hashtbl.remove t.entries entry.field.Field.id
+  Hashtbl.remove t.entries entry.id
+
+(* Free the entries of fields whose finalisers have run.  Only while the
+   device has no queued launch: one could still name a dead field's
+   buffer, and [Device.free] would drain the queue early, splitting the
+   VM batch.  A dead field has no pending eval (queued evals hold their
+   fields) and no arena (arenas hold theirs), so nothing protects its
+   entry; an in-flight transfer only concerns a buffer nobody will
+   read again. *)
+let reclaim t =
+  if Device.idle t.device then
+    match Atomic.exchange t.dead [] with
+    | [] -> ()
+    | ids ->
+        List.iter
+          (fun id ->
+            Hashtbl.remove t.watched id;
+            match Hashtbl.find_opt t.entries id with Some e -> evict t e | None -> ())
+          ids
 
 (* Spill the least-recently-used unpinned entry whose transfers have all
    completed; false if none exists.  An entry whose asynchronous upload or
@@ -228,24 +268,47 @@ let alloc_with_spilling t f =
       | Shape.F32 -> Device.alloc_f32 t.device words
       | Shape.F64 -> Device.alloc_f64 t.device words)
 
-let install_hooks t f =
-  (* Chain below any hook another cache installed: a field can migrate
-     between engines (each pages out its own dirty copy; divergent writes
-     on two devices are the caller's error and ensure_resident faults). *)
-  let prev_read = f.Field.before_host_read in
-  let prev_write = f.Field.before_host_write in
-  let on_access prev field =
-    (match t.pre_access with Some hook -> hook field | None -> ());
-    (match Hashtbl.find_opt t.entries field.Field.id with
-    | Some e when e.device_dirty -> page_out t e
-    | Some _ | None -> ());
-    prev field
-  in
-  f.Field.before_host_read <- on_access prev_read;
-  (* A host write also needs the page-out first (partial writes must land on
-     current data); the version bump of the write then marks the device copy
-     stale for the next launch. *)
-  f.Field.before_host_write <- on_access prev_write
+(* First residency of [f] in this cache: install the access hooks and
+   the finaliser, once for the field's lifetime (an entry evicted and
+   made resident again finds both still in place). *)
+let watch t (f : Field.t) =
+  if not (Hashtbl.mem t.watched f.Field.id) then begin
+    Hashtbl.replace t.watched f.Field.id ();
+    (* Chain below any hook another cache installed: a field can migrate
+       between engines (each pages out its own dirty copy; divergent
+       writes on two devices are the caller's error and ensure_resident
+       faults). *)
+    let prev_read = f.Field.before_host_read in
+    let prev_write = f.Field.before_host_write in
+    let on_access prev field =
+      (match t.pre_access with Some hook -> hook field | None -> ());
+      (match Hashtbl.find_opt t.entries field.Field.id with
+      | Some e when e.device_dirty -> page_out t e field
+      | Some _ | None -> ());
+      prev field
+    in
+    f.Field.before_host_read <- on_access prev_read;
+    (* A host write also needs the page-out first (partial writes must
+       land on current data); the version bump of the write then marks
+       the device copy stale for the next launch. *)
+    f.Field.before_host_write <- on_access prev_write;
+    (* The finaliser may run at any allocation point, in the middle of
+       any cache operation, so it only queues the id; {!reclaim} frees
+       the entry at a point where that is safe.  It captures the queue,
+       not the field or the cache. *)
+    let dead = t.dead and id = f.Field.id in
+    let rec push () =
+      let cur = Atomic.get dead in
+      if not (Atomic.compare_and_set dead cur (id :: cur)) then push ()
+    in
+    Gc.finalise_last push f
+  end
+
+let pin_entry t e =
+  if not e.pinned then begin
+    e.pinned <- true;
+    t.pinned_rev <- e :: t.pinned_rev
+  end
 
 (* Make the consuming stream wait for the entry's in-flight transfer (the
    kernel must not read the buffer before the copy engine delivers it). *)
@@ -258,7 +321,7 @@ let ensure_resident ?(pin = false) ?(for_write = false) ?wait_stream t (f : Fiel
   match Hashtbl.find_opt t.entries f.Field.id with
   | Some e ->
       if (not for_write) && (not e.device_dirty) && e.host_version <> f.Field.version then
-        upload t e
+        upload t e f
       else if (not for_write) && e.host_version <> f.Field.version && e.device_dirty then
         (* Host and device both advanced: the hooks prevent this for fields
            created through the public API; fail loudly otherwise. *)
@@ -268,31 +331,36 @@ let ensure_resident ?(pin = false) ?(for_write = false) ?wait_stream t (f : Fiel
         e.host_version <- f.Field.version;
       t.stats.hits <- t.stats.hits + 1;
       touch t e;
-      if pin then e.pinned <- true;
+      if pin then pin_entry t e;
       chain_wait t e ~wait_stream;
       e.buf
   | None ->
       let buf = alloc_with_spilling t f in
+      let field = Weak.create 1 in
+      Weak.set field 0 (Some f);
       let entry =
         {
-          field = f;
+          id = f.Field.id;
+          name = f.Field.name;
+          field;
           buf;
           last_use = 0;
           device_dirty = false;
           host_version = -1;
-          pinned = pin;
+          pinned = false;
           retained = 0;
           inflight = None;
         }
       in
       Hashtbl.replace t.entries f.Field.id entry;
-      install_hooks t f;
+      if pin then pin_entry t entry;
+      watch t f;
       touch t entry;
       (* A whole-subset destination is fully overwritten by the kernel, and a
          never-written field (version 0) matches the zero-filled allocation;
          neither needs its host content to travel. *)
       if for_write || f.Field.version = 0 then entry.host_version <- f.Field.version
-      else upload t entry;
+      else upload t entry f;
       chain_wait t entry ~wait_stream;
       entry.buf
 
@@ -303,7 +371,9 @@ let mark_device_dirty t (f : Field.t) =
       touch t e
   | None -> invalid_arg "Memcache.mark_device_dirty: field not resident"
 
-let unpin_all t = Hashtbl.iter (fun _ e -> e.pinned <- false) t.entries
+let unpin_all t =
+  List.iter (fun e -> e.pinned <- false) t.pinned_rev;
+  t.pinned_rev <- []
 
 let retain t (f : Field.t) =
   match Hashtbl.find_opt t.entries f.Field.id with

@@ -25,7 +25,8 @@ val create : Streams.t -> t
     asynchronously on a dedicated stream of that context ("memcache
     xfer"), each entry carrying a completion event; the cache never
     moves the clock itself.  Uploads and page-outs run the device's
-    queued launches before their blits. *)
+    queued launches before their blits.  The cache never keeps a field
+    alive: see {!reclaim}. *)
 
 val stats : t -> stats
 val resident_count : t -> int
@@ -54,6 +55,22 @@ val mark_device_dirty : t -> Qdp.Field.t -> unit
 (** The kernel just wrote the field: device copy is newer than host. *)
 
 val unpin_all : t -> unit
+(** Clear the pins taken since the last call (it visits only those
+    entries, not the whole cache). *)
+
+val reclaim : t -> unit
+(** Free the device copies of fields that have been garbage-collected.
+    Entries hold their field weakly, and a finaliser registered at the
+    field's first residency queues its id once it is unreachable; this
+    drains that queue, freeing each dead entry's buffer without a
+    page-out.  It does nothing while the device has queued launches
+    (one could still name a dead field's buffer), so the engine calls
+    it where its queue is normally drained: on entry to [enqueue] and
+    to a [flush] that has queued evals (a flush with nothing queued,
+    such as a counter read, frees nothing).  Spilling does not call it,
+    so allocation pressure never depends on when the collector ran.
+    Queued evals and arenas hold their fields strongly, so their entries
+    are never reclaimed. *)
 
 val retain : t -> Qdp.Field.t -> unit
 (** Take a reference on a resident entry on behalf of a deferred (not yet

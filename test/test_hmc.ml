@@ -271,6 +271,42 @@ let test_op_trace_counters () =
   (* leapfrog with 4 steps does 5 momentum updates *)
   Alcotest.(check int) "momentum updates traced" (before + 5) ctx.Hmc.Context.md_steps_taken
 
+(* Twenty JIT-backend trajectories on one engine, with a full
+   collection between them.  Every temporary a trajectory creates is
+   garbage by the next one, and the memory cache holds its fields
+   weakly, so once the first trajectory has built the long-lived state
+   the cache's entries and the device bytes in use stay flat, and each
+   trajectory frees as many device buffers as it allocates. *)
+let test_dead_fields_released () =
+  let eng = Qdpjit.Engine.create ~vm_domains:1 () in
+  let ctx = Hmc.Context.create ~backend:(Hmc.Context.jit_backend eng) ~seed:7L geom in
+  Lqcd.Gauge.random_gauge ~epsilon:0.25 ctx.Hmc.Context.u (Prng.create ~seed:17L);
+  let ms = [ Hmc.Gauge_monomial.create ctx ~beta:5.6 (); Hmc.Two_flavor.create ctx ~kappa:0.10 () ] in
+  let p = { Hmc.Driver.steps = 1; dt = 0.05; scheme = Hmc.Integrator.Omelyan } in
+  let mc = Qdpjit.Engine.memcache eng and dev = Qdpjit.Engine.device eng in
+  let trajectory () =
+    let st = Gpusim.Device.stats dev in
+    let allocs0 = st.Gpusim.Device.allocs and frees0 = st.Gpusim.Device.frees in
+    ignore (Hmc.Driver.run_trajectory ctx ms p);
+    ignore (Qdpjit.Engine.synchronize eng);
+    Gc.full_major ();
+    Memcache.reclaim mc;
+    ( Memcache.resident_count mc,
+      Gpusim.Device.used_bytes dev,
+      st.Gpusim.Device.allocs - allocs0,
+      st.Gpusim.Device.frees - frees0 )
+  in
+  ignore (trajectory ());
+  let resident, used, allocs, _ = trajectory () in
+  Alcotest.(check bool) "a trajectory allocates device buffers" true (allocs > 0);
+  for i = 3 to 20 do
+    let r, u, a, f = trajectory () in
+    let at what = Printf.sprintf "trajectory %d: %s" i what in
+    Alcotest.(check int) (at "resident entries") resident r;
+    Alcotest.(check int) (at "device bytes in use") used u;
+    Alcotest.(check int) (at "frees = allocs") a f
+  done
+
 let () =
   Alcotest.run "hmc"
     [
@@ -306,5 +342,7 @@ let () =
           Alcotest.test_case "multiscale force counts" `Quick
             test_multiscale_fewer_expensive_forces;
           Alcotest.test_case "op trace" `Quick test_op_trace_counters;
+          Alcotest.test_case "20 on one engine: dead fields freed" `Quick
+            test_dead_fields_released;
         ] );
     ]

@@ -212,6 +212,15 @@ let test_version_bump_misses () =
        Qdpjit.Codegen.version Ptx.Passes.version Ptx.Fuse.version Gpusim.Vm.decoder_version
        Expr.key_version)
     Engine.cache_tag;
+  (* The decoder is at version 8 since programs carry the folded access
+     summary and the bounds-guard slot: entries marshalled by version 7
+     must miss. *)
+  let has_sub sub s =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "tag carries decoder version 8" true (has_sub "|vm8|" Engine.cache_tag);
   let dir = fresh_dir "stale" in
   let prog = [ Axpy (2, 1.25, 0, 1); Shift (3, 2, 1, 1); Sub (0, 3, 2) ] in
   let cold = Engine.create ~jit_cache:(Jitcache.create dir) () in

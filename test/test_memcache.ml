@@ -212,6 +212,175 @@ let test_inflight_not_spilled () =
   Alcotest.(check (float 0.0)) "content intact" 4.5
     (Field.get a ~site:7 ~spin:2 ~color:1 ~reality:0)
 
+(* [release_arena] clears its entries' pins and evicts them; a field it
+   released that is pinned again must be unpinned by the next
+   [unpin_all] (which visits only the entries pinned since the last
+   one), so allocation pressure can spill it. *)
+let test_arena_repin_cleared () =
+  let cache = fresh_cache ~small:true () in
+  (* Never-written fields: resident without an upload, so no in-flight
+     transfer protects them. *)
+  let fresh () = Field.create (Shape.lattice_fermion Shape.F64) geom in
+  let a = fresh () in
+  let arena = Memcache.create_arena cache ~name:"session" in
+  Memcache.arena_register arena a;
+  ignore (Memcache.ensure_resident ~pin:true cache a);
+  Memcache.release_arena cache arena;
+  Alcotest.(check bool) "released" false (Memcache.is_resident cache a);
+  ignore (Memcache.ensure_resident ~pin:true cache a);
+  Memcache.unpin_all cache;
+  (* Room for three fermion fields: the third newcomer spills the LRU
+     entry, which is [a] unless it is still pinned. *)
+  let others = List.init 3 (fun _ -> fresh ()) in
+  List.iter (fun f -> ignore (Memcache.ensure_resident cache f)) others;
+  Alcotest.(check bool) "re-pinned entry unpinned and spilled" false
+    (Memcache.is_resident cache a);
+  Alcotest.(check int) "one spill" 1 (Memcache.stats cache).Memcache.spills
+
+(* ------------------------------------------------------------------ *)
+(* Dead fields: entries hold their fields weakly, and a collected
+   field's device copy is freed by the next [Memcache.reclaim], without
+   a page-out. *)
+
+module Engine = Qdpjit.Engine
+module Expr = Qdp.Expr
+
+let fm = Shape.lattice_fermion Shape.F64
+let life_geom = Geometry.create [| 4; 2; 2; 2 |]
+
+(* Collect, then free what was collected (the device queue is drained
+   by the synchronize). *)
+let collect eng =
+  ignore (Engine.synchronize eng);
+  Gc.full_major ();
+  Memcache.reclaim (Engine.memcache eng)
+
+let test_two_engines_release () =
+  let e1 = Engine.create ~vm_domains:1 () and e2 = Engine.create ~vm_domains:1 () in
+  let d1 = Field.create fm life_geom and d2 = Field.create fm life_geom in
+  let[@inline never] use_temp () =
+    let tmp = Field.create ~name:"tmp" fm life_geom in
+    Field.fill_gaussian tmp (Prng.create ~seed:3L);
+    Engine.eval e1 d1 (Expr.field tmp);
+    Engine.eval e2 d2 (Expr.add (Expr.field tmp) (Expr.field tmp));
+    ignore (Engine.synchronize e1);
+    ignore (Engine.synchronize e2)
+  in
+  use_temp ();
+  let frees e = (Device.stats (Engine.device e)).Device.frees in
+  let before = List.map (fun e -> (frees e, Device.used_bytes (Engine.device e))) [ e1; e2 ] in
+  List.iter
+    (fun e -> Alcotest.(check int) "temporary and destination resident" 2
+        (Memcache.resident_count (Engine.memcache e)))
+    [ e1; e2 ];
+  collect e1;
+  collect e2;
+  List.iter2
+    (fun e (f0, used0) ->
+      Alcotest.(check int) "only the destination stays" 1
+        (Memcache.resident_count (Engine.memcache e));
+      Alcotest.(check int) "one buffer freed" (f0 + 1) (frees e);
+      Alcotest.(check int) "its bytes returned" (used0 - Field.bytes d1)
+        (Device.used_bytes (Engine.device e));
+      Alcotest.(check int) "no page-out of the dead copy" 0
+        (Memcache.stats (Engine.memcache e)).Memcache.pageouts)
+    [ e1; e2 ] before;
+  (* The destinations are still served from the device. *)
+  Alcotest.(check (float 0.0)) "e2 result = 2 e1 result"
+    (2.0 *. Field.get d1 ~site:3 ~spin:1 ~color:2 ~reality:0)
+    (Field.get d2 ~site:3 ~spin:1 ~color:2 ~reality:0)
+
+type life_op = Create of int * int | Eval of int * float * int * int | Forget of int
+
+let show_life = function
+  | Create (s, seed) -> Printf.sprintf "p%d = new(%d)" s seed
+  | Eval (d, c, a, b) -> Printf.sprintf "p%d = %g * p%d + shift(p%d)" d c a b
+  | Forget s -> Printf.sprintf "forget p%d" s
+
+let life_slots = 5
+
+(* One engine per mode, shared by every case so kernels compile once. *)
+let life_engines = lazy (Engine.create ~vm_domains:1 (), Engine.create ~vm_domains:1 ())
+
+(* Run a create/eval/forget sequence.  The forgetting run drops a
+   forgotten field for good and, at each forget, collects and checks
+   that no more fields are resident than the program still holds; its
+   twin keeps every forgotten field reachable.  Returns the final
+   contents of the live slots, the number of failed residency checks
+   and the page-outs the run did. *)
+let run_life eng ~forget ops =
+  let mc = Engine.memcache eng in
+  collect eng;
+  let pageouts0 = (Memcache.stats mc).Memcache.pageouts in
+  let slots = Array.make life_slots None and kept = ref [] and over = ref 0 in
+  let live () = Array.fold_left (fun n s -> if s = None then n else n + 1) 0 slots in
+  List.iter
+    (function
+      | Create (s, seed) ->
+          if slots.(s) = None then begin
+            let f = Field.create fm life_geom in
+            Field.fill_gaussian f (Prng.create ~seed:(Int64.of_int seed));
+            slots.(s) <- Some f
+          end
+      | Eval (d, c, a, b) -> (
+          match (slots.(d), slots.(a), slots.(b)) with
+          | Some fd, Some fa, Some fb ->
+              Engine.eval eng fd
+                (Expr.add
+                   (Expr.mul (Expr.const_real c) (Expr.field fa))
+                   (Expr.shift (Expr.field fb) ~dim:0 ~dir:1))
+          | _ -> ())
+      | Forget s -> (
+          match slots.(s) with
+          | None -> ()
+          | Some f ->
+              if not forget then kept := f :: !kept;
+              slots.(s) <- None;
+              collect eng;
+              if forget && Memcache.resident_count mc > live () then incr over))
+    ops;
+  let contents =
+    Array.map (Option.map (fun f -> Array.init (Field.volume f) (fun site -> Field.get_site f ~site)))
+      slots
+  in
+  ignore (Sys.opaque_identity !kept);
+  (contents, !over, (Memcache.stats mc).Memcache.pageouts - pageouts0)
+
+let arb_life =
+  let slot = QCheck.Gen.int_range 0 (life_slots - 1) in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_life ops))
+    QCheck.Gen.(
+      list_size (int_range 4 18)
+        (frequency
+           [
+             (3, map2 (fun s seed -> Create (s, seed)) slot (int_range 1 1000));
+             (4, fun st -> Eval (slot st, oneofl [ 2.0; -0.5; 1.25 ] st, slot st, slot st));
+             (2, map (fun s -> Forget s) slot);
+           ]))
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         match (x, y) with
+         | None, None -> true
+         | Some x, Some y ->
+             Array.for_all2
+               (Array.for_all2 (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v))
+               x y
+         | _ -> false)
+       a b
+
+let qcheck_forget =
+  QCheck.Test.make ~count:15
+    ~name:"create/eval/forget: resident <= live, same bits as never forgetting" arb_life
+    (fun ops ->
+      let forgetting, keeping = Lazy.force life_engines in
+      let got, over, pageouts = run_life forgetting ~forget:true ops in
+      let want, _, pageouts_kept = run_life keeping ~forget:false ops in
+      over = 0 && bits_equal got want && pageouts = pageouts_kept)
+
 let () =
   Alcotest.run "memcache"
     [
@@ -232,5 +401,12 @@ let () =
           Alcotest.test_case "pinned protected" `Quick test_pinned_not_spilled;
           Alcotest.test_case "oom when pinned" `Quick test_oom_when_all_pinned;
           Alcotest.test_case "in-flight transfer pinned" `Quick test_inflight_not_spilled;
+          Alcotest.test_case "arena release then re-pin: unpinned" `Quick
+            test_arena_repin_cleared;
+        ] );
+      ( "dead fields",
+        [
+          Alcotest.test_case "released by both engines" `Quick test_two_engines_release;
+          QCheck_alcotest.to_alcotest qcheck_forget;
         ] );
     ]

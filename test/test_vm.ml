@@ -1202,48 +1202,67 @@ let qcheck_allocation_sound =
       | exception Gpusim.Vm.Fault m -> QCheck.Test.fail_reportf "%s rejected: %s" k.kname m);
       sound k && List.for_all sound (chain_kernels prog))
 
-(* Every kernel a fused Wilson CG solve and a 2^4 HMC trajectory build;
-   the allocation must also shrink the register files somewhere. *)
-let test_allocation_on_workloads () =
-  let wilson =
-    let eng = Engine.create ~vm_domains:1 () in
-    let links = Lqcd.Gauge.create_links geom in
-    Lqcd.Gauge.random_gauge ~epsilon:0.3 links (Prng.create ~seed:11L);
-    let ops = Solvers.Ops.jit eng fm geom in
-    let nop = Solvers.Ops.normal_op ops ~apply_m:(Lqcd.Wilson.wilson_expr ~kappa:0.115 links) in
-    let b = (fresh_pool 5L 1).(0) in
-    let x = ops.Solvers.Ops.fresh () in
-    ignore (Solvers.Cg.solve ops nop ~b ~x ~max_iter:3 ());
-    Engine.kernel_texts eng
-  in
-  let hmc =
-    let eng = Engine.create ~vm_domains:1 () in
-    let g = Geometry.create [| 2; 2; 2; 2 |] in
-    let ctx = Hmc.Context.create ~backend:(Hmc.Context.jit_backend eng) ~seed:7L g in
-    Lqcd.Gauge.random_gauge ~epsilon:0.25 ctx.Hmc.Context.u (Prng.create ~seed:17L);
-    let monomials =
-      [
-        Hmc.Gauge_monomial.create ctx ~beta:5.6 ~aniso:1.0 ();
-        Hmc.Two_flavor.create ctx ~kappa:0.10 ();
-      ]
+(* Every kernel a fused Wilson CG solve and a 2^4 HMC trajectory build,
+   shared by the allocation and guard checks. *)
+let workload_kernels =
+  lazy
+    (let wilson =
+      let eng = Engine.create ~vm_domains:1 () in
+      let links = Lqcd.Gauge.create_links geom in
+      Lqcd.Gauge.random_gauge ~epsilon:0.3 links (Prng.create ~seed:11L);
+      let ops = Solvers.Ops.jit eng fm geom in
+      let nop = Solvers.Ops.normal_op ops ~apply_m:(Lqcd.Wilson.wilson_expr ~kappa:0.115 links) in
+      let b = (fresh_pool 5L 1).(0) in
+      let x = ops.Solvers.Ops.fresh () in
+      ignore (Solvers.Cg.solve ops nop ~b ~x ~max_iter:3 ());
+      Engine.kernel_texts eng
     in
-    ignore
-      (Hmc.Driver.run_trajectory ctx monomials
-         { Hmc.Driver.steps = 1; dt = 0.05; scheme = Hmc.Integrator.Omelyan });
-    Engine.kernel_texts eng
-  in
+    let hmc =
+      let eng = Engine.create ~vm_domains:1 () in
+      let g = Geometry.create [| 2; 2; 2; 2 |] in
+      let ctx = Hmc.Context.create ~backend:(Hmc.Context.jit_backend eng) ~seed:7L g in
+      Lqcd.Gauge.random_gauge ~epsilon:0.25 ctx.Hmc.Context.u (Prng.create ~seed:17L);
+      let monomials =
+        [
+          Hmc.Gauge_monomial.create ctx ~beta:5.6 ~aniso:1.0 ();
+          Hmc.Two_flavor.create ctx ~kappa:0.10 ();
+        ]
+      in
+      ignore
+        (Hmc.Driver.run_trajectory ctx monomials
+           { Hmc.Driver.steps = 1; dt = 0.05; scheme = Hmc.Integrator.Omelyan });
+      Engine.kernel_texts eng
+    in
+    List.map Ptx.Parse.kernel (wilson @ hmc))
+
+(* No live pair of registers may share a slot, and the allocation must
+   also shrink the register files somewhere. *)
+let test_allocation_on_workloads () =
   let shrunk = ref 0 in
   List.iter
-    (fun text ->
-      let k = Ptx.Parse.kernel text in
+    (fun k ->
       (match allocation_clash k with Some m -> Alcotest.fail m | None -> ());
       let s = Gpusim.Vm.superinsn_stats (Gpusim.Vm.compile k) in
       if s.Gpusim.Vm.rows > s.Gpusim.Vm.virtual_rows then
         Alcotest.failf "%s: %d rows allocated, more than its %d virtual rows" k.kname
           s.Gpusim.Vm.rows s.Gpusim.Vm.virtual_rows;
       if s.Gpusim.Vm.rows < s.Gpusim.Vm.virtual_rows then incr shrunk)
-    (wilson @ hmc);
+    (Lazy.force workload_kernels);
   if !shrunk = 0 then Alcotest.fail "no workload kernel's register files shrank"
+
+(* Every kernel the generators emit — singletons, fused groups, the
+   reduction payloads and the fold — opens with the canonical bounds
+   guard, so every launch of the workloads runs only its live threads. *)
+let test_workload_guards_proven () =
+  List.iter
+    (fun (k : Ptx.Types.kernel) ->
+      match Gpusim.Vm.bounds_guard (Gpusim.Vm.compile k) with
+      | Some slot ->
+          let p = List.nth k.params slot in
+          Alcotest.(check bool) (k.kname ^ ": guard bound is an s32 param") true
+            (p.Ptx.Types.ptype = Ptx.Types.S32)
+      | None -> Alcotest.failf "%s: bounds guard not proven" k.kname)
+    (Lazy.force workload_kernels)
 
 (* divk's divisor load takes the slot of its dead address register, and
    the faulting division writes that slot again as its destination: the
@@ -1389,6 +1408,181 @@ let test_misaligned_accesses () =
         [ false; true ])
     [ ("f16", 2, "f16"); ("f32", 4, "f32"); ("s32", 4, "i32"); ("f64", 8, "f64") ]
 
+(* ------------------------------------------------------------------ *)
+(* Guard-bounded tiles.  [compile] proves the canonical bounds guard
+   (idx = ctaid * ntid + tid; @(idx >= n) bra to a ret, with nothing
+   faultable per lane or touching memory before it), and the runtime
+   then runs only the threads below [max 1 n].  Near misses of that
+   shape must run every thread; all of them must match the [Reference]
+   device, which always runs every thread. *)
+
+(* y[idx] = x[idx] + 1 behind a bounds guard; [pre] is spliced before
+   the guard and [guard] is the guard itself.  The address chain sits
+   before the guard: register arithmetic does not spoil the proof. *)
+let guarded_text ?(pre = "") ?(guard = "\tsetp.ge.s32 \t%p1, %r5, %r1;\n\t@%p1 bra \tEXIT;")
+    ?(skip = "") name =
+  Printf.sprintf
+    {|
+.version 3.1
+.target sm_35
+.address_size 64
+
+.visible .entry %s(
+	.param .u64 %s_param_0,
+	.param .u64 %s_param_1,
+	.param .s32 %s_param_2
+)
+{
+	ld.param.u64 	%%rd1, [%s_param_0];
+	ld.param.u64 	%%rd2, [%s_param_1];
+	ld.param.s32 	%%r1, [%s_param_2];
+	mov.u32 	%%r2, %%tid.x;
+	mov.u32 	%%r3, %%ntid.x;
+	mov.u32 	%%r4, %%ctaid.x;
+	mad.lo.s32 	%%r5, %%r4, %%r3, %%r2;
+	mul.lo.s32 	%%r6, %%r5, 4;
+	cvt.s64.s32 	%%rs1, %%r6;
+	cvt.u64.s64 	%%rd3, %%rs1;
+	add.u64 	%%rd4, %%rd1, %%rd3;
+	add.u64 	%%rd5, %%rd2, %%rd3;
+%s
+%s
+	ld.global.s32 	%%r7, [%%rd4+0];
+	add.s32 	%%r8, %%r7, 1;
+	st.global.s32 	[%%rd5+0], %%r8;
+%s
+EXIT:
+	ret;
+}
+|}
+    name name name name name name name pre guard skip
+
+let guarded_compiled = lazy (Jit.compile (guarded_text "guardk"))
+
+(* Launch [grid * block] threads with work count [n] ([bound] overrides
+   the work-count parameter), x[i] = 3i + 1 over [x_len] words and
+   y[i] = -7; the outcome is y or the fault's text. *)
+let run_guarded compiled ~mode ~vm_domains ~grid ~block ~n ?x_len ?bound ?(bad_x = false) () =
+  let threads = grid * block in
+  let dev = Device.create ~mode ~vm_domains Machine.k20x_ecc_off in
+  let x = Device.alloc_i32 dev (Option.value x_len ~default:threads)
+  and y = Device.alloc_i32 dev threads in
+  (match (x.Buffer_.data, y.Buffer_.data) with
+  | Buffer_.I32 xa, Buffer_.I32 ya ->
+      for i = 0 to Bigarray.Array1.dim xa - 1 do
+        xa.{i} <- Int32.of_int ((3 * i) + 1)
+      done;
+      Bigarray.Array1.fill ya (-7l)
+  | _ -> assert false);
+  let params =
+    [|
+      (if bad_x then Gpusim.Vm.Int 5 else Gpusim.Vm.Ptr x);
+      Gpusim.Vm.Ptr y;
+      Option.value bound ~default:(Gpusim.Vm.Int n);
+    |]
+  in
+  match launch dev compiled ~nthreads:threads ~block ~params with
+  | _ -> (
+      match y.Buffer_.data with
+      | Buffer_.I32 a -> Ok (Array.init threads (fun i -> a.{i}))
+      | _ -> assert false)
+  | exception e -> Error (Printexc.to_string e)
+
+let agrees_with_reference run =
+  let reference = run ~mode:Device.Reference ~vm_domains:1 in
+  List.for_all (fun w -> run ~mode:Device.Functional ~vm_domains:w = reference) [ 1; 2; 4; 8 ]
+
+(* Each near miss leaves the threads past the work count an observable
+   effect — a store, a fault, a different exit test — so running only
+   the live threads would diverge from the reference. *)
+let near_misses =
+  [
+    ("setp.gt", guarded_text ~guard:"\tsetp.gt.s32 \t%p1, %r5, %r1;\n\t@%p1 bra \tEXIT;" "gtk", None);
+    ("tid, not idx", guarded_text ~guard:"\tsetp.ge.s32 \t%p1, %r2, %r1;\n\t@%p1 bra \tEXIT;" "tidk", None);
+    ("store before the guard", guarded_text ~pre:"\tst.global.s32 \t[%rd5+0], %r5;" "stk", None);
+    ("load before the guard", guarded_text ~pre:"\tld.global.s32 \t%r9, [%rd4+0];" "ldk", Some 40);
+    ( "div before the guard",
+      guarded_text ~pre:"\tsub.s32 \t%r9, %r1, %r5;\n\tdiv.s32 \t%r10, %r5, %r9;" "divgk", None );
+    ( "predicate redefined",
+      guarded_text
+        ~guard:"\tsetp.ge.s32 \t%p1, %r5, %r1;\n\tsetp.gt.s32 \t%p1, %r2, %r1;\n\t@%p1 bra \tEXIT;"
+        "redefk", None );
+    ( "target is not ret",
+      guarded_text ~guard:"\tsetp.ge.s32 \t%p1, %r5, %r1;\n\t@%p1 bra \tSKIP;"
+        ~skip:"\tbra.uni \tEXIT;\nSKIP:\n\tst.global.s32 \t[%rd5+0], %r5;" "skipgk", None );
+  ]
+
+let test_guard_near_misses () =
+  List.iter
+    (fun (what, text, x_len) ->
+      let compiled = Jit.compile text in
+      Alcotest.(check (option int)) (what ^ ": no proof") None
+        (Gpusim.Vm.bounds_guard compiled.Jit.program);
+      (* 40 work items over 4 ctas of 32: thread 40 is (ctaid 1, tid 8). *)
+      let run ~mode ~vm_domains =
+        run_guarded compiled ~mode ~vm_domains ~grid:4 ~block:32 ~n:40 ?x_len ()
+      in
+      Alcotest.(check bool) (what ^ ": runtime = Reference at 1/2/4/8 workers") true
+        (agrees_with_reference run))
+    near_misses
+
+let test_guard_bound_values () =
+  let compiled = Lazy.force guarded_compiled in
+  Alcotest.(check (option int)) "canonical guard proven on the s32 param" (Some 2)
+    (Gpusim.Vm.bounds_guard compiled.Jit.program);
+  List.iter
+    (fun (what, bound) ->
+      let run ~mode ~vm_domains =
+        run_guarded compiled ~mode ~vm_domains ~grid:4 ~block:32 ~n:0 ~bound ()
+      in
+      (match run ~mode:Device.Reference ~vm_domains:1 with
+      | Error m when contains m "ctaid 0, tid 0" -> ()
+      | Error m -> Alcotest.failf "%s bound: unexpected fault %s" what m
+      | Ok _ -> Alcotest.failf "%s bound: no fault" what);
+      Alcotest.(check bool) (what ^ " bound: runtime = Reference") true (agrees_with_reference run))
+    [ ("Float", Gpusim.Vm.Float 40.0); ("Ptr", Gpusim.Vm.Ptr (Buffer_.create_i32 0 4)) ];
+  (* No work at all still runs thread (0, 0), which raises the
+     prologue's lane-uniform fault exactly where the reference does. *)
+  List.iter
+    (fun n ->
+      let run ~mode ~vm_domains =
+        run_guarded compiled ~mode ~vm_domains ~grid:4 ~block:32 ~n ~bad_x:true ()
+      in
+      Alcotest.(check bool) (Printf.sprintf "n = %d: prologue fault = Reference" n) true
+        (agrees_with_reference run))
+    [ 0; -3 ]
+
+(* Work counts at or below zero, inside the first cta, inside the grid
+   and past it, over odd and wide blocks; a sixth of the cases bind the
+   x pointer to an integer, a lane-uniform fault in the prologue that
+   thread (0, 0) must still report. *)
+let arb_guarded =
+  QCheck.make
+    ~print:(fun (n, block, grid, bad_x) ->
+      Printf.sprintf "n %d block %d grid %d%s" n block grid (if bad_x then " bad x" else ""))
+    QCheck.Gen.(
+      let* block = oneofl [ 1; 7; 32; 64; 100; 128; 1024 ] in
+      let* grid = int_range 1 4 in
+      let* n =
+        oneof
+          [
+            int_range (-5) 0;
+            int_range 1 (max 1 (block - 1));
+            int_range block (grid * block);
+            int_range ((grid * block) + 1) ((grid * block) + 50);
+          ]
+      in
+      let* bad_x = map (fun k -> k = 0) (int_bound 5) in
+      return (n, block, grid, bad_x))
+
+let qcheck_guarded_tiles =
+  QCheck.Test.make ~count:30
+    ~name:"guard-bounded tiles: 1/2/4/8 workers = Reference, any work count" arb_guarded
+    (fun (n, block, grid, bad_x) ->
+      let compiled = Lazy.force guarded_compiled in
+      agrees_with_reference (fun ~mode ~vm_domains ->
+          run_guarded compiled ~mode ~vm_domains ~grid ~block ~n ~bad_x ()))
+
 let () =
   Alcotest.run "vm"
     [
@@ -1426,6 +1620,15 @@ let () =
           Alcotest.test_case "divk passes safety analysis" `Quick test_divk_parallelizable;
           Alcotest.test_case "misaligned loads and stores fault alike everywhere" `Quick
             test_misaligned_accesses;
+        ] );
+      ( "guards",
+        [
+          Alcotest.test_case "near misses run every thread" `Quick test_guard_near_misses;
+          Alcotest.test_case "Float/Ptr or no work: fault at (0,0)" `Quick
+            test_guard_bound_values;
+          QCheck_alcotest.to_alcotest qcheck_guarded_tiles;
+          Alcotest.test_case "wilson CG + HMC kernels: guards proven" `Quick
+            test_workload_guards_proven;
         ] );
       ( "regalloc",
         [
