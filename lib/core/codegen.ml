@@ -19,7 +19,7 @@ module Field = Qdp.Field
 module JSite = Linalg.Site.Make (Jit_scalar)
 open Ptx.Types
 
-let version = 4
+let version = 5
 
 type param_plan =
   | Dest  (** destination field pointer *)
@@ -64,17 +64,14 @@ let byte_address e base site_reg ~scale =
   Emitter.emit e (Add { dtype = U64; dst = addr; a = Reg base; b = Reg u64 });
   addr
 
-let lower ?(optimize = true) ?provenance ~plan raw =
+let lower ?(optimize = true) ?provenance raw =
   Ptx.Validate.kernel raw;
-  let kernel, passes =
-    if optimize then begin
-      let r = Ptx.Passes.run ?provenance raw in
-      Ptx.Validate.kernel r.Ptx.Passes.kernel;
-      (r.Ptx.Passes.kernel, r.Ptx.Passes.applied)
-    end
-    else (raw, [])
-  in
-  { kernel; raw; text = Ptx.Print.kernel kernel; plan; passes }
+  if optimize then begin
+    let r = Ptx.Passes.run ?provenance raw in
+    Ptx.Validate.kernel r.Ptx.Passes.kernel;
+    (r.Ptx.Passes.kernel, r.Ptx.Passes.applied)
+  end
+  else (raw, [])
 
 let build ?(optimize = true) ?(reduction = false) ~kname ~dest_shape ~(expr : Expr.t) ~nsites
     ~use_sitelist () =
@@ -367,4 +364,6 @@ let build ?(optimize = true) ?(reduction = false) ~kname ~dest_shape ~(expr : Ex
      dead-component loads stripped (that has always happened at emission),
      everything else naive.  The middle-end then runs on top, with the
      emitter's provenance as the CSE soundness certificate. *)
-  lower ~optimize ~provenance:(Emitter.provenance e) ~plan (Emitter.eliminate_dead_code kernel)
+  let raw = Emitter.eliminate_dead_code kernel in
+  let kernel, passes = lower ~optimize ~provenance:(Emitter.provenance e) raw in
+  { kernel; raw; text = Ptx.Print.kernel kernel; plan; passes }

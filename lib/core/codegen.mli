@@ -46,13 +46,13 @@ type built = {
 val lower :
   ?optimize:bool ->
   ?provenance:Ptx.Passes.provenance ->
-  plan:param_plan list ->
   Ptx.Types.kernel ->
-  built
+  Ptx.Types.kernel * Ptx.Passes.report list
 (** The compile tail every kernel takes, generated or not: validate the
     raw stream, run the {!Ptx.Passes} middle-end when [optimize] (default
-    on; [provenance] is the emitting builder's CSE certificate), validate
-    again and print the text the driver JIT reads. *)
+    on; [provenance] is the emitting builder's CSE certificate) and
+    validate again.  Returns the kernel whose printed text the driver JIT
+    reads, and the middle-end applications in order. *)
 
 val build :
   ?optimize:bool ->
@@ -69,7 +69,8 @@ val build :
     from a buffer instead of the thread index).  [optimize] (default on)
     runs the {!Ptx.Passes} middle-end on the emitted stream; [raw] always
     holds the unoptimized kernel for comparison.  The emitted stream
-    goes through {!lower}.
+    goes through {!lower}; [plan] is the order the kernel's parameters
+    bind in.
 
     [reduction] (default off) builds the payload kernel of a reduction:
     there is no destination field — the per-work-item partials go to a

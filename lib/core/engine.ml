@@ -9,11 +9,14 @@
     scratch and fold it with a cached radix-8 kernel, finishing the last
     level on the host, keeping results deterministic.
 
-    Every kernel the engine launches — singleton eval, fused group, fold
-    kernel — comes out of one compile path ({!compile}): persistent-cache
-    lookup, naming, {!Codegen.lower}, driver JIT, publish.  A cache entry
-    keeps only what a launch reads: the compiled function, its parameter
-    plan and its tuner.
+    There is one launch path: every eval launches as a fusion group
+    ({!launch_fused}), and an eval launched alone — on an explicit
+    stream, from a [~fuse:false] engine, or as the fallback of a group
+    that failed — is a group of one.  Every kernel the engine launches,
+    group or fold kernel, comes out of one compile path ({!compile}):
+    persistent-cache lookup, naming, {!Codegen.lower}, driver JIT,
+    publish.  A cache entry keeps only what a launch reads: the compiled
+    function and its tuner.
 
     On top of that sits the deferred-launch queue: a default-stream
     [eval] only records the request, and a flush point (reduction,
@@ -36,36 +39,31 @@ module Buffer_ = Gpusim.Buffer
 open Ptx.Types
 
 (* What a launch reads: the driver's function (its analysis drives the
-   byte counters), the parameter binding order and the block-size tuner. *)
-type kernel_entry = {
-  compiled : Jit.compiled;
-  plan : Codegen.param_plan list;  (** [] for fused groups and the fold kernel *)
-  tuner : Autotune.t;
-}
+   byte counters) and the block-size tuner. *)
+type kernel_entry = { compiled : Jit.compiled; tuner : Autotune.t }
 
 (** Lifetime counters of the deferred-eval queue and fusion planner. *)
 type fusion_stats = {
   deferred_evals : int;  (** default-stream evals that entered the queue *)
   flushes : int;
-  fused_groups : int;  (** multi-eval groups launched as one kernel *)
+  fused_groups : int;  (** groups of two or more evals launched as one kernel *)
   launches_saved : int;
   eliminated_load_bytes : int;  (** whole-launch global loads removed *)
   eliminated_store_bytes : int;  (** whole-launch global stores removed *)
   fallbacks : int;  (** groups relaunched separately after a fusion failure *)
 }
 
-(* A kernel-cache key: an eval's is interned per engine by {!eval_key},
-   the fold kernel's is fixed.  [id] keys the in-memory tables; [skey] is
-   the full structural string, read only to form a persistent-cache key
-   on an in-memory miss (ids are engine-local, so they never reach the
-   disk). *)
+(* An eval's kernel-cache key, interned per engine by {!eval_key}.  [id]
+   keys the in-memory tables; [skey] is the full structural string, read
+   only to form a persistent-cache key on an in-memory miss (ids are
+   engine-local, so they never reach the disk). *)
 type ekey = { id : int; skey : string }
 
 (* The unoptimized per-eval kernel and its plan (fusion source
    material), plus what is derived from it once instead of per use: its
-   per-work-item global load/store bytes, which a dead singleton launch
+   per-work-item global load/store bytes, which a dead group of one
    reports as eliminated, and its {!Ptx.Fuse.kernel_digest}, which every
-   fused group it joins puts in its persistent-cache key. *)
+   group it joins puts in its persistent-cache key. *)
 type member = {
   m_raw : kernel;
   m_plan : Codegen.param_plan list;
@@ -102,7 +100,7 @@ let writes (ev : pending) fid =
 
 (* Launch-time binding of one fused parameter slot; field identities are
    erased (canonical index into the group's distinct-field walk) so the
-   fused kernel is reusable across field sets, like the singleton cache. *)
+   fused kernel is reusable across field sets. *)
 type fused_binding =
   | FB_field of int
   | FB_ntable of int * int
@@ -129,10 +127,10 @@ type t = {
   keys : (string * int * bool * bool, ekey) Hashtbl.t;
       (** interned eval keys by (binary {!Expr.structure_key}, nsites,
           site-list flag, reduction flag); ids count up from 0 *)
-  kernels : (int, kernel_entry) Hashtbl.t;
-      (** singleton evals by key id, and the fold kernel by {!reduce_key} *)
   fused_kernels : (string, fused_entry) Hashtbl.t;
-      (** fused groups by a packed int sequence (see {!launch_fused}) *)
+      (** groups, of one eval or more, by a packed int sequence (see
+          {!launch_fused}) *)
+  mutable fold : kernel_entry option;  (** the fold kernel, compiled on first use *)
   members : (int, member) Hashtbl.t;
       (** unoptimized per-eval kernels by key id, kept as fusion source
           material and for dead-launch byte counts *)
@@ -247,22 +245,22 @@ let sitelist t geom subset =
 (* The persistent JIT cache.
 
    Disk keys capture everything a compiled artifact depends on: the
-   structural key of what is being compiled (the expression structure
-   key, a fused group's {!Ptx.Fuse.structural_key}, or the fixed fold
-   kernel), the optimize flag, and the versions of every stage that
-   shapes the bytes — code generator, middle-end, splicer, pre-decoder —
-   plus the OCaml version, since entries travel as [Marshal] images.
-   A hit restores the driver's output (pre-decoded program, analysis,
-   text), the parameter plan and the fuse report without running the
-   emitter, the passes, the validator or the driver JIT; [kernels_built]
-   and [jit_seconds] count only real compiles, so a fully warm engine
-   reports zero kernels built.  A payload type change must bump one of
-   the versions in [cache_tag]: [Marshal] cannot tell an old payload
-   from a new one. *)
+   structural key of what is being compiled (an eval's expression
+   structure key for its fusion source material, a group's
+   {!Ptx.Fuse.structural_key}, or the fixed fold kernel) under its kind
+   ([raw], [fused], [reduce]), the optimize flag, and the versions of
+   every stage that shapes the bytes — code generator, middle-end,
+   splicer, pre-decoder — plus the OCaml version, since entries travel
+   as [Marshal] images.  A hit restores the driver's output
+   (pre-decoded program, analysis, text) and the fuse report without
+   running the emitter, the passes, the validator or the driver JIT;
+   [kernels_built] and [jit_seconds] count only real compiles, so a
+   fully warm engine reports zero kernels built.  A payload type change
+   must bump one of the versions in [cache_tag]: [Marshal] cannot tell
+   an old payload from a new one. *)
 
 type cache_payload = {
   cp_prog : Jit.compiled;
-  cp_plan : Codegen.param_plan list;
   cp_report : Ptx.Fuse.report;  (** fused kernels' savings; zero otherwise *)
 }
 
@@ -287,15 +285,16 @@ let cache_store t ~opt ~kind skey payload =
 
 let no_report = { Ptx.Fuse.subst_load_bytes = 0; dropped_store_bytes = 0 }
 
-(* The one compile path.  [lower kname] produces the kernel through
-   {!Codegen.lower} (plus a fused group's savings report); it runs only
-   on a persistent-cache miss, after the kernel is named: [`Serial p]
-   numbers it [p_<n>] in compile order, [`Fixed n] is a constant name. *)
-let compile t ~kind ~skey ~name lower =
+(* The one compile path.  [emit kname] produces the raw kernel (plus the
+   emitter's CSE provenance, if any, and a fused group's savings report)
+   for {!Codegen.lower}; it runs only on a persistent-cache miss, after
+   the kernel is named: [`Serial p] numbers it [p_<n>] in compile order,
+   [`Fixed n] is a constant name. *)
+let compile t ~kind ~skey ~name emit =
   let opt = t.optimize in
-  let compiled, plan, report =
+  let compiled, report =
     match (cache_find t ~opt ~kind skey : cache_payload option) with
-    | Some p -> (p.cp_prog, p.cp_plan, p.cp_report)
+    | Some p -> (p.cp_prog, p.cp_report)
     | None ->
         let kname =
           match name with
@@ -304,16 +303,16 @@ let compile t ~kind ~skey ~name lower =
               t.kernel_serial <- t.kernel_serial + 1;
               Printf.sprintf "%s_%d" prefix t.kernel_serial
         in
-        let built, report = lower kname in
-        let compiled = Jit.compile built.Codegen.text in
+        let raw, provenance, report = emit kname in
+        let kernel, _ = Codegen.lower ~optimize:opt ?provenance raw in
+        let compiled = Jit.compile (Ptx.Print.kernel kernel) in
         t.kernels_built <- t.kernels_built + 1;
         t.jit_seconds <- t.jit_seconds +. compiled.Jit.compile_time;
-        cache_store t ~opt ~kind skey
-          { cp_prog = compiled; cp_plan = built.Codegen.plan; cp_report = report };
-        (compiled, built.Codegen.plan, report)
+        cache_store t ~opt ~kind skey { cp_prog = compiled; cp_report = report };
+        (compiled, report)
   in
   let max_block = t.device.Device.machine.Gpusim.Machine.max_threads_per_block in
-  ({ compiled; plan; tuner = Autotune.create ~max_block () }, report)
+  ({ compiled; tuner = Autotune.create ~max_block () }, report)
 
 (* Intern an eval's kernel-cache key and collect its leaves, in one walk
    of the expression.  The persistent-cache string is formed only when a
@@ -339,28 +338,13 @@ let eval_key t ~reduction ~dest_shape ~nsites ~use_sitelist expr =
   in
   (key, leaves)
 
-(* A [kernels] entry, compiled on first use. *)
-let cached_kernel t ~kind ~(key : ekey) ~name lower =
-  match Hashtbl.find_opt t.kernels key.id with
-  | Some e -> e
-  | None ->
-      let e, _ = compile t ~kind ~skey:key.skey ~name lower in
-      Hashtbl.replace t.kernels key.id e;
-      e
-
-let lookup_kernel t key ~reduction ~dest_shape ~expr ~nsites ~use_sitelist =
-  cached_kernel t ~kind:"eval" ~key ~name:(`Serial "qdpjit_kernel") (fun kname ->
-      ( Codegen.build ~optimize:t.optimize ~reduction ~kname ~dest_shape ~expr ~nsites
-          ~use_sitelist (),
-        no_report ))
-
 (* The unoptimized per-eval kernel and its plan, kept as fusion source
    material: the splicer needs the emitter's canonical instruction order,
    which the middle-end (sink in particular) does not preserve.  The
    kernel name is a constant, so the kernel is engine-independent and
    disk-cacheable under the same structural key; a warm start skips the
    emitter and the byte analysis. *)
-let member t (ev : pending) ~nsites ~use_sitelist =
+let member t (ev : pending) =
   match Hashtbl.find_opt t.members ev.p_key.id with
   | Some m -> m
   | None ->
@@ -370,7 +354,8 @@ let member t (ev : pending) ~nsites ~use_sitelist =
         | None ->
             let b =
               Codegen.build ~optimize:false ~reduction:(is_red ev) ~kname:"qdpjit_member"
-                ~dest_shape:ev.p_shape ~expr:ev.p_expr ~nsites ~use_sitelist ()
+                ~dest_shape:ev.p_shape ~expr:ev.p_expr ~nsites:(Geometry.volume ev.p_geom)
+                ~use_sitelist:(not (Subset.is_all ev.p_subset)) ()
             in
             let a = Ptx.Analysis.kernel b.Codegen.raw in
             let m =
@@ -379,7 +364,8 @@ let member t (ev : pending) ~nsites ~use_sitelist =
                 m_plan = b.Codegen.plan;
                 m_load_bytes = a.Ptx.Analysis.load_bytes;
                 m_store_bytes = a.Ptx.Analysis.store_bytes;
-                m_digest = Ptx.Fuse.kernel_digest b.Codegen.raw;
+                (* Built raw, [text] is the raw kernel's print. *)
+                m_digest = Ptx.Fuse.kernel_digest b.Codegen.text;
               }
             in
             cache_store t ~opt:false ~kind:"raw" ev.p_key.skey m;
@@ -429,67 +415,6 @@ let scratch_buf s =
   | Some b -> b
   | None -> invalid_arg "Engine: reduction kernel launched with no scratch"
 
-(* One eval issued now, bypassing the deferred-eval queue: make every
-   referenced field resident, bind the parameter plan, launch (the
-   device runs it at the next synchronization).  [dest] is
-   [None] for a reduction payload, which writes the engine's scratch.
-   [key] and [leaves] come from {!eval_key}. *)
-let launch_eval ~subset ~stream ~sync t ~geom ~dest_shape ~key ~leaves dest expr =
-  let nsites = Geometry.volume geom in
-  let use_sitelist = not (Subset.is_all subset) in
-  let entry =
-    lookup_kernel t key ~reduction:(dest = None) ~dest_shape ~expr ~nsites ~use_sitelist
-  in
-  (* Make everything resident before binding addresses (Sec. IV); the
-     launch stream waits on any upload still in flight on the transfer
-     stream. *)
-  let leaf_bufs =
-    List.map (fun f -> Memcache.ensure_resident ~pin:true ~wait_stream:stream t.cache f) leaves
-    |> Array.of_list
-  in
-  let dest_buf =
-    Option.map
-      (fun (d : Field.t) ->
-        let dest_is_leaf = List.exists (fun (f : Field.t) -> f.Field.id = d.Field.id) leaves in
-        Memcache.ensure_resident ~pin:true
-          ~for_write:(Subset.is_all subset && not dest_is_leaf)
-          ~wait_stream:stream t.cache d)
-      dest
-  in
-  let n_work = if use_sitelist then Subset.count geom subset else nsites in
-  let scalar_values = Expr.params expr |> List.map snd |> Array.of_list in
-  let params =
-    List.map
-      (fun plan ->
-        match plan with
-        | Codegen.Dest -> Gpusim.Vm.Ptr (Option.get dest_buf)
-        | Codegen.Red_partial -> Gpusim.Vm.Ptr (scratch_buf t.red_partial)
-        | Codegen.Leaf_ptr i -> Gpusim.Vm.Ptr leaf_bufs.(i)
-        | Codegen.Ntable (dim, dir) -> Gpusim.Vm.Ptr (ntable t geom ~dim ~dir)
-        | Codegen.Sitelist -> Gpusim.Vm.Ptr (sitelist t geom subset)
-        | Codegen.N_work -> Gpusim.Vm.Int n_work
-        | Codegen.Block_partial -> Gpusim.Vm.Ptr (scratch_buf t.red_block)
-        | Codegen.Scalar_param (slot, comp) -> Gpusim.Vm.Float scalar_values.(slot).(comp))
-      entry.plan
-    |> Array.of_list
-  in
-  tuned_launch t entry ~stream ~nthreads:n_work ~params;
-  Option.iter (Memcache.mark_device_dirty t.cache) dest;
-  Memcache.unpin_all t.cache;
-  if sync then ignore (Streams.stream_synchronize t.streams stream)
-
-let launch_pending ~stream ~sync t (ev : pending) =
-  launch_eval ~subset:ev.p_subset ~stream ~sync t ~geom:ev.p_geom ~dest_shape:ev.p_shape
-    ~key:ev.p_key ~leaves:ev.p_leaves ev.p_dest ev.p_expr
-
-(* One eval outside the queue, keyed here. *)
-let launch_now ?(subset = Subset.All) ~stream ~sync t ~geom ~dest_shape dest expr =
-  let key, leaves =
-    eval_key t ~reduction:(dest = None) ~dest_shape ~nsites:(Geometry.volume geom)
-      ~use_sitelist:(not (Subset.is_all subset)) expr
-  in
-  launch_eval ~subset ~stream ~sync t ~geom ~dest_shape ~key ~leaves dest expr
-
 (* ------------------------------------------------------------------ *)
 (* The fusion planner                                                  *)
 
@@ -524,6 +449,26 @@ let reads_of expr =
   in
   walk false expr;
   tbl
+
+(* One eval as a queue entry, keyed here.  [dest] is [None] for a
+   reduction payload (kernel in reduction mode, scratch bound at launch).
+   It holds no memcache references until {!enqueue} takes them. *)
+let pending t ~subset ~geom ~dest_shape dest expr =
+  let key, leaves =
+    eval_key t ~reduction:(dest = None) ~dest_shape ~nsites:(Geometry.volume geom)
+      ~use_sitelist:(not (Subset.is_all subset)) expr
+  in
+  {
+    p_dest = dest;
+    p_shape = dest_shape;
+    p_expr = expr;
+    p_key = key;
+    p_leaves = leaves;
+    p_subset = subset;
+    p_geom = geom;
+    p_reads = reads_of expr;
+    p_retained = [];
+  }
 
 let reads_shifted (ev : pending) fid =
   match Hashtbl.find_opt ev.p_reads fid with Some r -> r.r_shifted | None -> false
@@ -639,18 +584,24 @@ let plan_drops (evs : pending array) group_of =
   done;
   drop
 
-(* Fuse and launch one multi-eval group.  Raises [Ptx.Fuse.Fusion_failure]
-   or [Device.Out_of_device_memory]; the caller falls back to launching
-   the members separately.
+(* Fuse and launch one group onto [stream]: every launched eval goes
+   through here, an eval launched alone as a group of one.  Raises
+   [Ptx.Fuse.Fusion_failure] or [Device.Out_of_device_memory] (with no
+   field left pinned); {!launch_group} falls back to launching a larger
+   group's members as groups of one.
 
    The group's in-memory key is a packed int sequence, per member: its
    key id, the canonical indices of its destination and leaves (how many
    follows from the id), its substitution pairs and its drop/reduction
    flags.  A hit needs nothing else: member kernels, parameter slots and
-   the splice are built only on a miss. *)
-let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
-    (dropm : bool array) =
+   the splice are built only on a miss.  A group of one keeps the
+   singleton kernel name [qdpjit_kernel_<n>], so a trace tells it from a
+   fused group. *)
+let launch_fused t ~stream (members : pending array) (dropm : bool array) =
   let k = Array.length members in
+  let geom = members.(0).p_geom and subset = members.(0).p_subset in
+  let nsites = Geometry.volume geom in
+  let use_sitelist = not (Subset.is_all subset) in
   (* Canonical distinct-field walk: members' [dest; leaves...] in order (a
      reduction payload has no destination field), which is also the
      order their parameter plans bind them.  The index is the launch-time
@@ -721,7 +672,7 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
     match Hashtbl.find_opt t.fused_kernels key with
     | Some fe -> fe
     | None ->
-        let raws = Array.map (fun m -> member t m ~nsites ~use_sitelist) members in
+        let raws = Array.map (member t) members in
         let slot_tbl : (fused_binding, int) Hashtbl.t = Hashtbl.create 32 in
         let plan_rev = ref [] and nslots = ref 0 in
         let slot_of b =
@@ -770,9 +721,10 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
             ~skey:
               (Ptx.Fuse.structural_key ~nsites
                  (List.mapi (fun mi s -> (raws.(mi).m_digest, s)) sources))
-            ~name:(`Serial "qdpjit_fused") (fun kname ->
+            ~name:(`Serial (if k = 1 then "qdpjit_kernel" else "qdpjit_fused"))
+            (fun kname ->
               let fused_raw, report = Ptx.Fuse.fuse ~kname sources in
-              (Codegen.lower ~optimize:t.optimize ~plan:[] fused_raw, report))
+              (fused_raw, None, report))
         in
         let fe = { f_entry; f_plan = Array.of_list (List.rev !plan_rev); f_report } in
         Hashtbl.replace t.fused_kernels key fe;
@@ -802,69 +754,76 @@ let launch_fused t ~geom ~subset ~nsites ~use_sitelist (members : pending array)
             not !read_before)
       fields
   in
-  let stream = Streams.default_stream t.streams in
-  let bufs =
-    Array.mapi
-      (fun ci f ->
-        Memcache.ensure_resident ~pin:true ~for_write:for_write.(ci) ~wait_stream:stream
-          t.cache f)
-      fields
-  in
   let n_work = if use_sitelist then Subset.count geom subset else nsites in
   let scalars =
     Array.map (fun m -> Expr.params m.p_expr |> List.map snd |> Array.of_list) members
   in
-  let params =
-    Array.map
-      (function
-        | FB_field ci -> Gpusim.Vm.Ptr bufs.(ci)
-        | FB_ntable (dim, dir) -> Gpusim.Vm.Ptr (ntable t geom ~dim ~dir)
-        | FB_sitelist -> Gpusim.Vm.Ptr (sitelist t geom subset)
-        | FB_nwork -> Gpusim.Vm.Int n_work
-        | FB_red_partial -> Gpusim.Vm.Ptr (scratch_buf t.red_partial)
-        | FB_red_block -> Gpusim.Vm.Ptr (scratch_buf t.red_block)
-        | FB_scalar (mi, slot, comp) -> Gpusim.Vm.Float scalars.(mi).(slot).(comp))
-      fe.f_plan
-  in
-  tuned_launch t fe.f_entry ~stream ~nthreads:n_work ~params;
-  Array.iteri
-    (fun mi m -> if not dropm.(mi) then Option.iter (Memcache.mark_device_dirty t.cache) m.p_dest)
-    members;
-  Memcache.unpin_all t.cache;
-  t.fs_groups <- t.fs_groups + 1;
-  t.fs_saved <- t.fs_saved + (k - 1);
-  t.fs_elim_load <- t.fs_elim_load + (fe.f_report.Ptx.Fuse.subst_load_bytes * n_work);
-  t.fs_elim_store <- t.fs_elim_store + (fe.f_report.Ptx.Fuse.dropped_store_bytes * n_work)
+  Fun.protect
+    ~finally:(fun () -> Memcache.unpin_all t.cache)
+    (fun () ->
+      let bufs =
+        Array.mapi
+          (fun ci f ->
+            Memcache.ensure_resident ~pin:true ~for_write:for_write.(ci) ~wait_stream:stream
+              t.cache f)
+          fields
+      in
+      let params =
+        Array.map
+          (function
+            | FB_field ci -> Gpusim.Vm.Ptr bufs.(ci)
+            | FB_ntable (dim, dir) -> Gpusim.Vm.Ptr (ntable t geom ~dim ~dir)
+            | FB_sitelist -> Gpusim.Vm.Ptr (sitelist t geom subset)
+            | FB_nwork -> Gpusim.Vm.Int n_work
+            | FB_red_partial -> Gpusim.Vm.Ptr (scratch_buf t.red_partial)
+            | FB_red_block -> Gpusim.Vm.Ptr (scratch_buf t.red_block)
+            | FB_scalar (mi, slot, comp) -> Gpusim.Vm.Float scalars.(mi).(slot).(comp))
+          fe.f_plan
+      in
+      tuned_launch t fe.f_entry ~stream ~nthreads:n_work ~params;
+      Array.iteri
+        (fun mi m ->
+          if not dropm.(mi) then Option.iter (Memcache.mark_device_dirty t.cache) m.p_dest)
+        members);
+  if k > 1 then begin
+    t.fs_groups <- t.fs_groups + 1;
+    t.fs_saved <- t.fs_saved + (k - 1);
+    t.fs_elim_load <- t.fs_elim_load + (fe.f_report.Ptx.Fuse.subst_load_bytes * n_work);
+    t.fs_elim_store <- t.fs_elim_store + (fe.f_report.Ptx.Fuse.dropped_store_bytes * n_work)
+  end
 
-let launch_group t ~geom ~subset ~nsites ~use_sitelist (evs : pending array)
-    (drop : bool array) (g : int array) =
-  let s0 = Streams.default_stream t.streams in
-  let serial () = Array.iter (fun i -> launch_pending ~stream:s0 ~sync:false t evs.(i)) g in
-  if Array.length g = 1 then begin
-    let i = g.(0) in
-    if drop.(i) then begin
-      (* The whole launch is dead: a later eval of this flush rewrites the
-         destination before anything reads it. *)
-      let m = member t evs.(i) ~nsites ~use_sitelist in
-      let n_work = if use_sitelist then Subset.count geom subset else nsites in
-      t.fs_saved <- t.fs_saved + 1;
-      t.fs_elim_load <- t.fs_elim_load + (m.m_load_bytes * n_work);
-      t.fs_elim_store <- t.fs_elim_store + (m.m_store_bytes * n_work)
-    end
-    else launch_pending ~stream:s0 ~sync:false t evs.(i)
+(* One eval outside the queue, as a group of one; [sync] blocks until
+   [stream] has run it. *)
+let launch_one ~stream ~sync t ev =
+  launch_fused t ~stream [| ev |] [| false |];
+  if sync then ignore (Streams.stream_synchronize t.streams stream)
+
+(* Launch one planned group on the default stream.  A group of two or
+   more that fails to splice or to fit relaunches its members as groups
+   of one; a group of one has no fallback and raises. *)
+let launch_group t (evs : pending array) (drop : bool array) (g : int array) =
+  let stream = Streams.default_stream t.streams in
+  if Array.length g = 1 && drop.(g.(0)) then begin
+    (* The whole launch is dead: a later eval of this flush rewrites the
+       destination before anything reads it. *)
+    let ev = evs.(g.(0)) in
+    let m = member t ev in
+    let n_work =
+      if Subset.is_all ev.p_subset then Geometry.volume ev.p_geom
+      else Subset.count ev.p_geom ev.p_subset
+    in
+    t.fs_saved <- t.fs_saved + 1;
+    t.fs_elim_load <- t.fs_elim_load + (m.m_load_bytes * n_work);
+    t.fs_elim_store <- t.fs_elim_store + (m.m_store_bytes * n_work)
   end
   else
-    let dropm = Array.map (fun i -> drop.(i)) g in
-    let members = Array.map (fun i -> evs.(i)) g in
-    match launch_fused t ~geom ~subset ~nsites ~use_sitelist members dropm with
+    let members = Array.map (fun i -> evs.(i)) g and dropm = Array.map (fun i -> drop.(i)) g in
+    match launch_fused t ~stream members dropm with
     | () -> ()
-    | exception Ptx.Fuse.Fusion_failure _ ->
+    | exception (Ptx.Fuse.Fusion_failure _ | Device.Out_of_device_memory)
+      when Array.length g > 1 ->
         t.fs_fallbacks <- t.fs_fallbacks + 1;
-        serial ()
-    | exception Device.Out_of_device_memory ->
-        Memcache.unpin_all t.cache;
-        t.fs_fallbacks <- t.fs_fallbacks + 1;
-        serial ()
+        Array.iter (fun i -> launch_one ~stream ~sync:false t evs.(i)) g
 
 let flush t =
   if (not t.in_flush) && t.pending_n > 0 then begin
@@ -899,14 +858,7 @@ let flush t =
            sweep.  Spills and page-outs in between drain the queue
            first, so host-visible contents are always
            as-of-program-point. *)
-        List.iter
-          (fun g ->
-            let head = evs.(g.(0)) in
-            let geom = head.p_geom and subset = head.p_subset in
-            let nsites = Geometry.volume geom in
-            let use_sitelist = not (Subset.is_all subset) in
-            launch_group t ~geom ~subset ~nsites ~use_sitelist evs drop g)
-          groups;
+        List.iter (launch_group t evs drop) groups;
         ignore (Streams.stream_synchronize t.streams (Streams.default_stream t.streams)))
   end
 
@@ -921,8 +873,8 @@ let create ?(machine = Gpusim.Machine.k20x_ecc_off) ?(mode = Device.Functional)
       cache = Memcache.create streams;
       jit_cache = Jitcache.from_env ?default:jit_cache ();
       keys = Hashtbl.create 64;
-      kernels = Hashtbl.create 64;
-      fused_kernels = Hashtbl.create 16;
+      fused_kernels = Hashtbl.create 64;
+      fold = None;
       members = Hashtbl.create 16;
       fused_key = Buffer.create 64;
       ntables = Hashtbl.create 16;
@@ -967,8 +919,8 @@ let jit_seconds t =
 let kernel_texts t =
   flush t;
   let text e = e.compiled.Jit.text in
-  let singles = Hashtbl.fold (fun _ e acc -> text e :: acc) t.kernels [] in
-  Hashtbl.fold (fun _ f acc -> text f.f_entry :: acc) t.fused_kernels singles
+  let folds = Option.to_list (Option.map text t.fold) in
+  Hashtbl.fold (fun _ f acc -> text f.f_entry :: acc) t.fused_kernels folds
 
 let kernel_bytes_moved t =
   flush t;
@@ -1015,16 +967,11 @@ let synchronize t =
 (* Park one eval on the deferred queue.  A subset or geometry change is
    no longer a flush point — the planner groups the queue into
    (subset, geometry) runs at flush time, which is what lets interleaved
-   even/odd evals fuse within their own runs.  [dest] is [None] for a
-   reduction payload (kernel in reduction mode, scratch bound at launch). *)
-let enqueue t ~subset ~geom ~dest_shape dest expr =
+   even/odd evals fuse within their own runs. *)
+let enqueue t (ev : pending) =
   (* As at a flush: free collected fields' copies before this eval's
      operands allocate. *)
   Memcache.reclaim t.cache;
-  let key, leaves =
-    eval_key t ~reduction:(dest = None) ~dest_shape ~nsites:(Geometry.volume geom)
-      ~use_sitelist:(not (Subset.is_all subset)) expr
-  in
   let retained = ref [] in
   match
     (* Residency at enqueue time snapshots the host content the eval
@@ -1035,30 +982,17 @@ let enqueue t ~subset ~geom ~dest_shape dest expr =
         ignore (Memcache.ensure_resident t.cache f);
         Memcache.retain t.cache f;
         retained := f :: !retained)
-      leaves;
+      ev.p_leaves;
     Option.iter
       (fun (d : Field.t) ->
-        let dest_is_leaf = List.exists (fun (f : Field.t) -> f.Field.id = d.Field.id) leaves in
-        let for_write = Subset.is_all subset && not dest_is_leaf in
+        let for_write = Subset.is_all ev.p_subset && not (Hashtbl.mem ev.p_reads d.Field.id) in
         ignore (Memcache.ensure_resident ~for_write t.cache d);
         Memcache.retain t.cache d;
         retained := d :: !retained)
-      dest
+      ev.p_dest
   with
   | () ->
-      t.pending_rev <-
-        {
-          p_dest = dest;
-          p_shape = dest_shape;
-          p_expr = expr;
-          p_key = key;
-          p_leaves = leaves;
-          p_subset = subset;
-          p_geom = geom;
-          p_reads = reads_of expr;
-          p_retained = !retained;
-        }
-        :: t.pending_rev;
+      t.pending_rev <- { ev with p_retained = !retained } :: t.pending_rev;
       t.pending_n <- t.pending_n + 1;
       t.fs_deferred <- t.fs_deferred + 1;
       if t.pending_n >= max_pending then flush t
@@ -1067,22 +1001,20 @@ let enqueue t ~subset ~geom ~dest_shape dest expr =
          queue (freeing its references) and run this eval alone. *)
       List.iter (Memcache.release t.cache) !retained;
       flush t;
-      launch_eval ~subset ~stream:(Streams.default_stream t.streams) ~sync:true t ~geom
-        ~dest_shape ~key ~leaves dest expr
+      launch_one ~stream:(Streams.default_stream t.streams) ~sync:true t ev
 
 let eval ?(subset = Subset.All) ?stream t dest expr =
   Qdp.Eval_cpu.check_dest dest expr;
-  let geom = dest.Field.geom and dest_shape = dest.Field.shape in
+  let ev =
+    pending t ~subset ~geom:dest.Field.geom ~dest_shape:dest.Field.shape (Some dest) expr
+  in
   match stream with
   | Some s ->
       (* Explicit-stream evals bypass the queue but must not overtake it. *)
       flush t;
-      launch_now ~subset ~stream:s ~sync:false t ~geom ~dest_shape (Some dest) expr
-  | None ->
-      if not t.fuse then
-        launch_now ~subset ~stream:(Streams.default_stream t.streams) ~sync:true t ~geom
-          ~dest_shape (Some dest) expr
-      else enqueue t ~subset ~geom ~dest_shape (Some dest) expr
+      launch_one ~stream:s ~sync:false t ev
+  | None when t.fuse -> enqueue t ev
+  | None -> launch_one ~stream:(Streams.default_stream t.streams) ~sync:true t ev
 
 (* ------------------------------------------------------------------ *)
 (* Reductions                                                          *)
@@ -1188,20 +1120,24 @@ let build_reduce_kernel kname =
   Emitter.emit e Ret;
   (Emitter.finish e, e)
 
-(* The fold kernel's key: an id below every interned one, and a disk key
-   renamed whenever its parameters change, so a stale entry misses
-   instead of binding the wrong ones. *)
-let reduce_key = { id = -1; skey = "reduce8_planes_f64" }
-
 (* The hand-built kernel takes the same road as generated ones,
    including the emitter's SSA provenance: the padded accumulators are
    deliberately multi-defined (zero, then a conditional load), which
-   provenance reports so CSE leaves them alone. *)
-let reduce_entry t =
-  cached_kernel t ~kind:"reduce" ~key:reduce_key ~name:(`Fixed "qdpjit_reduce8_f64") (fun kname ->
-      let raw, emitter = build_reduce_kernel kname in
-      let provenance = Emitter.provenance emitter in
-      (Codegen.lower ~optimize:t.optimize ~provenance ~plan:[] raw, no_report))
+   provenance reports so CSE leaves them alone.  Its disk key is renamed
+   whenever its parameters change, so a stale entry misses instead of
+   binding the wrong ones. *)
+let fold_entry t =
+  match t.fold with
+  | Some e -> e
+  | None ->
+      let e, _ =
+        compile t ~kind:"reduce" ~skey:"reduce8_planes_f64" ~name:(`Fixed "qdpjit_reduce8_f64")
+          (fun kname ->
+            let raw, emitter = build_reduce_kernel kname in
+            (raw, Some (Emitter.provenance emitter), no_report))
+      in
+      t.fold <- Some e;
+      e
 
 (* The host is about to read [bytes] of reduction results: one blocking
    D2H copy on the default stream. *)
@@ -1221,7 +1157,8 @@ let sync_readback t ~bytes =
    plane.  No field is created, so nothing is made resident, dirtied or
    paged out.  With [fuse_reductions] the payload is enqueued like any
    eval and the planner splices it into the trailing fused group — an
-   axpy+norm2 step becomes one launch; otherwise it launches standalone.
+   axpy+norm2 step becomes one launch; otherwise it launches standalone,
+   as a group of one.
 
    Each fold pass is one launch over every plane, and the device chain
    stops as soon as each plane has m <= 8 values left.  One D2H copy
@@ -1248,12 +1185,13 @@ let sum_components ?(subset = Subset.All) t expr =
     let partial = grow_scratch t t.red_partial ~words:(dof * nsites) in
     let block = grow_scratch t t.red_block ~words:(dof * bstride) in
     let stream = Streams.default_stream t.streams in
-    if t.fuse && t.fuse_reductions then enqueue t ~subset ~geom ~dest_shape:shape None expr
+    let ev = pending t ~subset ~geom ~dest_shape:shape None expr in
+    if t.fuse && t.fuse_reductions then enqueue t ev
     else begin
       (* Reduction fusion off: drain the queue first so the payload
          always launches standalone (same kernel, separate launch). *)
       flush t;
-      launch_now ~subset ~stream ~sync:false t ~geom ~dest_shape:shape None expr
+      launch_one ~stream ~sync:false t ev
     end;
     (* The folds are a flush point: the payload (and everything queued
        before it) must land before they read the block scratch. *)
@@ -1266,7 +1204,7 @@ let sum_components ?(subset = Subset.All) t expr =
         let params =
           Gpusim.Vm.[| Ptr src; Ptr dst; Int stride; Int m; Int n_out; Int nthreads |]
         in
-        tuned_launch t (reduce_entry t) ~stream ~nthreads ~params;
+        tuned_launch t (fold_entry t) ~stream ~nthreads ~params;
         fold ~src:dst ~stride:n_out ~m:n_out ~dst:other ~other:dst
       end
     in

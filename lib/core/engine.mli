@@ -30,14 +30,16 @@
     fusion), so an axpy+norm2 solver step is a single launch.  Hazardous
     pairs stay separate launches in program order, so results are
     bit-exact against the eager schedule; [?fuse:false] restores
-    eval-at-a-time launching outright. *)
+    eval-at-a-time launching outright.  Every launch takes the same
+    path: an eval launched alone (explicit stream, [~fuse:false], or a
+    failed group's fallback) is a fusion group of one. *)
 
 (** Lifetime counters of the deferred-eval queue and fusion planner.
     Byte counts are whole-launch (per-thread savings × threads). *)
 type fusion_stats = {
   deferred_evals : int;  (** default-stream evals that entered the queue *)
   flushes : int;
-  fused_groups : int;  (** multi-eval groups launched as one kernel *)
+  fused_groups : int;  (** groups of two or more evals launched as one kernel *)
   launches_saved : int;
   eliminated_load_bytes : int;
   eliminated_store_bytes : int;
@@ -70,9 +72,10 @@ val create :
     trailing fused group; [~fuse_reductions:false] launches every
     reduction payload standalone (identical kernel body and identical
     results, one extra launch per reduction).  [jit_cache] attaches a
-    persistent on-disk kernel cache: every compiled kernel (singleton,
-    fused group, fold kernel) and the fusion source material are looked
-    up there before compiling and published after, so a second engine
+    persistent on-disk kernel cache: every compiled kernel (a group of
+    one eval or more, and the fold kernel) and the fusion source
+    material are looked up there before compiling and published after,
+    so a second engine
     — in this process or another — replays the kernels without running
     the emitter, middle-end or driver JIT.  The [REPRO_JIT_CACHE]
     environment variable overrides the argument: a path caches there,
@@ -134,10 +137,11 @@ val jit_seconds : t -> float
     Flushes the queue first. *)
 
 val kernel_texts : t -> string list
-(** The PTX text of every kernel this engine launches from — singleton
-    evals, fused groups and the fold kernel, compiled here or loaded
-    from the JIT cache — in no particular order.  Flushes the queue
-    first. *)
+(** The PTX text of every kernel this engine launches from — groups
+    (an eval launched alone is a group of one, named
+    [qdpjit_kernel_<n>]; larger groups are [qdpjit_fused_<n>]) and the
+    fold kernel, compiled here or loaded from the JIT cache — in no
+    particular order.  Flushes the queue first. *)
 
 val kernel_bytes_moved : t -> int
 (** Modeled global-memory bytes moved by every kernel launched so far

@@ -394,7 +394,7 @@ let fuse ~kname sources =
 
 let version = 2
 
-let kernel_digest k = Digest.to_hex (Digest.string (Print.kernel k))
+let kernel_digest text = Digest.to_hex (Digest.string text)
 
 let structural_key ~nsites sources =
   let b = Buffer.create 512 in

@@ -59,10 +59,11 @@ val version : int
 (** Bumped whenever the splice's output could change for the same
     sources; persistent caches fold it into their keys. *)
 
-val kernel_digest : Types.kernel -> string
-(** Digest of a kernel's printed PTX: a member's identity in
-    {!structural_key}.  Printing is the expensive part of the key, so
-    callers compute it once per member kernel. *)
+val kernel_digest : string -> string
+(** Digest of a kernel's printed PTX text ({!Print.kernel}): a member's
+    identity in {!structural_key}.  Printing is the expensive part of
+    the key, so callers pass the text they already printed and compute
+    the digest once per member kernel. *)
 
 val structural_key : nsites:int -> (string * source) list -> string
 (** A content hash naming the fused artifact: each source comes paired

@@ -57,8 +57,14 @@ type t = {
   default : stream;
   mutable next_sid : int;
   engine_free_ns : float array;  (** per-engine timeline: free-at time *)
-  mutable spans : span list;  (** newest first *)
+  mutable spans : span list;  (** newest first, at most [max_spans] *)
+  mutable stored : int;  (** [List.length spans] *)
+  mutable dropped : int;  (** spans recorded past the cap since the last reset *)
 }
+
+(* A context that is never reset (a server, a long HMC run) would keep
+   every span; past this many the log only counts them. *)
+let max_spans = 65_536
 
 let create_stream ?name t =
   let sid = t.next_sid in
@@ -79,13 +85,22 @@ let create device =
     next_sid = 1;
     engine_free_ns = Array.make 3 0.0;
     spans = [];
+    stored = 0;
+    dropped = 0;
   }
 
 let device t = t.device
 let default_stream t = t.default
 let cursor_ns s = s.cursor_ns
 let spans t = List.rev t.spans
-let span_count t = List.length t.spans
+let span_count t = t.stored + t.dropped
+
+let record t sp =
+  if t.stored < max_spans then begin
+    t.spans <- sp :: t.spans;
+    t.stored <- t.stored + 1
+  end
+  else t.dropped <- t.dropped + 1
 
 (* The discrete-event core: one operation of duration [dur_ns] on [s],
    occupying [engine].  Start = max(stream cursor, engine free); both
@@ -96,7 +111,7 @@ let issue t s ~engine ~name ~cat ~dur_ns ~args =
   let end_ns = start_ns +. dur_ns in
   s.cursor_ns <- end_ns;
   t.engine_free_ns.(e) <- end_ns;
-  t.spans <- { span_name = name; cat; span_sid = s.sid; start_ns; end_ns; args } :: t.spans;
+  record t { span_name = name; cat; span_sid = s.sid; start_ns; end_ns; args };
   end_ns
 
 let busy ?(cat = "op") t s ~engine ~name ~ns =
@@ -107,10 +122,9 @@ let busy ?(cat = "op") t s ~engine ~name ~ns =
    layer's per-session task markers) can label a trace without
    perturbing the model. *)
 let note ?(cat = "marker") t s ~name ~args =
-  t.spans <-
+  record t
     { span_name = name; cat; span_sid = s.sid; start_ns = s.cursor_ns; end_ns = s.cursor_ns;
       args }
-    :: t.spans
 
 (* Asynchronous kernel launch: the device queues the functional
    execution until the host synchronizes (the queue keeps issue order =
@@ -161,10 +175,9 @@ end
 (* cudaEventRecord: capture the stream's work issued so far. *)
 let record_event t s (e : Event.t) =
   e.Event.at_ns <- Some s.cursor_ns;
-  t.spans <-
+  record t
     { span_name = e.Event.ename; cat = "event"; span_sid = s.sid; start_ns = s.cursor_ns;
       end_ns = s.cursor_ns; args = [] }
-    :: t.spans
 
 (* An event completed by the outside world (a message arrival computed by
    the simulated fabric) at an explicit timestamp. *)
@@ -217,7 +230,9 @@ let reset t =
   Device.set_clock_ns t.device 0.0;
   Array.fill t.engine_free_ns 0 (Array.length t.engine_free_ns) 0.0;
   List.iter (fun s -> s.cursor_ns <- 0.0) t.streams;
-  t.spans <- []
+  t.spans <- [];
+  t.stored <- 0;
+  t.dropped <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export: a JSON object loadable by chrome://tracing
@@ -249,14 +264,20 @@ module Trace = struct
       args;
     Stdlib.Buffer.add_string b "}"
 
-  (* Emit one context's spans plus process/thread naming metadata.
-     [first] tracks whether a comma is needed before the next record. *)
+  (* Emit one context's spans plus process/thread naming metadata and
+     the count of spans dropped past the cap.  [first] tracks whether a
+     comma is needed before the next record. *)
   let add_context b ~pid ~pname ~first t =
     let sep () = if !first then first := false else Stdlib.Buffer.add_string b ",\n" in
     sep ();
     Stdlib.Buffer.add_string b
       (Printf.sprintf "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"%s\"}}"
          pid (escape pname));
+    sep ();
+    Stdlib.Buffer.add_string b
+      (Printf.sprintf
+         "{\"name\":\"dropped_spans\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"count\":%d}}" pid
+         t.dropped);
     List.iter
       (fun s ->
         sep ();

@@ -46,10 +46,19 @@ val default_stream : t -> stream
 val cursor_ns : stream -> float
 (** The time by which all work issued to the stream so far completes. *)
 
+val max_spans : int
+(** The most spans a context stores between resets (65,536): later ones
+    are counted, not kept, so a context that is never reset stays
+    bounded. *)
+
 val spans : t -> span list
-(** Recorded spans in issue order. *)
+(** Recorded spans in issue order: the first {!max_spans} since the last
+    {!reset}. *)
 
 val span_count : t -> int
+(** Spans recorded since the last {!reset}, stored or not; O(1).  The
+    Chrome trace carries the count past {!max_spans} as a
+    [dropped_spans] metadata record. *)
 
 val launch :
   ?name:string ->
@@ -136,8 +145,9 @@ val synchronize : t -> float
     clock. *)
 
 val reset : t -> unit
-(** Rewind all timelines to zero and clear recorded spans (benchmarks call
-    this after warm-up so the trace holds only the measured work). *)
+(** Rewind all timelines to zero and clear recorded spans and the dropped
+    count (benchmarks call this after warm-up so the trace holds only the
+    measured work). *)
 
 (** Chrome [trace_event] JSON export: one process per context (device /
     rank), one thread per stream, loadable in chrome://tracing or

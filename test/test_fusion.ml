@@ -22,7 +22,7 @@ let fm = Shape.lattice_fermion Shape.F64
 let bits ~canon_zero v =
   if canon_zero && v = 0.0 then 0L else Int64.bits_of_float v
 
-let fields_bit_equal ?(canon_zero = false) name a b =
+let fields_equal ?(canon_zero = false) a b =
   let ok = ref true in
   for site = 0 to Field.volume a - 1 do
     let sa = Field.get_site a ~site and sb = Field.get_site b ~site in
@@ -30,7 +30,10 @@ let fields_bit_equal ?(canon_zero = false) name a b =
       (fun i va -> if bits ~canon_zero va <> bits ~canon_zero sb.(i) then ok := false)
       sa
   done;
-  Alcotest.(check bool) name true !ok
+  !ok
+
+let fields_bit_equal ?(canon_zero = false) name a b =
+  Alcotest.(check bool) name true (fields_equal ~canon_zero a b)
 
 (* A tiny straight-line program over a pool of fields, interpretable by
    any backend.  Indices are pool slots. *)
@@ -325,16 +328,7 @@ let qcheck_random_chains =
       let _, pu = run_jit ~fuse:false 5L prog in
       let pc = run_cpu 5L prog in
       ignore (Engine.fusion_stats ef);
-      let equal ~canon_zero a b =
-        let ok = ref true in
-        for site = 0 to Field.volume a - 1 do
-          let sa = Field.get_site a ~site and sb = Field.get_site b ~site in
-          Array.iteri (fun i v -> if bits ~canon_zero v <> bits ~canon_zero sb.(i) then ok := false) sa
-        done;
-        !ok
-      in
-      Array.for_all2 (equal ~canon_zero:false) pf pu
-      && Array.for_all2 (equal ~canon_zero:true) pf pc)
+      Array.for_all2 fields_equal pf pu && Array.for_all2 (fields_equal ~canon_zero:true) pf pc)
 
 let qcheck_reduction_chains =
   (* A random chain *ending in a reduction*: the norm2/inner payload is
@@ -367,6 +361,68 @@ let qcheck_reduction_chains =
       let rc, ic = Qdp.Eval_cpu.inner ca cb in
       beq nr nn && beq nr nu && beq rr rn && beq rr ru && beq ir im_n && beq ir iu && ceq nr nc
       && ceq rr rc && ceq ir ic)
+
+(* ------------------------------------------------------------------ *)
+(* Groups of one: an eval launched alone takes the group launch path *)
+
+let no_fusion_counted (s : Engine.fusion_stats) =
+  s.Engine.fused_groups = 0 && s.Engine.launches_saved = 0 && s.Engine.fallbacks = 0
+
+(* A [~fuse:false] engine launches each eval as the splice of one member.
+   That kernel must move exactly the global bytes of the code generator's
+   own kernel for the expression, and the splice may only shrink it: a
+   destination that is also a leaf binds one pointer parameter instead of
+   two aliased ones, so its kernel is strictly shorter. *)
+let qcheck_group_of_one_oracle =
+  QCheck.Test.make ~count:40 ~name:"group of one: codegen bytes, no more instructions"
+    (QCheck.make ~print:show_op gen_op) (fun op ->
+      let eng = Engine.create ~fuse:false () in
+      let pool = fresh_pool 3L 4 in
+      let dest = pool.(op_dest op) and expr = op_expr pool op in
+      Engine.eval eng dest expr;
+      let launched =
+        match Engine.kernel_texts eng with
+        | [ text ] -> Ptx.Parse.kernel text
+        | l -> QCheck.Test.fail_reportf "expected one kernel, got %d" (List.length l)
+      in
+      let direct =
+        (Qdpjit.Codegen.build ~optimize:true ~kname:"oracle" ~dest_shape:fm ~expr
+           ~nsites:(Geometry.volume geom) ~use_sitelist:false ())
+          .Qdpjit.Codegen.kernel
+      in
+      let a = Ptx.Analysis.kernel launched and b = Ptx.Analysis.kernel direct in
+      let len k = List.length k.Ptx.Types.body in
+      let dest_is_leaf =
+        List.exists (fun (f : Field.t) -> f.Field.id = dest.Field.id) (Expr.leaves expr)
+      in
+      a.Ptx.Analysis.load_bytes = b.Ptx.Analysis.load_bytes
+      && a.Ptx.Analysis.store_bytes = b.Ptx.Analysis.store_bytes
+      && (if dest_is_leaf then len launched < len direct else len launched <= len direct)
+      && no_fusion_counted (Engine.fusion_stats eng))
+
+(* Evals launched alone — every eval of a [~fuse:false] engine, and
+   explicit-stream evals on a fusing engine — count no fused group, no
+   saved launch and no fallback, and agree bit for bit with the fused
+   engine. *)
+let qcheck_groups_of_one_uncounted =
+  QCheck.Test.make ~count:10 ~name:"groups of one: no fusion counters, fused results (bit)"
+    arb_prog (fun prog ->
+      let _, pf = run_jit ~fuse:true 13L prog in
+      let run eng eval =
+        let pool = fresh_pool 13L 4 in
+        List.iter (fun op -> eval eng pool.(op_dest op) (op_expr pool op)) prog;
+        ignore (Engine.synchronize eng);
+        pool
+      in
+      let unfused = Engine.create ~fuse:false () in
+      let pu = run unfused (fun eng -> Engine.eval eng) in
+      let streamed = Engine.create () in
+      let s = Streams.create_stream (Engine.streams streamed) in
+      let ps = run streamed (fun eng -> Engine.eval ~stream:s eng) in
+      no_fusion_counted (Engine.fusion_stats unfused)
+      && no_fusion_counted (Engine.fusion_stats streamed)
+      && Array.for_all2 fields_equal pf pu
+      && Array.for_all2 fields_equal pf ps)
 
 (* ------------------------------------------------------------------ *)
 (* Solvers: fusion must not change a single iteration *)
@@ -462,6 +518,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_random_chains;
           QCheck_alcotest.to_alcotest qcheck_reduction_chains;
+          QCheck_alcotest.to_alcotest qcheck_group_of_one_oracle;
+          QCheck_alcotest.to_alcotest qcheck_groups_of_one_uncounted;
         ] );
       ( "solvers",
         [

@@ -107,11 +107,14 @@ let fresh_pool seed n =
       Field.fill_gaussian ~site_key:(fun site -> site + (i * 1_000_003)) f rng;
       f)
 
-(* Run the program plus a norm2 tail, so singleton, raw-member, fused and
-   fold-kernel cache entries all get exercised. *)
-let run_program eng prog =
+(* Run the program plus a norm2 tail, so raw-member, group and
+   fold-kernel cache entries all get exercised.  [stream] launches every
+   eval on that stream instead of the fusion queue, as a group of one. *)
+let run_program ?stream eng prog =
   let pool = fresh_pool 7L 4 in
-  List.iter (fun op -> Engine.eval eng pool.(op_dest op) (op_expr pool op)) prog;
+  let stream = Option.map (fun name -> Streams.create_stream ~name (Engine.streams eng)) stream in
+  List.iter (fun op -> Engine.eval ?stream eng pool.(op_dest op) (op_expr pool op)) prog;
+  if stream <> None then ignore (Engine.synchronize eng);
   let n = Engine.norm2 eng (Expr.sub (Expr.field pool.(0)) (Expr.field pool.(1))) in
   Engine.flush eng;
   (pool, n)
@@ -149,23 +152,29 @@ let arb_prog =
     ~print:(fun p -> String.concat "; " (List.map show_op p))
     QCheck.Gen.(list_size (int_range 2 8) gen_op)
 
+(* Each program runs through three launch mixes: the fusion queue, a
+   [~fuse:false] engine and explicit-stream evals (the last two launch
+   every eval as a group of one). *)
 let qcheck_warm_engine_bit_exact =
   QCheck.Test.make ~count:10
     ~name:"random kernels: warm-cache engine = fresh compile (bit), zero compiles" arb_prog
     (fun prog ->
-      let dir = fresh_dir "qcheck" in
-      let cold = Engine.create ~jit_cache:(Jitcache.create dir) () in
-      let pc, nc = run_program cold prog in
-      let warm = Engine.create ~jit_cache:(Jitcache.create dir) () in
-      let pw, nw = run_program warm prog in
-      let stats = Option.get (Engine.jit_cache_stats warm) in
-      (* Byte counters come from the driver analysis restored from disk. *)
-      Array.for_all2 fields_bit_equal pc pw
-      && Int64.bits_of_float nc = Int64.bits_of_float nw
-      && Engine.kernels_built warm = 0
-      && stats.Jitcache.hits > 0
-      && Engine.kernel_bytes_moved warm = Engine.kernel_bytes_moved cold
-      && Engine.kernel_bytes_by_prec warm = Engine.kernel_bytes_by_prec cold)
+      List.for_all
+        (fun (fuse, stream) ->
+          let dir = fresh_dir "qcheck" in
+          let cold = Engine.create ~fuse ~jit_cache:(Jitcache.create dir) () in
+          let pc, nc = run_program ?stream cold prog in
+          let warm = Engine.create ~fuse ~jit_cache:(Jitcache.create dir) () in
+          let pw, nw = run_program ?stream warm prog in
+          let stats = Option.get (Engine.jit_cache_stats warm) in
+          (* Byte counters come from the driver analysis restored from disk. *)
+          Array.for_all2 fields_bit_equal pc pw
+          && Int64.bits_of_float nc = Int64.bits_of_float nw
+          && Engine.kernels_built warm = 0
+          && stats.Jitcache.hits > 0
+          && Engine.kernel_bytes_moved warm = Engine.kernel_bytes_moved cold
+          && Engine.kernel_bytes_by_prec warm = Engine.kernel_bytes_by_prec cold)
+        [ (true, None); (false, None); (true, Some "explicit") ])
 
 let test_corrupt_entries_recompile () =
   let dir = fresh_dir "damage" in
@@ -221,6 +230,11 @@ let test_version_bump_misses () =
     go 0
   in
   Alcotest.(check bool) "tag carries decoder version 8" true (has_sub "|vm8|" Engine.cache_tag);
+  (* The code generator is at version 5 since an eval launched alone is a
+     group of one and cache payloads no longer carry a parameter plan:
+     version-4 "fused" and "reduce" entries would decode with the wrong
+     layout, so they must miss. *)
+  Alcotest.(check bool) "tag carries codegen version 5" true (has_sub "|cg5|" Engine.cache_tag);
   let dir = fresh_dir "stale" in
   let prog = [ Axpy (2, 1.25, 0, 1); Shift (3, 2, 1, 1); Sub (0, 3, 2) ] in
   let cold = Engine.create ~jit_cache:(Jitcache.create dir) () in

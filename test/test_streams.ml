@@ -143,6 +143,33 @@ let test_reset () =
   check_ns "clock rewound" 0.0 (Device.clock_ns (Streams.device t));
   Alcotest.(check int) "spans cleared" 0 (Streams.span_count t)
 
+(* A context that is never reset stores at most [max_spans] spans; the
+   rest are only counted, and the count reaches the trace. *)
+let test_span_cap () =
+  let t = fresh_ctx () in
+  let s = Streams.default_stream t in
+  let k = 5 in
+  for _ = 1 to Streams.max_spans + k do
+    Streams.note t s ~name:"tick" ~args:[]
+  done;
+  Alcotest.(check int) "stored spans capped" Streams.max_spans (List.length (Streams.spans t));
+  Alcotest.(check int) "span_count counts every span" (Streams.max_spans + k)
+    (Streams.span_count t);
+  let json = Streams.Trace.chrome_json [ ("rank0", t) ] in
+  let needle =
+    Printf.sprintf "\"dropped_spans\",\"ph\":\"M\",\"pid\":0,\"args\":{\"count\":%d}" k
+  in
+  let nl = String.length needle in
+  let rec contains i =
+    i + nl <= String.length json && (String.sub json i nl = needle || contains (i + 1))
+  in
+  Alcotest.(check bool) "dropped count in the trace" true (contains 0);
+  Streams.reset t;
+  Alcotest.(check int) "reset clears the count" 0 (Streams.span_count t);
+  Streams.note t s ~name:"tick" ~args:[];
+  Alcotest.(check int) "stores again after reset" 1 (List.length (Streams.spans t));
+  Alcotest.(check int) "counts from zero after reset" 1 (Streams.span_count t)
+
 (* ---------------------------------------------------------------- *)
 (* Chrome trace export *)
 
@@ -287,6 +314,7 @@ let () =
           Alcotest.test_case "device sync = max" `Quick test_synchronize_max_of_streams;
           Alcotest.test_case "stream sync" `Quick test_stream_synchronize;
           Alcotest.test_case "reset" `Quick test_reset;
+          Alcotest.test_case "span cap" `Quick test_span_cap;
         ] );
       ( "trace",
         [

@@ -1165,9 +1165,9 @@ let random_branchy_kernel seed =
   }
 
 (* The kernels an engine compiled for a random op chain plus a norm2
-   and an inner product: singletons, fused groups, reduction payloads
-   and the fold kernel, parsed back from their PTX text as [Jit.compile]
-   reads it. *)
+   and an inner product: groups of one and more (reduction payloads
+   included) and the fold kernel, parsed back from their PTX text as
+   [Jit.compile] reads it. *)
 let chain_kernels prog =
   let eng = Engine.create ~vm_domains:1 () in
   let pool = run_jit eng 31L prog in
@@ -1250,7 +1250,7 @@ let test_allocation_on_workloads () =
     (Lazy.force workload_kernels);
   if !shrunk = 0 then Alcotest.fail "no workload kernel's register files shrank"
 
-(* Every kernel the generators emit — singletons, fused groups, the
+(* Every kernel the generators emit — groups of one and more, the
    reduction payloads and the fold — opens with the canonical bounds
    guard, so every launch of the workloads runs only its live threads. *)
 let test_workload_guards_proven () =
