@@ -205,7 +205,7 @@ let build ?(optimize = true) ?(reduction = false) ~kname ~dest_shape ~(expr : Ex
     | Expr.Leaf f -> load_leaf f site
     | Expr.Const (s, v) -> JSite.of_floats s v
     | Expr.Param (s, _) -> take_scalar s
-    | Expr.Unary (op, sub) -> (
+    | Expr.Unary (op, sub, _) -> (
         let v = gen sub site in
         match op with
         | Expr.Neg -> JSite.neg v
@@ -220,7 +220,7 @@ let build ?(optimize = true) ?(reduction = false) ~kname ~dest_shape ~(expr : Ex
         | Expr.Norm2_local -> JSite.norm2_local v
         | Expr.Compress -> JSite.compress v
         | Expr.Reconstruct -> JSite.reconstruct v)
-    | Expr.Binary (op, a, b) -> (
+    | Expr.Binary (op, a, b, _) -> (
         let va = gen a site and vb = gen b site in
         match op with
         | Expr.Add -> JSite.add va vb

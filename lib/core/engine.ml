@@ -437,8 +437,8 @@ let reads_of expr =
   let rec walk shifted = function
     | Expr.Leaf f -> record f shifted
     | Expr.Const _ | Expr.Param _ -> ()
-    | Expr.Unary (_, a) -> walk shifted a
-    | Expr.Binary (_, a, b) ->
+    | Expr.Unary (_, a, _) -> walk shifted a
+    | Expr.Binary (_, a, b, _) ->
         walk shifted a;
         walk shifted b
     | Expr.Shift (a, _, _) -> walk true a
@@ -606,18 +606,19 @@ let launch_fused t ~stream (members : pending array) (dropm : bool array) =
      reduction payload has no destination field), which is also the
      order their parameter plans bind them.  The index is the launch-time
      binding identity, so the fused kernel is shared by any group with the
-     same structure and alias pattern. *)
-  let field_index = Hashtbl.create 16 in
+     same structure and alias pattern.  A group binds few fields, so a
+     scan of those seen so far (newest first) replaces a lookup table. *)
   let fields_rev = ref [] and nfields = ref 0 in
   let canon (f : Field.t) =
-    match Hashtbl.find_opt field_index f.Field.id with
-    | Some ci -> ci
-    | None ->
-        let ci = !nfields in
-        incr nfields;
-        Hashtbl.replace field_index f.Field.id ci;
-        fields_rev := f :: !fields_rev;
-        ci
+    let rec find ci = function
+      | (g : Field.t) :: rest -> if g.Field.id = f.Field.id then ci else find (ci - 1) rest
+      | [] ->
+          let ci = !nfields in
+          incr nfields;
+          fields_rev := f :: !fields_rev;
+          ci
+    in
+    find (!nfields - 1) !fields_rev
   in
   let canon_dest = Array.make k None and canon_leaves = Array.make k [] in
   Array.iteri
@@ -627,26 +628,26 @@ let launch_fused t ~stream (members : pending array) (dropm : bool array) =
     members;
   (* Same-site producer→consumer substitutions, as (canonical field,
      producer member): an unshifted f64 read of an earlier member's
-     destination is served from registers. *)
-  let writer = Hashtbl.create 8 in
+     destination is served from registers.  The producers are found by
+     scanning the earlier members: {!plan_groups} gives a group one writer
+     per field. *)
   let subst =
     Array.mapi
-      (fun mi m ->
-        let l =
-          Hashtbl.fold
-            (fun fid (r : read_info) acc ->
-              if not r.r_unshifted then acc
-              else
-                match Hashtbl.find_opt writer fid with
-                | Some (pj, ci) when members.(pj).p_shape.Shape.prec = Shape.F64 -> (ci, pj) :: acc
-                | Some _ | None -> acc)
-            m.p_reads []
-          |> List.sort compare
-        in
-        Option.iter
-          (fun (d : Field.t) -> Hashtbl.replace writer d.Field.id (mi, Option.get canon_dest.(mi)))
-          m.p_dest;
-        l)
+      (fun mi (m : pending) ->
+        let l = ref [] in
+        for pj = mi - 1 downto 0 do
+          match (canon_dest.(pj), members.(pj).p_dest) with
+          | Some ci, Some d ->
+              if
+                members.(pj).p_shape.Shape.prec = Shape.F64
+                &&
+                match Hashtbl.find_opt m.p_reads d.Field.id with
+                | Some r -> r.r_unshifted
+                | None -> false
+              then l := (ci, pj) :: !l
+          | _ -> ()
+        done;
+        List.sort compare !l)
       members
   in
   let key =

@@ -185,6 +185,7 @@ let fill_face_functional t ~rank ~partner ~face ~dim ~dir (tmp : dfield) (shifte
       face
   in
   (match (src_buf.Buffer_.data, dst_buf.Buffer_.data) with
+  | Buffer_.F16 s, Buffer_.F16 d -> copy s d
   | Buffer_.F32 s, Buffer_.F32 d -> copy s d
   | Buffer_.F64 s, Buffer_.F64 d -> copy s d
   | _ -> invalid_arg "Multi: face fill precision mismatch");
@@ -333,13 +334,15 @@ let rec lower t (low : lowering) ~depth (es : Expr.t array) : Expr.t array =
   let sub1 f = Array.map (fun e -> f e) es in
   match es.(0) with
   | Expr.Leaf _ | Expr.Const _ | Expr.Param _ -> es
-  | Expr.Unary (op, _) ->
-      let subs = lower t low ~depth (sub1 (function Expr.Unary (_, s) -> s | _ -> assert false)) in
-      Array.map (fun s -> Expr.Unary (op, s)) subs
-  | Expr.Binary (op, _, _) ->
-      let lefts = lower t low ~depth (sub1 (function Expr.Binary (_, a, _) -> a | _ -> assert false)) in
-      let rights = lower t low ~depth (sub1 (function Expr.Binary (_, _, b) -> b | _ -> assert false)) in
-      Array.init n (fun r -> Expr.Binary (op, lefts.(r), rights.(r)))
+  (* Rebuilt nodes keep the source node's shape: lowering replaces an
+     exchanged shift by a field of that shift's own shape. *)
+  | Expr.Unary (op, _, shape) ->
+      let subs = lower t low ~depth (sub1 (function Expr.Unary (_, s, _) -> s | _ -> assert false)) in
+      Array.map (fun s -> Expr.Unary (op, s, shape)) subs
+  | Expr.Binary (op, _, _, shape) ->
+      let lefts = lower t low ~depth (sub1 (function Expr.Binary (_, a, _, _) -> a | _ -> assert false)) in
+      let rights = lower t low ~depth (sub1 (function Expr.Binary (_, _, b, _) -> b | _ -> assert false)) in
+      Array.init n (fun r -> Expr.Binary (op, lefts.(r), rights.(r), shape))
   | Expr.Clover (_, _, _) ->
       let d = lower t low ~depth (sub1 (function Expr.Clover (a, _, _) -> a | _ -> assert false)) in
       let tr = lower t low ~depth (sub1 (function Expr.Clover (_, b, _) -> b | _ -> assert false)) in
@@ -362,12 +365,19 @@ type eval_timing = {
   comm_overlapped : bool;
 }
 
-let eval ?(subset = Subset.All) t (dest : dfield) (mk : int -> Expr.t) =
+(* One statement's per-rank expressions, lowered: exchanged shifts are
+   materialised and replaced by fields. *)
+let lower_statement t (mk : int -> Expr.t) =
   let n = nranks t in
   t.shift_seq <- 0;
   let exprs = Array.init n mk in
   let low = { face_sets = []; nested = false; face_ready = Array.make n [] } in
-  let lowered = lower t low ~depth:0 exprs in
+  (lower t low ~depth:0 exprs, low)
+
+let lowered t mk = fst (lower_statement t mk)
+
+let eval ?(subset = Subset.All) t (dest : dfield) (mk : int -> Expr.t) =
+  let lowered, low = lower_statement t mk in
   let local = local_geom t in
   let had_exchange = low.face_sets <> [] || low.nested in
   if not had_exchange then begin

@@ -84,6 +84,12 @@ val eval : ?subset:Qdp.Subset.t -> t -> dfield -> (int -> Qdp.Expr.t) -> eval_ti
     identical across ranks, referring to rank-local fields) into the local
     destinations, exchanging shift faces over the fabric. *)
 
+val lowered : t -> (int -> Qdp.Expr.t) -> Qdp.Expr.t array
+(** The per-rank shift-free expressions {!eval} would launch for [mk]:
+    each exchanged shift is materialised (its faces cross the fabric, as
+    in {!eval}) and replaced by a rank-local field.  Every rebuilt node
+    keeps its source node's shape. *)
+
 val norm2 : t -> (int -> Qdp.Expr.t) -> float
 (** Per-rank device reductions, summed over ranks (the MPI all-reduce). *)
 

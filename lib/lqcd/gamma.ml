@@ -98,15 +98,32 @@ let sigma_mat mu nu : cmat =
 let spin_matrix_const ?(prec = Shape.F64) m =
   Expr.const (Shape.lattice_spin_matrix prec) (cmat_to_components m)
 
-let gamma ?prec mu = spin_matrix_const ?prec (gamma_mat mu)
-let gamma5 ?prec () = spin_matrix_const ?prec (gamma5_mat ())
-let one ?prec () = spin_matrix_const ?prec (identity4 ())
+(* The spin constants, built once per precision (and direction): every
+   Wilson operator application asks for eight projectors, and an
+   expression is immutable ([Expr.const] copies its components), so one
+   value serves every caller. *)
+let per_prec f =
+  let tbl = Array.map f [| Shape.F16; Shape.F32; Shape.F64 |] in
+  fun ?(prec = Shape.F64) () -> tbl.(match prec with Shape.F16 -> 0 | F32 -> 1 | F64 -> 2)
+
+let per_prec_mu f =
+  let tbl = Array.init 4 (fun mu -> per_prec (fun prec -> f prec mu)) in
+  fun ?prec mu ->
+    if mu < 0 || mu > 3 then invalid_arg "Gamma: mu must be 0..3";
+    tbl.(mu) ?prec ()
+
+let gamma = per_prec_mu (fun prec mu -> spin_matrix_const ~prec (gamma_mat mu))
+let gamma5 = per_prec (fun prec -> spin_matrix_const ~prec (gamma5_mat ()))
+let one = per_prec (fun prec -> spin_matrix_const ~prec (identity4 ()))
 
 (* Wilson projectors: (1 - gamma_mu) forward, (1 + gamma_mu) backward. *)
-let proj_minus ?prec mu =
-  spin_matrix_const ?prec (cmat_add (identity4 ()) (cmat_scale (-1.0) (gamma_mat mu)))
+let proj_minus =
+  per_prec_mu (fun prec mu ->
+      spin_matrix_const ~prec (cmat_add (identity4 ()) (cmat_scale (-1.0) (gamma_mat mu))))
 
-let proj_plus ?prec mu = spin_matrix_const ?prec (cmat_add (identity4 ()) (gamma_mat mu))
+let proj_plus =
+  per_prec_mu (fun prec mu ->
+      spin_matrix_const ~prec (cmat_add (identity4 ()) (gamma_mat mu)))
 
 (* Raw matrices, exposed for tests (Clifford algebra checks) and the clover
    packer. *)

@@ -17,7 +17,7 @@ let rec eval_site geom (e : Expr.t) site : FSite.value =
         invalid_arg "Eval_cpu: field volume mismatch";
       FSite.of_array f.Field.shape (Field.get_site f ~site)
   | Expr.Const (s, v) | Expr.Param (s, v) -> FSite.of_floats s v
-  | Expr.Unary (op, e) -> (
+  | Expr.Unary (op, e, _) -> (
       let v = eval_site geom e site in
       match op with
       | Expr.Neg -> FSite.neg v
@@ -32,7 +32,7 @@ let rec eval_site geom (e : Expr.t) site : FSite.value =
       | Expr.Norm2_local -> FSite.norm2_local v
       | Expr.Compress -> FSite.compress v
       | Expr.Reconstruct -> FSite.reconstruct v)
-  | Expr.Binary (op, a, b) -> (
+  | Expr.Binary (op, a, b, _) -> (
       let va = eval_site geom a site and vb = eval_site geom b site in
       match op with
       | Expr.Add -> FSite.add va vb

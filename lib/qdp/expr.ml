@@ -34,44 +34,43 @@ type t =
   | Param of Shape.t * float array
       (** runtime scalar leaf (solver coefficients): becomes a kernel
           parameter, so kernels are reused across values *)
-  | Unary of unop * t
-  | Binary of binop * t * t
+  | Unary of unop * t * Shape.t  (** the last field is the node's result shape *)
+  | Binary of binop * t * t * Shape.t
   | Shift of t * int * int  (** subtree, dimension, direction (+-1) *)
   | Clover of t * t * t  (** diag, tri, fermion (Sec. VI-A) *)
 
+(* A composite node's result shape from its children's shapes: the type
+   rules, applied once per node by the smart constructors. *)
+let unop_shape op s =
+  match op with
+  | Neg | Conj | Times_i -> s
+  | Adj -> Linalg.Algebra.adj_shape s
+  | Transpose -> Linalg.Algebra.transpose_shape s
+  | Trace_color -> Linalg.Algebra.trace_color_shape s
+  | Trace_spin -> Linalg.Algebra.trace_spin_shape s
+  | Real | Imag -> Linalg.Algebra.real_shape s
+  | Norm2_local -> Shape.real_scalar s.Shape.prec
+  | Compress -> Linalg.Algebra.compress_shape s
+  | Reconstruct -> Linalg.Algebra.reconstruct_shape s
+
+let binop_shape op sa sb =
+  match op with
+  | Add | Sub -> Linalg.Algebra.add_shape sa sb
+  | Mul -> Linalg.Algebra.mul_shape sa sb
+  | Outer_color -> Linalg.Algebra.outer_color_shape sa sb
+  | Inner_local ->
+      if not (Shape.equal_modulo_prec sa sb) then
+        raise (Linalg.Algebra.Type_error "inner_local: shape mismatch");
+      Shape.complex_scalar (Shape.promote_prec sa.Shape.prec sb.Shape.prec)
+
+(* Composite nodes carry the shape their constructor computed, so this
+   reads it back instead of re-checking the subtree. *)
 let rec shape = function
   | Leaf f -> f.Field.shape
-  | Const (s, _) | Param (s, _) -> s
-  | Unary (op, e) -> (
-      let s = shape e in
-      match op with
-      | Neg | Conj | Times_i -> s
-      | Adj -> Linalg.Algebra.adj_shape s
-      | Transpose -> Linalg.Algebra.transpose_shape s
-      | Trace_color -> Linalg.Algebra.trace_color_shape s
-      | Trace_spin -> Linalg.Algebra.trace_spin_shape s
-      | Real | Imag -> Linalg.Algebra.real_shape s
-      | Norm2_local -> Shape.real_scalar s.Shape.prec
-      | Compress -> Linalg.Algebra.compress_shape s
-      | Reconstruct -> Linalg.Algebra.reconstruct_shape s)
-  | Binary (op, a, b) -> (
-      let sa = shape a and sb = shape b in
-      match op with
-      | Add | Sub -> Linalg.Algebra.add_shape sa sb
-      | Mul -> Linalg.Algebra.mul_shape sa sb
-      | Outer_color -> Linalg.Algebra.outer_color_shape sa sb
-      | Inner_local ->
-          if not (Shape.equal_modulo_prec sa sb) then
-            raise (Linalg.Algebra.Type_error "inner_local: shape mismatch");
-          Shape.complex_scalar (Shape.promote_prec sa.Shape.prec sb.Shape.prec))
+  | Const (s, _) | Param (s, _) | Unary (_, _, s) | Binary (_, _, _, s) -> s
   | Shift (e, _, _) -> shape e
   | Clover (diag, tri, psi) ->
       Linalg.Algebra.clover_shapes ~diag:(shape diag) ~tri:(shape tri) ~psi:(shape psi)
-
-(* Smart constructors: type-check at construction time. *)
-let check e =
-  ignore (shape e);
-  e
 
 let field f = Leaf f
 let const s v =
@@ -83,30 +82,37 @@ let const_complex ?(prec = Shape.F64) re im = Param (Shape.complex_scalar prec, 
 
 let embedded_real ?(prec = Shape.F64) x = Const (Shape.real_scalar prec, [| x |])
 
-let add a b = check (Binary (Add, a, b))
-let sub a b = check (Binary (Sub, a, b))
-let mul a b = check (Binary (Mul, a, b))
-let outer_color a b = check (Binary (Outer_color, a, b))
-let neg e = check (Unary (Neg, e))
-let conj e = check (Unary (Conj, e))
-let adj e = check (Unary (Adj, e))
-let transpose e = check (Unary (Transpose, e))
-let times_i e = check (Unary (Times_i, e))
-let trace_color e = check (Unary (Trace_color, e))
-let trace_spin e = check (Unary (Trace_spin, e))
-let real e = check (Unary (Real, e))
-let imag e = check (Unary (Imag, e))
-let norm2_local e = check (Unary (Norm2_local, e))
-let compress e = check (Unary (Compress, e))
-let reconstruct e = check (Unary (Reconstruct, e))
-let inner_local a b = check (Binary (Inner_local, a, b))
+(* Smart constructors: each checks only its own node, against the shapes
+   its children already carry — one O(1) check per node. *)
+let unary op e = Unary (op, e, unop_shape op (shape e))
+let binary op a b = Binary (op, a, b, binop_shape op (shape a) (shape b))
+
+let add a b = binary Add a b
+let sub a b = binary Sub a b
+let mul a b = binary Mul a b
+let outer_color a b = binary Outer_color a b
+let neg e = unary Neg e
+let conj e = unary Conj e
+let adj e = unary Adj e
+let transpose e = unary Transpose e
+let times_i e = unary Times_i e
+let trace_color e = unary Trace_color e
+let trace_spin e = unary Trace_spin e
+let real e = unary Real e
+let imag e = unary Imag e
+let norm2_local e = unary Norm2_local e
+let compress e = unary Compress e
+let reconstruct e = unary Reconstruct e
+let inner_local a b = binary Inner_local a b
 
 let shift e ~dim ~dir =
   if dir <> 1 && dir <> -1 then invalid_arg "Expr.shift: dir must be +-1";
   if dim < 0 then invalid_arg "Expr.shift: negative dimension";
-  check (Shift (e, dim, dir))
+  Shift (e, dim, dir)
 
-let clover ~diag ~tri psi = check (Clover (diag, tri, psi))
+let clover ~diag ~tri psi =
+  ignore (Linalg.Algebra.clover_shapes ~diag:(shape diag) ~tri:(shape tri) ~psi:(shape psi));
+  Clover (diag, tri, psi)
 
 (* Operators for expression-heavy call sites (the QDP++ infix style). *)
 module Infix = struct
@@ -129,8 +135,8 @@ let leaves e =
           out := f :: !out
         end
     | Const _ | Param _ -> ()
-    | Unary (_, e) -> go e
-    | Binary (_, a, b) ->
+    | Unary (_, e, _) -> go e
+    | Binary (_, a, b, _) ->
         go a;
         go b
     | Shift (e, _, _) -> go e
@@ -149,8 +155,8 @@ let params e =
   let rec go = function
     | Leaf _ | Const _ -> ()
     | Param (s, v) -> out := (s, v) :: !out
-    | Unary (_, e) -> go e
-    | Binary (_, a, b) ->
+    | Unary (_, e, _) -> go e
+    | Binary (_, a, b, _) ->
         go a;
         go b
     | Shift (e, _, _) -> go e
@@ -168,8 +174,8 @@ let shift_dirs e =
   let seen = Hashtbl.create 8 in
   let rec go = function
     | Leaf _ | Const _ | Param _ -> ()
-    | Unary (_, e) -> go e
-    | Binary (_, a, b) ->
+    | Unary (_, e, _) -> go e
+    | Binary (_, a, b, _) ->
         go a;
         go b
     | Shift (e, dim, dir) ->
@@ -302,11 +308,11 @@ let key_and_leaves ~dest_shape e =
     | Param (s, _) ->
         Buffer.add_char buf 'P';
         add_shape buf s
-    | Unary (op, e) ->
+    | Unary (op, e, _) ->
         Buffer.add_char buf 'U';
         Buffer.add_uint8 buf (unop_code op);
         go e
-    | Binary (op, a, b) ->
+    | Binary (op, a, b, _) ->
         Buffer.add_char buf 'B';
         Buffer.add_uint8 buf (binop_code op);
         go a;
@@ -336,8 +342,8 @@ let rec render ?(indent = 0) e =
   | Leaf f -> Printf.sprintf "%sLattice %s : %s\n" pad f.Field.name (Shape.to_string f.Field.shape)
   | Const (s, _) -> Printf.sprintf "%sConst : %s\n" pad (Shape.to_string s)
   | Param (s, _) -> Printf.sprintf "%sScalarParam : %s\n" pad (Shape.to_string s)
-  | Unary (op, e) -> Printf.sprintf "%sUnaryNode (%s)\n%s" pad (unop_name op) (render ~indent:(indent + 1) e)
-  | Binary (op, a, b) ->
+  | Unary (op, e, _) -> Printf.sprintf "%sUnaryNode (%s)\n%s" pad (unop_name op) (render ~indent:(indent + 1) e)
+  | Binary (op, a, b, _) ->
       Printf.sprintf "%sBinaryNode (%s)\n%s%s" pad (binop_name op)
         (render ~indent:(indent + 1) a)
         (render ~indent:(indent + 1) b)

@@ -39,15 +39,24 @@ type t =
   | Param of Shape.t * float array
       (** runtime scalar leaf (solver coefficients): becomes a kernel
           parameter, so kernels are reused across values *)
-  | Unary of unop * t
-  | Binary of binop * t * t
+  | Unary of unop * t * Shape.t  (** operand, then the node's result shape *)
+  | Binary of binop * t * t * Shape.t
   | Shift of t * int * int  (** subtree, dimension, direction (+-1) *)
   | Clover of t * t * t  (** diag, tri, fermion (the Sec. VI-A custom op) *)
 
 val shape : t -> Shape.t
-(** Result shape; raises {!Linalg.Algebra.Type_error} on ill-typed trees. *)
+(** Result shape, as the smart constructors computed it: a [Unary] or
+    [Binary] node returns the shape it carries, a [Shift] its subtree's,
+    a [Clover] the rule applied to its three children's.  It re-checks
+    nothing, so code building [Unary] or [Binary] nodes with the raw
+    constructors must supply the correct shape (a rewrite that keeps a
+    node's meaning copies the source node's). *)
 
-(** {2 Smart constructors} (all shape-check eagerly) *)
+(** {2 Smart constructors}
+
+    Each checks its own node against the shapes its children carry, once
+    and in O(1), raising {!Linalg.Algebra.Type_error} when ill-typed: a
+    tree of n nodes costs O(n) to build. *)
 
 val field : Field.t -> t
 val const : Shape.t -> float array -> t

@@ -113,12 +113,12 @@ let printed_structure_key ~dest_shape e =
         Array.iter (fun x -> add (Printf.sprintf "%h," x)) v;
         add "]"
     | Expr.Param (s, _) -> add (Printf.sprintf "P[%s]" (Shape.to_string s))
-    | Expr.Unary (op, e) ->
+    | Expr.Unary (op, e, _) ->
         add (Expr.unop_name op);
         add "(";
         go e;
         add ")"
-    | Expr.Binary (op, a, b) ->
+    | Expr.Binary (op, a, b, _) ->
         add "(";
         go a;
         add (Expr.binop_name op);
@@ -143,7 +143,8 @@ let printed_structure_key ~dest_shape e =
   Buffer.contents buf
 
 (* Raw trees (no shape checking: keys never type-check), drawn from small
-   pools so that pairs often coincide. *)
+   pools so that pairs often coincide.  Their composite nodes carry one
+   fixed dummy shape: structure keys ignore composite nodes' shapes. *)
 let key_fields =
   [|
     fermion ();
@@ -184,6 +185,10 @@ let key_floats =
     Float.min_float;
   |]
 
+let raw_shape = Shape.real_scalar Shape.F64
+let raw_unary op e = Expr.Unary (op, e, raw_shape)
+let raw_binary op a b = Expr.Binary (op, a, b, raw_shape)
+
 let key_unops =
   Expr.
     [|
@@ -212,11 +217,9 @@ let gen_key_expr =
            frequency
              [
                (1, leaf);
-               (2, map2 (fun op e -> Expr.Unary (op, e)) (pick key_unops) (self (n - 1)));
+               (2, map2 raw_unary (pick key_unops) (self (n - 1)));
                ( 3,
-                 map3
-                   (fun op a b -> Expr.Binary (op, a, b))
-                   (pick key_binops) (self (n / 2)) (self (n / 2)) );
+                 map3 raw_binary (pick key_binops) (self (n / 2)) (self (n / 2)) );
                ( 2,
                  map3
                    (fun e dim dir -> Expr.Shift (e, dim, dir))
@@ -248,11 +251,10 @@ let rec perturb e =
   | Expr.Param (s, v) when hit ->
       map (fun x -> Expr.Param (s, Array.map (fun _ -> x) v)) (pick key_floats)
   | Expr.Leaf _ | Expr.Const _ | Expr.Param _ -> return e
-  | Expr.Unary (op, a) ->
-      map2 (fun op a -> Expr.Unary (op, a)) (if hit then pick key_unops else return op) (perturb a)
-  | Expr.Binary (op, a, b) ->
-      map3
-        (fun op a b -> Expr.Binary (op, a, b))
+  | Expr.Unary (op, a, _) ->
+      map2 raw_unary (if hit then pick key_unops else return op) (perturb a)
+  | Expr.Binary (op, a, b, _) ->
+      map3 raw_binary
         (if hit then pick key_binops else return op)
         (perturb a) (perturb b)
   | Expr.Shift (a, dim, dir) ->
@@ -290,7 +292,7 @@ let key_oracle_property =
 let test_key_edges () =
   let sh = Shape.real_scalar Shape.F64 in
   let psi = Expr.Leaf key_fields.(0) in
-  let k v = Expr.structure_key ~dest_shape:sh (Expr.Binary (Expr.Mul, Expr.Const (sh, v), psi)) in
+  let k v = Expr.structure_key ~dest_shape:sh (raw_binary Expr.Mul (Expr.Const (sh, v)) psi) in
   let same name a b = Alcotest.(check bool) name true (String.equal (k a) (k b)) in
   let differ name a b = Alcotest.(check bool) name false (String.equal (k a) (k b)) in
   differ "-0.0 vs 0.0" [| -0.0 |] [| 0.0 |];
@@ -298,8 +300,8 @@ let test_key_edges () =
   differ "NaN sign" [| Float.nan |] [| -.Float.nan |];
   differ "subnormals" [| Int64.float_of_bits 1L |] [| Int64.float_of_bits 2L |];
   differ "length" [| 1.0 |] [| 1.0; 1.0 |];
-  let alias = Expr.Binary (Expr.Add, psi, psi)
-  and distinct = Expr.Binary (Expr.Add, psi, Expr.Leaf key_fields.(1)) in
+  let alias = raw_binary Expr.Add psi psi
+  and distinct = raw_binary Expr.Add psi (Expr.Leaf key_fields.(1)) in
   Alcotest.(check bool) "leaf aliasing" false
     (String.equal (Expr.structure_key ~dest_shape:sh alias) (Expr.structure_key ~dest_shape:sh distinct));
   let ints = [ 0; 1; -1; 63; 64; -64; -65; -128; 1 lsl 40; max_int; min_int; min_int + 1 ] in
@@ -327,6 +329,280 @@ let test_shift_dirs () =
       (Expr.shift (Expr.shift (Expr.field psi) ~dim:2 ~dir:(-1)) ~dim:0 ~dir:1)
   in
   Alcotest.(check bool) "dirs found" true (Expr.shift_dirs e = [ (0, 1); (2, -1) ])
+
+(* ----------------- stored shapes against their oracle ------------------ *)
+
+(* The recursive shape rule the stored shapes replaced, kept verbatim as
+   the oracle: it re-derives every node's shape from its children and
+   ignores the shape a node carries. *)
+let rec oracle_shape = function
+  | Expr.Leaf f -> f.Field.shape
+  | Expr.Const (s, _) | Expr.Param (s, _) -> s
+  | Expr.Unary (op, e, _) -> (
+      let s = oracle_shape e in
+      match op with
+      | Expr.Neg | Expr.Conj | Expr.Times_i -> s
+      | Expr.Adj -> Linalg.Algebra.adj_shape s
+      | Expr.Transpose -> Linalg.Algebra.transpose_shape s
+      | Expr.Trace_color -> Linalg.Algebra.trace_color_shape s
+      | Expr.Trace_spin -> Linalg.Algebra.trace_spin_shape s
+      | Expr.Real | Expr.Imag -> Linalg.Algebra.real_shape s
+      | Expr.Norm2_local -> Shape.real_scalar s.Shape.prec
+      | Expr.Compress -> Linalg.Algebra.compress_shape s
+      | Expr.Reconstruct -> Linalg.Algebra.reconstruct_shape s)
+  | Expr.Binary (op, a, b, _) -> (
+      let sa = oracle_shape a and sb = oracle_shape b in
+      match op with
+      | Expr.Add | Expr.Sub -> Linalg.Algebra.add_shape sa sb
+      | Expr.Mul -> Linalg.Algebra.mul_shape sa sb
+      | Expr.Outer_color -> Linalg.Algebra.outer_color_shape sa sb
+      | Expr.Inner_local ->
+          if not (Shape.equal_modulo_prec sa sb) then
+            raise (Linalg.Algebra.Type_error "inner_local: shape mismatch");
+          Shape.complex_scalar (Shape.promote_prec sa.Shape.prec sb.Shape.prec))
+  | Expr.Shift (e, _, _) -> oracle_shape e
+  | Expr.Clover (diag, tri, psi) ->
+      Linalg.Algebra.clover_shapes ~diag:(oracle_shape diag) ~tri:(oracle_shape tri)
+        ~psi:(oracle_shape psi)
+
+let smart_unop = function
+  | Expr.Neg -> Expr.neg
+  | Expr.Conj -> Expr.conj
+  | Expr.Adj -> Expr.adj
+  | Expr.Transpose -> Expr.transpose
+  | Expr.Times_i -> Expr.times_i
+  | Expr.Trace_color -> Expr.trace_color
+  | Expr.Trace_spin -> Expr.trace_spin
+  | Expr.Real -> Expr.real
+  | Expr.Imag -> Expr.imag
+  | Expr.Norm2_local -> Expr.norm2_local
+  | Expr.Compress -> Expr.compress
+  | Expr.Reconstruct -> Expr.reconstruct
+
+let smart_binop = function
+  | Expr.Add -> Expr.add
+  | Expr.Sub -> Expr.sub
+  | Expr.Mul -> Expr.mul
+  | Expr.Outer_color -> Expr.outer_color
+  | Expr.Inner_local -> Expr.inner_local
+
+(* Every node of a tree. *)
+let rec nodes e acc =
+  let acc =
+    match e with
+    | Expr.Leaf _ | Expr.Const _ | Expr.Param _ -> acc
+    | Expr.Unary (_, a, _) | Expr.Shift (a, _, _) -> nodes a acc
+    | Expr.Binary (_, a, b, _) -> nodes b (nodes a acc)
+    | Expr.Clover (a, b, c) -> nodes c (nodes b (nodes a acc))
+  in
+  e :: acc
+
+let shapes_match_oracle e =
+  List.for_all (fun n -> Shape.equal (Expr.shape n) (oracle_shape n)) (nodes e [])
+
+(* Leaves of every shape the type rules meet, in mixed precisions: one
+   field per shape below, then constant and parameter scalars. *)
+let leaf_shapes =
+  Shape.
+    [|
+      lattice_fermion F64;
+      lattice_fermion F32;
+      lattice_fermion F16;
+      lattice_color_matrix F64;
+      lattice_color_matrix F32;
+      compressed_color_matrix F32;
+      complex_scalar F64;
+      real_scalar F32;
+      clover_diag F64;
+      clover_tri F32;
+    |]
+
+let leaf_diag = 8
+let leaf_tri = 9
+
+let leaves_of fields =
+  Array.append fields
+    [|
+      Expr.const (Shape.lattice_spin_matrix Shape.F64) (Array.init 32 float_of_int);
+      Expr.const_real ~prec:Shape.F32 0.5;
+      Expr.const_complex 0.25 (-1.0);
+      Expr.embedded_real ~prec:Shape.F16 2.0;
+    |]
+
+let shape_leaves = leaves_of (Array.map (fun s -> Expr.field (Field.create s geom)) leaf_shapes)
+
+(* A tree as a recipe over leaf indices, so one draw builds the same tree
+   over any leaf pool of the same shapes (one per rank below). *)
+type recipe =
+  | R_leaf of int
+  | R_unop of int * recipe  (** index into [key_unops] *)
+  | R_binop of int * recipe * recipe  (** index into [key_binops] *)
+  | R_shift of int * int * recipe
+  | R_clover of recipe  (** diag and tri are the pool's clover leaves *)
+
+let gen_recipe =
+  let open QCheck.Gen in
+  let index a = int_bound (Array.length a - 1) in
+  let leaf = map (fun i -> R_leaf i) (index shape_leaves) in
+  sized_size (int_bound 16)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (3, map2 (fun i r -> R_unop (i, r)) (index key_unops) (self (n - 1)));
+               (4, map3 (fun i a b -> R_binop (i, a, b)) (index key_binops) (self (n / 2)) (self (n / 2)));
+               ( 2,
+                 map3 (fun dim dir r -> R_shift (dim, dir, r)) (int_bound 3) (oneofl [ 1; -1 ]) (self (n - 1)) );
+               (1, map (fun r -> R_clover r) (self (n - 1)));
+             ])
+
+(* Builds a recipe through the smart constructors only, so every result
+   is well-typed: a node takes the first operator, cycling from the drawn
+   one, whose constructor accepts its operands, and collapses to its
+   (first) operand if none does.  The error property below checks the
+   rejections themselves. *)
+let build leaves r =
+  let first_accepted ops i make fallback =
+    let n = Array.length ops in
+    let rec go k =
+      if k = n then fallback
+      else try make ops.((i + k) mod n) with Linalg.Algebra.Type_error _ -> go (k + 1)
+    in
+    go 0
+  in
+  let rec go = function
+    | R_leaf i -> leaves.(i)
+    | R_unop (i, r) ->
+        let e = go r in
+        first_accepted key_unops i (fun op -> smart_unop op e) e
+    | R_binop (i, a, b) ->
+        let a = go a and b = go b in
+        first_accepted key_binops i (fun op -> smart_binop op a b) a
+    | R_shift (dim, dir, r) -> Expr.shift (go r) ~dim ~dir
+    | R_clover r ->
+        let psi = go r in
+        try Expr.clover ~diag:leaves.(leaf_diag) ~tri:leaves.(leaf_tri) psi
+        with Linalg.Algebra.Type_error _ -> psi
+  in
+  go r
+
+let print_recipe r = Expr.render (build shape_leaves r)
+
+let stored_shape_property =
+  QCheck.Test.make ~name:"stored shapes equal the recursive oracle" ~count:1000
+    (QCheck.make ~print:print_recipe gen_recipe) (fun r ->
+      match shapes_match_oracle (build shape_leaves r) with
+      | ok -> ok
+      | exception Linalg.Algebra.Type_error m -> QCheck.Test.fail_reportf "oracle rejects: %s" m)
+
+(* One node over random well-typed operands, mostly an ill-typed
+   combination: the constructor must fail exactly when the oracle does,
+   with its message, and otherwise carry the oracle's shape. *)
+type combination =
+  | C_unop of Expr.unop * recipe
+  | C_binop of Expr.binop * recipe * recipe
+  | C_clover of recipe * recipe * recipe
+
+let combination_property =
+  let gen =
+    let open QCheck.Gen in
+    let pick a = map (Array.get a) (int_bound (Array.length a - 1)) in
+    frequency
+      [
+        (2, map2 (fun op r -> C_unop (op, r)) (pick key_unops) gen_recipe);
+        (3, map3 (fun op a b -> C_binop (op, a, b)) (pick key_binops) gen_recipe gen_recipe);
+        (1, map3 (fun d t p -> C_clover (d, t, p)) gen_recipe gen_recipe gen_recipe);
+      ]
+  in
+  let node = function
+    | C_unop (op, r) ->
+        let e = build shape_leaves r in
+        ((fun () -> smart_unop op e), raw_unary op e)
+    | C_binop (op, a, b) ->
+        let a = build shape_leaves a and b = build shape_leaves b in
+        ((fun () -> smart_binop op a b), raw_binary op a b)
+    | C_clover (d, t, p) ->
+        let diag = build shape_leaves d and tri = build shape_leaves t and psi = build shape_leaves p in
+        ((fun () -> Expr.clover ~diag ~tri psi), Expr.Clover (diag, tri, psi))
+  in
+  let print c =
+    let _, raw = node c in
+    Expr.render raw
+  in
+  QCheck.Test.make ~name:"constructors reject what the oracle rejects" ~count:1000
+    (QCheck.make ~print gen) (fun c ->
+      let smart, raw = node c in
+      let outcome f = try Ok (f ()) with Linalg.Algebra.Type_error m -> Error m in
+      match (outcome (fun () -> Expr.shape (smart ())), outcome (fun () -> oracle_shape raw)) with
+      | Ok s, Ok s' -> Shape.equal s s'
+      | Error m, Error m' -> String.equal m m'
+      | Ok _, Error m -> QCheck.Test.fail_reportf "constructor accepts, oracle rejects (%s)" m
+      | Error m, Ok _ -> QCheck.Test.fail_reportf "constructor rejects (%s), oracle accepts" m)
+
+(* Lowering over a rank grid split along dimension 0 rebuilds every node
+   above an exchanged shift; each rank's lowered tree must keep its
+   source's shape at the root and the oracle's at every node.  The drawn
+   tree r is lowered as shift(r, dim 0) + neg(r) (operator 0 of each
+   pool).  Lowering evaluates subtrees, so trees an evaluator rejects are
+   discarded: the shape rules accept timesI of a real operand, which the
+   site algebra refuses. *)
+let multi_lowering_property =
+  let m = lazy (Qdpjit.Multi.create ~global_dims:[| 4; 2; 2; 2 |] ~rank_dims:[| 2; 1; 1; 1 |] ()) in
+  let rank_leaves =
+    lazy
+      (let m = Lazy.force m in
+       let fields = Array.map (Qdpjit.Multi.create_field m) leaf_shapes in
+       Array.init (Qdpjit.Multi.nranks m) (fun rank ->
+           leaves_of (Array.map (fun (df : Qdpjit.Multi.dfield) -> Expr.field df.locals.(rank)) fields)))
+  in
+  let gen = QCheck.Gen.map (fun r -> R_binop (0, R_shift (0, 1, r), R_unop (0, r))) gen_recipe in
+  QCheck.Test.make ~name:"multi-rank lowering keeps shapes" ~count:40
+    (QCheck.make ~print:print_recipe gen) (fun r ->
+      let leaves = Lazy.force rank_leaves in
+      QCheck.assume
+        (List.for_all
+           (function
+             | Expr.Unary (Expr.Times_i, a, _) -> (Expr.shape a).Shape.reality = Shape.Cplx
+             | _ -> true)
+           (nodes (build leaves.(0) r) []));
+      let lowered = Qdpjit.Multi.lowered (Lazy.force m) (fun rank -> build leaves.(rank) r) in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun rank low ->
+             Shape.equal (Expr.shape low) (Expr.shape (build leaves.(rank) r)) && shapes_match_oracle low)
+           lowered))
+
+(* Construction is linear in the tree size: a left-deep sum of 2N terms
+   allocates at most 2.2x the minor words of N terms (re-checking each
+   new node's whole subtree, as construction once did, makes it ~4x), and
+   reading the root's shape allocates nothing.  Exact GC counters, no
+   clock. *)
+let test_linear_construction () =
+  let psi = Expr.field (fermion ()) in
+  let words f =
+    let w0 = Gc.minor_words () in
+    let r = Sys.opaque_identity (f ()) in
+    let w1 = Gc.minor_words () in
+    (r, w1 -. w0)
+  in
+  let chain n () =
+    let e = ref psi in
+    for _ = 2 to n do
+      e := Expr.add !e psi
+    done;
+    !e
+  in
+  let _, w_n = words (chain 256) in
+  let e, w_2n = words (chain 512) in
+  Alcotest.(check bool)
+    (Printf.sprintf "2N terms cost %.0f words, N terms %.0f (ratio %.2f <= 2.2)" w_2n w_n (w_2n /. w_n))
+    true
+    (w_2n <= 2.2 *. w_n);
+  let _, w_none = words (fun () -> psi) in
+  let _, w_shape = words (fun () -> Expr.shape e) in
+  Alcotest.(check (float 0.0)) "Expr.shape allocates nothing" 0.0 (w_shape -. w_none)
 
 (* ------------------------------ eval --------------------------------- *)
 
@@ -447,6 +723,10 @@ let () =
           Alcotest.test_case "key edge cases" `Quick test_key_edges;
           QCheck_alcotest.to_alcotest key_oracle_property;
           Alcotest.test_case "shift dirs" `Quick test_shift_dirs;
+          QCheck_alcotest.to_alcotest stored_shape_property;
+          QCheck_alcotest.to_alcotest combination_property;
+          QCheck_alcotest.to_alcotest multi_lowering_property;
+          Alcotest.test_case "linear construction" `Quick test_linear_construction;
         ] );
       ( "eval",
         [
