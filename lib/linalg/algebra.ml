@@ -122,6 +122,10 @@ let trace_spin_shape s =
 
 let real_shape s = { s with Shape.reality = Shape.Real }
 
+let times_i_shape s =
+  if s.Shape.reality <> Shape.Cplx then fail "times_i: operand must be complex";
+  s
+
 let is_fermion s =
   match (s.Shape.spin, s.Shape.color, s.Shape.reality) with
   | Shape.Spin_vector _, Shape.Color_vector _, Shape.Cplx -> true

@@ -31,6 +31,9 @@ val trace_spin_shape : Shape.t -> Shape.t
 val real_shape : Shape.t -> Shape.t
 (** Componentwise real part: reality becomes [Real]. *)
 
+val times_i_shape : Shape.t -> Shape.t
+(** Multiplication by i: defined for complex operands only, shape kept. *)
+
 val outer_color_shape : Shape.t -> Shape.t -> Shape.t
 (** [traceSpin(outerProduct(a, adj b))]: two fermions give a color matrix. *)
 

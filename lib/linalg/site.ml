@@ -74,9 +74,8 @@ module Make (S : Scalar.S) = struct
     map_components ~result_shape:v.shape (fun ~spin ~color -> c_conj (get v ~spin ~color))
 
   let times_i v =
-    if v.shape.Shape.reality <> Shape.Cplx then
-      raise (Algebra.Type_error "times_i: operand must be complex");
-    map_components ~result_shape:v.shape (fun ~spin ~color -> c_times_i (get v ~spin ~color))
+    map_components ~result_shape:(Algebra.times_i_shape v.shape) (fun ~spin ~color ->
+        c_times_i (get v ~spin ~color))
 
   (* Index transposition at a matrix level; identity for scalars. *)
   let transpose_index extent_kind idx =

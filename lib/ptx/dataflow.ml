@@ -41,64 +41,38 @@ let def_of = function
       Some dst
   | St_global _ | St_global_f16 _ | Bra _ | Label _ | Ret -> None
 
-let op_reg = function Reg r -> Some r | Imm_float _ | Imm_int _ -> None
-
-(** Registers read by an instruction (operands, addresses, predicates). *)
-let uses_of i =
-  let ops =
-    match i with
-    | Ld_param _ | Mov_sreg _ | Label _ | Ret -> []
-    | Ld_global { addr; _ } | Ld_global_f16 { addr; _ } -> [ Reg addr ]
-    | St_global { addr; src; _ } | St_global_f16 { addr; src; _ } -> [ Reg addr; src ]
-    | Mov { src; _ } -> [ src ]
-    | Add { a; b; _ } | Sub { a; b; _ } | Mul { a; b; _ } | Div { a; b; _ } | Setp { a; b; _ } ->
-        [ a; b ]
-    | Fma { a; b; c; _ } -> [ a; b; c ]
-    | Shl { a; _ } | Neg { a; _ } -> [ a ]
-    | Cvt { src; _ } -> [ Reg src ]
-    | Bra { pred; _ } -> ( match pred with Some p -> [ Reg p ] | None -> [])
-    | Call { arg; _ } -> [ Reg arg ]
-  in
-  List.filter_map op_reg ops
-
 let iter_op f = function Reg r -> f r | Imm_float _ | Imm_int _ -> ()
 
-(** [def_of] then [uses_of], one register at a time, building no list. *)
-let iter_regs f = function
-  | Ld_param { dst; _ } | Mov_sreg { dst; _ } -> f dst
-  | Ld_global { dst; addr; _ } | Ld_global_f16 { dst; addr; _ } ->
-      f dst;
-      f addr
+(** Registers read by an instruction (operands, addresses, predicates),
+    one at a time, building no list. *)
+let iter_uses f = function
+  | Ld_param _ | Mov_sreg _ | Label _ | Ret -> ()
+  | Ld_global { addr; _ } | Ld_global_f16 { addr; _ } -> f addr
   | St_global { addr; src; _ } | St_global_f16 { addr; src; _ } ->
       f addr;
       iter_op f src
-  | Mov { dst; src } ->
-      f dst;
-      iter_op f src
-  | Add { dst; a; b; _ }
-  | Sub { dst; a; b; _ }
-  | Mul { dst; a; b; _ }
-  | Div { dst; a; b; _ }
-  | Setp { dst; a; b; _ } ->
-      f dst;
+  | Mov { src; _ } -> iter_op f src
+  | Add { a; b; _ } | Sub { a; b; _ } | Mul { a; b; _ } | Div { a; b; _ } | Setp { a; b; _ } ->
       iter_op f a;
       iter_op f b
-  | Fma { dst; a; b; c; _ } ->
-      f dst;
+  | Fma { a; b; c; _ } ->
       iter_op f a;
       iter_op f b;
       iter_op f c
-  | Shl { dst; a; _ } | Neg { dst; a; _ } ->
-      f dst;
-      iter_op f a
-  | Cvt { dst; src } ->
-      f dst;
-      f src
+  | Shl { a; _ } | Neg { a; _ } -> iter_op f a
+  | Cvt { src; _ } -> f src
   | Bra { pred; _ } -> Option.iter f pred
-  | Call { ret; arg; _ } ->
-      f ret;
-      f arg
-  | Label _ | Ret -> ()
+  | Call { arg; _ } -> f arg
+
+let uses_of i =
+  let acc = ref [] in
+  iter_uses (fun r -> acc := r :: !acc) i;
+  List.rev !acc
+
+(** [def_of] then [uses_of], one register at a time. *)
+let iter_regs f i =
+  Option.iter f (def_of i);
+  iter_uses f i
 
 (** Instructions whose effect is not captured by their destination
     register: memory writes, control flow, the exit. *)
@@ -113,21 +87,46 @@ let is_side_effecting = function
 let weight = function F64 | S64 | U64 -> 2 | F32 | S32 | U32 -> 1 | Pred -> 0
 
 (* ------------------------------------------------------------------ *)
+(* Dense register numbering                                            *)
+
+let class_index = function F32 -> 0 | F64 -> 1 | S32 -> 2 | U32 -> 3 | S64 -> 4 | U64 -> 5 | Pred -> 6
+
+(* [base.(c)] is the index of register 0 of class [c]; [base.(7)] the
+   table size.  The emitters number each class from 0, so the tables are
+   dense. *)
+type regs = int array
+
+let regs body =
+  let base = Array.make 8 0 in
+  let see r =
+    let c = class_index r.rtype + 1 in
+    if r.id >= base.(c) then base.(c) <- r.id + 1
+  in
+  Array.iter (iter_regs see) body;
+  for c = 1 to 7 do
+    base.(c) <- base.(c) + base.(c - 1)
+  done;
+  base
+
+let nregs (rg : regs) = rg.(7)
+let index (rg : regs) r = rg.(class_index r.rtype) + r.id
+
+(* ------------------------------------------------------------------ *)
 (* Def counts (the single-static-definition test)                      *)
 
-let def_counts body =
-  let counts = Hashtbl.create 64 in
+let def_counts rg body =
+  let counts = Array.make (nregs rg) 0 in
   Array.iter
     (fun i ->
       match def_of i with
       | Some r ->
-          let k = key r in
-          Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
+          let x = index rg r in
+          counts.(x) <- counts.(x) + 1
       | None -> ())
     body;
   counts
 
-let single_def counts r = Hashtbl.find_opt counts (key r) = Some 1
+let single_def rg counts r = counts.(index rg r) = 1
 
 (* ------------------------------------------------------------------ *)
 (* Basic blocks                                                        *)
@@ -202,27 +201,22 @@ let blocks body =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Def/use chains                                                      *)
+(* Use chains                                                          *)
 
-type chains = {
-  def_sites : (key, int list) Hashtbl.t;  (** instruction indices, ascending *)
-  use_sites : (key, int list) Hashtbl.t;
-}
+type chains = int list array
 
-let chains body =
-  let def_sites = Hashtbl.create 64 and use_sites = Hashtbl.create 64 in
-  let push tbl k i = Hashtbl.replace tbl k (i :: Option.value ~default:[] (Hashtbl.find_opt tbl k)) in
-  Array.iteri
-    (fun i instr ->
-      (match def_of instr with Some r -> push def_sites (key r) i | None -> ());
-      List.iter (fun r -> push use_sites (key r) i) (uses_of instr))
-    body;
-  let rev tbl = Hashtbl.iter (fun k v -> Hashtbl.replace tbl k (List.rev v)) tbl in
-  rev def_sites;
-  rev use_sites;
-  { def_sites; use_sites }
+let chains rg body =
+  let uses = Array.make (nregs rg) [] in
+  for i = Array.length body - 1 downto 0 do
+    iter_uses
+      (fun r ->
+        let x = index rg r in
+        uses.(x) <- i :: uses.(x))
+      body.(i)
+  done;
+  uses
 
-let uses_of_reg chains r = Option.value ~default:[] (Hashtbl.find_opt chains.use_sites (key r))
+let uses_of_reg rg (ch : chains) r = ch.(index rg r)
 
 (* ------------------------------------------------------------------ *)
 (* Liveness                                                            *)

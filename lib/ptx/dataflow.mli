@@ -19,6 +19,9 @@ val def_of : Types.instr -> Types.reg option
     call arguments. *)
 val uses_of : Types.instr -> Types.reg list
 
+(** [uses_of] one register at a time, without building a list. *)
+val iter_uses : (Types.reg -> unit) -> Types.instr -> unit
+
 (** [def_of] then [uses_of] in order, one register at a time, without
     building a list (a register read twice is visited twice). *)
 val iter_regs : (Types.reg -> unit) -> Types.instr -> unit
@@ -31,12 +34,24 @@ val is_side_effecting : Types.instr -> bool
     (64-bit classes take two; predicates live in a separate bank). *)
 val weight : Types.dtype -> int
 
-(** Static definition count per register. *)
-val def_counts : Types.instr array -> (key, int) Hashtbl.t
+(** Dense numbering of one body's registers: class by class, each class
+    indexed by register id (the emitters number each class from 0). *)
+type regs
 
-(** [single_def counts r]: [r] has exactly one static definition, i.e. it
-    is an SSA value whose definition dominates every (validated) use. *)
-val single_def : (key, int) Hashtbl.t -> Types.reg -> bool
+val regs : Types.instr array -> regs
+
+(** Size of the numbering: tables indexed by {!index} have this length. *)
+val nregs : regs -> int
+
+(** Index of a register that occurs in the numbered body. *)
+val index : regs -> Types.reg -> int
+
+(** Static definition count per register, indexed by {!index}. *)
+val def_counts : regs -> Types.instr array -> int array
+
+(** [single_def rg counts r]: [r] has exactly one static definition, i.e.
+    it is an SSA value whose definition dominates every (validated) use. *)
+val single_def : regs -> int array -> Types.reg -> bool
 
 type block = {
   first : int;  (** index of the leader instruction *)
@@ -48,15 +63,15 @@ type block = {
 (** Basic blocks of a body, plus the instruction-index → block-id map. *)
 val blocks : Types.instr array -> block array * int array
 
-type chains = {
-  def_sites : (key, int list) Hashtbl.t;  (** instruction indices, ascending *)
-  use_sites : (key, int list) Hashtbl.t;
-}
+(** Use sites per register, indexed by {!index}: instruction indices,
+    ascending, one entry per read (an instruction reading a register
+    twice appears twice). *)
+type chains = int list array
 
-val chains : Types.instr array -> chains
+val chains : regs -> Types.instr array -> chains
 
 (** Use sites of a register, ascending; empty if never read. *)
-val uses_of_reg : chains -> Types.reg -> int list
+val uses_of_reg : regs -> chains -> Types.reg -> int list
 
 (** Per-block [live_in], [live_out] register sets, iterated to fixpoint. *)
 val liveness : Types.instr array -> block array -> KSet.t array * KSet.t array

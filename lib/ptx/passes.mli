@@ -12,8 +12,6 @@ val version : int
     When absent, passes recompute it from the body. *)
 type provenance = { single_def : Types.reg -> bool }
 
-val provenance_of_body : Types.instr array -> provenance
-
 type report = {
   pass : string;
   before : int;  (** body length before this pass application *)
@@ -21,6 +19,9 @@ type report = {
 }
 
 type result = { kernel : Types.kernel; applied : report list }
+
+(** Every pass below returns its argument itself (physically) when it
+    changes nothing, and a new kernel only when the body differs. *)
 
 (** Integer constant folding/propagation (exact) + register copy
     propagation for every class.  Float arithmetic is never folded: float
@@ -47,12 +48,21 @@ val dce : Types.kernel -> Types.kernel
 (** Move pure single-def instructions down to just before their first
     use, shrinking live ranges (and so allocator register demand) without
     changing any computed value.  Loads never cross stores; nothing
-    crosses control flow.  Near-linear in the body length. *)
+    crosses control flow.  Near-linear in the body length.  One call is
+    one backward sweep that decides each definition once; it is not
+    idempotent (a second sweep may move more, see the implementation),
+    and the middle-end applies it once. *)
 val sink : Types.kernel -> Types.kernel
 
 val default_pipeline :
   ?provenance:provenance -> unit -> (string * (Types.kernel -> Types.kernel)) list
 
-(** Run the default pipeline to a (bounded) fixpoint, recording which
-    passes changed the kernel. *)
+(** Apply each pass once, in order, recording the passes that changed the
+    kernel. *)
+val run_pipeline : (string * (Types.kernel -> Types.kernel)) list -> Types.kernel -> result
+
+(** [run_pipeline (default_pipeline ?provenance ())]: every pass exactly
+    once.  There is no fixpoint loop: after one round only {!sink} still
+    finds work, and its further moves leave instruction count and
+    register demand unchanged on the workload kernels. *)
 val run : ?provenance:provenance -> Types.kernel -> result

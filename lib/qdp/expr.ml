@@ -43,7 +43,8 @@ type t =
    rules, applied once per node by the smart constructors. *)
 let unop_shape op s =
   match op with
-  | Neg | Conj | Times_i -> s
+  | Neg | Conj -> s
+  | Times_i -> Linalg.Algebra.times_i_shape s
   | Adj -> Linalg.Algebra.adj_shape s
   | Transpose -> Linalg.Algebra.transpose_shape s
   | Trace_color -> Linalg.Algebra.trace_color_shape s

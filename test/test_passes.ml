@@ -92,6 +92,39 @@ let test_shl_print_parse_roundtrip () =
        parsed)
 
 (* ------------------------------------------------------------------ *)
+(* Dense register numbering *)
+
+(* [(F32, 3)] and [(S32, 3)] share an id but not a class: their counts
+   and use sites must stay apart. *)
+let test_dense_ids_keep_classes_apart () =
+  let addr = r U64 0 and f3 = r F32 3 and s3 = r S32 3 and f0 = r F32 0 in
+  let body =
+    [|
+      Ld_param { dst = addr; param_index = 0 };
+      Ld_global { dtype = F32; dst = f3; addr; offset = 0 };
+      Mov { dst = s3; src = Imm_int 1 };
+      Mov { dst = s3; src = Imm_int 2 };
+      Mul { dtype = F32; dst = f0; a = Reg f3; b = Reg f3 };
+      St_global { dtype = F32; addr; offset = 4; src = Reg f0 };
+      St_global { dtype = S32; addr; offset = 8; src = Reg s3 };
+      Ret;
+    |]
+  in
+  let rg = D.regs body in
+  Alcotest.(check int) "table size: 4 f32 + 4 s32 + 1 u64" 9 (D.nregs rg);
+  Alcotest.(check bool) "distinct indices" true (D.index rg f3 <> D.index rg s3);
+  let counts = D.def_counts rg body in
+  List.iter
+    (fun (name, x, n) -> Alcotest.(check int) (name ^ " definitions") n counts.(D.index rg x))
+    [ ("f3", f3, 1); ("s3", s3, 2); ("f0", f0, 1); ("addr", addr, 1); ("f1", r F32 1, 0) ];
+  Alcotest.(check bool) "f3 single-def" true (D.single_def rg counts f3);
+  Alcotest.(check bool) "s3 multi-def" false (D.single_def rg counts s3);
+  let ch = D.chains rg body in
+  List.iter
+    (fun (name, x, sites) -> Alcotest.(check (list int)) (name ^ " uses") sites (D.uses_of_reg rg ch x))
+    [ ("f3", f3, [ 4; 4 ]); ("s3", s3, [ 6 ]); ("f0", f0, [ 5 ]); ("addr", addr, [ 1; 5; 6 ]); ("f1", r F32 1, []) ]
+
+(* ------------------------------------------------------------------ *)
 (* CSE *)
 
 let test_cse_dedupes_loads () =
@@ -452,8 +485,8 @@ let test_optimize_false_escape_hatch () =
 let reference_sink (k : kernel) =
   let body = Array.of_list k.body in
   let n = Array.length body in
-  let counts = D.def_counts body in
-  let sd = D.single_def counts in
+  let rg = D.regs body in
+  let sd = D.single_def rg (D.def_counts rg body) in
   let movable i =
     (not (D.is_side_effecting i))
     && (match i with Call _ -> false | _ -> true)
@@ -468,22 +501,17 @@ let reference_sink (k : kernel) =
      instructions' recorded positions change — rebuilding the chains (and
      rescanning the body) after every move made this pass quadratic on
      the several-thousand-instruction Dslash kernels. *)
-  let ch = D.chains body in
-  let remap tbl key ~from ~to_ =
-    match Hashtbl.find_opt tbl key with
-    | None -> ()
-    | Some l ->
+  let ch = D.chains rg body in
+  let reposition instr ~from ~to_ =
+    List.iter
+      (fun r ->
+        let x = D.index rg r in
         let rec go = function
           | [] -> []
-          | x :: tl -> if x = from then to_ :: tl else x :: go tl
+          | y :: tl -> if y = from then to_ :: tl else y :: go tl
         in
-        Hashtbl.replace tbl key (List.sort compare (go l))
-  in
-  let reposition instr ~from ~to_ =
-    (match D.def_of instr with
-    | Some d -> remap ch.D.def_sites (D.key d) ~from ~to_
-    | None -> ());
-    List.iter (fun r -> remap ch.D.use_sites (D.key r) ~from ~to_) (D.uses_of instr)
+        ch.(x) <- List.sort compare (go ch.(x)))
+      (D.uses_of instr)
   in
   let do_move p f =
     let instr = body.(p) in
@@ -500,7 +528,7 @@ let reference_sink (k : kernel) =
   for i = n - 2 downto 0 do
     if movable body.(i) then
       let d = Option.get (D.def_of body.(i)) in
-      match D.uses_of_reg ch d with
+      match D.uses_of_reg rg ch d with
       | first :: _ when first > i + 1 ->
           let barrier = ref false in
           let is_load =
@@ -525,12 +553,11 @@ let reference_sink (k : kernel) =
               | x :: tl -> if x = i then tl else x :: drop_one tl
             in
             List.fold_left
-              (fun acc kk ->
-                let uses = Option.value ~default:[] (Hashtbl.find_opt ch.D.use_sites kk) in
-                let last_other = List.fold_left max (-1) (drop_one uses) in
-                if last_other < first - 1 then acc + D.weight (fst kk) else acc)
+              (fun acc r ->
+                let last_other = List.fold_left max (-1) (drop_one (D.uses_of_reg rg ch r)) in
+                if last_other < first - 1 then acc + D.weight r.rtype else acc)
               0
-              (List.sort_uniq compare (List.map D.key (D.uses_of body.(i))))
+              (List.sort_uniq compare (D.uses_of body.(i)))
           in
           (* If everything in the gap already feeds the same consumer,
              the cluster is packed: hopping over those neighbours would
@@ -539,7 +566,7 @@ let reference_sink (k : kernel) =
           for j = i + 1 to first - 1 do
             match D.def_of body.(j) with
             | Some dj when not (D.is_side_effecting body.(j)) -> (
-                match D.uses_of_reg ch dj with
+                match D.uses_of_reg rg ch dj with
                 | f :: _ when f = first -> ()
                 | _ -> settled := false)
             | _ -> settled := false
@@ -679,9 +706,11 @@ let workload_kernels ~optimize =
   in
   List.map Ptx.Parse.kernel (wilson @ hmc)
 
+let raw_workload = lazy (workload_kernels ~optimize:false)
+
 (* Every sink call the middle-end makes on those kernels, checked
-   against the reference: the whole pipeline to a fixpoint on each raw
-   stream, and one more sink on each optimized kernel. *)
+   against the reference: the pipeline once on each raw stream, and one
+   more sink on each optimized kernel. *)
 let test_sink_matches_reference_on_workloads () =
   let calls = ref 0 and moved = ref 0 in
   let checked k =
@@ -696,13 +725,114 @@ let test_sink_matches_reference_on_workloads () =
     List.map (fun (name, pass) -> if name = "sink" then (name, checked) else (name, pass))
       (P.default_pipeline ())
   in
-  let rec fixpoint rounds k =
-    let k' = List.fold_left (fun k (_, pass) -> pass k) k pipeline in
-    if compare k k' = 0 || rounds >= 4 then k' else fixpoint (rounds + 1) k'
-  in
-  List.iter (fun k -> ignore (fixpoint 1 k)) (workload_kernels ~optimize:false);
+  List.iter (fun k -> ignore (P.run_pipeline pipeline k)) (Lazy.force raw_workload);
   List.iter (fun k -> ignore (checked k)) (workload_kernels ~optimize:true);
   if !moved = 0 then Alcotest.failf "no sink call moved anything (%d calls)" !calls
+
+(* The middle-end as it was before it applied its pipeline once: whole
+   rounds until one changes nothing, at most four.  Only sink still
+   changes a kernel after the first round, and on most kernels it still
+   moves something in the fourth.  Kept as the oracle for the one-round
+   [P.run]. *)
+let reference_run (k : kernel) =
+  let round k = List.fold_left (fun k (_, pass) -> pass k) k (P.default_pipeline ()) in
+  let rec go rounds k =
+    let k' = round k in
+    if compare k k' = 0 || rounds >= 4 then k' else go (rounds + 1) k'
+  in
+  go 1 k
+
+(* One round gives the same instruction count, register demand and
+   driver register estimate as four on every workload kernel; only the
+   order of some instructions differs. *)
+let test_one_round_matches_reference_run () =
+  let regs k = (Gpusim.Jit.compile (Ptx.Print.kernel k)).Gpusim.Jit.regs_per_thread in
+  let reordered = ref 0 in
+  List.iter
+    (fun k ->
+      let one = (P.run k).P.kernel and four = reference_run k in
+      if compare one four <> 0 then incr reordered;
+      List.iter
+        (fun (what, f) ->
+          let a = f one and b = f four in
+          if a <> b then Alcotest.failf "%s: %s %d after one round, %d after four" k.kname what a b)
+        [ ("instructions", len); ("register demand", D.register_demand); ("regs per thread", regs) ])
+    (Lazy.force raw_workload);
+  if !reordered = 0 then Alcotest.fail "the extra rounds changed no kernel: the oracle is vacuous"
+
+(* Each pass runs exactly once per lowering, counted through a wrapped
+   pipeline, and [Codegen.lower] is one [P.run]: a second round would
+   sink further on most of these kernels (see the oracle above). *)
+let test_each_pass_runs_once () =
+  let pipeline = P.default_pipeline () in
+  let calls = Array.make (List.length pipeline) 0 in
+  let counted =
+    List.mapi
+      (fun j (name, pass) ->
+        ( name,
+          fun k ->
+            calls.(j) <- calls.(j) + 1;
+            pass k ))
+      pipeline
+  in
+  List.iter
+    (fun k ->
+      Array.fill calls 0 (Array.length calls) 0;
+      let r = P.run_pipeline counted k in
+      Alcotest.(check (array int))
+        (k.kname ^ ": calls per pass")
+        (Array.make (Array.length calls) 1)
+        calls;
+      if compare (Qdpjit.Codegen.lower k) (r.P.kernel, r.P.applied) <> 0 then
+        Alcotest.failf "%s: Codegen.lower differs from one pipeline round" k.kname)
+    (Lazy.force raw_workload)
+
+(* [n] members spliced into one fused chain, as an engine flush does:
+   each writes its own destination from the same two leaves, so CSE
+   dedupes the leaf loads and address chains across members. *)
+let fused_chain n =
+  let b =
+    Qdpjit.Codegen.build ~optimize:false ~kname:"member" ~dest_shape:fm
+      ~expr:(Expr.mul (Expr.field u) (Expr.field psi))
+      ~nsites:(Geometry.volume geom) ~use_sitelist:false ()
+  in
+  (* Destinations take slots [0, n); the other parameters are shared. *)
+  let shared = List.filter (( <> ) Qdpjit.Codegen.Dest) b.Qdpjit.Codegen.plan in
+  let source m =
+    {
+      Ptx.Fuse.kernel = b.Qdpjit.Codegen.raw;
+      slots =
+        Array.of_list
+          (List.map
+             (function
+               | Qdpjit.Codegen.Dest -> m
+               | p -> n + Option.get (List.find_index (( = ) p) shared))
+             b.Qdpjit.Codegen.plan);
+      use_sitelist = false;
+      subst_from = [];
+      drop_stores = false;
+      reduction = false;
+    }
+  in
+  fst (Ptx.Fuse.fuse ~kname:"chain" (List.init n source))
+
+(* [Codegen.lower] is linear in the chain length: 2N members may
+   allocate at most 2.2x the minor words of N.  Exact GC counters, no
+   clock; a pass that rescans the body per member gives 4x. *)
+let test_lower_allocates_linearly () =
+  let words n =
+    let raw = fused_chain n in
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Qdpjit.Codegen.lower raw));
+    (Gc.minor_words () -. w0, List.length raw.body)
+  in
+  let w_n, len_n = words 8 and w_2n, len_2n = words 16 in
+  if len_2n < 2 * len_n - 64 then Alcotest.failf "chain bodies %d and %d: not doubled" len_n len_2n;
+  Alcotest.(check bool)
+    (Printf.sprintf "2N members cost %.0f words, N members %.0f (ratio %.2f <= 2.2)" w_2n w_n
+       (w_2n /. w_n))
+    true
+    (w_2n <= 2.2 *. w_n)
 
 (* The neg sinks past the store of [a], until then [a]'s last reader,
    and becomes the last reader itself.  When the cvt then goes to the
@@ -912,6 +1042,7 @@ let () =
           Alcotest.test_case "strength reduction" `Quick test_strength_reduce;
           Alcotest.test_case "shl print/parse roundtrip" `Quick test_shl_print_parse_roundtrip;
         ] );
+      ("dataflow", [ Alcotest.test_case "dense ids keep classes apart" `Quick test_dense_ids_keep_classes_apart ]);
       ( "cse",
         [
           Alcotest.test_case "dedupes repeated loads" `Quick test_cse_dedupes_loads;
@@ -939,6 +1070,13 @@ let () =
           Alcotest.test_case "workload kernels = reference" `Quick
             test_sink_matches_reference_on_workloads;
           Alcotest.test_case "near-linear in body length" `Quick test_sink_scales_linearly;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "one round = four rounds (counts, demand)" `Quick
+            test_one_round_matches_reference_run;
+          Alcotest.test_case "each pass runs once per lower" `Quick test_each_pass_runs_once;
+          Alcotest.test_case "lower allocates linearly" `Quick test_lower_allocates_linearly;
         ] );
       ( "reg-demand",
         [ QCheck_alcotest.to_alcotest qcheck_register_demand_matches_fold ] );
