@@ -1,8 +1,8 @@
 (** PTX emission context: fresh registers, parameters and an instruction
     stream, accumulated while the code generators walk an expression.
 
-    The builder also records value provenance — how many times each
-    register has been defined — which it hands to the optimization passes
+    The emitted stream also yields value provenance — how many times each
+    register is defined — which the builder hands to the optimization passes
     as the proof that a register is an SSA value, the precondition for
     CSE to be sound across anything the functorised site algebra emits
     (including deliberately multi-defined registers like reduction
@@ -15,9 +15,8 @@ type t = {
   mutable body_rev : instr list;
   mutable params_rev : param list;
   mutable nparams : int;
-  counters : (dtype, int ref) Hashtbl.t;
+  counters : int array;  (** next id per register class, by {!Ptx.Dataflow.class_index} *)
   mutable nlabels : int;
-  def_counts : (Ptx.Dataflow.key, int) Hashtbl.t;
 }
 
 let create ~kname =
@@ -26,32 +25,17 @@ let create ~kname =
     body_rev = [];
     params_rev = [];
     nparams = 0;
-    counters = Hashtbl.create 8;
+    counters = Array.make (Array.length Ptx.Dataflow.classes) 0;
     nlabels = 0;
-    def_counts = Hashtbl.create 64;
   }
 
 let fresh t dtype =
-  let c =
-    match Hashtbl.find_opt t.counters dtype with
-    | Some c -> c
-    | None ->
-        let c = ref 0 in
-        Hashtbl.replace t.counters dtype c;
-        c
-  in
-  let id = !c in
-  incr c;
+  let c = Ptx.Dataflow.class_index dtype in
+  let id = t.counters.(c) in
+  t.counters.(c) <- id + 1;
   { rtype = dtype; id }
 
-let emit t i =
-  (match Ptx.Dataflow.def_of i with
-  | Some r ->
-      let k = Ptx.Dataflow.key r in
-      Hashtbl.replace t.def_counts k
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.def_counts k))
-  | None -> ());
-  t.body_rev <- i :: t.body_rev
+let emit t i = t.body_rev <- i :: t.body_rev
 
 let add_param t dtype name =
   let index = t.nparams in
@@ -66,14 +50,15 @@ let fresh_label t prefix =
 
 let finish t = { kname = t.kname; params = List.rev t.params_rev; body = List.rev t.body_rev }
 
-(** Emission-time value provenance.  Counts only accumulate, so a
-    register reported single-def here has at most one definition in any
-    later (pass-shrunk) form of the kernel — the conservative direction. *)
+(** Emission-time value provenance: the definition counts of everything
+    emitted so far, before any dead-code elimination.  A register
+    reported single-def here has at most one definition in any later
+    (pass-shrunk) form of the kernel — the conservative direction — and
+    every register of such a form is one this body numbers. *)
 let provenance t =
-  {
-    Ptx.Passes.single_def =
-      (fun r -> Hashtbl.find_opt t.def_counts (Ptx.Dataflow.key r) = Some 1);
-  }
+  let body = Array.of_list (List.rev t.body_rev) in
+  let rg = Ptx.Dataflow.regs body in
+  { Ptx.Passes.single_def = Ptx.Dataflow.single_def rg (Ptx.Dataflow.def_counts rg body) }
 
 (* Dead-code elimination: drop instructions whose destination is never
    consumed.  The generators load every component of a referenced element;

@@ -291,26 +291,29 @@ let analyze (k : kernel) =
     let n = params.(i).pname in
     String.length n >= 8 && String.sub n 0 8 = "sitelist"
   in
-  let prov : (dtype * int, access_class) Hashtbl.t = Hashtbl.create 64 in
-  let base : (dtype * int, int option) Hashtbl.t = Hashtbl.create 16 in
+  let body = Array.of_list k.body in
+  let rg = Ptx.Dataflow.regs body in
+  let prov = Array.make (Ptx.Dataflow.nregs rg) Uniform in
+  let base = Array.make (Ptx.Dataflow.nregs rg) None in
   let changed = ref true in
-  let getp r = match Hashtbl.find_opt prov (r.rtype, r.id) with Some c -> c | None -> Uniform in
-  let getb r = match Hashtbl.find_opt base (r.rtype, r.id) with Some b -> b | None -> None in
+  let getp r = prov.(Ptx.Dataflow.index rg r) in
+  let getb r = Option.join base.(Ptx.Dataflow.index rg r) in
   let setp_ r c =
-    if rank c > rank (getp r) then begin
-      Hashtbl.replace prov (r.rtype, r.id) c;
+    let x = Ptx.Dataflow.index rg r in
+    if rank c > rank prov.(x) then begin
+      prov.(x) <- c;
       changed := true
     end
   in
   (* Base lattice: unseen -> Some slot -> None (conflicting or derived). *)
   let setb r b =
-    let key = (r.rtype, r.id) in
-    match Hashtbl.find_opt base key with
-    | None -> if b <> None then (Hashtbl.replace base key b; changed := true)
+    let x = Ptx.Dataflow.index rg r in
+    match base.(x) with
+    | None -> if b <> None then (base.(x) <- Some b; changed := true)
     | Some cur when cur = b -> ()
     | Some None -> ()
     | Some (Some _) ->
-        Hashtbl.replace base key None;
+        base.(x) <- Some None;
         changed := true
   in
   let op_prov = function Reg r -> getp r | Imm_float _ | Imm_int _ -> Uniform in
@@ -357,7 +360,7 @@ let analyze (k : kernel) =
   in
   while !changed do
     changed := false;
-    List.iter step k.body
+    Array.iter step body
   done;
   (* Fold every global access into its param's summary row. *)
   let rows = Hashtbl.create 8 in
@@ -367,12 +370,12 @@ let analyze (k : kernel) =
     let l, s = Option.value (Hashtbl.find_opt rows param) ~default:(0, 0) in
     Hashtbl.replace rows param (if store then (l, s lor bit) else (l lor bit, s))
   in
-  List.iter
+  Array.iter
     (function
       | Ld_global { addr; _ } | Ld_global_f16 { addr; _ } -> note addr ~store:false
       | St_global { addr; _ } | St_global_f16 { addr; _ } -> note addr ~store:true
       | _ -> ())
-    k.body;
+    body;
   Hashtbl.fold (fun a_param (a_loads, a_stores) acc -> { a_param; a_loads; a_stores } :: acc) rows []
   |> List.sort compare |> Array.of_list
 
@@ -549,39 +552,27 @@ let prove_guard (params : param array) co ca cb cc cd ~nireg ~npred =
    intervals ending there, assigns the one starting there, and frees it
    again at once if it is never read. *)
 
-let class_index = function
-  | F32 -> 0
-  | F64 -> 1
-  | S32 -> 2
-  | U32 -> 3
-  | S64 -> 4
-  | U64 -> 5
-  | Pred -> 6
-
 (* Register file of each class: 0 floats, 1 integers, 2 predicates. *)
-let file_of_class = [| 0; 0; 1; 1; 1; 1; 2 |]
+let file_of = function F32 | F64 -> 0 | S32 | U32 | S64 | U64 -> 1 | Pred -> 2
 
 type allocation = {
-  phys : int array array;  (** per class, virtual id -> slot in its file; -1 unused *)
+  rg : Ptx.Dataflow.regs;
+  phys : int array;  (** per {!Ptx.Dataflow.index}, the slot in its file; -1 unused *)
   files : int array;  (** allocated slots per file: floats, integers, predicates *)
   virtual_files : int array;  (** the same files sized by virtual id *)
 }
 
 let allocate_registers (k : kernel) =
   let body = Array.of_list k.body in
-  let maxid = Array.make 7 (-1) in
-  Array.iter
-    (Ptx.Dataflow.iter_regs (fun r ->
-         let c = class_index r.rtype in
-         if r.id > maxid.(c) then maxid.(c) <- r.id))
-    body;
-  let per_class () = Array.map (fun m -> Array.make (m + 1) (-1)) maxid in
-  let first = per_class () and last = per_class () and phys = per_class () in
+  let rg = Ptx.Dataflow.regs body in
+  let nregs = Ptx.Dataflow.nregs rg in
+  let first = Array.make nregs (-1) and last = Array.make nregs (-1) in
+  let phys = Array.make nregs (-1) in
   let at = ref 0 in
   let touch r =
-    let c = class_index r.rtype in
-    if first.(c).(r.id) < 0 then first.(c).(r.id) <- !at;
-    last.(c).(r.id) <- !at
+    let x = Ptx.Dataflow.index rg r in
+    if first.(x) < 0 then first.(x) <- !at;
+    last.(x) <- !at
   in
   Array.iteri
     (fun i instr ->
@@ -592,23 +583,23 @@ let allocate_registers (k : kernel) =
   (* A released register's [last] becomes -1, so a register read twice
      by one instruction is freed once. *)
   let release ~starts_here r =
-    let c = class_index r.rtype in
-    if last.(c).(r.id) = !at && (first.(c).(r.id) = !at) = starts_here then begin
-      let f = file_of_class.(c) in
-      free.(f) <- phys.(c).(r.id) :: free.(f);
-      last.(c).(r.id) <- -1
+    let x = Ptx.Dataflow.index rg r in
+    if last.(x) = !at && (first.(x) = !at) = starts_here then begin
+      let f = file_of r.rtype in
+      free.(f) <- phys.(x) :: free.(f);
+      last.(x) <- -1
     end
   in
   let assign r =
-    let c = class_index r.rtype in
-    if first.(c).(r.id) = !at && phys.(c).(r.id) < 0 then begin
-      let f = file_of_class.(c) in
+    let x = Ptx.Dataflow.index rg r in
+    if first.(x) = !at && phys.(x) < 0 then begin
+      let f = file_of r.rtype in
       match free.(f) with
       | s :: rest ->
           free.(f) <- rest;
-          phys.(c).(r.id) <- s
+          phys.(x) <- s
       | [] ->
-          phys.(c).(r.id) <- files.(f);
+          phys.(x) <- files.(f);
           files.(f) <- files.(f) + 1
     end
   in
@@ -622,14 +613,14 @@ let allocate_registers (k : kernel) =
       Ptx.Dataflow.iter_regs release_unread instr)
     body;
   let virtual_files = Array.make 3 0 in
-  Array.iteri
-    (fun c m ->
-      let f = file_of_class.(c) in
-      virtual_files.(f) <- virtual_files.(f) + m + 1)
-    maxid;
-  { phys; files; virtual_files }
+  Array.iter
+    (fun dt ->
+      let f = file_of dt in
+      virtual_files.(f) <- virtual_files.(f) + Ptx.Dataflow.extent rg dt)
+    Ptx.Dataflow.classes;
+  { rg; phys; files; virtual_files }
 
-let slot a r = a.phys.(class_index r.rtype).(r.id)
+let slot a r = a.phys.(Ptx.Dataflow.index a.rg r)
 
 (* ------------------------------------------------------------------ *)
 (* Decode. *)

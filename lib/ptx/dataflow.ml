@@ -11,16 +11,6 @@
 
 open Types
 
-type key = dtype * int
-
-let key r = (r.rtype, r.id)
-
-module KSet = Set.Make (struct
-  type t = key
-
-  let compare = compare
-end)
-
 (** Destination register written by an instruction, if any. *)
 let def_of = function
   | Ld_param { dst; _ }
@@ -89,6 +79,7 @@ let weight = function F64 | S64 | U64 -> 2 | F32 | S32 | U32 -> 1 | Pred -> 0
 (* ------------------------------------------------------------------ *)
 (* Dense register numbering                                            *)
 
+let classes = [| F32; F64; S32; U32; S64; U64; Pred |]
 let class_index = function F32 -> 0 | F64 -> 1 | S32 -> 2 | U32 -> 3 | S64 -> 4 | U64 -> 5 | Pred -> 6
 
 (* [base.(c)] is the index of register 0 of class [c]; [base.(7)] the
@@ -109,7 +100,16 @@ let regs body =
   base
 
 let nregs (rg : regs) = rg.(7)
-let index (rg : regs) r = rg.(class_index r.rtype) + r.id
+
+let extent (rg : regs) dt =
+  let c = class_index dt in
+  rg.(c + 1) - rg.(c)
+
+let index (rg : regs) r =
+  let c = class_index r.rtype in
+  if r.id < 0 || r.id >= rg.(c + 1) - rg.(c) then
+    invalid_arg ("Ptx.Dataflow.index: register " ^ reg_name r ^ " is not in the numbered body");
+  rg.(c) + r.id
 
 (* ------------------------------------------------------------------ *)
 (* Def counts (the single-static-definition test)                      *)
@@ -219,50 +219,71 @@ let chains rg body =
 let uses_of_reg rg (ch : chains) r = ch.(index rg r)
 
 (* ------------------------------------------------------------------ *)
+(* Dense register sets                                                 *)
+
+(* A set of {!index}es: 32 per int, so word ops stay cheap shifts.  The
+   fixpoints below update whole words; each bit evolves independently,
+   so word-at-a-time iteration reaches the same fixpoint as set-at-a-time
+   iteration would. *)
+module Bits = struct
+  let words rg = (nregs rg + 31) lsr 5
+  let create rg = Array.make (words rg) 0
+  let mem s x = s.(x lsr 5) land (1 lsl (x land 31)) <> 0
+  let add s x = s.(x lsr 5) <- s.(x lsr 5) lor (1 lsl (x land 31))
+  let remove s x = s.(x lsr 5) <- s.(x lsr 5) land lnot (1 lsl (x land 31))
+end
+
+(* ------------------------------------------------------------------ *)
 (* Liveness                                                            *)
 
 (* Block-level use (upward-exposed reads) and def sets. *)
-let block_use_def body (b : block) =
-  let use = ref KSet.empty and def = ref KSet.empty in
+let block_use_def rg body (b : block) =
+  let use = Bits.create rg and def = Bits.create rg in
   for i = b.first to b.last do
-    List.iter
+    iter_uses
       (fun r ->
-        let k = key r in
-        if not (KSet.mem k !def) then use := KSet.add k !use)
-      (uses_of body.(i));
-    match def_of body.(i) with Some r -> def := KSet.add (key r) !def | None -> ()
+        let x = index rg r in
+        if not (Bits.mem def x) then Bits.add use x)
+      body.(i);
+    Option.iter (fun r -> Bits.add def (index rg r)) (def_of body.(i))
   done;
-  (!use, !def)
+  (use, def)
 
-(** [live_in], [live_out] per block, to fixpoint. *)
-let liveness body (blks : block array) =
+(** [live_out] per block, to fixpoint. *)
+let liveness rg body (blks : block array) =
   let n = Array.length blks in
-  let use = Array.make n KSet.empty and def = Array.make n KSet.empty in
-  Array.iteri
-    (fun b blk ->
-      let u, d = block_use_def body blk in
-      use.(b) <- u;
-      def.(b) <- d)
-    blks;
-  let live_in = Array.make n KSet.empty and live_out = Array.make n KSet.empty in
+  let use_def = Array.map (block_use_def rg body) blks in
+  let live_in = Array.init n (fun _ -> Bits.create rg)
+  and live_out = Array.init n (fun _ -> Bits.create rg) in
+  let rec union j acc = function [] -> acc | s :: ss -> union j (acc lor live_in.(s).(j)) ss in
   let changed = ref true in
   while !changed do
     changed := false;
     for b = n - 1 downto 0 do
-      let out =
-        List.fold_left (fun acc s -> KSet.union acc live_in.(s)) KSet.empty blks.(b).succs
-      in
-      let inn = KSet.union use.(b) (KSet.diff out def.(b)) in
-      if not (KSet.equal out live_out.(b) && KSet.equal inn live_in.(b)) then begin
-        live_out.(b) <- out;
-        live_in.(b) <- inn;
-        changed := true
-      end
+      let use, def = use_def.(b) in
+      for j = 0 to Bits.words rg - 1 do
+        let out = union j 0 blks.(b).succs in
+        let inn = use.(j) lor (out land lnot def.(j)) in
+        if out <> live_out.(b).(j) || inn <> live_in.(b).(j) then begin
+          live_out.(b).(j) <- out;
+          live_in.(b).(j) <- inn;
+          changed := true
+        end
+      done
     done
   done;
-  (live_in, live_out)
+  live_out
 
-let set_weight s = KSet.fold (fun (dt, _) acc -> acc + weight dt) s 0
+(* Weighted size of a set, class by class. *)
+let set_weight rg s =
+  let w = ref 0 in
+  Array.iteri
+    (fun c dt ->
+      for x = rg.(c) to rg.(c + 1) - 1 do
+        if Bits.mem s x then w := !w + weight dt
+      done)
+    classes;
+  !w
 
 (** Peak weighted register pressure (32-bit units) over every program
     point: what an allocator that reuses registers perfectly would need.
@@ -272,35 +293,36 @@ let register_demand_body body =
   let blks, _ = blocks body in
   if Array.length blks = 0 then 0
   else begin
-    let _, live_out = liveness body blks in
+    let rg = regs body in
+    let live_out = liveness rg body blks in
     let peak = ref 0 in
     Array.iteri
       (fun bi blk ->
-        (* Invariant: [!w = set_weight !live]. *)
-        let live = ref live_out.(bi) in
-        let w = ref (set_weight !live) in
+        (* Invariant: [!w = set_weight rg live]. *)
+        let live = live_out.(bi) in
+        let w = ref (set_weight rg live) in
         for i = blk.last downto blk.first do
           let instr = body.(i) in
           (* The destination occupies a register at the def point even if it
              is never read afterwards. *)
           (match def_of instr with
           | Some r ->
-              let k = key r in
-              if KSet.mem k !live then begin
+              let x = index rg r in
+              if Bits.mem live x then begin
                 peak := max !peak !w;
-                live := KSet.remove k !live;
+                Bits.remove live x;
                 w := !w - weight r.rtype
               end
               else peak := max !peak (!w + weight r.rtype)
           | None -> peak := max !peak !w);
-          List.iter
+          iter_uses
             (fun r ->
-              let k = key r in
-              if not (KSet.mem k !live) then begin
-                live := KSet.add k !live;
+              let x = index rg r in
+              if not (Bits.mem live x) then begin
+                Bits.add live x;
                 w := !w + weight r.rtype
               end)
-            (uses_of instr)
+            instr
         done)
       blks;
     !peak
@@ -322,52 +344,44 @@ let undefined_uses (k : kernel) =
   let n = Array.length blks in
   if n = 0 then []
   else begin
-    let universe =
-      Array.fold_left
-        (fun acc i -> match def_of i with Some r -> KSet.add (key r) acc | None -> acc)
-        KSet.empty body
-    in
-    let block_defs =
-      Array.map
-        (fun blk ->
-          let d = ref KSet.empty in
-          for i = blk.first to blk.last do
-            match def_of body.(i) with Some r -> d := KSet.add (key r) !d | None -> ()
-          done;
-          !d)
-        blks
-    in
-    let inn = Array.make n universe and out = Array.make n universe in
-    inn.(0) <- KSet.empty;
-    out.(0) <- block_defs.(0);
+    let rg = regs body in
+    let block_defs = Array.map (fun blk -> snd (block_use_def rg body blk)) blks in
+    let universe = Bits.create rg in
+    Array.iter (fun i -> Option.iter (fun r -> Bits.add universe (index rg r)) (def_of i)) body;
+    let inn = Array.init n (fun _ -> Array.copy universe)
+    and out = Array.init n (fun _ -> Array.copy universe) in
+    let rec inter j acc = function [] -> acc | q :: qs -> inter j (acc land out.(q).(j)) qs in
     let changed = ref true in
     while !changed do
       changed := false;
       for b = 0 to n - 1 do
-        let i =
-          if b = 0 then KSet.empty
-          else
-            match blks.(b).preds with
-            | [] -> universe (* unreachable: vacuously fine *)
-            | p :: ps -> List.fold_left (fun acc q -> KSet.inter acc out.(q)) out.(p) ps
-        in
-        let o = KSet.union i block_defs.(b) in
-        if not (KSet.equal i inn.(b) && KSet.equal o out.(b)) then begin
-          inn.(b) <- i;
-          out.(b) <- o;
-          changed := true
-        end
+        for j = 0 to Bits.words rg - 1 do
+          let i =
+            if b = 0 then 0
+            else
+              match blks.(b).preds with
+              | [] -> universe.(j) (* unreachable: vacuously fine *)
+              | p :: ps -> inter j out.(p).(j) ps
+          in
+          let o = i lor block_defs.(b).(j) in
+          if i <> inn.(b).(j) || o <> out.(b).(j) then begin
+            inn.(b).(j) <- i;
+            out.(b).(j) <- o;
+            changed := true
+          end
+        done
       done
     done;
     let violations = ref [] in
     Array.iteri
       (fun bi blk ->
-        let defined = ref inn.(bi) in
+        let defined = inn.(bi) in
         for i = blk.first to blk.last do
-          List.iter
-            (fun r -> if not (KSet.mem (key r) !defined) then violations := (i, r) :: !violations)
-            (uses_of body.(i));
-          match def_of body.(i) with Some r -> defined := KSet.add (key r) !defined | None -> ()
+          iter_uses
+            (fun r ->
+              if not (Bits.mem defined (index rg r)) then violations := (i, r) :: !violations)
+            body.(i);
+          Option.iter (fun r -> Bits.add defined (index rg r)) (def_of body.(i))
         done)
       blks;
     List.rev !violations

@@ -1,16 +1,11 @@
 (** SSA-flavoured dataflow analysis over the PTX IR: the shared def/use
-    view of every instruction, basic-block splitting over [Label]/[Bra],
-    block-level liveness, allocator register demand, and a
-    definitely-assigned analysis.  The printer, the VM, the driver-JIT
-    register estimator and the optimization passes all build on this one
-    instruction-walk. *)
-
-(** A register class + index pair, usable as a hash/set key. *)
-type key = Types.dtype * int
-
-val key : Types.reg -> key
-
-module KSet : Set.S with type elt = key
+    view of every instruction, the one dense register numbering
+    ({!regs}), basic-block splitting over [Label]/[Bra], allocator
+    register demand, and a definitely-assigned analysis.  The printer,
+    the validator, the VM, the driver-JIT register estimator, the fusion
+    splicer and the optimization passes all build on this one
+    instruction-walk, and every per-register table among them is an
+    array indexed by {!index}. *)
 
 (** Destination register written by an instruction, if any. *)
 val def_of : Types.instr -> Types.reg option
@@ -34,6 +29,11 @@ val is_side_effecting : Types.instr -> bool
     (64-bit classes take two; predicates live in a separate bank). *)
 val weight : Types.dtype -> int
 
+(** The register classes in numbering order: [classes.(class_index dt) = dt]. *)
+val classes : Types.dtype array
+
+val class_index : Types.dtype -> int
+
 (** Dense numbering of one body's registers: class by class, each class
     indexed by register id (the emitters number each class from 0). *)
 type regs
@@ -43,7 +43,14 @@ val regs : Types.instr array -> regs
 (** Size of the numbering: tables indexed by {!index} have this length. *)
 val nregs : regs -> int
 
-(** Index of a register that occurs in the numbered body. *)
+(** Ids the numbering covers in one class: the largest id of that class
+    in the body plus one, 0 if the class does not occur. *)
+val extent : regs -> Types.dtype -> int
+
+(** Index of a register of the numbered body (any id below its class's
+    {!extent}).  Raises [Invalid_argument] naming the register when its
+    id lies outside that range, rather than alias another class's
+    entry. *)
 val index : regs -> Types.reg -> int
 
 (** Static definition count per register, indexed by {!index}. *)
@@ -73,11 +80,9 @@ val chains : regs -> Types.instr array -> chains
 (** Use sites of a register, ascending; empty if never read. *)
 val uses_of_reg : regs -> chains -> Types.reg -> int list
 
-(** Per-block [live_in], [live_out] register sets, iterated to fixpoint. *)
-val liveness : Types.instr array -> block array -> KSet.t array * KSet.t array
-
 (** Peak weighted register pressure (32-bit units) over all program
-    points — the demand a perfect allocator would still need.  Uncapped,
+    points, from block-level liveness iterated to fixpoint on the
+    control-flow graph — the demand a perfect allocator would still need.  Uncapped,
     unlike the occupancy estimate in [Gpusim.Jit], so pass-pipeline
     savings stay visible on large kernels. *)
 val register_demand_body : Types.instr array -> int

@@ -153,24 +153,16 @@ let fuse ~kname sources =
     sources;
   (* Pull the sources' register spaces apart: per class, each source's ids
      are shifted past everything already assigned. *)
-  let next_id = Hashtbl.create 7 in
-  let base_of rtype = Option.value ~default:0 (Hashtbl.find_opt next_id rtype) in
+  let next_id = Array.make (Array.length Dataflow.classes) 0 in
   let renamed =
     List.map
       (fun s ->
-        let base = Hashtbl.copy next_id in
-        let shift r =
-          { r with id = r.id + Option.value ~default:0 (Hashtbl.find_opt base r.rtype) }
-        in
+        let shift r = { r with id = r.id + next_id.(Dataflow.class_index r.rtype) } in
         let body = List.map (map_regs shift) s.kernel.body in
-        List.iter
-          (fun i ->
-            let bump r =
-              if r.id + 1 > base_of r.rtype then Hashtbl.replace next_id r.rtype (r.id + 1)
-            in
-            Option.iter bump (Dataflow.def_of i);
-            List.iter bump (Dataflow.uses_of i))
-          body;
+        let rg = Dataflow.regs (Array.of_list s.kernel.body) in
+        Array.iteri
+          (fun c dt -> next_id.(c) <- next_id.(c) + Dataflow.extent rg dt)
+          Dataflow.classes;
         (s, parse_source ~use_sitelist ~reduction:s.reduction body))
       sources
   in
@@ -216,7 +208,7 @@ let fuse ~kname sources =
   let mids =
     List.mapi
       (fun si (s, parsed) ->
-        let remap : (Dataflow.key, reg) Hashtbl.t = Hashtbl.create 16 in
+        let remap : (reg, reg) Hashtbl.t = Hashtbl.create 16 in
         List.iter
           (fun (pos, dst) ->
             if pos >= Array.length s.slots then fail "parameter index outside the plan";
@@ -227,7 +219,7 @@ let fuse ~kname sources =
                 kept_params := Ld_param { dst; param_index = slot } :: !kept_params
             | Some c ->
                 if c.rtype <> dst.rtype then fail "slot %d loaded at two types" slot;
-                Hashtbl.replace remap (Dataflow.key dst) c)
+                Hashtbl.replace remap dst c)
           parsed.param_loads;
         (* Secondary sources lose their prologue: route their thread
            index, guard and site registers to the first source's.  A
@@ -235,10 +227,10 @@ let fuse ~kname sources =
            (compact partial addressing and the block computation), which
            routes to the primary's. *)
         if si > 0 then begin
-          Hashtbl.replace remap (Dataflow.key parsed.site) fused_site;
-          if s.reduction then Hashtbl.replace remap (Dataflow.key parsed.idx) parsed0.idx
+          Hashtbl.replace remap parsed.site fused_site;
+          if s.reduction then Hashtbl.replace remap parsed.idx parsed0.idx
         end;
-        let rename r = Option.value ~default:r (Hashtbl.find_opt remap (Dataflow.key r)) in
+        let rename r = Option.value ~default:r (Hashtbl.find_opt remap r) in
         if si > 0 then begin
           (* The only prologue values a site body may reference are the
              site register (the thread index when there is no site list)
@@ -247,17 +239,12 @@ let fuse ~kname sources =
           let kept =
             if s.reduction then [ parsed.site; parsed.idx ] else [ parsed.site ]
           in
-          let dropped =
-            List.filter
-              (fun r ->
-                not (List.exists (fun k -> Dataflow.key r = Dataflow.key k) kept))
-              parsed.prologue_regs
-          in
+          let dropped = List.filter (fun r -> not (List.mem r kept)) parsed.prologue_regs in
           List.iter
             (fun i ->
               List.iter
                 (fun u ->
-                  if List.exists (fun d -> Dataflow.key d = Dataflow.key u) dropped then
+                  if List.mem u dropped then
                     fail "site body reads a dropped prologue register")
                 (Dataflow.uses_of i))
             parsed.mid
@@ -286,17 +273,17 @@ let fuse ~kname sources =
         List.iter
           (fun i ->
             match Dataflow.def_of i with
-            | Some r -> Hashtbl.replace defs (Dataflow.key r) i
+            | Some r -> Hashtbl.replace defs r i
             | None -> ())
           mid;
         let trace addr =
-          match Hashtbl.find_opt defs (Dataflow.key addr) with
+          match Hashtbl.find_opt defs addr with
           | Some (Add { dtype = U64; a = Reg base; b = Reg u; _ }) -> (
-              match Hashtbl.find_opt defs (Dataflow.key u) with
+              match Hashtbl.find_opt defs u with
               | Some (Cvt { src = scaled; _ }) -> (
-                  match Hashtbl.find_opt defs (Dataflow.key scaled) with
+                  match Hashtbl.find_opt defs scaled with
                   | Some (Mul { a = Reg wide; b = Imm_int _; _ }) -> (
-                      match Hashtbl.find_opt defs (Dataflow.key wide) with
+                      match Hashtbl.find_opt defs wide with
                       | Some (Cvt { src = site; _ }) -> Some (base, site)
                       | _ -> None)
                   | _ -> None)
@@ -309,7 +296,7 @@ let fuse ~kname sources =
               if producer < 0 || producer >= si then
                 fail "substitution producer is not an earlier group member";
               match canonical.(slot) with
-              | Some c -> Some (Dataflow.key c, producer)
+              | Some c -> Some (c, producer)
               | None -> fail "substitution slot %d has no parameter load" slot)
             s.subst_from
         in
@@ -320,10 +307,10 @@ let fuse ~kname sources =
               | Ld_global { dtype; dst; addr; offset } -> (
                   match trace addr with
                   | Some (base, site) -> (
-                      match List.assoc_opt (Dataflow.key base) subst_bases with
+                      match List.assoc_opt base subst_bases with
                       | None -> i
                       | Some producer ->
-                          if Dataflow.key site <> Dataflow.key fused_site then
+                          if site <> fused_site then
                             fail "shifted read of a fused intermediate";
                           if dtype <> F64 then fail "substitution on a non-f64 load";
                           (match Hashtbl.find_opt store_maps.(producer) offset with
@@ -344,7 +331,7 @@ let fuse ~kname sources =
         if not s.reduction then begin
           let dest_base =
             match canonical.(s.slots.(0)) with
-            | Some c -> Dataflow.key c
+            | Some c -> c
             | None -> fail "destination parameter was never loaded"
           in
           List.iter
@@ -353,8 +340,7 @@ let fuse ~kname sources =
               | St_global { dtype; addr; offset; src } -> (
                   match trace addr with
                   | Some (base, site)
-                    when Dataflow.key base = dest_base
-                         && Dataflow.key site = Dataflow.key fused_site ->
+                    when base = dest_base && site = fused_site ->
                       Hashtbl.replace store_maps.(si) offset (src, dtype)
                   | _ -> fail "store does not target the destination at the thread's site")
               | _ -> ())

@@ -89,24 +89,13 @@ let instr ~params buf i =
   | Ret -> p "ret;"
 
 let reg_declarations buf body =
-  let max_ids = Hashtbl.create 8 in
-  let see r =
-    let cur = try Hashtbl.find max_ids r.rtype with Not_found -> -1 in
-    if r.id > cur then Hashtbl.replace max_ids r.rtype r.id
-  in
-  List.iter
-    (fun i ->
-      Option.iter see (Dataflow.def_of i);
-      List.iter see (Dataflow.uses_of i))
-    body;
+  let rg = Dataflow.regs (Array.of_list body) in
   List.iter
     (fun dt ->
-      match Hashtbl.find_opt max_ids dt with
-      | Some max_id ->
-          Buffer.add_string buf
-            (Printf.sprintf "\t.reg .%s \t%s<%d>;\n" (dtype_suffix dt) (reg_prefix dt)
-               (max_id + 1))
-      | None -> ())
+      let n = Dataflow.extent rg dt in
+      if n > 0 then
+        Buffer.add_string buf
+          (Printf.sprintf "\t.reg .%s \t%s<%d>;\n" (dtype_suffix dt) (reg_prefix dt) n))
     [ Pred; S32; U32; S64; U64; F32; F64 ]
 
 let kernel k =

@@ -22,12 +22,14 @@ let kernel (k : kernel) =
   let labels = Hashtbl.create 8 in
   List.iter (function Label l -> Hashtbl.replace labels l () | _ -> ()) k.body;
   let params = Array.of_list k.params in
-  let defined = Hashtbl.create 64 in
-  let def r = Hashtbl.replace defined (r.rtype, r.id) () in
-  let use r =
-    if not (Hashtbl.mem defined (r.rtype, r.id)) then
-      fail "register %s read before written" (reg_name r)
+  let rg = Dataflow.regs (Array.of_list k.body) in
+  let defined = Array.make (Dataflow.nregs rg) false in
+  let index r =
+    if r.id < 0 then fail "register %s has a negative id" (reg_name r);
+    Dataflow.index rg r
   in
+  let def r = defined.(index r) <- true in
+  let use r = if not defined.(index r) then fail "register %s read before written" (reg_name r) in
   let use_op = function Reg r -> use r | Imm_float _ | Imm_int _ -> () in
   let check_arith dtype dst ops =
     if dtype = Pred then fail "arithmetic on predicate registers";

@@ -1,7 +1,9 @@
 (** Static checks a real assembler would perform: every register is
     written before it is read (the generators emit forward-branching
     straight-line code, so textual order is execution order), branch
-    targets exist, and operand/instruction types agree. *)
+    targets exist, and operand/instruction types agree.  Register ids
+    must be non-negative; the written-before-read flags are one array
+    over {!Dataflow.regs}. *)
 
 exception Invalid of string
 

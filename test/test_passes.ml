@@ -20,6 +20,11 @@ let kern ?(params = [ { pname = "dest"; ptype = U64 } ]) body =
 
 let len k = List.length k.body
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let index_of pred k =
   let rec go i = function
     | [] -> Alcotest.fail "expected instruction not found"
@@ -123,6 +128,37 @@ let test_dense_ids_keep_classes_apart () =
   List.iter
     (fun (name, x, sites) -> Alcotest.(check (list int)) (name ^ " uses") sites (D.uses_of_reg rg ch x))
     [ ("f3", f3, [ 4; 4 ]); ("s3", s3, [ 6 ]); ("f0", f0, [ 5 ]); ("addr", addr, [ 1; 5; 6 ]); ("f1", r F32 1, []) ]
+
+(* A numbering answers only for the body it numbered: a register past
+   its class's extent, of an absent class, or with a negative id raises
+   instead of aliasing another register's entry ([%f4] would otherwise
+   land on [%r0]'s index). *)
+let test_index_rejects_foreign_registers () =
+  let addr = r U64 0 in
+  let body =
+    [|
+      Ld_param { dst = addr; param_index = 0 };
+      Ld_global { dtype = F32; dst = r F32 3; addr; offset = 0 };
+      Mov { dst = r S32 0; src = Imm_int 1 };
+      St_global { dtype = F32; addr; offset = 4; src = Reg (r F32 3) };
+      St_global { dtype = S32; addr; offset = 8; src = Reg (r S32 0) };
+      Ret;
+    |]
+  in
+  let rg = D.regs body in
+  Alcotest.(check (list int)) "extents f32, s32, u32, u64" [ 4; 1; 0; 1 ]
+    (List.map (D.extent rg) [ F32; S32; U32; U64 ]);
+  List.iter
+    (fun x ->
+      match D.index rg x with
+      | i -> Alcotest.failf "%s got index %d" (reg_name x) i
+      | exception Invalid_argument m ->
+          if not (contains m (reg_name x)) then
+            Alcotest.failf "message %S does not name %s" m (reg_name x))
+    [ r F32 4; r U32 0; r S32 1; r F64 0; r F32 (-1) ];
+  (* The same registers are fine in a body that holds them. *)
+  let wider = Array.append [| Mov { dst = r F32 4; src = Imm_float 0.0 } |] body in
+  Alcotest.(check int) "%f4 in a wider body" 4 (D.index (D.regs wider) (r F32 4))
 
 (* ------------------------------------------------------------------ *)
 (* CSE *)
@@ -389,9 +425,7 @@ let test_vm_compile_checks () =
   let rejects what ~says k =
     match Gpusim.Vm.compile k with
     | exception Gpusim.Vm.Fault m ->
-        let n = String.length m and l = String.length says in
-        let rec has i = i + l <= n && (String.sub m i l = says || has (i + 1)) in
-        if not (has 0) then Alcotest.failf "%s: fault %S does not say %S" what m says
+        if not (contains m says) then Alcotest.failf "%s: fault %S does not say %S" what m says
     | _ -> Alcotest.failf "Vm.compile accepted %s" what
   in
   rejects "a branch-path undef" ~says:"may be read before written"
@@ -408,6 +442,16 @@ let test_vm_compile_checks () =
          Setp { cmp = Lt; dtype = F64; dst = p; a = Reg x; b = Imm_float 4.0 };
          Bra { label = "L"; pred = Some p };
          St_global { dtype = F64; addr; offset = 0; src = Reg x };
+         Ret;
+       ]);
+  (* A negative id (the parser reads [%fd-1]) has no place in the dense
+     numbering: an invalid kernel, not an index error. *)
+  rejects "a negative register id" ~says:"negative id"
+    (kern
+       [
+         Ld_param { dst = addr; param_index = 0 };
+         Mov { dst = r F64 (-1); src = Imm_float 1.0 };
+         St_global { dtype = F64; addr; offset = 0; src = Reg (r F64 (-1)) };
          Ret;
        ])
 
@@ -707,6 +751,7 @@ let workload_kernels ~optimize =
   List.map Ptx.Parse.kernel (wilson @ hmc)
 
 let raw_workload = lazy (workload_kernels ~optimize:false)
+let opt_workload = lazy (workload_kernels ~optimize:true)
 
 (* Every sink call the middle-end makes on those kernels, checked
    against the reference: the pipeline once on each raw stream, and one
@@ -726,7 +771,7 @@ let test_sink_matches_reference_on_workloads () =
       (P.default_pipeline ())
   in
   List.iter (fun k -> ignore (P.run_pipeline pipeline k)) (Lazy.force raw_workload);
-  List.iter (fun k -> ignore (checked k)) (workload_kernels ~optimize:true);
+  List.iter (fun k -> ignore (checked k)) (Lazy.force opt_workload);
   if !moved = 0 then Alcotest.failf "no sink call moved anything (%d calls)" !calls
 
 (* The middle-end as it was before it applied its pipeline once: whole
@@ -833,6 +878,59 @@ let test_lower_allocates_linearly () =
        (w_2n /. w_n))
     true
     (w_2n <= 2.2 *. w_n)
+
+(* [Gpusim.Jit.compile] — parse, validate, allocate, decode, register
+   demand — is linear too: on the printed text of a fused chain, 2N
+   members may allocate at most 2.2x the minor words of N.  A set that
+   copies itself per instruction or a table rescanned per member breaks
+   it. *)
+let test_jit_compile_allocates_linearly () =
+  let words n =
+    let text = Ptx.Print.kernel (fused_chain n) in
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Gpusim.Jit.compile text));
+    Gc.minor_words () -. w0
+  in
+  let w_n = words 8 and w_2n = words 16 in
+  Alcotest.(check bool)
+    (Printf.sprintf "2N members cost %.0f words, N members %.0f (ratio %.2f <= 2.2)" w_2n w_n
+       (w_2n /. w_n))
+    true
+    (w_2n <= 2.2 *. w_n)
+
+(* Every workload kernel, raw and optimized, printed: the [.reg] lines
+   declare what a plain max-id fold over the body counts, and the VM
+   decodes the kernel and its [Parse (Print k)] round trip alike. *)
+let test_print_declares_max_ids () =
+  List.iter
+    (fun k ->
+      let text = Ptx.Print.kernel k in
+      let max_id = Hashtbl.create 8 in
+      List.iter
+        (D.iter_regs (fun x ->
+             let m = Option.value ~default:(-1) (Hashtbl.find_opt max_id x.rtype) in
+             Hashtbl.replace max_id x.rtype (max m x.id)))
+        k.body;
+      let expected =
+        List.filter_map
+          (fun dt ->
+            Option.map
+              (fun m ->
+                Printf.sprintf "\t.reg .%s \t%s<%d>;" (dtype_suffix dt) (reg_prefix dt) (m + 1))
+              (Hashtbl.find_opt max_id dt))
+          [ Pred; S32; U32; S64; U64; F32; F64 ]
+      in
+      let declared =
+        List.filter (fun l -> contains l "\t.reg ") (String.split_on_char '\n' text)
+      in
+      Alcotest.(check (list string)) (k.kname ^ ": .reg declarations") expected declared;
+      let decoded k =
+        let p = Gpusim.Vm.compile k in
+        (Gpusim.Vm.superinsn_stats p, Gpusim.Vm.decoded_instructions p)
+      in
+      if decoded k <> decoded (Ptx.Parse.kernel text) then
+        Alcotest.failf "%s: decoded differently after a print/parse round trip" k.kname)
+    (Lazy.force raw_workload @ Lazy.force opt_workload)
 
 (* The neg sinks past the store of [a], until then [a]'s last reader,
    and becomes the last reader itself.  When the cvt then goes to the
@@ -946,29 +1044,73 @@ let test_sink_scales_linearly () =
       t32
 
 (* Register demand as it was computed before the running weight: the
-   whole live set re-folded at every instruction. *)
+   whole live set re-folded at every instruction, over the test-local
+   liveness of [Ref_dataflow]. *)
 let reference_register_demand body =
+  let module S = Ref_dataflow.RSet in
   let blks, _ = D.blocks body in
   if Array.length blks = 0 then 0
   else begin
-    let _, live_out = D.liveness body blks in
-    let set_weight s = D.KSet.fold (fun (dt, _) acc -> acc + D.weight dt) s 0 in
+    let _, live_out = Ref_dataflow.liveness body blks in
+    let set_weight s = S.fold (fun r acc -> acc + D.weight r.rtype) s 0 in
     let peak = ref 0 in
     Array.iteri
       (fun bi (blk : D.block) ->
         let live = ref live_out.(bi) in
         for i = blk.D.last downto blk.D.first do
           let instr = body.(i) in
-          let at_point =
-            match D.def_of instr with Some r -> D.KSet.add (D.key r) !live | None -> !live
-          in
+          let at_point = match D.def_of instr with Some r -> S.add r !live | None -> !live in
           peak := max !peak (set_weight at_point);
-          (match D.def_of instr with Some r -> live := D.KSet.remove (D.key r) !live | None -> ());
-          List.iter (fun r -> live := D.KSet.add (D.key r) !live) (D.uses_of instr)
+          (match D.def_of instr with Some r -> live := S.remove r !live | None -> ());
+          List.iter (fun r -> live := S.add r !live) (D.uses_of instr)
         done)
       blks;
     !peak
   end
+
+(* [k] with one read-before-write injected: a [mov] from some register,
+   into a register no one else uses, placed right before that register's
+   first definition.  Every path from the entry to that point crosses only
+   earlier instructions (the kernels branch forward), so the read is
+   undefined wherever the point is reachable. *)
+let inject_undefined_read seed (k : kernel) =
+  let st = Random.State.make [| seed; 7 |] in
+  let body = Array.of_list k.body in
+  let rg = D.regs body in
+  let seen = Array.make (D.nregs rg) false in
+  let firsts = ref [] in
+  Array.iteri
+    (fun at i ->
+      match D.def_of i with
+      | Some d when not seen.(D.index rg d) ->
+          seen.(D.index rg d) <- true;
+          firsts := (at, d) :: !firsts
+      | _ -> ())
+    body;
+  let at, d = List.nth !firsts (Random.State.int st (List.length !firsts)) in
+  let read = Mov { dst = { d with id = D.extent rg d.rtype }; src = Reg d } in
+  { k with body = List.concat (List.mapi (fun i x -> if i = at then [ read; x ] else [ x ]) k.body) }
+
+let qcheck_undefined_uses_matches_oracle =
+  QCheck.Test.make ~name:"random kernels: undefined uses = set-based oracle" ~count:500
+    QCheck.(make ~print:(fun s -> Ptx.Print.kernel (random_kernel s)) Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let k = random_kernel seed in
+      List.for_all
+        (fun k -> D.undefined_uses k = Ref_dataflow.undefined_uses k)
+        [ k; inject_undefined_read seed k ])
+
+(* The injection is only a test if it usually adds a violation (the
+   random kernels may already read a register defined on one arm only,
+   and code after an unconditional branch is unreachable). *)
+let test_injected_reads_are_caught () =
+  let caught = ref 0 in
+  for seed = 0 to 199 do
+    let k = random_kernel seed in
+    let k' = inject_undefined_read seed k in
+    if List.length (D.undefined_uses k') > List.length (D.undefined_uses k) then incr caught
+  done;
+  if !caught < 100 then Alcotest.failf "only %d of 200 injected reads caught" !caught
 
 let qcheck_register_demand_matches_fold =
   QCheck.Test.make ~name:"random kernels: register demand = re-folded live sets" ~count:500
@@ -1042,7 +1184,16 @@ let () =
           Alcotest.test_case "strength reduction" `Quick test_strength_reduce;
           Alcotest.test_case "shl print/parse roundtrip" `Quick test_shl_print_parse_roundtrip;
         ] );
-      ("dataflow", [ Alcotest.test_case "dense ids keep classes apart" `Quick test_dense_ids_keep_classes_apart ]);
+      ( "dataflow",
+        [
+          Alcotest.test_case "dense ids keep classes apart" `Quick
+            test_dense_ids_keep_classes_apart;
+          Alcotest.test_case "index rejects foreign registers" `Quick
+            test_index_rejects_foreign_registers;
+          QCheck_alcotest.to_alcotest qcheck_undefined_uses_matches_oracle;
+          Alcotest.test_case "injected reads are caught" `Quick test_injected_reads_are_caught;
+          Alcotest.test_case "print declares max ids" `Quick test_print_declares_max_ids;
+        ] );
       ( "cse",
         [
           Alcotest.test_case "dedupes repeated loads" `Quick test_cse_dedupes_loads;
@@ -1077,6 +1228,8 @@ let () =
             test_one_round_matches_reference_run;
           Alcotest.test_case "each pass runs once per lower" `Quick test_each_pass_runs_once;
           Alcotest.test_case "lower allocates linearly" `Quick test_lower_allocates_linearly;
+          Alcotest.test_case "jit compile allocates linearly" `Quick
+            test_jit_compile_allocates_linearly;
         ] );
       ( "reg-demand",
         [ QCheck_alcotest.to_alcotest qcheck_register_demand_matches_fold ] );

@@ -985,34 +985,32 @@ let test_parked_lane_fault_wins () =
 (* ------------------------------------------------------------------ *)
 (* Register allocation.  [Vm.allocate_registers] is the map [Vm.compile]
    applies.  The check here does not lean on the allocator's interval
-   argument: it runs [Ptx.Dataflow] liveness on the real control-flow
-   graph and requires that no two registers of one file live at the
-   same point share a slot, and that no definition writes a slot held
-   by another register live past it. *)
+   argument: it runs the test-local liveness of [Ref_dataflow] on the
+   real control-flow graph and requires that no two registers of one
+   file live at the same point share a slot, and that no definition
+   writes a slot held by another register live past it. *)
 
 let reg_file t = if Ptx.Types.is_float t then 0 else if Ptx.Types.is_int t then 1 else 2
 
 (* The first clash in [k]'s allocation, as a message; [None] if sound. *)
 let allocation_clash (k : Ptx.Types.kernel) =
+  let module S = Ref_dataflow.RSet in
   let a = Gpusim.Vm.allocate_registers k in
-  let slot_of ((t, id) : Ptx.Dataflow.key) =
-    (reg_file t, Gpusim.Vm.slot a { Ptx.Types.rtype = t; id })
-  in
-  let name (t, id) = Ptx.Types.reg_name { Ptx.Types.rtype = t; id } in
+  let slot_of (r : Ptx.Types.reg) = (reg_file r.rtype, Gpusim.Vm.slot a r) in
   let body = Array.of_list k.Ptx.Types.body in
   let blocks, _ = Ptx.Dataflow.blocks body in
-  let _, live_out = Ptx.Dataflow.liveness body blocks in
+  let _, live_out = Ref_dataflow.liveness body blocks in
   let clash = ref None in
   let report i x y =
     if !clash = None then
       clash :=
         Some
           (Printf.sprintf "%s: %s and %s share a slot at instruction %d" k.Ptx.Types.kname
-             (name x) (name y) i)
+             (Ptx.Types.reg_name x) (Ptx.Types.reg_name y) i)
   in
   let check_point i live =
     let seen = Hashtbl.create 64 in
-    Ptx.Dataflow.KSet.iter
+    S.iter
       (fun x ->
         let s = slot_of x in
         match Hashtbl.find_opt seen s with Some y -> report i x y | None -> Hashtbl.add seen s x)
@@ -1025,15 +1023,10 @@ let allocation_clash (k : Ptx.Types.kernel) =
       for i = blk.last downto blk.first do
         (match Ptx.Dataflow.def_of body.(i) with
         | Some d ->
-            let kd = Ptx.Dataflow.key d in
-            Ptx.Dataflow.KSet.iter
-              (fun x -> if x <> kd && slot_of x = slot_of kd then report i kd x)
-              !live;
-            live := Ptx.Dataflow.KSet.remove kd !live
+            S.iter (fun x -> if x <> d && slot_of x = slot_of d then report i d x) !live;
+            live := S.remove d !live
         | None -> ());
-        List.iter
-          (fun u -> live := Ptx.Dataflow.KSet.add (Ptx.Dataflow.key u) !live)
-          (Ptx.Dataflow.uses_of body.(i));
+        List.iter (fun u -> live := S.add u !live) (Ptx.Dataflow.uses_of body.(i));
         check_point i !live
       done)
     blocks;
