@@ -299,8 +299,9 @@ let jit_overhead () =
   let total = ref 0.0 in
   List.iter
     (fun (name, built) ->
+      let text = Ptx.Print.kernel built.Qdpjit.Codegen.kernel in
       let t0 = Unix.gettimeofday () in
-      let compiled = Gpusim.Jit.compile built.Qdpjit.Codegen.text in
+      let compiled = Gpusim.Jit.compile text in
       let wall = Unix.gettimeofday () -. t0 in
       total := !total +. compiled.Gpusim.Jit.compile_time;
       Printf.printf "  %-8s %8d %12.3f s %14.6f s\n" name
@@ -448,7 +449,7 @@ let ablation () =
     Qdpjit.Codegen.build ~kname:"abl_tune" ~dest_shape:u1.Field.shape ~expr
       ~nsites:(Geometry.volume geom16) ~use_sitelist:false ()
   in
-  let compiled = Gpusim.Jit.compile built.Qdpjit.Codegen.text in
+  let compiled = Gpusim.Jit.compile (Ptx.Print.kernel built.Qdpjit.Codegen.kernel) in
   let machine = Gpusim.Machine.k20x_ecc_off in
   let nthreads = Geometry.volume geom16 in
   let t_at block =
@@ -801,14 +802,14 @@ let micro () =
     Qdpjit.Codegen.build ~kname:"bench_lcm" ~dest_shape:lcm_dest.Field.shape ~expr:lcm_expr
       ~nsites:(Geometry.volume geom) ~use_sitelist:false ()
   in
-  let b = built () in
+  let text = Ptx.Print.kernel (built ()).Qdpjit.Codegen.kernel in
   let eng = Qdpjit.Engine.create ~fuse:false () in
   let cpu_dest = Field.create lcm_dest.Field.shape geom in
   let tests =
     [
       Test.make ~name:"codegen(lcm)" (Staged.stage (fun () -> ignore (built ())));
       Test.make ~name:"driver-jit(lcm)"
-        (Staged.stage (fun () -> ignore (Gpusim.Jit.compile b.Qdpjit.Codegen.text)));
+        (Staged.stage (fun () -> ignore (Gpusim.Jit.compile text)));
       Test.make ~name:"jit-eval(lcm,4^4)"
         (Staged.stage (fun () -> Qdpjit.Engine.eval eng lcm_dest lcm_expr));
       Test.make ~name:"cpu-eval(lcm,4^4)"
@@ -990,7 +991,7 @@ let vmperf () =
       Qdpjit.Codegen.build ~kname:"vp_padded" ~dest_shape:fm ~expr ~nsites:padded_sites
         ~use_sitelist:false ()
     in
-    let compiled = Gpusim.Jit.compile b.Qdpjit.Codegen.text in
+    let compiled = Gpusim.Jit.compile (Ptx.Print.kernel b.Qdpjit.Codegen.kernel) in
     let leaves = Array.of_list (Expr.leaves expr) in
     let words shape = padded_sites * Shape.dof shape in
     let device mode =
@@ -1060,7 +1061,7 @@ let vmperf () =
           Qdpjit.Codegen.build ~kname:("vp_" ^ name) ~dest_shape:dest.Field.shape ~expr
             ~nsites:(Geometry.volume geom) ~use_sitelist:false ()
         in
-        let c = Gpusim.Jit.compile b.Qdpjit.Codegen.text in
+        let c = Gpusim.Jit.compile (Ptx.Print.kernel b.Qdpjit.Codegen.kernel) in
         (name, Gpusim.Vm.superinsn_stats c.Gpusim.Jit.program))
       cases
   in

@@ -97,7 +97,7 @@ let ptx_cmd =
       Qdpjit.Codegen.build ~kname:("dump_" ^ test) ~dest_shape:(Expr.shape expr) ~expr
         ~nsites:(Geometry.volume geom) ~use_sitelist:false ()
     in
-    print_string built.Qdpjit.Codegen.text;
+    print_string (Ptx.Print.kernel built.Qdpjit.Codegen.kernel);
     let a = Ptx.Analysis.kernel built.Qdpjit.Codegen.kernel in
     Printf.eprintf "// %d instructions, %d flops, %d bytes/site, flop/byte %.3f\n"
       a.Ptx.Analysis.instructions a.Ptx.Analysis.flops

@@ -42,7 +42,7 @@ let () =
     Qdpjit.Codegen.build ~kname:"quickstart_deriv" ~dest_shape:(Expr.shape expr) ~expr
       ~nsites:(Geometry.volume geom) ~use_sitelist:false ()
   in
-  let lines = String.split_on_char '\n' built.Qdpjit.Codegen.text in
+  let lines = String.split_on_char '\n' (Ptx.Print.kernel built.Qdpjit.Codegen.kernel) in
   Printf.printf "Generated PTX (%d instructions; first 25 lines):\n" (List.length built.Qdpjit.Codegen.kernel.Ptx.Types.body);
   List.iteri (fun i l -> if i < 25 then Printf.printf "  %s\n" l) lines;
   Printf.printf "  ...\n\n";

@@ -40,7 +40,6 @@ type param_plan =
 type built = {
   kernel : kernel;
   raw : kernel;
-  text : string;
   plan : param_plan list;
   passes : Ptx.Passes.report list;
 }
@@ -366,4 +365,4 @@ let build ?(optimize = true) ?(reduction = false) ~kname ~dest_shape ~(expr : Ex
      emitter's provenance as the CSE soundness certificate. *)
   let raw = Emitter.eliminate_dead_code kernel in
   let kernel, passes = lower ~optimize ~provenance:(Emitter.provenance e) raw in
-  { kernel; raw; text = Ptx.Print.kernel kernel; plan; passes }
+  { kernel; raw; plan; passes }

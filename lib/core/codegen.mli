@@ -10,7 +10,8 @@
     with the site index iV the CUDA thread index (or a value loaded from
     the site-list buffer on subsets).  Shifts load the displaced site
     index from a neighbour table.  Dead code (unused component loads,
-    folded constants) is eliminated before printing. *)
+    folded constants) is eliminated at emission.  [build] returns IR;
+    callers that want PTX text print it with {!Ptx.Print.kernel}. *)
 
 module Shape = Layout.Shape
 
@@ -38,7 +39,6 @@ type param_plan =
 type built = {
   kernel : Ptx.Types.kernel;  (** validated IR; optimized unless [~optimize:false] *)
   raw : Ptx.Types.kernel;  (** the pre-middle-end stream (equal to [kernel] when raw) *)
-  text : string;  (** the PTX text of [kernel], handed to the driver JIT *)
   plan : param_plan list;
   passes : Ptx.Passes.report list;  (** middle-end applications, in order *)
 }

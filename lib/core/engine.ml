@@ -16,7 +16,7 @@
     group or fold kernel, comes out of one compile path ({!compile}):
     persistent-cache lookup, naming, {!Codegen.lower}, driver JIT,
     publish.  A cache entry keeps only what a launch reads: the compiled
-    function and its tuner.
+    function, its parameter bindings and its tuner.
 
     On top of that sits the deferred-launch queue: a default-stream
     [eval] only records the request, and a flush point (reduction,
@@ -38,10 +38,6 @@ module Jit = Gpusim.Jit
 module Buffer_ = Gpusim.Buffer
 open Ptx.Types
 
-(* What a launch reads: the driver's function (its analysis drives the
-   byte counters) and the block-size tuner. *)
-type kernel_entry = { compiled : Jit.compiled; tuner : Autotune.t }
-
 (** Lifetime counters of the deferred-eval queue and fusion planner. *)
 type fusion_stats = {
   deferred_evals : int;  (** default-stream evals that entered the queue *)
@@ -55,21 +51,19 @@ type fusion_stats = {
 
 (* An eval's kernel-cache key, interned per engine by {!eval_key}.  [id]
    keys the in-memory tables; [skey] is the full structural string, read
-   only to form a persistent-cache key on an in-memory miss (ids are
-   engine-local, so they never reach the disk). *)
+   only to spell a group's persistent-cache key on an in-memory miss (ids
+   are engine-local, so they never reach the disk). *)
 type ekey = { id : int; skey : string }
 
 (* The unoptimized per-eval kernel and its plan (fusion source
-   material), plus what is derived from it once instead of per use: its
-   per-work-item global load/store bytes, which a dead group of one
-   reports as eliminated, and its {!Ptx.Fuse.kernel_digest}, which every
-   group it joins puts in its persistent-cache key. *)
+   material), plus its per-work-item global load/store bytes, which a
+   dead group of one reports as eliminated.  Built only for a group
+   compile or a dead launch, and never stored on disk. *)
 type member = {
   m_raw : kernel;
   m_plan : Codegen.param_plan list;
   m_load_bytes : int;
   m_store_bytes : int;
-  m_digest : string;
 }
 
 (* Which fields a pending expression reads, and how: a shifted read
@@ -110,10 +104,15 @@ type fused_binding =
   | FB_red_partial  (** the engine's partial-plane scratch buffer *)
   | FB_red_block  (** the engine's block-partial scratch buffer *)
 
-type fused_entry = {
-  f_entry : kernel_entry;
-  f_plan : fused_binding array;
-  f_report : Ptx.Fuse.report;
+(* What a launch reads, and what the persistent cache stores: the
+   driver's function (its analysis drives the byte counters), the binding
+   of each parameter slot (empty for the fold kernel, whose caller binds
+   its own), a fused group's savings, and the block-size tuner. *)
+type entry = {
+  compiled : Jit.compiled;
+  plan : fused_binding array;
+  report : Ptx.Fuse.report;
+  tuner : Autotune.t;  (** replaced on a disk load: block limits are the loading engine's *)
 }
 
 type t = {
@@ -127,13 +126,13 @@ type t = {
   keys : (string * int * bool * bool, ekey) Hashtbl.t;
       (** interned eval keys by (binary {!Expr.structure_key}, nsites,
           site-list flag, reduction flag); ids count up from 0 *)
-  fused_kernels : (string, fused_entry) Hashtbl.t;
+  fused_kernels : (string, entry) Hashtbl.t;
       (** groups, of one eval or more, by a packed int sequence (see
           {!launch_fused}) *)
-  mutable fold : kernel_entry option;  (** the fold kernel, compiled on first use *)
+  mutable fold : entry option;  (** the fold kernel, compiled on first use *)
   members : (int, member) Hashtbl.t;
-      (** unoptimized per-eval kernels by key id, kept as fusion source
-          material and for dead-launch byte counts *)
+      (** unoptimized per-eval kernels by key id: fusion source material
+          for group compiles, and dead-launch byte counts *)
   fused_key : Buffer.t;  (** scratch for building fused-group keys *)
   ntables : (int array * int * int, Buffer_.t) Hashtbl.t;  (** by (dims, dim, dir) *)
   sitelists : (int array * string, Buffer_.t) Hashtbl.t;
@@ -245,74 +244,61 @@ let sitelist t geom subset =
 (* The persistent JIT cache.
 
    Disk keys capture everything a compiled artifact depends on: the
-   structural key of what is being compiled (an eval's expression
-   structure key for its fusion source material, a group's
-   {!Ptx.Fuse.structural_key}, or the fixed fold kernel) under its kind
-   ([raw], [fused], [reduce]), the optimize flag, and the versions of
-   every stage that shapes the bytes — code generator, middle-end,
-   splicer, pre-decoder — plus the OCaml version, since entries travel
-   as [Marshal] images.  A hit restores the driver's output
-   (pre-decoded program, analysis, text) and the fuse report without
-   running the emitter, the passes, the validator or the driver JIT;
-   [kernels_built] and [jit_seconds] count only real compiles, so a
-   fully warm engine reports zero kernels built.  A payload type change
-   must bump one of the versions in [cache_tag]: [Marshal] cannot tell
-   an old payload from a new one. *)
-
-type cache_payload = {
-  cp_prog : Jit.compiled;
-  cp_report : Ptx.Fuse.report;  (** fused kernels' savings; zero otherwise *)
-}
+   structural key of what is being compiled (a group's key spelled with
+   its members' expression structure keys, see {!launch_fused}, or the
+   fixed fold kernel's) under its kind ([fused], [reduce]), the optimize
+   flag, and the versions of every stage that shapes the bytes — code
+   generator, middle-end, splicer, pre-decoder, expression key — plus the
+   OCaml version, since entries travel as [Marshal] images.  An entry is
+   the launch-ready {!entry}: a hit restores the driver's output
+   (pre-decoded program, analysis, text), the parameter bindings and the
+   fuse report without building a member or running the splicer, the
+   passes, the validator or the driver JIT; [kernels_built] and
+   [jit_seconds] count only real compiles, so a fully warm engine reports
+   zero kernels built.  A payload type change must bump one of the
+   versions in [cache_tag]: [Marshal] cannot tell an old payload from a
+   new one. *)
 
 let cache_tag =
   Printf.sprintf "qdpjit|ml%s|cg%d|ps%d|fu%d|vm%d|ek%d" Sys.ocaml_version Codegen.version
     Ptx.Passes.version Ptx.Fuse.version Gpusim.Vm.decoder_version Expr.key_version
 
-let disk_key ~opt ~kind skey = Printf.sprintf "%s|opt%b|%s|%s" cache_tag opt kind skey
-
-let cache_find (type a) t ~opt ~kind skey : a option =
-  match t.jit_cache with
-  | None -> None
-  | Some c -> (
-      match Jitcache.find c ~key:(disk_key ~opt ~kind skey) with
-      | None -> None
-      | Some data -> ( try Some (Marshal.from_string data 0 : a) with _ -> None))
-
-let cache_store t ~opt ~kind skey payload =
-  match t.jit_cache with
-  | None -> ()
-  | Some c -> Jitcache.store c ~key:(disk_key ~opt ~kind skey) ~data:(Marshal.to_string payload [])
-
 let no_report = { Ptx.Fuse.subst_load_bytes = 0; dropped_store_bytes = 0 }
 
-(* The one compile path.  [emit kname] produces the raw kernel (plus the
-   emitter's CSE provenance, if any, and a fused group's savings report)
-   for {!Codegen.lower}; it runs only on a persistent-cache miss, after
+(* The one compile path.  [emit kname] produces the raw kernel, the
+   emitter's CSE provenance (if any), a fused group's savings report and
+   its parameter bindings; it runs only on a persistent-cache miss, after
    the kernel is named: [`Serial p] numbers it [p_<n>] in compile order,
    [`Fixed n] is a constant name. *)
 let compile t ~kind ~skey ~name emit =
   let opt = t.optimize in
-  let compiled, report =
-    match (cache_find t ~opt ~kind skey : cache_payload option) with
-    | Some p -> (p.cp_prog, p.cp_report)
-    | None ->
-        let kname =
-          match name with
-          | `Fixed n -> n
-          | `Serial prefix ->
-              t.kernel_serial <- t.kernel_serial + 1;
-              Printf.sprintf "%s_%d" prefix t.kernel_serial
-        in
-        let raw, provenance, report = emit kname in
-        let kernel, _ = Codegen.lower ~optimize:opt ?provenance raw in
-        let compiled = Jit.compile (Ptx.Print.kernel kernel) in
-        t.kernels_built <- t.kernels_built + 1;
-        t.jit_seconds <- t.jit_seconds +. compiled.Jit.compile_time;
-        cache_store t ~opt ~kind skey { cp_prog = compiled; cp_report = report };
-        (compiled, report)
+  let key = Printf.sprintf "%s|opt%b|%s|%s" cache_tag opt kind skey in
+  let tuner =
+    Autotune.create ~max_block:t.device.Device.machine.Gpusim.Machine.max_threads_per_block ()
   in
-  let max_block = t.device.Device.machine.Gpusim.Machine.max_threads_per_block in
-  ({ compiled; tuner = Autotune.create ~max_block () }, report)
+  let cached =
+    match Option.bind t.jit_cache (fun c -> Jitcache.find c ~key) with
+    | None -> None
+    | Some data -> ( try Some (Marshal.from_string data 0 : entry) with _ -> None)
+  in
+  match cached with
+  | Some e -> { e with tuner }
+  | None ->
+      let kname =
+        match name with
+        | `Fixed n -> n
+        | `Serial prefix ->
+            t.kernel_serial <- t.kernel_serial + 1;
+            Printf.sprintf "%s_%d" prefix t.kernel_serial
+      in
+      let raw, provenance, report, plan = emit kname in
+      let kernel, _ = Codegen.lower ~optimize:opt ?provenance raw in
+      let compiled = Jit.compile (Ptx.Print.kernel kernel) in
+      t.kernels_built <- t.kernels_built + 1;
+      t.jit_seconds <- t.jit_seconds +. compiled.Jit.compile_time;
+      let e = { compiled; plan; report; tuner } in
+      Option.iter (fun c -> Jitcache.store c ~key ~data:(Marshal.to_string e [])) t.jit_cache;
+      e
 
 (* Intern an eval's kernel-cache key and collect its leaves, in one walk
    of the expression.  The persistent-cache string is formed only when a
@@ -340,36 +326,24 @@ let eval_key t ~reduction ~dest_shape ~nsites ~use_sitelist expr =
 
 (* The unoptimized per-eval kernel and its plan, kept as fusion source
    material: the splicer needs the emitter's canonical instruction order,
-   which the middle-end (sink in particular) does not preserve.  The
-   kernel name is a constant, so the kernel is engine-independent and
-   disk-cacheable under the same structural key; a warm start skips the
-   emitter and the byte analysis. *)
+   which the middle-end (sink in particular) does not preserve. *)
 let member t (ev : pending) =
   match Hashtbl.find_opt t.members ev.p_key.id with
   | Some m -> m
   | None ->
+      let b =
+        Codegen.build ~optimize:false ~reduction:(is_red ev) ~kname:"qdpjit_member"
+          ~dest_shape:ev.p_shape ~expr:ev.p_expr ~nsites:(Geometry.volume ev.p_geom)
+          ~use_sitelist:(not (Subset.is_all ev.p_subset)) ()
+      in
+      let a = Ptx.Analysis.kernel b.Codegen.raw in
       let m =
-        match cache_find t ~opt:false ~kind:"raw" ev.p_key.skey with
-        | Some m -> m
-        | None ->
-            let b =
-              Codegen.build ~optimize:false ~reduction:(is_red ev) ~kname:"qdpjit_member"
-                ~dest_shape:ev.p_shape ~expr:ev.p_expr ~nsites:(Geometry.volume ev.p_geom)
-                ~use_sitelist:(not (Subset.is_all ev.p_subset)) ()
-            in
-            let a = Ptx.Analysis.kernel b.Codegen.raw in
-            let m =
-              {
-                m_raw = b.Codegen.raw;
-                m_plan = b.Codegen.plan;
-                m_load_bytes = a.Ptx.Analysis.load_bytes;
-                m_store_bytes = a.Ptx.Analysis.store_bytes;
-                (* Built raw, [text] is the raw kernel's print. *)
-                m_digest = Ptx.Fuse.kernel_digest b.Codegen.text;
-              }
-            in
-            cache_store t ~opt:false ~kind:"raw" ev.p_key.skey m;
-            m
+        {
+          m_raw = b.Codegen.raw;
+          m_plan = b.Codegen.plan;
+          m_load_bytes = a.Ptx.Analysis.load_bytes;
+          m_store_bytes = a.Ptx.Analysis.store_bytes;
+        }
       in
       Hashtbl.replace t.members ev.p_key.id m;
       m
@@ -590,13 +564,15 @@ let plan_drops (evs : pending array) group_of =
    field left pinned); {!launch_group} falls back to launching a larger
    group's members as groups of one.
 
-   The group's in-memory key is a packed int sequence, per member: its
-   key id, the canonical indices of its destination and leaves (how many
-   follows from the id), its substitution pairs and its drop/reduction
-   flags.  A hit needs nothing else: member kernels, parameter slots and
-   the splice are built only on a miss.  A group of one keeps the
-   singleton kernel name [qdpjit_kernel_<n>], so a trace tells it from a
-   fused group. *)
+   The group's key is a packed sequence, per member: its eval identity,
+   the canonical indices of its destination and leaves (how many follows
+   from the identity), its substitution pairs and its drop/reduction
+   flags.  In memory the identity is the eval's key id; on disk it is
+   the eval's structure string, length-prefixed, since ids are
+   engine-local.  Either hit needs nothing else: member kernels,
+   parameter slots and the splice are built only on a compile.  A group
+   of one keeps the singleton kernel name [qdpjit_kernel_<n>], so a
+   trace tells it from a fused group. *)
 let launch_fused t ~stream (members : pending array) (dropm : bool array) =
   let k = Array.length members in
   let geom = members.(0).p_geom and subset = members.(0).p_subset in
@@ -650,13 +626,13 @@ let launch_fused t ~stream (members : pending array) (dropm : bool array) =
         List.sort compare !l)
       members
   in
-  let key =
+  let group_key ident =
     let b = t.fused_key in
     let add = Expr.add_key_int b in
     Buffer.clear b;
     Array.iteri
       (fun mi m ->
-        add m.p_key.id;
+        ident b m.p_key;
         Option.iter add canon_dest.(mi);
         List.iter add canon_leaves.(mi);
         add (List.length subst.(mi));
@@ -669,65 +645,68 @@ let launch_fused t ~stream (members : pending array) (dropm : bool array) =
       members;
     Buffer.contents b
   in
+  let key = group_key (fun b ek -> Expr.add_key_int b ek.id) in
   let fe =
     match Hashtbl.find_opt t.fused_kernels key with
     | Some fe -> fe
     | None ->
-        let raws = Array.map (member t) members in
-        let slot_tbl : (fused_binding, int) Hashtbl.t = Hashtbl.create 32 in
-        let plan_rev = ref [] and nslots = ref 0 in
-        let slot_of b =
-          match Hashtbl.find_opt slot_tbl b with
-          | Some s -> s
-          | None ->
-              let s = !nslots in
-              incr nslots;
-              Hashtbl.replace slot_tbl b s;
-              plan_rev := b :: !plan_rev;
-              s
+        let skey =
+          group_key (fun b ek ->
+              Expr.add_key_int b (String.length ek.skey);
+              Buffer.add_string b ek.skey)
         in
-        let slots =
-          Array.mapi
-            (fun mi (raw : member) ->
-              let leaves = Array.of_list canon_leaves.(mi) in
-              raw.m_plan
-              |> List.map (fun p ->
-                     match p with
-                     | Codegen.Dest -> slot_of (FB_field (Option.get canon_dest.(mi)))
-                     | Codegen.Red_partial -> slot_of FB_red_partial
-                     | Codegen.Leaf_ptr li -> slot_of (FB_field leaves.(li))
-                     | Codegen.Ntable (dim, dir) -> slot_of (FB_ntable (dim, dir))
-                     | Codegen.Sitelist -> slot_of FB_sitelist
-                     | Codegen.N_work -> slot_of FB_nwork
-                     | Codegen.Block_partial -> slot_of FB_red_block
-                     | Codegen.Scalar_param (slot, comp) -> slot_of (FB_scalar (mi, slot, comp)))
-              |> Array.of_list)
-            raws
-        in
-        let sources =
-          List.init k (fun mi ->
-              {
-                Ptx.Fuse.kernel = raws.(mi).m_raw;
-                slots = slots.(mi);
-                use_sitelist;
-                subst_from =
-                  List.map (fun (ci, pj) -> (slot_of (FB_field ci), pj)) subst.(mi)
-                  |> List.sort compare;
-                drop_stores = dropm.(mi);
-                reduction = is_red members.(mi);
-              })
-        in
-        let f_entry, f_report =
-          compile t ~kind:"fused"
-            ~skey:
-              (Ptx.Fuse.structural_key ~nsites
-                 (List.mapi (fun mi s -> (raws.(mi).m_digest, s)) sources))
+        let fe =
+          compile t ~kind:"fused" ~skey
             ~name:(`Serial (if k = 1 then "qdpjit_kernel" else "qdpjit_fused"))
             (fun kname ->
+              let raws = Array.map (member t) members in
+              let slot_tbl : (fused_binding, int) Hashtbl.t = Hashtbl.create 32 in
+              let plan_rev = ref [] and nslots = ref 0 in
+              let slot_of b =
+                match Hashtbl.find_opt slot_tbl b with
+                | Some s -> s
+                | None ->
+                    let s = !nslots in
+                    incr nslots;
+                    Hashtbl.replace slot_tbl b s;
+                    plan_rev := b :: !plan_rev;
+                    s
+              in
+              let slots =
+                Array.mapi
+                  (fun mi (raw : member) ->
+                    let leaves = Array.of_list canon_leaves.(mi) in
+                    raw.m_plan
+                    |> List.map (fun p ->
+                           match p with
+                           | Codegen.Dest -> slot_of (FB_field (Option.get canon_dest.(mi)))
+                           | Codegen.Red_partial -> slot_of FB_red_partial
+                           | Codegen.Leaf_ptr li -> slot_of (FB_field leaves.(li))
+                           | Codegen.Ntable (dim, dir) -> slot_of (FB_ntable (dim, dir))
+                           | Codegen.Sitelist -> slot_of FB_sitelist
+                           | Codegen.N_work -> slot_of FB_nwork
+                           | Codegen.Block_partial -> slot_of FB_red_block
+                           | Codegen.Scalar_param (slot, comp) ->
+                               slot_of (FB_scalar (mi, slot, comp)))
+                    |> Array.of_list)
+                  raws
+              in
+              let sources =
+                List.init k (fun mi ->
+                    {
+                      Ptx.Fuse.kernel = raws.(mi).m_raw;
+                      slots = slots.(mi);
+                      use_sitelist;
+                      subst_from =
+                        List.map (fun (ci, pj) -> (slot_of (FB_field ci), pj)) subst.(mi)
+                        |> List.sort compare;
+                      drop_stores = dropm.(mi);
+                      reduction = is_red members.(mi);
+                    })
+              in
               let fused_raw, report = Ptx.Fuse.fuse ~kname sources in
-              (fused_raw, None, report))
+              (fused_raw, None, report, Array.of_list (List.rev !plan_rev)))
         in
-        let fe = { f_entry; f_plan = Array.of_list (List.rev !plan_rev); f_report } in
         Hashtbl.replace t.fused_kernels key fe;
         fe
   in
@@ -779,9 +758,9 @@ let launch_fused t ~stream (members : pending array) (dropm : bool array) =
             | FB_red_partial -> Gpusim.Vm.Ptr (scratch_buf t.red_partial)
             | FB_red_block -> Gpusim.Vm.Ptr (scratch_buf t.red_block)
             | FB_scalar (mi, slot, comp) -> Gpusim.Vm.Float scalars.(mi).(slot).(comp))
-          fe.f_plan
+          fe.plan
       in
-      tuned_launch t fe.f_entry ~stream ~nthreads:n_work ~params;
+      tuned_launch t fe ~stream ~nthreads:n_work ~params;
       Array.iteri
         (fun mi m ->
           if not dropm.(mi) then Option.iter (Memcache.mark_device_dirty t.cache) m.p_dest)
@@ -789,8 +768,8 @@ let launch_fused t ~stream (members : pending array) (dropm : bool array) =
   if k > 1 then begin
     t.fs_groups <- t.fs_groups + 1;
     t.fs_saved <- t.fs_saved + (k - 1);
-    t.fs_elim_load <- t.fs_elim_load + (fe.f_report.Ptx.Fuse.subst_load_bytes * n_work);
-    t.fs_elim_store <- t.fs_elim_store + (fe.f_report.Ptx.Fuse.dropped_store_bytes * n_work)
+    t.fs_elim_load <- t.fs_elim_load + (fe.report.Ptx.Fuse.subst_load_bytes * n_work);
+    t.fs_elim_store <- t.fs_elim_store + (fe.report.Ptx.Fuse.dropped_store_bytes * n_work)
   end
 
 (* One eval outside the queue, as a group of one; [sync] blocks until
@@ -921,7 +900,7 @@ let kernel_texts t =
   flush t;
   let text e = e.compiled.Jit.text in
   let folds = Option.to_list (Option.map text t.fold) in
-  Hashtbl.fold (fun _ f acc -> text f.f_entry :: acc) t.fused_kernels folds
+  Hashtbl.fold (fun _ f acc -> text f :: acc) t.fused_kernels folds
 
 let kernel_bytes_moved t =
   flush t;
@@ -1131,11 +1110,11 @@ let fold_entry t =
   match t.fold with
   | Some e -> e
   | None ->
-      let e, _ =
+      let e =
         compile t ~kind:"reduce" ~skey:"reduce8_planes_f64" ~name:(`Fixed "qdpjit_reduce8_f64")
           (fun kname ->
             let raw, emitter = build_reduce_kernel kname in
-            (raw, Some (Emitter.provenance emitter), no_report))
+            (raw, Some (Emitter.provenance emitter), no_report, [||]))
       in
       t.fold <- Some e;
       e

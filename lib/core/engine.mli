@@ -73,13 +73,13 @@ val create :
     reduction payload standalone (identical kernel body and identical
     results, one extra launch per reduction).  [jit_cache] attaches a
     persistent on-disk kernel cache: every compiled kernel (a group of
-    one eval or more, and the fold kernel) and the fusion source
-    material are looked up there before compiling and published after,
-    so a second engine
-    — in this process or another — replays the kernels without running
-    the emitter, middle-end or driver JIT.  The [REPRO_JIT_CACHE]
-    environment variable overrides the argument: a path caches there,
-    [off]/[0]/[none]/[disabled] disables caching entirely. *)
+    one eval or more, and the fold kernel) is looked up there before
+    compiling and published after, with its parameter bindings, so a
+    second engine — in this process or another — replays the kernels
+    without running the emitter, splicer, middle-end or driver JIT.
+    The [REPRO_JIT_CACHE] environment variable overrides the argument:
+    a path caches there, [off]/[0]/[none]/[disabled] disables caching
+    entirely. *)
 
 val fusion_stats : t -> fusion_stats
 (** Deferred-queue counters so far (flushes the queue first). *)

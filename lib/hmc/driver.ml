@@ -36,74 +36,29 @@ let save_links (ctx : Context.t) =
 let restore_links (ctx : Context.t) saved =
   Array.iteri (fun mu saved_mu -> Field.copy_from ~dst:ctx.Context.u.(mu) ~src:saved_mu) saved
 
+(* One momentum update from the forces of [monomials]. *)
+let force_step (ctx : Context.t) forces (monomials : Monomial.t list) ~eps =
+  Context.clear_forces ctx forces;
+  List.iter (fun (m : Monomial.t) -> m.Monomial.add_force forces) monomials;
+  Context.update_momenta ctx ~eps forces;
+  ctx.Context.md_steps_taken <- ctx.Context.md_steps_taken + 1
+
 let md_system (ctx : Context.t) (monomials : Monomial.t list) =
   let forces = Context.fresh_forces ctx in
   {
-    Integrator.update_p =
-      (fun ~eps ->
-        Context.clear_forces ctx forces;
-        List.iter (fun (m : Monomial.t) -> m.Monomial.add_force forces) monomials;
-        Context.update_momenta ctx ~eps forces;
-        ctx.Context.md_steps_taken <- ctx.Context.md_steps_taken + 1);
+    Integrator.update_p = force_step ctx forces monomials;
     Integrator.update_u = (fun ~eps -> Context.update_links ctx ~eps);
   }
 
-let run_trajectory ?(forced_accept = false) (ctx : Context.t) (monomials : Monomial.t list)
-    (p : params) =
+(* The trajectory around the molecular dynamics: heatbaths, [integrate],
+   reunitarisation, Metropolis (links restored on rejection). *)
+let trajectory ~forced_accept (ctx : Context.t) (monomials : Monomial.t list) integrate =
   let iters_before = ctx.Context.solver_iterations in
   let saved = save_links ctx in
   Context.refresh_momenta ctx;
   List.iter (fun (m : Monomial.t) -> m.Monomial.refresh ()) monomials;
   let h0 = hamiltonian ctx monomials in
-  let sys = md_system ctx monomials in
-  Integrator.run p.scheme sys ~steps:p.steps ~dt:p.dt;
-  Lqcd.Gauge.reunitarize ctx.Context.u;
-  let h1 = hamiltonian ctx monomials in
-  let dh = h1 -. h0 in
-  let accepted =
-    forced_accept || dh <= 0.0 || Prng.float01 ctx.Context.rng < exp (-.dh)
-  in
-  if not accepted then restore_links ctx saved;
-  let plaquette =
-    Lqcd.Gauge.mean_plaquette ~sum_real:ctx.Context.backend.Context.sum_real ctx.Context.u
-  in
-  {
-    h_initial = h0;
-    h_final = h1;
-    delta_h = dh;
-    accepted;
-    plaquette;
-    solver_iterations = ctx.Context.solver_iterations - iters_before;
-  }
-
-(* A trajectory with the monomials split over integrator time scales:
-   [levels] is ordered outermost (fewest force evaluations, most expensive
-   forces) to innermost (cheapest forces, finest grid). *)
-let run_trajectory_multiscale ?(forced_accept = false) (ctx : Context.t)
-    (levels : (Monomial.t list * int * Integrator.scheme) list) ~tau =
-  if levels = [] then invalid_arg "run_trajectory_multiscale: no levels";
-  let monomials = List.concat_map (fun (ms, _, _) -> ms) levels in
-  let iters_before = ctx.Context.solver_iterations in
-  let saved = save_links ctx in
-  Context.refresh_momenta ctx;
-  List.iter (fun (m : Monomial.t) -> m.Monomial.refresh ()) monomials;
-  let h0 = hamiltonian ctx monomials in
-  let forces = Context.fresh_forces ctx in
-  let make_level (ms, steps, scheme) =
-    {
-      Integrator.update_p_level =
-        (fun ~eps ->
-          Context.clear_forces ctx forces;
-          List.iter (fun (m : Monomial.t) -> m.Monomial.add_force forces) ms;
-          Context.update_momenta ctx ~eps forces;
-          ctx.Context.md_steps_taken <- ctx.Context.md_steps_taken + 1);
-      steps_per_parent = steps;
-      level_scheme = scheme;
-    }
-  in
-  Integrator.run_multiscale
-    ~update_u:(fun ~eps -> Context.update_links ctx ~eps)
-    (List.map make_level levels) ~tau;
+  integrate ();
   Lqcd.Gauge.reunitarize ctx.Context.u;
   let h1 = hamiltonian ctx monomials in
   let dh = h1 -. h0 in
@@ -120,6 +75,31 @@ let run_trajectory_multiscale ?(forced_accept = false) (ctx : Context.t)
     plaquette;
     solver_iterations = ctx.Context.solver_iterations - iters_before;
   }
+
+let run_trajectory ?(forced_accept = false) (ctx : Context.t) (monomials : Monomial.t list)
+    (p : params) =
+  trajectory ~forced_accept ctx monomials (fun () ->
+      Integrator.run p.scheme (md_system ctx monomials) ~steps:p.steps ~dt:p.dt)
+
+(* A trajectory with the monomials split over integrator time scales:
+   [levels] is ordered outermost (fewest force evaluations, most expensive
+   forces) to innermost (cheapest forces, finest grid). *)
+let run_trajectory_multiscale ?(forced_accept = false) (ctx : Context.t)
+    (levels : (Monomial.t list * int * Integrator.scheme) list) ~tau =
+  if levels = [] then invalid_arg "run_trajectory_multiscale: no levels";
+  let monomials = List.concat_map (fun (ms, _, _) -> ms) levels in
+  trajectory ~forced_accept ctx monomials (fun () ->
+      let forces = Context.fresh_forces ctx in
+      let make_level (ms, steps, scheme) =
+        {
+          Integrator.update_p_level = force_step ctx forces ms;
+          steps_per_parent = steps;
+          level_scheme = scheme;
+        }
+      in
+      Integrator.run_multiscale
+        ~update_u:(fun ~eps -> Context.update_links ctx ~eps)
+        (List.map make_level levels) ~tau)
 
 (* Reversibility check: integrate forward, flip momenta, integrate back;
    returns the link-field distance from the start (tests expect rounding

@@ -370,31 +370,4 @@ let fuse ~kname sources =
   ( { kname; params; body },
     { subst_load_bytes = !subst_load_bytes; dropped_store_bytes = !dropped_store_bytes } )
 
-(* ------------------------------------------------------------------ *)
-(* Persistent-cache identity.  The splice is a pure function of the
-   member kernels and their masks, so digesting the printed member PTX
-   together with the slot map, the substitution edges and the drop/
-   reduction flags names the fused artifact exactly: equal keys mean a
-   byte-identical fused kernel.  [version] is folded in by the engine's
-   cache-key tag so a splicer change invalidates old entries. *)
-
-let version = 2
-
-let kernel_digest text = Digest.to_hex (Digest.string text)
-
-let structural_key ~nsites sources =
-  let b = Buffer.create 512 in
-  Buffer.add_string b (Printf.sprintf "fuse|v%d" nsites);
-  List.iter
-    (fun (digest, s) ->
-      Buffer.add_string b "|k";
-      Buffer.add_string b digest;
-      Buffer.add_string b "#t";
-      Array.iter (fun slot -> Buffer.add_string b (string_of_int slot ^ ",")) s.slots;
-      Buffer.add_string b (if s.use_sitelist then "#l1" else "#l0");
-      Buffer.add_string b "#s";
-      List.iter (fun (slot, p) -> Buffer.add_string b (Printf.sprintf "%d:%d," slot p)) s.subst_from;
-      Buffer.add_string b (if s.drop_stores then "#d1" else "#d0");
-      if s.reduction then Buffer.add_string b "#R")
-    sources;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+let version = 3

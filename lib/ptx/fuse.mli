@@ -59,19 +59,6 @@ val version : int
 (** Bumped whenever the splice's output could change for the same
     sources; persistent caches fold it into their keys. *)
 
-val kernel_digest : string -> string
-(** Digest of a kernel's printed PTX text ({!Print.kernel}): a member's
-    identity in {!structural_key}.  Printing is the expensive part of
-    the key, so callers pass the text they already printed and compute
-    the digest once per member kernel. *)
-
-val structural_key : nsites:int -> (string * source) list -> string
-(** A content hash naming the fused artifact: each source comes paired
-    with the {!kernel_digest} of its kernel, and its slot map,
-    substitution edges and drop/reduction flags are added.  Two groups
-    with equal keys fuse to byte-identical kernels, so the key is safe
-    as a persistent-cache identity (the engine prepends version tags). *)
-
 val fuse : kname:string -> source list -> Types.kernel * report
 (** Splice the sources, in order, into one kernel named [kname].  All
     sources must agree on [use_sitelist] (the engine only groups evals of

@@ -107,11 +107,12 @@ let fresh_pool seed n =
       Field.fill_gaussian ~site_key:(fun site -> site + (i * 1_000_003)) f rng;
       f)
 
-(* Run the program plus a norm2 tail, so raw-member, group and
-   fold-kernel cache entries all get exercised.  [stream] launches every
-   eval on that stream instead of the fusion queue, as a group of one. *)
-let run_program ?stream eng prog =
-  let pool = fresh_pool 7L 4 in
+(* Run the program plus a norm2 tail, so group and fold-kernel cache
+   entries both get exercised.  [stream] launches every eval on that
+   stream instead of the fusion queue, as a group of one; [seed] picks
+   the field contents. *)
+let run_program ?stream ?(seed = 7L) eng prog =
+  let pool = fresh_pool seed 4 in
   let stream = Option.map (fun name -> Streams.create_stream ~name (Engine.streams eng)) stream in
   List.iter (fun op -> Engine.eval ?stream eng pool.(op_dest op) (op_expr pool op)) prog;
   if stream <> None then ignore (Engine.synchronize eng);
@@ -212,6 +213,58 @@ let entry_keys dir =
          String.sub raw 12 key_len)
 
 let is_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+let with_coeff c =
+  List.map (function
+    | Scale (d, _, s) -> Scale (d, c, s)
+    | Axpy (d, _, a, b) -> Axpy (d, c, a, b)
+    | op -> op)
+
+(* Every entry on disk is a launch-ready kernel: a cold engine leaves one
+   per compile and nothing per member, and a warm engine running the same
+   structure on other fields and other [const_real] values loads each
+   entry once — the parameter bindings come from disk — and matches a
+   cache-less engine bit for bit. *)
+let test_entries_are_kernels () =
+  let dir = fresh_dir "entries" in
+  let prog = [ Axpy (2, 1.25, 0, 1); Scale (3, 2.0, 2); Shift (1, 3, 1, 1); Sub (0, 3, 2) ] in
+  let cold = Engine.create ~jit_cache:(Jitcache.create dir) () in
+  ignore (run_program cold prog);
+  let entries = Jitcache.entry_count (Jitcache.create dir) in
+  Alcotest.(check int) "one entry per compiled kernel" (Engine.kernels_built cold) entries;
+  List.iter
+    (fun k ->
+      let kind p = is_prefix (Engine.cache_tag ^ p) k in
+      Alcotest.(check bool) "group or fold entry" true
+        (kind "|opttrue|fused|" || kind "|opttrue|reduce|"))
+    (entry_keys dir);
+  let prog' = with_coeff (-0.5) prog in
+  let warm = Engine.create ~jit_cache:(Jitcache.create dir) () in
+  let pw, nw = run_program ~seed:11L warm prog' in
+  let pp, np = run_program ~seed:11L (Engine.create ()) prog' in
+  Alcotest.(check bool) "fields bit-equal to a cache-less engine" true
+    (Array.for_all2 fields_bit_equal pp pw);
+  Alcotest.(check bool) "norm bit-equal" true (Int64.bits_of_float np = Int64.bits_of_float nw);
+  let s = Option.get (Engine.jit_cache_stats warm) in
+  Alcotest.(check int) "no misses" 0 s.Jitcache.misses;
+  Alcotest.(check int) "nothing built" 0 (Engine.kernels_built warm);
+  Alcotest.(check int) "each entry loaded once" entries s.Jitcache.hits
+
+(* The disk key carries the group's alias pattern: [p0 = c*p0 + p1]
+   binds two fields where [p2 = c*p0 + p1] binds three, so it must
+   compile its own kernel rather than load the other's bindings. *)
+let test_alias_pattern_keys () =
+  let dir = fresh_dir "alias" in
+  let first = Engine.create ~fuse:false ~jit_cache:(Jitcache.create dir) () in
+  ignore (run_program first [ Axpy (2, 1.25, 0, 1) ]);
+  let prog = [ Axpy (0, 1.25, 0, 1) ] in
+  let aliased = Engine.create ~fuse:false ~jit_cache:(Jitcache.create dir) () in
+  let pa, na = run_program aliased prog in
+  let pp, np = run_program (Engine.create ~fuse:false ()) prog in
+  Alcotest.(check int) "aliased group compiled" 1 (Engine.kernels_built aliased);
+  Alcotest.(check int) "one miss" 1 (Option.get (Engine.jit_cache_stats aliased)).Jitcache.misses;
+  Alcotest.(check bool) "results bit-equal" true
+    (Array.for_all2 fields_bit_equal pp pa && Int64.bits_of_float np = Int64.bits_of_float na)
 
 let test_version_bump_misses () =
   (* The cache tag is the version fence: it must spell out the current
@@ -338,6 +391,8 @@ let () =
       ( "engine round trips",
         [
           QCheck_alcotest.to_alcotest qcheck_warm_engine_bit_exact;
+          Alcotest.test_case "entries are launch-ready kernels" `Quick test_entries_are_kernels;
+          Alcotest.test_case "alias pattern keys the entry" `Quick test_alias_pattern_keys;
           Alcotest.test_case "damaged cache falls back to recompile" `Quick
             test_corrupt_entries_recompile;
           Alcotest.test_case "pre-bump entries miss, not deserialize" `Quick

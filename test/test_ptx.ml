@@ -198,7 +198,7 @@ let test_generated_roundtrip () =
         Qdpjit.Codegen.build ~kname:"rt" ~dest_shape:(Qdp.Expr.shape expr) ~expr
           ~nsites:(Layout.Geometry.volume geom) ~use_sitelist:true ()
       in
-      let parsed = Ptx.Parse.kernel b.Qdpjit.Codegen.text in
+      let parsed = Ptx.Parse.kernel (Ptx.Print.kernel b.Qdpjit.Codegen.kernel) in
       Alcotest.(check bool) "roundtrip equal" true (parsed = b.Qdpjit.Codegen.kernel))
     exprs
 
