@@ -455,6 +455,11 @@ EXACT_KEYS = {
     "fallbacks",
     "sessions",
     "tasks",
+    "hits",
+    "misses",
+    "stores",
+    "corrupt",
+    "evictions",
 }
 
 TOLERANT_KEYS = {

@@ -198,16 +198,24 @@ def main():
             "drifted readback counters vs baseline",
         )
         assert "readbacks" in r.stderr, f"drift not attributed to readbacks: {r.stderr}"
+        # JIT-cache counters are exact too: a warm run that hits the
+        # persistent cache a different number of times is a regression.
+        r = expect(
+            1,
+            ["fusion", fx("fusion_good.json"), "--baseline", fx("baseline_cache_drift")],
+            "moved JIT-cache hit counter vs baseline",
+        )
+        assert "cache_warm.hits" in r.stderr, f"drift not attributed to cache hits: {r.stderr}"
     expect(
         2,
         ["vmperf", fx("vmperf_good.json"), "--baseline", fx("no_such_dir")],
         "missing baseline dir",
     )
 
-    print("check_bench selftest OK: 28 cases (exit codes 0/1/2, degraded "
+    print("check_bench selftest OK: 29 cases (exit codes 0/1/2, degraded "
           "normalization, dslash + CG-reference + padded-launch + dispatch-ratio + register-row "
-          "gates, fusion readback and page-out gates, baseline compare + step "
-          "summary)")
+          "gates, fusion readback and page-out gates, baseline compare incl. cache "
+          "counters + step summary)")
 
 
 if __name__ == "__main__":

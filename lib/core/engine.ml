@@ -133,6 +133,11 @@ type t = {
   members : (int, member) Hashtbl.t;
       (** unoptimized per-eval kernels by key id: fusion source material
           for group compiles, and dead-launch byte counts *)
+  recipes : (string, string * Ptx.Fuse.source list) Hashtbl.t;
+      (** the kernel name and splice sources of every group compiled
+          here, by the {!fused_kernels} key: enough to re-derive its PTX
+          text ({!kernel_texts}); the sources hold member kernels and
+          slot numbers, never a field or a pending eval *)
   fused_key : Buffer.t;  (** scratch for building fused-group keys *)
   ntables : (int array * int * int, Buffer_.t) Hashtbl.t;  (** by (dims, dim, dir) *)
   sitelists : (int array * string, Buffer_.t) Hashtbl.t;
@@ -251,7 +256,7 @@ let sitelist t geom subset =
    generator, middle-end, splicer, pre-decoder, expression key — plus the
    OCaml version, since entries travel as [Marshal] images.  An entry is
    the launch-ready {!entry}: a hit restores the driver's output
-   (pre-decoded program, analysis, text), the parameter bindings and the
+   (pre-decoded program and analysis), the parameter bindings and the
    fuse report without building a member or running the splicer, the
    passes, the validator or the driver JIT; [kernels_built] and
    [jit_seconds] count only real compiles, so a fully warm engine reports
@@ -264,6 +269,12 @@ let cache_tag =
     Ptx.Passes.version Ptx.Fuse.version Gpusim.Vm.decoder_version Expr.key_version
 
 let no_report = { Ptx.Fuse.subst_load_bytes = 0; dropped_store_bytes = 0 }
+
+(* The PTX text the driver compiles for a raw kernel: the middle-end's
+   output, printed.  The text lives only as long as the call that reads
+   it. *)
+let ptx_text t ?provenance raw =
+  Ptx.Print.kernel (fst (Codegen.lower ~optimize:t.optimize ?provenance raw))
 
 (* The one compile path.  [emit kname] produces the raw kernel, the
    emitter's CSE provenance (if any), a fused group's savings report and
@@ -292,8 +303,7 @@ let compile t ~kind ~skey ~name emit =
             Printf.sprintf "%s_%d" prefix t.kernel_serial
       in
       let raw, provenance, report, plan = emit kname in
-      let kernel, _ = Codegen.lower ~optimize:opt ?provenance raw in
-      let compiled = Jit.compile (Ptx.Print.kernel kernel) in
+      let compiled = Jit.compile (ptx_text t ?provenance raw) in
       t.kernels_built <- t.kernels_built + 1;
       t.jit_seconds <- t.jit_seconds +. compiled.Jit.compile_time;
       let e = { compiled; plan; report; tuner } in
@@ -705,6 +715,7 @@ let launch_fused t ~stream (members : pending array) (dropm : bool array) =
                     })
               in
               let fused_raw, report = Ptx.Fuse.fuse ~kname sources in
+              Hashtbl.replace t.recipes key (kname, sources);
               (fused_raw, None, report, Array.of_list (List.rev !plan_rev)))
         in
         Hashtbl.replace t.fused_kernels key fe;
@@ -856,6 +867,7 @@ let create ?(machine = Gpusim.Machine.k20x_ecc_off) ?(mode = Device.Functional)
       fused_kernels = Hashtbl.create 64;
       fold = None;
       members = Hashtbl.create 16;
+      recipes = Hashtbl.create 16;
       fused_key = Buffer.create 64;
       ntables = Hashtbl.create 16;
       sitelists = Hashtbl.create 8;
@@ -895,12 +907,6 @@ let kernels_built t =
 let jit_seconds t =
   flush t;
   t.jit_seconds
-
-let kernel_texts t =
-  flush t;
-  let text e = e.compiled.Jit.text in
-  let folds = Option.to_list (Option.map text t.fold) in
-  Hashtbl.fold (fun _ f acc -> text f :: acc) t.fused_kernels folds
 
 let kernel_bytes_moved t =
   flush t;
@@ -1010,6 +1016,8 @@ let eval ?(subset = Subset.All) ?stream t dest expr =
    run.  The output is compact (plane p's n_out values start at word
    p*n_out), so the next pass reads it with stride n_out; one compiled
    kernel serves every pass of every reduction. *)
+let fold_kname = "qdpjit_reduce8_f64"
+
 let build_reduce_kernel kname =
   let e = Emitter.create ~kname in
   let p_src = Emitter.add_param e U64 "src" in
@@ -1111,13 +1119,39 @@ let fold_entry t =
   | Some e -> e
   | None ->
       let e =
-        compile t ~kind:"reduce" ~skey:"reduce8_planes_f64" ~name:(`Fixed "qdpjit_reduce8_f64")
+        compile t ~kind:"reduce" ~skey:"reduce8_planes_f64" ~name:(`Fixed fold_kname)
           (fun kname ->
             let raw, emitter = build_reduce_kernel kname in
             (raw, Some (Emitter.provenance emitter), no_report, [||]))
       in
       t.fold <- Some e;
       e
+
+(* Each text is re-derived from its recipe, the way {!compile} made it,
+   and must decode to the program that was launched. *)
+let kernel_texts t =
+  flush t;
+  let checked (e : entry) text =
+    if compare (Jit.compile text).Jit.program e.compiled.Jit.program <> 0 then
+      failwith
+        ("Engine.kernel_texts: the re-derived text of "
+        ^ Gpusim.Vm.kname e.compiled.Jit.program
+        ^ " decodes to another program");
+    text
+  in
+  let folds =
+    match t.fold with
+    | None -> []
+    | Some e ->
+        let raw, emitter = build_reduce_kernel fold_kname in
+        [ checked e (ptx_text t ~provenance:(Emitter.provenance emitter) raw) ]
+  in
+  Hashtbl.fold
+    (fun key e acc ->
+      match Hashtbl.find_opt t.recipes key with
+      | None -> acc
+      | Some (kname, sources) -> checked e (ptx_text t (fst (Ptx.Fuse.fuse ~kname sources))) :: acc)
+    t.fused_kernels folds
 
 (* The host is about to read [bytes] of reduction results: one blocking
    D2H copy on the default stream. *)

@@ -137,11 +137,19 @@ val jit_seconds : t -> float
     Flushes the queue first. *)
 
 val kernel_texts : t -> string list
-(** The PTX text of every kernel this engine launches from — groups
-    (an eval launched alone is a group of one, named
+(** The PTX text of every kernel this engine compiled and launches from
+    — groups (an eval launched alone is a group of one, named
     [qdpjit_kernel_<n>]; larger groups are [qdpjit_fused_<n>]) and the
-    fold kernel, compiled here or loaded from the JIT cache — in no
-    particular order.  Flushes the queue first. *)
+    fold kernel — in no particular order.  Flushes the queue first.
+
+    Compiled kernels keep no text, as a real driver keeps no source: each
+    text is re-derived on demand (splice, middle-end, print) from the
+    group's kernel name and splice sources, and the fold kernel from its
+    fixed builder.  Each re-derived text is checked to decode with
+    {!Gpusim.Jit.compile} to the program that was launched; [Failure] is
+    raised otherwise.  A group loaded from the persistent JIT cache was
+    never built here, so it has no sources and is not listed (the fold
+    kernel is, either way). *)
 
 val kernel_bytes_moved : t -> int
 (** Modeled global-memory bytes moved by every kernel launched so far

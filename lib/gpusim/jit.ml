@@ -14,7 +14,6 @@ type compiled = {
   regs_per_thread : int;
   prec : prec;
   compile_time : float;  (** modeled driver JIT time, seconds *)
-  text : string;  (** the source PTX, kept for inspection *)
 }
 
 open Ptx.Types
@@ -55,5 +54,4 @@ let compile text =
     regs_per_thread = estimate_registers kernel.body;
     prec = dominant_prec kernel.body;
     compile_time = 0.045 +. (7.5e-5 *. float_of_int analysis.Ptx.Analysis.instructions);
-    text;
   }

@@ -9,7 +9,9 @@
 
     A {!compiled} kernel is immutable plain data (the pre-decoded
     {!Vm.program} holds no closures and no scratch), so the persistent
-    JIT cache marshals it as it is. *)
+    JIT cache marshals it as it is.  Like a real driver's function
+    handle it keeps no copy of its source: the text is read once and
+    dropped. *)
 
 type prec = Timing.prec = Sp | Dp
 
@@ -19,7 +21,6 @@ type compiled = {
   regs_per_thread : int;  (** liveness estimate, capped at the Kepler sweet spot *)
   prec : prec;  (** dominant floating-point precision of the kernel *)
   compile_time : float;  (** modeled driver-JIT seconds *)
-  text : string;  (** the source PTX, kept for inspection *)
 }
 
 val compile : string -> compiled

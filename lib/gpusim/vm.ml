@@ -810,7 +810,9 @@ let compile (kernel : kernel) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Version 8: a program carries the folded access summary (one row per
+(* Version 9: the driver's compiled record around a program
+   ({!Jit.compiled}) no longer carries the PTX text.  Version 8: a
+   program carries the folded access summary (one row per
    param slot instead of one per memory instruction) and the proven
    bounds-guard slot.  Version 7: a program keeps the kernel's name instead of its parsed
    IR, [Call] operands index [math_table] instead of a per-program
@@ -819,7 +821,7 @@ let compile (kernel : kernel) =
    register files and constant pools are sized by allocated slots
    instead of virtual ids.  Either change alters the marshalled shape,
    so the bump makes stale jitcache entries miss. *)
-let decoder_version = 8
+let decoder_version = 9
 
 (* ------------------------------------------------------------------ *)
 (* Register files.  Each domain owns one SoA arena that only it grows,

@@ -75,9 +75,9 @@ val slot : allocation -> Ptx.Types.reg -> int
 (** The physical slot of a register that occurs in the allocated kernel. *)
 
 val decoder_version : int
-(** Bumped whenever the pre-decoded representation changes; persistent
-    caches fold it into their keys so stale entries miss instead of
-    misexecuting. *)
+(** Bumped whenever the pre-decoded representation, or the driver's
+    compiled record that wraps it, changes; persistent caches fold it
+    into their keys so stale entries miss instead of misexecuting. *)
 
 type launch = {
   l_prog : program;

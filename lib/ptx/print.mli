@@ -3,5 +3,4 @@
     immediates use the exact hexadecimal forms ([0f...]/[0d...]) so the
     parse/print round trip is bit-exact. *)
 
-val imm_float : Types.dtype -> float -> string
 val kernel : Types.kernel -> string

@@ -214,6 +214,11 @@ let entry_keys dir =
 
 let is_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
+let has_sub sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let with_coeff c =
   List.map (function
     | Scale (d, _, s) -> Scale (d, c, s)
@@ -250,6 +255,55 @@ let test_entries_are_kernels () =
   Alcotest.(check int) "nothing built" 0 (Engine.kernels_built warm);
   Alcotest.(check int) "each entry loaded once" entries s.Jitcache.hits
 
+(* Compiled kernels keep no PTX text, on disk or in memory: a cold
+   engine re-derives the text of every kernel it built, the same texts a
+   cache-less engine prints, while a fully warm engine built no group and
+   lists only the fold kernel, which is re-derived from its fixed
+   builder. *)
+let test_kernel_texts_rederived () =
+  let dir = fresh_dir "texts" in
+  let prog = [ Axpy (2, 1.25, 0, 1); Scale (3, 2.0, 2); Sub (0, 3, 2) ] in
+  let cold = Engine.create ~jit_cache:(Jitcache.create dir) () in
+  ignore (run_program cold prog);
+  let plain = Engine.create () in
+  ignore (run_program plain prog);
+  let texts eng = List.sort compare (Engine.kernel_texts eng) in
+  let cold_texts = texts cold in
+  Alcotest.(check int) "one text per kernel built" (Engine.kernels_built cold)
+    (List.length cold_texts);
+  Alcotest.(check (list string)) "texts match a cache-less engine" (texts plain) cold_texts;
+  let c = Jitcache.create dir in
+  List.iter
+    (fun key ->
+      let data = Option.get (Jitcache.find c ~key) in
+      Alcotest.(check bool) "no PTX in the payload" false (has_sub ".visible .entry" data))
+    (entry_keys dir);
+  let warm = Engine.create ~jit_cache:(Jitcache.create dir) () in
+  ignore (run_program warm prog);
+  Alcotest.(check int) "nothing built" 0 (Engine.kernels_built warm);
+  let fold = List.filter (has_sub ".entry qdpjit_reduce8_f64(") cold_texts in
+  Alcotest.(check (list string)) "warm engine lists the fold kernel only" fold (texts warm)
+
+(* A kernel's recipe (name and splice sources) holds no field: the
+   fields an engine ran on can be collected while the engine lives on
+   and still re-derives every text. *)
+let test_recipes_hold_no_field () =
+  let eng = Engine.create () in
+  let prog = [ Axpy (2, 1.25, 0, 1); Scale (3, 2.0, 2); Sub (0, 3, 2) ] in
+  let weak = Weak.create 4 in
+  let run () =
+    let pool, _ = run_program eng prog in
+    Array.iteri (fun i f -> Weak.set weak i (Some f)) pool
+  in
+  (Sys.opaque_identity run) ();
+  Gc.full_major ();
+  Gc.full_major ();
+  for i = 0 to 3 do
+    Alcotest.(check bool) (Printf.sprintf "field %d collected" i) false (Weak.check weak i)
+  done;
+  Alcotest.(check int) "texts still re-derived" (Engine.kernels_built eng)
+    (List.length (Engine.kernel_texts eng))
+
 (* The disk key carries the group's alias pattern: [p0 = c*p0 + p1]
    binds two fields where [p2 = c*p0 + p1] binds three, so it must
    compile its own kernel rather than load the other's bindings. *)
@@ -274,15 +328,9 @@ let test_version_bump_misses () =
        Qdpjit.Codegen.version Ptx.Passes.version Ptx.Fuse.version Gpusim.Vm.decoder_version
        Expr.key_version)
     Engine.cache_tag;
-  (* The decoder is at version 8 since programs carry the folded access
-     summary and the bounds-guard slot: entries marshalled by version 7
-     must miss. *)
-  let has_sub sub s =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "tag carries decoder version 8" true (has_sub "|vm8|" Engine.cache_tag);
+  (* The decoder is at version 9 since the driver's compiled record
+     keeps no PTX text: entries marshalled by version 8 must miss. *)
+  Alcotest.(check bool) "tag carries decoder version 9" true (has_sub "|vm9|" Engine.cache_tag);
   (* The code generator is at version 5 since an eval launched alone is a
      group of one and cache payloads no longer carry a parameter plan:
      version-4 "fused" and "reduce" entries would decode with the wrong
@@ -393,6 +441,9 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_warm_engine_bit_exact;
           Alcotest.test_case "entries are launch-ready kernels" `Quick test_entries_are_kernels;
           Alcotest.test_case "alias pattern keys the entry" `Quick test_alias_pattern_keys;
+          Alcotest.test_case "kernel texts are re-derived, not stored" `Quick
+            test_kernel_texts_rederived;
+          Alcotest.test_case "recipes hold no field" `Quick test_recipes_hold_no_field;
           Alcotest.test_case "damaged cache falls back to recompile" `Quick
             test_corrupt_entries_recompile;
           Alcotest.test_case "pre-bump entries miss, not deserialize" `Quick

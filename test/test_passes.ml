@@ -898,6 +898,47 @@ let test_jit_compile_allocates_linearly () =
     true
     (w_2n <= 2.2 *. w_n)
 
+(* The text boundary allocates little besides its own output.  On every
+   workload kernel, raw and optimized, [Ptx.Parse.kernel] may allocate
+   at most twice the words reachable from the kernel it returns (a
+   parser that cuts substrings per line or operand allocates 7-10x), and
+   [Ptx.Print.kernel] at most one minor word per byte of text (a format
+   string per instruction costs about 6.5).  Exact GC counters, no
+   clock. *)
+let test_text_round_trip_allocates_its_output () =
+  List.iter
+    (fun k ->
+      let w0 = Gc.minor_words () in
+      let text = Sys.opaque_identity (Ptx.Print.kernel k) in
+      let print_words = Gc.minor_words () -. w0 in
+      let w0 = Gc.minor_words () in
+      let parsed = Sys.opaque_identity (Ptx.Parse.kernel text) in
+      let parse_words = Gc.minor_words () -. w0 in
+      let bytes = String.length text and out = Obj.reachable_words (Obj.repr parsed) in
+      if print_words > float_of_int bytes then
+        Alcotest.failf "%s: printing %d bytes allocated %.0f minor words" k.kname bytes
+          print_words;
+      if parse_words > 2.0 *. float_of_int out then
+        Alcotest.failf "%s: parsing allocated %.0f minor words for a %d-word kernel" k.kname
+          parse_words out)
+    (Lazy.force raw_workload @ Lazy.force opt_workload)
+
+(* The text boundary is lossless: parsing a printed kernel gives the
+   kernel back, on random kernels (duplicate operands, float and integer
+   immediates, predicated branches, labels, calls, f16 memory) and on
+   every workload kernel. *)
+let roundtrips k = compare (Ptx.Parse.kernel (Ptx.Print.kernel k)) k = 0
+
+let qcheck_print_parse_roundtrip =
+  QCheck.Test.make ~name:"random kernels: parse (print k) = k" ~count:300
+    QCheck.(make ~print:(fun s -> Ptx.Print.kernel (random_kernel s)) Gen.(int_bound 1_000_000))
+    (fun seed -> roundtrips (random_kernel seed))
+
+let test_workload_kernels_roundtrip () =
+  List.iter
+    (fun k -> if not (roundtrips k) then Alcotest.failf "%s: parse (print k) <> k" k.kname)
+    (Lazy.force raw_workload @ Lazy.force opt_workload)
+
 (* Every workload kernel, raw and optimized, printed: the [.reg] lines
    declare what a plain max-id fold over the body counts, and the VM
    decodes the kernel and its [Parse (Print k)] round trip alike. *)
@@ -1230,6 +1271,13 @@ let () =
           Alcotest.test_case "lower allocates linearly" `Quick test_lower_allocates_linearly;
           Alcotest.test_case "jit compile allocates linearly" `Quick
             test_jit_compile_allocates_linearly;
+          Alcotest.test_case "print and parse allocate their output" `Quick
+            test_text_round_trip_allocates_its_output;
+        ] );
+      ( "text",
+        [
+          QCheck_alcotest.to_alcotest qcheck_print_parse_roundtrip;
+          Alcotest.test_case "workload kernels round-trip" `Quick test_workload_kernels_roundtrip;
         ] );
       ( "reg-demand",
         [ QCheck_alcotest.to_alcotest qcheck_register_demand_matches_fold ] );

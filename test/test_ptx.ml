@@ -167,6 +167,11 @@ let test_analysis_counts () =
   Alcotest.(check bool) "int ops counted" true (a.Ptx.Analysis.int_ops >= 3);
   Alcotest.(check (float 1e-9)) "flop/byte" (2.0 /. 24.0) (Ptx.Analysis.flop_per_byte a)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let test_parse_errors () =
   (match Ptx.Parse.kernel "garbage" with
   | exception Ptx.Parse.Error _ -> ()
@@ -174,9 +179,32 @@ let test_parse_errors () =
   let bad_op =
     ".version 3.1\n.target sm_35\n.address_size 64\n.visible .entry k()\n{\n\tfrobnicate.f64 %fd1, %fd2;\n}\n"
   in
-  match Ptx.Parse.kernel bad_op with
+  (match Ptx.Parse.kernel bad_op with
   | exception Ptx.Parse.Error _ -> ()
-  | _ -> Alcotest.fail "unknown opcode accepted"
+  | _ -> Alcotest.fail "unknown opcode accepted");
+  (* One malformed statement as the first body line (line 8): the error
+     names that line and what is wrong with it. *)
+  let rejects stmt what =
+    let text =
+      ".version 3.1\n.target sm_35\n.address_size 64\n.visible .entry k(\n\t.param .u64 p\n)\n{\n"
+      ^ stmt ^ "\n\tret;\n}\n"
+    in
+    match Ptx.Parse.kernel text with
+    | exception Ptx.Parse.Error msg ->
+        let prefix = "line 8: " in
+        if not (String.starts_with ~prefix msg && contains msg what) then
+          Alcotest.failf "%S: error %S, expected %S naming %S" stmt msg prefix what
+    | _ -> Alcotest.failf "%S accepted" stmt
+  in
+  rejects "\tadd.f64 \t%fd1, %qd2, %fd3;" "bad register";
+  rejects "\tadd.f64 \t%fd1, %fd, %fd3;" "bad register";
+  rejects "\tadd.f65 \t%fd1, %fd2, %fd3;" "unknown type suffix";
+  rejects "\tadd.f64 \t%fd1 %fd2, %fd3;" "expected ','";
+  rejects "\tadd.f64 \t%fd1, %fd2, %fd3; %fd4" "trailing text";
+  rejects "\tld.param.u64 \t%rd1, [q];" "unknown parameter";
+  rejects "\tmov.f32 \t%f1, 0f3F80;" "bad float immediate";
+  rejects "\tmov.f64 \t%fd1, 0d3FF00000;" "bad float immediate";
+  rejects "\tfrobnicate.f64 \t%fd1, %fd2;" "unknown opcode"
 
 (* Generated-kernel roundtrips: every codegen output must parse back to an
    identical kernel (this is the boundary the simulated driver consumes). *)
