@@ -21,7 +21,8 @@ Exit status is uniform across subcommands:
 committed one in <dir> (same canonical file name): deterministic
 counters (launches, iterations, instruction counts, modeled bytes) must
 match exactly, modeled timings (sim_ms and friends) within a relative
-tolerance; host wall-clock numbers are never compared.  When
+tolerance; host wall-clock numbers are never compared.  A numeric key in
+none of those classes fails the comparison.  When
 GITHUB_STEP_SUMMARY is set, the comparison is also appended there as a
 markdown table of metric deltas.
 
@@ -422,18 +423,25 @@ def check_precision(args):
 # ---------------------------------------------------------------------------
 # Baseline regression comparison.
 #
-# Deterministic counters must match the committed artifact exactly;
+# Every numeric key an artifact carries is classified exactly once:
+# deterministic counters must match the committed artifact exactly;
 # modeled timings within a relative tolerance (they depend on the block
 # autotuner, which measures the host); host wall-clock metrics and
-# environment descriptors are never compared.
+# environment descriptors are never compared, each for the reason
+# recorded in UNGATED_KEYS.  A numeric key in none of the three sets
+# fails the comparison, so a new counter cannot slip past the gate.
 
 EXACT_KEYS = {
     "launches",
+    "launches_total",
     "readbacks",
     "pageouts",
+    "reductions",
     "iterations",
     "aux_iterations",
     "max_iter",
+    "tol",
+    "residual",
     "raw_instructions",
     "opt_instructions",
     "raw_registers",
@@ -441,9 +449,16 @@ EXACT_KEYS = {
     "raw_load_bytes",
     "opt_load_bytes",
     "kernel_bytes",
+    "kernel_bytes_f16",
+    "kernel_bytes_f32",
+    "kernel_bytes_f64",
     "bytes_f16",
     "bytes_f32",
     "bytes_f64",
+    "eliminated_load_bytes",
+    "eliminated_store_bytes",
+    "kernels_built",
+    "kernels_built_first",
     "superinsns",
     "fused_units",
     "covered_instrs",
@@ -455,6 +470,11 @@ EXACT_KEYS = {
     "fallbacks",
     "sessions",
     "tasks",
+    "resident_after_close",
+    "rank0_streams_with_spans",
+    "sites",
+    "block",
+    "tight_block",
     "hits",
     "misses",
     "stores",
@@ -465,15 +485,52 @@ EXACT_KEYS = {
 TOLERANT_KEYS = {
     "sim_ms",
     "sim_ms_total",
+    "sim_ratio_vs_serial",
     "sync_ns",
     "overlap_ns",
     "saved_fraction",
     "dispatch_ratio",
     "bytes_ratio_f64_over_f16",
     "avg_members_per_fused_group",
+    "f16",
+    "f32",
+    "f64",
+}
+
+UNGATED_KEYS = {
+    "available_domains": "host core count: CI runners and dev machines differ",
+    "workers": "worker counts swept, which follow available_domains",
+    "wall_s": "host wall clock",
+    "wall_s_total": "host wall clock",
+    "scalar_wall_s": "host wall clock",
+    "cold_s": "host wall clock of a cold run (compile included)",
+    "warm_s": "host wall clock of a warm run",
+    "run_s": "host wall clock of one tenant's tasks",
+    "queue_wait_s": "host wall clock a tenant waited, set by thread scheduling",
+    "queue_wait_s_total": "host wall clock, summed over tenants",
+    "wall_ms": "host wall clock per launch",
+    "scalar_ms": "host wall clock per launch",
+    "soa_ms": "host wall clock per launch",
+    "padded_us": "host wall clock per launch",
+    "tight_us": "host wall clock per launch",
+    "ratio": "quotient of two host wall clocks; --max-padded-ratio bounds it",
+    "trace_bytes": "trace text length, whose modeled timestamps follow the autotuner",
 }
 
 BASELINE_TOLERANCE = 0.25
+
+
+GATED_KEYS = EXACT_KEYS | TOLERANT_KEYS
+assert not (EXACT_KEYS & TOLERANT_KEYS) and not (GATED_KEYS & UNGATED_KEYS.keys())
+
+
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_numeric(v):
+    """A number, or a non-empty list of numbers."""
+    return is_number(v) or (isinstance(v, list) and bool(v) and all(map(is_number, v)))
 
 
 def compare_baseline(check, fresh, base):
@@ -502,19 +559,30 @@ def compare_baseline(check, fresh, base):
                 f"{path}: baseline {bv} vs fresh {fv} ({100 * rel:+.1f}%, {kind})"
             )
 
+    def classified(path, obj):
+        for key, v in obj.items():
+            if is_numeric(v) and key not in GATED_KEYS and key not in UNGATED_KEYS:
+                p = f"{path}.{key}" if path else key
+                failures.append(
+                    f"{p}: numeric key {key!r} is unclassified "
+                    "(add it to EXACT_KEYS, TOLERANT_KEYS or UNGATED_KEYS)"
+                )
+
     def walk(path, b, f):
         if isinstance(b, dict):
             if not isinstance(f, dict):
                 failures.append(f"{path or '<root>'}: not an object in fresh artifact")
                 return
+            classified(path, b)
+            classified(path, {k: v for k, v in f.items() if k not in b})
             for key, bv in b.items():
                 p = f"{path}.{key}" if path else key
-                if key in EXACT_KEYS or key in TOLERANT_KEYS:
+                if key in GATED_KEYS:
                     if key not in f:
                         failures.append(f"{p}: missing from fresh artifact")
                     else:
                         scalar(p, key, bv, f[key])
-                elif isinstance(bv, (dict, list)):
+                elif isinstance(bv, (dict, list)) and not is_numeric(bv):
                     if key in f:
                         walk(p, bv, f[key])
         elif isinstance(b, list):

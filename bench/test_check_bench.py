@@ -206,16 +206,26 @@ def main():
             "moved JIT-cache hit counter vs baseline",
         )
         assert "cache_warm.hits" in r.stderr, f"drift not attributed to cache hits: {r.stderr}"
+        # A numeric key that is neither exact, tolerant nor ungated with a
+        # reason fails the comparison, even when its value did not move.
+        r = expect(
+            1,
+            ["fusion", fx("fusion_good.json"), "--baseline", fx("baseline_unclassified")],
+            "unclassified numeric key in the baseline",
+        )
+        assert "spilled_fields" in r.stderr and "unclassified" in r.stderr, (
+            f"failure not attributed to the unclassified key: {r.stderr}"
+        )
     expect(
         2,
         ["vmperf", fx("vmperf_good.json"), "--baseline", fx("no_such_dir")],
         "missing baseline dir",
     )
 
-    print("check_bench selftest OK: 29 cases (exit codes 0/1/2, degraded "
+    print("check_bench selftest OK: 30 cases (exit codes 0/1/2, degraded "
           "normalization, dslash + CG-reference + padded-launch + dispatch-ratio + register-row "
           "gates, fusion readback and page-out gates, baseline compare incl. cache "
-          "counters + step summary)")
+          "counters, unclassified keys + step summary)")
 
 
 if __name__ == "__main__":

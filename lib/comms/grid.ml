@@ -30,7 +30,6 @@ let create ~global_dims ~rank_dims =
 
 let nranks t = Geometry.volume t.rank_geom
 let local_volume t = Geometry.volume t.local
-let nd t = Geometry.nd t.global
 
 let neighbor_rank t rank ~dim ~dir = Geometry.neighbor t.rank_geom rank ~dim ~dir
 

@@ -16,12 +16,10 @@ val create : global_dims:int array -> rank_dims:int array -> t
 
 val nranks : t -> int
 val local_volume : t -> int
-val nd : t -> int
 
 val neighbor_rank : t -> int -> dim:int -> dir:int -> int
 (** Periodic neighbour in the rank grid. *)
 
-val global_coord : t -> rank:int -> local_site:int -> int array
 val global_site : t -> rank:int -> local_site:int -> int
 val owner : t -> global_coord:int array -> int * int
 (** [(rank, local_site)] owning a global coordinate. *)

@@ -22,5 +22,3 @@ val report : t -> block:int -> ns:float -> unit
 (** A payload launch at [block] took [ns]; drives the probe sequence. *)
 
 val settled : t -> bool
-val degradation_threshold : float
-(** The 33 % probe-stop rule (1.33). *)

@@ -49,6 +49,17 @@ type fusion_stats = {
   fallbacks : int;  (** groups relaunched separately after a fusion failure *)
 }
 
+let no_fusion =
+  {
+    deferred_evals = 0;
+    flushes = 0;
+    fused_groups = 0;
+    launches_saved = 0;
+    eliminated_load_bytes = 0;
+    eliminated_store_bytes = 0;
+    fallbacks = 0;
+  }
+
 (* An eval's kernel-cache key, interned per engine by {!eval_key}.  [id]
    keys the in-memory tables; [skey] is the full structural string, read
    only to spell a group's persistent-cache key on an in-memory miss (ids
@@ -165,13 +176,7 @@ type t = {
   red_block : Buffer_.t option ref;
       (** block partials the payload kernels aggregate into: one plane of
           ceil(nsites/8) doubles per component *)
-  mutable fs_deferred : int;
-  mutable fs_flushes : int;
-  mutable fs_groups : int;
-  mutable fs_saved : int;
-  mutable fs_elim_load : int;
-  mutable fs_elim_store : int;
-  mutable fs_fallbacks : int;
+  mutable fusion : fusion_stats;
 }
 
 let max_pending = 16
@@ -186,7 +191,8 @@ let geom_tag geom =
   Geometry.dims geom |> Array.to_list |> List.map string_of_int |> String.concat "x"
 
 (* Neighbour tables (Sec. V's stencil machinery): table[x] = index of the
-   site shift(.,dim,dir) reads at x, i.e. the periodic neighbour. *)
+   site shift(.,dim,dir) reads at x, i.e. the periodic neighbour.  Built
+   and uploaded once per geometry and direction. *)
 let ntable t geom ~dim ~dir =
   let key = (geom.Geometry.dims, dim, dir) in
   match Hashtbl.find_opt t.ntables key with
@@ -777,10 +783,17 @@ let launch_fused t ~stream (members : pending array) (dropm : bool array) =
           if not dropm.(mi) then Option.iter (Memcache.mark_device_dirty t.cache) m.p_dest)
         members);
   if k > 1 then begin
-    t.fs_groups <- t.fs_groups + 1;
-    t.fs_saved <- t.fs_saved + (k - 1);
-    t.fs_elim_load <- t.fs_elim_load + (fe.report.Ptx.Fuse.subst_load_bytes * n_work);
-    t.fs_elim_store <- t.fs_elim_store + (fe.report.Ptx.Fuse.dropped_store_bytes * n_work)
+    let s = t.fusion in
+    t.fusion <-
+      {
+        s with
+        fused_groups = s.fused_groups + 1;
+        launches_saved = s.launches_saved + (k - 1);
+        eliminated_load_bytes =
+          s.eliminated_load_bytes + (fe.report.Ptx.Fuse.subst_load_bytes * n_work);
+        eliminated_store_bytes =
+          s.eliminated_store_bytes + (fe.report.Ptx.Fuse.dropped_store_bytes * n_work);
+      }
   end
 
 (* One eval outside the queue, as a group of one; [sync] blocks until
@@ -803,9 +816,14 @@ let launch_group t (evs : pending array) (drop : bool array) (g : int array) =
       if Subset.is_all ev.p_subset then Geometry.volume ev.p_geom
       else Subset.count ev.p_geom ev.p_subset
     in
-    t.fs_saved <- t.fs_saved + 1;
-    t.fs_elim_load <- t.fs_elim_load + (m.m_load_bytes * n_work);
-    t.fs_elim_store <- t.fs_elim_store + (m.m_store_bytes * n_work)
+    let s = t.fusion in
+    t.fusion <-
+      {
+        s with
+        launches_saved = s.launches_saved + 1;
+        eliminated_load_bytes = s.eliminated_load_bytes + (m.m_load_bytes * n_work);
+        eliminated_store_bytes = s.eliminated_store_bytes + (m.m_store_bytes * n_work);
+      }
   end
   else
     let members = Array.map (fun i -> evs.(i)) g and dropm = Array.map (fun i -> drop.(i)) g in
@@ -813,7 +831,7 @@ let launch_group t (evs : pending array) (drop : bool array) (g : int array) =
     | () -> ()
     | exception (Ptx.Fuse.Fusion_failure _ | Device.Out_of_device_memory)
       when Array.length g > 1 ->
-        t.fs_fallbacks <- t.fs_fallbacks + 1;
+        t.fusion <- { t.fusion with fallbacks = t.fusion.fallbacks + 1 };
         Array.iter (fun i -> launch_one ~stream ~sync:false t evs.(i)) g
 
 let flush t =
@@ -831,7 +849,9 @@ let flush t =
         let evs = Array.of_list (List.rev t.pending_rev) in
         t.pending_rev <- [];
         t.pending_n <- 0;
-        t.fs_flushes <- t.fs_flushes + 1;
+        let s = t.fusion in
+        t.fusion <-
+          { s with flushes = s.flushes + 1; deferred_evals = s.deferred_evals + Array.length evs };
         (* The enqueue-time references only needed to survive until now:
            each launch pins its own fields, and anything spilled between
            groups round-trips through its (hook-guarded) host copy. *)
@@ -886,13 +906,7 @@ let create ?(machine = Gpusim.Machine.k20x_ecc_off) ?(mode = Device.Functional)
       kernel_bytes_f64 = 0;
       red_partial = ref None;
       red_block = ref None;
-      fs_deferred = 0;
-      fs_flushes = 0;
-      fs_groups = 0;
-      fs_saved = 0;
-      fs_elim_load = 0;
-      fs_elim_store = 0;
-      fs_fallbacks = 0;
+      fusion = no_fusion;
     }
   in
   (* Host code about to touch any cached field sees the queue's effects
@@ -918,17 +932,8 @@ let kernel_bytes_by_prec t =
 
 let fusion_stats t =
   flush t;
-  {
-    deferred_evals = t.fs_deferred;
-    flushes = t.fs_flushes;
-    fused_groups = t.fs_groups;
-    launches_saved = t.fs_saved;
-    eliminated_load_bytes = t.fs_elim_load;
-    eliminated_store_bytes = t.fs_elim_store;
-    fallbacks = t.fs_fallbacks;
-  }
+  t.fusion
 
-let jit_cache t = t.jit_cache
 let jit_cache_stats t = Option.map Jitcache.stats t.jit_cache
 
 (* Rewind the planner counters without touching the kernel caches:
@@ -938,13 +943,7 @@ let jit_cache_stats t = Option.map Jitcache.stats t.jit_cache
    counting — callers difference those explicitly. *)
 let reset_stats t =
   flush t;
-  t.fs_deferred <- 0;
-  t.fs_flushes <- 0;
-  t.fs_groups <- 0;
-  t.fs_saved <- 0;
-  t.fs_elim_load <- 0;
-  t.fs_elim_store <- 0;
-  t.fs_fallbacks <- 0
+  t.fusion <- no_fusion
 
 let synchronize t =
   flush t;
@@ -980,7 +979,6 @@ let enqueue t (ev : pending) =
   | () ->
       t.pending_rev <- { ev with p_retained = !retained } :: t.pending_rev;
       t.pending_n <- t.pending_n + 1;
-      t.fs_deferred <- t.fs_deferred + 1;
       if t.pending_n >= max_pending then flush t
   | exception Device.Out_of_device_memory ->
       (* Not even enough memory to park the operands: drain the

@@ -92,9 +92,6 @@ val reset_stats : t -> unit
     ({!kernels_built}, {!jit_seconds}, {!kernel_bytes_moved}) keep
     accumulating. *)
 
-val jit_cache : t -> Jitcache.t option
-(** The attached persistent kernel cache, after environment resolution. *)
-
 val cache_tag : string
 (** The version fence prefixed to every persistent-cache key: it embeds
     the OCaml version and the {!Codegen}, {!Ptx.Passes}, {!Ptx.Fuse} and
@@ -180,7 +177,3 @@ val norm2 : ?subset:Qdp.Subset.t -> t -> Qdp.Expr.t -> float
 val inner : ?subset:Qdp.Subset.t -> t -> Qdp.Expr.t -> Qdp.Expr.t -> float * float
 val sum_real : ?subset:Qdp.Subset.t -> t -> Qdp.Expr.t -> float
 val sum_components : ?subset:Qdp.Subset.t -> t -> Qdp.Expr.t -> float array
-
-val ntable : t -> Layout.Geometry.t -> dim:int -> dir:int -> Gpusim.Buffer.t
-(** The device neighbour table for a shift direction (built and uploaded
-    once per geometry/direction). *)

@@ -18,7 +18,8 @@
     [face_ready] — and with it disabled the compute stream itself waits on
     [face_ready] before any post-exchange work, serialising comm and
     compute.  No per-rank clock arithmetic: the timeline is whatever the
-    stream scheduler produced, observable via {!max_clock}.
+    stream scheduler produced, and a statement reports the slowest
+    rank's horizon as its [total_ns].
 
     Functional results are identical with overlap on or off; what changes
     is the simulated per-rank timeline, which is what Fig. 6 plots. *)
@@ -82,10 +83,7 @@ let create ?(machine = Gpusim.Machine.k20m_ecc_on) ?(mode = Gpusim.Device.Functi
     shift_pool = Hashtbl.create 16;
     shift_seq = 0;
     temps =
-      Array.mapi
-        (fun rank eng ->
-          Memcache.create_arena (Engine.memcache eng) ~name:(Printf.sprintf "temps:%d" rank))
-        engines;
+      Array.map (fun eng -> Memcache.create_arena (Engine.memcache eng)) engines;
   }
 
 let nranks t = Comms.Grid.nranks t.grid
@@ -436,13 +434,5 @@ let sum_real t (mk : int -> Expr.t) =
   let partial = Array.make n 0.0 in
   par_ranks t (fun rank -> partial.(rank) <- Engine.sum_real t.engines.(rank) es.(rank));
   Array.fold_left ( +. ) 0.0 partial
-
-let inner t (mka : int -> Expr.t) (mkb : int -> Expr.t) =
-  let n = nranks t in
-  let eas = Array.init n mka and ebs = Array.init n mkb in
-  let partial = Array.make n (0.0, 0.0) in
-  par_ranks t (fun rank ->
-      partial.(rank) <- Engine.inner t.engines.(rank) eas.(rank) ebs.(rank));
-  Array.fold_left (fun (re, im) (r, i) -> (re +. r, im +. i)) (0.0, 0.0) partial
 
 let fabric_stats t = Comms.Fabric.stats t.fabric

@@ -40,7 +40,6 @@ val create :
     bit-identical to the sequential rank sweep. *)
 
 val nranks : t -> int
-val local_geom : t -> Layout.Geometry.t
 
 val engine : t -> int -> Engine.t
 (** The rank's engine — its device, memory cache and stream context (the
@@ -58,10 +57,6 @@ val drop_temps : t -> unit
 
 val set_overlap : t -> bool -> unit
 (** Toggle communication/computation overlap (functional no-op). *)
-
-val max_clock : t -> float
-(** The slowest rank's modeled timeline, ns (the latest completion across
-    every stream of every rank). *)
 
 val reset_clocks : t -> unit
 (** Rewind every rank's stream timelines (and recorded trace spans) to
@@ -94,5 +89,4 @@ val norm2 : t -> (int -> Qdp.Expr.t) -> float
 (** Per-rank device reductions, summed over ranks (the MPI all-reduce). *)
 
 val sum_real : t -> (int -> Qdp.Expr.t) -> float
-val inner : t -> (int -> Qdp.Expr.t) -> (int -> Qdp.Expr.t) -> float * float
 val fabric_stats : t -> Comms.Fabric.stats

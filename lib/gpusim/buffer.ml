@@ -22,8 +22,6 @@ let offset_mask = (1 lsl offset_bits) - 1
 
 let address buf = buf.id lsl offset_bits
 
-let elem_bytes = function F16 _ -> 2 | F32 _ -> 4 | F64 _ -> 8 | I32 _ -> 4
-
 let length buf =
   match buf.data with
   | F16 a -> Bigarray.Array1.dim a

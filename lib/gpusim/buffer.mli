@@ -23,7 +23,6 @@ val offset_mask : int
 val address : t -> int
 (** The base "device pointer" handed to kernels. *)
 
-val elem_bytes : data -> int
 val length : t -> int
 
 val create_f16 : int -> int -> t

@@ -61,7 +61,6 @@ let create ?(mode = Functional) ?vm_domains machine =
       };
   }
 
-let vm_domains t = t.vm_domains
 let clock_ns t = t.clock_ns
 let used_bytes t = t.used_bytes
 let free_bytes t = t.machine.Machine.memory_bytes - t.used_bytes

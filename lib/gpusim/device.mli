@@ -53,7 +53,6 @@ val create : ?mode:mode -> ?vm_domains:int -> Machine.t -> t
     with [REPRO_VM_DOMAINS]).  Results are bit-identical for any
     worker count. *)
 
-val vm_domains : t -> int
 val clock_ns : t -> float
 val used_bytes : t -> int
 val free_bytes : t -> int
@@ -94,9 +93,6 @@ val flush_batch : t -> unit
 val idle : t -> bool
 (** No launch is queued: {!flush_batch} would run nothing, so a {!free}
     now drains no batch early. *)
-
-val lookup : t -> int -> Buffer.data
-(** Buffer id -> storage, for the VM; faults on freed buffers. *)
 
 val transfer_cost : t -> bytes:int -> to_device:bool -> float
 (** Record the traffic of a host<->device copy in the stats and return the

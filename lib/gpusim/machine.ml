@@ -66,11 +66,6 @@ let k20m_ecc_on =
     memory_bytes = 5 * 1024 * 1024 * 1024;
   }
 
-let by_name = function
-  | "K20x_eccoff" -> Some k20x_ecc_off
-  | "K20m_eccon" -> Some k20m_ecc_on
-  | _ -> None
-
 (* Worker-count resolution for the parallel VM back-end: explicit
    argument > REPRO_VM_DOMAINS environment override > hardware count
    reported by the back-end.  A malformed override (zero, negative,

@@ -34,8 +34,6 @@ val k20x_ecc_off : t
 val k20m_ecc_on : t
 (** Tesla K20m, ECC enabled: the Fig. 6 testbed. *)
 
-val by_name : string -> t option
-
 val host_domains : ?vm_domains:int -> unit -> int
 (** Workers for the parallel VM back-end: [vm_domains] if given, else
     the [REPRO_VM_DOMAINS] environment override, else the hardware count

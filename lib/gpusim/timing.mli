@@ -16,16 +16,9 @@
 
 type prec = Sp | Dp
 
-val blocks_per_sm : Machine.t -> regs_per_thread:int -> block:int -> int
-val resident_threads : Machine.t -> regs_per_thread:int -> block:int -> int
-
 val launch_fits : Machine.t -> regs_per_thread:int -> block:int -> bool
 (** False when the block exceeds hardware limits or register pressure
     leaves no resident block — the {!Device.Launch_failure} condition. *)
-
-val bandwidth_factor :
-  Machine.t -> analysis:Ptx.Analysis.t -> regs_per_thread:int -> nthreads:int -> block:int -> float
-(** Fraction of the achievable bandwidth this launch can draw (0..1]. *)
 
 val kernel_time_ns :
   Machine.t ->

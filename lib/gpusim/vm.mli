@@ -136,9 +136,10 @@ val kname : program -> string
 
 val superinstructions_enabled : unit -> bool
 (** Always [true]: the SoA executor is the only runtime path, and the
-    scalar interpreter is reached only through {!run_reference}.  Kept
-    as a constant because the end-to-end benchmark ([perfbench/main.ml])
-    still reads it; it goes with that program's next change. *)
+    scalar interpreter is reached only through {!run_reference}.  The
+    constant stays while the end-to-end benchmark ([perfbench/main.ml])
+    reads it, because only a change to the benchmark itself edits
+    [perfbench/]. *)
 
 type soa_stats = {
   spans : int;

@@ -33,7 +33,6 @@ type t = {
 val create : ?prec:Shape.precision -> backend:backend -> seed:int64 -> Geometry.t -> t
 (** Cold-started links, zero momenta. *)
 
-val fermion_shape : t -> Shape.t
 val fresh_fermion : t -> Field.t
 val solver_ops : t -> Solvers.Ops.t
 
@@ -51,8 +50,6 @@ val update_momenta : t -> eps:float -> Field.t array -> unit
 
 val fresh_forces : t -> Field.t array
 val clear_forces : t -> Field.t array -> unit
-
-val identity_color : ?prec:Shape.precision -> unit -> Expr.t
 
 val hermitian_traceless : ?prec:Shape.precision -> Expr.t -> Expr.t
 (** TA_H(M) = (M - M^dag)/(2i) - trace part: the projection both the gauge

@@ -18,9 +18,6 @@ type trajectory_result = {
   solver_iterations : int;  (** Krylov iterations spent in this trajectory *)
 }
 
-val hamiltonian : Context.t -> Monomial.t list -> float
-(** Kinetic energy plus every monomial's action. *)
-
 val run_trajectory :
   ?forced_accept:bool -> Context.t -> Monomial.t list -> params -> trajectory_result
 (** One HMC trajectory: heatbaths, MD integration, reunitarisation,

@@ -10,9 +10,6 @@
     factors are supplied by the monomials; the finite-difference tests of
     the suite pin them. *)
 
-val dslash_deriv : Context.t -> x:Qdp.Field.t -> y:Qdp.Field.t -> mu:int -> Qdp.Expr.t
-(** G_mu = TA_H(C1 - C2) as a color-matrix expression. *)
-
 val accumulate :
   Context.t -> coeff:float -> x:Qdp.Field.t -> y:Qdp.Field.t -> Qdp.Field.t array -> unit
 (** forces.(mu) += coeff * G_mu for every direction. *)

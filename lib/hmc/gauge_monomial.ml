@@ -13,39 +13,9 @@ let create (ctx : Context.t) ~beta ?(aniso = 1.0) () =
   let prec = ctx.Context.prec in
   let action () = Lqcd.Gauge.action ~sum_real:ctx.Context.backend.Context.sum_real ~aniso ~beta u in
   let add_force (forces : Field.t array) =
-    let nd = Array.length u in
     Array.iteri
       (fun mu force ->
-        (* Anisotropy weights the staples per plane; build the weighted
-           staple sum explicitly. *)
-        let staple =
-          let terms = ref [] in
-          let f = Expr.field in
-          for nu = 0 to nd - 1 do
-            if nu <> mu then begin
-              let w = Lqcd.Gauge.pair_weight ~aniso ~nd ~mu ~nu in
-              let up =
-                Expr.mul
-                  (Expr.shift (f u.(nu)) ~dim:mu ~dir:1)
-                  (Expr.mul
-                     (Expr.adj (Expr.shift (f u.(mu)) ~dim:nu ~dir:1))
-                     (Expr.adj (f u.(nu))))
-              in
-              let down_inner =
-                Expr.mul
-                  (Expr.adj (Expr.shift (f u.(nu)) ~dim:mu ~dir:1))
-                  (Expr.mul (Expr.adj (f u.(mu))) (f u.(nu)))
-              in
-              let down = Expr.shift down_inner ~dim:nu ~dir:(-1) in
-              let weighted e =
-                if w = 1.0 then e else Expr.mul (Expr.const_real ~prec w) e
-              in
-              terms := weighted down :: weighted up :: !terms
-            end
-          done;
-          match !terms with t :: rest -> List.fold_left Expr.add t rest | [] -> assert false
-        in
-        let w_expr = Expr.mul (Expr.field u.(mu)) staple in
+        let w_expr = Expr.mul (Expr.field u.(mu)) (Lqcd.Gauge.staple_expr u ~aniso ~mu) in
         let f_expr =
           Expr.mul
             (Expr.const_real ~prec (beta /. (2.0 *. 3.0)))

@@ -14,8 +14,6 @@ type system = {
   update_u : eps:float -> unit;  (** U <- exp(i eps P) U *)
 }
 
-val omelyan_lambda : float
-
 val run : scheme -> system -> steps:int -> dt:float -> unit
 
 type level = {

@@ -25,16 +25,4 @@ val power_iteration_max : Context.t -> kappa:float -> ?iters:int -> unit -> floa
 (** Crude largest-eigenvalue estimate of M^dag M, to pick/validate the
     approximation interval. *)
 
-val apply_rational :
-  Context.t ->
-  kappa:float ->
-  r:Numerics.Ratfun.t ->
-  dest:Qdp.Field.t ->
-  src:Qdp.Field.t ->
-  ?tol:float ->
-  unit ->
-  Qdp.Field.t array
-(** dest = a0 src + sum_i alpha_i (M^dag M + beta_i)^-1 src; returns the
-    shifted solutions (the force needs them). *)
-
 val create : Context.t -> kappa:float -> approx:approx -> ?tol:float -> unit -> Monomial.t

@@ -13,8 +13,6 @@ val make_normal_op :
   Context.t -> kappa:float -> Solvers.Ops.t * Solvers.Ops.linop
 (** The gamma5-trick normal operator M^dag M for this context's links. *)
 
-val apply_mdag : Context.t -> kappa:float -> dest:Qdp.Field.t -> src:Qdp.Field.t -> unit
-
 val create : Context.t -> kappa:float -> ?tol:float -> ?max_iter:int -> unit -> Monomial.t
 
 val create_ratio :

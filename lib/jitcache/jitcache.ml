@@ -13,12 +13,13 @@ type stats = {
 
 type t = { cache_dir : string; max_bytes : int; stats : stats }
 
+(* Bumped whenever the on-disk entry layout changes; an entry with another
+   version reads as corrupt (silent recompile). *)
 let format_version = 1
 let magic = "QJC1"
 let suffix = ".jc"
 let env_var = "REPRO_JIT_CACHE"
 
-let dir t = t.cache_dir
 let stats t = t.stats
 
 let rec mkdirs d =

@@ -34,10 +34,6 @@ type stats = {
 
 type t
 
-val format_version : int
-(** Bumped whenever the on-disk entry layout changes; mismatching entries
-    are treated as corrupt (silent recompile). *)
-
 val create : ?max_bytes:int -> string -> t
 (** Open a cache rooted at the given directory, creating it (and missing
     parents) if needed.  [max_bytes] (default 256 MiB) bounds the on-disk
@@ -46,7 +42,6 @@ val create : ?max_bytes:int -> string -> t
     is LRU-by-mtime.  Raises [Sys_error] only if the directory cannot be
     created at all. *)
 
-val dir : t -> string
 val stats : t -> stats
 
 val env_var : string

@@ -38,9 +38,6 @@ val color_extent : color -> int
 val reality_extent : reality -> int
 (** 1 for [Real], 2 for [Cplx]. *)
 
-val components : t -> int
-(** [spin_extent * color_extent]: complex-or-real component count. *)
-
 val dof : t -> int
 (** Real degrees of freedom per site ([components * reality_extent]). *)
 

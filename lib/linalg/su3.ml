@@ -12,7 +12,6 @@ let identity () =
 
 let copy = Array.copy
 let add a b = Array.init 18 (fun k -> a.(k) +. b.(k))
-let sub a b = Array.init 18 (fun k -> a.(k) -. b.(k))
 
 let mul a b =
   let out = zero () in

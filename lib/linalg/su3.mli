@@ -10,11 +10,8 @@
 type m = float array
 (** 18 floats: [m.(2*(3*i+j)) = Re M_ij], [m.(2*(3*i+j)+1) = Im M_ij]. *)
 
-val zero : unit -> m
 val identity : unit -> m
-val copy : m -> m
 val add : m -> m -> m
-val sub : m -> m -> m
 val mul : m -> m -> m
 val dagger : m -> m
 val scale : re:float -> im:float -> m -> m

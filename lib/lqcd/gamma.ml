@@ -112,9 +112,7 @@ let per_prec_mu f =
     if mu < 0 || mu > 3 then invalid_arg "Gamma: mu must be 0..3";
     tbl.(mu) ?prec ()
 
-let gamma = per_prec_mu (fun prec mu -> spin_matrix_const ~prec (gamma_mat mu))
 let gamma5 = per_prec (fun prec -> spin_matrix_const ~prec (gamma5_mat ()))
-let one = per_prec (fun prec -> spin_matrix_const ~prec (identity4 ()))
 
 (* Wilson projectors: (1 - gamma_mu) forward, (1 + gamma_mu) backward. *)
 let proj_minus =

@@ -15,10 +15,6 @@ val identity4 : unit -> cmat
 val cmat_mul : cmat -> cmat -> cmat
 val cmat_add : cmat -> cmat -> cmat
 val cmat_scale : float -> cmat -> cmat
-val cmat_to_components : cmat -> float array
-
-val gamma_mat : int -> cmat
-(** gamma_mu for mu in 0..3; raises otherwise. *)
 
 val gamma5_mat : unit -> cmat
 (** gamma0 gamma1 gamma2 gamma3 = diag(1,1,-1,-1) in this basis. *)
@@ -28,9 +24,7 @@ val sigma_mat : int -> int -> cmat
     the property the packed clover storage relies on. *)
 
 val spin_matrix_const : ?prec:Layout.Shape.precision -> cmat -> Qdp.Expr.t
-val gamma : ?prec:Layout.Shape.precision -> int -> Qdp.Expr.t
 val gamma5 : ?prec:Layout.Shape.precision -> unit -> Qdp.Expr.t
-val one : ?prec:Layout.Shape.precision -> unit -> Qdp.Expr.t
 
 val proj_minus : ?prec:Layout.Shape.precision -> int -> Qdp.Expr.t
 (** (1 - gamma_mu), the forward Wilson projector. *)

@@ -14,11 +14,6 @@ let create_links ?(prec = Shape.F64) geom : links =
   Array.init (Geometry.nd geom) (fun mu ->
       Field.create ~name:(Printf.sprintf "u%d" mu) (Shape.lattice_color_matrix prec) geom)
 
-let set_link (u : links) ~mu ~site (m : Linalg.Su3.m) =
-  Field.set_site u.(mu) ~site (Array.copy m)
-
-let get_link (u : links) ~mu ~site : Linalg.Su3.m = Field.get_site u.(mu) ~site
-
 (* Cold start: all links at the identity (plaquette exactly 1). *)
 let unit_gauge (u : links) =
   Array.iter
@@ -79,15 +74,24 @@ let mean_plaquette ~sum_real (u : links) =
   done;
   !acc /. float_of_int (volume * !pairs)
 
-(* The staple sum entering the gauge force for link (x, mu):
+(* Plaquette-pair weight used by both the action and its force. *)
+let pair_weight ~aniso ~nd ~mu ~nu =
+  if mu = nd - 1 || nu = nd - 1 then aniso else 1.0 /. aniso
+
+(* The staple sum entering the gauge force for link (x, mu), each (mu, nu)
+   plane weighted by {!pair_weight}:
    sum_{nu<>mu}  U_nu(x+mu) U_mu(x+nu)^dag U_nu(x)^dag
-               + U_nu(x+mu-nu)^dag U_mu(x-nu)^dag U_nu(x-nu). *)
-let staple_expr (u : links) ~mu =
+               + U_nu(x+mu-nu)^dag U_mu(x-nu)^dag U_nu(x-nu).
+   A unit weight adds no multiply, so the isotropic sum is unweighted. *)
+let staple_expr (u : links) ~aniso ~mu =
   let nd = Array.length u in
+  let prec = u.(mu).Field.shape.Shape.prec in
   let f = Expr.field in
   let terms = ref [] in
   for nu = 0 to nd - 1 do
     if nu <> mu then begin
+      let w = pair_weight ~aniso ~nd ~mu ~nu in
+      let weighted e = if w = 1.0 then e else Expr.mul (Expr.const_real ~prec w) e in
       let up =
         Expr.mul
           (Expr.shift (f u.(nu)) ~dim:mu ~dir:1)
@@ -99,7 +103,7 @@ let staple_expr (u : links) ~mu =
           (Expr.mul (Expr.adj (f u.(mu))) (f u.(nu)))
       in
       let down = Expr.shift down_inner ~dim:nu ~dir:(-1) in
-      terms := down :: up :: !terms
+      terms := weighted down :: weighted up :: !terms
     end
   done;
   match !terms with
@@ -115,16 +119,12 @@ let action ~sum_real ?(aniso = 1.0) ~beta (u : links) =
   let acc = ref 0.0 in
   for mu = 0 to nd - 1 do
     for nu = mu + 1 to nd - 1 do
-      let weight = if nu = nd - 1 then aniso else 1.0 /. aniso in
+      let weight = pair_weight ~aniso ~nd ~mu ~nu in
       let tr = sum_real (plaquette_trace_expr u ~mu ~nu) in
       acc := !acc +. (weight *. (float_of_int volume -. tr))
     done
   done;
   beta *. !acc
-
-(* Plaquette-pair weight used by both the action and its force. *)
-let pair_weight ~aniso ~nd ~mu ~nu =
-  if mu = nd - 1 || nu = nd - 1 then aniso else 1.0 /. aniso
 
 (* Field strength for the clover term: Q_munu(x) is the sum of the four
    plaquette leaves around x in the (mu,nu) plane and

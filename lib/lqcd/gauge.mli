@@ -11,8 +11,6 @@ type links = Field.t array
     Fig. 1). *)
 
 val create_links : ?prec:Layout.Shape.precision -> Geometry.t -> links
-val set_link : links -> mu:int -> site:int -> Linalg.Su3.m -> unit
-val get_link : links -> mu:int -> site:int -> Linalg.Su3.m
 
 val unit_gauge : links -> unit
 (** Cold start: all links at the identity (plaquette exactly 1). *)
@@ -23,9 +21,6 @@ val random_gauge : ?epsilon:float -> links -> Prng.t -> unit
 val reunitarize : links -> unit
 (** Project every link back onto SU(3) (drift repair after MD updates). *)
 
-val plaquette_expr : links -> mu:int -> nu:int -> Qdp.Expr.t
-(** U_mu(x) U_nu(x+mu) U_mu(x+nu)^dag U_nu(x)^dag. *)
-
 val plaquette_trace_expr : links -> mu:int -> nu:int -> Qdp.Expr.t
 (** Re tr P / Nc, per site. *)
 
@@ -33,14 +28,13 @@ val mean_plaquette : sum_real:(Qdp.Expr.t -> float) -> links -> float
 (** Average over all mu < nu planes and the volume; [sum_real] supplies the
     lattice sum (CPU reference or JIT reduction). *)
 
-val staple_expr : links -> mu:int -> Qdp.Expr.t
-(** The staple sum entering the gauge force for link (x, mu). *)
+val staple_expr : links -> aniso:float -> mu:int -> Qdp.Expr.t
+(** The staple sum entering the gauge force for link (x, mu), each plane
+    weighted as in {!action} (no multiply where the weight is 1). *)
 
 val action : sum_real:(Qdp.Expr.t -> float) -> ?aniso:float -> beta:float -> links -> float
 (** Wilson gauge action beta sum (1 - Re tr P / Nc); [aniso] weights
     temporal planes by xi and spatial ones by 1/xi. *)
-
-val pair_weight : aniso:float -> nd:int -> mu:int -> nu:int -> float
 
 val clover_leaf_sum_expr : links -> mu:int -> nu:int -> Qdp.Expr.t
 (** Q_munu: the four plaquette leaves around x in the (mu,nu) plane. *)

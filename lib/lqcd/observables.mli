@@ -4,10 +4,6 @@
     gauge generation).  Everything is built from shift expressions, so the
     same code runs on the CPU reference and through the JIT engine. *)
 
-val line_expr : Gauge.links -> mu:int -> len:int -> Qdp.Expr.t
-(** Product of [len] links along [mu] starting at each site (nested
-    shift-of-shift chains). *)
-
 val wilson_loop :
   sum_real:(Qdp.Expr.t -> float) -> Gauge.links -> mu:int -> nu:int -> r:int -> t:int -> float
 (** Volume-averaged Re tr of the r x t rectangle over Nc; W(1,1) is the

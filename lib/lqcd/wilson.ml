@@ -57,20 +57,9 @@ let wilson_expr ?coeffs ~kappa (u : Gauge.links) (psi : Field.t) =
   Expr.sub (Expr.field psi)
     (Expr.mul (Expr.const_real ~prec kappa) (hopping_expr ?coeffs u psi))
 
-(* Wilson-clover: M psi = psi - kappa D psi + A psi with the packed clover
-   term (A carries its own overall coefficient; see {!Clover.pack}). *)
-let wilson_clover_expr ?coeffs ~kappa ~(clover_diag : Field.t) ~(clover_tri : Field.t)
-    (u : Gauge.links) (psi : Field.t) =
-  Expr.add
-    (wilson_expr ?coeffs ~kappa u psi)
-    (Expr.clover ~diag:(Expr.field clover_diag) ~tri:(Expr.field clover_tri) (Expr.field psi))
-
 (* gamma5 M gamma5 = M^dag for Wilson: used to apply the adjoint operator
    with the same kernels. *)
 let gamma5_expr ?prec psi_expr = Expr.mul (Gamma.gamma5 ?prec ()) psi_expr
-
-let kappa_of_mass ?(nd = 4) mass = 1.0 /. (2.0 *. (float_of_int nd +. mass))
-let mass_of_kappa ?(nd = 4) kappa = (1.0 /. (2.0 *. kappa)) -. float_of_int nd
 
 (* Nominal flop count per site of one hopping-term application, the
    standard figure used to quote Dslash GFLOPS (1320 for Wilson). *)

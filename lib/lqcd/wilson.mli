@@ -9,12 +9,6 @@
     is one generated kernel with eight shifts, exactly the paper's
     "generated from its high-level representation" implementation. *)
 
-val default_coeffs : int -> float array
-
-val hopping_expr_of : ?coeffs:float array -> Qdp.Expr.t array -> Qdp.Field.t -> Qdp.Expr.t
-(** The hopping term over arbitrary link expressions (compressed gauge,
-    smeared links, ...). *)
-
 val hopping_expr : ?coeffs:float array -> Gauge.links -> Qdp.Field.t -> Qdp.Expr.t
 (** The hopping term D psi.  [coeffs] weights each direction (anisotropic
     actions weight time differently); defaults to all ones. *)
@@ -27,23 +21,9 @@ val hopping_expr_compressed :
 val wilson_expr : ?coeffs:float array -> kappa:float -> Gauge.links -> Qdp.Field.t -> Qdp.Expr.t
 (** M psi = psi - kappa D psi (the kappa convention). *)
 
-val wilson_clover_expr :
-  ?coeffs:float array ->
-  kappa:float ->
-  clover_diag:Qdp.Field.t ->
-  clover_tri:Qdp.Field.t ->
-  Gauge.links ->
-  Qdp.Field.t ->
-  Qdp.Expr.t
-(** Wilson-clover: M psi = psi - kappa D psi + A psi with the packed
-    clover term of {!Clover}. *)
-
 val gamma5_expr : ?prec:Layout.Shape.precision -> Qdp.Expr.t -> Qdp.Expr.t
 (** Multiply by gamma5; [gamma5 M gamma5 = M^dag] for Wilson, which lets
     solvers apply the adjoint with the same generated kernels. *)
-
-val kappa_of_mass : ?nd:int -> float -> float
-val mass_of_kappa : ?nd:int -> float -> float
 
 val dslash_flops_per_site : int
 (** 1320: the conventional figure used to quote Dslash GFLOPS (Fig. 6). *)

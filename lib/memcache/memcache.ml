@@ -50,7 +50,6 @@ type stats = {
 }
 
 type arena = {
-  arena_name : string;
   mutable arena_rev : Field.t list;  (** registered fields, newest first *)
   arena_ids : (int, unit) Hashtbl.t;
 }
@@ -407,8 +406,7 @@ let is_device_dirty t (f : Field.t) =
    session's pins, retain counts and device allocations in one sweep
    without the session having to track its temporaries. *)
 
-let create_arena _t ~name = { arena_name = name; arena_rev = []; arena_ids = Hashtbl.create 16 }
-let arena_name a = a.arena_name
+let create_arena _t = { arena_rev = []; arena_ids = Hashtbl.create 16 }
 
 let arena_register a (f : Field.t) =
   if not (Hashtbl.mem a.arena_ids f.Field.id) then begin

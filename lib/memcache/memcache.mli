@@ -112,8 +112,7 @@ val is_device_dirty : t -> Qdp.Field.t -> bool
 
 type arena
 
-val create_arena : t -> name:string -> arena
-val arena_name : arena -> string
+val create_arena : t -> arena
 
 val arena_register : arena -> Qdp.Field.t -> unit
 (** Remember the field as session-owned (idempotent; does not touch

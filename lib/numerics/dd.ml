@@ -4,7 +4,6 @@
 type t = { hi : float; lo : float }
 
 let zero = { hi = 0.0; lo = 0.0 }
-let one = { hi = 1.0; lo = 0.0 }
 let of_float x = { hi = x; lo = 0.0 }
 let to_float x = x.hi +. x.lo
 
@@ -54,6 +53,8 @@ let compare_abs a b =
   let a = abs a and b = abs b in
   match compare a.hi b.hi with 0 -> compare a.lo b.lo | c -> c
 
+(* Gaussian elimination with partial pivoting; a vanishing pivot raises
+   [Linsolve.Singular]. *)
 let solve a b =
   let n = Array.length a in
   Array.iter (fun row -> if Array.length row <> n then invalid_arg "Dd.solve: matrix not square") a;
@@ -96,8 +97,3 @@ let solve_float a b =
   let ad = Array.map (Array.map of_float) a in
   let bd = Array.map of_float b in
   Array.map to_float (solve ad bd)
-
-let ( + ) = add
-let ( - ) = sub
-let ( * ) = mul
-let ( / ) = div

@@ -8,27 +8,14 @@
 
 type t = { hi : float; lo : float }
 
-val zero : t
-val one : t
 val of_float : float -> t
 val to_float : t -> float
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 val div : t -> t -> t
-val neg : t -> t
-val abs : t -> t
-val compare_abs : t -> t -> int
-(** Compare absolute values (for pivoting). *)
-
-val ( + ) : t -> t -> t
-val ( - ) : t -> t -> t
-val ( * ) : t -> t -> t
-val ( / ) : t -> t -> t
-
-val solve : t array array -> t array -> t array
-(** Gaussian elimination with partial pivoting in double-double precision.
-    Raises [Linsolve.Singular] on vanishing pivots. *)
 
 val solve_float : float array array -> float array -> float array
-(** Convenience: promote a double system, solve in double-double, demote. *)
+(** Promote a double system, solve it by Gaussian elimination with partial
+    pivoting in double-double, demote.  Raises [Linsolve.Singular] on a
+    vanishing pivot. *)

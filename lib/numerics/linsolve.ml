@@ -60,10 +60,6 @@ let lu_solve (lu, perm) b =
 
 let solve a b = lu_solve (lu_factor a) b
 
-let solve_many a bs =
-  let fact = lu_factor a in
-  Array.map (lu_solve fact) bs
-
 let mat_vec a x =
   Array.map
     (fun row ->

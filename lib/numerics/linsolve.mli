@@ -11,10 +11,6 @@ val solve : float array array -> float array -> float array
     pivoting.  [a] and [b] are not modified.  Raises [Singular] if [a] is
     (numerically) singular and [Invalid_argument] on shape mismatch. *)
 
-val solve_many : float array array -> float array array -> float array array
-(** [solve_many a bs] solves for several right-hand sides sharing one
-    factorization; [bs] is an array of right-hand-side vectors. *)
-
 val lstsq : float array array -> float array -> float array
 (** [lstsq a b] solves the least-squares problem [min ||a x - b||] via the
     normal equations; adequate for the small, well-conditioned systems used

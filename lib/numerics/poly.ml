@@ -1,5 +1,7 @@
 type t = float array
 
+(* Degree after stripping exactly-zero leading coefficients; the zero
+   polynomial has degree 0. *)
 let degree p =
   let n = ref (Array.length p - 1) in
   while !n > 0 && p.(!n) = 0.0 do
@@ -35,13 +37,6 @@ let mul p q =
     done
   done;
   r
-
-let add p q =
-  let n = max (Array.length p) (Array.length q) in
-  Array.init n (fun i ->
-      (if i < Array.length p then p.(i) else 0.0) +. if i < Array.length q then q.(i) else 0.0)
-
-let scale s p = Array.map (fun c -> s *. c) p
 
 let of_roots rs = Array.fold_left (fun acc r -> mul acc [| -.r; 1.0 |]) [| 1.0 |] rs
 

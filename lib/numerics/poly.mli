@@ -6,23 +6,10 @@
 type t = float array
 (** Coefficient array, lowest degree first.  [[|c0|]] is the constant c0. *)
 
-val degree : t -> int
-(** Degree after stripping (exactly) zero leading coefficients; the zero
-    polynomial has degree 0. *)
-
 val eval : t -> float -> float
 (** Horner evaluation. *)
 
-val eval_complex : t -> Complex.t -> Complex.t
-(** Horner evaluation at a complex point. *)
-
 val derivative : t -> t
-
-val mul : t -> t -> t
-
-val add : t -> t -> t
-
-val scale : float -> t -> t
 
 val of_roots : float array -> t
 (** Monic polynomial with the given real roots. *)

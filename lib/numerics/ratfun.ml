@@ -3,8 +3,6 @@ type t = { a0 : float; terms : (float * float) array }
 let eval r x =
   Array.fold_left (fun acc (alpha, beta) -> acc +. (alpha /. (x +. beta))) r.a0 r.terms
 
-let num_terms r = Array.length r.terms
-
 let x_times r =
   if r.a0 <> 0.0 then invalid_arg "Ratfun.x_times: nonzero constant term";
   (* x * sum a/(x+b) = sum a - sum a*b/(x+b) *)

@@ -12,8 +12,6 @@ type t = { a0 : float; terms : (float * float) array }
 
 val eval : t -> float -> float
 
-val num_terms : t -> int
-
 val x_times : t -> t
 (** [x_times r] is the partial-fraction form of [x * r(x)].  Requires
     [r.a0 = 0] (the product would otherwise contain a linear term that the

@@ -6,8 +6,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Unbiased sample variance (zero for arrays of length < 2). *)
 
-val std_dev : float array -> float
-
 val std_error : float array -> float
 (** Standard error of the mean. *)
 

@@ -22,8 +22,6 @@ val theoretical_error : degree:int -> lo:float -> hi:float -> float
 
 (** Jacobi elliptic functions, exposed for testing. *)
 module Elliptic : sig
-  val agm : float -> float -> float
-  (** Arithmetic–geometric mean. *)
 
   val complete_k : float -> float
   (** Complete elliptic integral K(k), with modulus [0 <= k < 1]. *)

@@ -16,11 +16,6 @@
 
 type config = Cpu_only | Cpu_quda | Qdpjit_quda
 
-let config_name = function
-  | Cpu_only -> "CPU only (XE)"
-  | Cpu_quda -> "CPU+QUDA"
-  | Qdpjit_quda -> "QDP-JIT+QUDA"
-
 (* Calibration constants (see EXPERIMENTS.md). *)
 type constants = {
   cpu_solver_bw : float;  (** hand-optimised CPU solver, bytes/s/socket *)

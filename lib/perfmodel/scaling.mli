@@ -14,8 +14,6 @@
 
 type config = Cpu_only | Cpu_quda | Qdpjit_quda
 
-val config_name : config -> string
-
 type constants = {
   cpu_solver_bw : float;  (** hand-optimised CPU solver, bytes/s/socket *)
   cpu_qdp_bw : float;  (** QDP++ CPU expression evaluation, bytes/s/socket *)
@@ -26,8 +24,6 @@ type constants = {
   transfer_bytes_per_site : float;  (** CPU+QUDA per-solve field traffic *)
   layout_change_bw : float;  (** CPU-side reorder rate, bytes/s *)
 }
-
-val default_constants : constants
 
 val trajectory_time :
   ?constants:constants -> machine:Nodes.machine -> config:config -> Workload.t -> nodes:int -> float

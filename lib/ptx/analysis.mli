@@ -20,6 +20,5 @@ type t = {
           precision; integer index traffic is counted in the totals only *)
 }
 
-val zero : t
 val kernel : Types.kernel -> t
 val flop_per_byte : t -> float

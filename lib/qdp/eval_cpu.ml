@@ -10,6 +10,7 @@ module Shape = Layout.Shape
 module Geometry = Layout.Geometry
 module FSite = Linalg.Site.Make (Linalg.Scalar.Float_scalar)
 
+(* One site's value; shifts follow the periodic neighbours. *)
 let rec eval_site geom (e : Expr.t) site : FSite.value =
   match e with
   | Expr.Leaf f ->

@@ -7,10 +7,6 @@
 
 module FSite : module type of Linalg.Site.Make (Linalg.Scalar.Float_scalar)
 
-val eval_site : Layout.Geometry.t -> Expr.t -> int -> FSite.value
-(** Evaluate an expression at one site (shifts follow periodic
-    neighbours). *)
-
 val check_dest : Field.t -> Expr.t -> unit
 (** Raises {!Linalg.Algebra.Type_error} unless the destination shape
     matches the expression shape up to precision. *)

@@ -115,15 +115,6 @@ let clover ~diag ~tri psi =
   ignore (Linalg.Algebra.clover_shapes ~diag:(shape diag) ~tri:(shape tri) ~psi:(shape psi));
   Clover (diag, tri, psi)
 
-(* Operators for expression-heavy call sites (the QDP++ infix style). *)
-module Infix = struct
-  let ( + ) = add
-  let ( - ) = sub
-  let ( * ) = mul
-  let ( ~- ) = neg
-  let ( !! ) = field
-end
-
 (* All distinct leaf fields, in first-visit order: the references the memory
    cache must make device-resident before a launch (Sec. IV). *)
 let leaves e =
@@ -189,8 +180,6 @@ let shift_dirs e =
   in
   go e;
   Hashtbl.fold (fun k () acc -> k :: acc) seen [] |> List.sort compare
-
-let has_shift e = shift_dirs e <> []
 
 let unop_name = function
   | Neg -> "neg"

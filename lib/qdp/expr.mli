@@ -90,15 +90,6 @@ val shift : t -> dim:int -> dir:int -> t
 
 val clover : diag:t -> tri:t -> t -> t
 
-(** QDP++-style infix operators. *)
-module Infix : sig
-  val ( + ) : t -> t -> t
-  val ( - ) : t -> t -> t
-  val ( * ) : t -> t -> t
-  val ( ~- ) : t -> t
-  val ( !! ) : Field.t -> t
-end
-
 val leaves : t -> Field.t list
 (** Distinct referenced fields in first-visit order: what the memory cache
     must make device-resident before a launch (Sec. IV). *)
@@ -110,8 +101,6 @@ val params : t -> (Shape.t * float array) list
 val shift_dirs : t -> (int * int) list
 (** The (dim, dir) pairs used by shifts anywhere in the expression —
     the neighbour tables the kernel needs. *)
-
-val has_shift : t -> bool
 
 val structure_key : dest_shape:Shape.t -> t -> string
 (** Kernel-cache key: field identities are erased (a leaf contributes its

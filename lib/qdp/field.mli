@@ -62,17 +62,11 @@ val fill_gaussian : ?site_key:(int -> int) -> t -> Prng.t -> unit
 val copy_from : dst:t -> src:t -> unit
 (** Whole-field copy; shapes and volumes must match. *)
 
-val raw_get : t -> int -> float
-(** Direct storage access in AoS word order, bypassing coherence hooks;
-    for evaluators that manage coherence themselves.  Reads decode the
-    stored word exactly; writes round to the field's storage precision
-    (to nearest, ties to even), so assigning across precisions rounds at
-    the store. *)
-
 val raw_set : t -> int -> float -> unit
-
-val offset : t -> site:int -> spin:int -> color:int -> reality:int -> int
-(** AoS word offset of a component. *)
+(** Direct storage write in AoS word order, bypassing coherence hooks;
+    for evaluators that manage coherence themselves.  It rounds to the
+    field's storage precision (to nearest, ties to even), so assigning
+    across precisions rounds at the store. *)
 
 val unsafe_storage : t -> storage
 (** The raw host storage (no hooks); used by the memory cache for layout

@@ -28,7 +28,3 @@ let count geom = function
 
 let is_all = function All -> true | Even | Odd | Custom _ -> false
 
-let other = function
-  | Even -> Odd
-  | Odd -> Even
-  | All | Custom _ -> invalid_arg "Subset.other: checkerboards only"

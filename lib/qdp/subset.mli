@@ -14,6 +14,3 @@ val sites : Geometry.t -> t -> int array
 
 val count : Geometry.t -> t -> int
 val is_all : t -> bool
-
-val other : t -> t
-(** The opposite checkerboard; raises on [All]/[Custom]. *)

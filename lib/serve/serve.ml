@@ -83,7 +83,7 @@ let open_session ?name t =
       s_id;
       name;
       stream = Streams.create_stream ~name (Engine.streams t.eng);
-      arena = Memcache.create_arena (Engine.memcache t.eng) ~name;
+      arena = Memcache.create_arena (Engine.memcache t.eng);
       queue = Queue.create ();
       closed = false;
       tasks = 0;
@@ -99,9 +99,6 @@ let open_session ?name t =
   in
   t.sessions_rev <- sess :: t.sessions_rev;
   sess
-
-let session_name s = s.name
-let session_stream s = s.stream
 
 let create_field sess ?name shape geom =
   let name = match name with Some n -> n | None -> Printf.sprintf "%s:field" sess.name in

@@ -55,9 +55,6 @@ val active_sessions : t -> int
 val open_session : ?name:string -> t -> session
 (** Register a tenant: allocates its stream and memcache arena. *)
 
-val session_name : session -> string
-val session_stream : session -> Streams.stream
-
 val create_field : session -> ?name:string -> Layout.Shape.t -> Layout.Geometry.t -> Qdp.Field.t
 (** A field owned by the session (registered in its arena, so
     {!close_session} releases it). *)

@@ -22,12 +22,6 @@ type result = {
   converged : bool;
 }
 
-val schur_op : Ops.t -> ?coeffs:float array -> kappa:float -> Lqcd.Gauge.links -> Ops.linop
-(** Mhat over the even checkerboard. *)
-
-val schur_normal_op :
-  Ops.t -> ?coeffs:float array -> kappa:float -> Lqcd.Gauge.links -> Ops.linop
-
 val solve :
   Ops.t ->
   ?coeffs:float array ->

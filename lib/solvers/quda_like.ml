@@ -20,10 +20,3 @@ let headroom = function Sp -> 1.76 | Dp -> 1.9
 let dslash_gflops_measured = function Sp -> 346.0 | Dp -> 171.0
 
 let generated_dslash_gflops prec = dslash_gflops_measured prec /. headroom prec
-
-(* QUDA solvers run through this repository's Krylov code; the [gcr]
-   entry point mirrors the interface Chroma calls through the QUDA device
-   API (the "seamless interface" of Sec. VIII-D: fields stay on the
-   device in the QDP-JIT layout, no copies). *)
-let gcr_solve = Gcr.solve
-let mixed_cg_solve = Mixed.solve

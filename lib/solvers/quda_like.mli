@@ -11,30 +11,3 @@ type precision = Sp | Dp
 val headroom : precision -> float
 val dslash_gflops_measured : precision -> float
 val generated_dslash_gflops : precision -> float
-
-val gcr_solve :
-  Ops.t ->
-  Ops.linop ->
-  b:Qdp.Field.t ->
-  x:Qdp.Field.t ->
-  ?tol:float ->
-  ?max_iter:int ->
-  ?restart:int ->
-  unit ->
-  Gcr.result
-(** The QUDA GCR entry point, as Chroma calls it through the device
-    interface (fields stay resident in the QDP-JIT layout — no copies). *)
-
-val mixed_cg_solve :
-  Ops.t ->
-  Ops.linop ->
-  Ops.t ->
-  Ops.linop ->
-  b:Qdp.Field.t ->
-  x:Qdp.Field.t ->
-  ?tol:float ->
-  ?inner_tol:float ->
-  ?max_outer:int ->
-  ?max_inner:int ->
-  unit ->
-  Mixed.result

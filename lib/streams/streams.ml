@@ -162,9 +162,6 @@ module Event = struct
   type t = { ename : string; mutable at_ns : float option }
 
   let create ?(name = "event") () = { ename = name; at_ns = None }
-  let name e = e.ename
-  let is_recorded e = e.at_ns <> None
-  let time_ns e = e.at_ns
 
   let elapsed_ns a b =
     match (a.at_ns, b.at_ns) with

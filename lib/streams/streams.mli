@@ -21,8 +21,6 @@
 
 type engine = Compute | Copy_h2d | Copy_d2h
 
-val engine_name : engine -> string
-
 type stream
 
 type span = {
@@ -99,9 +97,6 @@ module Event : sig
   type t
 
   val create : ?name:string -> unit -> t
-  val name : t -> string
-  val is_recorded : t -> bool
-  val time_ns : t -> float option
 
   val elapsed_ns : t -> t -> float
   (** cudaEventElapsedTime (in ns); raises [Invalid_argument] if either

@@ -127,6 +127,56 @@ let test_action_cold_zero () =
   Gauge.unit_gauge u;
   Alcotest.(check (float 1e-10)) "cold action" 0.0 (Gauge.action ~sum_real:sum_cpu ~beta:5.5 u)
 
+(* Host reference for the staple sum (QUDA's host_reference pattern): on
+   random links, the expression agrees bit for bit between the CPU
+   evaluator and the JIT engine, and at every site it matches the sum
+   built link by link from Su3 products at neighbour indices. *)
+let test_staple_host_reference () =
+  let rng = Prng.create ~seed:61L in
+  let u = Gauge.create_links geom in
+  Array.iter
+    (fun uf ->
+      for site = 0 to Geometry.volume geom - 1 do
+        Field.set_site uf ~site (Su3.random_su3 rng)
+      done)
+    u;
+  let eng = Qdpjit.Engine.create ~vm_domains:1 () in
+  let link nu site = Field.get_site u.(nu) ~site in
+  let nb site dim dir = Geometry.neighbor geom site ~dim ~dir in
+  List.iter
+    (fun aniso ->
+      for mu = 0 to 3 do
+        let e = Gauge.staple_expr u ~aniso ~mu in
+        let shape = Shape.lattice_color_matrix Shape.F64 in
+        let cpu = Field.create shape geom and jit = Field.create shape geom in
+        Qdp.Eval_cpu.eval cpu e;
+        Qdpjit.Engine.eval eng jit e;
+        for site = 0 to Geometry.volume geom - 1 do
+          let at what = Printf.sprintf "aniso %g mu %d site %d: %s" aniso mu site what in
+          let c = Field.get_site cpu ~site in
+          Alcotest.(check bool) (at "CPU = JIT bit for bit") true (c = Field.get_site jit ~site);
+          let reference = ref (Array.make 18 0.0) in
+          for nu = 0 to 3 do
+            if nu <> mu then begin
+              let w = if mu = 3 || nu = 3 then aniso else 1.0 /. aniso in
+              let up =
+                Su3.mul (link nu (nb site mu 1))
+                  (Su3.mul (Su3.dagger (link mu (nb site nu 1))) (Su3.dagger (link nu site)))
+              in
+              let x = nb site nu (-1) in
+              let down =
+                Su3.mul (Su3.dagger (link nu (nb x mu 1)))
+                  (Su3.mul (Su3.dagger (link mu x)) (link nu x))
+              in
+              reference := Su3.add !reference (Su3.scale ~re:w ~im:0.0 (Su3.add up down))
+            end
+          done;
+          Alcotest.(check bool) (at "host reference") true
+            (Su3.frobenius_dist c !reference < 1e-13)
+        done
+      done)
+    [ 1.0; 2.5 ]
+
 let test_field_strength_antihermitian_parts () =
   (* F_munu is Hermitian and traceless up to O(a^2) exactness of the clover
      average: Hermiticity is exact by construction. *)
@@ -404,6 +454,7 @@ let () =
           Alcotest.test_case "warm plaquette" `Quick test_warm_plaquette_below_one;
           Alcotest.test_case "gauge invariance" `Quick test_plaquette_gauge_invariance;
           Alcotest.test_case "cold action" `Quick test_action_cold_zero;
+          Alcotest.test_case "staple host reference" `Quick test_staple_host_reference;
           Alcotest.test_case "F hermitian" `Quick test_field_strength_antihermitian_parts;
           Alcotest.test_case "F antisymmetric" `Quick test_field_strength_antisymmetric;
         ] );

@@ -222,7 +222,7 @@ let test_arena_repin_cleared () =
      transfer protects them. *)
   let fresh () = Field.create (Shape.lattice_fermion Shape.F64) geom in
   let a = fresh () in
-  let arena = Memcache.create_arena cache ~name:"session" in
+  let arena = Memcache.create_arena cache in
   Memcache.arena_register arena a;
   ignore (Memcache.ensure_resident ~pin:true cache a);
   Memcache.release_arena cache arena;
