@@ -199,7 +199,7 @@ let ntable t geom ~dim ~dir =
   | Some buf -> buf
   | None ->
       let n = Geometry.volume geom in
-      let buf = Device.alloc_i32 t.device n in
+      let buf = Memcache.alloc_spilling t.cache Device.alloc_i32 n in
       (match buf.Buffer_.data with
       | Buffer_.I32 a ->
           for site = 0 to n - 1 do
@@ -215,7 +215,7 @@ let ntable t geom ~dim ~dir =
       buf
 
 let upload_sitelist t sites =
-  let buf = Device.alloc_i32 t.device (Array.length sites) in
+  let buf = Memcache.alloc_spilling t.cache Device.alloc_i32 (Array.length sites) in
   (match buf.Buffer_.data with
   | Buffer_.I32 a -> Array.iteri (fun i s -> a.{i} <- Int32.of_int s) sites
   | _ -> assert false);
@@ -396,7 +396,7 @@ let grow_scratch t s ~words =
   | prev ->
       Option.iter (Device.free t.device) prev;
       s := None;
-      let b = Memcache.alloc_f64_spilling t.cache words in
+      let b = Memcache.alloc_spilling t.cache Device.alloc_f64 words in
       s := Some b;
       b
 
@@ -577,7 +577,7 @@ let plan_drops (evs : pending array) group_of =
 (* Fuse and launch one group onto [stream]: every launched eval goes
    through here, an eval launched alone as a group of one.  Raises
    [Ptx.Fuse.Fusion_failure] or [Device.Out_of_device_memory] (with no
-   field left pinned); {!launch_group} falls back to launching a larger
+   field left retained); {!launch_group} falls back to launching a larger
    group's members as groups of one.
 
    The group's key is a packed sequence, per member: its eval identity,
@@ -755,14 +755,24 @@ let launch_fused t ~stream (members : pending array) (dropm : bool array) =
   let scalars =
     Array.map (fun m -> Expr.params m.p_expr |> List.map snd |> Array.of_list) members
   in
+  (* Each field is retained once resident, so that making the next one
+     resident (or allocating a table) cannot spill it. *)
+  let retained = ref 0 in
   Fun.protect
-    ~finally:(fun () -> Memcache.unpin_all t.cache)
+    ~finally:(fun () ->
+      for ci = 0 to !retained - 1 do
+        Memcache.release t.cache fields.(ci)
+      done)
     (fun () ->
       let bufs =
         Array.mapi
           (fun ci f ->
-            Memcache.ensure_resident ~pin:true ~for_write:for_write.(ci) ~wait_stream:stream
-              t.cache f)
+            let buf =
+              Memcache.ensure_resident ~for_write:for_write.(ci) ~wait_stream:stream t.cache f
+            in
+            Memcache.retain t.cache f;
+            retained := ci + 1;
+            buf)
           fields
       in
       let params =
@@ -853,7 +863,7 @@ let flush t =
         t.fusion <-
           { s with flushes = s.flushes + 1; deferred_evals = s.deferred_evals + Array.length evs };
         (* The enqueue-time references only needed to survive until now:
-           each launch pins its own fields, and anything spilled between
+           each launch retains its own fields, and anything spilled between
            groups round-trips through its (hook-guarded) host copy. *)
         Array.iter (fun ev -> List.iter (Memcache.release t.cache) ev.p_retained) evs;
         (* The queue is no longer (subset, geometry)-homogeneous: each
@@ -863,7 +873,7 @@ let flush t =
         let group_of = Array.make (Array.length evs) (-1) in
         List.iteri (fun gi g -> Array.iter (fun i -> group_of.(i) <- gi) g) groups;
         let drop = plan_drops evs group_of in
-        (* Group assembly (residency, pins, fused JIT) happens here;
+        (* Group assembly (residency, retains, fused JIT) happens here;
            functional execution waits on the device's queue, and the
            closing synchronize runs the whole flushed run as one VM
            sweep.  Spills and page-outs in between drain the queue

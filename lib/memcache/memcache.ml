@@ -5,7 +5,7 @@
     uploaded (with the AoS→SoA layout change of Sec. III-B) if absent or
     stale.  Fields are paged out to host memory either when host code
     touches them (hooks installed on the field) or when an allocation
-    cannot be serviced — then the least-recently-used unpinned entry is
+    cannot be serviced — then the least-recently-used unretained entry is
     spilled, "least recently" meaning the timestamp of the last reference
     from a compute kernel.
 
@@ -31,10 +31,9 @@ type entry = {
   mutable last_use : int;
   mutable device_dirty : bool;  (** device copy newer than host *)
   mutable host_version : int;  (** [Field.version] captured at upload *)
-  mutable pinned : bool;  (** referenced by the launch being assembled *)
   mutable retained : int;
-      (** reference count held by deferred (not yet launched) evals; a
-          retained entry survives {!unpin_all} and is never spilled *)
+      (** reference count held by deferred evals and by the launch being
+          assembled; a retained entry is never spilled *)
   mutable inflight : Streams.Event.t option;
       (** completion event of an asynchronous transfer still using the
           buffer — the entry must not spill until it fires *)
@@ -65,7 +64,6 @@ type t = {
   dead : int list Atomic.t;
       (** ids of watched fields found unreachable, pushed by their
           finalisers; drained by {!reclaim} *)
-  mutable pinned_rev : entry list;  (** entries pinned since the last {!unpin_all} *)
   mutable tick : int;
   mutable pre_access : (Field.t -> unit) option;
       (** called before any host access to a cached field, ahead of the
@@ -82,7 +80,6 @@ let create ctx =
     entries = Hashtbl.create 64;
     watched = Hashtbl.create 64;
     dead = Atomic.make [];
-    pinned_rev = [];
     tick = 0;
     pre_access = None;
     stats = { hits = 0; uploads = 0; pageouts = 0; spills = 0; inflight_skips = 0 };
@@ -222,15 +219,16 @@ let reclaim t =
             match Hashtbl.find_opt t.entries id with Some e -> evict t e | None -> ())
           ids
 
-(* Spill the least-recently-used unpinned entry whose transfers have all
-   completed; false if none exists.  An entry whose asynchronous upload or
-   pageout is still in flight is pinned by its completion event: freeing
-   the buffer under an active copy engine would corrupt the transfer. *)
+(* Spill the least-recently-used unretained entry whose transfers have
+   all completed; false if none exists.  An entry whose asynchronous
+   upload or pageout is still in flight is pinned by its completion
+   event: freeing the buffer under an active copy engine would corrupt
+   the transfer. *)
 let spill_one t =
   let victim = ref None in
   Hashtbl.iter
     (fun _ e ->
-      if (not e.pinned) && e.retained = 0 then begin
+      if e.retained = 0 then begin
         if inflight_done t e then
           match !victim with
           | Some v when v.last_use <= e.last_use -> ()
@@ -245,27 +243,22 @@ let spill_one t =
       true
   | None -> false
 
-(* Retry [alloc] after spilling LRU entries until it fits or nothing is
-   left to spill. *)
-let with_spilling t alloc =
-  let rec go () =
-    match alloc () with
-    | buf -> buf
-    | exception Device.Out_of_device_memory ->
-        if spill_one t then go ()
-        else raise Device.Out_of_device_memory
+(* Retry the allocation after spilling LRU entries until it fits or
+   nothing is left to spill. *)
+let rec alloc_spilling t alloc n =
+  match alloc t.device n with
+  | buf -> buf
+  | exception Device.Out_of_device_memory ->
+      if spill_one t then alloc_spilling t alloc n else raise Device.Out_of_device_memory
+
+let alloc_field t f =
+  let alloc =
+    match f.Field.shape.Shape.prec with
+    | Shape.F16 -> Device.alloc_f16
+    | Shape.F32 -> Device.alloc_f32
+    | Shape.F64 -> Device.alloc_f64
   in
-  go ()
-
-let alloc_f64_spilling t words = with_spilling t (fun () -> Device.alloc_f64 t.device words)
-
-let alloc_with_spilling t f =
-  let words = Field.volume f * Shape.dof f.Field.shape in
-  with_spilling t (fun () ->
-      match f.Field.shape.Shape.prec with
-      | Shape.F16 -> Device.alloc_f16 t.device words
-      | Shape.F32 -> Device.alloc_f32 t.device words
-      | Shape.F64 -> Device.alloc_f64 t.device words)
+  alloc_spilling t alloc (Field.volume f * Shape.dof f.Field.shape)
 
 (* First residency of [f] in this cache: install the access hooks and
    the finaliser, once for the field's lifetime (an entry evicted and
@@ -303,12 +296,6 @@ let watch t (f : Field.t) =
     Gc.finalise_last push f
   end
 
-let pin_entry t e =
-  if not e.pinned then begin
-    e.pinned <- true;
-    t.pinned_rev <- e :: t.pinned_rev
-  end
-
 (* Make the consuming stream wait for the entry's in-flight transfer (the
    kernel must not read the buffer before the copy engine delivers it). *)
 let chain_wait t entry ~wait_stream =
@@ -316,7 +303,7 @@ let chain_wait t entry ~wait_stream =
   | Some ev, Some s -> Streams.wait_event t.ctx s ev
   | _ -> ()
 
-let ensure_resident ?(pin = false) ?(for_write = false) ?wait_stream t (f : Field.t) =
+let ensure_resident ?(for_write = false) ?wait_stream t (f : Field.t) =
   match Hashtbl.find_opt t.entries f.Field.id with
   | Some e ->
       if (not for_write) && (not e.device_dirty) && e.host_version <> f.Field.version then
@@ -330,11 +317,10 @@ let ensure_resident ?(pin = false) ?(for_write = false) ?wait_stream t (f : Fiel
         e.host_version <- f.Field.version;
       t.stats.hits <- t.stats.hits + 1;
       touch t e;
-      if pin then pin_entry t e;
       chain_wait t e ~wait_stream;
       e.buf
   | None ->
-      let buf = alloc_with_spilling t f in
+      let buf = alloc_field t f in
       let field = Weak.create 1 in
       Weak.set field 0 (Some f);
       let entry =
@@ -346,13 +332,11 @@ let ensure_resident ?(pin = false) ?(for_write = false) ?wait_stream t (f : Fiel
           last_use = 0;
           device_dirty = false;
           host_version = -1;
-          pinned = false;
           retained = 0;
           inflight = None;
         }
       in
       Hashtbl.replace t.entries f.Field.id entry;
-      if pin then pin_entry t entry;
       watch t f;
       touch t entry;
       (* A whole-subset destination is fully overwritten by the kernel, and a
@@ -369,10 +353,6 @@ let mark_device_dirty t (f : Field.t) =
       e.device_dirty <- true;
       touch t e
   | None -> invalid_arg "Memcache.mark_device_dirty: field not resident"
-
-let unpin_all t =
-  List.iter (fun e -> e.pinned <- false) t.pinned_rev;
-  t.pinned_rev <- []
 
 let retain t (f : Field.t) =
   match Hashtbl.find_opt t.entries f.Field.id with
@@ -403,7 +383,7 @@ let is_device_dirty t (f : Field.t) =
 (* Arenas: per-session field groups for the serving layer.  An arena is
    only bookkeeping — registration does not touch residency — but it
    remembers every field a session ever owned, so teardown can drop the
-   session's pins, retain counts and device allocations in one sweep
+   session's retain counts and device allocations in one sweep
    without the session having to track its temporaries. *)
 
 let create_arena _t = { arena_rev = []; arena_ids = Hashtbl.create 16 }
@@ -414,16 +394,15 @@ let arena_register a (f : Field.t) =
     a.arena_rev <- f :: a.arena_rev
   end
 
-(* Graceful teardown: clear every protection the session's entries hold
-   (pins, retain counts) and evict them — a dirty entry pages out first,
-   so the host copy is current when the session's owner reads results
-   after close.  The arena is empty afterwards and may be reused. *)
+(* Graceful teardown: clear the retain counts of the session's entries
+   and evict them — a dirty entry pages out first, so the host copy is
+   current when the session's owner reads results after close.  The
+   arena is empty afterwards and may be reused. *)
 let release_arena t a =
   List.iter
     (fun (f : Field.t) ->
       match Hashtbl.find_opt t.entries f.Field.id with
       | Some e ->
-          e.pinned <- false;
           e.retained <- 0;
           evict t e
       | None -> ())

@@ -5,7 +5,7 @@
     data is uploaded (with the AoS→SoA layout change of Sec. III-B) if
     absent or stale.  Fields are paged out to host memory either when host
     code touches them (hooks installed on the field) or when an allocation
-    cannot be serviced — then the least-recently-used unpinned entry is
+    cannot be serviced — then the least-recently-used unretained entry is
     spilled, "least recently" meaning the timestamp of the last reference
     from a compute kernel. *)
 
@@ -32,31 +32,26 @@ val stats : t -> stats
 val resident_count : t -> int
 
 val ensure_resident :
-  ?pin:bool -> ?for_write:bool -> ?wait_stream:Streams.stream -> t -> Qdp.Field.t -> Gpusim.Buffer.t
+  ?for_write:bool -> ?wait_stream:Streams.stream -> t -> Qdp.Field.t -> Gpusim.Buffer.t
 (** Make the field's data available in device memory, uploading (with
     layout conversion) when the device copy is absent or stale, spilling
-    LRU entries if the allocation does not fit.  [pin] protects the entry
-    from spilling until {!unpin_all} (the fields of the launch being
-    assembled).  [for_write] marks a destination whose whole content will
+    LRU entries if the allocation does not fit.  [for_write] marks a destination whose whole content will
     be overwritten: its host data need not travel.  [wait_stream] makes
     the given (compute) stream wait on the entry's in-flight asynchronous
     upload, if any — the kernel must not read the buffer before the copy
     engine delivers it.  Raises [Gpusim.Device.Out_of_device_memory] if
     nothing can be spilled. *)
 
-val alloc_f64_spilling : t -> int -> Gpusim.Buffer.t
-(** Allocate [words] doubles of device memory that the cache does not
-    manage (engine scratch), spilling LRU unpinned entries until the
+val alloc_spilling : t -> (Gpusim.Device.t -> int -> Gpusim.Buffer.t) -> int -> Gpusim.Buffer.t
+(** [alloc_spilling t alloc n] runs [alloc device n] for device memory
+    the cache does not manage (the engine's reduction scratch, neighbour
+    tables and site lists), spilling LRU unretained entries until the
     allocation fits, exactly as {!ensure_resident} does for fields.
     Raises [Gpusim.Device.Out_of_device_memory] if nothing can be
     spilled. *)
 
 val mark_device_dirty : t -> Qdp.Field.t -> unit
 (** The kernel just wrote the field: device copy is newer than host. *)
-
-val unpin_all : t -> unit
-(** Clear the pins taken since the last call (it visits only those
-    entries, not the whole cache). *)
 
 val reclaim : t -> unit
 (** Free the device copies of fields that have been garbage-collected.
@@ -73,10 +68,9 @@ val reclaim : t -> unit
     are never reclaimed. *)
 
 val retain : t -> Qdp.Field.t -> unit
-(** Take a reference on a resident entry on behalf of a deferred (not yet
-    launched) eval: unlike a pin, it survives {!unpin_all}, and the entry
-    cannot be spilled until every reference is {!release}d.  The field
-    must be resident. *)
+(** Take a reference on a resident entry on behalf of a deferred eval or
+    of the launch being assembled: the entry cannot be spilled until
+    every reference is {!release}d.  The field must be resident. *)
 
 val release : t -> Qdp.Field.t -> unit
 (** Drop one {!retain} reference (no-op when the field is not resident or
@@ -119,6 +113,6 @@ val arena_register : arena -> Qdp.Field.t -> unit
     residency). *)
 
 val release_arena : t -> arena -> unit
-(** Teardown: for every registered field, clear its pin and retain
-    count, page out dirty data (the owner may still read results) and
-    free the device allocation.  The arena is empty afterwards. *)
+(** Teardown: for every registered field, clear its retain count, page
+    out dirty data (the owner may still read results) and free the
+    device allocation.  The arena is empty afterwards. *)

@@ -5,7 +5,7 @@
     the form consumed by the multi-shift CG solver in RHMC: applying
     [r(M^dag M)] to a vector costs one multi-shift solve with shifts
     [beta_i].  Also provides the integral-representation generator for
-    [x^-sigma], used as a reference against the Remez approximation. *)
+    [x^-sigma] and [x^+sigma], RHMC's heatbath approximation. *)
 
 type t = { a0 : float; terms : (float * float) array }
 (** [terms] holds [(alpha_i, beta_i)] pairs. *)

@@ -117,27 +117,6 @@ let inv_sqrt ~degree ~lo ~hi =
   in
   { Ratfun.a0 = c0 /. sqrt hi; terms }
 
-(* x^{1/2} ~ 1/R(x) where R = inv_sqrt: the reciprocal of a relative-minimax
-   approximant approximates the reciprocal power with the same relative
-   error.  1/R is again a (p,p) rational; its poles are the zeros of R,
-   which Zolotarev gives in closed form (-c_{2j} * hi), and the residue at a
-   simple zero x_z of R is 1/R'(x_z). *)
-let sqrt_ ~degree ~lo ~hi =
-  let r = inv_sqrt ~degree ~lo ~hi in
-  let ell = sqrt (lo /. hi) in
-  let cs = coefficients ~degree ~ell in
-  let r_deriv x =
-    Array.fold_left
-      (fun acc (alpha, beta) -> acc -. (alpha /. ((x +. beta) *. (x +. beta))))
-      0.0 r.Ratfun.terms
-  in
-  let terms =
-    Array.init degree (fun j ->
-        let x_zero = -.(cs.((2 * j) + 1) *. hi) in
-        (1.0 /. r_deriv x_zero, -.x_zero))
-  in
-  { Ratfun.a0 = 1.0 /. r.Ratfun.a0; terms }
-
 let theoretical_error ~degree ~lo ~hi =
   let r = inv_sqrt ~degree ~lo ~hi in
   Ratfun.max_rel_error r ~exponent:(-0.5) ~lo ~hi ~samples:4001

@@ -23,7 +23,7 @@
 
     {!close_session} is the graceful teardown: it drains the session's
     remaining tasks, pages out dirty results, and releases every
-    memcache entry the session pinned or retained. *)
+    memcache entry the session retained. *)
 
 type t
 type session
@@ -80,6 +80,6 @@ val stats : session -> session_stats
 
 val close_session : session -> unit
 (** Graceful teardown: drain the session's remaining tasks, then release
-    its arena — dirty results page out to the host, pins and retain
-    counts clear, device allocations free.  Idempotent; the session no
+    its arena — dirty results page out to the host, retain counts
+    clear, device allocations free.  Idempotent; the session no
     longer participates in {!run}. *)

@@ -113,31 +113,32 @@ let test_spill_preserves_dirty_data () =
   Alcotest.(check (float 0.0)) "dirty data survived eviction" 123.0
     (Field.get a ~site:5 ~spin:0 ~color:0 ~reality:0)
 
-let test_pinned_not_spilled () =
+let test_retained_not_spilled () =
   let cache = fresh_cache ~small:true () in
   let a = Field.create (Shape.lattice_fermion Shape.F64) geom in
-  ignore (Memcache.ensure_resident ~pin:true cache a);
-  for i = 0 to 3 do
+  ignore (Memcache.ensure_resident cache a);
+  Memcache.retain cache a;
+  for _ = 0 to 3 do
+    let f = Field.create (Shape.lattice_fermion Shape.F64) geom in
+    ignore (Memcache.ensure_resident cache f)
+  done;
+  Alcotest.(check bool) "retained stays" true (Memcache.is_resident cache a);
+  Memcache.release cache a
+
+let test_oom_when_all_retained () =
+  let cache = fresh_cache ~small:true () in
+  let retain () =
     let f = Field.create (Shape.lattice_fermion Shape.F64) geom in
     ignore (Memcache.ensure_resident cache f);
-    ignore i
-  done;
-  Alcotest.(check bool) "pinned stays" true (Memcache.is_resident cache a);
-  Memcache.unpin_all cache
-
-let test_oom_when_all_pinned () =
-  let cache = fresh_cache ~small:true () in
-  let pin () =
-    let f = Field.create (Shape.lattice_fermion Shape.F64) geom in
-    ignore (Memcache.ensure_resident ~pin:true cache f)
+    Memcache.retain cache f
   in
   match
     for _ = 1 to 10 do
-      pin ()
+      retain ()
     done
   with
   | exception Device.Out_of_device_memory -> ()
-  | () -> Alcotest.fail "pinning more than device memory should fail"
+  | () -> Alcotest.fail "retaining more than device memory should fail"
 
 let test_drop () =
   let cache = fresh_cache () in
@@ -212,11 +213,10 @@ let test_inflight_not_spilled () =
   Alcotest.(check (float 0.0)) "content intact" 4.5
     (Field.get a ~site:7 ~spin:2 ~color:1 ~reality:0)
 
-(* [release_arena] clears its entries' pins and evicts them; a field it
-   released that is pinned again must be unpinned by the next
-   [unpin_all] (which visits only the entries pinned since the last
-   one), so allocation pressure can spill it. *)
-let test_arena_repin_cleared () =
+(* [release_arena] evicts its entries whatever their retain counts; a
+   field it released that becomes resident again carries none of the
+   old references, so allocation pressure can spill it. *)
+let test_arena_release_clears_retains () =
   let cache = fresh_cache ~small:true () in
   (* Never-written fields: resident without an upload, so no in-flight
      transfer protects them. *)
@@ -224,16 +224,17 @@ let test_arena_repin_cleared () =
   let a = fresh () in
   let arena = Memcache.create_arena cache in
   Memcache.arena_register arena a;
-  ignore (Memcache.ensure_resident ~pin:true cache a);
+  ignore (Memcache.ensure_resident cache a);
+  Memcache.retain cache a;
+  Memcache.retain cache a;
   Memcache.release_arena cache arena;
-  Alcotest.(check bool) "released" false (Memcache.is_resident cache a);
-  ignore (Memcache.ensure_resident ~pin:true cache a);
-  Memcache.unpin_all cache;
+  Alcotest.(check bool) "released despite its retains" false (Memcache.is_resident cache a);
+  ignore (Memcache.ensure_resident cache a);
   (* Room for three fermion fields: the third newcomer spills the LRU
-     entry, which is [a] unless it is still pinned. *)
+     entry, which is [a] unless it is still retained. *)
   let others = List.init 3 (fun _ -> fresh ()) in
   List.iter (fun f -> ignore (Memcache.ensure_resident cache f)) others;
-  Alcotest.(check bool) "re-pinned entry unpinned and spilled" false
+  Alcotest.(check bool) "re-resident entry unretained and spilled" false
     (Memcache.is_resident cache a);
   Alcotest.(check int) "one spill" 1 (Memcache.stats cache).Memcache.spills
 
@@ -398,11 +399,11 @@ let () =
         [
           Alcotest.test_case "LRU eviction" `Quick test_lru_spill;
           Alcotest.test_case "dirty data survives" `Quick test_spill_preserves_dirty_data;
-          Alcotest.test_case "pinned protected" `Quick test_pinned_not_spilled;
-          Alcotest.test_case "oom when pinned" `Quick test_oom_when_all_pinned;
+          Alcotest.test_case "retained protected" `Quick test_retained_not_spilled;
+          Alcotest.test_case "oom when all retained" `Quick test_oom_when_all_retained;
           Alcotest.test_case "in-flight transfer pinned" `Quick test_inflight_not_spilled;
-          Alcotest.test_case "arena release then re-pin: unpinned" `Quick
-            test_arena_repin_cleared;
+          Alcotest.test_case "arena release clears retains" `Quick
+            test_arena_release_clears_retains;
         ] );
       ( "dead fields",
         [

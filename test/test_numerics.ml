@@ -1,82 +1,5 @@
 let checkf tol = Alcotest.check (Alcotest.float tol)
 
-(* ----------------------------- Linsolve ----------------------------- *)
-
-let test_solve_small () =
-  let a = [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
-  let b = [| 5.0; 10.0 |] in
-  let x = Numerics.Linsolve.solve a b in
-  checkf 1e-12 "x0" 1.0 x.(0);
-  checkf 1e-12 "x1" 3.0 x.(1)
-
-let test_solve_random_residual () =
-  let rng = Prng.create ~seed:1L in
-  for n = 1 to 12 do
-    let a = Array.init n (fun _ -> Array.init n (fun _ -> Prng.gaussian rng)) in
-    let b = Array.init n (fun _ -> Prng.gaussian rng) in
-    let x = Numerics.Linsolve.solve a b in
-    let r = Numerics.Linsolve.residual_norm a x b in
-    if r > 1e-9 then Alcotest.failf "residual too large at n=%d: %g" n r
-  done
-
-let test_solve_singular () =
-  let a = [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
-  Alcotest.check_raises "singular" Numerics.Linsolve.Singular (fun () ->
-      ignore (Numerics.Linsolve.solve a [| 1.0; 1.0 |]))
-
-let test_solve_needs_pivoting () =
-  (* Zero on the first pivot: succeeds only with row exchange. *)
-  let a = [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-  let x = Numerics.Linsolve.solve a [| 2.0; 3.0 |] in
-  checkf 1e-14 "x0" 3.0 x.(0);
-  checkf 1e-14 "x1" 2.0 x.(1)
-
-let test_lstsq () =
-  (* Overdetermined consistent system. *)
-  let a = [| [| 1.0; 0.0 |]; [| 0.0; 1.0 |]; [| 1.0; 1.0 |] |] in
-  let b = [| 1.0; 2.0; 3.0 |] in
-  let x = Numerics.Linsolve.lstsq a b in
-  checkf 1e-10 "x0" 1.0 x.(0);
-  checkf 1e-10 "x1" 2.0 x.(1)
-
-(* ------------------------------- Poly ------------------------------- *)
-
-let test_poly_eval () =
-  let p = [| 1.0; -2.0; 3.0 |] in
-  checkf 1e-14 "horner" ((3.0 *. 4.0) -. (2.0 *. 2.0) +. 1.0) (Numerics.Poly.eval p 2.0)
-
-let test_poly_derivative () =
-  let p = [| 5.0; 1.0; -2.0; 3.0 |] in
-  let p' = Numerics.Poly.derivative p in
-  checkf 1e-14 "d/dx" (1.0 -. (4.0 *. 2.0) +. (9.0 *. 4.0)) (Numerics.Poly.eval p' 2.0)
-
-let test_poly_roots_simple () =
-  let p = Numerics.Poly.of_roots [| 1.0; 2.0; 3.0 |] in
-  let rs = Numerics.Poly.real_roots p in
-  Alcotest.(check int) "count" 3 (Array.length rs);
-  checkf 1e-8 "r0" 1.0 rs.(0);
-  checkf 1e-8 "r1" 2.0 rs.(1);
-  checkf 1e-8 "r2" 3.0 rs.(2)
-
-let test_poly_roots_spread () =
-  (* Geometrically spread roots, the Remez denominator case (real_roots
-     returns them ascending). *)
-  let roots = [| -1e4; -1e2; -1.0; -1e-2; -1e-4 |] in
-  let p = Numerics.Poly.of_roots roots in
-  let rs = Numerics.Poly.real_roots p in
-  Alcotest.(check int) "count" 5 (Array.length rs);
-  Array.iteri (fun i _ -> checkf (1e-6 *. abs_float roots.(i)) "root" roots.(i) rs.(i)) rs
-
-let test_durand_kerner_complex () =
-  (* x^2 + 1: roots +-i. *)
-  let zs = Numerics.Poly.roots [| 1.0; 0.0; 1.0 |] in
-  Alcotest.(check int) "count" 2 (Array.length zs);
-  Array.iter
-    (fun z ->
-      checkf 1e-10 "re" 0.0 z.Complex.re;
-      checkf 1e-10 "|im|" 1.0 (abs_float z.Complex.im))
-    zs
-
 (* ------------------------------ Ratfun ------------------------------ *)
 
 let test_quadrature_inv_sqrt () =
@@ -114,38 +37,6 @@ let test_x_times () =
       checkf 1e-6 "x*r(x)" (x *. Numerics.Ratfun.eval r x) (Numerics.Ratfun.eval xr x))
     [ 0.13; 0.7; 2.0; 9.0 ]
 
-(* ------------------------------- Remez ------------------------------ *)
-
-let test_remez_sqrt () =
-  let r = Numerics.Remez.approx ~sigma:0.5 ~degree:6 ~lo:0.01 ~hi:10.0 in
-  if r.Numerics.Remez.error > 5e-5 then
-    Alcotest.failf "remez error too large: %g" r.Numerics.Remez.error;
-  let verify = Numerics.Remez.check_equioscillation r ~samples:2000 in
-  if verify > 1.2 *. r.Numerics.Remez.error +. 1e-12 then
-    Alcotest.failf "claimed error %g but measured %g" r.Numerics.Remez.error verify
-
-let test_remez_pfe_consistency () =
-  let r = Numerics.Remez.approx ~sigma:0.5 ~degree:5 ~lo:0.1 ~hi:10.0 in
-  List.iter
-    (fun x ->
-      let direct = Numerics.Remez.eval r x in
-      checkf (1e-10 *. direct) "pfe = num/den" direct (Numerics.Ratfun.eval r.Numerics.Remez.pfe x);
-      let inv = Numerics.Ratfun.eval r.Numerics.Remez.pfe_inv x in
-      checkf (2.0 *. r.Numerics.Remez.error +. 1e-9) "pfe_inv ~ x^-s" 1.0 (inv *. (x ** 0.5)))
-    [ 0.11; 0.5; 2.0; 9.5 ]
-
-let test_remez_negative_sigma () =
-  let r = Numerics.Remez.approx ~sigma:(-0.5) ~degree:6 ~lo:0.05 ~hi:5.0 in
-  let err = Numerics.Ratfun.max_rel_error r.Numerics.Remez.pfe ~exponent:(-0.5) ~lo:0.05 ~hi:5.0 ~samples:500 in
-  if err > 1e-4 then Alcotest.failf "x^-1/2 remez error: %g" err
-
-let test_remez_rejects_bad_args () =
-  Alcotest.check_raises "sigma out of range"
-    (Invalid_argument "Remez.approx: need 0 < |sigma| < 1") (fun () ->
-      ignore (Numerics.Remez.approx ~sigma:1.5 ~degree:4 ~lo:0.1 ~hi:1.0));
-  Alcotest.check_raises "bad interval" (Invalid_argument "Remez.approx: need 0 < lo < hi")
-    (fun () -> ignore (Numerics.Remez.approx ~sigma:0.5 ~degree:4 ~lo:1.0 ~hi:0.1))
-
 (* ----------------------------- Zolotarev ---------------------------- *)
 
 let test_zolotarev_accuracy () =
@@ -155,18 +46,36 @@ let test_zolotarev_accuracy () =
       if err > bound then Alcotest.failf "zolotarev deg=%d [%g,%g]: %g > %g" deg lo hi err bound)
     [ (4, 0.01, 10.0, 1e-3); (8, 0.01, 10.0, 1e-6); (12, 1e-6, 100.0, 1e-4); (16, 1e-6, 100.0, 1e-6) ]
 
-let test_zolotarev_sqrt_matches_inverse () =
-  let s = Numerics.Zolotarev.sqrt_ ~degree:8 ~lo:0.01 ~hi:10.0 in
-  let err = Numerics.Ratfun.max_rel_error s ~exponent:0.5 ~lo:0.01 ~hi:10.0 ~samples:500 in
-  if err > 1e-6 then Alcotest.failf "sqrt error: %g" err
-
-let test_zolotarev_beats_or_matches_remez () =
-  (* Zolotarev is optimal: Remez at the same degree cannot do better. *)
-  let deg = 5 and lo = 0.1 and hi = 10.0 in
-  let z = Numerics.Zolotarev.theoretical_error ~degree:deg ~lo ~hi in
-  let r = Numerics.Remez.approx ~sigma:(-0.5) ~degree:deg ~lo ~hi in
-  if r.Numerics.Remez.error < z *. 0.9 then
-    Alcotest.failf "remez %g beat optimal zolotarev %g" r.Numerics.Remez.error z
+(* Chebyshev alternation: a type-(n,n) approximant is the relative
+   minimax one when its relative error reaches +-max at 2n+2 points of
+   alternating sign.  Count the alternations among the grid points
+   within 1 % of the maximum (each extremum shows as a run of points of
+   one sign). *)
+let test_zolotarev_alternation () =
+  List.iter
+    (fun (deg, lo, hi) ->
+      let r = Numerics.Zolotarev.inv_sqrt ~degree:deg ~lo ~hi in
+      let n = 200_001 in
+      let step = log (hi /. lo) /. float_of_int (n - 1) in
+      let err =
+        Array.init n (fun i ->
+            let x = lo *. exp (float_of_int i *. step) in
+            (Numerics.Ratfun.eval r x *. sqrt x) -. 1.0)
+      in
+      let emax = Array.fold_left (fun m e -> Float.max m (abs_float e)) 0.0 err in
+      let points = ref 0 and last = ref 0 in
+      Array.iter
+        (fun e ->
+          let sign = if e > 0.0 then 1 else -1 in
+          if abs_float e >= 0.99 *. emax && sign <> !last then begin
+            incr points;
+            last := sign
+          end)
+        err;
+      Alcotest.(check int)
+        (Printf.sprintf "alternation points, degree %d on [%g,%g]" deg lo hi)
+        ((2 * deg) + 2) !points)
+    [ (4, 0.01, 10.0); (5, 0.1, 10.0); (8, 0.01, 10.0); (12, 1e-6, 100.0); (16, 1e-6, 100.0) ]
 
 let test_elliptic_identities () =
   let k = 0.8 in
@@ -182,68 +91,9 @@ let test_elliptic_identities () =
   checkf 1e-9 "K(1/sqrt2)" 1.854074677301372
     (Numerics.Zolotarev.Elliptic.complete_k (1.0 /. sqrt 2.0))
 
-(* ----------------------------- Dd ----------------------------------- *)
-
-let test_dd_arithmetic () =
-  let open Numerics.Dd in
-  let a = of_float 1.0 in
-  let eps = of_float 1e-20 in
-  (* 1 + 1e-20 - 1 = 1e-20 survives in double-double, dies in double. *)
-  let r = sub (add a eps) a in
-  checkf 1e-30 "tiny survives" 1e-20 (to_float r);
-  let x = div (of_float 1.0) (of_float 3.0) in
-  let back = mul x (of_float 3.0) in
-  checkf 1e-30 "1/3*3" 1.0 (to_float back)
-
-let test_dd_solve_hilbert () =
-  (* Hilbert 8x8: condition ~1e10; dd solve should hit ~1e-12 residual
-     where plain double leaves ~1e-6-ish errors in x. *)
-  let n = 8 in
-  let a = Array.init n (fun i -> Array.init n (fun j -> 1.0 /. float_of_int (i + j + 1))) in
-  let x_true = Array.init n (fun i -> float_of_int (i + 1)) in
-  let b = Numerics.Linsolve.mat_vec a x_true in
-  let x = Numerics.Dd.solve_float a b in
-  Array.iteri (fun i xi -> checkf 1e-4 "hilbert solution" x_true.(i) xi) x
-
-(* ----------------------------- Stats -------------------------------- *)
-
-let test_stats () =
-  let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
-  checkf 1e-14 "mean" 2.5 (Numerics.Stats.mean xs);
-  checkf 1e-14 "variance" (5.0 /. 3.0) (Numerics.Stats.variance xs);
-  let lo, hi = Numerics.Stats.min_max xs in
-  checkf 0.0 "min" 1.0 lo;
-  checkf 0.0 "max" 4.0 hi;
-  let slope, intercept = Numerics.Stats.linear_fit [| 0.0; 1.0; 2.0 |] [| 1.0; 3.0; 5.0 |] in
-  checkf 1e-12 "slope" 2.0 slope;
-  checkf 1e-12 "intercept" 1.0 intercept
-
-let test_jackknife () =
-  let xs = Array.init 50 (fun i -> float_of_int i) in
-  let est, err = Numerics.Stats.jackknife Numerics.Stats.mean xs in
-  checkf 1e-12 "estimate" 24.5 est;
-  (* Jackknife error of the mean equals the standard error. *)
-  checkf 1e-10 "error" (Numerics.Stats.std_error xs) err
-
 let () =
   Alcotest.run "numerics"
     [
-      ( "linsolve",
-        [
-          Alcotest.test_case "2x2" `Quick test_solve_small;
-          Alcotest.test_case "random residuals" `Quick test_solve_random_residual;
-          Alcotest.test_case "singular" `Quick test_solve_singular;
-          Alcotest.test_case "pivoting" `Quick test_solve_needs_pivoting;
-          Alcotest.test_case "lstsq" `Quick test_lstsq;
-        ] );
-      ( "poly",
-        [
-          Alcotest.test_case "eval" `Quick test_poly_eval;
-          Alcotest.test_case "derivative" `Quick test_poly_derivative;
-          Alcotest.test_case "roots simple" `Quick test_poly_roots_simple;
-          Alcotest.test_case "roots spread" `Quick test_poly_roots_spread;
-          Alcotest.test_case "complex roots" `Quick test_durand_kerner_complex;
-        ] );
       ( "ratfun",
         [
           Alcotest.test_case "quadrature x^-1/2" `Quick test_quadrature_inv_sqrt;
@@ -252,28 +102,10 @@ let () =
           Alcotest.test_case "positive shifts" `Quick test_quadrature_positive_shifts;
           Alcotest.test_case "x_times" `Quick test_x_times;
         ] );
-      ( "remez",
-        [
-          Alcotest.test_case "sqrt accuracy" `Quick test_remez_sqrt;
-          Alcotest.test_case "pfe consistency" `Quick test_remez_pfe_consistency;
-          Alcotest.test_case "negative sigma" `Quick test_remez_negative_sigma;
-          Alcotest.test_case "argument validation" `Quick test_remez_rejects_bad_args;
-        ] );
       ( "zolotarev",
         [
           Alcotest.test_case "accuracy" `Quick test_zolotarev_accuracy;
-          Alcotest.test_case "sqrt from inverse" `Quick test_zolotarev_sqrt_matches_inverse;
-          Alcotest.test_case "optimality vs remez" `Quick test_zolotarev_beats_or_matches_remez;
+          Alcotest.test_case "optimality by alternation" `Quick test_zolotarev_alternation;
           Alcotest.test_case "elliptic identities" `Quick test_elliptic_identities;
-        ] );
-      ( "dd",
-        [
-          Alcotest.test_case "arithmetic" `Quick test_dd_arithmetic;
-          Alcotest.test_case "hilbert solve" `Quick test_dd_solve_hilbert;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "basic" `Quick test_stats;
-          Alcotest.test_case "jackknife" `Quick test_jackknife;
         ] );
     ]

@@ -558,6 +558,77 @@ let test_reduction_scratch_spills () =
   Alcotest.(check bool) "spilled for the scratch" true ((Memcache.stats cache).Memcache.spills > 0);
   Alcotest.(check bool) "sums match the CPU bits" true (bits_equal cpu jit)
 
+(* Engine-owned device buffers (neighbour tables, site lists) allocate
+   through the memcache's spill loop, like fields and the reduction
+   scratch.  [tight_engine fields ~spare] holds [fields] resident (their
+   uploads settled, so they are spill candidates) with [spare] bytes
+   left: too few for a 4^4 neighbour table (1024 B) or site list
+   (512 B). *)
+let tight_geom = Geometry.create [| 4; 4; 4; 4 |]
+
+let tight_fields n =
+  List.init n (fun _ ->
+      let f = Field.create fm tight_geom in
+      Field.fill_gaussian f rng;
+      f)
+
+let tight_engine fields ~spare =
+  let field_bytes = Geometry.volume tight_geom * Shape.dof fm * 8 in
+  let memory_bytes = (List.length fields * field_bytes) + spare in
+  let eng = Engine.create ~machine:{ Gpusim.Machine.k20x_ecc_off with memory_bytes } () in
+  List.iter (fun f -> ignore (Memcache.ensure_resident (Engine.memcache eng) f)) fields;
+  ignore (Engine.synchronize eng);
+  Alcotest.(check int) "spare bytes" spare (Gpusim.Device.free_bytes (Engine.device eng));
+  eng
+
+let same_bits (a : Field.t) (b : Field.t) =
+  List.for_all
+    (fun site -> bits_equal (Field.get_site a ~site) (Field.get_site b ~site))
+    (List.init (Geometry.volume a.Field.geom) Fun.id)
+
+(* Run [evals] on a roomy engine over copies of the inputs and on [eng]
+   over the inputs themselves: every field must end bit-equal, and
+   [eng] must have spilled. *)
+let check_against_roomy name eng fields evals =
+  let copies =
+    List.map
+      (fun f ->
+        let c = Field.create fm tight_geom in
+        Field.copy_from ~dst:c ~src:f;
+        c)
+      fields
+  in
+  let roomy = Engine.create () in
+  evals roomy (Array.of_list copies);
+  evals eng (Array.of_list fields);
+  ignore (Engine.synchronize roomy);
+  ignore (Engine.synchronize eng);
+  Alcotest.(check bool) (name ^ ": spilled") true
+    ((Memcache.stats (Engine.memcache eng)).Memcache.spills > 0);
+  Alcotest.(check bool) (name ^ ": bit-equal to a roomy engine") true
+    (List.for_all2 same_bits fields copies)
+
+let shift_a eng (f : Field.t array) =
+  Engine.eval eng f.(1) (Expr.shift (Expr.field f.(0)) ~dim:0 ~dir:1)
+
+let test_tables_spill () =
+  let fields = tight_fields 6 in
+  check_against_roomy "neighbour table" (tight_engine fields ~spare:500) fields shift_a;
+  let fields = tight_fields 6 in
+  check_against_roomy "site list" (tight_engine fields ~spare:500) fields (fun eng f ->
+      Engine.eval ~subset:Subset.Even eng f.(2) (Expr.add (Expr.field f.(0)) (Expr.field f.(1))))
+
+(* With only its four fields resident the fused pair cannot fit its
+   neighbour table; its members relaunch alone, and each spills what
+   the other one needs no longer. *)
+let test_fused_fallback_spills () =
+  let fields = tight_fields 4 in
+  let eng = tight_engine fields ~spare:500 in
+  check_against_roomy "fused pair" eng fields (fun eng f ->
+      shift_a eng f;
+      Engine.eval eng f.(3) (Expr.add (Expr.field f.(1)) (Expr.field f.(2))));
+  Alcotest.(check int) "fallbacks" 1 (Engine.fusion_stats eng).Engine.fallbacks
+
 let () =
   Alcotest.run "qdpjit"
     [
@@ -596,6 +667,8 @@ let () =
         [
           Alcotest.test_case "spilling mid-computation" `Quick test_spilling_preserves_results;
           Alcotest.test_case "reduction scratch spills" `Quick test_reduction_scratch_spills;
+          Alcotest.test_case "tables and site lists spill" `Quick test_tables_spill;
+          Alcotest.test_case "fused fallback spills" `Quick test_fused_fallback_spills;
         ] );
       ( "autotune",
         [
