@@ -202,7 +202,7 @@ let build ?(optimize = true) ?(reduction = false) ~kname ~dest_shape ~(expr : Ex
   let rec gen (expr : Expr.t) site : JSite.value =
     match expr with
     | Expr.Leaf f -> load_leaf f site
-    | Expr.Const (s, v) -> JSite.of_floats s v
+    | Expr.Const (s, v, _) -> JSite.of_floats s v
     | Expr.Param (s, _) -> take_scalar s
     | Expr.Unary (op, sub, _) -> (
         let v = gen sub site in

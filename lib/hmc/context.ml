@@ -128,12 +128,19 @@ let clear_forces t (forces : Field.t array) =
 (* Traceless Hermitian projection of a color-matrix expression:
    TA_H(M) = (M - M^dag)/(2i) - tr(...)/Nc.  Both the gauge and the fermion
    forces are of this form. *)
-let identity_color ?(prec = Shape.F64) () =
-  let comps = Array.make 18 0.0 in
-  comps.(0) <- 1.0;
-  comps.(2 * 4) <- 1.0;
-  comps.(2 * 8) <- 1.0;
-  Expr.const (Shape.lattice_color_matrix prec) comps
+(* The color identity, built once per precision: every force evaluation
+   asks for it, and a constant's key digest is computed when it is
+   built. *)
+let identity_color =
+  let make prec =
+    let comps = Array.make 18 0.0 in
+    comps.(0) <- 1.0;
+    comps.(2 * 4) <- 1.0;
+    comps.(2 * 8) <- 1.0;
+    Expr.const (Shape.lattice_color_matrix prec) comps
+  in
+  let f16 = make Shape.F16 and f32 = make Shape.F32 and f64 = make Shape.F64 in
+  function Shape.F16 -> f16 | F32 -> f32 | F64 -> f64
 
 let hermitian_traceless ?(prec = Shape.F64) m =
   (* (M - M^dag) / 2i = i/2 (M^dag - M) *)
@@ -141,4 +148,4 @@ let hermitian_traceless ?(prec = Shape.F64) m =
   Expr.sub herm
     (Expr.mul
        (Expr.mul (Expr.const_real ~prec (1.0 /. 3.0)) (Expr.trace_color herm))
-       (identity_color ~prec ()))
+       (identity_color prec))

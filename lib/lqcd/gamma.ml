@@ -5,7 +5,13 @@
     spin-vector contraction.  Because the code-generating scalar folds
     constant zeros and (+-)1/(+-i) factors, the dense 4x4 multiplication
     compiles down to the usual sparse gamma application — no flops are
-    wasted on structural zeros. *)
+    wasted on structural zeros.
+
+    The Wilson projectors 1 -+ gamma_mu also come split into a half-spinor
+    projector P and a reconstructor R with R P = 1 -+ gamma_mu (Chroma's
+    spinProjectDir / spinReconstructDir): P leaves two spin components
+    and zeros, so a link multiplied between them runs on two spin
+    components instead of four. *)
 
 module Shape = Layout.Shape
 module Expr = Qdp.Expr
@@ -114,14 +120,51 @@ let per_prec_mu f =
 
 let gamma5 = per_prec (fun prec -> spin_matrix_const ~prec (gamma5_mat ()))
 
-(* Wilson projectors: (1 - gamma_mu) forward, (1 + gamma_mu) backward. *)
-let proj_minus =
-  per_prec_mu (fun prec mu ->
-      spin_matrix_const ~prec (cmat_add (identity4 ()) (cmat_scale (-1.0) (gamma_mat mu))))
+(* Wilson projectors: 1 + sign gamma_mu, sign -1 forward (1 - gamma_mu)
+   and +1 backward (1 + gamma_mu). *)
+let one_plus_sign_gamma ~sign mu =
+  if sign <> 1 && sign <> -1 then invalid_arg "Gamma: sign must be +-1";
+  cmat_add (identity4 ()) (cmat_scale (float_of_int sign) (gamma_mat mu))
 
-let proj_plus =
-  per_prec_mu (fun prec mu ->
-      spin_matrix_const ~prec (cmat_add (identity4 ()) (gamma_mat mu)))
+let proj_minus =
+  per_prec_mu (fun prec mu -> spin_matrix_const ~prec (one_plus_sign_gamma ~sign:(-1) mu))
+
+let proj_plus = per_prec_mu (fun prec mu -> spin_matrix_const ~prec (one_plus_sign_gamma ~sign:1 mu))
+
+(* The half-spinor split of 1 + sign gamma_mu.  Every gamma_mu of this
+   basis is block off-diagonal, [[0, A]; [B, 0]] in 2x2 spin blocks, and
+   gamma_mu^2 = 1 gives B A = 1.  So with P = [[1, sign A]; [0, 0]] (rows
+   0-1 of the projector, rows 2-3 zero) and R = [[1, 0]; [sign B, 0]] (the
+   identity on spins 0-1, the projector's lower-left block below),
+   R P = [[1, sign A]; [sign B, B A]] = 1 + sign gamma_mu exactly: the
+   entries are 0, +-1 and +-i. *)
+let spin_project_mat ~sign mu : cmat =
+  let m = one_plus_sign_gamma ~sign mu in
+  Array.init 4 (fun i -> if i < 2 then m.(i) else Array.make 4 (0.0, 0.0))
+
+let spin_reconstruct_mat ~sign mu : cmat =
+  let m = one_plus_sign_gamma ~sign mu in
+  Array.init 4 (fun i ->
+      Array.init 4 (fun j ->
+          if j >= 2 then (0.0, 0.0)
+          else if i >= 2 then m.(i).(j)
+          else if i = j then (1.0, 0.0)
+          else (0.0, 0.0)))
+
+let per_sign f =
+  let minus = f ~sign:(-1) and plus = f ~sign:1 in
+  fun ?prec ~sign mu ->
+    match sign with
+    | -1 -> minus ?prec mu
+    | 1 -> plus ?prec mu
+    | _ -> invalid_arg "Gamma: sign must be +-1"
+
+let spin_project =
+  per_sign (fun ~sign -> per_prec_mu (fun prec mu -> spin_matrix_const ~prec (spin_project_mat ~sign mu)))
+
+let spin_reconstruct =
+  per_sign (fun ~sign ->
+      per_prec_mu (fun prec mu -> spin_matrix_const ~prec (spin_reconstruct_mat ~sign mu)))
 
 (* Raw matrices, exposed for tests (Clifford algebra checks) and the clover
    packer. *)

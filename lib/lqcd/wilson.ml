@@ -7,7 +7,16 @@
 
     written directly against the high-level interface — each application is
     one generated kernel with eight shifts, exactly the paper's "generated
-    from its high-level representation" implementation. *)
+    from its high-level representation" implementation.
+
+    Each projector is applied in half-spinor form, as QDP++/Chroma do
+    (spinProjectDir / spinReconstructDir): psi is projected to two spin
+    components before the link multiply and reconstructed after it,
+
+      (1 -+ gamma_mu) U psi = R (U (P psi)),
+
+    so the SU(3) multiply runs on two spin components, not four; the
+    zero rows of P fold away in the generated code. *)
 
 module Expr = Qdp.Expr
 module Field = Qdp.Field
@@ -25,14 +34,19 @@ let hopping_expr_of ?(coeffs = [||]) (u_exprs : Expr.t array) (psi : Field.t) =
   if Array.length coeffs <> nd then invalid_arg "Wilson.hopping_expr: coefficient count";
   let prec = psi.Field.shape.Layout.Shape.prec in
   let f = Expr.field in
+  let project ~sign mu e = Expr.mul (Gamma.spin_project ~prec ~sign mu) e in
+  let reconstruct ~sign mu e = Expr.mul (Gamma.spin_reconstruct ~prec ~sign mu) e in
+  (* The forward projection is taken after the shift: the same per-site
+     instructions as shifting P psi, and a shifted plain field is what a
+     multi-rank exchange sends without a gather kernel. *)
   let term mu =
     let fwd =
-      Expr.mul (Gamma.proj_minus ~prec mu)
-        (Expr.mul u_exprs.(mu) (Expr.shift (f psi) ~dim:mu ~dir:1))
+      reconstruct ~sign:(-1) mu
+        (Expr.mul u_exprs.(mu) (project ~sign:(-1) mu (Expr.shift (f psi) ~dim:mu ~dir:1)))
     in
     let bwd =
-      Expr.mul (Gamma.proj_plus ~prec mu)
-        (Expr.shift (Expr.mul (Expr.adj u_exprs.(mu)) (f psi)) ~dim:mu ~dir:(-1))
+      reconstruct ~sign:1 mu
+        (Expr.shift (Expr.mul (Expr.adj u_exprs.(mu)) (project ~sign:1 mu (f psi))) ~dim:mu ~dir:(-1))
     in
     let s = Expr.add fwd bwd in
     if coeffs.(mu) = 1.0 then s else Expr.mul (Expr.const_real ~prec coeffs.(mu)) s

@@ -7,7 +7,10 @@
 
     written directly against the high-level interface — each application
     is one generated kernel with eight shifts, exactly the paper's
-    "generated from its high-level representation" implementation. *)
+    "generated from its high-level representation" implementation.  Each
+    projector is applied in half-spinor form, (1 -+ gamma_mu) U psi =
+    R (U (P psi)) with {!Gamma.spin_project} and {!Gamma.spin_reconstruct},
+    so the link multiply runs on two spin components. *)
 
 val hopping_expr : ?coeffs:float array -> Gauge.links -> Qdp.Field.t -> Qdp.Expr.t
 (** The hopping term D psi.  [coeffs] weights each direction (anisotropic

@@ -17,7 +17,7 @@ let rec eval_site geom (e : Expr.t) site : FSite.value =
       if Geometry.volume f.Field.geom <> Geometry.volume geom then
         invalid_arg "Eval_cpu: field volume mismatch";
       FSite.of_array f.Field.shape (Field.get_site f ~site)
-  | Expr.Const (s, v) | Expr.Param (s, v) -> FSite.of_floats s v
+  | Expr.Const (s, v, _) | Expr.Param (s, v) -> FSite.of_floats s v
   | Expr.Unary (op, e, _) -> (
       let v = eval_site geom e site in
       match op with

@@ -28,9 +28,10 @@ type binop = Add | Sub | Mul | Outer_color | Inner_local
 
 type t =
   | Leaf of Field.t
-  | Const of Shape.t * float array
+  | Const of Shape.t * float array * string
       (** compile-time element (e.g. gamma matrices): folded into the
-          generated code, part of the kernel-cache key *)
+          generated code; the last field is its kernel-cache key fragment
+          ({!const_digest} of the components) *)
   | Param of Shape.t * float array
       (** runtime scalar leaf (solver coefficients): becomes a kernel
           parameter, so kernels are reused across values *)
@@ -68,20 +69,39 @@ let binop_shape op sa sb =
    reads it back instead of re-checking the subtree. *)
 let rec shape = function
   | Leaf f -> f.Field.shape
-  | Const (s, _) | Param (s, _) | Unary (_, _, s) | Binary (_, _, _, s) -> s
+  | Const (s, _, _) | Param (s, _) | Unary (_, _, s) | Binary (_, _, _, s) -> s
   | Shift (e, _, _) -> shape e
   | Clover (diag, tri, psi) ->
       Linalg.Algebra.clover_shapes ~diag:(shape diag) ~tri:(shape tri) ~psi:(shape psi)
 
+(* A constant's key fragment: the MD5 of its components' IEEE bits.
+   NaNs collapse to one pattern per sign, the distinction the earlier
+   printed ("%h") keys drew; every other value keeps its exact bits, so
+   -0.0 and 0.0 stay apart.  The byte count carries the length. *)
+let nan_bits = Int64.bits_of_float Float.nan
+let neg_nan_bits = Int64.bits_of_float (-.Float.nan)
+
+let const_digest v =
+  let b = Bytes.create (8 * Array.length v) in
+  Array.iteri
+    (fun i x ->
+      Bytes.set_int64_le b (8 * i)
+        (if Float.is_nan x then if Float.sign_bit x then neg_nan_bits else nan_bits
+         else Int64.bits_of_float x))
+    v;
+  Digest.bytes b
+
 let field f = Leaf f
 let const s v =
   if Array.length v <> Shape.dof s then invalid_arg "Expr.const: component count mismatch";
-  Const (s, Array.copy v)
+  Const (s, Array.copy v, const_digest v)
 
 let const_real ?(prec = Shape.F64) x = Param (Shape.real_scalar prec, [| x |])
 let const_complex ?(prec = Shape.F64) re im = Param (Shape.complex_scalar prec, [| re; im |])
 
-let embedded_real ?(prec = Shape.F64) x = Const (Shape.real_scalar prec, [| x |])
+let embedded_real ?(prec = Shape.F64) x =
+  let v = [| x |] in
+  Const (Shape.real_scalar prec, v, const_digest v)
 
 (* Smart constructors: each checks only its own node, against the shapes
    its children already carry — one O(1) check per node. *)
@@ -211,11 +231,11 @@ let binop_name = function
 
    The key is a prefix-free byte string built without any printing: every
    node starts with a tag byte, integers are zigzag varints, shapes and
-   operators are fixed codes, and a constant is its length followed by
-   each component's IEEE bits.  NaNs collapse to one pattern per sign,
-   the distinction the earlier printed ("%h") keys drew; every other value
-   keeps its exact bits, so -0.0 and 0.0 stay apart. *)
-let key_version = 1
+   operators are fixed codes, and a constant is the 16-byte digest its
+   node carries, whatever its component count: a 32-component spin
+   matrix costs 16 bytes, not 256, which keeps a Wilson operator's
+   per-eval key (sixteen spin constants) well inside the minor heap. *)
+let key_version = 2
 
 (* Integers as zigzag varints: prefix-free, one byte for |n| < 64, and
    the 7-bit groups are taken unsigned so every int has one encoding. *)
@@ -262,9 +282,6 @@ let unop_code = function
 
 let binop_code = function Add -> 0 | Sub -> 1 | Mul -> 2 | Outer_color -> 3 | Inner_local -> 4
 
-let nan_bits = Int64.bits_of_float Float.nan
-let neg_nan_bits = Int64.bits_of_float (-.Float.nan)
-
 let key_and_leaves ~dest_shape e =
   let buf = Buffer.create 64 in
   (* Distinct leaves in first-visit order, the order {!leaves} returns:
@@ -285,16 +302,10 @@ let key_and_leaves ~dest_shape e =
         Buffer.add_char buf 'L';
         add_key_int buf (slot_of f);
         add_shape buf f.Field.shape
-    | Const (s, v) ->
+    | Const (s, _, digest) ->
         Buffer.add_char buf 'K';
         add_shape buf s;
-        add_key_int buf (Array.length v);
-        Array.iter
-          (fun x ->
-            Buffer.add_int64_le buf
-              (if Float.is_nan x then if Float.sign_bit x then neg_nan_bits else nan_bits
-               else Int64.bits_of_float x))
-          v
+        Buffer.add_string buf digest
     | Param (s, _) ->
         Buffer.add_char buf 'P';
         add_shape buf s
@@ -330,7 +341,7 @@ let rec render ?(indent = 0) e =
   let pad = String.make (2 * indent) ' ' in
   match e with
   | Leaf f -> Printf.sprintf "%sLattice %s : %s\n" pad f.Field.name (Shape.to_string f.Field.shape)
-  | Const (s, _) -> Printf.sprintf "%sConst : %s\n" pad (Shape.to_string s)
+  | Const (s, _, _) -> Printf.sprintf "%sConst : %s\n" pad (Shape.to_string s)
   | Param (s, _) -> Printf.sprintf "%sScalarParam : %s\n" pad (Shape.to_string s)
   | Unary (op, e, _) -> Printf.sprintf "%sUnaryNode (%s)\n%s" pad (unop_name op) (render ~indent:(indent + 1) e)
   | Binary (op, a, b, _) ->

@@ -33,9 +33,12 @@ type binop =
 
 type t =
   | Leaf of Field.t
-  | Const of Shape.t * float array
+  | Const of Shape.t * float array * string
       (** compile-time element (e.g. gamma matrices): folded into the
-          generated code, part of the kernel-cache key *)
+          generated code.  The last field is its kernel-cache key
+          fragment, [const_digest] of the components, computed once when
+          the node is built: build constants with {!const} or
+          {!embedded_real}. *)
   | Param of Shape.t * float array
       (** runtime scalar leaf (solver coefficients): becomes a kernel
           parameter, so kernels are reused across values *)
@@ -60,6 +63,15 @@ val shape : t -> Shape.t
 
 val field : Field.t -> t
 val const : Shape.t -> float array -> t
+(** Compile-time constant of the given shape (the components are copied);
+    its key fragment is computed here, once. *)
+
+val const_digest : float array -> string
+(** A constant's key fragment: the 16-byte MD5 of its components' IEEE
+    bits, with NaNs canonicalised per sign (every other value keeps its
+    exact bits, so -0.0 and 0.0 differ).  The byte count carries the
+    component count. *)
+
 val const_real : ?prec:Shape.precision -> float -> t
 (** Runtime scalar parameter (kernel reuse across values). *)
 
@@ -108,8 +120,9 @@ val structure_key : dest_shape:Shape.t -> t -> string
     since the kernel binds one pointer per distinct field), and runtime
     scalar values are erased; embedded constants and the whole tree shape
     are included.  The key is a prefix-free binary string (tag bytes,
-    varints, fixed shape and operator codes, constants as raw IEEE bits
-    with NaNs canonicalised per sign), built without any printing. *)
+    varints, fixed shape and operator codes, and each constant as the
+    16-byte {!const_digest} its node carries, whatever its component
+    count), built without any printing. *)
 
 val key_and_leaves : dest_shape:Shape.t -> t -> string * Field.t list
 (** [structure_key] and {!leaves} from one walk of the tree. *)

@@ -336,6 +336,11 @@ let test_version_bump_misses () =
      version-4 "fused" and "reduce" entries would decode with the wrong
      layout, so they must miss. *)
   Alcotest.(check bool) "tag carries codegen version 5" true (has_sub "|cg5|" Engine.cache_tag);
+  (* The expression key is at version 2 since a constant contributes its
+     16-byte digest instead of its components' bits: version-1 keys
+     would never match, so they must not be looked up at all. *)
+  Alcotest.(check bool) "tag carries expression key version 2" true
+    (has_sub "|ek2" Engine.cache_tag);
   let dir = fresh_dir "stale" in
   let prog = [ Axpy (2, 1.25, 0, 1); Shift (3, 2, 1, 1); Sub (0, 3, 2) ] in
   let cold = Engine.create ~jit_cache:(Jitcache.create dir) () in

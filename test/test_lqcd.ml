@@ -83,6 +83,26 @@ let test_sigma_block_diagonal () =
     done
   done
 
+(* The half-spinor split: R P = 1 + sign gamma_mu entry for entry (the
+   entries are 0, +-1 and +-i, so the products are exact). *)
+let test_half_spinor_split () =
+  let g = Gamma.matrices () in
+  for mu = 0 to 3 do
+    List.iter
+      (fun sign ->
+        let full = Gamma.cmat_add (Gamma.identity4 ()) (Gamma.cmat_scale (float_of_int sign) g.(mu)) in
+        let rp =
+          Gamma.cmat_mul (Gamma.spin_reconstruct_mat ~sign mu) (Gamma.spin_project_mat ~sign mu)
+        in
+        for i = 0 to 3 do
+          for j = 0 to 3 do
+            if rp.(i).(j) <> full.(i).(j) then
+              Alcotest.failf "mu %d sign %+d: (R P)[%d][%d] <> (1 + sign g)[%d][%d]" mu sign i j i j
+          done
+        done)
+      [ -1; 1 ]
+  done
+
 let test_projectors () =
   (* (1 -+ gamma_mu) are (twice) projectors: P^2 = 2P. *)
   let g = Gamma.matrices () in
@@ -248,6 +268,30 @@ let test_wilson_kappa_relation () =
   in
   Alcotest.(check (float 1e-20)) "kappa assembly" 0.0 diff
 
+(* One direction of the hopping term in full-spinor form: the link
+   multiplies all four spin components, then the dense projector. *)
+let full_spinor_term u psi mu =
+  let f = Expr.field in
+  Expr.add
+    (Expr.mul (Gamma.proj_minus mu) (Expr.mul (f u.(mu)) (Expr.shift (f psi) ~dim:mu ~dir:1)))
+    (Expr.mul (Gamma.proj_plus mu)
+       (Expr.shift (Expr.mul (Expr.adj (f u.(mu))) (f psi)) ~dim:mu ~dir:(-1)))
+
+let test_half_spinor_matches_full () =
+  let u = warm_links () in
+  let psi = fermion () in
+  let half = Field.create (Shape.lattice_fermion Shape.F64) geom in
+  Qdp.Eval_cpu.eval half (Lqcd.Wilson.hopping_expr u psi);
+  let full = Field.create (Shape.lattice_fermion Shape.F64) geom in
+  let t = full_spinor_term u psi in
+  Qdp.Eval_cpu.eval full (Expr.add (Expr.add (t 0) (t 1)) (Expr.add (t 2) (t 3)));
+  let rel =
+    sqrt
+      (Qdp.Eval_cpu.norm2 (Expr.sub (Expr.field half) (Expr.field full))
+      /. Qdp.Eval_cpu.norm2 (Expr.field full))
+  in
+  if not (rel <= 1e-13) then Alcotest.failf "half-spinor vs full-spinor hopping: relative %g" rel
+
 let test_anisotropic_coefficients () =
   let u = warm_links () in
   let psi = fermion () in
@@ -257,13 +301,7 @@ let test_anisotropic_coefficients () =
   Qdp.Eval_cpu.eval full (Lqcd.Wilson.hopping_expr ~coeffs u psi);
   (* compare against explicit sum over spatial dims only *)
   let spatial = Field.create (Shape.lattice_fermion Shape.F64) geom in
-  let f = Expr.field in
-  let term mu =
-    Expr.add
-      (Expr.mul (Gamma.proj_minus mu) (Expr.mul (f u.(mu)) (Expr.shift (f psi) ~dim:mu ~dir:1)))
-      (Expr.mul (Gamma.proj_plus mu)
-         (Expr.shift (Expr.mul (Expr.adj (f u.(mu))) (f psi)) ~dim:mu ~dir:(-1)))
-  in
+  let term = full_spinor_term u psi in
   Qdp.Eval_cpu.eval spatial (Expr.add (term 0) (Expr.add (term 1) (term 2)));
   let d = Qdp.Eval_cpu.norm2 (Expr.sub (Expr.field full) (Expr.field spatial)) in
   Alcotest.(check (float 1e-20)) "aniso coefficients" 0.0 d
@@ -447,6 +485,7 @@ let () =
           Alcotest.test_case "gamma5" `Quick test_gamma5;
           Alcotest.test_case "sigma blocks" `Quick test_sigma_block_diagonal;
           Alcotest.test_case "projectors" `Quick test_projectors;
+          Alcotest.test_case "half-spinor split" `Quick test_half_spinor_split;
         ] );
       ( "gauge",
         [
@@ -464,6 +503,7 @@ let () =
           Alcotest.test_case "free field" `Quick test_dslash_free_field_constant;
           Alcotest.test_case "kappa relation" `Quick test_wilson_kappa_relation;
           Alcotest.test_case "anisotropy" `Quick test_anisotropic_coefficients;
+          Alcotest.test_case "half vs full spinor" `Quick test_half_spinor_matches_full;
         ] );
       ( "observables",
         [

@@ -113,7 +113,7 @@ let printed_structure_key ~dest_shape e =
   let add = Buffer.add_string buf in
   let rec go = function
     | Expr.Leaf f -> add (Printf.sprintf "L%d[%s]" (slot_of f) (Shape.to_string f.Field.shape))
-    | Expr.Const (s, v) ->
+    | Expr.Const (s, v, _) ->
         add (Printf.sprintf "K[%s;" (Shape.to_string s));
         Array.iter (fun x -> add (Printf.sprintf "%h," x)) v;
         add "]"
@@ -191,6 +191,7 @@ let key_floats =
   |]
 
 let raw_shape = Shape.real_scalar Shape.F64
+let raw_const s v = Expr.Const (s, v, Expr.const_digest v)
 let raw_unary op e = Expr.Unary (op, e, raw_shape)
 let raw_binary op a b = Expr.Binary (op, a, b, raw_shape)
 
@@ -211,7 +212,7 @@ let gen_key_expr =
     frequency
       [
         (4, map (fun f -> Expr.Leaf f) (pick key_fields));
-        (2, map2 (fun s v -> Expr.Const (s, v)) (pick key_shapes) values);
+        (2, map2 raw_const (pick key_shapes) values);
         (1, map2 (fun s v -> Expr.Param (s, v)) (pick key_shapes) values);
       ]
   in
@@ -245,14 +246,14 @@ let rec perturb e =
   let hit = p < 0.15 in
   match e with
   | Expr.Leaf _ when hit -> map (fun f -> Expr.Leaf f) (pick key_fields)
-  | Expr.Const (s, v) when hit ->
+  | Expr.Const (s, v, _) when hit ->
       if Array.length v > 0 && p < 0.1 then
         let* i = int_bound (Array.length v - 1) in
         let* x = pick key_floats in
         let v = Array.copy v in
         v.(i) <- x;
-        return (Expr.Const (s, v))
-      else map (fun v -> Expr.Const (s, v)) (array_size (int_bound 3) (pick key_floats))
+        return (raw_const s v)
+      else map (raw_const s) (array_size (int_bound 3) (pick key_floats))
   | Expr.Param (s, v) when hit ->
       map (fun x -> Expr.Param (s, Array.map (fun _ -> x) v)) (pick key_floats)
   | Expr.Leaf _ | Expr.Const _ | Expr.Param _ -> return e
@@ -297,7 +298,7 @@ let key_oracle_property =
 let test_key_edges () =
   let sh = Shape.real_scalar Shape.F64 in
   let psi = Expr.Leaf key_fields.(0) in
-  let k v = Expr.structure_key ~dest_shape:sh (raw_binary Expr.Mul (Expr.Const (sh, v)) psi) in
+  let k v = Expr.structure_key ~dest_shape:sh (raw_binary Expr.Mul (raw_const sh v) psi) in
   let same name a b = Alcotest.(check bool) name true (String.equal (k a) (k b)) in
   let differ name a b = Alcotest.(check bool) name false (String.equal (k a) (k b)) in
   differ "-0.0 vs 0.0" [| -0.0 |] [| 0.0 |];
@@ -326,6 +327,45 @@ let test_key_edges () =
         ints)
     ints
 
+(* The per-eval key stays small and off the major heap: a constant adds
+   its 16-byte digest whatever its component count, so a Wilson
+   operator's key (eight 32-component projectors and eight
+   reconstructors) stays under 1 KB and the buffer that builds it never
+   grows past the minor heap's largest block.  Direct major allocation is
+   [major_words] less the words promoted by minor collections.  OCaml 5's
+   counters drift by a few hundred words either way over the loop, so the
+   gate is under one word per call: a buffer or key that leaves the minor
+   heap costs at least 257 words per call, and a key spelling 8 bytes per
+   constant component costs 1,051. *)
+let test_key_size_gate () =
+  let u = Lqcd.Gauge.create_links geom in
+  let psi = fermion () in
+  let e = Lqcd.Wilson.wilson_expr ~kappa:0.1 u psi in
+  let sh = psi.Field.shape in
+  let key, _ = Expr.key_and_leaves ~dest_shape:sh e in
+  if String.length key >= 1024 then Alcotest.failf "wilson key is %d bytes" (String.length key);
+  let direct_major () =
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  Gc.minor ();
+  let before = direct_major () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Expr.key_and_leaves ~dest_shape:sh e))
+  done;
+  Gc.minor ();
+  let direct = direct_major () -. before in
+  if direct >= 1000.0 then
+    Alcotest.failf "%.0f words allocated directly in the major heap over 1000 keys" direct;
+  let spin = Shape.lattice_spin_matrix Shape.F64 in
+  let c v = Expr.mul (Expr.const spin v) (Expr.field psi) in
+  let v = Array.init 32 float_of_int in
+  let w = Array.copy v in
+  w.(17) <- 17.5;
+  let k1 = Expr.structure_key ~dest_shape:sh (c v) and k2 = Expr.structure_key ~dest_shape:sh (c w) in
+  Alcotest.(check int) "one-component change: equal length" (String.length k1) (String.length k2);
+  Alcotest.(check bool) "one-component change: keys differ" false (String.equal k1 k2)
+
 let test_shift_dirs () =
   let psi = fermion () in
   let e =
@@ -342,7 +382,7 @@ let test_shift_dirs () =
    ignores the shape a node carries. *)
 let rec oracle_shape = function
   | Expr.Leaf f -> f.Field.shape
-  | Expr.Const (s, _) | Expr.Param (s, _) -> s
+  | Expr.Const (s, _, _) | Expr.Param (s, _) -> s
   | Expr.Unary (op, e, _) -> (
       let s = oracle_shape e in
       match op with
@@ -720,6 +760,7 @@ let () =
           Alcotest.test_case "param values erased" `Quick test_param_key_value_independent;
           Alcotest.test_case "key edge cases" `Quick test_key_edges;
           QCheck_alcotest.to_alcotest key_oracle_property;
+          Alcotest.test_case "key size gate" `Quick test_key_size_gate;
           Alcotest.test_case "shift dirs" `Quick test_shift_dirs;
           QCheck_alcotest.to_alcotest stored_shape_property;
           QCheck_alcotest.to_alcotest combination_property;
